@@ -15,7 +15,10 @@ import (
 // A run that dies can be resumed with Context.Resume and, the kernels
 // being deterministic, finishes with a factor bitwise identical to an
 // uninterrupted run. A checkpoint that cannot be written fails the
-// factorization rather than continuing unprotected.
+// factorization rather than continuing unprotected. SolveSPD and Solve
+// checkpoint their factorization the same way, then solve against the
+// finished factor — a barrier the unprotected one-shot graph does not
+// have — and return the same solution bit for bit.
 //
 // Checkpointing currently takes precedence over WithFaultTolerance on
 // the same Context: the snapshot task would need to capture checksum

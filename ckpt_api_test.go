@@ -128,3 +128,35 @@ func TestResumeEmptyDir(t *testing.T) {
 		t.Errorf("Resume on empty dir = %v, want ErrNoCheckpoint", err)
 	}
 }
+
+// TestOneShotSolversHonourCheckpoint: SolveSPD and Solve under
+// WithCheckpoint write checkpoints like Cholesky and LU do, and return the
+// solution the plain one-shot call computes, bit for bit.
+func TestOneShotSolversHonourCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	const n = 240
+	a, b, _ := spdSystem(t, rng, n)
+	solvers := map[string]func(*exadla.Context, *exadla.Matrix, *exadla.Matrix) (*exadla.Matrix, error){
+		"SolveSPD": (*exadla.Context).SolveSPD,
+		"Solve":    (*exadla.Context).Solve,
+	}
+	for name, solve := range solvers {
+		want, err := solve(newCtx(t, exadla.WithTileSize(48)), a, b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dir := t.TempDir()
+		got, err := solve(newCtx(t, exadla.WithTileSize(48), exadla.WithCheckpoint(dir, 1)), a, b)
+		if err != nil {
+			t.Fatalf("%s with checkpoint: %v", name, err)
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) == 0 {
+			t.Errorf("%s with checkpoint left %d files in %s (%v)", name, len(ents), dir, err)
+		}
+		for i := 0; i < n; i++ {
+			if g, w := got.At(i, 0), want.At(i, 0); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: solution[%d] %x != plain call's %x", name, i, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+}

@@ -54,9 +54,13 @@ func (o CkptOptions) every() int {
 // factorization (a checkpoint that silently does not exist is worse than
 // a loud abort).
 func CheckpointedCholesky(s sched.Scheduler, a *tile.Matrix[float64], opt CkptOptions) error {
-	es := &errState{}
-	submitCholeskyRange(s, a, es, false, 0, ckptHook(s, a, nil, ckpt.OpCholesky, a.NT, opt))
-	return finishErr(es, s)
+	return CheckpointedFactor(s, OpCholesky, a, opt)
+}
+
+// CheckpointedFactor is Factor (dataflow) with checkpoints per opt, for the
+// programs without pivot state: OpCholesky and OpLUNoPiv.
+func CheckpointedFactor(s sched.Scheduler, op string, a *tile.Matrix[float64], opt CkptOptions) error {
+	return checkpointed(s, op, a, nil, 0, opt)
 }
 
 // ResumeCholesky restarts a Cholesky factorization from a checkpoint,
@@ -66,16 +70,28 @@ func ResumeCholesky(s sched.Scheduler, c *ckpt.Checkpoint, opt CkptOptions) (*ti
 	if c.Op != ckpt.OpCholesky {
 		return nil, fmt.Errorf("core: checkpoint holds a %v run, not cholesky", c.Op)
 	}
+	return ResumeFactor(s, c, opt)
+}
+
+// ResumeFactor restarts a Cholesky or no-pivot LU factorization from a
+// checkpoint written by CheckpointedFactor, continuing to write
+// checkpoints per opt, and returns the rebuilt tile matrix holding the
+// factor on success.
+func ResumeFactor(s sched.Scheduler, c *ckpt.Checkpoint, opt CkptOptions) (*tile.Matrix[float64], error) {
+	op := OpCholesky
+	if c.Op == ckpt.OpLUNoPiv {
+		op = OpLUNoPiv
+	} else if c.Op != ckpt.OpCholesky {
+		return nil, fmt.Errorf("core: checkpoint holds a %v run, which carries pivot state (use ResumeLU)", c.Op)
+	}
 	if c.M != c.N {
-		return nil, fmt.Errorf("core: cholesky checkpoint with non-square %d×%d matrix", c.M, c.N)
+		return nil, fmt.Errorf("core: %v checkpoint with non-square %d×%d matrix", c.Op, c.M, c.N)
 	}
 	a := tile.FromColMajor(c.M, c.N, c.Data, c.M, c.NB)
 	if c.Step > a.NT {
 		return nil, fmt.Errorf("core: checkpoint step %d beyond %d panel steps", c.Step, a.NT)
 	}
-	es := &errState{}
-	submitCholeskyRange(s, a, es, false, c.Step, ckptHook(s, a, nil, ckpt.OpCholesky, a.NT, opt))
-	return a, finishErr(es, s)
+	return a, checkpointed(s, op, a, nil, c.Step, opt)
 }
 
 // CheckpointedLU is LU with checkpoints: the snapshot additionally
@@ -83,10 +99,7 @@ func ResumeCholesky(s sched.Scheduler, c *ckpt.Checkpoint, opt CkptOptions) (*ti
 // steps, which the resumed factors need both to continue and to solve.
 func CheckpointedLU(s sched.Scheduler, a *tile.Matrix[float64], opt CkptOptions) (*LUFactors[float64], error) {
 	f := newLUFactors(a)
-	es := &errState{}
-	kt := min(a.MT, a.NT)
-	submitLURange(s, f, es, false, 0, ckptHook(s, a, f, ckpt.OpLU, kt, opt))
-	return f, finishErr(es, s)
+	return f, checkpointed(s, OpLU, a, f, 0, opt)
 }
 
 // ResumeLU restarts an LU factorization from a checkpoint.
@@ -106,14 +119,22 @@ func ResumeLU(s sched.Scheduler, c *ckpt.Checkpoint, opt CkptOptions) (*LUFactor
 	copy(f.DiagPiv, c.DiagPiv)
 	copy(f.StackL, c.StackL)
 	copy(f.StackPiv, c.StackPiv)
+	return f, checkpointed(s, OpLU, a, f, c.Step, opt)
+}
+
+// checkpointed runs op's program from panel step from with the snapshot
+// hook installed, and waits for it. f is the OpLU pivot state, nil otherwise.
+func checkpointed(s sched.Scheduler, op string, a *tile.Matrix[float64], f *LUFactors[float64], from int, opt CkptOptions) error {
 	es := &errState{}
-	submitLURange(s, f, es, false, c.Step, ckptHook(s, a, f, ckpt.OpLU, kt, opt))
-	return f, finishErr(es, s)
+	submitProgram(s, op, a, f, es, false, from, ckptHook(s, op, a, f, opt))
+	return finishErr(es, s)
 }
 
 // ckptHook returns the afterStep callback that injects the snapshot task
 // (and, at AbortAtStep, the abort task) into the DAG. f is non-nil for LU.
-func ckptHook(s sched.Scheduler, a *tile.Matrix[float64], f *LUFactors[float64], op ckpt.Op, kt int, opt CkptOptions) func(k int) {
+func ckptHook(s sched.Scheduler, op string, a *tile.Matrix[float64], f *LUFactors[float64], opt CkptOptions) func(k int) {
+	kt := min(a.MT, a.NT)
+	tag := map[string]ckpt.Op{OpCholesky: ckpt.OpCholesky, OpLUNoPiv: ckpt.OpLUNoPiv, OpLU: ckpt.OpLU}[op]
 	allTiles := func() []sched.Handle {
 		hs := make([]sched.Handle, 0, a.MT*a.NT)
 		for j := 0; j < a.NT; j++ {
@@ -133,7 +154,7 @@ func ckptHook(s sched.Scheduler, a *tile.Matrix[float64], f *LUFactors[float64],
 			Reads: allTiles(),
 			FnErr: func() error {
 				c := &ckpt.Checkpoint{
-					Op: op, Step: k + 1,
+					Op: tag, Step: k + 1,
 					M: a.M, N: a.N, NB: a.NB,
 					Data: a.ToColMajor(),
 				}

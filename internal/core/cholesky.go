@@ -2,7 +2,6 @@ package core
 
 import (
 	"exadla/internal/blas"
-	"exadla/internal/lapack"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
@@ -12,123 +11,14 @@ import (
 // lower triangle is referenced), scheduling the full task DAG at once and
 // waiting for completion. On success the lower tiles of A hold L.
 func Cholesky[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
-	es := &errState{}
-	submitCholesky(s, a, es, false)
-	return finishErr(es, s)
+	return Factor(s, OpCholesky, a, false)
 }
 
 // CholeskyForkJoin is the block-synchronous baseline: identical tile
 // kernels, but with a barrier after the panel factorization, after the
 // panel solves, and after the trailing update of every step.
 func CholeskyForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
-	es := &errState{}
-	submitCholesky(s, a, es, true)
-	return finishErr(es, s)
-}
-
-// submitCholesky submits the tile Cholesky DAG. With forkJoin set it
-// synchronizes between phases instead of relying on dataflow dependences.
-func submitCholesky[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], es *errState, forkJoin bool) {
-	submitCholeskyRange(s, a, es, forkJoin, 0, nil)
-}
-
-// submitCholeskyRange submits the Cholesky DAG starting at panel step
-// `from` (the tiles must already hold the state left by steps 0..from-1 —
-// the checkpoint/restart path). afterStep, if non-nil, is invoked after
-// each step's tasks are submitted and before the next step's, the
-// submission point where a consistent-frontier task (checkpoint, abort)
-// can be injected.
-func submitCholeskyRange[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], es *errState, forkJoin bool, from int, afterStep func(k int)) {
-	if a.M != a.N {
-		panic("core: Cholesky needs a square matrix")
-	}
-	nt := a.NT
-	for k := from; k < nt; k++ {
-		k := k
-		s.Submit(sched.Task{
-			Name:     "potrf",
-			Priority: prioPanel(k, nt),
-			Reads:    nil,
-			Writes:   []sched.Handle{a.Handle(k, k)},
-			Fn: timed(panelNs, func() {
-				if es.failed() {
-					return
-				}
-				n := a.TileCols(k)
-				if err := lapack.Potrf(blas.Lower, n, a.Tile(k, k), a.TileRows(k)); err != nil {
-					perr := err.(*lapack.NotPositiveDefiniteError)
-					es.set(&lapack.NotPositiveDefiniteError{Index: k*a.NB + perr.Index})
-				}
-			}),
-		})
-		if forkJoin {
-			s.Wait()
-		}
-		for i := k + 1; i < a.MT; i++ {
-			i := i
-			s.Submit(sched.Task{
-				Name:     "trsm",
-				Priority: prioSolve(k, nt),
-				Reads:    []sched.Handle{a.Handle(k, k)},
-				Writes:   []sched.Handle{a.Handle(i, k)},
-				Fn: timed(solveNs, func() {
-					if es.failed() {
-						return
-					}
-					// A[i][k] ← A[i][k]·L[k][k]⁻ᵀ.
-					blas.Trsm(blas.Right, blas.Lower, blas.Trans, blas.NonUnit,
-						a.TileRows(i), a.TileCols(k), 1,
-						a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
-				}),
-			})
-		}
-		if forkJoin {
-			s.Wait()
-		}
-		for j := k + 1; j < nt; j++ {
-			j := j
-			s.Submit(sched.Task{
-				Name:     "syrk",
-				Priority: prioUpdate(j, nt),
-				Reads:    []sched.Handle{a.Handle(j, k)},
-				Writes:   []sched.Handle{a.Handle(j, j)},
-				Fn: timed(updateNs, func() {
-					if es.failed() {
-						return
-					}
-					// A[j][j] -= A[j][k]·A[j][k]ᵀ.
-					blas.Syrk(blas.Lower, blas.NoTrans, a.TileCols(j), a.TileCols(k),
-						-1, a.Tile(j, k), a.TileRows(j), 1, a.Tile(j, j), a.TileRows(j))
-				}),
-			})
-			for i := j + 1; i < a.MT; i++ {
-				i := i
-				s.Submit(sched.Task{
-					Name:     "gemm",
-					Priority: prioUpdate(j, nt),
-					Reads:    []sched.Handle{a.Handle(i, k), a.Handle(j, k)},
-					Writes:   []sched.Handle{a.Handle(i, j)},
-					Fn: timed(updateNs, func() {
-						if es.failed() {
-							return
-						}
-						// A[i][j] -= A[i][k]·A[j][k]ᵀ.
-						blas.Gemm(blas.NoTrans, blas.Trans,
-							a.TileRows(i), a.TileCols(j), a.TileCols(k),
-							-1, a.Tile(i, k), a.TileRows(i),
-							a.Tile(j, k), a.TileRows(j),
-							1, a.Tile(i, j), a.TileRows(i))
-					}),
-				})
-			}
-		}
-		if forkJoin {
-			s.Wait()
-		}
-		if afterStep != nil {
-			afterStep(k)
-		}
-	}
+	return Factor(s, OpCholesky, a, true)
 }
 
 // TrsmLower submits tile tasks solving op(L)·X = B in place, where L is the
@@ -144,7 +34,7 @@ func TrsmLower[F blas.Float](s sched.Scheduler, trans blas.Transpose, a *tile.Ma
 				j := j
 				s.Submit(sched.Task{
 					Name:     "trsm",
-					Priority: prioSolve(k, nt),
+					Priority: priority(k, nt, bandSolve),
 					Reads:    []sched.Handle{a.Handle(k, k)},
 					Writes:   []sched.Handle{b.Handle(k, j)},
 					Fn: timed(solveNs, func() {
@@ -157,7 +47,7 @@ func TrsmLower[F blas.Float](s sched.Scheduler, trans blas.Transpose, a *tile.Ma
 					i := i
 					s.Submit(sched.Task{
 						Name:     "gemm",
-						Priority: prioUpdate(k, nt),
+						Priority: priority(k, nt, bandUpdate),
 						Reads:    []sched.Handle{a.Handle(i, k), b.Handle(k, j)},
 						Writes:   []sched.Handle{b.Handle(i, j)},
 						Fn: timed(updateNs, func() {
@@ -180,7 +70,7 @@ func TrsmLower[F blas.Float](s sched.Scheduler, trans blas.Transpose, a *tile.Ma
 			j := j
 			s.Submit(sched.Task{
 				Name:     "trsm",
-				Priority: prioSolve(nt-1-k, nt),
+				Priority: priority(nt-1-k, nt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k)},
 				Writes:   []sched.Handle{b.Handle(k, j)},
 				Fn: timed(solveNs, func() {
@@ -193,7 +83,7 @@ func TrsmLower[F blas.Float](s sched.Scheduler, trans blas.Transpose, a *tile.Ma
 				i := i
 				s.Submit(sched.Task{
 					Name:     "gemm",
-					Priority: prioUpdate(nt-1-k, nt),
+					Priority: priority(nt-1-k, nt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(k, i), b.Handle(k, j)},
 					Writes:   []sched.Handle{b.Handle(i, j)},
 					Fn: timed(updateNs, func() {
@@ -221,7 +111,7 @@ func TrsmUpper[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], b *tile.Matri
 			j := j
 			s.Submit(sched.Task{
 				Name:     "trsm",
-				Priority: prioSolve(nt-1-k, nt),
+				Priority: priority(nt-1-k, nt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k)},
 				Writes:   []sched.Handle{b.Handle(k, j)},
 				Fn: timed(solveNs, func() {
@@ -237,7 +127,7 @@ func TrsmUpper[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], b *tile.Matri
 				i := i
 				s.Submit(sched.Task{
 					Name:     "gemm",
-					Priority: prioUpdate(nt-1-k, nt),
+					Priority: priority(nt-1-k, nt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(i, k), b.Handle(k, j)},
 					Writes:   []sched.Handle{b.Handle(i, j)},
 					Fn: timed(updateNs, func() {
@@ -257,7 +147,7 @@ func TrsmUpper[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], b *tile.Matri
 // all in one dataflow graph with no intermediate barrier.
 func Posv[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) error {
 	es := &errState{}
-	submitCholesky(s, a, es, false)
+	submitProgram(s, OpCholesky, a, nil, es, false, 0, nil)
 	TrsmLower(s, blas.NoTrans, a, b)
 	TrsmLower(s, blas.Trans, a, b)
 	return finishErr(es, s)

@@ -1,20 +1,33 @@
 // Package core implements the tile algorithms at the heart of the
-// reproduction: Cholesky, LU (incremental pivoting), and QR factorizations
-// expressed as DAGs of tile kernels submitted to a dataflow scheduler, plus
-// the fork–join baselines the extreme-scale argument compares against.
+// reproduction: Cholesky, LU (incremental pivoting or none), and QR
+// factorizations expressed as DAGs of tile kernels submitted to a dataflow
+// scheduler, plus the fork–join baselines the extreme-scale argument
+// compares against.
 //
-// Every algorithm comes in two variants sharing the same tile kernels:
+// The Cholesky and LU loop nests are written once, as data (program.go):
+// Program unrolls a nest into Steps, each Step knows its tile accesses and
+// priority, and Apply runs its kernel. One program, many executors — the
+// same steps are walked by
 //
-//   - the dataflow variant submits all tasks up front and synchronizes once,
-//     so the scheduler overlaps independent work across iteration boundaries;
-//   - the ForkJoin variant inserts a barrier (Scheduler.Wait) after each
-//     phase of each iteration, modelling the block-synchronous LAPACK-style
-//     execution whose idle time the talk attacks.
+//   - the dataflow drivers, which submit all tasks up front and synchronize
+//     once, so the scheduler overlaps independent work across iteration
+//     boundaries;
+//   - the ForkJoin drivers, which insert a barrier (Scheduler.Wait) after
+//     each phase of each iteration, modelling the block-synchronous
+//     LAPACK-style execution whose idle time the talk attacks;
+//   - the checkpointing and resuming drivers, which inject a snapshot task
+//     after each panel step;
+//   - the distributed runtime (internal/dist), which ships Steps to remote
+//     workers that call Apply on their tile caches.
+//
+// QR, the triangular solves and the ABFT-protected Cholesky still submit
+// their own nests over the same tile kernels.
 //
 // Factorization errors discovered inside tasks (a non-positive-definite
-// diagonal tile, a singular pivot) are captured in an errState; once set,
-// remaining tasks turn into no-ops so the DAG drains quickly, and the first
-// error is returned after the final Wait.
+// diagonal tile, a singular pivot) are captured in an errState and the first
+// is returned after the final Wait. Once it is set, the remaining tasks of
+// most algorithms turn into no-ops so the DAG drains quickly; pivoted LU
+// runs to completion, like LAPACK's GETRF.
 package core
 
 import (
@@ -47,19 +60,6 @@ func (e *errState) get() error {
 }
 
 func (e *errState) failed() bool { return e.get() != nil }
-
-// Priority bands implement panel lookahead. A task's urgency is keyed to
-// the panel column it feeds — the column of its target tile — not the step
-// that submitted it: the trailing updates that complete column k+1 outrank
-// the bulk updates of later columns, so the next panel factorization
-// becomes ready (and overlaps the rest of the trailing update) as early as
-// the DAG allows. This is the lookahead trick that lets HPL hide panel
-// factorization behind the update, generalized to every column. Within one
-// column, panel kernels outrank solves outrank updates, matching their
-// order on the critical path.
-func prioPanel(col, cols int) int  { return 3*(cols-col) + 2 }
-func prioSolve(col, cols int) int  { return 3*(cols-col) + 1 }
-func prioUpdate(col, cols int) int { return 3 * (cols - col) }
 
 // Gemm submits tile tasks computing C ← α·op(A)·op(B) + β·C over tiled
 // matrices. Tile geometries must agree (same NB, conforming dimensions).

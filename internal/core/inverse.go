@@ -27,7 +27,7 @@ func TrtriLower[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], es *errState
 			}
 			s.Submit(sched.Task{
 				Name:     "trmm",
-				Priority: prioUpdate(nt-1-k, nt),
+				Priority: priority(nt-1-k, nt, bandUpdate),
 				Reads:    reads,
 				Writes:   []sched.Handle{a.Handle(i, k)},
 				Fn: func() {
@@ -50,7 +50,7 @@ func TrtriLower[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], es *errState
 			})
 			s.Submit(sched.Task{
 				Name:     "trsm",
-				Priority: prioSolve(nt-1-k, nt),
+				Priority: priority(nt-1-k, nt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k)},
 				Writes:   []sched.Handle{a.Handle(i, k)},
 				Fn: func() {
@@ -65,7 +65,7 @@ func TrtriLower[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], es *errState
 		}
 		s.Submit(sched.Task{
 			Name:     "trtri",
-			Priority: prioPanel(nt-1-k, nt),
+			Priority: priority(nt-1-k, nt, bandPanel),
 			Writes:   []sched.Handle{a.Handle(k, k)},
 			Fn: func() {
 				if es.failed() {
@@ -97,7 +97,7 @@ func LauumLower[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) {
 			}
 			s.Submit(sched.Task{
 				Name:     "trmm",
-				Priority: prioUpdate(i, nt),
+				Priority: priority(i, nt, bandUpdate),
 				Reads:    reads,
 				Writes:   []sched.Handle{a.Handle(i, j)},
 				Fn: func() {
@@ -121,7 +121,7 @@ func LauumLower[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) {
 		}
 		s.Submit(sched.Task{
 			Name:     "lauum",
-			Priority: prioPanel(i, nt),
+			Priority: priority(i, nt, bandPanel),
 			Reads:    reads,
 			Writes:   []sched.Handle{a.Handle(i, i)},
 			Fn: func() {
@@ -143,7 +143,7 @@ func Potri[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
 		panic("core: Potri needs a square matrix")
 	}
 	es := &errState{}
-	submitCholesky(s, a, es, false)
+	submitProgram(s, OpCholesky, a, nil, es, false, 0, nil)
 	TrtriLower(s, a, es)
 	LauumLower(s, a)
 	return finishErr(es, s)

@@ -37,7 +37,7 @@ func (f *LUFactors[F]) stackIdx(i, k int) int { return i + k*f.A.MT }
 func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], error) {
 	f := newLUFactors(a)
 	es := &errState{}
-	submitLU(s, f, es, false)
+	submitProgram(s, OpLU, a, f, es, false, 0, nil)
 	return f, finishErr(es, s)
 }
 
@@ -45,7 +45,7 @@ func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], erro
 func LUForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], error) {
 	f := newLUFactors(a)
 	es := &errState{}
-	submitLU(s, f, es, true)
+	submitProgram(s, OpLU, a, f, es, true, 0, nil)
 	return f, finishErr(es, s)
 }
 
@@ -55,98 +55,6 @@ func newLUFactors[F blas.Float](a *tile.Matrix[F]) *LUFactors[F] {
 		DiagPiv:  make([][]int, min(a.MT, a.NT)),
 		StackL:   make([][]F, a.MT*a.NT),
 		StackPiv: make([][]int, a.MT*a.NT),
-	}
-}
-
-func submitLU[F blas.Float](s sched.Scheduler, f *LUFactors[F], es *errState, forkJoin bool) {
-	submitLURange(s, f, es, forkJoin, 0, nil)
-}
-
-// submitLURange submits the LU DAG starting at panel step `from` (tiles
-// and the pivot/stack state of earlier steps must already be in place —
-// the checkpoint/restart path). afterStep, if non-nil, runs after each
-// step's submissions, where checkpoint or abort tasks are injected.
-func submitLURange[F blas.Float](s sched.Scheduler, f *LUFactors[F], es *errState, forkJoin bool, from int, afterStep func(k int)) {
-	a := f.A
-	kt := min(a.MT, a.NT)
-	for k := from; k < kt; k++ {
-		k := k
-		s.Submit(sched.Task{
-			Name:     "getrf",
-			Priority: prioPanel(k, kt),
-			Writes:   []sched.Handle{a.Handle(k, k)},
-			Fn: timed(panelNs, func() {
-				tr, tc := a.TileRows(k), a.TileCols(k)
-				piv := make([]int, min(tr, tc))
-				if err := lapack.Getrf(tr, tc, a.Tile(k, k), tr, piv); err != nil {
-					serr := err.(*lapack.SingularError)
-					es.set(&lapack.SingularError{Index: k*a.NB + serr.Index})
-				}
-				f.DiagPiv[k] = piv
-			}),
-		})
-		if forkJoin {
-			s.Wait()
-		}
-		for j := k + 1; j < a.NT; j++ {
-			j := j
-			s.Submit(sched.Task{
-				Name:     "gessm",
-				Priority: prioSolve(j, kt),
-				Reads:    []sched.Handle{a.Handle(k, k)},
-				Writes:   []sched.Handle{a.Handle(k, j)},
-				Fn: timed(solveNs, func() {
-					gessm(a.TileRows(k), a.TileCols(j), min(a.TileRows(k), a.TileCols(k)),
-						f.DiagPiv[k], a.Tile(k, k), a.TileRows(k),
-						a.Tile(k, j), a.TileRows(k))
-				}),
-			})
-		}
-		if forkJoin {
-			s.Wait()
-		}
-		for i := k + 1; i < a.MT; i++ {
-			i := i
-			s.Submit(sched.Task{
-				Name:     "tstrf",
-				Priority: prioPanel(k, kt),
-				Writes:   []sched.Handle{a.Handle(k, k), a.Handle(i, k)},
-				Fn: timed(panelNs, func() {
-					tc := a.TileCols(k)
-					tr2 := a.TileRows(i)
-					l, piv, err := tstrf(tc, tr2,
-						a.Tile(k, k), a.TileRows(k),
-						a.Tile(i, k), tr2)
-					if err != nil {
-						serr := err.(*lapack.SingularError)
-						es.set(&lapack.SingularError{Index: k*a.NB + serr.Index})
-					}
-					f.StackL[f.stackIdx(i, k)] = l
-					f.StackPiv[f.stackIdx(i, k)] = piv
-				}),
-			})
-			for j := k + 1; j < a.NT; j++ {
-				j := j
-				s.Submit(sched.Task{
-					Name:     "ssssm",
-					Priority: prioUpdate(j, kt),
-					Reads:    []sched.Handle{a.Handle(i, k)},
-					Writes:   []sched.Handle{a.Handle(k, j), a.Handle(i, j)},
-					Fn: timed(updateNs, func() {
-						ssssm(a.TileCols(k), a.TileRows(i), a.TileCols(j),
-							f.StackL[f.stackIdx(i, k)], f.StackPiv[f.stackIdx(i, k)],
-							a.Tile(k, j), a.TileRows(k),
-							a.Tile(i, j), a.TileRows(i))
-					}),
-				})
-			}
-			if forkJoin {
-				s.Wait()
-			}
-		}
-		if afterStep != nil {
-			afterStep(k)
-		}
 	}
 }
 
@@ -230,7 +138,7 @@ func ApplyLU[F blas.Float](s sched.Scheduler, f *LUFactors[F], b *tile.Matrix[F]
 			j := j
 			s.Submit(sched.Task{
 				Name:     "gessm",
-				Priority: prioSolve(k, kt),
+				Priority: priority(k, kt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k)},
 				Writes:   []sched.Handle{b.Handle(k, j)},
 				Fn: timed(solveNs, func() {
@@ -246,7 +154,7 @@ func ApplyLU[F blas.Float](s sched.Scheduler, f *LUFactors[F], b *tile.Matrix[F]
 				j := j
 				s.Submit(sched.Task{
 					Name:     "ssssm",
-					Priority: prioUpdate(k, kt),
+					Priority: priority(k, kt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(i, k)},
 					Writes:   []sched.Handle{b.Handle(k, j), b.Handle(i, j)},
 					Fn: timed(updateNs, func() {
@@ -269,7 +177,7 @@ func Gesv[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) (*LUFactors[F],
 	}
 	f := newLUFactors(a)
 	es := &errState{}
-	submitLU(s, f, es, false)
+	submitProgram(s, OpLU, a, f, es, false, 0, nil)
 	ApplyLU(s, f, b)
 	TrsmUpper(s, a, b)
 	return f, finishErr(es, s)

@@ -1,0 +1,329 @@
+package core
+
+import (
+	"fmt"
+
+	"exadla/internal/blas"
+	"exadla/internal/lapack"
+	"exadla/internal/metrics"
+	"exadla/internal/sched"
+	"exadla/internal/tile"
+)
+
+// This file holds the tile programs: each factorization's loop nest written
+// once, as data. Program unrolls a nest into Steps, a Step knows the tiles it
+// reads and writes and its priority, and Apply is the one place each
+// kernel's operands and BLAS/LAPACK call are spelled out. Every executor
+// walks the same steps: the in-process runtime (dataflow or fork–join), the
+// sequential Recorder, the checkpointing and resuming drivers, and the
+// distributed coordinator and its workers, which ship Steps over the wire.
+
+// Operations with a tile program.
+const (
+	OpCholesky = "cholesky"
+	// OpLUNoPiv is right-looking LU without pivoting, for diagonally
+	// dominant matrices: its tile finalization order is data-independent.
+	OpLUNoPiv = "lunp"
+	// OpLU is LU with incremental (block pairwise) pivoting; its pivot
+	// state lives in LUFactors, outside the tiles.
+	OpLU = "lu"
+)
+
+// Step is one tile task of a program: kernel Kind at panel step K on the
+// tiles named by I and J. Coordinates a kernel does not use are zero.
+type Step struct {
+	Kind    string
+	K, I, J int
+}
+
+// Program unrolls op's loop nest over an mt×nt tile grid, starting at
+// panel step from (the tiles must already hold the state of the earlier
+// steps — the checkpoint/restart path), in submission order.
+func Program(op string, mt, nt, from int) []Step {
+	var p []Step
+	add := func(kind string, k, i, j int) { p = append(p, Step{Kind: kind, K: k, I: i, J: j}) }
+	for k := from; k < min(mt, nt); k++ {
+		switch op {
+		case OpCholesky:
+			add("potrf", k, 0, 0)
+			for i := k + 1; i < mt; i++ {
+				add("trsm", k, i, 0)
+			}
+			for j := k + 1; j < nt; j++ {
+				add("syrk", k, 0, j)
+				for i := j + 1; i < mt; i++ {
+					add("gemm", k, i, j)
+				}
+			}
+		case OpLUNoPiv:
+			add("getrfnp", k, 0, 0)
+			for j := k + 1; j < nt; j++ {
+				add("ltrsm", k, 0, j)
+			}
+			for i := k + 1; i < mt; i++ {
+				add("utrsm", k, i, 0)
+			}
+			for j := k + 1; j < nt; j++ {
+				for i := k + 1; i < mt; i++ {
+					add("lgemm", k, i, j)
+				}
+			}
+		case OpLU:
+			add("getrf", k, 0, 0)
+			for j := k + 1; j < nt; j++ {
+				add("gessm", k, 0, j)
+			}
+			for i := k + 1; i < mt; i++ {
+				add("tstrf", k, i, 0)
+				for j := k + 1; j < nt; j++ {
+					add("ssssm", k, i, j)
+				}
+			}
+		default:
+			panic(fmt.Sprintf("core: no tile program for op %q", op))
+		}
+	}
+	return p
+}
+
+// Accesses returns the tiles s reads and writes as (row, column) tile
+// coordinates. A read-modify-written tile appears only among the writes.
+func (s Step) Accesses() (reads, writes [][2]int) {
+	k, i, j := s.K, s.I, s.J
+	switch s.Kind {
+	case "potrf", "getrfnp", "getrf":
+		return nil, [][2]int{{k, k}}
+	case "trsm", "utrsm": // A[i][k] ← A[i][k]·op(A[k][k])⁻¹
+		return [][2]int{{k, k}}, [][2]int{{i, k}}
+	case "ltrsm", "gessm": // A[k][j] ← L[k][k]⁻¹·A[k][j]
+		return [][2]int{{k, k}}, [][2]int{{k, j}}
+	case "syrk": // A[j][j] -= A[j][k]·A[j][k]ᵀ
+		return [][2]int{{j, k}}, [][2]int{{j, j}}
+	case "gemm": // A[i][j] -= A[i][k]·A[j][k]ᵀ
+		return [][2]int{{i, k}, {j, k}}, [][2]int{{i, j}}
+	case "lgemm": // A[i][j] -= L[i][k]·U[k][j]
+		return [][2]int{{i, k}, {k, j}}, [][2]int{{i, j}}
+	case "tstrf":
+		return nil, [][2]int{{k, k}, {i, k}}
+	case "ssssm":
+		return [][2]int{{i, k}}, [][2]int{{k, j}, {i, j}}
+	}
+	panic(fmt.Sprintf("core: unknown tile kernel %q", s.Kind))
+}
+
+// Priority bands implement panel lookahead. A task's urgency is keyed to
+// the panel column it feeds — the column of its (first) target tile — not
+// the step that submitted it: the trailing updates that complete column k+1
+// outrank the bulk updates of later columns, so the next panel
+// factorization becomes ready (and overlaps the rest of the trailing
+// update) as early as the DAG allows. This is the lookahead trick that lets
+// HPL hide panel factorization behind the update, generalized to every
+// column. Within one column, panel kernels outrank solves outrank updates,
+// matching their order on the critical path.
+const (
+	bandUpdate = iota
+	bandSolve
+	bandPanel
+)
+
+// priority is the scheduling priority of a task in band feeding column col
+// of a factorization with cols panel columns.
+func priority(col, cols, band int) int { return 3*(cols-col) + band }
+
+func (s Step) band() int {
+	switch s.Kind {
+	case "potrf", "getrfnp", "getrf", "tstrf":
+		return bandPanel
+	case "trsm", "utrsm", "ltrsm", "gessm":
+		return bandSolve
+	}
+	return bandUpdate
+}
+
+// Priority is s's scheduling priority in a program with cols panel
+// columns: 3·(cols − column of the first written tile) + band, where the
+// band is 2 for panel, 1 for solve and 0 for update kernels.
+func (s Step) Priority(cols int) int {
+	_, w := s.Accesses()
+	return priority(w[0][1], cols, s.band())
+}
+
+// phase names the fork–join phase s belongs to; a fork–join executor drains
+// each phase before starting the next. A panel step splits into its panel,
+// solve and update phases, except that incremental-pivoting LU drains after
+// each tile row's tstrf and the ssssm sweep that follows it.
+func (s Step) phase() [2]int {
+	if s.Kind == "tstrf" || s.Kind == "ssssm" {
+		return [2]int{s.K, bandPanel + 1 + s.I}
+	}
+	return [2]int{s.K, bandPanel - s.band()}
+}
+
+// Apply runs s's kernel in place on the tiles of a. f is the pivot state of
+// an OpLU program, which its steps read and write, and nil otherwise. A
+// failing pivot is reported with its global index.
+func Apply[F blas.Float](s Step, a *tile.Matrix[F], f *LUFactors[F]) error {
+	k, i, j := s.K, s.I, s.J
+	switch s.Kind {
+	case "potrf":
+		if err := lapack.Potrf(blas.Lower, a.TileCols(k), a.Tile(k, k), a.TileRows(k)); err != nil {
+			perr := err.(*lapack.NotPositiveDefiniteError)
+			return &lapack.NotPositiveDefiniteError{Index: k*a.NB + perr.Index}
+		}
+	case "trsm":
+		blas.Trsm(blas.Right, blas.Lower, blas.Trans, blas.NonUnit,
+			a.TileRows(i), a.TileCols(k), 1,
+			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
+	case "syrk":
+		blas.Syrk(blas.Lower, blas.NoTrans, a.TileCols(j), a.TileCols(k),
+			-1, a.Tile(j, k), a.TileRows(j), 1, a.Tile(j, j), a.TileRows(j))
+	case "gemm":
+		blas.Gemm(blas.NoTrans, blas.Trans,
+			a.TileRows(i), a.TileCols(j), a.TileCols(k),
+			-1, a.Tile(i, k), a.TileRows(i),
+			a.Tile(j, k), a.TileRows(j),
+			1, a.Tile(i, j), a.TileRows(i))
+	case "getrfnp":
+		return getrfnp(a.TileRows(k), a.TileCols(k), a.Tile(k, k), a.TileRows(k), k*a.NB)
+	case "ltrsm":
+		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit,
+			a.TileRows(k), a.TileCols(j), 1,
+			a.Tile(k, k), a.TileRows(k), a.Tile(k, j), a.TileRows(k))
+	case "utrsm":
+		blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit,
+			a.TileRows(i), a.TileCols(k), 1,
+			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
+	case "lgemm":
+		blas.Gemm(blas.NoTrans, blas.NoTrans,
+			a.TileRows(i), a.TileCols(j), a.TileCols(k),
+			-1, a.Tile(i, k), a.TileRows(i),
+			a.Tile(k, j), a.TileRows(k),
+			1, a.Tile(i, j), a.TileRows(i))
+	case "getrf":
+		tr, tc := a.TileRows(k), a.TileCols(k)
+		f.DiagPiv[k] = make([]int, min(tr, tc))
+		return singularAt(lapack.Getrf(tr, tc, a.Tile(k, k), tr, f.DiagPiv[k]), k*a.NB)
+	case "gessm":
+		gessm(a.TileRows(k), a.TileCols(j), min(a.TileRows(k), a.TileCols(k)),
+			f.DiagPiv[k], a.Tile(k, k), a.TileRows(k),
+			a.Tile(k, j), a.TileRows(k))
+	case "tstrf":
+		l, piv, err := tstrf(a.TileCols(k), a.TileRows(i),
+			a.Tile(k, k), a.TileRows(k),
+			a.Tile(i, k), a.TileRows(i))
+		f.StackL[f.stackIdx(i, k)] = l
+		f.StackPiv[f.stackIdx(i, k)] = piv
+		return singularAt(err, k*a.NB)
+	case "ssssm":
+		ssssm(a.TileCols(k), a.TileRows(i), a.TileCols(j),
+			f.StackL[f.stackIdx(i, k)], f.StackPiv[f.stackIdx(i, k)],
+			a.Tile(k, j), a.TileRows(k),
+			a.Tile(i, j), a.TileRows(i))
+	default:
+		return fmt.Errorf("core: unknown tile kernel %q", s.Kind)
+	}
+	return nil
+}
+
+// singularAt shifts a tile-local *lapack.SingularError to the global index
+// of a tile whose diagonal starts at off.
+func singularAt(err error, off int) error {
+	if err == nil {
+		return nil
+	}
+	return &lapack.SingularError{Index: off + err.(*lapack.SingularError).Index}
+}
+
+// getrfnp is the unblocked right-looking LU factorization of an m×n tile
+// without pivoting: A = L·U with unit-diagonal L, overwriting a. off is the
+// tile's global diagonal offset, used only to report a zero pivot.
+func getrfnp[F blas.Float](m, n int, a []F, lda, off int) error {
+	for k := 0; k < m && k < n; k++ {
+		piv := a[k+k*lda]
+		if piv == 0 {
+			return &lapack.SingularError{Index: off + k}
+		}
+		for i := k + 1; i < m; i++ {
+			a[i+k*lda] /= piv
+		}
+		for j := k + 1; j < n; j++ {
+			akj := a[k+j*lda]
+			if akj == 0 {
+				continue
+			}
+			for i := k + 1; i < m; i++ {
+				a[i+j*lda] -= a[i+k*lda] * akj
+			}
+		}
+	}
+	return nil
+}
+
+// phaseNs maps a kernel band to its phase-time counter (metrics.go).
+var phaseNs = [...]*metrics.Counter{bandUpdate: updateNs, bandSolve: solveNs, bandPanel: panelNs}
+
+// submitProgram submits op's tile program over a to s — the one walk behind
+// every in-process factorization driver. f is the OpLU pivot state (nil for
+// the other ops). With forkJoin set it drains each phase before starting
+// the next instead of relying on dataflow dependences alone. afterStep, if
+// non-nil, is invoked once each panel step's tasks are submitted and before
+// the next step's: the submission point where a consistent-frontier task
+// (checkpoint, abort) can be injected.
+//
+// A Cholesky or no-pivot LU kernel error poisons the rest of the program —
+// later tasks turn into no-ops so the DAG drains quickly — while
+// incremental-pivoting LU reports a singular pivot and still runs to
+// completion, like LAPACK's GETRF.
+func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], f *LUFactors[F], es *errState, forkJoin bool, from int, afterStep func(k int)) {
+	if op != OpLU && a.M != a.N {
+		panic(fmt.Sprintf("core: %s needs a square matrix", op))
+	}
+	handles := func(cs [][2]int) []sched.Handle {
+		hs := make([]sched.Handle, len(cs))
+		for n, c := range cs {
+			hs[n] = a.Handle(c[0], c[1])
+		}
+		return hs
+	}
+	prog := Program(op, a.MT, a.NT, from)
+	cols := min(a.MT, a.NT)
+	for n, st := range prog {
+		reads, writes := st.Accesses()
+		s.Submit(sched.Task{
+			Name:     st.Kind,
+			Priority: st.Priority(cols),
+			Reads:    handles(reads),
+			Writes:   handles(writes),
+			Fn: timed(phaseNs[st.band()], func() {
+				if op != OpLU && es.failed() {
+					return
+				}
+				if err := Apply(st, a, f); err != nil {
+					es.set(err)
+				}
+			}),
+		})
+		last := n == len(prog)-1
+		if forkJoin && (last || prog[n+1].phase() != st.phase()) {
+			s.Wait()
+		}
+		if afterStep != nil && (last || prog[n+1].K != st.K) {
+			afterStep(st.K)
+		}
+	}
+}
+
+// Factor factors a in place with op's tile program — OpCholesky (lower
+// triangle referenced; on success the lower tiles hold L) or OpLUNoPiv (on
+// success a holds L\U) — and waits for completion. With forkJoin unset the
+// whole DAG is submitted at once; with it set the block-synchronous
+// baseline drains each phase (panel, solves, trailing update) before the
+// next. OpLU carries pivot state and runs through LU instead.
+func Factor[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], forkJoin bool) error {
+	if op == OpLU {
+		panic("core: Factor cannot return LU pivot state; use LU")
+	}
+	es := &errState{}
+	submitProgram(s, op, a, nil, es, forkJoin, 0, nil)
+	return finishErr(es, s)
+}

@@ -1,0 +1,174 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"exadla/internal/ckpt"
+	"exadla/internal/core"
+	"exadla/internal/sched"
+	"exadla/internal/tile"
+)
+
+// graphNamer gives every handle of a recorded graph a stable name: tiles of
+// the named matrices by label and coordinates, any other datum (checksum
+// pairs, parity rows) by its type and order of first appearance.
+type graphNamer struct {
+	labels []string
+	mats   []*tile.Matrix[float64]
+	other  map[sched.Handle]int
+}
+
+func (nm *graphNamer) add(label string, m *tile.Matrix[float64]) *tile.Matrix[float64] {
+	nm.labels = append(nm.labels, label)
+	nm.mats = append(nm.mats, m)
+	return m
+}
+
+func (nm *graphNamer) name(h sched.Handle) string {
+	if th, ok := h.(tile.Handle); ok {
+		i, j := th.Coords()
+		for k, m := range nm.mats {
+			if i < m.MT && j < m.NT && m.Handle(i, j) == th {
+				return fmt.Sprintf("%s(%d,%d)", nm.labels[k], i, j)
+			}
+		}
+	}
+	if nm.other == nil {
+		nm.other = map[sched.Handle]int{}
+	}
+	idx, ok := nm.other[h]
+	if !ok {
+		idx = len(nm.other)
+		nm.other[h] = idx
+	}
+	return fmt.Sprintf("%T#%d", h, idx)
+}
+
+// graphDigest hashes everything a recorded graph says about the program:
+// per node its kernel name, priority, barrier flag, sorted dependences and
+// the named tiles it reads and writes.
+func graphDigest(g *sched.Graph, nm *graphNamer) string {
+	var sb strings.Builder
+	for i, n := range g.Nodes {
+		deps := append([]int(nil), n.Deps...)
+		sort.Ints(deps)
+		fmt.Fprintf(&sb, "%d %s p=%d b=%v d=%v r=[", i, n.Name, n.Priority, n.Barrier, deps)
+		for _, h := range n.Reads {
+			sb.WriteString(nm.name(h) + " ")
+		}
+		sb.WriteString("] w=[")
+		for _, h := range n.Writes {
+			sb.WriteString(nm.name(h) + " ")
+		}
+		sb.WriteString("]\n")
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	return fmt.Sprintf("%d:%s", len(g.Nodes), hex.EncodeToString(sum[:8]))
+}
+
+// TestProgramGraphsUnchanged pins the task graph every factorization entry
+// point submits — kernel names, priorities, tile accesses, dependences and
+// fork–join barriers — on square, non-square and non-multiple-of-nb tile
+// grids. The digests were recorded before the factorizations were moved
+// onto core.Program; any change to a loop nest, an access list, a priority
+// or a barrier shows up here.
+func TestProgramGraphsUnchanged(t *testing.T) {
+	mat := func(nm *graphNamer, label string, m, n int) *tile.Matrix[float64] {
+		return nm.add(label, tile.New[float64](m, n, 16))
+	}
+	chk := func(op ckpt.Op, m, n, step int) *ckpt.Checkpoint {
+		return &ckpt.Checkpoint{Op: op, Step: step, M: m, N: n, NB: 16, Data: make([]float64, m*n)}
+	}
+	cases := []struct {
+		name string
+		run  func(s sched.Scheduler, nm *graphNamer)
+	}{
+		{"cholesky/80", func(s sched.Scheduler, nm *graphNamer) { _ = core.Cholesky(s, mat(nm, "A", 80, 80)) }},
+		{"cholesky/50", func(s sched.Scheduler, nm *graphNamer) { _ = core.Cholesky(s, mat(nm, "A", 50, 50)) }},
+		{"cholesky-fj/50", func(s sched.Scheduler, nm *graphNamer) { _ = core.CholeskyForkJoin(s, mat(nm, "A", 50, 50)) }},
+		{"posv/50x20", func(s sched.Scheduler, nm *graphNamer) {
+			_ = core.Posv(s, mat(nm, "A", 50, 50), mat(nm, "B", 50, 20))
+		}},
+		{"potri/50", func(s sched.Scheduler, nm *graphNamer) { _ = core.Potri(s, mat(nm, "A", 50, 50)) }},
+		{"lu/64", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 64, 64)) }},
+		{"lu/90", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 90, 90)) }},
+		{"lu/80x48", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 80, 48)) }},
+		{"lu/48x80", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 48, 80)) }},
+		{"lu/100x45", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 100, 45)) }},
+		{"lu-fj/50", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LUForkJoin(s, mat(nm, "A", 50, 50)) }},
+		{"lu-fj/80x48", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LUForkJoin(s, mat(nm, "A", 80, 48)) }},
+		{"lu-fj/48x80", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LUForkJoin(s, mat(nm, "A", 48, 80)) }},
+		{"gesv/50x20", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Gesv(s, mat(nm, "A", 50, 50), mat(nm, "B", 50, 20))
+		}},
+		{"ckpt-cholesky-abort/50", func(s sched.Scheduler, nm *graphNamer) {
+			_ = core.CheckpointedCholesky(s, mat(nm, "A", 50, 50), core.CkptOptions{Every: 1, AbortAtStep: 2})
+		}},
+		{"ckpt-lu-abort/64", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.CheckpointedLU(s, mat(nm, "A", 64, 64), core.CkptOptions{Every: 1, AbortAtStep: 2})
+		}},
+		{"ckpt-lu-abort/80x48", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.CheckpointedLU(s, mat(nm, "A", 80, 48), core.CkptOptions{Every: 2, AbortAtStep: 2})
+		}},
+		{"resume-cholesky/50@2", func(s sched.Scheduler, nm *graphNamer) {
+			a, _ := core.ResumeCholesky(s, chk(ckpt.OpCholesky, 50, 50, 2), core.CkptOptions{Every: 2})
+			nm.add("A", a)
+		}},
+		{"resume-lu/64@2", func(s sched.Scheduler, nm *graphNamer) {
+			f, _ := core.ResumeLU(s, chk(ckpt.OpLU, 64, 64, 2), core.CkptOptions{Every: 1})
+			nm.add("A", f.A)
+		}},
+		{"resume-lu/80x48@2", func(s sched.Scheduler, nm *graphNamer) {
+			f, _ := core.ResumeLU(s, chk(ckpt.OpLU, 80, 48, 2), core.CkptOptions{Every: 1})
+			nm.add("A", f.A)
+		}},
+		{"resilient-cholesky/50", func(s sched.Scheduler, nm *graphNamer) {
+			_ = core.ResilientCholesky(s, mat(nm, "A", 50, 50), core.FTOptions{Erasure: true})
+		}},
+		{"resilient-lu/50", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.ResilientLU(s, mat(nm, "A", 50, 50), core.FTOptions{Erasure: true})
+		}},
+		{"qr/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, mat(nm, "A", 80, 48)); s.Wait() }},
+		{"qrtree/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QRTree(s, mat(nm, "A", 80, 48)); s.Wait() }},
+	}
+	want := map[string]string{
+		"cholesky/80":            "36:1180eb2e8fb96881",
+		"cholesky/50":            "21:ee27237c7fd971b8",
+		"cholesky-fj/50":         "30:dd57c92066b59a06",
+		"posv/50x20":             "61:077877ab57a410be",
+		"potri/50":               "47:a0e442adebd285de",
+		"lu/64":                  "31:f6bce007c4780078",
+		"lu/90":                  "92:c541809ce3cce284",
+		"lu/80x48":               "27:0ac8778e9a38041c",
+		"lu/48x80":               "27:1dc3b8cf3708e32f",
+		"lu/100x45":              "39:b4a15afcc163f529",
+		"lu-fj/50":               "43:c3ef10d056421fbd",
+		"lu-fj/80x48":            "40:542d4b4dd985f889",
+		"lu-fj/48x80":            "35:1a36e8ebb2d83d31",
+		"gesv/50x20":             "71:41bf26b3100544ce",
+		"ckpt-cholesky-abort/50": "25:0ffd8d0e6d72e759",
+		"ckpt-lu-abort/64":       "35:4764a2344d2f7fe3",
+		"ckpt-lu-abort/80x48":    "30:646db184d2a2d667",
+		"resume-cholesky/50@2":   "5:a99e667050742e20",
+		"resume-lu/64@2":         "7:4d6891bd47bad0d2",
+		"resume-lu/80x48@2":      "4:64af5d08c5ec5797",
+		"resilient-cholesky/50":  "42:2a4571f40d3dd3ff",
+		"resilient-lu/50":        "80:440a0748f3de06e3",
+		"qr/80x48":               "27:96a7f8a813c03d53",
+		"qrtree/80x48":           "47:a1bebc21758d0193",
+	}
+	for _, c := range cases {
+		rec := sched.NewModelRecorder()
+		nm := &graphNamer{}
+		c.run(rec, nm)
+		got := graphDigest(rec.Graph(), nm)
+		if w, ok := want[c.name]; !ok || got != w {
+			t.Errorf("%s: graph digest %q, want %q", c.name, got, w)
+		}
+	}
+}

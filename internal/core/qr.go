@@ -48,7 +48,7 @@ func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
 		k := k
 		s.Submit(sched.Task{
 			Name:     "geqrt",
-			Priority: prioPanel(k, kt),
+			Priority: priority(k, kt, bandPanel),
 			Writes:   []sched.Handle{a.Handle(k, k), t.Handle(k, k)},
 			Fn: timed(panelNs, func() {
 				geqrt(a.TileRows(k), a.TileCols(k), a.Tile(k, k), a.TileRows(k), t.Tile(k, k), t.TileRows(k))
@@ -61,7 +61,7 @@ func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
 			j := j
 			s.Submit(sched.Task{
 				Name:     "unmqr",
-				Priority: prioSolve(j, kt),
+				Priority: priority(j, kt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k), t.Handle(k, k)},
 				Writes:   []sched.Handle{a.Handle(k, j)},
 				Fn: timed(solveNs, func() {
@@ -78,7 +78,7 @@ func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
 			i := i
 			s.Submit(sched.Task{
 				Name:     "tsqrt",
-				Priority: prioPanel(k, kt),
+				Priority: priority(k, kt, bandPanel),
 				Reads:    nil,
 				Writes:   []sched.Handle{a.Handle(k, k), a.Handle(i, k), t.Handle(i, k)},
 				Fn: timed(panelNs, func() {
@@ -92,7 +92,7 @@ func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
 				j := j
 				s.Submit(sched.Task{
 					Name:     "tsmqr",
-					Priority: prioUpdate(j, kt),
+					Priority: priority(j, kt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
 					Writes:   []sched.Handle{a.Handle(k, j), a.Handle(i, j)},
 					Fn: timed(updateNs, func() {
@@ -206,7 +206,7 @@ func ApplyQT[F blas.Float](s sched.Scheduler, f *QRFactors[F], b *tile.Matrix[F]
 			j := j
 			s.Submit(sched.Task{
 				Name:     "unmqr",
-				Priority: prioSolve(k, kt),
+				Priority: priority(k, kt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k), t.Handle(k, k)},
 				Writes:   []sched.Handle{b.Handle(k, j)},
 				Fn: timed(solveNs, func() {
@@ -222,7 +222,7 @@ func ApplyQT[F blas.Float](s sched.Scheduler, f *QRFactors[F], b *tile.Matrix[F]
 				j := j
 				s.Submit(sched.Task{
 					Name:     "tsmqr",
-					Priority: prioUpdate(k, kt),
+					Priority: priority(k, kt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
 					Writes:   []sched.Handle{b.Handle(k, j), b.Handle(i, j)},
 					Fn: timed(updateNs, func() {

@@ -69,7 +69,7 @@ func submitQRTree[F blas.Float](s sched.Scheduler, f *QRFactors[F]) {
 			i := i
 			s.Submit(sched.Task{
 				Name:     "geqrt",
-				Priority: prioPanel(k, kt),
+				Priority: priority(k, kt, bandPanel),
 				Writes:   []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
 				Fn: func() {
 					geqrt(a.TileRows(i), a.TileCols(k), a.Tile(i, k), a.TileRows(i), t.Tile(i, k), t.TileRows(i))
@@ -79,7 +79,7 @@ func submitQRTree[F blas.Float](s sched.Scheduler, f *QRFactors[F]) {
 				j := j
 				s.Submit(sched.Task{
 					Name:     "unmqr",
-					Priority: prioSolve(j, kt),
+					Priority: priority(j, kt, bandSolve),
 					Reads:    []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
 					Writes:   []sched.Handle{a.Handle(i, j)},
 					Fn: func() {
@@ -98,7 +98,7 @@ func submitQRTree[F blas.Float](s sched.Scheduler, f *QRFactors[F]) {
 			i1, i2 := p[0], p[1]
 			s.Submit(sched.Task{
 				Name:     "ttqrt",
-				Priority: prioPanel(k, kt),
+				Priority: priority(k, kt, bandPanel),
 				Writes:   []sched.Handle{a.Handle(i1, k), a.Handle(i2, k), t2.Handle(i2, k)},
 				Fn: func() {
 					ttqrt(a.TileCols(k), min(a.TileRows(i2), a.TileCols(k)),
@@ -111,7 +111,7 @@ func submitQRTree[F blas.Float](s sched.Scheduler, f *QRFactors[F]) {
 				j := j
 				s.Submit(sched.Task{
 					Name:     "ttmqr",
-					Priority: prioUpdate(j, kt),
+					Priority: priority(j, kt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(i2, k), t2.Handle(i2, k)},
 					Writes:   []sched.Handle{a.Handle(i1, j), a.Handle(i2, j)},
 					Fn: func() {
@@ -139,7 +139,7 @@ func applyQTTree[F blas.Float](s sched.Scheduler, f *QRFactors[F], b *tile.Matri
 				j := j
 				s.Submit(sched.Task{
 					Name:     "unmqr",
-					Priority: prioSolve(k, kt),
+					Priority: priority(k, kt, bandSolve),
 					Reads:    []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
 					Writes:   []sched.Handle{b.Handle(i, j)},
 					Fn: func() {
@@ -156,7 +156,7 @@ func applyQTTree[F blas.Float](s sched.Scheduler, f *QRFactors[F], b *tile.Matri
 				j := j
 				s.Submit(sched.Task{
 					Name:     "ttmqr",
-					Priority: prioUpdate(k, kt),
+					Priority: priority(k, kt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(i2, k), t2.Handle(i2, k)},
 					Writes:   []sched.Handle{b.Handle(i1, j), b.Handle(i2, j)},
 					Fn: func() {

@@ -251,7 +251,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 		k := k
 		s.Submit(sched.Task{
 			Name:     "potrf",
-			Priority: prioPanel(k, nt),
+			Priority: priority(k, nt, bandPanel),
 			Writes:   []sched.Handle{a.Handle(k, k)},
 			FnErr: timedErr(panelNs, func() error {
 				n := a.TileCols(k)
@@ -274,7 +274,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 			}
 			s.Submit(sched.Task{
 				Name:     "inject",
-				Priority: prioPanel(k, nt),
+				Priority: priority(k, nt, bandPanel),
 				Writes:   writes,
 				Fn:       func() { st.opt.InjectHook(k, a) },
 			})
@@ -282,7 +282,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 		if st.opt.verifyStep(k) {
 			s.Submit(sched.Task{
 				Name:     "verify",
-				Priority: prioPanel(k, nt),
+				Priority: priority(k, nt, bandPanel),
 				Writes:   []sched.Handle{a.Handle(k, k)},
 				FnErr: func() error {
 					return st.verifyTile(k, k)
@@ -291,12 +291,12 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 		}
 		// The diagonal tile is final after its verify: commit it to the row
 		// parity group so a later loss is reconstructible.
-		st.submitCommit(s, k, k, prioPanel(k, nt))
+		st.submitCommit(s, k, k, priority(k, nt, bandPanel))
 		for i := k + 1; i < a.MT; i++ {
 			i := i
 			s.Submit(sched.Task{
 				Name:     "trsm",
-				Priority: prioSolve(k, nt),
+				Priority: priority(k, nt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k)},
 				Writes:   []sched.Handle{a.Handle(i, k), st.handle(i, k)},
 				Fn: timed(solveNs, func() {
@@ -313,7 +313,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 			if st.opt.verifyStep(k) {
 				s.Submit(sched.Task{
 					Name:     "verify",
-					Priority: prioSolve(k, nt),
+					Priority: priority(k, nt, bandSolve),
 					Reads:    []sched.Handle{st.handle(i, k)},
 					Writes:   []sched.Handle{a.Handle(i, k)},
 					FnErr: func() error {
@@ -324,7 +324,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 			// Post-trsm, tile (i, k) is a final L tile: commit it before the
 			// step's gemms read it, so even a loss within this step is
 			// recoverable.
-			st.submitCommit(s, i, k, prioSolve(k, nt))
+			st.submitCommit(s, i, k, priority(k, nt, bandSolve))
 		}
 		// Hard-fault injections scheduled for this step run after the panel
 		// and solves (their targets committed) and before the trailing
@@ -334,7 +334,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 			j := j
 			s.Submit(sched.Task{
 				Name:     "syrk",
-				Priority: prioUpdate(j, nt),
+				Priority: priority(j, nt, bandUpdate),
 				Reads:    []sched.Handle{a.Handle(j, k)},
 				Writes:   []sched.Handle{a.Handle(j, j)},
 				Fn: timed(updateNs, func() {
@@ -346,7 +346,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 				i := i
 				s.Submit(sched.Task{
 					Name:     "gemm",
-					Priority: prioUpdate(j, nt),
+					Priority: priority(j, nt, bandUpdate),
 					Reads:    []sched.Handle{a.Handle(i, k), a.Handle(j, k), st.handle(i, k)},
 					Writes:   []sched.Handle{a.Handle(i, j), st.handle(i, j)},
 					Fn: timed(updateNs, func() {
@@ -417,7 +417,7 @@ func (st *resilientState) submitLosses(s sched.Scheduler, step, nt int) {
 		l := l
 		s.Submit(sched.Task{
 			Name:     "lose",
-			Priority: prioUpdate(step, nt),
+			Priority: priority(step, nt, bandUpdate),
 			Writes:   []sched.Handle{a.Handle(l.I, l.J)},
 			Fn: func() {
 				t := a.Tile(l.I, l.J)
@@ -434,7 +434,7 @@ func (st *resilientState) submitLosses(s sched.Scheduler, step, nt int) {
 		}
 		s.Submit(sched.Task{
 			Name:     "reconstruct",
-			Priority: prioUpdate(step, nt),
+			Priority: priority(step, nt, bandUpdate),
 			Writes:   []sched.Handle{a.Handle(l.I, l.J), st.ers.RowHandle(l.I)},
 			FnErr: func() error {
 				return st.ers.ReconstructTile(l.I, l.J)
@@ -561,7 +561,7 @@ func ResilientLU(s sched.Scheduler, a *tile.Matrix[float64], opt FTOptions) (*LU
 	if opt.Erasure {
 		st.ers = ft.NewRowErasure(a, opt.Stats)
 	}
-	submitLU(s, f, es, false)
+	submitProgram(s, OpLU, a, f, es, false, 0, nil)
 	submitLURecords(s, st)
 	return f, finishErr(es, s)
 }
@@ -594,7 +594,7 @@ func submitLURecords(s sched.Scheduler, st *resilientState) {
 			st.sums[i+j*a.MT] = sums
 			s.Submit(sched.Task{
 				Name:     "record",
-				Priority: prioUpdate(k, kt),
+				Priority: priority(k, kt, bandUpdate),
 				Writes:   []sched.Handle{a.Handle(i, j), st.handle(i, j)},
 				Fn: func() {
 					ft.ColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), sums)
@@ -608,7 +608,7 @@ func submitLURecords(s sched.Scheduler, st *resilientState) {
 			}
 			s.Submit(sched.Task{
 				Name:     "inject",
-				Priority: prioUpdate(k, kt),
+				Priority: priority(k, kt, bandUpdate),
 				Writes:   writes,
 				Fn:       func() { st.opt.InjectHook(k, a) },
 			})
@@ -618,7 +618,7 @@ func submitLURecords(s sched.Scheduler, st *resilientState) {
 				i, j := t[0], t[1]
 				s.Submit(sched.Task{
 					Name:     "verify",
-					Priority: prioUpdate(k, kt),
+					Priority: priority(k, kt, bandUpdate),
 					Reads:    []sched.Handle{st.handle(i, j)},
 					Writes:   []sched.Handle{a.Handle(i, j)},
 					FnErr: func() error {
@@ -630,7 +630,7 @@ func submitLURecords(s sched.Scheduler, st *resilientState) {
 		// Recorded tiles are final: commit them to their row parity groups,
 		// then run this step's scheduled hard-fault injections.
 		for _, t := range tiles {
-			st.submitCommit(s, t[0], t[1], prioUpdate(k, kt))
+			st.submitCommit(s, t[0], t[1], priority(k, kt, bandUpdate))
 		}
 		st.submitLosses(s, k, kt)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"exadla/internal/ckpt"
+	"exadla/internal/core"
 	"exadla/internal/ft"
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
@@ -217,18 +218,18 @@ type Coordinator struct {
 	ln  net.Listener
 	srv *rpc.Server
 
-	mu         sync.Mutex
-	a          *tile.Matrix[float64]
-	st         *store
-	pl         *plan
-	fr         *sched.Frontier
-	heaps      []taskHeap // per grid slot when Strict, else heaps[0]
-	gated      []int      // ready tasks beyond the checkpoint window
-	window     int        // only tasks with Step < window may be leased
-	fromStep   int
-	leases     map[int]*lease
-	attempts   map[int]int
-	workers    map[int]*workerState
+	mu       sync.Mutex
+	a        *tile.Matrix[float64]
+	st       *store
+	pl       *plan
+	fr       *sched.Frontier
+	heaps    []taskHeap // per grid slot when Strict, else heaps[0]
+	gated    []int      // ready tasks beyond the checkpoint window
+	window   int        // only tasks of panel steps < window may be leased
+	fromStep int
+	leases   map[int]*lease
+	attempts map[int]int
+	workers  map[int]*workerState
 	// Speculative execution: twins holds the second lease of each task
 	// running twice, specQ the straggler tasks waiting for an idle worker
 	// to twin them, and specPending marks queued tasks so the straggler
@@ -242,10 +243,10 @@ type Coordinator struct {
 	specReg     *metrics.Registry
 	specHist    map[string]*metrics.Histogram
 	lastScrub   time.Time
-	slots      []int // occupant worker id per grid slot, -1 vacant
-	nextWorker int
-	nextToken  int64
-	everJoined bool
+	slots       []int // occupant worker id per grid slot, -1 vacant
+	nextWorker  int
+	nextToken   int64
+	everJoined  bool
 	// barrierMet latches once WaitWorkers workers were live simultaneously;
 	// until then neither leasing nor local fallback may start (the barrier
 	// exists to pin placement, e.g. for strict-mode byte accounting).
@@ -313,13 +314,13 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	if a.M != a.N {
 		return nil, fmt.Errorf("dist: need a square matrix, got %d×%d", a.M, a.N)
 	}
+	if opt.Op != OpCholesky && opt.Op != OpLUNoPiv {
+		return nil, fmt.Errorf("dist: unknown op %q", opt.Op)
+	}
 	c.a = a
 	c.fromStep = fromStep
-	c.pl, err = makePlan(opt.Op, a.MT, a.NT, fromStep)
-	if err != nil {
-		return nil, err
-	}
-	c.taskDeps = buildTaskDeps(opt.Op, c.pl)
+	c.pl = makePlan(opt.Op, a.NT, fromStep)
+	c.taskDeps = c.pl.deps()
 	c.st = newStore(a, opt.WriteBack, func() { c.addStat(&c.stats.TilesRebuilt, c.m.tilesRebuilt, 1) })
 	// Store callbacks run under c.mu (the coordinator serializes all store
 	// access), so recording fault instants here is safe.
@@ -353,7 +354,7 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	c.fr = sched.NewFrontier(func(id int) { c.readyLocked(id) })
 	for i := range c.pl.tasks {
 		t := &c.pl.tasks[i]
-		r, w := accesses(opt.Op, t)
+		r, w := t.Accesses()
 		c.fr.Add(t.ID, coordHandles(r), coordHandles(w))
 	}
 	if c.fr.Done() {
@@ -479,8 +480,7 @@ func (c *Coordinator) signal() {
 // readyLocked routes a newly ready task to its heap, or parks it if its
 // step lies beyond the current checkpoint window.
 func (c *Coordinator) readyLocked(id int) {
-	t := &c.pl.tasks[id]
-	if t.Step >= c.window {
+	if c.pl.tasks[id].K >= c.window {
 		c.gated = append(c.gated, id)
 		return
 	}
@@ -491,9 +491,9 @@ func (c *Coordinator) pushReadyLocked(id int) {
 	t := &c.pl.tasks[id]
 	slot := 0
 	if c.opt.Strict {
-		slot = homeSlot(c.opt.Op, t, c.opt.GridP, c.opt.GridQ)
+		slot = homeSlot(t, c.opt.GridP, c.opt.GridQ)
 	}
-	c.heaps[slot].pushItem(heapItem{id: id, prio: priority(c.opt.Op, t)})
+	c.heaps[slot].pushItem(heapItem{id: id, prio: t.Priority(c.pl.steps)})
 }
 
 // liveCountLocked counts registered, non-evicted, non-departed workers.
@@ -564,7 +564,7 @@ func (c *Coordinator) completeLocked(id int) error {
 func (c *Coordinator) stepsDoneBelowLocked(s int) bool {
 	for i := range c.pl.tasks {
 		t := &c.pl.tasks[i]
-		if t.Step < s && !c.fr.Completed(t.ID) {
+		if t.K < s && !c.fr.Completed(t.ID) {
 			return false
 		}
 	}
@@ -598,7 +598,7 @@ func (c *Coordinator) advanceWindowLocked() error {
 		}
 		kept := c.gated[:0]
 		for _, id := range c.gated {
-			if c.pl.tasks[id].Step < c.window {
+			if c.pl.tasks[id].K < c.window {
 				c.pushReadyLocked(id)
 			} else {
 				kept = append(kept, id)
@@ -859,8 +859,8 @@ func (c *Coordinator) localStepLocked(now time.Time) bool {
 	}
 	id := c.heaps[bestSlot].popItem().id
 	t := &c.pl.tasks[id]
-	r, w := accesses(c.opt.Op, t)
-	for _, cd := range append(append([]coord{}, r...), w...) {
+	r, w := t.Accesses()
+	for _, cd := range append(r, w...) {
 		if c.st.resident[cd[0]][cd[1]] >= 0 {
 			if err := c.st.reconstruct(cd); err != nil {
 				c.failLocked(err)
@@ -873,7 +873,7 @@ func (c *Coordinator) localStepLocked(now time.Time) bool {
 	}
 	c.attempts[id]++
 	startNS := c.nowNS()
-	if err := applyKernel(c.opt.Op, t, c.a); err != nil {
+	if err := core.Apply(t.Step, c.a, nil); err != nil {
 		c.localSpanLocked(id, t.Kind, c.attempts[id], startNS, err)
 		c.failLocked(err)
 		return false
@@ -997,7 +997,6 @@ func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	*reply = RegisterReply{
 		Worker: id, Slot: w.slot,
 		M: c.a.M, N: c.a.N, NB: c.a.NB,
-		Op:   c.opt.Op,
 		Grid: c.opt.GridP * c.opt.GridQ, GridP: c.opt.GridP,
 		LeaseMS:     int(c.opt.Lease / time.Millisecond),
 		PollMS:      int(c.opt.Poll / time.Millisecond),
@@ -1082,11 +1081,11 @@ func (r *coordRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	}
 	c.attempts[id]++
 	c.addStat(&c.stats.LeasesGranted, c.m.leasesGranted, 1)
-	rd, wr := accesses(c.opt.Op, &t)
+	rd, wr := t.Accesses()
 	reply.Task = &t
 	reply.Token = c.nextToken
 	reply.Attempt = c.attempts[id]
-	reply.Vers = c.st.versions(append(append([]coord{}, rd...), wr...))
+	reply.Vers = c.st.versions(append(rd, wr...))
 	return nil
 }
 

@@ -1,44 +1,41 @@
 package dist
 
 import (
-	"fmt"
+	"sort"
 
-	"exadla/internal/blas"
-	"exadla/internal/lapack"
-	"exadla/internal/tile"
+	"exadla/internal/core"
+	"exadla/internal/sched"
 )
 
-// The plan is the coordinator's serializable view of a factorization DAG:
-// the same tile tasks core.Cholesky (and a right-looking no-pivot LU)
-// would submit as closures, but named by (Kind, K, I, J) so they can cross
-// a process boundary. Both sides derive everything else — operand tiles,
-// kernel call, boundary dimensions — from the spec plus the matrix
-// geometry, so a task re-executed on a different worker after a crash is
-// the *same* computation, which is what makes the bitwise-determinism
-// guarantee survive the wire: the DAG serializes the writers of every
-// tile, each kernel is deterministic, therefore any legal schedule on any
-// set of processes produces bit-identical factors.
+// The plan is the coordinator's numbered copy of a tile program: the steps
+// core.Program unrolls — the very ones the in-process drivers submit as
+// closures — named by (Kind, K, I, J) so they can cross a process boundary.
+// Both sides derive everything else (operand tiles via Step.Accesses, the
+// kernel call via core.Apply) from the step plus the matrix geometry, so a
+// task re-executed on a different worker after a crash is the *same*
+// computation, which is what makes the bitwise-determinism guarantee
+// survive the wire: the DAG serializes the writers of every tile, each
+// kernel is deterministic, therefore any legal schedule on any set of
+// processes — or in one process — produces bit-identical factors.
 
 // Supported distributed operations.
 const (
-	OpCholesky = "cholesky"
+	OpCholesky = core.OpCholesky
 	// OpLUNoPiv is right-looking LU without pivoting (callers supply
 	// diagonally dominant matrices); pivoting would make tile finalization
 	// order data-dependent, which the lease/erasure protocol does not need
 	// and PR-scoped determinism tests do not want.
-	OpLUNoPiv = "lunp"
+	OpLUNoPiv = core.OpLUNoPiv
 )
 
 // coord is a tile coordinate, used as the sched.Frontier handle for
 // dependence tracking and as the worker cache key.
-type coord [2]int
+type coord = [2]int
 
 // plan is the fully unrolled task list of one factorization, in the same
 // submission order as the in-process runtime uses.
 type plan struct {
-	op     string
-	mt, nt int
-	tasks  []TaskSpec
+	tasks []TaskSpec
 	// finalWriter[c] is the ID of the last task writing tile c — the task
 	// whose commit finalizes the tile and folds it into the erasure parity.
 	finalWriter map[coord]int
@@ -47,190 +44,45 @@ type plan struct {
 	steps int
 }
 
-// makePlan unrolls the DAG for op over an mt×nt tile grid, starting at
-// panel step fromStep (tiles must already hold the state of earlier steps —
-// the checkpoint-resume path). Task IDs index p.tasks.
-func makePlan(op string, mt, nt, fromStep int) (*plan, error) {
-	p := &plan{op: op, mt: mt, nt: nt, steps: nt, finalWriter: map[coord]int{}}
-	add := func(kind string, k, i, j int) {
-		id := len(p.tasks)
-		t := TaskSpec{ID: id, Step: k, Kind: kind, K: k, I: i, J: j}
-		p.tasks = append(p.tasks, t)
-		_, w := accesses(op, &t)
+// makePlan numbers op's program over an nt×nt tile grid from panel step
+// fromStep on (tiles must already hold the state of earlier steps — the
+// checkpoint-resume path). Task IDs index p.tasks.
+func makePlan(op string, nt, fromStep int) *plan {
+	p := &plan{steps: nt, finalWriter: map[coord]int{}}
+	for id, st := range core.Program(op, nt, nt, fromStep) {
+		p.tasks = append(p.tasks, TaskSpec{ID: id, Step: st})
+		_, w := st.Accesses()
 		for _, c := range w {
 			p.finalWriter[c] = id
 		}
 	}
-	switch op {
-	case OpCholesky:
-		if mt != nt {
-			return nil, fmt.Errorf("dist: cholesky needs a square tile grid, got %d×%d", mt, nt)
-		}
-		for k := fromStep; k < nt; k++ {
-			add("potrf", k, 0, 0)
-			for i := k + 1; i < mt; i++ {
-				add("trsm", k, i, 0)
-			}
-			for j := k + 1; j < nt; j++ {
-				add("syrk", k, 0, j)
-				for i := j + 1; i < mt; i++ {
-					add("gemm", k, i, j)
-				}
-			}
-		}
-	case OpLUNoPiv:
-		if mt != nt {
-			return nil, fmt.Errorf("dist: lunp needs a square tile grid, got %d×%d", mt, nt)
-		}
-		for k := fromStep; k < nt; k++ {
-			add("getrfnp", k, 0, 0)
-			for j := k + 1; j < nt; j++ {
-				add("ltrsm", k, 0, j)
-			}
-			for i := k + 1; i < mt; i++ {
-				add("utrsm", k, i, 0)
-			}
-			for j := k + 1; j < nt; j++ {
-				for i := k + 1; i < mt; i++ {
-					add("lgemm", k, i, j)
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("dist: unknown op %q", op)
-	}
-	return p, nil
+	return p
 }
 
-// accesses returns the tiles a task reads and writes, mirroring the
-// Reads/Writes declarations of the in-process submission (written tiles
-// that are also read-modify-written appear only in writes, as there). The
-// concatenation reads‖writes is the operand order used for LeaseReply.Vers
-// and the worker's fetch loop.
-func accesses(op string, t *TaskSpec) (reads, writes []coord) {
-	k := t.K
-	switch op + "/" + t.Kind {
-	case "cholesky/potrf":
-		return nil, []coord{{k, k}}
-	case "cholesky/trsm":
-		return []coord{{k, k}}, []coord{{t.I, k}}
-	case "cholesky/syrk":
-		return []coord{{t.J, k}}, []coord{{t.J, t.J}}
-	case "cholesky/gemm":
-		return []coord{{t.I, k}, {t.J, k}}, []coord{{t.I, t.J}}
-	case "lunp/getrfnp":
-		return nil, []coord{{k, k}}
-	case "lunp/ltrsm": // U[k][j] ← L[k][k]⁻¹·A[k][j]
-		return []coord{{k, k}}, []coord{{k, t.J}}
-	case "lunp/utrsm": // L[i][k] ← A[i][k]·U[k][k]⁻¹
-		return []coord{{k, k}}, []coord{{t.I, k}}
-	case "lunp/lgemm": // A[i][j] -= L[i][k]·U[k][j]
-		return []coord{{t.I, k}, {k, t.J}}, []coord{{t.I, t.J}}
+// deps derives each task's dependences (sorted task IDs) by walking the
+// plan into a model recorder — the same RAW/WAR/WAW rules the frontier
+// enforces — so the merged trace can carry edges workers never see.
+func (p *plan) deps() [][]int {
+	rec := sched.NewModelRecorder()
+	for _, t := range p.tasks {
+		r, w := t.Accesses()
+		rec.Submit(sched.Task{Name: t.Kind, Reads: coordHandles(r), Writes: coordHandles(w)})
 	}
-	panic(fmt.Sprintf("dist: unknown task %s/%s", op, t.Kind))
-}
-
-// priority orders ready tasks the way the in-process scheduler does:
-// advance the panel chain first (it is the critical path), then solves,
-// then trailing updates, all weighted toward earlier target columns.
-func priority(op string, t *TaskSpec) int {
-	target, bonus := t.K, 0
-	switch t.Kind {
-	case "potrf", "getrfnp":
-		bonus = 2
-	case "trsm", "ltrsm", "utrsm":
-		bonus = 1
-	default: // syrk, gemm, lgemm
-		if t.J > 0 {
-			target = t.J
+	deps := make([][]int, len(p.tasks))
+	for id, n := range rec.Graph().Nodes {
+		if len(n.Deps) > 0 {
+			deps[id] = n.Deps
+			sort.Ints(deps[id])
 		}
 	}
-	return 3*(1<<20-target) + bonus
+	return deps
 }
 
 // homeSlot is the block-cyclic owner of a task: the process-grid slot of
 // its first written tile, matching BlockCyclic so live-run placement and
 // the replay cost model agree tile for tile.
-func homeSlot(op string, t *TaskSpec, p, q int) int {
-	_, w := accesses(op, t)
+func homeSlot(t *TaskSpec, p, q int) int {
+	_, w := t.Accesses()
 	c := w[0]
 	return (c[0]%p)*q + c[1]%q
-}
-
-// applyKernel executes one task's kernel in place on a (worker cache or
-// coordinator store — both run exactly this code, so local fallback and
-// remote execution are bitwise interchangeable).
-func applyKernel(op string, t *TaskSpec, a *tile.Matrix[float64]) error {
-	k := t.K
-	switch op + "/" + t.Kind {
-	case "cholesky/potrf":
-		if err := lapack.Potrf(blas.Lower, a.TileCols(k), a.Tile(k, k), a.TileRows(k)); err != nil {
-			perr := err.(*lapack.NotPositiveDefiniteError)
-			return &lapack.NotPositiveDefiniteError{Index: k*a.NB + perr.Index}
-		}
-	case "cholesky/trsm":
-		i := t.I
-		blas.Trsm(blas.Right, blas.Lower, blas.Trans, blas.NonUnit,
-			a.TileRows(i), a.TileCols(k), 1,
-			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
-	case "cholesky/syrk":
-		j := t.J
-		blas.Syrk(blas.Lower, blas.NoTrans, a.TileCols(j), a.TileCols(k),
-			-1, a.Tile(j, k), a.TileRows(j), 1, a.Tile(j, j), a.TileRows(j))
-	case "cholesky/gemm":
-		i, j := t.I, t.J
-		blas.Gemm(blas.NoTrans, blas.Trans,
-			a.TileRows(i), a.TileCols(j), a.TileCols(k),
-			-1, a.Tile(i, k), a.TileRows(i),
-			a.Tile(j, k), a.TileRows(j),
-			1, a.Tile(i, j), a.TileRows(i))
-	case "lunp/getrfnp":
-		return getrfnp(a.TileRows(k), a.TileCols(k), a.Tile(k, k), a.TileRows(k), k*a.NB)
-	case "lunp/ltrsm":
-		j := t.J
-		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit,
-			a.TileRows(k), a.TileCols(j), 1,
-			a.Tile(k, k), a.TileRows(k), a.Tile(k, j), a.TileRows(k))
-	case "lunp/utrsm":
-		i := t.I
-		blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit,
-			a.TileRows(i), a.TileCols(k), 1,
-			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
-	case "lunp/lgemm":
-		i, j := t.I, t.J
-		blas.Gemm(blas.NoTrans, blas.NoTrans,
-			a.TileRows(i), a.TileCols(j), a.TileCols(k),
-			-1, a.Tile(i, k), a.TileRows(i),
-			a.Tile(k, j), a.TileRows(k),
-			1, a.Tile(i, j), a.TileRows(i))
-	default:
-		return fmt.Errorf("dist: unknown task %s/%s", op, t.Kind)
-	}
-	return nil
-}
-
-// getrfnp is the unblocked right-looking LU factorization of an m×n tile
-// without pivoting: A = L·U with unit-diagonal L, overwriting a. off is
-// the tile's global diagonal offset, used only to report a zero pivot's
-// global index.
-func getrfnp(m, n int, a []float64, lda, off int) error {
-	for k := 0; k < m && k < n; k++ {
-		piv := a[k+k*lda]
-		if piv == 0 {
-			return fmt.Errorf("dist: zero pivot at global index %d in no-pivot LU", off+k)
-		}
-		for i := k + 1; i < m; i++ {
-			a[i+k*lda] /= piv
-		}
-		for j := k + 1; j < n; j++ {
-			akj := a[k+j*lda]
-			if akj == 0 {
-				continue
-			}
-			for i := k + 1; i < m; i++ {
-				a[i+j*lda] -= a[i+k*lda] * akj
-			}
-		}
-	}
-	return nil
 }

@@ -32,7 +32,7 @@ func countPhase(l *trace.Log, phase string) int {
 // commit win — completing the job in a fraction of the lease, bitwise
 // identical, with the hung worker's late commit absorbed as a duplicate.
 func TestDistSpeculationRescuesHungWorker(t *testing.T) {
-	const seed, n, nb = 31, 96, 16
+	const seed, n, nb = 31, 128, 16 // 120 tasks: ~40 grants per worker
 	want := choleskyLocal(t, seed, n, nb)
 	a := spdTiled(seed, n, nb)
 	opt := fastOpts(dist.OpCholesky, a)
@@ -41,9 +41,10 @@ func TestDistSpeculationRescuesHungWorker(t *testing.T) {
 	opt.Speculate = true
 	opt.SpecMinSamples = 1
 	opt.SpecFactor = 3
+	opt.WaitWorkers = 3 // no late joiner: the victim must reach its hang grant
 
 	workers := make([]dist.WorkerOptions, 3)
-	workers[0].HangAfter = 12 // per-worker grant count: deep enough that kernels have history
+	workers[0].HangAfter = 8 // per-worker grant count: deep enough that kernels have history
 	workers[0].HangFor = time.Second
 
 	start := time.Now()
@@ -98,6 +99,7 @@ func TestDistWireCorruptionDetectedExactly(t *testing.T) {
 	opt := fastOpts(dist.OpCholesky, a)
 	opt.Lease = 2 * time.Second // corruption retries must not trip reaping
 	opt.DeadAfter = 2 * time.Second
+	opt.WaitWorkers = 3
 
 	workers := make([]dist.WorkerOptions, 3)
 	for i := range workers {
@@ -136,6 +138,7 @@ func TestDistAtRestRotScrubRepair(t *testing.T) {
 	a := spdTiled(seed, n, nb)
 	opt := fastOpts(dist.OpCholesky, a)
 	opt.ScrubEvery = 2 * time.Millisecond
+	opt.WaitWorkers = 2
 
 	c, err := dist.NewCoordinator("127.0.0.1:0", opt)
 	if err != nil {
@@ -199,6 +202,7 @@ func TestDistPartitionRejoinBitwise(t *testing.T) {
 	opt := fastOpts(dist.OpCholesky, a)
 	opt.Lease = 300 * time.Millisecond
 	opt.DeadAfter = 150 * time.Millisecond
+	opt.WaitWorkers = 2
 
 	workers := make([]dist.WorkerOptions, 2)
 	// The healthy worker gets injected latency so the job outlives the
@@ -274,6 +278,7 @@ func TestDistAllChaosSoakBitwise(t *testing.T) {
 			opt.SpecMinSamples = 2
 			opt.SpecFactor = 3
 			opt.ScrubEvery = 10 * time.Millisecond
+			opt.WaitWorkers = 4
 
 			workers := make([]dist.WorkerOptions, 4)
 			base := int64(300)

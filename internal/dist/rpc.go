@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"sync"
 	"time"
+
+	"exadla/internal/core"
 )
 
 // This file is the wire protocol of the distributed runtime: the net/rpc
@@ -26,19 +28,14 @@ import (
 // coordService is the registered net/rpc service name.
 const coordService = "Coord"
 
-// TaskSpec names one remotely executable tile task. Kind selects the
-// kernel; K/I/J are the panel step and tile coordinates it operates on
-// (unused coordinates are zero — see accesses()). Specs carry no closures:
-// a worker reconstructs the full operand list and kernel call from the
-// spec plus the job geometry, which is what makes tasks re-executable on
-// any process.
+// TaskSpec names one remotely executable tile task: a core.Step (kernel
+// Kind, panel step K, tile coordinates I/J) numbered by its plan position.
+// Specs carry no closures: a worker reconstructs the full operand list and
+// kernel call from the step plus the job geometry, which is what makes
+// tasks re-executable on any process.
 type TaskSpec struct {
-	ID   int
-	Step int // panel step, for checkpoint barriers
-	Kind string
-	K    int
-	I    int
-	J    int
+	ID int
+	core.Step
 }
 
 // WireSpan is one trace event in transit from a worker to the coordinator:
@@ -79,7 +76,6 @@ type RegisterReply struct {
 	Slot   int // process-grid slot owned (block-cyclic placement), -1 if none free
 	M, N   int
 	NB     int
-	Op     string
 	Grid   int // total grid slots (P)
 	GridP  int // grid rows; columns are Grid/GridP
 	// LeaseMS and PollMS are the lease duration and the idle re-poll
@@ -115,7 +111,7 @@ type LeaseArgs struct {
 
 // LeaseReply grants a task (nil Task means "nothing ready; poll again in
 // PollMS"). Vers lists the current version of each tile the task touches,
-// in accesses() order (reads then writes), so worker caches stay coherent
+// in Step.Accesses order (reads then writes), so worker caches stay coherent
 // under stolen writes. Done reports job completion; Evicted tells a worker
 // the coordinator declared it dead (it may re-register for a fresh id).
 type LeaseReply struct {

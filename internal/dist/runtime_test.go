@@ -123,7 +123,7 @@ func TestDistCholeskyCleanMatchesLocal(t *testing.T) {
 // TestDistKilledWorkersBitwise is the headline acceptance property: k
 // seeded worker deaths mid-factorization change nothing about the answer.
 func TestDistKilledWorkersBitwise(t *testing.T) {
-	const seed, n, nb = 12, 96, 16
+	const seed, n, nb = 12, 128, 16 // 120 tasks: every victim reaches its kill grant
 	want := choleskyLocal(t, seed, n, nb)
 	for _, kills := range []int{0, 1, 2} {
 		workers := make([]dist.WorkerOptions, 3)
@@ -133,7 +133,9 @@ func TestDistKilledWorkersBitwise(t *testing.T) {
 			workers[v].KillAfter = 2 * (v + 1)
 		}
 		a := spdTiled(seed, n, nb)
-		c, err := runDistributed(t, killOpts(dist.OpCholesky, a), workers)
+		opt := killOpts(dist.OpCholesky, a)
+		opt.WaitWorkers = 3 // no late joiner: leases spread over the whole fleet
+		c, err := runDistributed(t, opt, workers)
 		if err != nil {
 			t.Fatalf("kills=%d: %v", kills, err)
 		}
@@ -149,21 +151,18 @@ func TestDistKilledWorkersBitwise(t *testing.T) {
 }
 
 // TestDistLUNoPivKilledWorkersBitwise extends the guarantee to the second
-// operation; the reference is the runtime's own zero-worker degradation
-// (pure coordinator-local execution of the identical plan).
+// operation; the reference is the in-process runtime running the same
+// core program.
 func TestDistLUNoPivKilledWorkersBitwise(t *testing.T) {
-	const seed, n, nb = 13, 80, 16
+	const seed, n, nb = 13, 96, 16 // 91 tasks
 	ref := spdTiled(seed, n, nb)
-	opt := fastOpts(dist.OpLUNoPiv, ref)
-	opt.LocalDelay = time.Millisecond
-	c0, err := runDistributed(t, opt, nil)
+	r := sched.New(4)
+	err := core.Factor(r, core.OpLUNoPiv, ref, false)
+	r.Shutdown()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := c0.Result().ToColMajor()
-	if s := c0.Stats(); s.TasksLocal == 0 || s.TasksCompleted != s.TasksLocal {
-		t.Fatalf("zero-worker run was not fully local: %+v", s)
-	}
+	want := ref.ToColMajor()
 
 	// The local LU must actually be an LU: A ≈ L·U within roundoff.
 	rng := rand.New(rand.NewSource(seed))
@@ -199,11 +198,16 @@ func TestDistLUNoPivKilledWorkersBitwise(t *testing.T) {
 			workers[v].KillAfter = v + 2
 		}
 		a := spdTiled(seed, n, nb)
-		c, err := runDistributed(t, killOpts(dist.OpLUNoPiv, a), workers)
+		opt := killOpts(dist.OpLUNoPiv, a)
+		opt.WaitWorkers = 3
+		c, err := runDistributed(t, opt, workers)
 		if err != nil {
 			t.Fatalf("kills=%d: %v", kills, err)
 		}
 		bitwiseEqual(t, c.Result().ToColMajor(), want, "lu-nopiv after kills")
+		if s := c.Stats(); s.WorkersLost != int64(kills) {
+			t.Errorf("kills=%d: workers lost = %d", kills, s.WorkersLost)
+		}
 	}
 }
 
@@ -220,6 +224,7 @@ func TestDistHungWorker(t *testing.T) {
 	opt := fastOpts(dist.OpCholesky, a)
 	opt.Lease = 150 * time.Millisecond
 	opt.DeadAfter = 5 * time.Second // hung ≠ dead: heartbeats keep flowing
+	opt.WaitWorkers = 2
 	c, err := runDistributed(t, opt, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -262,6 +267,7 @@ func TestDistNetChaosBitwise(t *testing.T) {
 	opt := fastOpts(dist.OpCholesky, a)
 	opt.Lease = 500 * time.Millisecond
 	opt.DeadAfter = time.Second
+	opt.WaitWorkers = 3
 	c, err := runDistributed(t, opt, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -360,6 +366,7 @@ func TestDistWriteBackReconstruction(t *testing.T) {
 	a := spdTiled(seed, n, nb)
 	opt := killOpts(dist.OpCholesky, a)
 	opt.WriteBack = true
+	opt.WaitWorkers = 3
 	c, err := runDistributed(t, opt, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +419,9 @@ func TestDistElasticJoinAndTotalLoss(t *testing.T) {
 	workers[0].KillAfter = 1
 	workers[1].KillAfter = 2
 	a2 := spdTiled(seed, n, nb)
-	c2, err := runDistributed(t, killOpts(dist.OpCholesky, a2), workers)
+	opt2 := killOpts(dist.OpCholesky, a2)
+	opt2.WaitWorkers = 2
+	c2, err := runDistributed(t, opt2, workers)
 	if err != nil {
 		t.Fatal(err)
 	}

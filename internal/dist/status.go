@@ -150,70 +150,6 @@ func (c *Coordinator) localSpanLocked(id int, name string, attempt int, startNS 
 	c.cevents = append(c.cevents, e)
 }
 
-// buildTaskDeps mirrors sched.Frontier's RAW/WAR/WAW derivation over the
-// plan, giving the merged trace its dependence edges (workers don't know
-// them). Index is task ID; IDs are dense plan order.
-func buildTaskDeps(op string, pl *plan) [][]int {
-	deps := make([][]int, len(pl.tasks))
-	type access struct {
-		lastWriter int
-		readers    []int
-	}
-	last := map[coord]*access{}
-	acc := func(cd coord) *access {
-		a := last[cd]
-		if a == nil {
-			a = &access{lastWriter: -1}
-			last[cd] = a
-		}
-		return a
-	}
-	for i := range pl.tasks {
-		t := &pl.tasks[i]
-		reads, writes := accesses(op, t)
-		set := map[int]bool{}
-		addDep := func(from int) {
-			if from >= 0 && from != t.ID {
-				set[from] = true
-			}
-		}
-		for _, cd := range reads {
-			a := acc(cd)
-			addDep(a.lastWriter)
-			if !coordIn(writes, cd) {
-				a.readers = append(a.readers, t.ID)
-			}
-		}
-		for _, cd := range writes {
-			a := acc(cd)
-			addDep(a.lastWriter)
-			for _, rd := range a.readers {
-				addDep(rd)
-			}
-			a.lastWriter = t.ID
-			a.readers = a.readers[:0]
-		}
-		if len(set) > 0 {
-			ds := make([]int, 0, len(set))
-			for d := range set {
-				ds = append(ds, d)
-			}
-			sort.Ints(ds)
-			deps[t.ID] = ds
-		}
-	}
-	return deps
-}
-
-func coordIn(cs []coord, cd coord) bool {
-	for _, c := range cs {
-		if c == cd {
-			return true
-		}
-	}
-	return false
-}
-
 // ClusterLog merges the coordinator's own events with every shipped worker
 // shard into one trace.Log on the coordinator's clock: each worker's
 // local timestamps are re-based by its best (min-RTT) offset sample, a

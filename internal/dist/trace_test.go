@@ -135,6 +135,7 @@ func TestDistClusterTraceFaultInstants(t *testing.T) {
 	const seed, n, nb = 78, 192, 32
 	a := spdTiled(seed, n, nb)
 	opt := killOpts(dist.OpCholesky, a)
+	opt.WaitWorkers = 2
 
 	var mu sync.Mutex
 	var hooked []dist.Event
@@ -291,10 +292,11 @@ func checkPromHistogram(t *testing.T, text, name string) {
 }
 
 func TestDistClusterTraceChromeExport(t *testing.T) {
-	const seed, n, nb = 80, 128, 32
+	const seed, n, nb = 80, 192, 32
 	a := spdTiled(seed, n, nb)
-	c, err := runDistributed(t, fastOpts(dist.OpCholesky, a),
-		make([]dist.WorkerOptions, 2))
+	opt := fastOpts(dist.OpCholesky, a)
+	opt.WaitWorkers = 2 // both lanes must carry work, even with a late registration
+	c, err := runDistributed(t, opt, make([]dist.WorkerOptions, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

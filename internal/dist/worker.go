@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"exadla/internal/core"
 	"exadla/internal/ft"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
@@ -74,7 +75,6 @@ type worker struct {
 	opt  *WorkerOptions
 	id   int
 	slot int
-	op   string
 	a    *tile.Matrix[float64] // local tile cache
 	ver  map[coord]int         // cached version per tile (missing = none)
 	home map[coord]bool        // tiles scattered to this worker's slot
@@ -169,7 +169,7 @@ func register(cl *client, sh *spanShipper, opt *WorkerOptions, prev int) (*worke
 	sh.setWorker(rep.Worker)
 	w := &worker{
 		cl: cl, opt: opt,
-		id: rep.Worker, slot: rep.Slot, op: rep.Op,
+		id: rep.Worker, slot: rep.Slot,
 		a:           tile.New[float64](rep.M, rep.N, rep.NB),
 		ver:         map[coord]int{},
 		home:        map[coord]bool{},
@@ -339,8 +339,8 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 	w.cur.id, w.cur.attempt, w.cur.name = t.ID, attempt, t.Kind
 	defer func() { w.cur.id, w.cur.attempt, w.cur.name = -1, 0, "" }()
 	whole := WireSpan{ID: t.ID, Name: t.Kind, Attempt: attempt, StartNS: time.Now().UnixNano()}
-	reads, writes := accesses(w.op, t)
-	ops := append(append([]coord{}, reads...), writes...)
+	reads, writes := t.Accesses()
+	ops := append(reads, writes...)
 	if len(vers) != len(ops) {
 		return fmt.Errorf("dist: lease for task %d carries %d versions for %d operands", t.ID, len(vers), len(ops))
 	}
@@ -349,7 +349,7 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 	}
 	args := &CommitArgs{Worker: w.id, Task: t.ID, Token: token}
 	compStart := time.Now().UnixNano()
-	kerr := applyKernel(w.op, t, w.a)
+	kerr := core.Apply(t.Step, w.a, nil)
 	if kerr == nil && w.opt.SlowFactor > 1 {
 		// Straggler injection: pad the whole attempt so far (fetch, decode,
 		// compute) to SlowFactor× its measured duration — a throttled CPU

@@ -33,6 +33,7 @@ func SolveLUHalf(n int, a []float64, lda int, b, x []float64) (Result, error) {
 	}
 	ipiv := make([]int, n)
 	factErr := lapack.Getrf(n, n, a32, n, ipiv)
+	residual := gemvResidual(n, a, lda, b)
 	// Store the factors at half precision (what the hardware would keep).
 	half.RoundSlice32(a32)
 
@@ -54,10 +55,10 @@ func SolveLUHalf(n int, a []float64, lda int, b, x []float64) (Result, error) {
 		if err := lapack.Gesv(n, 1, a64, n, ipiv64, x, n); err != nil {
 			return Result{FellBack: true}, ErrSingular
 		}
-		return Result{FellBack: true, ResidualNorm: refineResidualNorm(n, a, lda, b, x)}, nil
+		return Result{FellBack: true, ResidualNorm: residualNorm(n, x, residual)}, nil
 	}
 	if factErr != nil {
 		return fallback()
 	}
-	return refine(n, a, lda, b, x, solveHalf, fallback)
+	return refine(n, b, x, lapack.Lange(lapack.InfNorm, n, n, a, lda), residual, solveHalf, fallback)
 }

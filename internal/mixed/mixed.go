@@ -48,6 +48,7 @@ func SolveLU(n int, a []float64, lda int, b, x []float64) (Result, error) {
 	}
 	ipiv := make([]int, n)
 	factErr := lapack.Getrf(n, n, a32, n, ipiv)
+	residual := gemvResidual(n, a, lda, b)
 	solve32 := func(r []float64, d []float64) {
 		r32 := make([]float32, n)
 		for i, v := range r {
@@ -66,13 +67,12 @@ func SolveLU(n int, a []float64, lda int, b, x []float64) (Result, error) {
 		if err := lapack.Gesv(n, 1, a64, n, ipiv64, x, n); err != nil {
 			return Result{FellBack: true}, ErrSingular
 		}
-		res := refineResidualNorm(n, a, lda, b, x)
-		return Result{FellBack: true, ResidualNorm: res}, nil
+		return Result{FellBack: true, ResidualNorm: residualNorm(n, x, residual)}, nil
 	}
 	if factErr != nil {
 		return fallback()
 	}
-	return refine(n, a, lda, b, x, solve32, fallback)
+	return refine(n, b, x, lapack.Lange(lapack.InfNorm, n, n, a, lda), residual, solve32, fallback)
 }
 
 // SolveCholesky solves the SPD system A·x = b by factorizing a float32 copy
@@ -86,6 +86,10 @@ func SolveCholesky(n int, a []float64, lda int, b, x []float64) (Result, error) 
 		}
 	}
 	factErr := lapack.Potrf(blas.Lower, n, a32, n)
+	residual := func(x, r []float64) {
+		copy(r, b[:n])
+		blas.Symv(blas.Lower, n, -1, a, lda, x, 1, 1, r, 1)
+	}
 	solve32 := func(r []float64, d []float64) {
 		r32 := make([]float32, n)
 		for i, v := range r {
@@ -103,23 +107,23 @@ func SolveCholesky(n int, a []float64, lda int, b, x []float64) (Result, error) 
 		if err := lapack.Posv(blas.Lower, n, 1, a64, n, x, n); err != nil {
 			return Result{FellBack: true}, err
 		}
-		res := symResidualNorm(n, a, lda, b, x)
-		return Result{FellBack: true, ResidualNorm: res}, nil
+		return Result{FellBack: true, ResidualNorm: residualNorm(n, x, residual)}, nil
 	}
 	if factErr != nil {
 		return fallback()
 	}
-	fb := func() (Result, error) { return fallback() }
-	return refineSym(n, a, lda, b, x, solve32, fb)
+	return refine(n, b, x, lapack.Lansy(lapack.InfNorm, blas.Lower, n, a, lda), residual, solve32, fallback)
 }
 
 // refine runs the double-precision refinement loop around a low-precision
-// solve for a general matrix.
-func refine(n int, a []float64, lda int, b, x []float64, solve32 func(r, d []float64), fallback func() (Result, error)) (Result, error) {
-	anorm := lapack.Lange(lapack.InfNorm, n, n, a, lda)
+// solve of A·x = b: residual(x, r) stores b − A·x in r, anorm is ‖A‖∞,
+// and solve32 maps a residual to a correction. The iterate has converged
+// when ‖r‖ ≤ ‖x‖·‖A‖·ε·√n (dsgesv's test). A non-finite residual or
+// iterate means the low-precision factors diverged, and the float64
+// fallback answers instead — as it does after MaxIterations sweeps.
+func refine(n int, b, x []float64, anorm float64, residual func(x, r []float64), solve32 func(r, d []float64), fallback func() (Result, error)) (Result, error) {
 	eps := lapack.Epsilon[float64]()
-	// Convergence threshold from dsgesv: ‖r‖ ≤ ‖x‖·‖A‖·ε·√n.
-	sqrtN := sqrtFloat(float64(n))
+	sqrtN := math.Sqrt(float64(n))
 
 	solve32(b, x)
 	r := make([]float64, n)
@@ -127,76 +131,44 @@ func refine(n int, a []float64, lda int, b, x []float64, solve32 func(r, d []flo
 	var res Result
 	for it := 1; it <= MaxIterations; it++ {
 		res.Iterations = it
-		// r = b − A·x in full precision.
+		residual(x, r)
+		rnorm, xnorm := infNorm(r), infNorm(x)
+		res.ResidualNorm = rnorm
+		if m := max(rnorm, xnorm); math.IsInf(m, 1) || math.IsNaN(m) {
+			break
+		}
+		if rnorm <= xnorm*anorm*eps*sqrtN {
+			res.Converged = true
+			return res, nil
+		}
+		solve32(r, d)
+		blas.Axpy(n, 1, d, 1, x, 1)
+	}
+	fres, err := fallback()
+	fres.Iterations = res.Iterations
+	return fres, err
+}
+
+// gemvResidual returns the residual function r ← b − A·x of a general A.
+func gemvResidual(n int, a []float64, lda int, b []float64) func(x, r []float64) {
+	return func(x, r []float64) {
 		copy(r, b[:n])
 		blas.Gemv(blas.NoTrans, n, n, -1, a, lda, x, 1, 1, r, 1)
-		rnorm := infNorm(r)
-		xnorm := infNorm(x)
-		res.ResidualNorm = rnorm
-		if rnorm <= xnorm*anorm*eps*sqrtN {
-			res.Converged = true
-			return res, nil
-		}
-		solve32(r, d)
-		blas.Axpy(n, 1, d, 1, x, 1)
 	}
-	fres, err := fallback()
-	fres.Iterations = res.Iterations
-	return fres, err
 }
 
-// refineSym is refine for symmetric matrices stored in the lower triangle.
-func refineSym(n int, a []float64, lda int, b, x []float64, solve32 func(r, d []float64), fallback func() (Result, error)) (Result, error) {
-	anorm := lapack.Lansy(lapack.InfNorm, blas.Lower, n, a, lda)
-	eps := lapack.Epsilon[float64]()
-	sqrtN := sqrtFloat(float64(n))
-
-	solve32(b, x)
+// residualNorm returns ‖b − A·x‖∞ for the residual function of A and b.
+func residualNorm(n int, x []float64, residual func(x, r []float64)) float64 {
 	r := make([]float64, n)
-	d := make([]float64, n)
-	var res Result
-	for it := 1; it <= MaxIterations; it++ {
-		res.Iterations = it
-		copy(r, b[:n])
-		blas.Symv(blas.Lower, n, -1, a, lda, x, 1, 1, r, 1)
-		rnorm := infNorm(r)
-		xnorm := infNorm(x)
-		res.ResidualNorm = rnorm
-		if rnorm <= xnorm*anorm*eps*sqrtN {
-			res.Converged = true
-			return res, nil
-		}
-		solve32(r, d)
-		blas.Axpy(n, 1, d, 1, x, 1)
-	}
-	fres, err := fallback()
-	fres.Iterations = res.Iterations
-	return fres, err
-}
-
-func refineResidualNorm(n int, a []float64, lda int, b, x []float64) float64 {
-	r := append([]float64(nil), b[:n]...)
-	blas.Gemv(blas.NoTrans, n, n, -1, a, lda, x, 1, 1, r, 1)
+	residual(x, r)
 	return infNorm(r)
 }
 
-func symResidualNorm(n int, a []float64, lda int, b, x []float64) float64 {
-	r := append([]float64(nil), b[:n]...)
-	blas.Symv(blas.Lower, n, -1, a, lda, x, 1, 1, r, 1)
-	return infNorm(r)
-}
-
+// infNorm returns max |vᵢ|, or NaN if any entry is NaN.
 func infNorm(v []float64) float64 {
 	var m float64
 	for _, x := range v {
-		if x < 0 {
-			x = -x
-		}
-		if x > m {
-			m = x
-		}
+		m = max(m, math.Abs(x)) // max propagates NaN
 	}
 	return m
 }
-
-func sqrtFloat(x float64) float64 { return math.Sqrt(x) }

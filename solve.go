@@ -74,21 +74,19 @@ func (c *Context) SolveSPD(a, b *Matrix) (*Matrix, error) {
 	if b.rows != a.rows {
 		return nil, fmt.Errorf("exadla: RHS has %d rows, matrix has %d", b.rows, a.rows)
 	}
+	if c.ckptDir != "" || c.faultTolerant {
+		// Checkpointed or verified factor first (see WithCheckpoint and
+		// WithFaultTolerance), then the solve: the barrier between the two
+		// phases is the price of protection.
+		f, err := c.Cholesky(a)
+		if err != nil {
+			return nil, err
+		}
+		return f.Solve(b)
+	}
 	nb := c.tileSizeFor("cholesky", a.rows)
 	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, nb)
 	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, nb)
-	if c.faultTolerant {
-		// Factor resiliently (verified factor), then solve. The extra
-		// barrier between the two phases is the price of verification.
-		if err := core.ResilientCholesky(c.scheduler(), ta, c.ftOptions()); err != nil {
-			return nil, err
-		}
-		s := c.scheduler()
-		core.TrsmLower(s, blas.NoTrans, ta, tb)
-		core.TrsmLower(s, blas.Trans, ta, tb)
-		s.Wait()
-		return FromSlice(b.rows, b.cols, tb.ToColMajor()), nil
-	}
 	if err := core.Posv(c.scheduler(), ta, tb); err != nil {
 		return nil, err
 	}
@@ -139,20 +137,16 @@ func (c *Context) Solve(a, b *Matrix) (*Matrix, error) {
 	if b.rows != a.rows {
 		return nil, fmt.Errorf("exadla: RHS has %d rows, matrix has %d", b.rows, a.rows)
 	}
-	nb := c.tileSizeFor("lu", a.rows)
-	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, nb)
-	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, nb)
-	if c.faultTolerant {
-		f, err := core.ResilientLU(c.scheduler(), ta, c.ftOptions())
+	if c.ckptDir != "" || c.faultTolerant {
+		f, err := c.LU(a)
 		if err != nil {
 			return nil, err
 		}
-		s := c.scheduler()
-		core.ApplyLU(s, f, tb)
-		core.TrsmUpper(s, ta, tb)
-		s.Wait()
-		return FromSlice(b.rows, b.cols, tb.ToColMajor()), nil
+		return f.Solve(b)
 	}
+	nb := c.tileSizeFor("lu", a.rows)
+	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, nb)
+	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, nb)
 	if _, err := core.Gesv(c.scheduler(), ta, tb); err != nil {
 		return nil, err
 	}
