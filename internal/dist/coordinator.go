@@ -962,10 +962,15 @@ type coordRPC struct{ c *Coordinator }
 
 // Register admits a worker (new or returning after eviction), assigns a
 // grid slot if one is vacant, and hands back the job geometry plus the
-// scatter list for strict placement.
+// scatter list for strict placement. A worker speaking another wire
+// protocol version is refused before it is given an identity.
 func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	c := r.c
 	defer c.m.timeRPC("register")()
+	if args.Version != protocolVersion {
+		c.opt.logf("dist: refused a worker speaking wire protocol v%d", args.Version)
+		return fmt.Errorf("%w: coordinator speaks v%d, worker sent v%d", ErrProtocolVersion, protocolVersion, args.Version)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := c.nextWorker
@@ -1125,7 +1130,7 @@ func (r *coordRPC) Get(args *GetArgs, reply *GetReply) error {
 	reply.Data = data
 	reply.Ver = ver
 	reply.CRC = crc
-	n := int64(8 * len(data))
+	n := int64(len(data))
 	c.m.rpcGetBytes.Observe(n)
 	if args.Scatter {
 		c.addStat(&c.stats.BytesScattered, c.m.bytesScattered, n)
@@ -1139,9 +1144,17 @@ func (r *coordRPC) Get(args *GetArgs, reply *GetReply) error {
 // lease token is the exactly-once gate: a reaped straggler's token no
 // longer matches and its (possibly stale-input) result is discarded; a
 // chaos-duplicated commit of a completed task is acknowledged idempotently.
+// A commit whose payloads are not exactly the task's written tiles, each of
+// exactly its tile's size, is refused with an error before any byte lands.
 func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 	c := r.c
 	defer c.m.timeRPC("commit")()
+	// Checksum the payloads before taking the lock: hashing is the only
+	// per-byte work of a commit, and it needs nothing the lock guards.
+	sums := make([]uint64, len(args.Tiles))
+	for k, p := range args.Tiles {
+		sums[k] = ft.CRC64Bytes(p.Data)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.workers[args.Worker]
@@ -1178,13 +1191,18 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 		c.opt.logf("dist: rejected stale commit of task %d from worker %d", args.Task, args.Worker)
 		return nil
 	}
-	// End-to-end integrity: verify every payload against the CRC the worker
-	// computed at the kernel's output before a single byte is applied. A
-	// mismatch means the wire lied in flight; the lease stays live so the
-	// worker can resend the same attempt's clean bytes.
+	// End-to-end integrity: check the payloads' shape, then verify every
+	// payload against the CRC the worker computed at the kernel's output,
+	// before a single byte is applied. A mismatch means the wire lied in
+	// flight; the lease stays live so the worker can resend the same
+	// attempt's clean bytes.
 	if args.Err == "" {
-		for _, p := range args.Tiles {
-			if ft.CRC64(p.Data) != p.CRC {
+		if err := c.checkPayloadsLocked(args); err != nil {
+			c.opt.logf("dist: refused malformed commit of task %d from worker %d: %v", args.Task, args.Worker, err)
+			return err
+		}
+		for k, p := range args.Tiles {
+			if sums[k] != p.CRC {
 				c.addStat(&c.stats.CorruptCommits, c.m.corruptCommits, 1)
 				c.faultLocked(trace.PhaseCorrupt, args.Worker, args.Task, c.attempts[args.Task],
 					fmt.Sprintf("commit payload for tile (%d,%d) failed CRC", p.I, p.J))
@@ -1213,18 +1231,33 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 	c.leaseObserveLocked(c.pl.tasks[args.Task].Kind, time.Since(win.granted))
 	for _, p := range args.Tiles {
 		final := c.pl.finalWriter[coord{p.I, p.J}] == args.Task
-		ver, err := c.st.put(coord{p.I, p.J}, p.Data, p.CRC, args.Worker, final)
-		if err != nil {
-			c.failLocked(err)
-			return err
-		}
-		reply.Vers = append(reply.Vers, ver)
-		c.addStat(&c.stats.BytesCommitted, c.m.bytesCommitted, int64(8*len(p.Data)))
-		c.m.rpcCommitBytes.Observe(int64(8 * len(p.Data)))
+		reply.Vers = append(reply.Vers, c.st.put(coord{p.I, p.J}, p.Data, p.CRC, args.Worker, final))
+		c.addStat(&c.stats.BytesCommitted, c.m.bytesCommitted, int64(len(p.Data)))
+		c.m.rpcCommitBytes.Observe(int64(len(p.Data)))
 	}
 	reply.Accepted = true
 	if err := c.completeLocked(args.Task); err != nil {
 		c.failLocked(err)
+	}
+	return nil
+}
+
+// checkPayloadsLocked validates a leased commit's payloads against its task:
+// one per written tile, in Step.Accesses order, each exactly 8·rows·cols
+// bytes. Coordinates are checked against the write set, never used to index
+// the store first, so a bad one can neither alias another tile nor panic.
+func (c *Coordinator) checkPayloadsLocked(args *CommitArgs) error {
+	_, writes := c.pl.tasks[args.Task].Accesses()
+	if len(args.Tiles) != len(writes) {
+		return fmt.Errorf("dist: commit of task %d carries %d tiles, task writes %d", args.Task, len(args.Tiles), len(writes))
+	}
+	for k, p := range args.Tiles {
+		if w := writes[k]; p.I != w[0] || p.J != w[1] {
+			return fmt.Errorf("dist: commit of task %d ships tile (%d,%d), task writes (%d,%d)", args.Task, p.I, p.J, w[0], w[1])
+		}
+		if want := 8 * c.a.TileRows(p.I) * c.a.TileCols(p.J); len(p.Data) != want {
+			return fmt.Errorf("dist: commit of task %d ships %d bytes for tile (%d,%d), want %d", args.Task, len(p.Data), p.I, p.J, want)
+		}
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package dist_test
 // soak asserting the whole stack stays bitwise deterministic.
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,54 @@ func TestDistWireCorruptionDetectedExactly(t *testing.T) {
 	if ok := okSpans(l); int64(len(ok)) != s.TasksCompleted {
 		t.Errorf("merged OK spans %d != tasks completed %d", len(ok), s.TasksCompleted)
 	}
+}
+
+// TestDistCorruptLinkWorkerExits: a worker whose link flips a bit in every
+// payload can never fetch a clean tile. It must give up with
+// ErrPayloadCorrupt in bounded time rather than re-fetch forever, and the
+// job must finish bitwise on the healthy worker once the abandoned lease is
+// reaped.
+func TestDistCorruptLinkWorkerExits(t *testing.T) {
+	const seed, n, nb = 36, 128, 16
+	want := choleskyLocal(t, seed, n, nb)
+	a := spdTiled(seed, n, nb)
+	opt := fastOpts(dist.OpCholesky, a)
+	opt.DeadAfter = 200 * time.Millisecond
+	opt.WaitWorkers = 2 // the lying worker is in the fleet before any lease
+
+	c, err := dist.NewCoordinator("127.0.0.1:0", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if werr := dist.RunWorker(c.Addr(), dist.WorkerOptions{}); werr != nil {
+			t.Errorf("healthy worker: %v", werr)
+		}
+	}()
+	lying := make(chan error, 1)
+	start := time.Now()
+	var lyingFor time.Duration
+	go func() {
+		defer wg.Done()
+		werr := dist.RunWorker(c.Addr(), dist.WorkerOptions{Chaos: dist.NetChaos{Corrupt: 1, Seed: 37}})
+		lyingFor = time.Since(start)
+		lying <- werr
+	}()
+	runErr := c.Run()
+	wg.Wait()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if werr := <-lying; !errors.Is(werr, dist.ErrPayloadCorrupt) {
+		t.Fatalf("worker on a corrupting link returned %v, want ErrPayloadCorrupt", werr)
+	}
+	if lyingFor > 5*time.Second {
+		t.Errorf("worker on a corrupting link took %v to give up", lyingFor)
+	}
+	bitwiseEqual(t, c.Result().ToColMajor(), want, "cholesky with a worker on a corrupting link")
 }
 
 // TestDistAtRestRotScrubRepair: a committed tile rots in the store (one

@@ -1,12 +1,14 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/rpc"
 	"reflect"
+	"strings"
 	"sync"
 	"time"
 
@@ -59,13 +61,24 @@ type WireSpan struct {
 	Err     string
 }
 
-// RegisterArgs announces a new (or re-registering) worker. A worker that
-// lost a previous identity — evicted while hung, or silenced by a network
-// partition until its heartbeats lapsed — sets Rejoin and PrevWorker so the
-// coordinator can account the rebirth (dist.rejoin.*) and stamp a rejoin
-// instant on the cluster timeline. The fresh identity starts with an empty
-// cache: rejoin discards all local state rather than trusting any of it.
+// protocolVersion names the wire protocol: the message types in this file
+// and the ft.CRC64 tile checksum. Bump it with any change a worker of another
+// build would misread — a payload type gob cannot convert, or a checksum
+// every payload would fail, which the bounded integrity retries would turn
+// into a fleet of workers exiting one by one.
+const protocolVersion = 1
+
+// RegisterArgs announces a new (or re-registering) worker. Version must equal
+// the coordinator's protocolVersion (a worker from a build before versioning
+// sends none, which reads as 0) or the registration is refused with
+// ErrProtocolVersion. A worker that lost a previous identity — evicted while
+// hung, or silenced by a network partition until its heartbeats lapsed —
+// sets Rejoin and PrevWorker so the coordinator can account the rebirth
+// (dist.rejoin.*) and stamp a rejoin instant on the cluster timeline. The
+// fresh identity starts with an empty cache: rejoin discards all local state
+// rather than trusting any of it.
 type RegisterArgs struct {
+	Version    int
 	Rejoin     bool
 	PrevWorker int
 }
@@ -153,22 +166,24 @@ type GetArgs struct {
 	Scatter bool
 }
 
-// GetReply carries the tile payload (column-major, ld = rows) and its
-// CRC64, verified against the bytes before serving (at-rest rot is repaired
-// from parity first) and re-verified by the fetching worker on arrival.
+// GetReply carries the tile payload and its ft.CRC64, verified against the
+// tile before serving (at-rest rot is repaired from parity first) and
+// re-verified by the fetching worker on arrival. Data is the tile's
+// elements (column-major, ld = rows) as 8 little-endian bytes each — see
+// encodeTile — so gob ships it as one bulk copy.
 type GetReply struct {
-	Data []float64
+	Data []byte
 	Ver  int
 	CRC  uint64
 }
 
-// TilePayload is one written tile shipped back in a commit. CRC is the
-// CRC64 of Data computed by the worker that ran the kernel; the coordinator
-// verifies it before the store accepts the bytes and keeps it as the tile's
-// at-rest checksum.
+// TilePayload is one written tile shipped back in a commit, encoded like
+// GetReply.Data. CRC is the ft.CRC64 of the tile computed by the worker that
+// ran the kernel; the coordinator verifies it before the store accepts the
+// bytes and keeps it as the tile's at-rest checksum.
 type TilePayload struct {
 	I, J int
-	Data []float64
+	Data []byte
 	CRC  uint64
 }
 
@@ -191,8 +206,8 @@ type CommitArgs struct {
 // marks an accepted-but-unapplied commit (the task already completed — a
 // retransmission, or the losing half of a speculative twin pair); the
 // sender records the attempt as retried, not successful, so exactly one OK
-// span exists per completed task. BadPayload reports a CRC64 mismatch on a
-// shipped tile: the lease is still live and the worker must resend.
+// span exists per completed task. BadPayload reports a checksum mismatch on
+// a shipped tile: the lease is still live and the worker must resend.
 type CommitReply struct {
 	Accepted   bool
 	Vers       []int
@@ -220,6 +235,38 @@ type ByeReply struct{}
 // ErrEvicted is returned by worker RPC helpers when the coordinator has
 // declared this worker dead; the worker may re-register.
 var ErrEvicted = errors.New("dist: worker evicted by coordinator")
+
+// ErrProtocolVersion is returned by RunWorker when the coordinator refused
+// its registration because the two builds speak different wire protocols.
+var ErrProtocolVersion = errors.New("dist: wire protocol version mismatch")
+
+// ErrPayloadCorrupt is returned by RunWorker when a tile payload failed its
+// checksum defaultRPCAttempts times in a row — on fetch, or as a commit the
+// coordinator rejected. Transient wire corruption clears in a retry or two;
+// a link that corrupts every payload cannot make progress, and the worker
+// leaves so its leases are reaped and re-run elsewhere.
+var ErrPayloadCorrupt = errors.New("dist: tile payload failed its checksum on every attempt")
+
+// encodeTile returns a tile's wire form: each element's IEEE-754 bit pattern
+// as 8 little-endian bytes, the encoding ft.CRC64 is defined over.
+func encodeTile(t []float64) []byte {
+	out := make([]byte, 8*len(t))
+	b := out
+	for _, v := range t {
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+		b = b[8:]
+	}
+	return out
+}
+
+// decodeTile writes an encoded payload into tile t. The caller has checked
+// len(b) == 8·len(t) and the payload's checksum.
+func decodeTile(t []float64, b []byte) {
+	for i := range t {
+		t[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+}
 
 // jitterSource decorrelates retry schedules across workers: each delay in
 // the capped exponential ladder is re-drawn uniformly from [d/2, d] (equal
@@ -403,7 +450,7 @@ func (c *client) call(method string, args, reply any) error {
 			if fate.corrupt && method == "Get" {
 				// The delivered reply is what gets corrupted — a dropped one
 				// would make the injection unobservable (and uncounted).
-				if gr, ok := reply.(*GetReply); ok && len(gr.Data) > 0 {
+				if gr, ok := reply.(*GetReply); ok && len(gr.Data) >= 8 {
 					flipPayloadBit(gr.Data, fate)
 					c.countCorrupt()
 					c.chaos("corrupt_get")
@@ -412,6 +459,11 @@ func (c *client) call(method string, args, reply any) error {
 			return nil
 		}
 		lastErr = err
+		if msg, ok := strings.CutPrefix(err.Error(), ErrProtocolVersion.Error()); ok {
+			// A refusal no retry can change. net/rpc carries only the text, so
+			// re-type it for errors.Is.
+			return fmt.Errorf("%w%s", ErrProtocolVersion, msg)
+		}
 		if errors.Is(err, rpc.ErrShutdown) || isNetError(err) {
 			if rerr := c.redial(); rerr != nil {
 				return rerr
@@ -438,20 +490,22 @@ func corruptCommitArgs(args any, f fate) (*CommitArgs, bool) {
 	cp := *ca
 	cp.Tiles = append([]TilePayload(nil), ca.Tiles...)
 	k := int(f.corruptElem % uint64(len(cp.Tiles)))
-	if len(cp.Tiles[k].Data) == 0 {
+	if len(cp.Tiles[k].Data) < 8 {
 		return nil, false
 	}
-	data := append([]float64(nil), cp.Tiles[k].Data...)
+	data := append([]byte(nil), cp.Tiles[k].Data...)
 	flipPayloadBit(data, f)
 	cp.Tiles[k].Data = data
 	return &cp, true
 }
 
-// flipPayloadBit flips one bit of one element, chosen by the fate's raw
-// random draws reduced onto the payload length.
-func flipPayloadBit(data []float64, f fate) {
-	i := int((f.corruptElem >> 8) % uint64(len(data)))
-	data[i] = math.Float64frombits(math.Float64bits(data[i]) ^ (1 << f.corruptBit))
+// flipPayloadBit flips bit b of element i of an encoded payload — byte
+// 8i + b/8, bit b%8 — with i and b chosen by the fate's raw random draws
+// reduced onto the payload length, so seeded chaos hits the same (element,
+// bit) pairs whatever the encoding.
+func flipPayloadBit(data []byte, f fate) {
+	i := int((f.corruptElem >> 8) % uint64(len(data)/8))
+	data[8*i+int(f.corruptBit/8)] ^= 1 << (f.corruptBit % 8)
 }
 
 func (c *client) countCorrupt() {

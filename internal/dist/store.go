@@ -23,7 +23,7 @@ import (
 // reconstructs instead of re-running the task chain that produced it:
 // recovery cost is one XOR pass, not a DAG suffix.
 //
-// Every tile also carries an at-rest CRC64 (see ft.CRC64): set from the
+// Every tile also carries an at-rest checksum (see ft.CRC64): set from the
 // worker's end-to-end payload checksum on commit, recomputed after local
 // kernels and reconstructions, verified before any byte is served, and
 // re-verified by the background scrub. A mismatch is at-rest rot; a rotted
@@ -41,7 +41,7 @@ type store struct {
 	// writers, so the version sequence — and hence the data each version
 	// names — is deterministic; workers use versions for cache coherence.
 	ver [][]int
-	// crc[i][j] is the at-rest CRC64 of tile (i,j)'s current bytes.
+	// crc[i][j] is the at-rest ft.CRC64 of tile (i,j)'s current bytes.
 	crc [][]uint64
 	// dirty[i][j] latches a detected-but-not-yet-repaired rot, so one rotted
 	// tile is counted once across repeated scrub passes.
@@ -87,27 +87,28 @@ func newStore(a *tile.Matrix[float64], writeBack bool, onReconstruct func()) *st
 	return s
 }
 
-// get returns a copy of tile c's data, its version, and its at-rest CRC,
-// reconstructing a dropped resident tile from parity first and repairing
-// detected rot where the parity allows. requester is the worker asking (so
-// its own residency is not pointlessly reconstructed — it has the bytes
-// cached; anyone else's read needs them in-store).
-func (s *store) get(c coord, requester int) ([]float64, int, uint64, error) {
+// get returns tile c's data in wire form (encodeTile), its version, and its
+// at-rest CRC, reconstructing a dropped resident tile from parity first and
+// repairing detected rot where the parity allows. requester is the worker
+// asking (so its own residency is not pointlessly reconstructed — it has the
+// bytes cached; anyone else's read needs them in-store).
+func (s *store) get(c coord, requester int) ([]byte, int, uint64, error) {
 	i, j := c[0], c[1]
 	if w := s.resident[i][j]; w >= 0 && w != requester {
 		if err := s.reconstruct(c); err != nil {
 			return nil, 0, 0, err
 		}
 	}
-	if s.resident[i][j] < 0 {
+	// Verify the encoded bytes themselves: the wire form is what ft.CRC64 is
+	// defined over, so one encode serves both the check and the reply.
+	b := encodeTile(s.a.Tile(i, j))
+	if s.resident[i][j] < 0 && ft.CRC64Bytes(b) != s.crc[i][j] {
 		if err := s.verifyLocked(c); err != nil {
 			return nil, 0, 0, err
 		}
+		b = encodeTile(s.a.Tile(i, j)) // repaired from parity
 	}
-	t := s.a.Tile(i, j)
-	out := make([]float64, len(t))
-	copy(out, t)
-	return out, s.ver[i][j], s.crc[i][j], nil
+	return b, s.ver[i][j], s.crc[i][j], nil
 }
 
 // verifyLocked checks tile c's bytes against its at-rest CRC and repairs a
@@ -171,18 +172,15 @@ func (s *store) scrub(max int) int {
 	return scanned
 }
 
-// put stores a committed tile payload (whose CRC the coordinator has
-// already verified end-to-end), bumps its version, and — when the
-// committing task finalizes the tile — folds it into the row parity and
-// possibly drops the bytes (write-back residency at the committing
+// put stores a committed tile payload in wire form (whose length and CRC the
+// coordinator has already verified end-to-end), bumps its version, and —
+// when the committing task finalizes the tile — folds it into the row parity
+// and possibly drops the bytes (write-back residency at the committing
 // worker). Returns the new version.
-func (s *store) put(c coord, data []float64, crc uint64, worker int, finalized bool) (int, error) {
+func (s *store) put(c coord, data []byte, crc uint64, worker int, finalized bool) int {
 	i, j := c[0], c[1]
 	t := s.a.Tile(i, j)
-	if len(data) != len(t) {
-		return 0, fmt.Errorf("dist: tile (%d,%d) payload has %d words, want %d", i, j, len(data), len(t))
-	}
-	copy(t, data)
+	decodeTile(t, data)
 	s.ver[i][j]++
 	s.crc[i][j] = crc
 	s.dirty[i][j] = false
@@ -201,7 +199,7 @@ func (s *store) put(c coord, data []float64, crc uint64, worker int, finalized b
 			s.residentInRow[i]++
 		}
 	}
-	return s.ver[i][j], nil
+	return s.ver[i][j]
 }
 
 // putLocal records a coordinator-local in-place write of tile c (the

@@ -93,20 +93,27 @@ type worker struct {
 	}
 }
 
-// RunWorker joins the coordinator at addr and works until the job is done
-// (nil), the process is killed (ErrKilled / os.Exit), or the coordinator
-// becomes unreachable (error). It re-registers automatically after an
-// eviction, so a worker that was merely slow rejoins the fleet with a
-// fresh identity and cache.
 // rejoinRetryEvery paces re-registration attempts inside the rejoin window.
 const rejoinRetryEvery = 50 * time.Millisecond
 
+// RunWorker joins the coordinator at addr and works until the job is done
+// (nil), the process is killed (ErrKilled / os.Exit), the coordinator
+// refuses this build (ErrProtocolVersion), every copy of a payload arrives
+// corrupt (ErrPayloadCorrupt), or the coordinator becomes unreachable
+// (error). It re-registers automatically after an eviction, so a worker
+// that was merely slow rejoins the fleet with a fresh identity and cache.
 func RunWorker(addr string, opt WorkerOptions) error {
 	window := opt.RejoinWindow
 	if window <= 0 && opt.Chaos.PartitionFor > 0 {
 		window = opt.Chaos.PartitionAfter + 2*opt.Chaos.PartitionFor + 5*time.Second
 	}
 	rejoinUntil := time.Now().Add(window)
+	// rejoinable reports whether err is worth re-registering over: a lost
+	// coordinator inside the rejoin window, not a fault no new identity cures.
+	rejoinable := func(err error) bool {
+		return window > 0 && time.Now().Before(rejoinUntil) && !errors.Is(err, ErrKilled) &&
+			!errors.Is(err, ErrProtocolVersion) && !errors.Is(err, ErrPayloadCorrupt)
+	}
 	cl, err := dial(addr, opt.Chaos)
 	if err != nil {
 		return err
@@ -128,7 +135,7 @@ func RunWorker(addr string, opt WorkerOptions) error {
 	for {
 		w, err := register(cl, sh, &opt, prev)
 		if err != nil {
-			if window > 0 && time.Now().Before(rejoinUntil) {
+			if rejoinable(err) {
 				opt.logf("dist: register failed (%v), retrying within rejoin window", err)
 				time.Sleep(rejoinRetryEvery)
 				continue
@@ -144,8 +151,7 @@ func RunWorker(addr string, opt WorkerOptions) error {
 		case errors.Is(err, ErrEvicted):
 			opt.logf("dist: worker %d evicted, re-registering", w.id)
 			continue
-		case err != nil && !errors.Is(err, ErrKilled) &&
-			window > 0 && time.Now().Before(rejoinUntil):
+		case err != nil && rejoinable(err):
 			// Transport failure — e.g. a partition silencing every call until
 			// retries ran dry. The flapping-node path: keep trying to rejoin
 			// under a fresh identity until the window closes.
@@ -162,7 +168,7 @@ func RunWorker(addr string, opt WorkerOptions) error {
 func register(cl *client, sh *spanShipper, opt *WorkerOptions, prev int) (*worker, error) {
 	var rep RegisterReply
 	t0 := time.Now().UnixNano()
-	if err := cl.call("Register", &RegisterArgs{Rejoin: prev >= 0, PrevWorker: prev}, &rep); err != nil {
+	if err := cl.call("Register", &RegisterArgs{Version: protocolVersion, Rejoin: prev >= 0, PrevWorker: prev}, &rep); err != nil {
 		return nil, err
 	}
 	sh.sample(rep.CoordNS, t0, time.Now().UnixNano())
@@ -225,10 +231,11 @@ func (w *worker) stopHeartbeat() {
 // fetch pulls one tile into the cache, recording a fetch span attributed
 // to the current task attempt (or to the scatter prefetch, id -1). The
 // payload is verified against the CRC the store keeps at rest; a mismatch
-// means the wire corrupted it in flight, and the fetch simply re-asks — the
-// corrupt bytes never reach the cache, let alone a kernel.
+// means the wire corrupted it in flight, and the fetch re-asks — the corrupt
+// bytes never reach the cache, let alone a kernel — up to defaultRPCAttempts
+// times in a row before giving up with ErrPayloadCorrupt.
 func (w *worker) fetch(c coord, scatter bool) error {
-	for {
+	for attempt := 1; ; attempt++ {
 		var rep GetReply
 		t0 := time.Now().UnixNano()
 		if err := w.cl.call("Get", &GetArgs{Worker: w.id, I: c[0], J: c[1], Scatter: scatter}, &rep); err != nil {
@@ -237,23 +244,26 @@ func (w *worker) fetch(c coord, scatter bool) error {
 		ws := WireSpan{
 			ID: w.cur.id, Name: w.cur.name, Attempt: w.cur.attempt,
 			Phase: trace.PhaseFetch, StartNS: t0, EndNS: time.Now().UnixNano(),
-			Bytes: int64(8 * len(rep.Data)), TileI: c[0], TileJ: c[1], HasTile: true,
+			Bytes: int64(len(rep.Data)), TileI: c[0], TileJ: c[1], HasTile: true,
 		}
 		if scatter {
 			ws.ID, ws.Name, ws.Attempt = -1, "scatter", 1
 		}
 		w.sh.add(ws)
 		t := w.a.Tile(c[0], c[1])
-		if len(rep.Data) != len(t) {
-			return fmt.Errorf("dist: tile (%d,%d) fetch returned %d words, want %d", c[0], c[1], len(rep.Data), len(t))
+		if len(rep.Data) != 8*len(t) {
+			return fmt.Errorf("dist: tile (%d,%d) fetch returned %d bytes, want %d", c[0], c[1], len(rep.Data), 8*len(t))
 		}
-		if ft.CRC64(rep.Data) != rep.CRC {
+		if ft.CRC64Bytes(rep.Data) != rep.CRC {
 			w.cl.countDetected()
 			w.sh.instant(trace.PhaseCorrupt, fmt.Sprintf("get (%d,%d) failed CRC, refetching", c[0], c[1]))
+			if attempt == defaultRPCAttempts {
+				return fmt.Errorf("%w: tile (%d,%d) fetched %d times", ErrPayloadCorrupt, c[0], c[1], attempt)
+			}
 			w.opt.logf("dist: worker %d refetching tile (%d,%d): payload failed CRC", w.id, c[0], c[1])
 			continue
 		}
-		copy(t, rep.Data)
+		decodeTile(t, rep.Data)
 		w.ver[c] = rep.Ver
 		return nil
 	}
@@ -370,19 +380,21 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 			// (an acknowledged-but-unapplied stale commit must not leave them
 			// looking current).
 			delete(w.ver, c)
-			tl := w.a.Tile(c[0], c[1])
-			data := make([]float64, len(tl))
-			copy(data, tl)
-			args.Tiles = append(args.Tiles, TilePayload{I: c[0], J: c[1], Data: data, CRC: ft.CRC64(data)})
+			data := encodeTile(w.a.Tile(c[0], c[1]))
+			args.Tiles = append(args.Tiles, TilePayload{I: c[0], J: c[1], Data: data, CRC: ft.CRC64Bytes(data)})
 		}
 	}
 	commitStart := time.Now().UnixNano()
 	var rep CommitReply
 	rpcErr := w.cl.call("Commit", args, &rep)
-	for rpcErr == nil && rep.BadPayload {
+	for sent := 1; rpcErr == nil && rep.BadPayload; sent++ {
 		// The coordinator rejected the payload as corrupt-in-flight. The
 		// lease is still ours and the cached bytes are fine — resend them.
 		w.sh.instant(trace.PhaseCorrupt, fmt.Sprintf("commit of task %d failed CRC at coordinator, resending", t.ID))
+		if sent == defaultRPCAttempts {
+			rpcErr = fmt.Errorf("%w: commit of task %d sent %d times", ErrPayloadCorrupt, t.ID, sent)
+			break
+		}
 		w.opt.logf("dist: worker %d resending commit of task %d after CRC reject", w.id, t.ID)
 		rep = CommitReply{}
 		rpcErr = w.cl.call("Commit", args, &rep)
@@ -391,7 +403,7 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 	for _, p := range args.Tiles {
 		w.sh.add(WireSpan{ID: t.ID, Name: t.Kind, Attempt: attempt,
 			Phase: trace.PhaseCommit, StartNS: commitStart, EndNS: commitEnd,
-			Bytes: int64(8 * len(p.Data)), TileI: p.I, TileJ: p.J, HasTile: true})
+			Bytes: int64(len(p.Data)), TileI: p.I, TileJ: p.J, HasTile: true})
 	}
 	whole.EndNS = commitEnd
 	switch {

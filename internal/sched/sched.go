@@ -91,8 +91,8 @@ type Scheduler interface {
 type node struct {
 	task     Task
 	succs    []*node
-	nDeps    int // remaining unmet dependences; guarded by Runtime.mu
-	seq      int // submission order, for FIFO tie-breaking
+	nDeps    int   // remaining unmet dependences; guarded by Runtime.mu
+	seq      int   // submission order, for FIFO tie-breaking
 	done     bool  // completed; guarded by Runtime.mu
 	poisoned bool  // an upstream task failed; skip the body. Guarded by mu.
 	deps     []int // dep task seqs, recorded only under a SpanTracer; immutable after link

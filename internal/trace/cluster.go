@@ -24,7 +24,7 @@ const (
 	// PhaseSpecTwin marks the grant of a speculative twin lease: the same
 	// task, handed to a second worker because the first ran long.
 	PhaseSpecTwin = "spec_twin"
-	// PhaseCorrupt marks a payload whose CRC64 failed verification — on the
+	// PhaseCorrupt marks a payload whose checksum failed verification — on the
 	// wire (a Get reply or Commit body) or at rest in the store.
 	PhaseCorrupt = "payload_corrupt"
 	// PhasePartition marks a worker entering or leaving an injected network
@@ -118,7 +118,7 @@ func (l *Log) WriteChromeCluster(w io.Writer) error {
 
 	// Commit spans indexed by tile, sorted by end time, for flow sources.
 	type anchor struct {
-		endUS   float64
+		endUS    float64
 		pid, tid int
 	}
 	commits := map[[2]int][]anchor{}

@@ -133,7 +133,7 @@ func (l *Log) AnalyzeDAG() DAGStats {
 		}
 		return n
 	}
-	synthetic := -1 // legacy events get unique negative IDs
+	synthetic := -1                 // legacy events get unique negative IDs
 	commitSeen := map[[2]int]bool{} // (id, attempt) whose commit interval is charged
 	var first, last int64
 	for _, e := range events {
