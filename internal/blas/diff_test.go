@@ -1,7 +1,6 @@
 package blas
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -110,8 +109,8 @@ func TestDiffSyrk(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		uplo := uplos[rng.Intn(2)]
 		trans := transes[rng.Intn(2)]
-		// Sizes cross the level3Block recursion cutoff so both the halving
-		// and the diagonal leaves are exercised.
+		// Sizes cover many register tiles on and off the diagonal, and
+		// partial ones at every edge.
 		n, k := rng.Intn(90), rng.Intn(60)
 		ar, ac := n, k
 		if trans == Trans {
@@ -148,8 +147,8 @@ func TestDiffTrsm(t *testing.T) {
 		uplo := uplos[rng.Intn(2)]
 		trans := transes[rng.Intn(2)]
 		diag := diags[rng.Intn(2)]
-		// Sizes cross the trsmBlock recursion cutoff so both the blocked
-		// splitting and the substitution leaves are exercised.
+		// Sizes cover many triangle blocks and vector slivers of the packed
+		// sweep, partial ones at every edge, and the thin-RHS Trsv path.
 		m, n := rng.Intn(90), rng.Intn(90)
 		na := m
 		if side == Right {
@@ -158,19 +157,7 @@ func TestDiffTrsm(t *testing.T) {
 		lda := max(1, na) + rng.Intn(4)
 		ldb := max(1, m) + rng.Intn(4)
 		a := randPadded(rng, na, na, lda)
-		// Keep the triangle well conditioned so forward/back substitution
-		// does not amplify the comparison noise: dominant diagonal, damped
-		// off-diagonal (a unit-diagonal triangle with N(0,1) off-diagonal
-		// entries is exponentially ill-conditioned at these sizes).
-		for j := 0; j < na; j++ {
-			for i := 0; i < na; i++ {
-				if i == j {
-					a[i+j*lda] = 2 + math.Abs(a[i+j*lda])
-				} else {
-					a[i+j*lda] /= float64(na)
-				}
-			}
-		}
+		conditionedTriangle(a, na, lda)
 		b := randPadded(rng, m, n, ldb)
 		alpha := pickScalar(rng)
 

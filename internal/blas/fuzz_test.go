@@ -7,6 +7,8 @@ import (
 
 // FuzzGemmDiff differentially fuzzes both Gemm kernel paths (packed and
 // axpy) against the reference loops, including non-finite operand entries.
+// The "packed" arm disables only the volume cutover, so products thinner
+// than the register tile still take the axpy kernels there.
 // Matrix data is derived from the fuzzed seed rather than taken raw so the
 // finite entries stay O(1) and accumulation-order differences cannot
 // overflow; NaN/±Inf coverage comes from deterministic seeding, where the
@@ -16,6 +18,10 @@ func FuzzGemmDiff(f *testing.F) {
 	f.Add(int64(2), uint8(17), uint8(9), uint8(13), uint8(3))
 	f.Add(int64(3), uint8(1), uint8(31), uint8(2), uint8(0xff))
 	f.Add(int64(4), uint8(24), uint8(24), uint8(24), uint8(0x5a))
+	// Thin products (n < NR): a tile times one to three right-hand sides.
+	f.Add(int64(5), uint8(32), uint8(1), uint8(32), uint8(0))
+	f.Add(int64(6), uint8(32), uint8(1), uint8(32), uint8(1))
+	f.Add(int64(7), uint8(29), uint8(3), uint8(30), uint8(0x16))
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8, k8, flags uint8) {
 		m, n, k := int(m8%33), int(n8%33), int(k8%33)
 		transA, transB := NoTrans, NoTrans
@@ -80,5 +86,68 @@ func FuzzGemmDiff(f *testing.F) {
 		axpy := append([]float64(nil), c...)
 		GemmAxpy(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, axpy, ldc)
 		check("axpy", axpy)
+	})
+}
+
+// fuzzAlphas are the α values the Syrk/Trsm fuzzers pick from: the early-out
+// gates 0 and 1, a sign flip, and a generic value.
+var fuzzAlphas = []float64{0, 1, -1, 0.7}
+
+// FuzzSyrkDiff differentially fuzzes the packed Syrk sweep against RefSyrk
+// on finite data, on either microkernel. flags: bit 0 uplo, bit 1 trans,
+// bits 2–3 α, bit 4 β = 0 (else 0.5), bit 5 the portable 4×4 kernel.
+func FuzzSyrkDiff(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(8), uint8(0))
+	f.Add(int64(2), uint8(17), uint8(5), uint8(0x0f))
+	f.Add(int64(3), uint8(1), uint8(39), uint8(0x22))
+	f.Add(int64(4), uint8(37), uint8(1), uint8(0x3d))
+	f.Fuzz(func(t *testing.T, seed int64, n8, k8, flags uint8) {
+		n, k := int(n8%40), int(k8%40)
+		uplo, trans := Upper, NoTrans
+		if flags&1 != 0 {
+			uplo = Lower
+		}
+		if flags&2 != 0 {
+			trans = Trans
+		}
+		alpha, beta := fuzzAlphas[flags>>2&3], 0.5
+		if flags&16 != 0 {
+			beta = 0
+		}
+		if flags&32 != 0 {
+			forcePortableKernel(t)
+		}
+		checkSyrk(t, rand.New(rand.NewSource(seed)), uplo, trans, n, k, alpha, beta)
+	})
+}
+
+// FuzzTrsmDiff differentially fuzzes Trsm — the packed sweep and the
+// thin-RHS Trsv path — against RefTrsm on finite data with a conditioned
+// triangle, on either microkernel. flags: bit 0 side, bit 1 uplo, bit 2
+// trans, bit 3 diag, bits 4–5 α, bit 6 the portable 4×4 kernel.
+func FuzzTrsmDiff(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(8), uint8(0))
+	f.Add(int64(2), uint8(17), uint8(3), uint8(0x0f))
+	f.Add(int64(3), uint8(2), uint8(39), uint8(0x35))
+	f.Add(int64(4), uint8(33), uint8(21), uint8(0x6a))
+	f.Fuzz(func(t *testing.T, seed int64, m8, n8, flags uint8) {
+		m, n := 1+int(m8%40), 1+int(n8%40)
+		side, uplo, trans, diag := Left, Upper, NoTrans, NonUnit
+		if flags&1 != 0 {
+			side = Right
+		}
+		if flags&2 != 0 {
+			uplo = Lower
+		}
+		if flags&4 != 0 {
+			trans = Trans
+		}
+		if flags&8 != 0 {
+			diag = Unit
+		}
+		if flags&64 != 0 {
+			forcePortableKernel(t)
+		}
+		checkTrsm(t, rand.New(rand.NewSource(seed)), side, uplo, trans, diag, m, n, fuzzAlphas[flags>>4&3])
 	})
 }

@@ -115,15 +115,31 @@ func scaleMatrix[T Float](m, n int, beta T, c []T, ldc int) {
 
 // gemmAccum computes C += α·op(A)·op(B) with no argument validation,
 // metrics, or β-scaling — the shared internal entry point for Gemm itself
-// and for the level-3 routines (Syrk, Trmm) that are built from rectangular
-// GEMM updates and keep their own accounting. Callers guarantee
-// m, n, k ≥ 1 and α ≠ 0.
+// and for Trmm, which is built from rectangular GEMM updates and keeps its
+// own accounting. Callers guarantee m, n, k ≥ 1 and α ≠ 0.
+//
+// Products thinner than the register tile (n < NR, e.g. a tile times one
+// right-hand side) also take the axpy kernels: packing a whole op(A) panel
+// to produce one or two columns costs more than the product itself.
 func gemmAccum[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
-	if int64(m)*int64(n)*int64(k) < minPackedVolume {
+	if n < GemmBlocking().NR || int64(m)*int64(n)*int64(k) < minPackedVolume {
 		gemmAxpyKernel(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 		return
 	}
 	gemmPacked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+}
+
+// registerTile returns the register-tile shape of every packed sweep (Gemm,
+// Syrk, Trsm) for element type T under blocking p: the installed MR×NR,
+// except that the 8-row kernel is AVX2+FMA assembly for float64 only, so
+// everything else runs the portable 4×4 kernel. Callers take the kernel
+// itself from kernelFor in their own frame: returned from here, the generic
+// function value would escape and cost an allocation per call.
+func registerTile[T Float](p Blocking) (mr, nr int) {
+	if p.MR == 8 && (!is64[T]() || !haveAvx2Fma) {
+		return 4, p.NR
+	}
+	return p.MR, p.NR
 }
 
 // gemmPacked is the packed, register-blocked path: kc×nc panels of op(B)
@@ -134,10 +150,7 @@ func gemmAccum[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, l
 // slivers themselves are zero-padded so the microkernel never branches.
 func gemmPacked[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
 	p := GemmBlocking()
-	mr, nr := p.MR, p.NR
-	if mr == 8 && (!is64[T]() || !haveAvx2Fma) {
-		mr = 4 // the 8-row kernel is AVX2+FMA assembly, float64 only
-	}
+	mr, nr := registerTile[T](p)
 	kern := kernelFor[T](mr)
 	mc, kc, nc := p.MC, p.KC, p.NC
 
@@ -155,7 +168,7 @@ func gemmPacked[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, 
 			for ic := 0; ic < m; ic += mc {
 				mb := min(mc, m-ic)
 				packA(transA, mb, kb, a, lda, ic, pc, mr, aBuf.buf)
-				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.buf, bBuf.buf, c[ic+jc*ldc:], ldc, kern, tBuf.buf)
+				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.buf, bBuf.buf, c[ic+jc*ldc:], ldc, kern, tBuf.buf, allOfC, 0)
 			}
 		}
 	}
@@ -164,18 +177,34 @@ func gemmPacked[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, 
 	tBuf.release()
 }
 
+// allOfC is the macroKernel triangle of a plain GEMM: every entry of the
+// block is updated.
+const allOfC Uplo = 0
+
 // macroKernel sweeps the register tiles of one packed mb×kb × kb×nb block
 // pair, dispatching full tiles straight into C and partial edge tiles
 // through a zeroed mr×nr scratch (tmp, pool-backed, ≥ maxMR·maxNR) whose
 // valid region is then accumulated.
-func macroKernel[T Float](mb, nb, kb, mr, nr int, alpha T, ap, bp, c []T, ldc int, kern microKernel[T], tmp []T) {
+//
+// For Syrk, tri (Lower or Upper) restricts the update to that triangle of
+// the whole matrix, whose entry (0,0) of the block sits off (global row
+// minus global column) from the diagonal: tiles wholly outside the triangle
+// are skipped, and tiles straddling the diagonal go through the scratch tile
+// and accumulate only their entries inside it.
+func macroKernel[T Float](mb, nb, kb, mr, nr int, alpha T, ap, bp, c []T, ldc int, kern microKernel[T], tmp []T, tri Uplo, off int) {
 	for jr := 0; jr < nb; jr += nr {
 		cols := min(nr, nb-jr)
 		bs := bp[(jr/nr)*(kb*nr):]
 		for ir := 0; ir < mb; ir += mr {
 			rows := min(mr, mb-ir)
+			// The tile's entries lie lo…hi diagonals below the main one.
+			lo, hi := off+ir-jr-(cols-1), off+ir+rows-1-jr
+			if (tri == Lower && hi < 0) || (tri == Upper && lo > 0) {
+				continue
+			}
+			inside := tri == allOfC || (tri == Lower && lo >= 0) || (tri == Upper && hi <= 0)
 			as := ap[(ir/mr)*(kb*mr):]
-			if rows == mr && cols == nr {
+			if rows == mr && cols == nr && inside {
 				kern(kb, as, bs, alpha, c[ir+jr*ldc:], ldc)
 				continue
 			}
@@ -184,7 +213,17 @@ func macroKernel[T Float](mb, nb, kb, mr, nr int, alpha T, ap, bp, c []T, ldc in
 			for j := 0; j < cols; j++ {
 				dst := c[ir+(jr+j)*ldc:]
 				src := tmp[j*mr:]
-				for i := 0; i < rows; i++ {
+				i0, i1 := 0, rows
+				if !inside {
+					// Row i is on the diagonal of column j at d = 0.
+					d := off + ir - jr - j
+					if tri == Lower {
+						i0 = max(0, -d)
+					} else {
+						i1 = min(rows, 1-d)
+					}
+				}
+				for i := i0; i < i1; i++ {
 					dst[i] += src[i]
 				}
 			}

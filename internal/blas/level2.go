@@ -247,10 +247,12 @@ func Trsv[T Float](uplo Uplo, trans Transpose, diag Diag, n int, a []T, lda int,
 		return
 	}
 	if incX != 1 {
-		tmp := make([]T, n)
-		Copy(n, x, incX, tmp, 1)
-		Trsv(uplo, trans, diag, n, a, lda, tmp, 1)
-		Copy(n, tmp, 1, x, incX)
+		// Pooled: Trsm solves thin right-hand sides row by row through here.
+		tmp := getScratch[T](n)
+		Copy(n, x, incX, tmp.buf, 1)
+		Trsv(uplo, trans, diag, n, a, lda, tmp.buf, 1)
+		Copy(n, tmp.buf, 1, x, incX)
+		tmp.release()
 		return
 	}
 	unit := diag == Unit

@@ -1,11 +1,9 @@
 package blas
 
-// level3Block is the diagonal-leaf size used to route Syrk and Trmm through
-// the packed GEMM kernel: diagonal blocks of this order run the specialized
-// triangular/symmetric small kernels, everything off-diagonal is a plain
-// rectangular GEMM update that inherits the packed path's throughput. Kept
-// small so that tile-sized operands (nb = 64–256) spend most of their flops
-// in the packed kernel rather than the axpy leaves.
+// level3Block is the diagonal-leaf size used to route Trmm through the
+// packed GEMM kernel: diagonal blocks of this order run the triangular small
+// kernels, everything off-diagonal is a plain rectangular GEMM update that
+// inherits the packed path's throughput.
 const level3Block = 32
 
 // Syrk computes the symmetric rank-k update
@@ -14,7 +12,8 @@ const level3Block = 32
 //	C ← α·Aᵀ·A + β·C   (trans == Trans,   A is k×n)
 //
 // where only the uplo triangle of the n×n matrix C is referenced and
-// updated. Off-diagonal blocks are routed through the packed GEMM kernel.
+// updated. The product is one packed GEMM sweep that skips the register
+// tiles outside the triangle.
 func Syrk[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, beta T, c []T, ldc int) {
 	checkUplo(uplo)
 	checkTrans(trans)
@@ -54,86 +53,49 @@ func Syrk[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int
 		return
 	}
 
-	syrkRec(uplo, trans, n, k, alpha, a, lda, c, ldc)
+	syrkPacked(uplo, trans, n, k, alpha, a, lda, c, ldc)
 	syrkMetrics.Stop(start, int64(n)*int64(n+1)*int64(k))
 }
 
-// syrkRec recursively halves the updated triangle: the two diagonal halves
-// recurse (down to level3Block-sized leaves handled by syrkKernel) and the
-// off-diagonal coupling block — the bulk of the flops — is one rectangular
-// gemmAccum update at packed-kernel speed.
-func syrkRec[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, c []T, ldc int) {
-	if n <= level3Block {
-		syrkKernel(uplo, trans, n, k, alpha, a, lda, c, ldc)
-		return
-	}
-	n1 := n / 2
-	n2 := n - n1
-	// Rows (NoTrans) or columns (Trans) n1: of A feed the second half.
-	a1, a2 := a, a[n1:]
+// syrkPacked accumulates the uplo triangle of C += α·op(A)·op(A)ᵀ (β already
+// applied) with Gemm's jc/pc/ic blocking: op(A) is packed once as the A
+// operand and once, transposed, as the B operand, and the triangle-aware
+// macro kernel skips the MC blocks and register tiles outside uplo.
+func syrkPacked[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, c []T, ldc int) {
+	p := GemmBlocking()
+	mr, nr := registerTile[T](p)
+	kern := kernelFor[T](mr)
+	mc, kc, nc := p.MC, p.KC, p.NC
+	// op(A)ᵀ[l,j] = op(A)[j,l]: the B operand reads A with the other transpose.
+	transB := Trans
 	if trans == Trans {
-		a2 = a[n1*lda:]
+		transB = NoTrans
 	}
-	syrkRec(uplo, trans, n1, k, alpha, a1, lda, c, ldc)
-	if uplo == Lower {
-		// C21 += α·A2·A1ᵀ (n2×n1).
-		if trans == NoTrans {
-			gemmAccum(NoTrans, Trans, n2, n1, k, alpha, a2, lda, a1, lda, c[n1:], ldc)
-		} else {
-			gemmAccum(Trans, NoTrans, n2, n1, k, alpha, a2, lda, a1, lda, c[n1:], ldc)
-		}
-	} else {
-		// C12 += α·A1·A2ᵀ (n1×n2).
-		if trans == NoTrans {
-			gemmAccum(NoTrans, Trans, n1, n2, k, alpha, a1, lda, a2, lda, c[n1*ldc:], ldc)
-		} else {
-			gemmAccum(Trans, NoTrans, n1, n2, k, alpha, a1, lda, a2, lda, c[n1*ldc:], ldc)
-		}
-	}
-	syrkRec(uplo, trans, n2, k, alpha, a2, lda, c[n1+n1*ldc:], ldc)
-}
 
-// syrkKernel accumulates the uplo triangle of C += α·op(A)·op(A)ᵀ for a
-// diagonal block whose β-scaling has already been applied. Zero operand
-// values are not skipped, so non-finite inputs propagate as in RefSyrk.
-func syrkKernel[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, c []T, ldc int) {
-	if trans == NoTrans {
-		// C[i,j] += α Σ_l A[i,l]·A[j,l]: accumulate column-wise axpy.
-		for l := 0; l < k; l++ {
-			acol := a[l*lda : l*lda+n]
-			for j := 0; j < n; j++ {
-				v := alpha * acol[j]
-				ccol := c[j*ldc:]
-				if uplo == Lower {
-					for i := j; i < n; i++ {
-						ccol[i] += v * acol[i]
-					}
-				} else {
-					for i := 0; i <= j; i++ {
-						ccol[i] += v * acol[i]
-					}
-				}
+	kcEff := min(kc, k)
+	aBuf := getScratch[T](roundUp(min(mc, n), mr) * kcEff)
+	bBuf := getScratch[T](kcEff * roundUp(min(nc, n), nr))
+	tBuf := getScratch[T](maxMR * maxNR)
+	for jc := 0; jc < n; jc += nc {
+		nb := min(nc, n-jc)
+		// Rows of C holding triangle entries in columns jc…jc+nb−1.
+		lo, hi := jc, n
+		if uplo == Upper {
+			lo, hi = 0, jc+nb
+		}
+		for pc := 0; pc < k; pc += kc {
+			kb := min(kc, k-pc)
+			packB(transB, kb, nb, a, lda, pc, jc, nr, bBuf.buf)
+			for ic := lo; ic < hi; ic += mc {
+				mb := min(mc, hi-ic)
+				packA(trans, mb, kb, a, lda, ic, pc, mr, aBuf.buf)
+				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.buf, bBuf.buf, c[ic+jc*ldc:], ldc, kern, tBuf.buf, uplo, ic-jc)
 			}
 		}
-		return
 	}
-	// trans == Trans: C[i,j] += α·A[:,i]ᵀA[:,j]; columns contiguous.
-	for j := 0; j < n; j++ {
-		ajcol := a[j*lda : j*lda+k]
-		ccol := c[j*ldc:]
-		lo, hi := 0, j+1
-		if uplo == Lower {
-			lo, hi = j, n
-		}
-		for i := lo; i < hi; i++ {
-			aicol := a[i*lda : i*lda+k]
-			var s T
-			for l, v := range ajcol {
-				s += aicol[l] * v
-			}
-			ccol[i] += alpha * s
-		}
-	}
+	aBuf.release()
+	bBuf.release()
+	tBuf.release()
 }
 
 // Symm computes C ← α·A·B + β·C (side == Left) or C ← α·B·A + β·C
@@ -330,12 +292,10 @@ func trmmSmallRight[T Float](uplo Uplo, transA Transpose, diag Diag, m, n int, a
 //	X·op(A) = α·B   (side == Right)
 //
 // in place: X overwrites the m×n matrix B. A is m×m (Left) or n×n (Right).
-// Triangles larger than trsmBlock are solved recursively: the triangle is
-// split in half, each half solved in turn, and the rectangular coupling
-// block applied as a GEMM update that inherits the packed kernel's
-// throughput — so tile-sized solves run at GEMM speed rather than the
-// substitution loops' (which handle only the trsmBlock-sized diagonal
-// leaves).
+// The solve is one packed sweep on the GEMM microkernel (see trsmPacked).
+// Fewer right-hand sides than the register tile has rows are solved one
+// vector at a time with Trsv instead: packing the triangle would cost more
+// than the solve.
 func Trsm[T Float](side Side, uplo Uplo, transA Transpose, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) {
 	checkSide(side)
 	checkUplo(uplo)
@@ -368,215 +328,149 @@ func Trsm[T Float](side Side, uplo Uplo, transA Transpose, diag Diag, m, n int, 
 			return
 		}
 	}
-	trsmRec(side, uplo, transA, diag, m, n, a, lda, b, ldb)
+	// Every case is nrhs independent row vectors solving y·U = c: on the
+	// Right they are B's rows and U = op(A); on the Left op(A)·X = B is
+	// Xᵀ·op(A)ᵀ = Bᵀ, so they are B's columns and U is op(A) with the other
+	// transpose. Vector i's element p sits at b[i·step + p·inc]. As a column,
+	// yᵀ solves Uᵀ·yᵀ = cᵀ: a Trsv with opV, the other transpose of opU.
+	other := Trans
+	if transA == Trans {
+		other = NoTrans
+	}
+	opU, opV, nrhs, step, inc := transA, other, m, 1, ldb
+	if side == Left {
+		opU, opV, nrhs, step, inc = other, transA, n, ldb, 1
+	}
+	if mr, nr := registerTile[T](GemmBlocking()); nrhs < mr {
+		for i := 0; i < nrhs; i++ {
+			Trsv(uplo, opV, diag, na, a, lda, b[i*step:], inc)
+		}
+	} else {
+		trsmPacked(uplo, opU, diag, na, nrhs, a, lda, b, step, inc, mr, nr)
+	}
 	trsmMetrics.Stop(start, int64(m)*int64(n)*int64(na))
 }
 
-// trsmBlock is the diagonal-leaf cutoff of the recursive Trsm: triangles of
-// this order and below run the substitution loops, everything above splits
-// so the off-diagonal coupling goes through gemmAccum.
-const trsmBlock = 32
+// trsmPacked solves y·U = c in place for nrhs row vectors against the
+// na×na triangle U = opU(A), vector i's element p at c[i·step + p·inc], as
+// a BLIS-style sweep on the mr×nr GEMM microkernel. U is packed once, in solve
+// order (backwards for a lower triangle, which makes it upper), as nr-wide
+// column slivers whose depth runs down to and across the diagonal block
+// and whose diagonal holds reciprocals. Each mr-tall sliver of vectors
+// then walks the nr-wide column blocks in solve order: a block takes its
+// update from the positions already solved through the microkernel
+// (α = −1, depth = positions solved), a small substitution solves the
+// block, and the solution is appended to the packed vectors that feed the
+// next block — so every solved element is packed exactly once, by the
+// solve that produced it.
+func trsmPacked[T Float](uplo Uplo, opU Transpose, diag Diag, na, nrhs int, a []T, lda int, c []T, step, inc, mr, nr int) {
+	kern := kernelFor[T](mr)
+	// Solve position p is position π(p) of the system: π(p) = p for an
+	// upper U, na−1−p for a lower one. V[q,r] = U[π(q),π(r)] is then upper
+	// and sits at a[a0 + q·aq + r·ar]; position p of vector 0 at c[c0 + p·cp].
+	aq, ar := 1, lda
+	if opU == Trans {
+		aq, ar = lda, 1
+	}
+	a0, c0, cp := 0, 0, inc
+	if (uplo == Upper) != (opU == NoTrans) {
+		a0, aq, ar = (na-1)*(1+lda), -aq, -ar
+		c0, cp = (na-1)*inc, -inc
+	}
 
-// trsmRec recursively solves op(A)·X = B (Left) or X·op(A) = B (Right) in
-// place with α already applied. The triangle is halved; the rectangular
-// block coupling the two halves becomes one gemmAccum update.
-func trsmRec[T Float](side Side, uplo Uplo, transA Transpose, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
-	na := m
-	if side == Right {
-		na = n
-	}
-	if na <= trsmBlock {
-		trsmSmall(side, uplo, transA, diag, m, n, a, lda, b, ldb)
-		return
-	}
-	n1 := na / 2
-	n2 := na - n1
-	a11 := a
-	a22 := a[n1+n1*lda:]
-	// Off-diagonal block of A: lower stores A21 (n2×n1) at a[n1:], upper
-	// stores A12 (n1×n2) at a[n1*lda:].
-	lowerEff := (uplo == Lower) == (transA == NoTrans)
-	if side == Left {
-		b1, b2 := b, b[n1:]
-		if lowerEff {
-			// [L11 0; L21 L22]·[X1; X2] = [B1; B2]: solve X1, update, solve X2.
-			trsmRec(side, uplo, transA, diag, n1, n, a11, lda, b1, ldb)
-			if uplo == Lower {
-				gemmAccum(NoTrans, NoTrans, n2, n, n1, T(-1), a[n1:], lda, b1, ldb, b2, ldb)
-			} else { // op(A)21 = A12ᵀ
-				gemmAccum(Trans, NoTrans, n2, n, n1, T(-1), a[n1*lda:], lda, b1, ldb, b2, ldb)
+	// Sliver b (columns r0 = b·nr …) starts at nr²·b(b+1)/2 and is row-major:
+	// vs[q·nr + j] = V[q, r0+j] for q < r0+nr, zero below the diagonal and
+	// in columns past na.
+	nblk := (na + nr - 1) / nr
+	vBuf := getScratch[T](nr * nr * nblk * (nblk + 1) / 2)
+	for b, r0 := 0, 0; r0 < na; b, r0 = b+1, r0+nr {
+		w := min(nr, na-r0)
+		vs := vBuf.buf[nr*nr*b*(b+1)/2:]
+		for q := 0; q < r0; q++ {
+			d := vs[q*nr : q*nr+nr]
+			src := a0 + q*aq + r0*ar
+			for j := 0; j < w; j++ {
+				d[j] = a[src+j*ar]
 			}
-			trsmRec(side, uplo, transA, diag, n2, n, a22, lda, b2, ldb)
-			return
+			clear(d[w:])
 		}
-		// [U11 U12; 0 U22]·[X1; X2] = [B1; B2]: solve X2, update, solve X1.
-		trsmRec(side, uplo, transA, diag, n2, n, a22, lda, b2, ldb)
-		if uplo == Upper {
-			gemmAccum(NoTrans, NoTrans, n1, n, n2, T(-1), a[n1*lda:], lda, b2, ldb, b1, ldb)
-		} else { // op(A)12 = A21ᵀ
-			gemmAccum(Trans, NoTrans, n1, n, n2, T(-1), a[n1:], lda, b2, ldb, b1, ldb)
+		for k := 0; k < w; k++ {
+			d := vs[(r0+k)*nr : (r0+k)*nr+nr]
+			clear(d)
+			src := a0 + (r0+k)*(aq+ar)
+			d[k] = 1
+			if diag == NonUnit {
+				d[k] = 1 / a[src]
+			}
+			for j := k + 1; j < w; j++ {
+				d[j] = a[src+(j-k)*ar]
+			}
 		}
-		trsmRec(side, uplo, transA, diag, n1, n, a11, lda, b1, ldb)
-		return
 	}
-	// side == Right: split the columns of B.
-	b1, b2 := b, b[n1*ldb:]
-	if lowerEff {
-		// [X1 X2]·[L11 0; L21 L22] = [B1 B2]: X2·L22 = B2 first, then
-		// B1 -= X2·op(A)21 and X1·L11 = B1.
-		trsmRec(side, uplo, transA, diag, m, n2, a22, lda, b2, ldb)
-		if uplo == Lower {
-			gemmAccum(NoTrans, NoTrans, m, n1, n2, T(-1), b2, ldb, a[n1:], lda, b1, ldb)
-		} else { // op(A)21 = A12ᵀ
-			gemmAccum(NoTrans, Trans, m, n1, n2, T(-1), b2, ldb, a[n1*lda:], lda, b1, ldb)
-		}
-		trsmRec(side, uplo, transA, diag, m, n1, a11, lda, b1, ldb)
-		return
-	}
-	// [X1 X2]·[U11 U12; 0 U22] = [B1 B2]: X1·U11 = B1 first, then
-	// B2 -= X1·op(A)12 and X2·U22 = B2.
-	trsmRec(side, uplo, transA, diag, m, n1, a11, lda, b1, ldb)
-	if uplo == Upper {
-		gemmAccum(NoTrans, NoTrans, m, n2, n1, T(-1), b1, ldb, a[n1*lda:], lda, b2, ldb)
-	} else { // op(A)12 = A21ᵀ
-		gemmAccum(NoTrans, Trans, m, n2, n1, T(-1), b1, ldb, a[n1:], lda, b2, ldb)
-	}
-	trsmRec(side, uplo, transA, diag, m, n2, a22, lda, b2, ldb)
-}
 
-// trsmSmall runs the substitution loops on a diagonal leaf (α = 1).
-func trsmSmall[T Float](side Side, uplo Uplo, transA Transpose, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
-	unit := diag == Unit
-	switch {
-	case side == Left && transA == NoTrans && uplo == Lower:
-		// Forward substitution, rank-1 style over columns of A so that the
-		// inner updates stream down contiguous columns of B.
-		for k := 0; k < m; k++ {
-			akk := a[k+k*lda]
-			acol := a[k*lda:]
-			for j := 0; j < n; j++ {
-				bcol := b[j*ldb:]
-				if !unit {
-					bcol[k] /= akk
+	// The solved positions of the current vectors, as the A operand of the
+	// update: y[p·mr + i] = Y[i0+i, π(p)].
+	yBuf := getScratch[T](na * mr)
+	tBuf := getScratch[T](maxMR * maxNR)
+	y, t := yBuf.buf, tBuf.buf[:mr*nr]
+	for i0 := 0; i0 < nrhs; i0 += mr {
+		h := min(mr, nrhs-i0)
+		for b, r0 := 0, 0; r0 < na; b, r0 = b+1, r0+nr {
+			w := min(nr, na-r0)
+			vs := vBuf.buf[nr*nr*b*(b+1)/2:]
+			// t ← −Y[vectors, 0:r0]·V[0:r0, block], then C[vectors, block] + t
+			// is solved against the block's diagonal triangle.
+			clear(t)
+			if r0 > 0 {
+				kern(r0, y, vs, -1, t, mr)
+			}
+			if w == 4 {
+				// The full block, unrolled so that a vector's four positions
+				// stay in registers.
+				v0, v1, v2 := vs[r0*nr:], vs[(r0+1)*nr:], vs[(r0+2)*nr:]
+				d0, d1, d2, d3 := v0[0], v1[1], v2[2], vs[(r0+3)*nr+3]
+				u01, u02, u03, u12, u13, u23 := v0[1], v0[2], v0[3], v1[2], v1[3], v2[3]
+				y0, y1, y2, y3 := y[r0*mr:][:h], y[(r0+1)*mr:][:h], y[(r0+2)*mr:][:h], y[(r0+3)*mr:][:h]
+				t0, t1, t2, t3 := t[:h], t[mr:][:h], t[2*mr:][:h], t[3*mr:][:h]
+				for i := range t0 {
+					ci := c0 + r0*cp + (i0+i)*step
+					x0 := (t0[i] + c[ci]) * d0
+					x1 := (t1[i] + c[ci+cp] - u01*x0) * d1
+					x2 := (t2[i] + c[ci+2*cp] - u02*x0 - u12*x1) * d2
+					x3 := (t3[i] + c[ci+3*cp] - u03*x0 - u13*x1 - u23*x2) * d3
+					y0[i], y1[i], y2[i], y3[i] = x0, x1, x2, x3
+					c[ci], c[ci+cp], c[ci+2*cp], c[ci+3*cp] = x0, x1, x2, x3
 				}
-				bk := bcol[k]
-				if bk == 0 {
-					continue
-				}
-				for i := k + 1; i < m; i++ {
-					bcol[i] -= bk * acol[i]
+				continue
+			}
+			for j := 0; j < w; j++ {
+				tj := t[j*mr : j*mr+h]
+				cj := c[c0+(r0+j)*cp+i0*step:]
+				for i := range tj {
+					tj[i] += cj[i*step]
 				}
 			}
-		}
-	case side == Left && transA == NoTrans && uplo == Upper:
-		for k := m - 1; k >= 0; k-- {
-			akk := a[k+k*lda]
-			acol := a[k*lda:]
-			for j := 0; j < n; j++ {
-				bcol := b[j*ldb:]
-				if !unit {
-					bcol[k] /= akk
+			// Substitution inside the block: position r0+k is solved once the
+			// block's earlier positions have been subtracted from it.
+			for k := 0; k < w; k++ {
+				v := vs[(r0+k)*nr : (r0+k)*nr+nr]
+				yk := y[(r0+k)*mr : (r0+k)*mr+h]
+				ck := c[c0+(r0+k)*cp+i0*step:]
+				for i, s := range t[k*mr : k*mr+h] {
+					x := s * v[k]
+					yk[i] = x
+					ck[i*step] = x
 				}
-				bk := bcol[k]
-				if bk == 0 {
-					continue
-				}
-				for i := 0; i < k; i++ {
-					bcol[i] -= bk * acol[i]
-				}
-			}
-		}
-	case side == Left && transA == Trans:
-		// Solve column-by-column with Trsv (Aᵀ solves use dot products over
-		// contiguous columns of A).
-		for j := 0; j < n; j++ {
-			Trsv(uplo, Trans, diag, m, a, lda, b[j*ldb:j*ldb+m], 1)
-		}
-	case side == Right && transA == NoTrans && uplo == Lower:
-		// X·A = B: process columns of X right-to-left.
-		for k := n - 1; k >= 0; k-- {
-			akk := a[k+k*lda]
-			bk := b[k*ldb:]
-			if !unit {
-				for i := 0; i < m; i++ {
-					bk[i] /= akk
-				}
-			}
-			// B[:,j] -= A[k,j]·X[:,k] for j < k (A lower: A[k,j] stored).
-			for j := 0; j < k; j++ {
-				akj := a[k+j*lda]
-				if akj == 0 {
-					continue
-				}
-				bj := b[j*ldb:]
-				for i := 0; i < m; i++ {
-					bj[i] -= akj * bk[i]
-				}
-			}
-		}
-	case side == Right && transA == NoTrans && uplo == Upper:
-		for k := 0; k < n; k++ {
-			akk := a[k+k*lda]
-			bk := b[k*ldb:]
-			if !unit {
-				for i := 0; i < m; i++ {
-					bk[i] /= akk
-				}
-			}
-			for j := k + 1; j < n; j++ {
-				akj := a[k+j*lda]
-				if akj == 0 {
-					continue
-				}
-				bj := b[j*ldb:]
-				for i := 0; i < m; i++ {
-					bj[i] -= akj * bk[i]
-				}
-			}
-		}
-	case side == Right && transA == Trans && uplo == Lower:
-		// X·Aᵀ = B with A lower: Aᵀ upper, columns left-to-right.
-		for k := 0; k < n; k++ {
-			akk := a[k+k*lda]
-			bk := b[k*ldb:]
-			if !unit {
-				for i := 0; i < m; i++ {
-					bk[i] /= akk
-				}
-			}
-			// (Aᵀ)[k,j] = A[j,k] for j > k.
-			acol := a[k*lda:]
-			for j := k + 1; j < n; j++ {
-				ajk := acol[j]
-				if ajk == 0 {
-					continue
-				}
-				bj := b[j*ldb:]
-				for i := 0; i < m; i++ {
-					bj[i] -= ajk * bk[i]
-				}
-			}
-		}
-	default: // side == Right && transA == Trans && uplo == Upper
-		for k := n - 1; k >= 0; k-- {
-			akk := a[k+k*lda]
-			bk := b[k*ldb:]
-			if !unit {
-				for i := 0; i < m; i++ {
-					bk[i] /= akk
-				}
-			}
-			acol := a[k*lda:]
-			for j := 0; j < k; j++ {
-				ajk := acol[j]
-				if ajk == 0 {
-					continue
-				}
-				bj := b[j*ldb:]
-				for i := 0; i < m; i++ {
-					bj[i] -= ajk * bk[i]
+				for j := k + 1; j < w; j++ {
+					tj := t[j*mr : j*mr+h]
+					for i, x := range yk {
+						tj[i] -= v[j] * x
+					}
 				}
 			}
 		}
 	}
+	vBuf.release()
+	yBuf.release()
+	tBuf.release()
 }

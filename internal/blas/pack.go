@@ -3,7 +3,8 @@ package blas
 import "sync"
 
 // Pack-buffer pool. Every level-3 scratch need in this package — packed
-// op(A)/op(B) panels, Symm's densified operand, Trmm's row buffer — draws
+// op(A)/op(B) panels, Trsm's packed triangle and solved vectors, Symm's
+// densified operand, Trmm's row buffer, Trsv's strided gather — draws
 // from one sync.Pool per element type, so scheduler-parallel tile kernels
 // reach steady state with zero allocations per call. The pool stores
 // *[]float64 / *[]float32 and the generic accessor recovers the []T view
@@ -74,6 +75,9 @@ func packA[T Float](trans Transpose, mb, kb int, a []T, lda, i0, l0, mr int, dst
 		if trans == NoTrans {
 			// op(A)[i,l] = a[(i0+i) + (l0+l)·lda]: copy mr-row column chunks.
 			base := i0 + s*mr + l0*lda
+			if rows == mr && copyChunks(kb, mr, a, base, lda, sl) {
+				continue
+			}
 			for l := 0; l < kb; l++ {
 				src := a[base+l*lda : base+l*lda+rows]
 				d := sl[l*mr : l*mr+mr]
@@ -129,6 +133,9 @@ func packB[T Float](trans Transpose, kb, nb int, b []T, ldb, l0, j0, nr int, dst
 			// op(B)[l,j] = b[(j0+j) + (l0+l)·ldb]: contiguous nr-column row
 			// chunks of B.
 			base := j0 + s*nr + l0*ldb
+			if cols == nr && copyChunks(kb, nr, b, base, ldb, sl) {
+				continue
+			}
 			for l := 0; l < kb; l++ {
 				src := b[base+l*ldb : base+l*ldb+cols]
 				d := sl[l*nr : l*nr+nr]
@@ -139,4 +146,26 @@ func packB[T Float](trans Transpose, kb, nb int, b []T, ldb, l0, j0, nr int, dst
 			}
 		}
 	}
+}
+
+// copyChunks copies kb chunks of w contiguous elements, chunk l starting at
+// src[off + l·ld], into consecutive w-element chunks of dst — a full sliver
+// of a 4- or 8-wide register tile — by element assignment: a copy call per
+// chunk is mostly call overhead. Other widths report false and copy nothing.
+func copyChunks[T Float](kb, w int, src []T, off, ld int, dst []T) bool {
+	switch w {
+	case 4:
+		for l := 0; l < kb; l, off = l+1, off+ld {
+			s, d := src[off:off+4:off+4], dst[l*4:l*4+4:l*4+4]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+		}
+	case 8:
+		for l := 0; l < kb; l, off = l+1, off+ld {
+			s, d := src[off:off+8:off+8], dst[l*8:l*8+8:l*8+8]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+		}
+	default:
+		return false
+	}
+	return true
 }

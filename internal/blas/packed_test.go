@@ -10,13 +10,15 @@ import (
 	"exadla/internal/metrics"
 )
 
-// Tests pinned to the packed register-blocked GEMM path: exhaustive edge
-// geometries around the register-tile size, non-finite propagation, pack
-// pool reuse under concurrency, steady-state allocation freedom, and the
-// flop-accounting contract of the metrics counters.
+// Tests pinned to the packed register-blocked sweeps (Gemm, Syrk, Trsm):
+// exhaustive edge geometries around the register-tile size on both
+// microkernels, non-finite propagation, pack pool reuse under concurrency,
+// steady-state allocation freedom, and the flop-accounting contract of the
+// metrics counters.
 
 // forcePath pins Gemm to the packed or axpy kernel for the duration of the
-// test by overriding the small-size cutover.
+// test by overriding the small-size cutover. Products thinner than the
+// register tile (n < NR) take the axpy kernels either way.
 func forcePath(t *testing.T, packed bool) {
 	t.Helper()
 	old := minPackedVolume
@@ -67,6 +69,125 @@ func TestGemmPackedEdgeSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// forcePortableKernel runs the rest of the test on the portable 4×4
+// microkernel, the one every build without the AVX2+FMA assembly uses, by
+// installing MR = 4.
+func forcePortableKernel(t *testing.T) {
+	t.Helper()
+	old := GemmBlocking()
+	SetGemmBlocking(Blocking{MR: 4})
+	t.Cleanup(func() { SetGemmBlocking(old) })
+}
+
+// conditionedTriangle overwrites the na×na/ld matrix a so that either of
+// its triangles is well conditioned: dominant diagonal, off-diagonal damped
+// by na (a unit-diagonal triangle with N(0,1) entries is exponentially
+// ill-conditioned, and substitution would amplify comparison noise).
+func conditionedTriangle(a []float64, na, ld int) {
+	for j := 0; j < na; j++ {
+		for i := 0; i < na; i++ {
+			if i == j {
+				a[i+j*ld] = 2 + math.Abs(a[i+j*ld])
+			} else {
+				a[i+j*ld] /= float64(na)
+			}
+		}
+	}
+}
+
+// checkSyrk runs one Syrk against RefSyrk with sentinel-padded operands.
+func checkSyrk(t *testing.T, rng *rand.Rand, uplo Uplo, trans Transpose, n, k int, alpha, beta float64) {
+	t.Helper()
+	ar, ac := n, k
+	if trans == Trans {
+		ar, ac = k, n
+	}
+	pad := 1 + (n+k)%3
+	lda, ldc := max(1, ar)+pad, max(1, n)+pad
+	a := randPadded(rng, ar, ac, lda)
+	c := randPadded(rng, n, n, ldc)
+	got := append([]float64(nil), c...)
+	want := append([]float64(nil), c...)
+	Syrk(uplo, trans, n, k, alpha, a, lda, beta, got, ldc)
+	RefSyrk(uplo, trans, n, k, alpha, a, lda, beta, want, ldc)
+	checkPadding(t, "Syrk C", n, n, ldc, got)
+	// want shares the untouched triangle, so this also pins it bit for bit.
+	if d := maxAbsDiff(got, want); d > 1e-10*float64(k+1) {
+		t.Fatalf("Syrk %v %v n=%d k=%d α=%g: max diff %g", uplo, trans, n, k, alpha, d)
+	}
+}
+
+// checkTrsm runs one Trsm against RefTrsm with a conditioned triangle and
+// sentinel-padded operands.
+func checkTrsm(t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64) {
+	t.Helper()
+	na := m
+	if side == Right {
+		na = n
+	}
+	pad := 1 + (m+n)%3
+	lda, ldb := na+pad, m+pad
+	a := randPadded(rng, na, na, lda)
+	conditionedTriangle(a, na, lda)
+	b := randPadded(rng, m, n, ldb)
+	got := append([]float64(nil), b...)
+	want := append([]float64(nil), b...)
+	Trsm(side, uplo, trans, diag, m, n, alpha, a, lda, got, ldb)
+	RefTrsm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
+	checkPadding(t, "Trsm B", m, n, ldb, got)
+	if d := maxAbsDiff(got, want); d > 1e-12*float64(na+1) {
+		t.Fatalf("Trsm %v%v%v%v m=%d n=%d α=%g: max diff %g", side, uplo, trans, diag, m, n, alpha, d)
+	}
+}
+
+// TestSyrkTrsmEdgeSweep drives the packed Syrk and Trsm sweeps through every
+// geometry around the register tile — n, k (Syrk) and m, n (Trsm) in 1…17,
+// which crosses every partial tile, partial sliver and the thin-RHS Trsv
+// cutover — plus sizes crossing the MC/KC cache blocks (Syrk) and many
+// triangle blocks (Trsm), for every uplo/trans/side/diag case and
+// α ∈ {0, 1, −1, 0.7}; once on the installed microkernel and once on the
+// portable 4×4 kernel.
+func TestSyrkTrsmEdgeSweep(t *testing.T) {
+	for _, portable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("portable=%v", portable), func(t *testing.T) {
+			if portable {
+				forcePortableKernel(t)
+			}
+			rng := rand.New(rand.NewSource(47))
+			alphas := []float64{0, 1, -1, 0.7}
+			transes := []Transpose{NoTrans, Trans}
+			for _, uplo := range []Uplo{Upper, Lower} {
+				for _, trans := range transes {
+					for n := 1; n <= 17; n++ {
+						for k := 1; k <= 17; k++ {
+							for _, alpha := range alphas {
+								checkSyrk(t, rng, uplo, trans, n, k, alpha, 0.5)
+							}
+						}
+					}
+					for _, d := range [][2]int{{300, 300}, {257, 3}, {5, 257}} {
+						checkSyrk(t, rng, uplo, trans, d[0], d[1], 0.7, 0.5)
+					}
+					for _, side := range []Side{Left, Right} {
+						for _, diag := range []Diag{NonUnit, Unit} {
+							for m := 1; m <= 17; m++ {
+								for n := 1; n <= 17; n++ {
+									for _, alpha := range alphas {
+										checkTrsm(t, rng, side, uplo, trans, diag, m, n, alpha)
+									}
+								}
+							}
+							for _, d := range [][2]int{{257, 40}, {40, 257}} {
+								checkTrsm(t, rng, side, uplo, trans, diag, d[0], d[1], 0.7)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -192,7 +313,8 @@ func TestGemmConcurrentPool(t *testing.T) {
 // TestLevel3ZeroAllocSteadyState asserts that, once the pack pool is warm,
 // the pooled level-3 routines allocate nothing per call: the packed Gemm,
 // the axpy TT path (pooled row scratch), Symm (pooled symmetric expansion),
-// and Trmm from the right (pooled row scratch).
+// Trmm from the right (pooled row scratch), the packed Syrk and Trsm sweeps,
+// and Trsm's thin-RHS path (Trsv on strided rows, pooled gather).
 func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally bypasses caching under the race detector")
@@ -202,6 +324,10 @@ func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 	a := randPadded(rng, n, n, n)
 	b := randPadded(rng, n, n, n)
 	c := randPadded(rng, n, n, n)
+	// Repeated in-place solves shrink B by the dominant diagonal, never
+	// overflow it.
+	tri := randPadded(rng, n, n, n)
+	conditionedTriangle(tri, n, n)
 	cases := []struct {
 		name string
 		run  func()
@@ -217,6 +343,18 @@ func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 		}},
 		{"TrmmRight", func() {
 			Trmm(Right, Upper, NoTrans, NonUnit, 24, 24, 1.1, a, n, c, n)
+		}},
+		{"Syrk", func() {
+			Syrk(Lower, NoTrans, n, n, 1.1, a, n, 0.9, c, n)
+		}},
+		{"TrsmLeft", func() {
+			Trsm(Left, Upper, Trans, NonUnit, n, n, 1, tri, n, b, n)
+		}},
+		{"TrsmRight", func() {
+			Trsm(Right, Lower, Trans, NonUnit, n, n, 1, tri, n, b, n)
+		}},
+		{"TrsmRightThin", func() {
+			Trsm(Right, Lower, NoTrans, NonUnit, 2, n, 1, tri, n, b, n)
 		}},
 	}
 	for _, tc := range cases {

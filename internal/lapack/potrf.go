@@ -69,10 +69,9 @@ func Potf2[T blas.Float](uplo blas.Uplo, n int, a []T, lda int) error {
 
 // potrfLeaf is the recursion cutoff of Potrf: triangles of this order run
 // the unblocked Potf2, everything larger splits in half so the solve and
-// update — the bulk of the flops — run through the blocked level-3 routines
-// (and from there the packed GEMM kernel). Smaller than the level-3
-// blockSize because Potf2's scalar loops are the slowest code in the
-// factorization; the level-3 routines handle 32-sized operands fine.
+// update — the bulk of the flops — run as Trsm and Syrk, packed sweeps of
+// the GEMM microkernel. Kept small because Potf2's scalar loops are the
+// slowest code in the factorization.
 const potrfLeaf = 32
 
 // Potrf computes the Cholesky factorization of the n×n symmetric positive
