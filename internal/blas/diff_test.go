@@ -184,8 +184,8 @@ func TestDiffTrmm(t *testing.T) {
 		uplo := uplos[rng.Intn(2)]
 		trans := transes[rng.Intn(2)]
 		diag := diags[rng.Intn(2)]
-		// Sizes cross the level3Block partition so the off-diagonal GEMM
-		// routing is exercised, not just the small triangular kernels.
+		// Sizes include empty shapes, the thin Trmv path and several
+		// register tiles of the packed sweep.
 		m, n := rng.Intn(90), rng.Intn(90)
 		na := m
 		if side == Right {

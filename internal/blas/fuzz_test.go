@@ -89,7 +89,7 @@ func FuzzGemmDiff(f *testing.F) {
 	})
 }
 
-// fuzzAlphas are the α values the Syrk/Trsm fuzzers pick from: the early-out
+// fuzzAlphas are the α values the Syrk/Trsm/Trmm fuzzers pick from: the early-out
 // gates 0 and 1, a sign flip, and a generic value.
 var fuzzAlphas = []float64{0, 1, -1, 0.7}
 
@@ -149,5 +149,37 @@ func FuzzTrsmDiff(f *testing.F) {
 			forcePortableKernel(t)
 		}
 		checkTrsm(t, rand.New(rand.NewSource(seed)), side, uplo, trans, diag, m, n, fuzzAlphas[flags>>4&3])
+	})
+}
+
+// FuzzTrmmDiff differentially fuzzes Trmm — the packed sweep and the
+// thin-vector Trmv path — against RefTrmm on finite data, on either
+// microkernel, with the unreferenced triangle poisoned. flags: bit 0 side,
+// bit 1 uplo, bit 2 trans, bit 3 diag, bits 4–5 α, bit 6 the portable 4×4
+// kernel.
+func FuzzTrmmDiff(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(8), uint8(0))
+	f.Add(int64(2), uint8(17), uint8(3), uint8(0x0f))
+	f.Add(int64(3), uint8(2), uint8(39), uint8(0x35))
+	f.Add(int64(4), uint8(33), uint8(21), uint8(0x6a))
+	f.Fuzz(func(t *testing.T, seed int64, m8, n8, flags uint8) {
+		m, n := 1+int(m8%40), 1+int(n8%40)
+		side, uplo, trans, diag := Left, Upper, NoTrans, NonUnit
+		if flags&1 != 0 {
+			side = Right
+		}
+		if flags&2 != 0 {
+			uplo = Lower
+		}
+		if flags&4 != 0 {
+			trans = Trans
+		}
+		if flags&8 != 0 {
+			diag = Unit
+		}
+		if flags&64 != 0 {
+			forcePortableKernel(t)
+		}
+		checkTrmm(t, rand.New(rand.NewSource(seed)), side, uplo, trans, diag, m, n, fuzzAlphas[flags>>4&3])
 	})
 }

@@ -62,7 +62,14 @@ func Gemm[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda in
 		return
 	}
 
-	gemmAccum(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+	// Products thinner than the register tile (n < NR, e.g. a tile times one
+	// right-hand side) also take the axpy kernels: packing a whole op(A)
+	// panel to produce one or two columns costs more than the product itself.
+	if n < GemmBlocking().NR || int64(m)*int64(n)*int64(k) < minPackedVolume {
+		gemmAxpyKernel(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+	} else {
+		gemmPacked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+	}
 	gemmMetrics.Stop(start, 2*int64(m)*int64(n)*int64(k))
 }
 
@@ -113,24 +120,8 @@ func scaleMatrix[T Float](m, n int, beta T, c []T, ldc int) {
 	}
 }
 
-// gemmAccum computes C += α·op(A)·op(B) with no argument validation,
-// metrics, or β-scaling — the shared internal entry point for Gemm itself
-// and for Trmm, which is built from rectangular GEMM updates and keeps its
-// own accounting. Callers guarantee m, n, k ≥ 1 and α ≠ 0.
-//
-// Products thinner than the register tile (n < NR, e.g. a tile times one
-// right-hand side) also take the axpy kernels: packing a whole op(A) panel
-// to produce one or two columns costs more than the product itself.
-func gemmAccum[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
-	if n < GemmBlocking().NR || int64(m)*int64(n)*int64(k) < minPackedVolume {
-		gemmAxpyKernel(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
-		return
-	}
-	gemmPacked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
-}
-
 // registerTile returns the register-tile shape of every packed sweep (Gemm,
-// Syrk, Trsm) for element type T under blocking p: the installed MR×NR,
+// Syrk, Trmm, Trsm) for element type T under blocking p: the installed MR×NR,
 // except that the 8-row kernel is AVX2+FMA assembly for float64 only, so
 // everything else runs the portable 4×4 kernel. Callers take the kernel
 // itself from kernelFor in their own frame: returned from here, the generic
@@ -155,26 +146,26 @@ func gemmPacked[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, 
 	mc, kc, nc := p.MC, p.KC, p.NC
 
 	kcEff := min(kc, k)
-	aBuf := getScratch[T](roundUp(min(mc, m), mr) * kcEff)
-	bBuf := getScratch[T](kcEff * roundUp(min(nc, n), nr))
+	aBuf := GetScratch[T](roundUp(min(mc, m), mr) * kcEff)
+	bBuf := GetScratch[T](kcEff * roundUp(min(nc, n), nr))
 	// Edge-tile scratch lives in the pool too: a local array would escape
 	// through the kern indirect call and cost one heap allocation per call.
-	tBuf := getScratch[T](maxMR * maxNR)
+	tBuf := GetScratch[T](maxMR * maxNR)
 	for jc := 0; jc < n; jc += nc {
 		nb := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
 			kb := min(kc, k-pc)
-			packB(transB, kb, nb, b, ldb, pc, jc, nr, bBuf.buf)
+			packB(transB, kb, nb, b, ldb, pc, jc, nr, bBuf.Buf)
 			for ic := 0; ic < m; ic += mc {
 				mb := min(mc, m-ic)
-				packA(transA, mb, kb, a, lda, ic, pc, mr, aBuf.buf)
-				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.buf, bBuf.buf, c[ic+jc*ldc:], ldc, kern, tBuf.buf, allOfC, 0)
+				packA(transA, mb, kb, a, lda, ic, pc, mr, aBuf.Buf)
+				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.Buf, bBuf.Buf, c[ic+jc*ldc:], ldc, kern, tBuf.Buf, allOfC, 0)
 			}
 		}
 	}
-	aBuf.release()
-	bBuf.release()
-	tBuf.release()
+	aBuf.Release()
+	bBuf.Release()
+	tBuf.Release()
 }
 
 // allOfC is the macroKernel triangle of a plain GEMM: every entry of the
@@ -344,8 +335,8 @@ func gemmTN[T Float](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T
 func gemmTT[T Float](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
 	// C[i,j] = α Σ_l A[l,i]·B[j,l]. Iterate i over columns of A
 	// (contiguous), then l down that column, scattering into row i of C.
-	rowBuf := getScratch[T](n)
-	row := rowBuf.buf
+	rowBuf := GetScratch[T](n)
+	row := rowBuf.Buf
 	for i := 0; i < m; i++ {
 		acol := a[i*lda : i*lda+k]
 		for j := range row {
@@ -361,5 +352,5 @@ func gemmTT[T Float](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T
 			c[i+j*ldc] += alpha * v
 		}
 	}
-	rowBuf.release()
+	rowBuf.Release()
 }

@@ -26,13 +26,37 @@ func Dot[T Float](n int, x []T, incX int, y []T, incY int) T {
 	return s
 }
 
-// Nrm2 computes the Euclidean norm of an n-vector using scaling to avoid
-// overflow and underflow, in the manner of the reference dnrm2.
+// Nrm2 computes the Euclidean norm of an n-vector. One pass sums the
+// squares in float64, which neither overflows nor underflows for float32
+// data. For float64 data a second, scaled pass in the manner of the
+// reference dnrm2 runs only when that sum is not finite (an overflow, NaN
+// or ±Inf) or so small that underflowed squares could matter.
 func Nrm2[T Float](n int, x []T, incX int) T {
 	checkVector("x", n, x, incX)
 	if n == 0 {
 		return 0
 	}
+	var ssq float64
+	if incX == 1 {
+		for _, v := range x[:n] {
+			ssq += float64(v) * float64(v)
+		}
+	} else {
+		for i, ix := 0, vstart(n, incX); i < n; i, ix = i+1, ix+incX {
+			ssq += float64(x[ix]) * float64(x[ix])
+		}
+	}
+	// Each square below the normal range is off by at most 2⁻¹⁰⁷⁴, so above
+	// 2⁻⁹⁶⁰ their total error stays under ε·ssq for any n < 2⁶⁰.
+	if ssq >= 0x1p-960 && ssq <= math.MaxFloat64 {
+		return T(math.Sqrt(ssq))
+	}
+	return nrm2Scaled(n, x, incX)
+}
+
+// nrm2Scaled is the overflow- and underflow-safe Euclidean norm: squares
+// are summed relative to the largest magnitude seen so far.
+func nrm2Scaled[T Float](n int, x []T, incX int) T {
 	var scale, ssq T = 0, 1
 	ix := vstart(n, incX)
 	for i := 0; i < n; i++ {

@@ -166,12 +166,12 @@ func Trmv[T Float](uplo Uplo, trans Transpose, diag Diag, n int, a []T, lda int,
 		return
 	}
 	if incX != 1 {
-		// Gather, compute densely, scatter. Triangular solves and products
-		// with non-unit stride are rare in this library; clarity wins.
-		tmp := make([]T, n)
-		Copy(n, x, incX, tmp, 1)
-		Trmv(uplo, trans, diag, n, a, lda, tmp, 1)
-		Copy(n, tmp, 1, x, incX)
+		// Pooled: Trmm multiplies thin row vectors through here.
+		tmp := GetScratch[T](n)
+		Copy(n, x, incX, tmp.Buf, 1)
+		Trmv(uplo, trans, diag, n, a, lda, tmp.Buf, 1)
+		Copy(n, tmp.Buf, 1, x, incX)
+		tmp.Release()
 		return
 	}
 	unit := diag == Unit
@@ -248,11 +248,11 @@ func Trsv[T Float](uplo Uplo, trans Transpose, diag Diag, n int, a []T, lda int,
 	}
 	if incX != 1 {
 		// Pooled: Trsm solves thin right-hand sides row by row through here.
-		tmp := getScratch[T](n)
-		Copy(n, x, incX, tmp.buf, 1)
-		Trsv(uplo, trans, diag, n, a, lda, tmp.buf, 1)
-		Copy(n, tmp.buf, 1, x, incX)
-		tmp.release()
+		tmp := GetScratch[T](n)
+		Copy(n, x, incX, tmp.Buf, 1)
+		Trsv(uplo, trans, diag, n, a, lda, tmp.Buf, 1)
+		Copy(n, tmp.Buf, 1, x, incX)
+		tmp.Release()
 		return
 	}
 	unit := diag == Unit

@@ -1,11 +1,5 @@
 package blas
 
-// level3Block is the diagonal-leaf size used to route Trmm through the
-// packed GEMM kernel: diagonal blocks of this order run the triangular small
-// kernels, everything off-diagonal is a plain rectangular GEMM update that
-// inherits the packed path's throughput.
-const level3Block = 32
-
 // Syrk computes the symmetric rank-k update
 //
 //	C ← α·A·Aᵀ + β·C   (trans == NoTrans, A is n×k)
@@ -73,9 +67,9 @@ func syrkPacked[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, l
 	}
 
 	kcEff := min(kc, k)
-	aBuf := getScratch[T](roundUp(min(mc, n), mr) * kcEff)
-	bBuf := getScratch[T](kcEff * roundUp(min(nc, n), nr))
-	tBuf := getScratch[T](maxMR * maxNR)
+	aBuf := GetScratch[T](roundUp(min(mc, n), mr) * kcEff)
+	bBuf := GetScratch[T](kcEff * roundUp(min(nc, n), nr))
+	tBuf := GetScratch[T](maxMR * maxNR)
 	for jc := 0; jc < n; jc += nc {
 		nb := min(nc, n-jc)
 		// Rows of C holding triangle entries in columns jc…jc+nb−1.
@@ -85,17 +79,17 @@ func syrkPacked[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, l
 		}
 		for pc := 0; pc < k; pc += kc {
 			kb := min(kc, k-pc)
-			packB(transB, kb, nb, a, lda, pc, jc, nr, bBuf.buf)
+			packB(transB, kb, nb, a, lda, pc, jc, nr, bBuf.Buf)
 			for ic := lo; ic < hi; ic += mc {
 				mb := min(mc, hi-ic)
-				packA(trans, mb, kb, a, lda, ic, pc, mr, aBuf.buf)
-				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.buf, bBuf.buf, c[ic+jc*ldc:], ldc, kern, tBuf.buf, uplo, ic-jc)
+				packA(trans, mb, kb, a, lda, ic, pc, mr, aBuf.Buf)
+				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.Buf, bBuf.Buf, c[ic+jc*ldc:], ldc, kern, tBuf.Buf, uplo, ic-jc)
 			}
 		}
 	}
-	aBuf.release()
-	bBuf.release()
-	tBuf.release()
+	aBuf.Release()
+	bBuf.Release()
+	tBuf.Release()
 }
 
 // Symm computes C ← α·A·B + β·C (side == Left) or C ← α·B·A + β·C
@@ -117,8 +111,8 @@ func Symm[T Float](side Side, uplo Uplo, m, n int, alpha T, a []T, lda int, b []
 	// Symm appears only on cold paths here; expand the symmetric operand
 	// into a pooled scratch buffer and delegate to Gemm (whose packed path
 	// and metrics it then shares) rather than duplicating its blocking.
-	fullBuf := getScratch[T](na * na)
-	full := fullBuf.buf
+	fullBuf := GetScratch[T](na * na)
+	full := fullBuf.Buf
 	for j := 0; j < na; j++ {
 		for i := 0; i < na; i++ {
 			var v T
@@ -135,13 +129,15 @@ func Symm[T Float](side Side, uplo Uplo, m, n int, alpha T, a []T, lda int, b []
 	} else {
 		Gemm(NoTrans, NoTrans, m, n, n, alpha, b, ldb, full, na, beta, c, ldc)
 	}
-	fullBuf.release()
+	fullBuf.Release()
 }
 
 // Trmm computes B ← α·op(A)·B (side == Left) or B ← α·B·op(A)
-// (side == Right) in place, where A is triangular and B is m×n. Large
-// operands are partitioned so that only diagonal blocks run the triangular
-// small kernel; the off-diagonal bulk goes through the packed GEMM path.
+// (side == Right) in place, where A is triangular and B is m×n. The
+// product is one packed sweep on the GEMM microkernel (see trmmPacked).
+// Fewer vectors than the register tile has rows are multiplied one at a
+// time with Trmv instead: packing the triangle would cost more than the
+// product.
 func Trmm[T Float](side Side, uplo Uplo, transA Transpose, diag Diag, m, n int, alpha T, a []T, lda int, b []T, ldb int) {
 	checkSide(side)
 	checkUplo(uplo)
@@ -162,128 +158,165 @@ func Trmm[T Float](side Side, uplo Uplo, transA Transpose, diag Diag, m, n int, 
 		trmmMetrics.Stop(start, 0)
 		return
 	}
-	if side == Left {
-		trmmLeft(uplo, transA, diag, m, n, a, lda, b, ldb)
-	} else {
-		trmmRight(uplo, transA, diag, m, n, a, lda, b, ldb)
+	// Every case is nv vectors multiplied by the triangle U: on the Left
+	// they are B's columns and U = op(A); on the Right B·op(A) is
+	// (op(A)ᵀ·Bᵀ)ᵀ, so they are B's rows and U is op(A) with the other
+	// transpose. The vectors are the columns of V = opV(B), na×nv.
+	opU, opV, nv := transA, NoTrans, n
+	if side == Right {
+		opU, opV, nv = flipTrans(transA), Trans, m
 	}
-	// α is applied in one sweep at the end: the blocked updates must all
-	// read unscaled row/column blocks, whatever the processing order.
-	if alpha != 1 {
-		for j := 0; j < n; j++ {
-			Scal(m, alpha, b[j*ldb:j*ldb+m], 1)
+	if mr, nr := registerTile[T](GemmBlocking()); nv < mr {
+		// Vector i's element p sits at b[i·step + p·inc].
+		step, inc := ldb, 1
+		if side == Right {
+			step, inc = 1, ldb
 		}
+		for i := 0; i < nv; i++ {
+			Trmv(uplo, opU, diag, na, a, lda, b[i*step:], inc)
+			if alpha != 1 {
+				Scal(na, alpha, b[i*step:], inc)
+			}
+		}
+	} else {
+		trmmPacked(uplo, opU, diag, na, nv, alpha, a, lda, opV, b, ldb, mr, nr)
 	}
 	trmmMetrics.Stop(start, int64(m)*int64(n)*int64(na))
 }
 
-// trmmLeft computes B ← op(A)·B in place (α = 1).
-func trmmLeft[T Float](uplo Uplo, transA Transpose, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
-	if m <= level3Block {
-		trmmSmallLeft(uplo, transA, diag, m, n, a, lda, b, ldb)
-		return
+// flipTrans returns the other transpose.
+func flipTrans(t Transpose) Transpose {
+	if t == Trans {
+		return NoTrans
 	}
-	lowerEff := (uplo == Lower) == (transA == NoTrans)
-	if lowerEff {
-		// B_i ← op(A)_ii·B_i + Σ_{j<i} op(A)_ij·B_j, descending i so the
-		// sum reads unprocessed (old) row blocks.
-		last := (m - 1) / level3Block * level3Block
-		for i0 := last; i0 >= 0; i0 -= level3Block {
-			bi := min(level3Block, m-i0)
-			trmmSmallLeft(uplo, transA, diag, bi, n, a[i0+i0*lda:], lda, b[i0:], ldb)
-			for j0 := 0; j0 < i0; j0 += level3Block {
-				bj := min(level3Block, i0-j0)
-				if transA == NoTrans {
-					gemmAccum(NoTrans, NoTrans, bi, n, bj, 1, a[i0+j0*lda:], lda, b[j0:], ldb, b[i0:], ldb)
-				} else {
-					gemmAccum(Trans, NoTrans, bi, n, bj, 1, a[j0+i0*lda:], lda, b[j0:], ldb, b[i0:], ldb)
+	return Trans
+}
+
+// trmmPacked computes C = α·U·V for the na×na triangle U = opU(A) and the
+// na×nv matrix V = opV(B), then copies C over V. It is gemmPacked's
+// jc/pc/ic sweep with U as the A operand, packed by packTri with zeros
+// outside the triangle and ones on a unit diagonal, and with every mr-row
+// sliver's depth clipped to the columns its triangle rows span. C goes to
+// a zeroed pooled buffer padded to whole register tiles, so no tile needs
+// an edge path, and every product reads the caller's unmodified V.
+func trmmPacked[T Float](uplo Uplo, opU Transpose, diag Diag, na, nv int, alpha T, a []T, lda int, opV Transpose, b []T, ldb, mr, nr int) {
+	p := GemmBlocking()
+	kern := kernelFor[T](mr)
+	mc, kc, nc := p.MC, p.KC, p.NC
+	upper := (uplo == Upper) == (opU == NoTrans)
+
+	ldc := roundUp(na, mr)
+	cBuf := GetScratch[T](ldc * roundUp(nv, nr))
+	c := cBuf.Buf
+	clear(c)
+	kcEff := min(kc, na)
+	aBuf := GetScratch[T](roundUp(min(mc, na), mr) * kcEff)
+	bBuf := GetScratch[T](kcEff * roundUp(min(nc, nv), nr))
+	for jc := 0; jc < nv; jc += nc {
+		nb := min(nc, nv-jc)
+		for pc := 0; pc < na; pc += kc {
+			kb := min(kc, na-pc)
+			packB(opV, kb, nb, b, ldb, pc, jc, nr, bBuf.Buf)
+			// Rows with triangle entries at depths pc…pc+kb−1, from a
+			// register-tile boundary.
+			lo, hi := 0, pc+kb
+			if !upper {
+				lo, hi = pc/mr*mr, na
+			}
+			for ic := lo; ic < hi; ic += mc {
+				mb := min(mc, hi-ic)
+				packTri(upper, opU, diag, mb, kb, a, lda, ic, pc, mr, aBuf.Buf)
+				for jr := 0; jr < nb; jr += nr {
+					bs := bBuf.Buf[(jr/nr)*(kb*nr):]
+					for ir := 0; ir < mb; ir += mr {
+						d0, d1 := triDepth(upper, ic+ir, mr, pc, kb)
+						if d0 < d1 {
+							as := aBuf.Buf[(ir/mr)*(kb*mr):]
+							kern(d1-d0, as[d0*mr:], bs[d0*nr:], alpha, c[ic+ir+(jc+jr)*ldc:], ldc)
+						}
+					}
 				}
 			}
 		}
-		return
 	}
-	// Effective upper triangle: ascending i, contributions from j > i.
-	for i0 := 0; i0 < m; i0 += level3Block {
-		bi := min(level3Block, m-i0)
-		trmmSmallLeft(uplo, transA, diag, bi, n, a[i0+i0*lda:], lda, b[i0:], ldb)
-		for j0 := i0 + bi; j0 < m; j0 += level3Block {
-			bj := min(level3Block, m-j0)
-			if transA == NoTrans {
-				gemmAccum(NoTrans, NoTrans, bi, n, bj, 1, a[i0+j0*lda:], lda, b[j0:], ldb, b[i0:], ldb)
-			} else {
-				gemmAccum(Trans, NoTrans, bi, n, bj, 1, a[j0+i0*lda:], lda, b[j0:], ldb, b[i0:], ldb)
+	for i := 0; i < nv; i++ {
+		ci := c[i*ldc : i*ldc+na]
+		if opV == NoTrans {
+			copy(b[i*ldb:i*ldb+na], ci)
+		} else {
+			for k, x := range ci {
+				b[i+k*ldb] = x
 			}
 		}
 	}
+	cBuf.Release()
+	aBuf.Release()
+	bBuf.Release()
 }
 
-// trmmRight computes B ← B·op(A) in place (α = 1).
-func trmmRight[T Float](uplo Uplo, transA Transpose, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
-	if n <= level3Block {
-		trmmSmallRight(uplo, transA, diag, m, n, a, lda, b, ldb)
-		return
+// triDepth returns the depths d0…d1−1 of the block starting at depth l0,
+// kb long, at which rows r0…r0+mr−1 of an upper or lower triangle can hold
+// entries; d0 ≥ d1 means none.
+func triDepth(upper bool, r0, mr, l0, kb int) (d0, d1 int) {
+	if upper {
+		return max(0, r0-l0), kb
 	}
-	lowerEff := (uplo == Lower) == (transA == NoTrans)
-	if lowerEff {
-		// B_j ← B_j·op(A)_jj + Σ_{i>j} B_i·op(A)_ij, ascending j.
-		for j0 := 0; j0 < n; j0 += level3Block {
-			bj := min(level3Block, n-j0)
-			trmmSmallRight(uplo, transA, diag, m, bj, a[j0+j0*lda:], lda, b[j0*ldb:], ldb)
-			for i0 := j0 + bj; i0 < n; i0 += level3Block {
-				bi := min(level3Block, n-i0)
-				if transA == NoTrans {
-					gemmAccum(NoTrans, NoTrans, m, bj, bi, 1, b[i0*ldb:], ldb, a[i0+j0*lda:], lda, b[j0*ldb:], ldb)
-				} else {
-					gemmAccum(NoTrans, Trans, m, bj, bi, 1, b[i0*ldb:], ldb, a[j0+i0*lda:], lda, b[j0*ldb:], ldb)
+	return 0, min(kb, r0+mr-l0)
+}
+
+// packTri packs rows i0…i0+mb−1, depths l0…l0+kb−1 of the triangle U =
+// opU(A) (upper or lower as upper says) into mr-row slivers laid out as
+// packA lays them out. Only the depths triDepth gives each sliver are
+// written, the only ones the sweep reads; they hold zeros outside the
+// triangle and ones on a unit diagonal, and no element of A outside the
+// triangle is read. Like packA it reads A down its columns: by depth for
+// NoTrans, by row of U for Trans.
+func packTri[T Float](upper bool, opU Transpose, diag Diag, mb, kb int, a []T, lda, i0, l0, mr int, dst []T) {
+	for s := 0; s*mr < mb; s++ {
+		r0 := i0 + s*mr
+		rows := min(mr, mb-s*mr)
+		sl := dst[s*kb*mr:]
+		d0, d1 := triDepth(upper, r0, mr, l0, kb)
+		if d0 >= d1 {
+			continue
+		}
+		clear(sl[d0*mr : d1*mr])
+		// Row r0+i meets the diagonal at depth l = r0+i−l0; the strict
+		// triangle is i < l−(r0−l0) (upper) or i > l−(r0−l0) (lower).
+		if opU == NoTrans {
+			for l := d0; l < d1; l++ {
+				k := l0 + l - r0
+				lo, hi := 0, min(rows, k)
+				if !upper {
+					lo, hi = max(0, k+1), rows
+				}
+				src, d := a[r0+(l0+l)*lda:], sl[l*mr:]
+				for i := lo; i < hi; i++ {
+					d[i] = src[i]
+				}
+			}
+		} else {
+			for i := 0; i < rows; i++ {
+				k := r0 + i - l0
+				lo, hi := max(d0, k+1), d1
+				if !upper {
+					lo, hi = d0, min(d1, k)
+				}
+				src := a[l0+(r0+i)*lda:]
+				for l := lo; l < hi; l++ {
+					sl[l*mr+i] = src[l]
 				}
 			}
 		}
-		return
-	}
-	// Effective upper triangle: descending j, contributions from i < j.
-	last := (n - 1) / level3Block * level3Block
-	for j0 := last; j0 >= 0; j0 -= level3Block {
-		bj := min(level3Block, n-j0)
-		trmmSmallRight(uplo, transA, diag, m, bj, a[j0+j0*lda:], lda, b[j0*ldb:], ldb)
-		for i0 := 0; i0 < j0; i0 += level3Block {
-			bi := min(level3Block, j0-i0)
-			if transA == NoTrans {
-				gemmAccum(NoTrans, NoTrans, m, bj, bi, 1, b[i0*ldb:], ldb, a[i0+j0*lda:], lda, b[j0*ldb:], ldb)
-			} else {
-				gemmAccum(NoTrans, Trans, m, bj, bi, 1, b[i0*ldb:], ldb, a[j0+i0*lda:], lda, b[j0*ldb:], ldb)
+		for i := 0; i < rows; i++ {
+			if k := r0 + i - l0; k >= d0 && k < d1 {
+				sl[k*mr+i] = 1
+				if diag == NonUnit {
+					sl[k*mr+i] = a[(r0+i)*(lda+1)]
+				}
 			}
 		}
 	}
-}
-
-// trmmSmallLeft applies the triangular product column-by-column of B via
-// Trmv (α = 1).
-func trmmSmallLeft[T Float](uplo Uplo, transA Transpose, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
-	for j := 0; j < n; j++ {
-		Trmv(uplo, transA, diag, m, a, lda, b[j*ldb:j*ldb+m], 1)
-	}
-}
-
-// trmmSmallRight computes B ← B·op(A) as Bᵀ ← op(A)ᵀ·Bᵀ, operating on rows
-// of B through a pooled row buffer (α = 1).
-func trmmSmallRight[T Float](uplo Uplo, transA Transpose, diag Diag, m, n int, a []T, lda int, b []T, ldb int) {
-	// op'(A) is the flipped transpose.
-	t := Trans
-	if transA == Trans {
-		t = NoTrans
-	}
-	rowBuf := getScratch[T](n)
-	row := rowBuf.buf
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			row[j] = b[i+j*ldb]
-		}
-		Trmv(uplo, t, diag, n, a, lda, row, 1)
-		for j := 0; j < n; j++ {
-			b[i+j*ldb] = row[j]
-		}
-	}
-	rowBuf.release()
 }
 
 // Trsm solves one of the triangular systems
@@ -333,13 +366,9 @@ func Trsm[T Float](side Side, uplo Uplo, transA Transpose, diag Diag, m, n int, 
 	// Xᵀ·op(A)ᵀ = Bᵀ, so they are B's columns and U is op(A) with the other
 	// transpose. Vector i's element p sits at b[i·step + p·inc]. As a column,
 	// yᵀ solves Uᵀ·yᵀ = cᵀ: a Trsv with opV, the other transpose of opU.
-	other := Trans
-	if transA == Trans {
-		other = NoTrans
-	}
-	opU, opV, nrhs, step, inc := transA, other, m, 1, ldb
+	opU, opV, nrhs, step, inc := transA, flipTrans(transA), m, 1, ldb
 	if side == Left {
-		opU, opV, nrhs, step, inc = other, transA, n, ldb, 1
+		opU, opV, nrhs, step, inc = flipTrans(transA), transA, n, ldb, 1
 	}
 	if mr, nr := registerTile[T](GemmBlocking()); nrhs < mr {
 		for i := 0; i < nrhs; i++ {
@@ -382,10 +411,10 @@ func trsmPacked[T Float](uplo Uplo, opU Transpose, diag Diag, na, nrhs int, a []
 	// vs[q·nr + j] = V[q, r0+j] for q < r0+nr, zero below the diagonal and
 	// in columns past na.
 	nblk := (na + nr - 1) / nr
-	vBuf := getScratch[T](nr * nr * nblk * (nblk + 1) / 2)
+	vBuf := GetScratch[T](nr * nr * nblk * (nblk + 1) / 2)
 	for b, r0 := 0, 0; r0 < na; b, r0 = b+1, r0+nr {
 		w := min(nr, na-r0)
-		vs := vBuf.buf[nr*nr*b*(b+1)/2:]
+		vs := vBuf.Buf[nr*nr*b*(b+1)/2:]
 		for q := 0; q < r0; q++ {
 			d := vs[q*nr : q*nr+nr]
 			src := a0 + q*aq + r0*ar
@@ -410,14 +439,14 @@ func trsmPacked[T Float](uplo Uplo, opU Transpose, diag Diag, na, nrhs int, a []
 
 	// The solved positions of the current vectors, as the A operand of the
 	// update: y[p·mr + i] = Y[i0+i, π(p)].
-	yBuf := getScratch[T](na * mr)
-	tBuf := getScratch[T](maxMR * maxNR)
-	y, t := yBuf.buf, tBuf.buf[:mr*nr]
+	yBuf := GetScratch[T](na * mr)
+	tBuf := GetScratch[T](maxMR * maxNR)
+	y, t := yBuf.Buf, tBuf.Buf[:mr*nr]
 	for i0 := 0; i0 < nrhs; i0 += mr {
 		h := min(mr, nrhs-i0)
 		for b, r0 := 0, 0; r0 < na; b, r0 = b+1, r0+nr {
 			w := min(nr, na-r0)
-			vs := vBuf.buf[nr*nr*b*(b+1)/2:]
+			vs := vBuf.Buf[nr*nr*b*(b+1)/2:]
 			// t ← −Y[vectors, 0:r0]·V[0:r0, block], then C[vectors, block] + t
 			// is solved against the block's diagonal triangle.
 			clear(t)
@@ -470,7 +499,7 @@ func trsmPacked[T Float](uplo Uplo, opU Transpose, diag Diag, na, nrhs int, a []
 			}
 		}
 	}
-	vBuf.release()
-	yBuf.release()
-	tBuf.release()
+	vBuf.Release()
+	yBuf.Release()
+	tBuf.Release()
 }

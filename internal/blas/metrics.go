@@ -17,10 +17,9 @@ import "exadla/internal/metrics"
 //     "blas.gemm.scale_flops" counter, never to the product counter.
 //
 // Symm is not separately instrumented: it expands the symmetric operand and
-// delegates to Gemm, so its work is reported under blas.gemm. Trmm routes
-// its off-diagonal blocks through the internal unmetered GEMM entry, and
-// Syrk and Trsm drive the microkernel directly; each keeps its own counter,
-// so nothing is double-counted.
+// delegates to Gemm, so its work is reported under blas.gemm. Syrk, Trmm and
+// Trsm drive the microkernel directly and each keeps its own counter, so
+// nothing is double-counted.
 var (
 	gemmMetrics    = metrics.Default().Kernel("blas.gemm")
 	gemmScaleFlops = metrics.Default().Counter("blas.gemm.scale_flops")

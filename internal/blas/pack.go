@@ -3,9 +3,10 @@ package blas
 import "sync"
 
 // Pack-buffer pool. Every level-3 scratch need in this package — packed
-// op(A)/op(B) panels, Trsm's packed triangle and solved vectors, Symm's
-// densified operand, Trmm's row buffer, Trsv's strided gather — draws
-// from one sync.Pool per element type, so scheduler-parallel tile kernels
+// op(A)/op(B) panels, the packed triangles of Trsm and Trmm, Trsm's solved
+// vectors, Trmm's product, Symm's densified operand, the strided gathers of
+// Trsv and Trmv — draws from one sync.Pool per element type, and so do the
+// tile kernels above this package, so scheduler-parallel tile kernels
 // reach steady state with zero allocations per call. The pool stores
 // *[]float64 / *[]float32 and the generic accessor recovers the []T view
 // with an allocation-free type assertion (exact float32/float64
@@ -16,18 +17,18 @@ var (
 	packPool32 = sync.Pool{New: func() any { return new([]float32) }}
 )
 
-// scratch is a pooled slice handle. Obtain with getScratch, return with
-// release. The buffer contents are unspecified on acquisition.
-type scratch[T Float] struct {
-	buf []T
+// Scratch is a pooled slice handle. Obtain with GetScratch, return with
+// Release. The contents of Buf are unspecified on acquisition.
+type Scratch[T Float] struct {
+	Buf []T
 	p64 *[]float64
 	p32 *[]float32
 }
 
-// getScratch returns a length-n scratch buffer, pooled when T is exactly
+// GetScratch returns a length-n scratch buffer, pooled when T is exactly
 // float32 or float64.
-func getScratch[T Float](n int) scratch[T] {
-	var s scratch[T]
+func GetScratch[T Float](n int) Scratch[T] {
+	var s Scratch[T]
 	var z T
 	switch any(z).(type) {
 	case float64:
@@ -36,23 +37,23 @@ func getScratch[T Float](n int) scratch[T] {
 			*p = make([]float64, n)
 		}
 		s.p64 = p
-		s.buf = any((*p)[:n]).([]T)
+		s.Buf = any((*p)[:n]).([]T)
 	case float32:
 		p := packPool32.Get().(*[]float32)
 		if cap(*p) < n {
 			*p = make([]float32, n)
 		}
 		s.p32 = p
-		s.buf = any((*p)[:n]).([]T)
+		s.Buf = any((*p)[:n]).([]T)
 	default:
-		s.buf = make([]T, n)
+		s.Buf = make([]T, n)
 	}
 	return s
 }
 
-// release returns the buffer to its pool. The scratch must not be used
+// Release returns the buffer to its pool. The scratch must not be used
 // afterwards.
-func (s scratch[T]) release() {
+func (s Scratch[T]) Release() {
 	if s.p64 != nil {
 		packPool64.Put(s.p64)
 	} else if s.p32 != nil {

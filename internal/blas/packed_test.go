@@ -10,7 +10,8 @@ import (
 	"exadla/internal/metrics"
 )
 
-// Tests pinned to the packed register-blocked sweeps (Gemm, Syrk, Trsm):
+// Tests pinned to the packed register-blocked sweeps (Gemm, Syrk, Trsm,
+// Trmm):
 // exhaustive edge geometries around the register-tile size on both
 // microkernels, non-finite propagation, pack pool reuse under concurrency,
 // steady-state allocation freedom, and the flop-accounting contract of the
@@ -191,6 +192,81 @@ func TestSyrkTrsmEdgeSweep(t *testing.T) {
 	}
 }
 
+// checkTrmm runs one Trmm against RefTrmm with sentinel-padded operands.
+// The unreferenced triangle of A, and a unit diagonal, hold the sentinel
+// too, so reading any of it blows the tolerance.
+func checkTrmm(t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64) {
+	t.Helper()
+	na := m
+	if side == Right {
+		na = n
+	}
+	pad := 1 + (m+n)%3
+	lda, ldb := na+pad, m+pad
+	a := randPadded(rng, na, na, lda)
+	for j := 0; j < na; j++ {
+		for i := 0; i < na; i++ {
+			if (uplo == Upper && i > j) || (uplo == Lower && i < j) || (i == j && diag == Unit) {
+				a[i+j*lda] = padSentinel
+			}
+		}
+	}
+	b := randPadded(rng, m, n, ldb)
+	got := append([]float64(nil), b...)
+	want := append([]float64(nil), b...)
+	Trmm(side, uplo, trans, diag, m, n, alpha, a, lda, got, ldb)
+	RefTrmm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
+	checkPadding(t, "Trmm B", m, n, ldb, got)
+	if d := maxAbsDiff(got, want); d > 1e-12*float64(na+1) {
+		t.Fatalf("Trmm %v%v%v%v m=%d n=%d α=%g: max diff %g", side, uplo, trans, diag, m, n, alpha, d)
+	}
+}
+
+// TestTrmmEdgeSweep drives Trmm through every geometry around the register
+// tile — m and n in 1…17, which crosses every partial tile, partial sliver
+// and the thin-vector Trmv cutover — plus sizes crossing the MC and KC
+// cache blocks, for every side/uplo/trans/diag case and α ∈ {0, 1, −1, 0.7}:
+// on the installed microkernel and on the portable 4×4 kernel, each once
+// with the installed cache blocks and once with blocks smaller than the
+// triangle, whose depth blocks then start off the register-tile grid.
+func TestTrmmEdgeSweep(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		b    Blocking
+	}{
+		{"installed", GemmBlocking()},
+		{"portable", Blocking{MR: 4}},
+		{"installed-small-blocks", Blocking{MR: GemmBlocking().MR, MC: 16, KC: 13, NC: 12}},
+		{"portable-small-blocks", Blocking{MR: 4, MC: 16, KC: 13, NC: 12}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			old := GemmBlocking()
+			SetGemmBlocking(cfg.b)
+			t.Cleanup(func() { SetGemmBlocking(old) })
+			rng := rand.New(rand.NewSource(53))
+			alphas := []float64{0, 1, -1, 0.7}
+			for _, side := range []Side{Left, Right} {
+				for _, uplo := range []Uplo{Upper, Lower} {
+					for _, trans := range []Transpose{NoTrans, Trans} {
+						for _, diag := range []Diag{NonUnit, Unit} {
+							for m := 1; m <= 17; m++ {
+								for n := 1; n <= 17; n++ {
+									for _, alpha := range alphas {
+										checkTrmm(t, rng, side, uplo, trans, diag, m, n, alpha)
+									}
+								}
+							}
+							for _, d := range [][2]int{{300, 40}, {40, 300}, {257, 9}, {9, 257}} {
+								checkTrmm(t, rng, side, uplo, trans, diag, d[0], d[1], 0.7)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // seedNonFinite overwrites a few active entries of an m×n/ld matrix with
 // NaN and ±Inf.
 func seedNonFinite(rng *rand.Rand, s []float64, m, n, ld int) {
@@ -313,8 +389,8 @@ func TestGemmConcurrentPool(t *testing.T) {
 // TestLevel3ZeroAllocSteadyState asserts that, once the pack pool is warm,
 // the pooled level-3 routines allocate nothing per call: the packed Gemm,
 // the axpy TT path (pooled row scratch), Symm (pooled symmetric expansion),
-// Trmm from the right (pooled row scratch), the packed Syrk and Trsm sweeps,
-// and Trsm's thin-RHS path (Trsv on strided rows, pooled gather).
+// the packed Syrk, Trmm and Trsm sweeps, and the thin paths of Trmm and
+// Trsm (Trmv and Trsv on strided rows, pooled gather).
 func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally bypasses caching under the race detector")
@@ -343,6 +419,15 @@ func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 		}},
 		{"TrmmRight", func() {
 			Trmm(Right, Upper, NoTrans, NonUnit, 24, 24, 1.1, a, n, c, n)
+		}},
+		{"TrmmLeft", func() {
+			Trmm(Left, Upper, NoTrans, NonUnit, n, n, 1.1, a, n, c, n)
+		}},
+		{"TrmmLeftTrans", func() {
+			Trmm(Left, Lower, Trans, Unit, n, n, 1.1, a, n, c, n)
+		}},
+		{"TrmmRightThin", func() {
+			Trmm(Right, Lower, Trans, NonUnit, 2, n, 1.1, a, n, c, n)
 		}},
 		{"Syrk", func() {
 			Syrk(Lower, NoTrans, n, n, 1.1, a, n, 0.9, c, n)

@@ -51,7 +51,7 @@ func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
 			Priority: priority(k, kt, bandPanel),
 			Writes:   []sched.Handle{a.Handle(k, k), t.Handle(k, k)},
 			Fn: timed(panelNs, func() {
-				geqrt(a.TileRows(k), a.TileCols(k), a.Tile(k, k), a.TileRows(k), t.Tile(k, k), t.TileRows(k))
+				lapack.Geqrt(a.TileRows(k), a.TileCols(k), a.Tile(k, k), a.TileRows(k), t.Tile(k, k), t.TileRows(k))
 			}),
 		})
 		if forkJoin {
@@ -111,38 +111,57 @@ func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
 	}
 }
 
-// geqrt factors one m×n tile: QR with Householder reflectors plus the
-// block-reflector triangular factor T (k×k, k = min(m, n)).
-func geqrt[F blas.Float](m, n int, a []F, lda int, t []F, ldt int) {
-	k := min(m, n)
-	tau := make([]F, k)
-	work := make([]F, n)
-	lapack.Geqr2(m, n, a, lda, tau, work)
-	lapack.Larft(m, k, a, lda, tau, t, ldt)
-}
-
 // unmqr applies Qᵀ from a geqrt-factored tile (k reflectors in v, factor t)
 // to the m×n tile c.
 func unmqr[F blas.Float](m, n, k int, v []F, ldv int, t []F, ldt int, c []F, ldc int) {
-	work := make([]F, n*k)
-	lapack.Larfb(blas.Left, blas.Trans, m, n, k, v, ldv, t, ldt, c, ldc, work)
+	w := blas.GetScratch[F](k * n)
+	lapack.Larfb(blas.Left, blas.Trans, m, n, k, v, ldv, t, ldt, c, ldc, w.Buf, k)
+	w.Release()
 }
+
+// tsqrtLeaf is the width at and below which tsqrt's recursion runs the
+// column-by-column loop.
+const tsqrtLeaf = 8
 
 // tsqrt computes the structured QR factorization of the (n+m2)×n stacked
 // matrix [R; A2] where R (n×n upper triangular) lives in the top of tile
 // r (leading dimension ldr) and A2 is the m2×n tile a2. On return R is
 // updated, a2 holds the dense lower parts of the Householder vectors (the
 // top parts are implicit identity columns), and t holds the n×n triangular
-// block-reflector factor.
+// block-reflector factor. It splits the columns in two (Elmroth–Gustavson):
+// the left half is factored recursively and applied to the right half,
+// the right half is factored recursively, and T₁₂ = −T₁₁·(V₁ᵀ·V₂)·T₂₂
+// joins the two factors, so all but the narrow leaves is GEMM and TRMM.
 func tsqrt[F blas.Float](n, m2 int, r []F, ldr int, a2 []F, lda2 int, t []F, ldt int) {
-	w := make([]F, n)
+	if n <= tsqrtLeaf {
+		tsqrt2(n, m2, r, ldr, a2, lda2, t, ldt)
+		return
+	}
+	n1 := n / 2
+	n2 := n - n1
+	t12 := t[n1*ldt:]
+	tsqrt(n1, m2, r, ldr, a2, lda2, t, ldt)
+	// T₁₂ is free until the end: it is the workspace of the update.
+	applyTS(blas.Trans, n1, m2, n2, a2, lda2, t, ldt, r[n1*ldr:], ldr, a2[n1*lda2:], lda2, t12, ldt)
+	tsqrt(n2, m2, r[n1+n1*ldr:], ldr, a2[n1*lda2:], lda2, t[n1+n1*ldt:], ldt)
+	// The identity tops of the two halves' vectors are orthogonal, so
+	// V₁ᵀ·V₂ = A2[:, :n1]ᵀ·A2[:, n1:].
+	blas.Gemm(blas.Trans, blas.NoTrans, n1, n2, m2, 1, a2, lda2, a2[n1*lda2:], lda2, 0, t12, ldt)
+	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, n1, n2, -1, t, ldt, t12, ldt)
+	blas.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, n1, n2, 1, t[n1+n1*ldt:], ldt, t12, ldt)
+}
+
+// tsqrt2 is tsqrt's leaf: one reflector per column, with T's column j
+// formed right after reflector j. T's last column is the workspace of the
+// trailing updates until its own turn.
+func tsqrt2[F blas.Float](n, m2 int, r []F, ldr int, a2 []F, lda2 int, t []F, ldt int) {
+	w := t[(n-1)*ldt:]
 	for j := 0; j < n; j++ {
 		// Reflector zeroing A2[:, j] against R[j, j].
 		beta, tau := lapack.Larfg(1+m2, r[j+j*ldr], a2[j*lda2:j*lda2+m2], 1)
 		r[j+j*ldr] = beta
 		v2 := a2[j*lda2 : j*lda2+m2]
-		if j+1 < n && tau != 0 {
-			nc := n - j - 1
+		if nc := n - j - 1; nc > 0 && tau != 0 {
 			// w = R[j, j+1:] + A2[:, j+1:]ᵀ·v2.
 			for c := 0; c < nc; c++ {
 				w[c] = r[j+(j+1+c)*ldr]
@@ -172,23 +191,26 @@ func tsmqr[F blas.Float](trans blas.Transpose, k, m2, n int, v2 []F, ldv2 int, t
 	if k == 0 || n == 0 {
 		return
 	}
+	w := blas.GetScratch[F](k * n)
+	applyTS(trans, k, m2, n, v2, ldv2, t, ldt, c1, ldc1, c2, ldc2, w.Buf, k)
+	w.Release()
+}
+
+// applyTS is tsmqr with the k×n workspace w (leading dimension ldw) given.
+func applyTS[F blas.Float](trans blas.Transpose, k, m2, n int, v2 []F, ldv2 int, t []F, ldt int, c1 []F, ldc1 int, c2 []F, ldc2 int, w []F, ldw int) {
 	// W = C1 + V2ᵀ·C2 (k×n).
-	w := make([]F, k*n)
-	lapack.Lacpy(lapack.General, k, n, c1, ldc1, w, k)
-	blas.Gemm(blas.Trans, blas.NoTrans, k, n, m2, 1, v2, ldv2, c2, ldc2, 1, w, k)
+	lapack.Lacpy(lapack.General, k, n, c1, ldc1, w, ldw)
+	blas.Gemm(blas.Trans, blas.NoTrans, k, n, m2, 1, v2, ldv2, c2, ldc2, 1, w, ldw)
 	// W ← op(T)·W: Tᵀ for Qᵀ, T for Q.
-	tt := blas.NoTrans
-	if trans == blas.Trans {
-		tt = blas.Trans
-	}
-	blas.Trmm(blas.Left, blas.Upper, tt, blas.NonUnit, k, n, 1, t, ldt, w, k)
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, k, n, 1, t, ldt, w, ldw)
 	// C1 -= W; C2 -= V2·W.
 	for j := 0; j < n; j++ {
-		for i := 0; i < k; i++ {
-			c1[i+j*ldc1] -= w[i+j*k]
+		c1j, wj := c1[j*ldc1:j*ldc1+k], w[j*ldw:j*ldw+k]
+		for i, x := range wj {
+			c1j[i] -= x
 		}
 	}
-	blas.Gemm(blas.NoTrans, blas.NoTrans, m2, n, k, -1, v2, ldv2, w, k, 1, c2, ldc2)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, m2, n, k, -1, v2, ldv2, w, ldw, 1, c2, ldc2)
 }
 
 // ApplyQT submits tasks applying Qᵀ (from the tile QR factors) to the tiled

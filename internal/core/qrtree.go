@@ -72,7 +72,7 @@ func submitQRTree[F blas.Float](s sched.Scheduler, f *QRFactors[F]) {
 				Priority: priority(k, kt, bandPanel),
 				Writes:   []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
 				Fn: func() {
-					geqrt(a.TileRows(i), a.TileCols(k), a.Tile(i, k), a.TileRows(i), t.Tile(i, k), t.TileRows(i))
+					lapack.Geqrt(a.TileRows(i), a.TileCols(k), a.Tile(i, k), a.TileRows(i), t.Tile(i, k), t.TileRows(i))
 				},
 			})
 			for j := k + 1; j < a.NT; j++ {

@@ -82,80 +82,123 @@ func Geqr2[T blas.Float](m, n int, a []T, lda int, tau, work []T) {
 	}
 }
 
-// Larft forms the upper-triangular block reflector factor T of the compact
-// WY representation: H₁·H₂···H_k = I − V·T·Vᵀ, with the reflectors stored
-// forward and columnwise in the m×k matrix V (unit diagonal implied).
-// t is k×k with leading dimension ldt.
-func Larft[T blas.Float](m, k int, v []T, ldv int, tau []T, t []T, ldt int) {
-	for i := 0; i < k; i++ {
-		ti := tau[i]
-		if ti == 0 {
-			for j := 0; j <= i; j++ {
-				t[j+i*ldt] = 0
-			}
-			continue
-		}
-		// t[0:i, i] = −tau[i]·V[:, 0:i]ᵀ·v_i, exploiting that v_i has an
-		// implicit leading 1 at row i and zeros above.
-		for j := 0; j < i; j++ {
-			t[j+i*ldt] = -ti * v[i+j*ldv] // contribution of the implicit 1
-		}
-		if i+1 < m {
-			// += −tau·V[i+1:, 0:i]ᵀ·V[i+1:, i].
-			blas.Gemv(blas.Trans, m-i-1, i, -ti, v[i+1:], ldv, v[i+1+i*ldv:], 1, 1, t[i*ldt:], 1)
-		}
-		// t[0:i, i] = T[0:i, 0:i]·t[0:i, i].
-		blas.Trmv(blas.Upper, blas.NoTrans, blas.NonUnit, i, t, ldt, t[i*ldt:], 1)
-		t[i+i*ldt] = ti
-	}
-}
-
-// Larfb applies the block reflector H = I − V·T·Vᵀ (or its transpose) to
-// the m×n matrix C from the left, with V m×k forward/columnwise and T from
-// Larft. work must have length ≥ n*k.
-func Larfb[T blas.Float](side blas.Side, trans blas.Transpose, m, n, k int, v []T, ldv int, t []T, ldt int, c []T, ldc int, work []T) {
+// Larfb applies the block reflector H = I − V·T·Vᵀ (trans == NoTrans) or
+// Hᵀ (trans == Trans) to the m×n matrix C from the left. V is m×k, m ≥ k,
+// forward and columnwise with its unit diagonal implied, and T is the k×k
+// upper factor from Geqrt. work is k×n with leading dimension ldwork ≥ k.
+func Larfb[T blas.Float](side blas.Side, trans blas.Transpose, m, n, k int, v []T, ldv int, t []T, ldt int, c []T, ldc int, work []T, ldwork int) {
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
 	if side != blas.Left {
 		panic("lapack: Larfb implements side == Left only")
 	}
-	// W = CᵀV (n×k), exploiting V's unit lower trapezoidal structure:
-	// V = [V1; V2] with V1 k×k unit lower triangular.
-	w := work[:n*k]
-	// W = C1ᵀ (n×k) where C1 is the first k rows of C.
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			w[i+j*n] = c[j+i*ldc]
-		}
-	}
-	// W = W·V1 (unit lower): Trmm Right Lower NoTrans Unit.
-	blas.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, n, k, 1, v, ldv, w, n)
+	// W = Vᵀ·C = V1ᵀ·C1 + V2ᵀ·C2, V1 the unit lower k×k top of V and C1
+	// the first k rows of C.
+	Lacpy(General, k, n, c, ldc, work, ldwork)
+	blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, k, n, 1, v, ldv, work, ldwork)
 	if m > k {
-		// W += C2ᵀ·V2.
-		blas.Gemm(blas.Trans, blas.NoTrans, n, k, m-k, 1, c[k:], ldc, v[k:], ldv, 1, w, n)
+		blas.Gemm(blas.Trans, blas.NoTrans, k, n, m-k, 1, v[k:], ldv, c[k:], ldc, 1, work, ldwork)
 	}
-	// W = W·Tᵀ (trans==NoTrans applies H = I − V·T·Vᵀ) or W·T (Hᵀ).
-	tt := blas.Trans
-	if trans == blas.Trans {
-		tt = blas.NoTrans
-	}
-	blas.Trmm(blas.Right, blas.Upper, tt, blas.NonUnit, n, k, 1, t, ldt, w, n)
-	// C -= V·Wᵀ: C2 -= V2·Wᵀ, then C1 -= V1·Wᵀ.
+	// W = T·W for H, Tᵀ·W for Hᵀ; then C −= V·W.
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, k, n, 1, t, ldt, work, ldwork)
 	if m > k {
-		blas.Gemm(blas.NoTrans, blas.Trans, m-k, n, k, -1, v[k:], ldv, w, n, 1, c[k:], ldc)
+		blas.Gemm(blas.NoTrans, blas.NoTrans, m-k, n, k, -1, v[k:], ldv, work, ldwork, 1, c[k:], ldc)
 	}
-	// Wᵀ update for C1: W = W·V1ᵀ then C1 -= Wᵀ.
-	blas.Trmm(blas.Right, blas.Lower, blas.Trans, blas.Unit, n, k, 1, v, ldv, w, n)
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			c[j+i*ldc] -= w[i+j*n]
+	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, k, n, 1, v, ldv, work, ldwork)
+	for j := 0; j < n; j++ {
+		cj, wj := c[j*ldc:j*ldc+k], work[j*ldwork:j*ldwork+k]
+		for i, x := range wj {
+			cj[i] -= x
 		}
 	}
 }
 
+// geqrtLeaf is the panel width at and below which Geqrt's recursion runs
+// the column-by-column loop.
+const geqrtLeaf = 8
+
+// Geqrt computes the QR factorization of the m×n matrix A in compact WY
+// form. R overwrites the upper triangle and the k = min(m, n) Householder
+// vectors the strict lower triangle, their unit diagonal implied. t (k×k,
+// leading dimension ldt) receives the upper triangular T with
+// H₁·H₂···H_k = I − V·T·Vᵀ; its diagonal holds the reflector scales τ and
+// its strict lower triangle is not referenced. The first k columns are
+// factored by Elmroth–Gustavson column splitting (LAPACK's dgeqrt3), so
+// everything but the narrow leaves is GEMM and TRMM; the other n − k
+// columns of a wide A are then updated with Larfb.
+func Geqrt[T blas.Float](m, n int, a []T, lda int, t []T, ldt int) {
+	k := min(m, n)
+	if k == 0 {
+		return
+	}
+	geqrt3(m, k, a, lda, t, ldt)
+	if n > k {
+		w := blas.GetScratch[T](k * (n - k))
+		Larfb(blas.Left, blas.Trans, m, n-k, k, a, lda, t, ldt, a[k*lda:], lda, w.Buf, k)
+		w.Release()
+	}
+}
+
+// geqrt3 factors the m×n matrix A, m ≥ n, as Geqrt does: the left half
+// recursively, then Q₁ᵀ applied to the right half, then the right half's
+// lower part recursively, and finally T₁₂ = −T₁₁·(V₁ᵀ·V₂)·T₂₂.
+func geqrt3[T blas.Float](m, n int, a []T, lda int, t []T, ldt int) {
+	if n <= geqrtLeaf {
+		geqrt2(m, n, a, lda, t, ldt)
+		return
+	}
+	n1 := n / 2
+	n2 := n - n1
+	t12 := t[n1*ldt:]
+	geqrt3(m, n1, a, lda, t, ldt)
+	// T₁₂ is free until the end: it is Larfb's workspace.
+	Larfb(blas.Left, blas.Trans, m, n2, n1, a, lda, t, ldt, a[n1*lda:], lda, t12, ldt)
+	geqrt3(m-n1, n2, a[n1+n1*lda:], lda, t[n1+n1*ldt:], ldt)
+	// V₂ is zero in rows 0…n1−1 and unit lower triangular in rows n1…n−1,
+	// so V₁ᵀ·V₂ = V₁[n1:n]ᵀ·V₂[n1:n] + V₁[n:m]ᵀ·V₂[n:m].
+	for j := 0; j < n2; j++ {
+		for i := 0; i < n1; i++ {
+			t12[i+j*ldt] = a[n1+j+i*lda]
+		}
+	}
+	blas.Trmm(blas.Right, blas.Lower, blas.NoTrans, blas.Unit, n1, n2, 1, a[n1+n1*lda:], lda, t12, ldt)
+	if m > n {
+		blas.Gemm(blas.Trans, blas.NoTrans, n1, n2, m-n, 1, a[n:], lda, a[n+n1*lda:], lda, 1, t12, ldt)
+	}
+	blas.Trmm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, n1, n2, -1, t, ldt, t12, ldt)
+	blas.Trmm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, n1, n2, 1, t[n1+n1*ldt:], ldt, t12, ldt)
+}
+
+// geqrt2 is Geqrt's leaf for m ≥ n: Householder QR one column at a time,
+// with T's column j formed right after reflector j. T's last column is the
+// workspace of the trailing updates until its own turn.
+func geqrt2[T blas.Float](m, n int, a []T, lda int, t []T, ldt int) {
+	w := t[(n-1)*ldt:]
+	for j := 0; j < n; j++ {
+		col := a[j*lda:]
+		beta, tau := Larfg(m-j, col[j], col[j+1:m], 1)
+		// v = [1; A[j+1:, j]], with the implicit 1 stored for the products.
+		col[j] = 1
+		v := col[j:m]
+		if nc := n - j - 1; nc > 0 && tau != 0 {
+			// w = A[j:, j+1:]ᵀ·v;  A[j:, j+1:] −= τ·v·wᵀ.
+			blas.Gemv(blas.Trans, m-j, nc, 1, a[j+(j+1)*lda:], lda, v, 1, 0, w[:nc], 1)
+			blas.Ger(m-j, nc, -tau, v, 1, w[:nc], 1, a[j+(j+1)*lda:], lda)
+		}
+		// T[0:j, j] = −τ·T[0:j, 0:j]·(V[j:, 0:j]ᵀ·v): rows above j of v are zero.
+		if j > 0 {
+			blas.Gemv(blas.Trans, m-j, j, -tau, a[j:], lda, v, 1, 0, t[j*ldt:], 1)
+			blas.Trmv(blas.Upper, blas.NoTrans, blas.NonUnit, j, t, ldt, t[j*ldt:], 1)
+		}
+		col[j] = beta
+		t[j+j*ldt] = tau
+	}
+}
+
 // Geqrf computes the blocked QR factorization of the m×n matrix A in
-// place, with tau of length min(m, n), using compact-WY panel updates.
+// place, with tau of length min(m, n): Geqrt factors each panel, and
+// Larfb applies it to the trailing columns.
 func Geqrf[T blas.Float](m, n int, a []T, lda int, tau []T) {
 	k := min(m, n)
 	if k == 0 {
@@ -165,11 +208,13 @@ func Geqrf[T blas.Float](m, n int, a []T, lda int, tau []T) {
 	tmat := make([]T, blockSize*blockSize)
 	for j := 0; j < k; j += blockSize {
 		jb := min(blockSize, k-j)
-		Geqr2(m-j, jb, a[j+j*lda:], lda, tau[j:j+jb], work)
+		Geqrt(m-j, jb, a[j+j*lda:], lda, tmat, jb)
+		for i := 0; i < jb; i++ {
+			tau[j+i] = tmat[i+i*jb]
+		}
 		if j+jb < n {
-			Larft(m-j, jb, a[j+j*lda:], lda, tau[j:j+jb], tmat, jb)
 			Larfb(blas.Left, blas.Trans, m-j, n-j-jb, jb,
-				a[j+j*lda:], lda, tmat, jb, a[j+(j+jb)*lda:], lda, work)
+				a[j+j*lda:], lda, tmat, jb, a[j+(j+jb)*lda:], lda, work, jb)
 		}
 	}
 }

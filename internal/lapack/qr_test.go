@@ -219,3 +219,172 @@ func TestGeqrfFloat32(t *testing.T) {
 		}
 	}
 }
+
+// larftRef forms the T of H₁···H_k = I − V·T·Vᵀ column by column with
+// LAPACK dlarft's formula, T[0:i, i] = −τᵢ·T[0:i, 0:i]·(V[:, 0:i]ᵀ·vᵢ) and
+// T[i, i] = τᵢ, for an explicit dense m×k V.
+func larftRef(m, k int, v, tau []float64) []float64 {
+	t := make([]float64, k*k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < i; j++ {
+			var s float64
+			for r := 0; r < m; r++ {
+				s += v[r+j*m] * v[r+i*m]
+			}
+			t[j+i*k] = -tau[i] * s
+		}
+		// Upper triangular times a vector in place, top down.
+		for j := 0; j < i; j++ {
+			var s float64
+			for l := j; l < i; l++ {
+				s += t[j+l*k] * t[l+i*k]
+			}
+			t[j+i*k] = s
+		}
+		t[i+i*k] = tau[i]
+	}
+	return t
+}
+
+// explicitV expands the k Householder vectors stored below the diagonal of
+// the m×k/lda matrix a into a dense m×k V with the implied unit diagonal.
+func explicitV(m, k int, a []float64, lda int) []float64 {
+	v := make([]float64, m*k)
+	for j := 0; j < k; j++ {
+		v[j+j*m] = 1
+		for i := j + 1; i < m; i++ {
+			v[i+j*m] = a[i+j*lda]
+		}
+	}
+	return v
+}
+
+// checkCompactWY checks a compact-WY QR of the m×n matrix a0 — R and the
+// vectors in f (leading dimension m), the k×k factor tm (leading dimension
+// ldt) — by forming Q = I − V·T·Vᵀ: ‖Q·R − A‖ and ‖QᵀQ − I‖ must be O(ε).
+func checkCompactWY(t *testing.T, m, n int, a0, f, tm []float64, ldt int) {
+	t.Helper()
+	k := min(m, n)
+	v := explicitV(m, k, f, m)
+	tk := make([]float64, k*k)
+	lapack.Lacpy(blas.Upper, k, k, tm, ldt, tk, k)
+	vt := make([]float64, m*k)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, m, k, k, 1, v, m, tk, k, 0, vt, m)
+	q := make([]float64, m*m)
+	for i := 0; i < m; i++ {
+		q[i+i*m] = 1
+	}
+	blas.Gemm(blas.NoTrans, blas.Trans, m, m, k, -1, vt, m, v, m, 1, q, m)
+	recon := make([]float64, m*n)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, m, n, m, 1, q, m, extractUpper(m, n, f, m), m, 0, recon, m)
+	if r := residual(recon, a0, max(m, n)); r > 30 {
+		t.Errorf("m=%d n=%d: ‖QR − A‖ residual %.1f", m, n, r)
+	}
+	qtq := make([]float64, m*m)
+	blas.Gemm(blas.Trans, blas.NoTrans, m, m, m, 1, q, m, q, m, 0, qtq, m)
+	for i := 0; i < m; i++ {
+		qtq[i+i*m]--
+	}
+	if d := maxAbs(qtq); d > 30*float64(m)*0x1p-52 {
+		t.Errorf("m=%d n=%d: ‖QᵀQ − I‖ = %g", m, n, d)
+	}
+}
+
+func maxAbs(x []float64) float64 {
+	var d float64
+	for _, v := range x {
+		d = max(d, math.Abs(v))
+	}
+	return d
+}
+
+// TestGeqrtMatchesUnblocked checks the recursive Geqrt against the
+// unblocked Geqr2 for tall and square panels of every width up to 17 and a
+// few recursion depths: the same R and vectors, T as LAPACK dlarft's formula
+// gives it for the same vectors and τ, Q·R = A and Q orthogonal, all at O(ε),
+// with T's strict lower triangle untouched. Wide panels (m < n) check the
+// factorization and the Larfb update of their trailing columns.
+func TestGeqrtMatchesUnblocked(t *testing.T) {
+	const sentinel = 1e30
+	ns := []int{33, 64, 96}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		for _, m := range []int{n, n + 1, n + 5, n + 64, n + 96} {
+			rng := rand.New(rand.NewSource(int64(1000*m + n)))
+			a0 := matgen.Dense[float64](rng, m, n)
+			f := append([]float64(nil), a0...)
+			ldt := n + 1
+			tm := make([]float64, ldt*n)
+			for i := range tm {
+				tm[i] = sentinel
+			}
+			lapack.Geqrt(m, n, f, m, tm, ldt)
+
+			u := append([]float64(nil), a0...)
+			tau := make([]float64, n)
+			lapack.Geqr2(m, n, u, m, tau, make([]float64, n))
+			if r := residual(f, u, m); r > 30 {
+				t.Errorf("m=%d n=%d: recursive and unblocked factors differ, residual %.1f", m, n, r)
+			}
+			tk := make([]float64, n*n)
+			lapack.Lacpy(blas.Upper, n, n, tm, ldt, tk, n)
+			for i := 0; i < n; i++ {
+				tau[i] = tk[i+i*n]
+			}
+			if r := residual(tk, larftRef(m, n, explicitV(m, n, f, m), tau), n); r > 30 {
+				t.Errorf("m=%d n=%d: T against dlarft's formula, residual %.1f", m, n, r)
+			}
+			for j := 0; j < n; j++ {
+				for i := j + 1; i < ldt; i++ {
+					if tm[i+j*ldt] != sentinel {
+						t.Fatalf("m=%d n=%d: T(%d,%d) below the diagonal was written", m, n, i, j)
+					}
+				}
+			}
+			checkCompactWY(t, m, n, a0, f, tm, ldt)
+		}
+	}
+	for _, d := range [][2]int{{1, 5}, {6, 7}, {5, 17}, {33, 96}} {
+		m, n := d[0], d[1]
+		rng := rand.New(rand.NewSource(int64(m + n)))
+		a0 := matgen.Dense[float64](rng, m, n)
+		f := append([]float64(nil), a0...)
+		tm := make([]float64, m*m)
+		lapack.Geqrt(m, n, f, m, tm, m)
+		checkCompactWY(t, m, n, a0, f, tm, m)
+	}
+}
+
+// TestLarfbAppliesQ checks Larfb from Geqrt's factors against the explicit
+// Q = I − V·T·Vᵀ: Hᵀ·C (trans == Trans) must equal Qᵀ·C and H·C must equal
+// Q·C, with the workspace's leading dimension larger than k.
+func TestLarfbAppliesQ(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, d := range [][3]int{{40, 12, 7}, {20, 20, 3}, {9, 3, 11}} {
+		m, k, n := d[0], d[1], d[2]
+		f := matgen.Dense[float64](rng, m, k)
+		tm := make([]float64, k*k)
+		lapack.Geqrt(m, k, f, m, tm, k)
+		v := explicitV(m, k, f, m)
+		vt := make([]float64, m*k)
+		blas.Gemm(blas.NoTrans, blas.NoTrans, m, k, k, 1, v, m, tm, k, 0, vt, m)
+		q := make([]float64, m*m)
+		for i := 0; i < m; i++ {
+			q[i+i*m] = 1
+		}
+		blas.Gemm(blas.NoTrans, blas.Trans, m, m, k, -1, vt, m, v, m, 1, q, m)
+		c := matgen.Dense[float64](rng, m, n)
+		for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+			got := append([]float64(nil), c...)
+			ldw := k + 2
+			lapack.Larfb(blas.Left, trans, m, n, k, f, m, tm, k, got, m, make([]float64, ldw*n), ldw)
+			want := make([]float64, m*n)
+			blas.Gemm(trans, blas.NoTrans, m, n, m, 1, q, m, c, m, 0, want, m)
+			if r := residual(got, want, m); r > 30 {
+				t.Errorf("m=%d k=%d n=%d trans=%v: Larfb against the explicit Q, residual %.1f", m, k, n, trans, r)
+			}
+		}
+	}
+}
