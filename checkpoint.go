@@ -5,7 +5,6 @@ import (
 
 	"exadla/internal/ckpt"
 	"exadla/internal/core"
-	"exadla/internal/tile"
 )
 
 // WithCheckpoint arms checkpoint/restart on Cholesky, SolveSPD, LU and
@@ -19,12 +18,6 @@ import (
 // checkpoint their factorization the same way, then solve against the
 // finished factor — a barrier the unprotected one-shot graph does not
 // have — and return the same solution bit for bit.
-//
-// Checkpointing currently takes precedence over WithFaultTolerance on
-// the same Context: the snapshot task would need to capture checksum
-// state too for the two to compose, which is future work. Use ABFT for
-// silent corruption and in-run hard faults, checkpointing for whole-
-// process loss.
 func WithCheckpoint(dir string, every int) Option {
 	if dir == "" {
 		panic("exadla: WithCheckpoint needs a directory")
@@ -35,8 +28,12 @@ func WithCheckpoint(dir string, every int) Option {
 	}
 }
 
-func (c *Context) ckptOptions() core.CkptOptions {
-	return core.CkptOptions{Dir: c.ckptDir, Every: c.ckptEvery}
+// ckptOptions is nil unless WithCheckpoint armed checkpointing.
+func (c *Context) ckptOptions() *core.CkptOptions {
+	if c.ckptDir == "" {
+		return nil
+	}
+	return &core.CkptOptions{Dir: c.ckptDir, Every: c.ckptEvery}
 }
 
 // Resumed is the result of Context.Resume: the factorization kind found
@@ -55,26 +52,23 @@ type Resumed struct {
 // factor. The remaining panel steps replay the identical kernels on the
 // checkpointed bits, so the factor matches what the interrupted run
 // would have produced, bitwise. Checkpointing continues during the
-// resumed run, into the same directory.
+// resumed run, into the same directory, and the Context's
+// WithFaultTolerance/WithErasure protection applies to the remaining
+// steps, with checksums and parity re-derived from the snapshot.
 func (c *Context) Resume(dir string) (*Resumed, error) {
 	ck, path, err := ckpt.Latest(dir)
 	if err != nil {
 		return nil, err
 	}
-	opt := core.CkptOptions{Dir: dir, Every: c.ckptEvery}
-	switch ck.Op {
-	case ckpt.OpCholesky:
-		var t *tile.Matrix[float64]
-		if t, err = core.ResumeCholesky(c.scheduler(), ck, opt); err != nil {
-			return nil, fmt.Errorf("exadla: resuming %s: %w", path, err)
-		}
-		return &Resumed{Op: "cholesky", Cholesky: &CholeskyFactor{ctx: c, l: t, n: ck.M}}, nil
-	case ckpt.OpLU:
-		var f *core.LUFactors[float64]
-		if f, err = core.ResumeLU(c.scheduler(), ck, opt); err != nil {
-			return nil, fmt.Errorf("exadla: resuming %s: %w", path, err)
-		}
+	if ck.Op != ckpt.OpCholesky && ck.Op != ckpt.OpLU {
+		return nil, fmt.Errorf("exadla: checkpoint %s holds unknown operation %v", path, ck.Op)
+	}
+	t, f, err := core.Resume(c.scheduler(), ck, &core.CkptOptions{Dir: dir, Every: c.ckptEvery}, c.ftOptions())
+	if err != nil {
+		return nil, fmt.Errorf("exadla: resuming %s: %w", path, err)
+	}
+	if f != nil {
 		return &Resumed{Op: "lu", LU: &LUFactor{ctx: c, f: f, n: ck.M}}, nil
 	}
-	return nil, fmt.Errorf("exadla: checkpoint %s holds unknown operation %v", path, ck.Op)
+	return &Resumed{Op: "cholesky", Cholesky: &CholeskyFactor{ctx: c, l: t, n: ck.M}}, nil
 }

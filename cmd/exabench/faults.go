@@ -161,13 +161,7 @@ func abftDemo(n, nb, workers int) {
 				}
 			}),
 		)
-		opt := core.FTOptions{InjectHook: hook, Stats: &stats}
-		var err error
-		if op == "cholesky" {
-			err = core.ResilientCholesky(r, a, opt)
-		} else {
-			_, err = core.ResilientLU(r, a, opt)
-		}
+		_, err := core.Protect(r, op, a, nil, &core.FTOptions{InjectHook: hook, Stats: &stats})
 		r.Shutdown()
 		status := "recovered"
 		if err != nil {

@@ -55,17 +55,11 @@ func hardFaultSweep(n, nb, workers int) {
 				sched.WithTaskDeadline(deadline),
 				sched.WithHardChaos(2016+int64(k), killProb, 0, k),
 			)
-			opt := core.FTOptions{
+			_, err := core.Protect(r, op, a, nil, &core.FTOptions{
 				Stats:     &stats,
 				Erasure:   true,
 				LoseTiles: []core.TileLoss{{Step: 1, I: 2, J: 0}},
-			}
-			var err error
-			if op == "cholesky" {
-				err = core.ResilientCholesky(r, a, opt)
-			} else {
-				_, err = core.ResilientLU(r, a, opt)
-			}
+			})
 			r.Shutdown()
 			status := "bitwise"
 			if err != nil {
@@ -140,11 +134,7 @@ func checkpointDemo(n, nb, workers int) {
 		opt := core.CkptOptions{Dir: dir, Every: 1, AbortAtStep: abortAt}
 		a := tile.FromColMajor(n, n, aD, n, nb)
 		r := sched.New(workers)
-		if op == "cholesky" {
-			err = core.CheckpointedCholesky(r, a, opt)
-		} else {
-			_, err = core.CheckpointedLU(r, a, opt)
-		}
+		_, err = core.Protect(r, op, a, &opt, nil)
 		r.Shutdown()
 		if !errors.Is(err, core.ErrAborted) {
 			tb.add(op, n, abortAt, "-", "-", fmt.Sprintf("expected abort, got %v", err))
@@ -157,17 +147,7 @@ func checkpointDemo(n, nb, workers int) {
 			continue
 		}
 		r2 := sched.New(workers)
-		var resumed *tile.Matrix[float64]
-		ropt := core.CkptOptions{Dir: dir, Every: 1}
-		if op == "cholesky" {
-			resumed, err = core.ResumeCholesky(r2, ck, ropt)
-		} else {
-			var f *core.LUFactors[float64]
-			f, err = core.ResumeLU(r2, ck, ropt)
-			if err == nil {
-				resumed = f.A
-			}
-		}
+		resumed, _, err := core.Resume(r2, ck, &core.CkptOptions{Dir: dir, Every: 1}, nil)
 		r2.Shutdown()
 		if err != nil {
 			tb.add(op, n, abortAt, ck.Step, "-", "resume failed: "+err.Error())

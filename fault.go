@@ -9,13 +9,16 @@ import (
 	"exadla/internal/tile"
 )
 
-// WithFaultTolerance routes Cholesky, SolveSPD, LU and Solve through the
-// ABFT-protected tile factorizations: per-tile checksums are carried (or
-// recorded) alongside the numerical tiles, verified after each panel step,
-// and detected corruption is corrected in place and re-verified through the
-// scheduler's retry path. If no retry policy was configured explicitly
-// (WithTaskRetry), a default of 3 attempts with no backoff is installed,
-// since recovery re-execution rides on task retries. Counts are reported by
+// WithFaultTolerance arms ABFT protection on Cholesky, SolveSPD, LU, Solve
+// and Context.Resume: per-tile checksums are carried (or recorded)
+// alongside the numerical tiles of the same tile program, verified after
+// each panel step and once more over the finished factor, and detected
+// corruption is corrected in place and re-verified through the scheduler's
+// retry path. It composes with WithCheckpoint: every snapshot follows its
+// step's verification, and a resumed run re-derives the checksums from the
+// snapshot. If no retry policy was configured explicitly (WithTaskRetry), a
+// default of 3 attempts with no backoff is installed, since recovery
+// re-execution rides on task retries. Counts are reported by
 // Context.FaultStats.
 func WithFaultTolerance() Option {
 	return func(c *Context) { c.faultTolerant = true }
@@ -72,13 +75,14 @@ func WithHardChaos(seed int64, killWorkerProb, hangTaskProb float64, maxFaults i
 	}
 }
 
-// WithErasure arms per-tile-row XOR parity on the fault-tolerant
-// factorizations (implies WithFaultTolerance): finalized tiles are
-// committed to a parity group, and a tile found wholesale-lost by
-// checksum verification — faults across multiple columns rather than a
-// single flipped entry — is rebuilt bit-exactly by XOR subtraction
-// instead of failing the run. FaultStats.TilesReconstructed counts the
-// rebuilds.
+// WithErasure arms per-tile-row XOR parity on top of ABFT (it implies
+// WithFaultTolerance), on the same operations and composing with
+// WithCheckpoint the same way: finalized, verified tiles are committed to a
+// parity group (a resumed run re-commits the tiles its snapshot holds
+// final), and a tile found wholesale-lost by checksum verification —
+// faults across multiple columns rather than a single flipped entry — is
+// rebuilt bit-exactly by XOR subtraction instead of failing the run.
+// FaultStats.TilesReconstructed counts the rebuilds.
 func WithErasure() Option {
 	return func(c *Context) {
 		c.faultTolerant = true
@@ -172,35 +176,21 @@ func (c *Context) faultSchedOpts() []sched.Option {
 	return opts
 }
 
-// ftOptions builds the per-operation resilience options. Corruption and
-// loss injection hooks are deliberately not part of the public surface —
-// the benchmark fault driver and the tests use internal/core directly.
-func (c *Context) ftOptions() core.FTOptions {
-	return core.FTOptions{Stats: &c.ftStats, Erasure: c.erasure}
+// ftOptions builds the per-operation ABFT options, nil unless
+// WithFaultTolerance (or WithErasure) armed them. Corruption and loss
+// injection hooks are deliberately not part of the public surface — the
+// benchmark fault driver and the tests use internal/core directly.
+func (c *Context) ftOptions() *core.FTOptions {
+	if !c.faultTolerant {
+		return nil
+	}
+	return &core.FTOptions{Stats: &c.ftStats, Erasure: c.erasure}
 }
 
-// cholesky routes to the checkpointed, resilient, or plain tile
-// factorization per the Context configuration. Checkpointing takes
-// precedence over ABFT (see WithCheckpoint for why they do not compose
-// yet).
-func (c *Context) cholesky(t *tile.Matrix[float64]) error {
-	if c.ckptDir != "" {
-		return core.CheckpointedCholesky(c.scheduler(), t, c.ckptOptions())
-	}
-	if c.faultTolerant {
-		return core.ResilientCholesky(c.scheduler(), t, c.ftOptions())
-	}
-	return core.Cholesky(c.scheduler(), t)
-}
-
-// lu routes to the checkpointed, resilient, or plain tile LU
-// factorization.
-func (c *Context) lu(t *tile.Matrix[float64]) (*core.LUFactors[float64], error) {
-	if c.ckptDir != "" {
-		return core.CheckpointedLU(c.scheduler(), t, c.ckptOptions())
-	}
-	if c.faultTolerant {
-		return core.ResilientLU(c.scheduler(), t, c.ftOptions())
-	}
-	return core.LU(c.scheduler(), t)
+// factor runs op's tile program (core.OpCholesky or core.OpLU) over t in
+// place under every protection the Context armed: checkpointing, ABFT and
+// erasure are guards on the one program and compose; with none armed it is
+// the plain dataflow factorization. The pivot state is nil for Cholesky.
+func (c *Context) factor(op string, t *tile.Matrix[float64]) (*core.LUFactors[float64], error) {
+	return core.Protect(c.scheduler(), op, t, c.ckptOptions(), c.ftOptions())
 }

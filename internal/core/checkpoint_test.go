@@ -11,6 +11,7 @@ import (
 	"exadla/internal/blas"
 	"exadla/internal/ckpt"
 	"exadla/internal/core"
+	"exadla/internal/ft"
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
@@ -30,7 +31,7 @@ func TestCheckpointedCholeskyRestartBitwise(t *testing.T) {
 	r := sched.New(4)
 	abortOpt := opt
 	abortOpt.AbortAtStep = 1
-	err := core.CheckpointedCholesky(r, a, abortOpt)
+	_, err := core.Protect(r, core.OpCholesky, a, &abortOpt, nil)
 	r.Shutdown()
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("aborted run returned %v, want ErrAborted", err)
@@ -46,7 +47,7 @@ func TestCheckpointedCholeskyRestartBitwise(t *testing.T) {
 
 	r2 := sched.New(4)
 	defer r2.Shutdown()
-	a2, err := core.ResumeCholesky(r2, c, opt)
+	a2, _, err := core.Resume(r2, c, &opt, nil)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -73,7 +74,7 @@ func TestCheckpointedCholeskySparseCadence(t *testing.T) {
 
 	a := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
 	r := sched.New(4)
-	err := core.CheckpointedCholesky(r, a, core.CkptOptions{Dir: dir, Every: 10, AbortAtStep: 2})
+	_, err := core.Protect(r, core.OpCholesky, a, &core.CkptOptions{Dir: dir, Every: 10, AbortAtStep: 2}, nil)
 	r.Shutdown()
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("aborted run returned %v, want ErrAborted", err)
@@ -94,7 +95,7 @@ func TestCheckpointedCholeskySparseCadence(t *testing.T) {
 	}
 	r2 := sched.New(4)
 	defer r2.Shutdown()
-	a2, err := core.ResumeCholesky(r2, c, core.CkptOptions{Dir: dir, Every: 10})
+	a2, _, err := core.Resume(r2, c, &core.CkptOptions{Dir: dir, Every: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestCheckpointedCholeskyCleanRun(t *testing.T) {
 	a := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
 	r := sched.New(4)
 	defer r.Shutdown()
-	if err := core.CheckpointedCholesky(r, a, core.CkptOptions{Dir: dir}); err != nil {
+	if _, err := core.Protect(r, core.OpCholesky, a, &core.CkptOptions{Dir: dir}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if d := lowerDiff(n, a.ToColMajor(), want); d != 0 {
@@ -137,7 +138,7 @@ func TestCheckpointedCholeskyCleanRun(t *testing.T) {
 	}
 	r2 := sched.New(4)
 	defer r2.Shutdown()
-	a2, err := core.ResumeCholesky(r2, c2, core.CkptOptions{Dir: dir})
+	a2, _, err := core.Resume(r2, c2, &core.CkptOptions{Dir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestCheckpointedLURestartBitwise(t *testing.T) {
 	r := sched.New(4)
 	abortOpt := opt
 	abortOpt.AbortAtStep = 1
-	_, err := core.CheckpointedLU(r, a, abortOpt)
+	_, err := core.Protect(r, core.OpLU, a, &abortOpt, nil)
 	r.Shutdown()
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("aborted run returned %v, want ErrAborted", err)
@@ -175,7 +176,7 @@ func TestCheckpointedLURestartBitwise(t *testing.T) {
 
 	r2 := sched.New(4)
 	defer r2.Shutdown()
-	f, err := core.ResumeLU(r2, c, opt)
+	_, f, err := core.Resume(r2, c, &opt, nil)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -217,7 +218,7 @@ func TestCheckpointWriteFailureFailsRun(t *testing.T) {
 	}
 	r := sched.New(4)
 	defer r.Shutdown()
-	err := core.CheckpointedCholesky(r, a, core.CkptOptions{Dir: dir})
+	_, err := core.Protect(r, core.OpCholesky, a, &core.CkptOptions{Dir: dir}, nil)
 	if err == nil {
 		t.Fatal("run with unwritable checkpoint dir succeeded")
 	}
@@ -226,22 +227,89 @@ func TestCheckpointWriteFailureFailsRun(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedOp: resuming the wrong factorization from a
-// checkpoint is an error, not silent corruption.
+// TestResumeRejectsMismatchedOp: a checkpoint that matches no tile program
+// — an unknown operation, a non-square Cholesky, a step past the end — is
+// an error, not silent corruption.
 func TestResumeRejectsMismatchedOp(t *testing.T) {
-	c := &ckpt.Checkpoint{Op: ckpt.OpLU, Step: 1, M: 4, N: 4, NB: 2, Data: make([]float64, 16)}
 	r := sched.New(1)
 	defer r.Shutdown()
-	if _, err := core.ResumeCholesky(r, c, core.CkptOptions{Dir: t.TempDir()}); err == nil {
-		t.Error("ResumeCholesky accepted an LU checkpoint")
+	for _, c := range []*ckpt.Checkpoint{
+		{Op: ckpt.Op(99), Step: 1, M: 4, N: 4, NB: 2},
+		{Op: ckpt.OpCholesky, Step: 1, M: 6, N: 4, NB: 2},
+		{Op: ckpt.OpLU, Step: 99, M: 4, N: 4, NB: 2},
+	} {
+		c.Data = make([]float64, c.M*c.N)
+		if _, _, err := core.Resume(r, c, &core.CkptOptions{Dir: t.TempDir()}, nil); err == nil {
+			t.Errorf("Resume accepted a %v checkpoint of a %d×%d matrix at step %d", c.Op, c.M, c.N, c.Step)
+		}
 	}
-	c.Op = ckpt.OpCholesky
-	if _, err := core.ResumeLU(r, c, core.CkptOptions{Dir: t.TempDir()}); err == nil {
-		t.Error("ResumeLU accepted a Cholesky checkpoint")
-	}
-	c.Op = ckpt.OpLU
-	c.Step = 99
-	if _, err := core.ResumeLU(r, c, core.CkptOptions{Dir: t.TempDir()}); err == nil {
-		t.Error("ResumeLU accepted an out-of-range step")
+}
+
+// TestCheckpointAndABFTCompose: with both protections armed, a Cholesky
+// and an LU run write checkpoints and correct an injected flip, and a run
+// aborted mid-way resumes under ABFT — checksums re-derived from the
+// snapshot, a second flip corrected — to the clean run's factor, bit for
+// bit. The flips add 2⁻¹⁸ to one entry of a freshly finalized diagonal
+// tile: exact in binary, so the checksum discrepancy equals the flip and
+// the correction restores the entry exactly.
+func TestCheckpointAndABFTCompose(t *testing.T) {
+	const n, nb = 192, 48
+	for _, op := range []string{core.OpCholesky, core.OpLU} {
+		t.Run(op, func(t *testing.T) {
+			aD, want := cleanCholesky(t, n, nb, 64)
+			if op == core.OpLU {
+				aD, want = cleanLU(t, n, nb, 64)
+			}
+			flipAt := func(step int, stats *ft.Stats) core.FTOptions {
+				return core.FTOptions{Stats: stats, InjectHook: func(k int, m *tile.Matrix[float64]) {
+					if k == step {
+						m.Tile(k, k)[nb-1] += 0x1p-18
+						stats.Injected.Add(1)
+					}
+				}}
+			}
+			r := sched.New(4, sched.WithRetry(3, 0))
+			defer r.Shutdown()
+
+			var stats ft.Stats
+			dir := t.TempDir()
+			a := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
+			fo := flipAt(1, &stats)
+			if _, err := core.Protect(r, op, a, &core.CkptOptions{Dir: dir}, &fo); err != nil {
+				t.Fatal(err)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) == 0 {
+				t.Error("checkpointed ABFT run wrote no checkpoint")
+			}
+			if stats.Corrected.Load() < 1 {
+				t.Errorf("injected flip not corrected: %d corrected", stats.Corrected.Load())
+			}
+			if d := maxAbsDiff(a.ToColMajor(), want); d != 0 {
+				t.Errorf("checkpointed ABFT factor differs from clean run by %g", d)
+			}
+
+			var rstats ft.Stats
+			dir = t.TempDir()
+			a = tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
+			fo = flipAt(1, &rstats)
+			if _, err := core.Protect(r, op, a, &core.CkptOptions{Dir: dir, AbortAtStep: 1}, &fo); !errors.Is(err, core.ErrAborted) {
+				t.Fatalf("aborted run returned %v, want ErrAborted", err)
+			}
+			c, _, err := ckpt.Latest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fo = flipAt(2, &rstats)
+			got, _, err := core.Resume(r, c, &core.CkptOptions{Dir: dir}, &fo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rstats.Corrected.Load() < 2 {
+				t.Errorf("flips before and after the restart: %d corrected, want 2", rstats.Corrected.Load())
+			}
+			if d := maxAbsDiff(got.ToColMajor(), want); d != 0 {
+				t.Errorf("resumed ABFT factor differs from clean run by %g", d)
+			}
+		})
 	}
 }

@@ -147,7 +147,7 @@ func TrsmUpper[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], b *tile.Matri
 // all in one dataflow graph with no intermediate barrier.
 func Posv[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) error {
 	es := &errState{}
-	submitProgram(s, OpCholesky, a, nil, es, false, 0, nil)
+	submitProgram(s, OpCholesky, a, nil, es, false, 0)
 	TrsmLower(s, blas.NoTrans, a, b)
 	TrsmLower(s, blas.Trans, a, b)
 	return finishErr(es, s)

@@ -28,7 +28,7 @@ func TestLoseTilesValidation(t *testing.T) {
 	a := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
 	r := sched.New(2)
 	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{
+	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{
 		LoseTiles: []core.TileLoss{{Step: 0, I: 1, J: 0}},
 	})
 	if err == nil {
@@ -36,14 +36,14 @@ func TestLoseTilesValidation(t *testing.T) {
 	}
 
 	a2 := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
-	err = core.ResilientCholesky(r, a2, core.FTOptions{
+	_, err = core.Protect(r, core.OpCholesky, a2, nil, &core.FTOptions{
 		Erasure:   true,
 		LoseTiles: []core.TileLoss{{Step: 0, I: 9, J: 0}},
 	})
 	if err == nil {
 		t.Error("out-of-grid TileLoss accepted")
 	}
-	if _, err := core.ResilientLU(r, a2, core.FTOptions{
+	if _, err := core.Protect(r, core.OpLU, a2, nil, &core.FTOptions{
 		LoseTiles: []core.TileLoss{{Step: 0, I: 0, J: 0}},
 	}); err == nil {
 		t.Error("LU LoseTiles without Erasure accepted")
@@ -62,7 +62,7 @@ func TestResilientCholeskyErasureFailStopLoss(t *testing.T) {
 	var stats ft.Stats
 	r := sched.New(4, sched.WithRetry(3, 0))
 	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{
+	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{
 		Erasure: true,
 		Stats:   &stats,
 		LoseTiles: []core.TileLoss{
@@ -97,7 +97,7 @@ func TestResilientCholeskySilentLossCaughtBySweep(t *testing.T) {
 	var stats ft.Stats
 	r := sched.New(4, sched.WithRetry(3, 0))
 	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{
+	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{
 		Erasure: true,
 		Stats:   &stats,
 		// (2,0) is finalized at step 0 and only read by step-0 updates:
@@ -135,7 +135,7 @@ func TestResilientCholeskyHardChaosBitwise(t *testing.T) {
 		sched.WithHardChaos(53, 0.05, 0.03, 3),
 	)
 	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{
+	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{
 		Erasure: true,
 		Stats:   &stats,
 		LoseTiles: []core.TileLoss{
@@ -187,7 +187,7 @@ func TestResilientLUErasureFailStopLoss(t *testing.T) {
 	var stats ft.Stats
 	r := sched.New(4, sched.WithRetry(3, 0))
 	defer r.Shutdown()
-	_, err := core.ResilientLU(r, a, core.FTOptions{
+	_, err := core.Protect(r, core.OpLU, a, nil, &core.FTOptions{
 		Erasure: true,
 		Stats:   &stats,
 		LoseTiles: []core.TileLoss{
@@ -216,7 +216,7 @@ func TestResilientLUSilentLossCaughtBySweep(t *testing.T) {
 	var stats ft.Stats
 	r := sched.New(4, sched.WithRetry(3, 0))
 	defer r.Shutdown()
-	_, err := core.ResilientLU(r, a, core.FTOptions{
+	_, err := core.Protect(r, core.OpLU, a, nil, &core.FTOptions{
 		Erasure: true,
 		Stats:   &stats,
 		// (3,0) is finalized by its step-0 tstrf and never read again by
@@ -253,7 +253,7 @@ func TestResilientLUHardChaosBitwise(t *testing.T) {
 		sched.WithHardChaos(57, 0.04, 0.02, 3),
 	)
 	defer r.Shutdown()
-	_, err := core.ResilientLU(r, a, core.FTOptions{
+	_, err := core.Protect(r, core.OpLU, a, nil, &core.FTOptions{
 		Erasure:   true,
 		Stats:     &stats,
 		LoseTiles: []core.TileLoss{{Step: 2, I: 4, J: 1}},

@@ -143,7 +143,7 @@ func Potri[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
 		panic("core: Potri needs a square matrix")
 	}
 	es := &errState{}
-	submitProgram(s, OpCholesky, a, nil, es, false, 0, nil)
+	submitProgram(s, OpCholesky, a, nil, es, false, 0)
 	TrtriLower(s, a, es)
 	LauumLower(s, a)
 	return finishErr(es, s)

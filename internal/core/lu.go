@@ -37,7 +37,7 @@ func (f *LUFactors[F]) stackIdx(i, k int) int { return i + k*f.A.MT }
 func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], error) {
 	f := newLUFactors(a)
 	es := &errState{}
-	submitProgram(s, OpLU, a, f, es, false, 0, nil)
+	submitProgram(s, OpLU, a, f, es, false, 0)
 	return f, finishErr(es, s)
 }
 
@@ -45,7 +45,7 @@ func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], erro
 func LUForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], error) {
 	f := newLUFactors(a)
 	es := &errState{}
-	submitProgram(s, OpLU, a, f, es, true, 0, nil)
+	submitProgram(s, OpLU, a, f, es, true, 0)
 	return f, finishErr(es, s)
 }
 
@@ -177,7 +177,7 @@ func Gesv[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) (*LUFactors[F],
 	}
 	f := newLUFactors(a)
 	es := &errState{}
-	submitProgram(s, OpLU, a, f, es, false, 0, nil)
+	submitProgram(s, OpLU, a, f, es, false, 0)
 	ApplyLU(s, f, b)
 	TrsmUpper(s, a, b)
 	return f, finishErr(es, s)

@@ -262,19 +262,45 @@ func getrfnp[F blas.Float](m, n int, a []F, lda, off int) error {
 // phaseNs maps a kernel band to its phase-time counter (metrics.go).
 var phaseNs = [...]*metrics.Counter{bandUpdate: updateNs, bandSolve: solveNs, bandPanel: panelNs}
 
+// guard is protection layered onto the walk of a tile program: ABFT
+// checksums, erasure parity, checkpoints. It never changes the program's
+// kernels; it rides along by
+//   - decorate: adding accesses to a step's task before it is submitted and
+//     returning work (or nil) to run inside that task right after its
+//     kernel succeeds;
+//   - afterTask: submitting its own tasks right after a step's task;
+//   - afterStep: submitting its own tasks once panel step k's tasks (and
+//     every guard's afterTask tasks) are submitted, before step k+1's — the
+//     point where a consistent-frontier task such as a checkpoint goes.
+//
+// Guards are called in order, so a later guard's tasks follow an earlier
+// one's at each hook: the drivers list ABFT before erasure (a tile is
+// committed to parity only once verified) and checkpointing last (a
+// snapshot follows its step's verification).
+type guard interface {
+	decorate(st Step, t *sched.Task) (after func())
+	afterTask(s sched.Scheduler, st Step)
+	afterStep(s sched.Scheduler, k int)
+}
+
+// noHooks gives a guard no-op defaults for the hooks it does not use.
+type noHooks struct{}
+
+func (noHooks) decorate(Step, *sched.Task) func() { return nil }
+func (noHooks) afterTask(sched.Scheduler, Step)   {}
+func (noHooks) afterStep(sched.Scheduler, int)    {}
+
 // submitProgram submits op's tile program over a to s — the one walk behind
 // every in-process factorization driver. f is the OpLU pivot state (nil for
 // the other ops). With forkJoin set it drains each phase before starting
-// the next instead of relying on dataflow dependences alone. afterStep, if
-// non-nil, is invoked once each panel step's tasks are submitted and before
-// the next step's: the submission point where a consistent-frontier task
-// (checkpoint, abort) can be injected.
+// the next instead of relying on dataflow dependences alone. The guards, if
+// any, decorate and extend the walk (see guard).
 //
 // A Cholesky or no-pivot LU kernel error poisons the rest of the program —
 // later tasks turn into no-ops so the DAG drains quickly — while
 // incremental-pivoting LU reports a singular pivot and still runs to
 // completion, like LAPACK's GETRF.
-func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], f *LUFactors[F], es *errState, forkJoin bool, from int, afterStep func(k int)) {
+func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], f *LUFactors[F], es *errState, forkJoin bool, from int, guards ...guard) {
 	if op != OpLU && a.M != a.N {
 		panic(fmt.Sprintf("core: %s needs a square matrix", op))
 	}
@@ -289,26 +315,42 @@ func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F]
 	cols := min(a.MT, a.NT)
 	for n, st := range prog {
 		reads, writes := st.Accesses()
-		s.Submit(sched.Task{
+		t := sched.Task{
 			Name:     st.Kind,
 			Priority: st.Priority(cols),
 			Reads:    handles(reads),
 			Writes:   handles(writes),
-			Fn: timed(phaseNs[st.band()], func() {
-				if op != OpLU && es.failed() {
-					return
-				}
-				if err := Apply(st, a, f); err != nil {
-					es.set(err)
-				}
-			}),
+		}
+		var after []func()
+		for _, g := range guards {
+			if fn := g.decorate(st, &t); fn != nil {
+				after = append(after, fn)
+			}
+		}
+		t.Fn = timed(phaseNs[st.band()], func() {
+			if op != OpLU && es.failed() {
+				return
+			}
+			if err := Apply(st, a, f); err != nil {
+				es.set(err)
+				return
+			}
+			for _, fn := range after {
+				fn()
+			}
 		})
+		s.Submit(t)
+		for _, g := range guards {
+			g.afterTask(s, st)
+		}
 		last := n == len(prog)-1
 		if forkJoin && (last || prog[n+1].phase() != st.phase()) {
 			s.Wait()
 		}
-		if afterStep != nil && (last || prog[n+1].K != st.K) {
-			afterStep(st.K)
+		if last || prog[n+1].K != st.K {
+			for _, g := range guards {
+				g.afterStep(s, st.K)
+			}
 		}
 	}
 }
@@ -324,6 +366,6 @@ func Factor[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], forkJ
 		panic("core: Factor cannot return LU pivot state; use LU")
 	}
 	es := &errState{}
-	submitProgram(s, op, a, nil, es, forkJoin, 0, nil)
+	submitProgram(s, op, a, nil, es, forkJoin, 0)
 	return finishErr(es, s)
 }

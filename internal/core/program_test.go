@@ -107,31 +107,41 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 			_, _ = core.Gesv(s, mat(nm, "A", 50, 50), mat(nm, "B", 50, 20))
 		}},
 		{"ckpt-cholesky-abort/50", func(s sched.Scheduler, nm *graphNamer) {
-			_ = core.CheckpointedCholesky(s, mat(nm, "A", 50, 50), core.CkptOptions{Every: 1, AbortAtStep: 2})
+			_, _ = core.Protect(s, core.OpCholesky, mat(nm, "A", 50, 50), &core.CkptOptions{Every: 1, AbortAtStep: 2}, nil)
 		}},
 		{"ckpt-lu-abort/64", func(s sched.Scheduler, nm *graphNamer) {
-			_, _ = core.CheckpointedLU(s, mat(nm, "A", 64, 64), core.CkptOptions{Every: 1, AbortAtStep: 2})
+			_, _ = core.Protect(s, core.OpLU, mat(nm, "A", 64, 64), &core.CkptOptions{Every: 1, AbortAtStep: 2}, nil)
 		}},
 		{"ckpt-lu-abort/80x48", func(s sched.Scheduler, nm *graphNamer) {
-			_, _ = core.CheckpointedLU(s, mat(nm, "A", 80, 48), core.CkptOptions{Every: 2, AbortAtStep: 2})
+			_, _ = core.Protect(s, core.OpLU, mat(nm, "A", 80, 48), &core.CkptOptions{Every: 2, AbortAtStep: 2}, nil)
 		}},
 		{"resume-cholesky/50@2", func(s sched.Scheduler, nm *graphNamer) {
-			a, _ := core.ResumeCholesky(s, chk(ckpt.OpCholesky, 50, 50, 2), core.CkptOptions{Every: 2})
+			a, _, _ := core.Resume(s, chk(ckpt.OpCholesky, 50, 50, 2), &core.CkptOptions{Every: 2}, nil)
 			nm.add("A", a)
 		}},
 		{"resume-lu/64@2", func(s sched.Scheduler, nm *graphNamer) {
-			f, _ := core.ResumeLU(s, chk(ckpt.OpLU, 64, 64, 2), core.CkptOptions{Every: 1})
-			nm.add("A", f.A)
+			a, _, _ := core.Resume(s, chk(ckpt.OpLU, 64, 64, 2), &core.CkptOptions{Every: 1}, nil)
+			nm.add("A", a)
 		}},
 		{"resume-lu/80x48@2", func(s sched.Scheduler, nm *graphNamer) {
-			f, _ := core.ResumeLU(s, chk(ckpt.OpLU, 80, 48, 2), core.CkptOptions{Every: 1})
-			nm.add("A", f.A)
+			a, _, _ := core.Resume(s, chk(ckpt.OpLU, 80, 48, 2), &core.CkptOptions{Every: 1}, nil)
+			nm.add("A", a)
 		}},
 		{"resilient-cholesky/50", func(s sched.Scheduler, nm *graphNamer) {
-			_ = core.ResilientCholesky(s, mat(nm, "A", 50, 50), core.FTOptions{Erasure: true})
+			_, _ = core.Protect(s, core.OpCholesky, mat(nm, "A", 50, 50), nil, &core.FTOptions{Erasure: true})
 		}},
 		{"resilient-lu/50", func(s sched.Scheduler, nm *graphNamer) {
-			_, _ = core.ResilientLU(s, mat(nm, "A", 50, 50), core.FTOptions{Erasure: true})
+			_, _ = core.Protect(s, core.OpLU, mat(nm, "A", 50, 50), nil, &core.FTOptions{Erasure: true})
+		}},
+		{"ckpt-abft-cholesky/50", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Protect(s, core.OpCholesky, mat(nm, "A", 50, 50), &core.CkptOptions{Every: 1}, &core.FTOptions{Erasure: true})
+		}},
+		{"ckpt-abft-lu/64", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Protect(s, core.OpLU, mat(nm, "A", 64, 64), &core.CkptOptions{Every: 1}, &core.FTOptions{Erasure: true})
+		}},
+		{"resume-abft-cholesky/50@2", func(s sched.Scheduler, nm *graphNamer) {
+			a, _, _ := core.Resume(s, chk(ckpt.OpCholesky, 50, 50, 2), &core.CkptOptions{Every: 1}, &core.FTOptions{Erasure: true})
+			nm.add("A", a)
 		}},
 		{"qr/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, mat(nm, "A", 80, 48)); s.Wait() }},
 		{"qrtree/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QRTree(s, mat(nm, "A", 80, 48)); s.Wait() }},
@@ -158,9 +168,14 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		"resume-lu/64@2":         "7:4d6891bd47bad0d2",
 		"resume-lu/80x48@2":      "4:64af5d08c5ec5797",
 		"resilient-cholesky/50":  "42:2a4571f40d3dd3ff",
-		"resilient-lu/50":        "80:440a0748f3de06e3",
+		"resilient-lu/50":        "80:f0c1a1c84987a6f9",
 		"qr/80x48":               "27:96a7f8a813c03d53",
 		"qrtree/80x48":           "47:a1bebc21758d0193",
+		// Checkpointing composed with ABFT and erasure: the snapshot of
+		// each step follows its verification and commits.
+		"ckpt-abft-cholesky/50":     "45:3d081c73e4b500a7",
+		"ckpt-abft-lu/64":           "83:b092d93b56d2b22a",
+		"resume-abft-cholesky/50@2": "13:495f1c23201f9d85",
 	}
 	for _, c := range cases {
 		rec := sched.NewModelRecorder()

@@ -7,57 +7,53 @@ import (
 
 	"exadla/internal/blas"
 	"exadla/internal/ft"
-	"exadla/internal/lapack"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
 
-// This file implements the ABFT-protected tile factorizations: Cholesky and
-// LU variants that carry per-tile column checksums alongside the numerical
-// tiles, verify them as the factorization proceeds, and recover from silent
-// data corruption by correcting the located entry in place and re-running
-// the verification through the scheduler's retry path ("at extreme scale,
-// faults are the norm" — the runtime treats corruption like any other
-// transient task failure).
+// This file implements ABFT protection and erasure parity as guards on the
+// walk of a tile program (see guard in program.go): the same kernels in the
+// same DAG as the plain factorizations, plus tasks that carry per-tile
+// column checksums alongside the numerical tiles, verify them as the
+// factorization proceeds, and recover from silent data corruption by
+// correcting the located entry in place and re-running the verification
+// through the scheduler's retry path ("at extreme scale, faults are the
+// norm" — the runtime treats corruption like any other transient task
+// failure).
 //
-// Protection model, Cholesky (maintained checksums): every strictly-lower
-// tile A[i][j] carries a 2×nb checksum pair (plain and weighted column sums,
-// see ft.ColSums) initialised before submission and updated through the same
+// Maintained checksums, Cholesky (sumsGuard): every strictly-lower tile
+// A[i][j] carries a 2×nb checksum pair (plain and weighted column sums, see
+// ft.ColSums) initialised before submission and updated through the same
 // BLAS operations as the tile itself — a right-side trsm or gemm applies
 // identically to the 2-row pair, which is what keeps the sums independent
 // witnesses. Diagonal tiles are witnessed by a snapshot taken inside the
 // potrf task (ft.TrilColSums) immediately after the panel factorization.
-// Verification tasks after each panel step compare tiles against their
-// checksums; a located fault is corrected in place and reported as a
-// retryable *ft.CorruptionError, so the scheduler re-runs the verification,
-// which passes once the correction holds. Unlocatable faults keep failing
-// and surface as a permanent task failure through WaitErr.
+// A verification task follows each potrf and trsm; a located fault is
+// corrected in place and reported as a retryable *ft.CorruptionError, so
+// the scheduler re-runs the verification, which passes once the correction
+// holds. Unlocatable faults keep failing and surface as a permanent task
+// failure through WaitErr.
 //
-// Protection model, LU (post-hoc records): incremental pivoting reorders
-// rows dynamically, so checksums cannot be carried through tstrf/ssssm the
-// way they survive Cholesky's updates. Instead a record task snapshots each
-// tile's column sums the moment the factorization finishes writing it
-// (row-k tiles after step k's update sweep, sub-diagonal tiles after their
-// tstrf); verification re-sums the unchanged data, so any later corruption
-// of the finalized factor is detected and corrected. Corruption of a tile
-// while it is still being updated is outside this model — the weaker
-// guarantee is the price of pivoting.
+// Post-hoc records, LU with and without pivoting (recordsGuard): incremental
+// pivoting reorders rows dynamically, so checksums cannot be carried
+// through tstrf/ssssm the way they survive Cholesky's updates. Instead,
+// after each panel step a record task snapshots the column sums of every
+// tile the step finalized — the tiles whose last writer in the program
+// belongs to that step — and verification re-sums the unchanged data, so
+// any later corruption of the finalized factor is detected and corrected.
+// Corruption of a tile while it is still being updated is outside this
+// model — the weaker guarantee is the price of pivoting.
+//
+// Every protected tile is verified once more by a whole-factor sweep after
+// the walk. A resumed run re-derives the checksums, diagonal witnesses and
+// parity of the tiles its snapshot already holds final from the snapshot.
 
-// FTOptions configures the resilient factorizations.
+// FTOptions configures ABFT protection of a factorization (see Protect).
 type FTOptions struct {
-	// VerifyEvery verifies checksummed tiles after every VerifyEvery-th
-	// panel step; 0 means 1 (every step). Sparser verification trades
-	// detection latency for overhead: a fault that propagates through
-	// unverified updates may become unlocatable and fail the run instead
-	// of being corrected.
-	VerifyEvery int
-	// NoFinalVerify skips the whole-factor verification sweep that
-	// otherwise runs after the last step.
-	NoFinalVerify bool
 	// InjectHook, if non-nil, is called once per panel step between the
 	// step's checksum snapshot and its verification, with write access to
 	// the step's panel tiles (Cholesky: column k at and below the
-	// diagonal; LU: the tiles finalized by step k). Tests and the
+	// diagonal; both LUs: the tiles finalized by step k). Tests and the
 	// exabench fault driver use it to corrupt data mid-factorization.
 	InjectHook func(step int, a *tile.Matrix[float64])
 	// Stats, if non-nil, accumulates detection/correction counts.
@@ -89,14 +85,6 @@ type TileLoss struct {
 	Silent     bool
 }
 
-func (o FTOptions) verifyStep(k int) bool {
-	ve := o.VerifyEvery
-	if ve < 1 {
-		ve = 1
-	}
-	return k%ve == 0
-}
-
 // validateLosses rejects loss schedules the erasure layer cannot honour.
 func (o FTOptions) validateLosses(a *tile.Matrix[float64]) error {
 	if len(o.LoseTiles) == 0 {
@@ -113,24 +101,72 @@ func (o FTOptions) validateLosses(a *tile.Matrix[float64]) error {
 	return nil
 }
 
-// schedWait drains the scheduler and returns its aggregated task failures
-// when it supports the error-returning wait (sched.Runtime and
-// sched.Recorder both do); a plain Scheduler just waits.
-func schedWait(s sched.Scheduler) error {
-	if ew, ok := s.(sched.ErrorWaiter); ok {
-		return ew.WaitErr()
+// Protect factors a in place with op's tile program — OpCholesky (lower
+// triangle referenced), OpLUNoPiv or OpLU — under the protections given,
+// either of which may be nil: checkpoints per ck, and ABFT checksums (with
+// erasure parity if fo.Erasure) per fo. The two compose; with neither, the
+// walk is the plain dataflow factorization's. f is the OpLU pivot state,
+// nil for the other ops.
+//
+// Detected corruption is corrected in place and re-verified through the
+// scheduler's retry path, so with fo set the scheduler should have a retry
+// policy installed (sched.WithRetry); without one the first detection fails
+// the factorization even when the correction succeeded. A checkpoint write
+// failure fails the factorization (a checkpoint that silently does not
+// exist is worse than a loud abort).
+func Protect(s sched.Scheduler, op string, a *tile.Matrix[float64], ck *CkptOptions, fo *FTOptions) (*LUFactors[float64], error) {
+	var f *LUFactors[float64]
+	if op == OpLU {
+		f = newLUFactors(a)
 	}
-	s.Wait()
-	return nil
+	return f, protect(s, op, a, f, 0, ck, fo)
+}
+
+// protect runs op's program from panel step from with the guards ck and fo
+// arm, then the ABFT sweep, and waits for it all. f is the OpLU pivot
+// state, nil otherwise.
+func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *LUFactors[float64], from int, ck *CkptOptions, fo *FTOptions) error {
+	es := &errState{}
+	var guards []guard
+	var st *resilientState
+	if fo != nil {
+		var err error
+		if st, err = newResilientState(op, a, from, es, *fo); err != nil {
+			return err
+		}
+		if st.maintained() {
+			guards = append(guards, sumsGuard{resilientState: st})
+		} else {
+			guards = append(guards, recordsGuard{resilientState: st})
+		}
+		if st.ers != nil {
+			guards = append(guards, erasureGuard{resilientState: st})
+		}
+	}
+	if ck != nil {
+		guards = append(guards, ckptGuard{op: op, a: a, f: f, opt: *ck})
+	}
+	submitProgram(s, op, a, f, es, false, from, guards...)
+	if st != nil {
+		st.submitSweep(s)
+	}
+	return finishErr(es, s)
 }
 
 // finishErr is the common driver epilogue: drain the scheduler, then merge
 // the algorithm's own error state with the runtime's aggregated task
-// failures. A sole error is returned unwrapped, preserving the historical
-// concrete error types (e.g. *lapack.NotPositiveDefiniteError) that callers
+// failures (when the scheduler has the error-returning wait, as
+// sched.Runtime and sched.Recorder do; a plain Scheduler just waits). A
+// sole error is returned unwrapped, preserving the historical concrete
+// error types (e.g. *lapack.NotPositiveDefiniteError) that callers
 // type-assert on.
 func finishErr(es *errState, s sched.Scheduler) error {
-	werr := schedWait(s)
+	var werr error
+	if ew, ok := s.(sched.ErrorWaiter); ok {
+		werr = ew.WaitErr()
+	} else {
+		s.Wait()
+	}
 	err := es.get()
 	switch {
 	case err == nil:
@@ -141,14 +177,26 @@ func finishErr(es *errState, s sched.Scheduler) error {
 	return errors.Join(err, werr)
 }
 
-// resilientState owns the checksum storage of one resilient factorization.
+// resilientState owns the checksum and parity storage of one protected
+// factorization, shared by its ABFT and erasure guards.
 type resilientState struct {
-	a *tile.Matrix[float64]
+	a  *tile.Matrix[float64]
+	es *errState
+	kt int
+	// last[i+j*MT] is the program step that writes tile (i, j) last — the
+	// step that finalizes it — with an empty Kind for tiles the program
+	// never writes. finalAt[k] lists the tiles finalized in panel step k in
+	// row-major order, and committed[k] counts those submitted for parity
+	// commit so far.
+	last      []Step
+	finalAt   [][][2]int
+	committed []int
 	// sums[i+j*MT] is the 2×TileCols(j) checksum pair of tile (i, j);
 	// entries are allocated only for protected tiles.
 	sums [][]float64
-	// diag[k] is the post-potrf lower-triangle witness of tile (k, k)
-	// (Cholesky only), written inside the potrf task.
+	// diag[k] is the post-potrf lower-triangle witness of tile (k, k),
+	// written inside the potrf task; nil unless the checksums are
+	// maintained (Cholesky).
 	diag [][]float64
 	// ers is the per-tile-row parity store, non-nil when FTOptions.Erasure
 	// is set.
@@ -156,6 +204,78 @@ type resilientState struct {
 	tol float64
 	opt FTOptions
 }
+
+// newResilientState sets up the protection of op's program over a, resumed
+// at panel step from: each tile's finalizing step is read off the program,
+// checksums that are maintained (or whose tile the snapshot holds final)
+// are taken from the current data, and tiles final before from are
+// committed to their parity groups.
+func newResilientState(op string, a *tile.Matrix[float64], from int, es *errState, opt FTOptions) (*resilientState, error) {
+	if err := opt.validateLosses(a); err != nil {
+		return nil, err
+	}
+	kt := min(a.MT, a.NT)
+	st := &resilientState{
+		a: a, es: es, kt: kt, opt: opt,
+		last:      make([]Step, a.MT*a.NT),
+		finalAt:   make([][][2]int, kt),
+		committed: make([]int, kt),
+		sums:      make([][]float64, a.MT*a.NT),
+	}
+	for _, p := range Program(op, a.MT, a.NT, 0) {
+		_, w := p.Accesses()
+		for _, c := range w {
+			st.last[c[0]+c[1]*a.MT] = p
+		}
+	}
+	// The tolerance reads the input matrix, so it must be computed before
+	// the factorization DAG is submitted — tasks start mutating tiles the
+	// moment Submit links them.
+	if op == OpCholesky {
+		st.tol = ft.DetectTol(maxAbsLower(a), a.N)
+		st.diag = make([][]float64, a.NT)
+	} else {
+		st.tol = ft.DetectTol(maxAbs(a), max(a.M, a.N))
+	}
+	if opt.Erasure {
+		st.ers = ft.NewRowErasure(a, opt.Stats)
+	}
+	for i := 0; i < a.MT; i++ {
+		for j := 0; j < a.NT; j++ {
+			l := st.last[i+j*a.MT]
+			if l.Kind == "" {
+				continue
+			}
+			st.finalAt[l.K] = append(st.finalAt[l.K], [2]int{i, j})
+			done := l.K < from
+			sums := make([]float64, 2*a.TileCols(j))
+			switch {
+			case st.maintained() && i == j:
+				// Diagonal witnesses are otherwise written by the potrf tasks.
+				st.diag[j] = sums
+				if done {
+					ft.TrilColSums(a.TileCols(j), a.Tile(j, j), a.TileRows(j), sums)
+				}
+			case st.maintained() || done:
+				// Maintained checksums start from the current tile and follow
+				// every update it receives; a record of a tile the snapshot
+				// holds final is taken now rather than by a record task.
+				ft.ColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), sums)
+				st.sums[i+j*a.MT] = sums
+			default:
+				st.sums[i+j*a.MT] = sums
+			}
+			if done && st.ers != nil {
+				st.ers.Commit(i, j)
+			}
+		}
+	}
+	return st, nil
+}
+
+// maintained reports whether the checksums ride through the kernels
+// (Cholesky) rather than being recorded after each step.
+func (st *resilientState) maintained() bool { return st.diag != nil }
 
 // sumHandle is the scheduler identity of one tile's checksum pair, so tasks
 // that update or read checksums declare them like any other datum.
@@ -167,6 +287,18 @@ type sumHandle struct {
 func (st *resilientState) handle(i, j int) sched.Handle { return sumHandle{st, i, j} }
 
 func (st *resilientState) sum(i, j int) []float64 { return st.sums[i+j*st.a.MT] }
+
+// unlessFailed makes a guard task body stand down once a kernel has
+// failed: the run is returning that error, and the half-finished factor
+// holds no corruption worth repairing.
+func (st *resilientState) unlessFailed(fn func() error) func() error {
+	return func() error {
+		if st.es.failed() {
+			return nil
+		}
+		return fn()
+	}
+}
 
 // maxAbsLower returns the max-abs norm over the referenced (lower) region
 // of a symmetric tiled matrix.
@@ -206,201 +338,181 @@ func maxAbs(a *tile.Matrix[float64]) float64 {
 	return norm
 }
 
-// ResilientCholesky computes the tile Cholesky factorization like Cholesky,
-// with ABFT checksum protection per FTOptions. Detected corruption is
-// corrected in place and re-verified through the scheduler's retry path, so
-// the scheduler should have a retry policy installed (sched.WithRetry);
-// without one the first detection fails the factorization even when the
-// correction succeeded.
-func ResilientCholesky(s sched.Scheduler, a *tile.Matrix[float64], opt FTOptions) error {
-	if a.M != a.N {
-		panic("core: Cholesky needs a square matrix")
-	}
-	if err := opt.validateLosses(a); err != nil {
-		return err
-	}
-	st := &resilientState{
-		a:    a,
-		sums: make([][]float64, a.MT*a.NT),
-		diag: make([][]float64, a.NT),
-		opt:  opt,
-		tol:  ft.DetectTol(maxAbsLower(a), a.N),
-	}
-	if opt.Erasure {
-		st.ers = ft.NewRowErasure(a, opt.Stats)
-	}
-	// Initial checksums of every strictly-lower tile; they are maintained
-	// through each update the tile receives. Diagonal witnesses are filled
-	// by the potrf tasks.
-	for j := 0; j < a.NT; j++ {
-		st.diag[j] = make([]float64, 2*a.TileCols(j))
-		for i := j + 1; i < a.MT; i++ {
-			sums := make([]float64, 2*a.TileCols(j))
-			ft.ColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), sums)
-			st.sums[i+j*a.MT] = sums
-		}
-	}
-	submitResilientCholesky(s, st)
-	return schedWait(s)
+// sumsGuard carries Cholesky's checksums through the kernels: trsm and gemm
+// update the checksum pairs of the tiles they write, potrf witnesses its
+// diagonal tile, and a verification follows each potrf and trsm.
+type sumsGuard struct {
+	noHooks
+	*resilientState
 }
 
-func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
-	a := st.a
-	nt := a.NT
-	for k := 0; k < nt; k++ {
-		k := k
+func (g sumsGuard) decorate(st Step, t *sched.Task) func() {
+	a := g.a
+	k, i, j := st.K, st.I, st.J
+	switch st.Kind {
+	case "potrf":
+		// Witness the freshly factored diagonal tile before anyone else
+		// (including an injection hook) can touch it.
+		return func() { ft.TrilColSums(a.TileCols(k), a.Tile(k, k), a.TileRows(k), g.diag[k]) }
+	case "trsm":
+		// The 2×nb checksum pair goes through the identical right-side
+		// solve A[i][k] ← A[i][k]·L[k][k]⁻ᵀ.
+		t.Writes = append(t.Writes, g.handle(i, k))
+		return func() {
+			blas.Trsm(blas.Right, blas.Lower, blas.Trans, blas.NonUnit,
+				2, a.TileCols(k), 1,
+				a.Tile(k, k), a.TileRows(k), g.sum(i, k), 2)
+		}
+	case "gemm":
+		// A[i][j] -= A[i][k]·A[j][k]ᵀ; the checksum pair of (i, j) follows
+		// via E·(A[i][k]·A[j][k]ᵀ) = (E·A[i][k])·A[j][k]ᵀ = sums[i][k]·A[j][k]ᵀ.
+		t.Reads = append(t.Reads, g.handle(i, k))
+		t.Writes = append(t.Writes, g.handle(i, j))
+		return func() {
+			blas.Gemm(blas.NoTrans, blas.Trans,
+				2, a.TileCols(j), a.TileCols(k),
+				-1, g.sum(i, k), 2,
+				a.Tile(j, k), a.TileRows(j),
+				1, g.sum(i, j), 2)
+		}
+	}
+	return nil
+}
+
+func (g sumsGuard) afterTask(s sched.Scheduler, st Step) {
+	switch st.Kind {
+	case "potrf":
+		k := st.K
+		var panel [][2]int
+		for i := k; i < g.a.MT; i++ {
+			panel = append(panel, [2]int{i, k})
+		}
+		g.submitInject(s, k, st.Priority(g.kt), panel)
+		g.submitVerify(s, k, k, st.Priority(g.kt))
+	case "trsm":
+		g.submitVerify(s, st.I, st.K, st.Priority(g.kt))
+	}
+}
+
+// recordsGuard snapshots each tile's checksums once its panel step has
+// finalized it, and verifies them right away.
+type recordsGuard struct {
+	noHooks
+	*resilientState
+}
+
+func (g recordsGuard) afterStep(s sched.Scheduler, k int) {
+	a := g.a
+	prio := priority(k, g.kt, bandUpdate)
+	tiles := g.finalAt[k]
+	for _, c := range tiles {
+		i, j := c[0], c[1]
 		s.Submit(sched.Task{
-			Name:     "potrf",
-			Priority: priority(k, nt, bandPanel),
-			Writes:   []sched.Handle{a.Handle(k, k)},
-			FnErr: timedErr(panelNs, func() error {
-				n := a.TileCols(k)
-				t := a.Tile(k, k)
-				ld := a.TileRows(k)
-				if err := lapack.Potrf(blas.Lower, n, t, ld); err != nil {
-					perr := err.(*lapack.NotPositiveDefiniteError)
-					return sched.Permanent(&lapack.NotPositiveDefiniteError{Index: k*a.NB + perr.Index})
-				}
-				// Witness the freshly factored diagonal tile before anyone
-				// else (including an injection hook) can touch it.
-				ft.TrilColSums(n, t, ld, st.diag[k])
+			Name:     "record",
+			Priority: prio,
+			Writes:   []sched.Handle{a.Handle(i, j), g.handle(i, j)},
+			FnErr: g.unlessFailed(func() error {
+				ft.ColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), g.sum(i, j))
 				return nil
 			}),
 		})
-		if st.opt.InjectHook != nil {
-			writes := []sched.Handle{a.Handle(k, k)}
-			for i := k + 1; i < a.MT; i++ {
-				writes = append(writes, a.Handle(i, k))
-			}
-			s.Submit(sched.Task{
-				Name:     "inject",
-				Priority: priority(k, nt, bandPanel),
-				Writes:   writes,
-				Fn:       func() { st.opt.InjectHook(k, a) },
-			})
-		}
-		if st.opt.verifyStep(k) {
-			s.Submit(sched.Task{
-				Name:     "verify",
-				Priority: priority(k, nt, bandPanel),
-				Writes:   []sched.Handle{a.Handle(k, k)},
-				FnErr: func() error {
-					return st.verifyTile(k, k)
-				},
-			})
-		}
-		// The diagonal tile is final after its verify: commit it to the row
-		// parity group so a later loss is reconstructible.
-		st.submitCommit(s, k, k, priority(k, nt, bandPanel))
-		for i := k + 1; i < a.MT; i++ {
-			i := i
-			s.Submit(sched.Task{
-				Name:     "trsm",
-				Priority: priority(k, nt, bandSolve),
-				Reads:    []sched.Handle{a.Handle(k, k)},
-				Writes:   []sched.Handle{a.Handle(i, k), st.handle(i, k)},
-				Fn: timed(solveNs, func() {
-					// A[i][k] ← A[i][k]·L[k][k]⁻ᵀ, and the 2×nb checksum
-					// pair through the identical right-side solve.
-					blas.Trsm(blas.Right, blas.Lower, blas.Trans, blas.NonUnit,
-						a.TileRows(i), a.TileCols(k), 1,
-						a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
-					blas.Trsm(blas.Right, blas.Lower, blas.Trans, blas.NonUnit,
-						2, a.TileCols(k), 1,
-						a.Tile(k, k), a.TileRows(k), st.sum(i, k), 2)
-				}),
-			})
-			if st.opt.verifyStep(k) {
-				s.Submit(sched.Task{
-					Name:     "verify",
-					Priority: priority(k, nt, bandSolve),
-					Reads:    []sched.Handle{st.handle(i, k)},
-					Writes:   []sched.Handle{a.Handle(i, k)},
-					FnErr: func() error {
-						return st.verifyTile(i, k)
-					},
-				})
-			}
-			// Post-trsm, tile (i, k) is a final L tile: commit it before the
-			// step's gemms read it, so even a loss within this step is
-			// recoverable.
-			st.submitCommit(s, i, k, priority(k, nt, bandSolve))
-		}
-		// Hard-fault injections scheduled for this step run after the panel
-		// and solves (their targets committed) and before the trailing
-		// update reads anything.
-		st.submitLosses(s, k, nt)
-		for j := k + 1; j < nt; j++ {
-			j := j
-			s.Submit(sched.Task{
-				Name:     "syrk",
-				Priority: priority(j, nt, bandUpdate),
-				Reads:    []sched.Handle{a.Handle(j, k)},
-				Writes:   []sched.Handle{a.Handle(j, j)},
-				Fn: timed(updateNs, func() {
-					blas.Syrk(blas.Lower, blas.NoTrans, a.TileCols(j), a.TileCols(k),
-						-1, a.Tile(j, k), a.TileRows(j), 1, a.Tile(j, j), a.TileRows(j))
-				}),
-			})
-			for i := j + 1; i < a.MT; i++ {
-				i := i
-				s.Submit(sched.Task{
-					Name:     "gemm",
-					Priority: priority(j, nt, bandUpdate),
-					Reads:    []sched.Handle{a.Handle(i, k), a.Handle(j, k), st.handle(i, k)},
-					Writes:   []sched.Handle{a.Handle(i, j), st.handle(i, j)},
-					Fn: timed(updateNs, func() {
-						// A[i][j] -= A[i][k]·A[j][k]ᵀ; the checksum pair of
-						// (i, j) follows via E·(A[i][k]·A[j][k]ᵀ) =
-						// (E·A[i][k])·A[j][k]ᵀ = sums[i][k]·A[j][k]ᵀ.
-						blas.Gemm(blas.NoTrans, blas.Trans,
-							a.TileRows(i), a.TileCols(j), a.TileCols(k),
-							-1, a.Tile(i, k), a.TileRows(i),
-							a.Tile(j, k), a.TileRows(j),
-							1, a.Tile(i, j), a.TileRows(i))
-						blas.Gemm(blas.NoTrans, blas.Trans,
-							2, a.TileCols(j), a.TileCols(k),
-							-1, st.sum(i, k), 2,
-							a.Tile(j, k), a.TileRows(j),
-							1, st.sum(i, j), 2)
-					}),
-				})
-			}
-		}
 	}
-	if !st.opt.NoFinalVerify {
-		writes := make([]sched.Handle, 0, nt*(nt+1)/2)
-		for j := 0; j < nt; j++ {
-			for i := j; i < a.MT; i++ {
-				writes = append(writes, a.Handle(i, j))
-			}
-		}
-		s.Submit(sched.Task{
-			Name:   "verify",
-			Writes: writes,
-			FnErr: func() error {
-				return st.sweep()
-			},
-		})
+	g.submitInject(s, k, prio, tiles)
+	for _, c := range tiles {
+		g.submitVerify(s, c[0], c[1], prio)
 	}
 }
 
-// submitCommit submits the task that folds finalized tile (i, j) into its
-// row parity group. Reading the tile places it after the tile's final
-// writer (and its verify); writing the row's parity handle serializes all
-// parity operations in the row, which is the happens-before edge every
-// later reconstruction relies on. No-op without erasure.
-func (st *resilientState) submitCommit(s sched.Scheduler, i, j, prio int) {
-	if st.ers == nil {
+// submitInject submits the injection hook's task for panel step k, with
+// write access to tiles.
+func (st *resilientState) submitInject(s sched.Scheduler, k, prio int, tiles [][2]int) {
+	if st.opt.InjectHook == nil {
 		return
 	}
+	writes := make([]sched.Handle, len(tiles))
+	for n, c := range tiles {
+		writes[n] = st.a.Handle(c[0], c[1])
+	}
+	s.Submit(sched.Task{
+		Name:     "inject",
+		Priority: prio,
+		Writes:   writes,
+		FnErr: st.unlessFailed(func() error {
+			st.opt.InjectHook(k, st.a)
+			return nil
+		}),
+	})
+}
+
+// submitVerify submits the verification of tile (i, j) against its
+// checksums.
+func (st *resilientState) submitVerify(s sched.Scheduler, i, j, prio int) {
+	var reads []sched.Handle
+	if st.sum(i, j) != nil {
+		reads = []sched.Handle{st.handle(i, j)}
+	}
+	s.Submit(sched.Task{
+		Name:     "verify",
+		Priority: prio,
+		Reads:    reads,
+		Writes:   []sched.Handle{st.a.Handle(i, j)},
+		FnErr:    st.unlessFailed(func() error { return st.verifyTile(i, j) }),
+	})
+}
+
+// erasureGuard commits each tile to its row parity group once the tile is
+// final and verified, and runs a step's scheduled hard-fault injections
+// right after the step's last commit. Maintained checksums verify a tile
+// right after its last writer, so it is committed there — before the
+// step's trailing update reads it, so even a loss within the step is
+// recoverable; recorded checksums verify it after its step.
+type erasureGuard struct {
+	noHooks
+	*resilientState
+}
+
+func (g erasureGuard) afterTask(s sched.Scheduler, st Step) {
+	if !g.maintained() {
+		return
+	}
+	_, w := st.Accesses()
+	for _, c := range w {
+		if g.last[c[0]+c[1]*g.a.MT] == st {
+			g.submitCommit(s, c[0], c[1], st.K, st.Priority(g.kt))
+		}
+	}
+}
+
+func (g erasureGuard) afterStep(s sched.Scheduler, k int) {
+	if g.maintained() {
+		return
+	}
+	for _, c := range g.finalAt[k] {
+		g.submitCommit(s, c[0], c[1], k, priority(k, g.kt, bandUpdate))
+	}
+}
+
+// submitCommit submits the task that folds tile (i, j), finalized in panel
+// step k, into its row parity group, followed by step k's losses once the
+// step's last tile is committed. Reading the tile places the commit after
+// the tile's final writer (and its verify); writing the row's parity
+// handle serializes all parity operations in the row, which is the
+// happens-before edge every later reconstruction relies on.
+func (st *resilientState) submitCommit(s sched.Scheduler, i, j, k, prio int) {
 	s.Submit(sched.Task{
 		Name:     "commit",
 		Priority: prio,
 		Reads:    []sched.Handle{st.a.Handle(i, j)},
 		Writes:   []sched.Handle{st.ers.RowHandle(i)},
-		Fn:       func() { st.ers.Commit(i, j) },
+		FnErr: st.unlessFailed(func() error {
+			st.ers.Commit(i, j)
+			return nil
+		}),
 	})
+	st.committed[k]++
+	if st.committed[k] == len(st.finalAt[k]) {
+		st.submitLosses(s, k)
+	}
 }
 
 // submitLosses submits this step's scheduled hard-fault injections: each
@@ -408,37 +520,33 @@ func (st *resilientState) submitCommit(s sched.Scheduler, i, j, prio int) {
 // reconstruction task immediately rebuilds it from the row parity, the
 // fail-stop recovery a real runtime performs when it knows which worker
 // died. Silent losses are left for checksum verification to catch.
-func (st *resilientState) submitLosses(s sched.Scheduler, step, nt int) {
+func (st *resilientState) submitLosses(s sched.Scheduler, step int) {
 	a := st.a
+	prio := priority(step, st.kt, bandUpdate)
 	for _, l := range st.opt.LoseTiles {
 		if l.Step != step {
 			continue
 		}
-		l := l
 		s.Submit(sched.Task{
 			Name:     "lose",
-			Priority: priority(step, nt, bandUpdate),
+			Priority: prio,
 			Writes:   []sched.Handle{a.Handle(l.I, l.J)},
-			Fn: func() {
-				t := a.Tile(l.I, l.J)
-				for z := range t {
-					t[z] = 0
-				}
+			FnErr: st.unlessFailed(func() error {
+				clear(a.Tile(l.I, l.J))
 				if st.opt.Stats != nil {
 					st.opt.Stats.Injected.Add(1)
 				}
-			},
+				return nil
+			}),
 		})
 		if l.Silent {
 			continue
 		}
 		s.Submit(sched.Task{
 			Name:     "reconstruct",
-			Priority: priority(step, nt, bandUpdate),
+			Priority: prio,
 			Writes:   []sched.Handle{a.Handle(l.I, l.J), st.ers.RowHandle(l.I)},
-			FnErr: func() error {
-				return st.ers.ReconstructTile(l.I, l.J)
-			},
+			FnErr:    st.unlessFailed(func() error { return st.ers.ReconstructTile(l.I, l.J) }),
 		})
 	}
 }
@@ -481,18 +589,20 @@ func (st *resilientState) correct(i, j int, faults []ft.Fault) int {
 	return c
 }
 
-// verifyTile checks one tile against its checksums. A fault pattern that
-// looks like wholesale loss of a parity-committed tile is repaired by
-// erasure reconstruction; otherwise located faults are corrected in place.
-// Either repair is reported as a retryable corruption error (the retry
-// re-runs this verification, which passes once the repair holds).
+// verifyTile checks one tile against its checksums — a maintained
+// diagonal tile against its lower-triangle witness, every other tile
+// against full column sums. A fault pattern that looks like wholesale loss
+// of a parity-committed tile is repaired by erasure reconstruction;
+// otherwise located faults are corrected in place. Either repair is
+// reported as a retryable corruption error (the retry re-runs this
+// verification, which passes once the repair holds).
 func (st *resilientState) verifyTile(i, j int) error {
 	a := st.a
 	var faults []ft.Fault
-	if i == j {
+	if st.maintained() && i == j {
 		faults = ft.VerifyTrilColSums(a.TileCols(j), a.Tile(j, j), a.TileRows(j), st.diag[j], st.tol)
 	} else {
-		faults = ft.VerifyColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), st.sums[i+j*a.MT], st.tol)
+		faults = ft.VerifyColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), st.sum(i, j), st.tol)
 	}
 	return st.repair(i, j, faults)
 }
@@ -516,172 +626,41 @@ func (st *resilientState) repair(i, j int, faults []ft.Fault) error {
 	return &ft.CorruptionError{TileRow: i, TileCol: j, Faults: faults, Corrected: corrected}
 }
 
-// sweep verifies every protected tile of the finished factor, aggregating
-// faults across tiles into one retryable corruption error.
-func (st *resilientState) sweep() error {
+// submitSweep submits the verification of every protected tile of the
+// finished factor, aggregating faults across tiles into one retryable
+// corruption error.
+func (st *resilientState) submitSweep(s sched.Scheduler) {
 	a := st.a
-	var all []ft.Fault
-	corrected, reconstructed := 0, false
-	for j := 0; j < a.NT; j++ {
-		for i := j; i < a.MT; i++ {
-			err := st.verifyTile(i, j)
-			if err == nil {
-				continue
-			}
-			ce := err.(*ft.CorruptionError)
-			all = append(all, ce.Faults...)
-			corrected += ce.Corrected
-			reconstructed = reconstructed || ce.Reconstructed
-		}
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	return &ft.CorruptionError{TileRow: -1, TileCol: -1, Faults: all, Corrected: corrected, Reconstructed: reconstructed}
-}
-
-// ResilientLU computes the tile LU factorization like LU, with post-hoc
-// checksum records per FTOptions (see the protection-model comment above).
-// Like ResilientCholesky it wants a scheduler retry policy installed.
-func ResilientLU(s sched.Scheduler, a *tile.Matrix[float64], opt FTOptions) (*LUFactors[float64], error) {
-	if err := opt.validateLosses(a); err != nil {
-		return nil, err
-	}
-	f := newLUFactors(a)
-	es := &errState{}
-	// The tolerance reads the input matrix, so it must be computed before
-	// the factorization DAG is submitted — tasks start mutating tiles the
-	// moment Submit links them.
-	st := &resilientState{
-		a:    a,
-		sums: make([][]float64, a.MT*a.NT),
-		opt:  opt,
-		tol:  ft.DetectTol(maxAbs(a), max(a.M, a.N)),
-	}
-	if opt.Erasure {
-		st.ers = ft.NewRowErasure(a, opt.Stats)
-	}
-	submitProgram(s, OpLU, a, f, es, false, 0, nil)
-	submitLURecords(s, st)
-	return f, finishErr(es, s)
-}
-
-// submitLURecords submits, per factorization step, the record tasks that
-// snapshot each tile's checksums as it finalizes, the optional injection
-// hook, and the verification tasks. Dependences are derived per handle, so
-// although these tasks are submitted after the whole factorization DAG,
-// each record runs as soon as the factorization finishes writing its tile —
-// mid-factorization in dataflow time.
-func submitLURecords(s sched.Scheduler, st *resilientState) {
-	a := st.a
-	kt := min(a.MT, a.NT)
-	stepTiles := func(k int) [][2]int {
-		var tiles [][2]int
-		for j := k; j < a.NT; j++ {
-			tiles = append(tiles, [2]int{k, j})
-		}
-		for i := k + 1; i < a.MT; i++ {
-			tiles = append(tiles, [2]int{i, k})
-		}
-		return tiles
-	}
-	for k := 0; k < kt; k++ {
-		k := k
-		tiles := stepTiles(k)
-		for _, t := range tiles {
-			i, j := t[0], t[1]
-			sums := make([]float64, 2*a.TileCols(j))
-			st.sums[i+j*a.MT] = sums
-			s.Submit(sched.Task{
-				Name:     "record",
-				Priority: priority(k, kt, bandUpdate),
-				Writes:   []sched.Handle{a.Handle(i, j), st.handle(i, j)},
-				Fn: func() {
-					ft.ColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), sums)
-				},
-			})
-		}
-		if st.opt.InjectHook != nil {
-			writes := make([]sched.Handle, 0, len(tiles))
-			for _, t := range tiles {
-				writes = append(writes, a.Handle(t[0], t[1]))
-			}
-			s.Submit(sched.Task{
-				Name:     "inject",
-				Priority: priority(k, kt, bandUpdate),
-				Writes:   writes,
-				Fn:       func() { st.opt.InjectHook(k, a) },
-			})
-		}
-		if st.opt.verifyStep(k) {
-			for _, t := range tiles {
-				i, j := t[0], t[1]
-				s.Submit(sched.Task{
-					Name:     "verify",
-					Priority: priority(k, kt, bandUpdate),
-					Reads:    []sched.Handle{st.handle(i, j)},
-					Writes:   []sched.Handle{a.Handle(i, j)},
-					FnErr: func() error {
-						return st.verifyLUTile(i, j)
-					},
-				})
-			}
-		}
-		// Recorded tiles are final: commit them to their row parity groups,
-		// then run this step's scheduled hard-fault injections.
-		for _, t := range tiles {
-			st.submitCommit(s, t[0], t[1], priority(k, kt, bandUpdate))
-		}
-		st.submitLosses(s, k, kt)
-	}
-	if !st.opt.NoFinalVerify {
-		writes := make([]sched.Handle, 0, a.MT*a.NT)
-		for j := 0; j < a.NT; j++ {
-			for i := 0; i < a.MT; i++ {
-				if st.sums[i+j*a.MT] != nil {
-					writes = append(writes, a.Handle(i, j))
-				}
-			}
-		}
-		s.Submit(sched.Task{
-			Name:   "verify",
-			Writes: writes,
-			FnErr: func() error {
-				return st.luSweep()
-			},
-		})
-	}
-}
-
-// verifyLUTile is verifyTile for post-hoc records: all LU tiles carry full
-// (not lower-triangle) checksums, including the diagonal.
-func (st *resilientState) verifyLUTile(i, j int) error {
-	a := st.a
-	faults := ft.VerifyColSums(a.TileRows(i), a.TileCols(j), a.Tile(i, j), a.TileRows(i), st.sums[i+j*a.MT], st.tol)
-	return st.repair(i, j, faults)
-}
-
-func (st *resilientState) luSweep() error {
-	a := st.a
-	var all []ft.Fault
-	corrected, reconstructed := 0, false
+	var tiles [][2]int
+	var writes []sched.Handle
 	for j := 0; j < a.NT; j++ {
 		for i := 0; i < a.MT; i++ {
-			if st.sums[i+j*a.MT] == nil {
-				continue
+			if st.sum(i, j) != nil || st.maintained() && i == j {
+				tiles = append(tiles, [2]int{i, j})
+				writes = append(writes, a.Handle(i, j))
 			}
-			err := st.verifyLUTile(i, j)
-			if err == nil {
-				continue
-			}
-			ce := err.(*ft.CorruptionError)
-			all = append(all, ce.Faults...)
-			corrected += ce.Corrected
-			reconstructed = reconstructed || ce.Reconstructed
 		}
 	}
-	if len(all) == 0 {
-		return nil
-	}
-	return &ft.CorruptionError{TileRow: -1, TileCol: -1, Faults: all, Corrected: corrected, Reconstructed: reconstructed}
+	s.Submit(sched.Task{
+		Name:   "verify",
+		Writes: writes,
+		FnErr: st.unlessFailed(func() error {
+			var all []ft.Fault
+			corrected, reconstructed := 0, false
+			for _, c := range tiles {
+				err := st.verifyTile(c[0], c[1])
+				if err == nil {
+					continue
+				}
+				ce := err.(*ft.CorruptionError)
+				all = append(all, ce.Faults...)
+				corrected += ce.Corrected
+				reconstructed = reconstructed || ce.Reconstructed
+			}
+			if len(all) == 0 {
+				return nil
+			}
+			return &ft.CorruptionError{TileRow: -1, TileCol: -1, Faults: all, Corrected: corrected, Reconstructed: reconstructed}
+		}),
+	})
 }

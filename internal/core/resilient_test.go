@@ -51,7 +51,7 @@ func TestResilientCholeskyCleanMatchesPlain(t *testing.T) {
 	var stats ft.Stats
 	r := sched.New(4, sched.WithRetry(3, 0))
 	defer r.Shutdown()
-	if err := core.ResilientCholesky(r, a, core.FTOptions{Stats: &stats}); err != nil {
+	if _, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{Stats: &stats}); err != nil {
 		t.Fatal(err)
 	}
 	// No faults injected: same kernels in the same DAG, so the factor is
@@ -106,7 +106,7 @@ func TestResilientCholeskyRecoversFromInjection(t *testing.T) {
 		}),
 	)
 	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{InjectHook: hook, Stats: &stats})
+	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{InjectHook: hook, Stats: &stats})
 	if err != nil {
 		t.Fatalf("resilient factorization failed to recover: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestResilientCholeskyUnlocatableFails(t *testing.T) {
 	}
 	r := sched.New(2, sched.WithRetry(2, 0))
 	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{InjectHook: hook, Stats: &stats})
+	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{InjectHook: hook, Stats: &stats})
 	if err == nil {
 		t.Fatal("unlocatable corruption did not fail the factorization")
 	}
@@ -172,21 +172,6 @@ func TestResilientCholeskyUnlocatableFails(t *testing.T) {
 	}
 	if stats.Unlocated.Load() == 0 {
 		t.Error("no unlocatable faults recorded")
-	}
-}
-
-func TestResilientCholeskyVerifyEvery(t *testing.T) {
-	const n, nb, seed = 192, 48, 31
-	aD, want := cleanCholesky(t, n, nb, seed)
-	a := tile.FromColMajor(n, n, aD, n, nb)
-	r := sched.New(4, sched.WithRetry(3, 0))
-	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{VerifyEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := lowerDiff(n, a.ToColMajor(), want); d != 0 {
-		t.Errorf("VerifyEvery=2 factor differs from plain by %g", d)
 	}
 }
 
@@ -290,7 +275,7 @@ func luSolveResidual(t *testing.T, n, nb int, aD []float64, opt core.FTOptions, 
 
 	r := sched.New(4, opts...)
 	defer r.Shutdown()
-	f, err := core.ResilientLU(r, a, opt)
+	f, err := core.Protect(r, core.OpLU, a, nil, &opt)
 	if err != nil {
 		t.Fatalf("resilient LU: %v", err)
 	}
@@ -370,7 +355,7 @@ func TestResilientCholeskyChaosAndInjection(t *testing.T) {
 		sched.WithChaos(77, 0.05, nil),
 	)
 	defer r.Shutdown()
-	err := core.ResilientCholesky(r, a, core.FTOptions{InjectHook: hook, Stats: &stats})
+	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{InjectHook: hook, Stats: &stats})
 	if err != nil {
 		t.Fatalf("combined chaos+injection run failed: %v", err)
 	}

@@ -200,7 +200,7 @@ func TestParityCommitTrafficCounted(t *testing.T) {
 	aD := matgen.DiagDomSPD[float64](rng, n)
 	a := tile.FromColMajor(n, n, aD, n, nb)
 	rec := sched.NewRecorder()
-	err := core.ResilientCholesky(rec, a, core.FTOptions{
+	_, err := core.Protect(rec, core.OpCholesky, a, nil, &core.FTOptions{
 		Erasure:   true,
 		LoseTiles: []core.TileLoss{{Step: 2, I: 3, J: 1}},
 	})

@@ -7,7 +7,7 @@ import (
 )
 
 // This file provides the tile-granular checksum primitives behind the
-// resilient tile factorizations (core.ResilientCholesky, core.ResilientLU):
+// ABFT guards of the tile factorizations (core.Protect, core.Resume):
 // per-tile plain and weighted column sums in a 2×n row-pair layout that
 // BLAS kernels can carry through trsm and gemm updates, verification that
 // locates single corrupted entries per column, and in-place correction.

@@ -34,7 +34,7 @@ func (c *Context) Cholesky(a *Matrix) (*CholeskyFactor, error) {
 		return nil, fmt.Errorf("exadla: Cholesky needs square matrix, got %d×%d", a.rows, a.cols)
 	}
 	t := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("cholesky", a.rows))
-	if err := c.cholesky(t); err != nil {
+	if _, err := c.factor(core.OpCholesky, t); err != nil {
 		return nil, err
 	}
 	return &CholeskyFactor{ctx: c, l: t, n: a.rows}, nil
@@ -108,7 +108,7 @@ func (c *Context) LU(a *Matrix) (*LUFactor, error) {
 		return nil, fmt.Errorf("exadla: LU needs square matrix, got %d×%d", a.rows, a.cols)
 	}
 	t := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("lu", a.rows))
-	f, err := c.lu(t)
+	f, err := c.factor(core.OpLU, t)
 	if err != nil {
 		return nil, err
 	}
