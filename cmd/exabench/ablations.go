@@ -2,12 +2,9 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
-	"exadla/internal/blas"
 	"exadla/internal/core"
-	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
@@ -15,105 +12,9 @@ import (
 
 func init() {
 	experiments = append(experiments,
-		experiment{"a1", "A1 (ablation): incremental vs partial pivoting — element growth", runA1},
 		experiment{"a2", "A2 (ablation): scheduler priorities on/off", runA2},
 		experiment{"a3", "A3 (ablation): flat vs tree tile QR — panel critical path", runA3},
 	)
-}
-
-// runA1 measures the stability price of the tile LU's incremental pivoting
-// versus classic partial pivoting: the growth of |U| relative to |A| and
-// the solve's backward error. This is the trade DESIGN.md calls out — the
-// tile algorithm buys its barrier-free DAG with a weaker pivoting rule.
-func runA1(quick bool) {
-	sizes := pick(quick, []int{128, 256}, []int{128, 256, 512, 1024})
-	nb := 64
-
-	tbl := newTable("n", "growth_partial", "growth_incremental", "ratio",
-		"bwd_err_partial", "bwd_err_incremental")
-	for _, n := range sizes {
-		rng := rand.New(rand.NewSource(int64(n)))
-		aD := matgen.Dense[float64](rng, n, n)
-		anorm := lapack.Lange(lapack.MaxAbs, n, n, aD, n)
-
-		// Partial pivoting (LAPACK-style blocked GETRF).
-		ap := append([]float64(nil), aD...)
-		ipiv := make([]int, n)
-		if err := lapack.Getrf(n, n, ap, n, ipiv); err != nil {
-			fmt.Println(err)
-			continue
-		}
-		growthP := maxUpper(n, ap, n) / anorm
-		bwdP := luBackwardError(n, aD, func(b []float64) {
-			lapack.Getrs(blas.NoTrans, n, 1, ap, n, ipiv, b, n)
-		}, rng)
-
-		// Incremental pivoting (tile LU).
-		at := tile.FromColMajor(n, n, aD, n, nb)
-		rec := sched.NewRecorder()
-		f, err := core.LU(rec, at)
-		if err != nil {
-			fmt.Println(err)
-			continue
-		}
-		fac := at.ToColMajor()
-		growthI := maxUpper(n, fac, n) / anorm
-		bwdI := luBackwardError(n, aD, func(b []float64) {
-			bt := tile.FromColMajor(n, 1, b, n, nb)
-			r2 := sched.NewRecorder()
-			core.ApplyLU(r2, f, bt)
-			core.TrsmUpper(r2, f.A, bt)
-			copy(b, bt.ToColMajor())
-		}, rng)
-
-		tbl.add(n, growthP, growthI, growthI/growthP, bwdP, bwdI)
-	}
-	tbl.print()
-	fmt.Println("\nexpected shape: on random matrices the two pivoting rules show comparable")
-	fmt.Println("growth, with incremental pivoting's backward error a small constant factor")
-	fmt.Println("worse (its worst case is exponentially weaker, which random inputs do not")
-	fmt.Println("trigger) — the PLASMA trade: slightly weaker stability, full dataflow")
-}
-
-func maxUpper(n int, a []float64, lda int) float64 {
-	var mx float64
-	for j := 0; j < n; j++ {
-		for i := 0; i <= j; i++ {
-			if v := math.Abs(a[i+j*lda]); v > mx {
-				mx = v
-			}
-		}
-	}
-	return mx
-}
-
-func luBackwardError(n int, a []float64, solve func(b []float64), rng *rand.Rand) float64 {
-	xTrue := matgen.Dense[float64](rng, n, 1)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			s += a[i+j*n] * xTrue[j]
-		}
-		b[i] = s
-	}
-	x := append([]float64(nil), b...)
-	solve(x)
-	// ‖b − A·x‖∞ / (‖A‖∞‖x‖∞).
-	var rmax, xmax float64
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			s += a[i+j*n] * x[j]
-		}
-		if v := math.Abs(b[i] - s); v > rmax {
-			rmax = v
-		}
-		if v := math.Abs(x[i]); v > xmax {
-			xmax = v
-		}
-	}
-	return rmax / (lapack.Lange(lapack.InfNorm, n, n, a, n) * xmax)
 }
 
 // runA2 disables the priority policy (panel > solve > update, earlier steps

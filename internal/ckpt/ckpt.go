@@ -1,10 +1,10 @@
 // Package ckpt serializes factorization checkpoints: a consistent
 // snapshot of the tile matrix plus the DAG frontier (the next panel step)
-// and, for LU, the pivot and elimination-stack state accumulated by the
-// completed steps. The format is self-contained binary — magic, a
-// length-prefixed payload of fixed-width little-endian words, and a CRC32
-// trailer — so a checkpoint survives process death and partial writes are
-// rejected rather than resumed from.
+// and, for LU, the pivots the completed steps chose. The format is
+// self-contained binary — a versioned magic, a length-prefixed payload of
+// fixed-width little-endian words, and a CRC32 trailer — so a checkpoint
+// survives process death and partial writes are rejected rather than
+// resumed from.
 //
 // Bitwise fidelity is part of the contract: float64 values are stored as
 // their IEEE-754 bit patterns, so a run resumed from a checkpoint
@@ -34,8 +34,8 @@ const (
 	OpCholesky Op = 1
 	OpLU       Op = 2
 	// OpLUNoPiv is the distributed runtime's right-looking LU without
-	// pivoting (internal/dist): no pivot or stack state, so a checkpoint is
-	// the matrix snapshot and frontier step alone, exactly like Cholesky.
+	// pivoting (internal/dist): no pivot state, so a checkpoint is the
+	// matrix snapshot and frontier step alone, exactly like Cholesky.
 	OpLUNoPiv Op = 3
 )
 
@@ -60,27 +60,38 @@ type Checkpoint struct {
 	NB   int // tile size
 	// Data is the column-major matrix snapshot (M×N, leading dimension M).
 	Data []float64
-	// DiagPiv, StackL, StackPiv mirror core.LUFactors for the completed
-	// steps (nil entries for work not yet done); empty for Cholesky.
-	DiagPiv  [][]int
-	StackL   [][]float64
-	StackPiv [][]int
+	// Piv is the prefix of core.LUFactors.Piv the completed steps wrote —
+	// the pivots of rows 0 … min(Step·NB, M, N)−1; empty for the pivot-free
+	// operations.
+	Piv []int
 }
 
+// version is the format this build writes and reads; it is the last byte
+// of the magic. Version 1 carried incremental-pivoting LU state.
+const version = 2
+
 var (
-	magic = [8]byte{'E', 'X', 'A', 'D', 'L', 'A', 'C', '1'}
+	magic = [8]byte{'E', 'X', 'A', 'D', 'L', 'A', 'C', '0' + version}
 
 	// ErrNoCheckpoint is returned by Latest when the directory holds no
 	// loadable checkpoint.
 	ErrNoCheckpoint = errors.New("ckpt: no checkpoint found")
 )
 
+// VersionError reports a checkpoint in a format version this build does
+// not read.
+type VersionError struct{ Version int }
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("ckpt: format version %d is not readable (this build reads version %d)", e.Version, version)
+}
+
 // Caps keep Decode from trusting hostile or torn length fields with huge
 // allocations; they bound, not model, real checkpoint sizes.
 const (
 	maxPayload = 1 << 31 // bytes
 	maxDim     = 1 << 20 // M, N
-	maxList    = 1 << 24 // outer or inner slice lengths
+	maxList    = 1 << 24 // pivot list length
 )
 
 // Encode writes the checkpoint to w.
@@ -108,32 +119,10 @@ func Encode(w io.Writer, c *Checkpoint) error {
 	for _, v := range c.Data {
 		putU64(math.Float64bits(v))
 	}
-	putIntLists := func(ls [][]int) {
-		putU32(uint32(len(ls)))
-		for _, l := range ls {
-			if l == nil {
-				putU32(^uint32(0))
-				continue
-			}
-			putU32(uint32(len(l)))
-			for _, v := range l {
-				putU64(uint64(int64(v)))
-			}
-		}
+	putU32(uint32(len(c.Piv)))
+	for _, v := range c.Piv {
+		putU64(uint64(int64(v)))
 	}
-	putU32(uint32(len(c.StackL)))
-	for _, l := range c.StackL {
-		if l == nil {
-			putU32(^uint32(0))
-			continue
-		}
-		putU32(uint32(len(l)))
-		for _, v := range l {
-			putU64(math.Float64bits(v))
-		}
-	}
-	putIntLists(c.DiagPiv)
-	putIntLists(c.StackPiv)
 
 	payload := buf.Bytes()
 	var hdr [16]byte
@@ -203,55 +192,38 @@ func (r *payloadReader) u64() uint64 {
 	return v
 }
 
-// listLen reads an inner-list length: ^0 means a nil slice, anything
-// above maxList (or beyond the remaining payload) is rejected.
-func (r *payloadReader) listLen() (n int, isNil bool) {
-	v := r.u32()
-	if r.err != nil {
-		return 0, false
-	}
-	if v == ^uint32(0) {
-		return 0, true
-	}
-	if v > maxList || int(v)*8 > len(r.b) {
-		r.fail("list length %d exceeds payload", v)
-		return 0, false
-	}
-	return int(v), false
-}
-
-func (r *payloadReader) intLists() [][]int {
-	n, _ := r.listLen()
+// ints reads a length-prefixed list of 64-bit integers; an empty list
+// reads as nil, and a length beyond maxList or the remaining payload is
+// rejected.
+func (r *payloadReader) ints() []int {
+	n := r.u32()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([][]int, n)
-	for i := range out {
-		m, isNil := r.listLen()
-		if r.err != nil {
-			return nil
-		}
-		if isNil {
-			continue
-		}
-		l := make([]int, m)
-		for j := range l {
-			l[j] = int(int64(r.u64()))
-		}
-		out[i] = l
+	if n > maxList || int(n)*8 > len(r.b) {
+		r.fail("list length %d exceeds payload", n)
+		return nil
 	}
-	return out
+	l := make([]int, n)
+	for i := range l {
+		l[i] = int(int64(r.u64()))
+	}
+	return l
 }
 
 // Decode reads one checkpoint from r, verifying magic, length, and CRC
-// before trusting any field.
+// before trusting any field. A checkpoint of another format version is
+// refused with a *VersionError.
 func Decode(rd io.Reader) (*Checkpoint, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
 		return nil, fmt.Errorf("ckpt: reading header: %w", err)
 	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
+	if !bytes.Equal(hdr[:7], magic[:7]) {
 		return nil, errors.New("ckpt: bad magic")
+	}
+	if hdr[7] != magic[7] {
+		return nil, &VersionError{Version: int(hdr[7]) - '0'}
 	}
 	plen := binary.LittleEndian.Uint64(hdr[8:])
 	if plen > maxPayload {
@@ -301,25 +273,7 @@ func Decode(rd io.Reader) (*Checkpoint, error) {
 			c.Data[i] = math.Float64frombits(r.u64())
 		}
 	}
-	if n, _ := r.listLen(); r.err == nil && n > 0 {
-		c.StackL = make([][]float64, n)
-		for i := range c.StackL {
-			m, isNil := r.listLen()
-			if r.err != nil {
-				break
-			}
-			if isNil {
-				continue
-			}
-			l := make([]float64, m)
-			for j := range l {
-				l[j] = math.Float64frombits(r.u64())
-			}
-			c.StackL[i] = l
-		}
-	}
-	c.DiagPiv = r.intLists()
-	c.StackPiv = r.intLists()
+	c.Piv = r.ints()
 	if r.err != nil {
 		return nil, r.err
 	}

@@ -3,10 +3,13 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -21,23 +24,44 @@ func sampleCheckpoint(rng *rand.Rand, op Op, m, n, nb, step int) *Checkpoint {
 		c.Data[2] = math.Inf(1)
 	}
 	if op == OpLU {
-		mt := (m + nb - 1) / nb
-		c.DiagPiv = make([][]int, step)
-		c.StackL = make([][]float64, mt*mt)
-		c.StackPiv = make([][]int, mt*mt)
-		for k := 0; k < step; k++ {
-			c.DiagPiv[k] = rng.Perm(nb)
-			for i := k + 1; i < mt; i++ {
-				l := make([]float64, (2*nb)*nb)
-				for j := range l {
-					l[j] = rng.NormFloat64()
-				}
-				c.StackL[i+k*mt] = l
-				c.StackPiv[i+k*mt] = rng.Perm(nb)
-			}
+		c.Piv = make([]int, min(step*nb, m, n))
+		for r := range c.Piv {
+			c.Piv[r] = r + rng.Intn(m-r)
 		}
 	}
 	return c
+}
+
+// v1LUSnapshot encodes an LU checkpoint in format version 1, which carried
+// incremental-pivoting state: the diagonal pivots and the stacked
+// elimination factors with their pivots.
+func v1LUSnapshot() []byte {
+	var p []byte
+	u32 := func(v uint32) { p = binary.LittleEndian.AppendUint32(p, v) }
+	u64 := func(v uint64) { p = binary.LittleEndian.AppendUint64(p, v) }
+	p = append(p, uint8(OpLU))
+	for _, v := range []uint32{1, 4, 4, 2} { // step, M, N, NB
+		u32(v)
+	}
+	for i := 0; i < 16; i++ {
+		u64(math.Float64bits(float64(i)))
+	}
+	u32(4) // StackL: nil, one 4×2 stack, nil, nil
+	u32(^uint32(0))
+	u32(8)
+	for i := 0; i < 8; i++ {
+		u64(math.Float64bits(0.5))
+	}
+	u32(^uint32(0))
+	u32(^uint32(0))
+	u32(1) // DiagPiv
+	u32(2)
+	u64(1)
+	u64(1)
+	u32(0) // StackPiv
+	out := append([]byte("EXADLAC1"), binary.LittleEndian.AppendUint64(nil, uint64(len(p)))...)
+	out = append(out, p...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
 }
 
 func checkEqual(t *testing.T, got, want *Checkpoint) {
@@ -57,35 +81,8 @@ func checkEqual(t *testing.T, got, want *Checkpoint) {
 				math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 		}
 	}
-	intsEq := func(name string, g, w [][]int) {
-		if len(g) != len(w) {
-			t.Fatalf("%s length %d != %d", name, len(g), len(w))
-		}
-		for i := range w {
-			if (g[i] == nil) != (w[i] == nil) || len(g[i]) != len(w[i]) {
-				t.Fatalf("%s[%d] shape mismatch", name, i)
-			}
-			for j := range w[i] {
-				if g[i][j] != w[i][j] {
-					t.Fatalf("%s[%d][%d]: %d != %d", name, i, j, g[i][j], w[i][j])
-				}
-			}
-		}
-	}
-	intsEq("DiagPiv", got.DiagPiv, want.DiagPiv)
-	intsEq("StackPiv", got.StackPiv, want.StackPiv)
-	if len(got.StackL) != len(want.StackL) {
-		t.Fatalf("StackL length %d != %d", len(got.StackL), len(want.StackL))
-	}
-	for i := range want.StackL {
-		if (got.StackL[i] == nil) != (want.StackL[i] == nil) || len(got.StackL[i]) != len(want.StackL[i]) {
-			t.Fatalf("StackL[%d] shape mismatch", i)
-		}
-		for j := range want.StackL[i] {
-			if math.Float64bits(got.StackL[i][j]) != math.Float64bits(want.StackL[i][j]) {
-				t.Fatalf("StackL[%d][%d] bits differ", i, j)
-			}
-		}
+	if !slices.Equal(got.Piv, want.Piv) {
+		t.Fatalf("Piv %v != %v", got.Piv, want.Piv)
 	}
 }
 
@@ -134,6 +131,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad2[0] = 'X'
 	if _, err := Decode(bytes.NewReader(bad2)); err == nil {
 		t.Error("bad magic accepted")
+	}
+	// A version-1 snapshot — incremental-pivoting LU state, valid CRC — is
+	// refused with a typed error rather than misread.
+	var ve *VersionError
+	if _, err := Decode(bytes.NewReader(v1LUSnapshot())); !errors.As(err, &ve) || ve.Version != 1 {
+		t.Errorf("version-1 LU snapshot: got %v, want *VersionError{1}", err)
 	}
 	// A huge declared payload length must be rejected before allocation.
 	var huge [28]byte
@@ -204,7 +207,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Add([]byte("EXADLAC1"))
+	f.Add(v1LUSnapshot())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Decode(bytes.NewReader(data))
 		if err != nil {
@@ -245,10 +248,10 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			c.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
 		}
-		if lu && len(raw) > 0 {
-			c.DiagPiv = [][]int{{int(raw[0])}, nil}
-			c.StackL = [][]float64{nil, {c.Data[0]}}
-			c.StackPiv = [][]int{{0, 1}, nil}
+		if lu {
+			for _, b := range raw {
+				c.Piv = append(c.Piv, int(int8(b)))
+			}
 		}
 		var buf bytes.Buffer
 		if err := Encode(&buf, c); err != nil {

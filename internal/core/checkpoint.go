@@ -79,12 +79,15 @@ func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOption
 	var f *LUFactors[float64]
 	if op == OpLU {
 		f = newLUFactors(a)
-		if len(c.DiagPiv) > len(f.DiagPiv) || len(c.StackL) > len(f.StackL) || len(c.StackPiv) > len(f.StackPiv) {
-			return nil, nil, fmt.Errorf("core: checkpoint pivot state does not fit a %d×%d tile grid", a.MT, a.NT)
+		if want := min(c.Step*c.NB, len(f.Piv)); len(c.Piv) != want {
+			return nil, nil, fmt.Errorf("core: LU checkpoint at step %d holds %d pivots, want %d", c.Step, len(c.Piv), want)
 		}
-		copy(f.DiagPiv, c.DiagPiv)
-		copy(f.StackL, c.StackL)
-		copy(f.StackPiv, c.StackPiv)
+		for r, p := range c.Piv {
+			if p < r || p >= c.M {
+				return nil, nil, fmt.Errorf("core: LU checkpoint pivot %d of row %d outside rows %d…%d", p, r, r, c.M-1)
+			}
+		}
+		copy(f.Piv, c.Piv)
 	}
 	return a, f, protect(s, op, a, f, c.Step, ck, fo)
 }
@@ -125,13 +128,10 @@ func (g ckptGuard) afterStep(s sched.Scheduler, k int) {
 				Data: a.ToColMajor(),
 			}
 			if f != nil {
-				// Reference the completed steps' pivot state directly:
-				// each entry is written once (by a task that
-				// happens-before this snapshot via its tile writes) and
-				// never mutated.
-				c.DiagPiv = f.DiagPiv[:min(k+1, len(f.DiagPiv))]
-				c.StackL = f.StackL
-				c.StackPiv = f.StackPiv
+				// Reference the completed steps' pivots directly: each is
+				// written once, by the getrf task of its step, which
+				// happens-before this snapshot via its tile writes.
+				c.Piv = f.Piv[:min((k+1)*a.NB, len(f.Piv))]
 			}
 			if _, err := ckpt.Save(opt.Dir, c); err != nil {
 				return sched.Permanent(fmt.Errorf("core: checkpoint at step %d: %w", k+1, err))

@@ -228,8 +228,9 @@ func TestCheckpointWriteFailureFailsRun(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedOp: a checkpoint that matches no tile program
-// — an unknown operation, a non-square Cholesky, a step past the end — is
-// an error, not silent corruption.
+// — an unknown operation, a non-square Cholesky, a step past the end, an
+// LU pivot prefix of the wrong length or naming a row it cannot swap with —
+// is an error, not silent corruption.
 func TestResumeRejectsMismatchedOp(t *testing.T) {
 	r := sched.New(1)
 	defer r.Shutdown()
@@ -237,8 +238,15 @@ func TestResumeRejectsMismatchedOp(t *testing.T) {
 		{Op: ckpt.Op(99), Step: 1, M: 4, N: 4, NB: 2},
 		{Op: ckpt.OpCholesky, Step: 1, M: 6, N: 4, NB: 2},
 		{Op: ckpt.OpLU, Step: 99, M: 4, N: 4, NB: 2},
+		{Op: ckpt.OpLU, Step: 1, M: 4, N: 4, NB: 2, Piv: []int{0}},
+		{Op: ckpt.OpLU, Step: 1, M: 4, N: 4, NB: 2, Piv: []int{0, 4}},
+		{Op: ckpt.OpLU, Step: 1, M: 4, N: 4, NB: 2, Piv: []int{1, 0}},
 	} {
+		// The identity: nothing but the checkpoint's shape can fail.
 		c.Data = make([]float64, c.M*c.N)
+		for i := 0; i < min(c.M, c.N); i++ {
+			c.Data[i+i*c.M] = 1
+		}
 		if _, _, err := core.Resume(r, c, &core.CkptOptions{Dir: t.TempDir()}, nil); err == nil {
 			t.Errorf("Resume accepted a %v checkpoint of a %d×%d matrix at step %d", c.Op, c.M, c.N, c.Step)
 		}

@@ -1,5 +1,5 @@
 // Package core implements the tile algorithms at the heart of the
-// reproduction: Cholesky, LU (incremental pivoting or none), and QR
+// reproduction: Cholesky, LU (partial pivoting or none), and QR
 // factorizations expressed as DAGs of tile kernels submitted to a dataflow
 // scheduler, plus the fork–join baselines the extreme-scale argument
 // compares against.

@@ -178,8 +178,8 @@ func cleanLU(t *testing.T, n, nb int, seed int64) (input, factor []float64) {
 }
 
 // TestResilientLUErasureFailStopLoss is the LU analogue of the Cholesky
-// fail-stop test: tiles finalized by earlier steps of the incremental-
-// pivoting factorization are lost and rebuilt bitwise from row parity.
+// fail-stop test: tiles finalized by earlier steps of the partial-pivoting
+// factorization are lost and rebuilt bitwise from row parity.
 func TestResilientLUErasureFailStopLoss(t *testing.T) {
 	const n, nb, seed = 192, 48, 54
 	aD, want := cleanLU(t, n, nb, seed)
@@ -219,8 +219,9 @@ func TestResilientLUSilentLossCaughtBySweep(t *testing.T) {
 	_, err := core.Protect(r, core.OpLU, a, nil, &core.FTOptions{
 		Erasure: true,
 		Stats:   &stats,
-		// (3,0) is finalized by its step-0 tstrf and never read again by
-		// the factorization (ssssm consumes the L stack copy, not A(i,k)).
+		// (3,0) is finalized by the step-0 panel and last read by step 0's
+		// trailing update: later interchanges never reach left of their
+		// panel.
 		LoseTiles: []core.TileLoss{{Step: 2, I: 3, J: 0, Silent: true}},
 	})
 	if err != nil {

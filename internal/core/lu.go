@@ -7,32 +7,28 @@ import (
 	"exadla/internal/tile"
 )
 
-// LUFactors holds the output of the tile LU factorization with incremental
-// (block pairwise) pivoting — the tile algorithm's trade of a slightly
-// weaker pivoting strategy for a barrier-free DAG, exactly the compromise
-// the extreme-scale argument discusses.
+// LUFactors holds the output of the tile LU factorization with partial
+// pivoting: the pivots LAPACK's GETRF chooses, found by one task per panel
+// step that factors the whole tile column below the diagonal.
 //
 // After factorization:
-//   - diagonal tiles hold the L\U of their local factorization, with U
-//     updated by later TSTRF steps;
-//   - super-diagonal tiles hold the final U blocks;
-//   - DiagPiv[k] holds the partial pivoting permutation of step k's
-//     diagonal factorization;
-//   - StackL and StackPiv hold, for each (i, k) with i > k, the stacked
-//     elimination factors of [U_kk; A_ik]: a ((nbₖ+nbᵢ)×nbₖ) unit-lower
-//     trapezoid (strictly-lower entries) and its pivot vector.
+//   - A holds L\U: U on and above the diagonal, the unit-lower L strictly
+//     below it;
+//   - Piv[r] is the row (global, zero-based, ≥ r) swapped with row r at
+//     elimination r — the vector lapack.Getrf returns.
+//
+// Rows are swapped only right of the panel that chose them: panel step k's
+// L columns keep the row order they had at step k, so they differ from
+// LAPACK's L by the interchanges of the later steps. Every tile thus has
+// one finalizing writer; ApplyLU replays the interchanges in the same
+// order.
 type LUFactors[F blas.Float] struct {
-	A       *tile.Matrix[F]
-	DiagPiv [][]int
-	// StackL and StackPiv are indexed by i + k·MT.
-	StackL   [][]F
-	StackPiv [][]int
+	A   *tile.Matrix[F]
+	Piv []int
 }
 
-func (f *LUFactors[F]) stackIdx(i, k int) int { return i + k*f.A.MT }
-
-// LU computes the tile LU factorization of A with incremental pivoting as
-// one dataflow graph. A singular pivot is reported after completion, like
+// LU computes the tile LU factorization of A with partial pivoting as one
+// dataflow graph. A singular pivot is reported after completion, like
 // LAPACK's GETRF; the factorization still runs to completion.
 func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], error) {
 	f := newLUFactors(a)
@@ -50,119 +46,94 @@ func LUForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[
 }
 
 func newLUFactors[F blas.Float](a *tile.Matrix[F]) *LUFactors[F] {
-	return &LUFactors[F]{
-		A:        a,
-		DiagPiv:  make([][]int, min(a.MT, a.NT)),
-		StackL:   make([][]F, a.MT*a.NT),
-		StackPiv: make([][]int, a.MT*a.NT),
+	return &LUFactors[F]{A: a, Piv: make([]int, min(a.M, a.N))}
+}
+
+// getrfPanel factors tile rows k…last of tile column k with partial
+// pivoting: it gathers them into pooled contiguous scratch, runs the
+// recursive lapack.Getrf there, scatters the factor back and records the
+// pivots as global rows in piv.
+func getrfPanel[F blas.Float](a *tile.Matrix[F], k, last int, piv []int) error {
+	r0, nc := k*a.NB, a.TileCols(k)
+	m := min((last+1)*a.NB, a.M) - r0
+	w := blas.GetScratch[F](m * nc)
+	defer w.Release()
+	for i := k; i <= last; i++ {
+		lapack.Lacpy(lapack.General, a.TileRows(i), nc, a.Tile(i, k), a.TileRows(i), w.Buf[(i-k)*a.NB:], m)
+	}
+	p := piv[r0 : r0+min(m, nc)]
+	err := lapack.Getrf(m, nc, w.Buf, m, p)
+	for i := k; i <= last; i++ {
+		lapack.Lacpy(lapack.General, a.TileRows(i), nc, w.Buf[(i-k)*a.NB:], m, a.Tile(i, k), a.TileRows(i))
+	}
+	for t := range p {
+		p[t] += r0
+	}
+	return singularAt(err, r0)
+}
+
+// swptrsm applies panel step k of the factorization in a (pivots piv, L in
+// tile (k, k)) to tile column j of b: it swaps the rows the step's pivots
+// name, all at or below tile row k, then solves B[k][j] ← L[k][k]⁻¹·B[k][j].
+// b may be a itself or a right-hand side with a's row tiling.
+func swptrsm[F blas.Float](a *tile.Matrix[F], piv []int, k int, b *tile.Matrix[F], j int) {
+	nb, nc := a.NB, b.TileCols(j)
+	tr := a.TileRows(k)
+	kk := min(tr, a.TileCols(k))
+	for r := k * nb; r < k*nb+kk; r++ {
+		if p := piv[r]; p != r {
+			blas.Swap(nc, b.Tile(r/nb, j)[r%nb:], b.TileRows(r/nb), b.Tile(p/nb, j)[p%nb:], b.TileRows(p/nb))
+		}
+	}
+	l, c, ldc := a.Tile(k, k), b.Tile(k, j), b.TileRows(k)
+	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, kk, nc, 1, l, tr, c, ldc)
+	if tr > kk {
+		// A diagonal tile taller than wide — the last tile column of a tall
+		// matrix, replayed on B by ApplyLU — also carries multipliers
+		// below its eliminated block.
+		blas.Gemm(blas.NoTrans, blas.NoTrans, tr-kk, nc, kk, -1, l[kk:], tr, c, ldc, 1, c[kk:], ldc)
 	}
 }
 
-// gessm applies the diagonal tile's LU transform (pivots piv, unit-lower
-// factor in the tile's strict lower triangle, kk eliminations) to the
-// m×n tile C.
-func gessm[F blas.Float](m, n, kk int, piv []int, l []F, ldl int, c []F, ldc int) {
-	lapack.Laswp(n, c, ldc, 0, kk, piv)
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, kk, n, 1, l, ldl, c, ldc)
-	if m > kk {
-		// Rows below the eliminated block also carry multipliers (tall
-		// diagonal tiles at the matrix boundary).
-		blas.Gemm(blas.NoTrans, blas.NoTrans, m-kk, n, kk,
-			-1, l[kk:], ldl, c, ldc, 1, c[kk:], ldc)
-	}
-}
-
-// tstrf eliminates the m2×n tile A2 against the n×n upper-triangular block
-// U in the top of the diagonal tile (leading dimension ldu), with pivoting
-// across the stacked (n+m2)×n matrix [U; A2]. On return U is updated in
-// place, A2 holds the bottom of the stacked unit-lower factor, and the full
-// stacked factor (strictly-lower entries, including rows that pivoting
-// pulled into the top) plus the pivot vector are returned for use by ssssm
-// and the solver.
-func tstrf[F blas.Float](n, m2 int, u []F, ldu int, a2 []F, lda2 int) (stackL []F, piv []int, err error) {
-	mw := n + m2
-	w := make([]F, mw*n)
-	// Top: the upper triangle of U; strictly-lower stays zero.
-	for j := 0; j < n; j++ {
-		copy(w[j*mw:j*mw+j+1], u[j*ldu:j*ldu+j+1])
-	}
-	// Bottom: A2.
-	for j := 0; j < n; j++ {
-		copy(w[n+j*mw:n+j*mw+m2], a2[j*lda2:j*lda2+m2])
-	}
-	piv = make([]int, n)
-	err = lapack.Getf2(mw, n, w, mw, piv)
-	// Write the updated U back.
-	for j := 0; j < n; j++ {
-		copy(u[j*ldu:j*ldu+j+1], w[j*mw:j*mw+j+1])
-	}
-	// A2 receives the bottom of the unit-lower factor.
-	for j := 0; j < n; j++ {
-		copy(a2[j*lda2:j*lda2+m2], w[n+j*mw:n+j*mw+m2])
-	}
-	return w, piv, err
-}
-
-// ssssm applies a tstrf transform (stacked factor stackL with pivots piv,
-// n eliminations over a (n+m2)-row stack) to the pair of tiles C1 (top n
-// rows used, leading dimension ldc1) and C2 (m2×nc).
-func ssssm[F blas.Float](n, m2, nc int, stackL []F, piv []int, c1 []F, ldc1 int, c2 []F, ldc2 int) {
-	mw := n + m2
-	// Stack the right-hand sides.
-	w := make([]F, mw*nc)
-	for j := 0; j < nc; j++ {
-		copy(w[j*mw:j*mw+n], c1[j*ldc1:j*ldc1+n])
-		copy(w[n+j*mw:n+j*mw+m2], c2[j*ldc2:j*ldc2+m2])
-	}
-	lapack.Laswp(nc, w, mw, 0, n, piv)
-	// X1 = L̃1⁻¹·(PW)₁ then X2 = (PW)₂ − L̃2·X1.
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, n, nc, 1, stackL, mw, w, mw)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, m2, nc, n,
-		-1, stackL[n:], mw, w, mw, 1, w[n:], mw)
-	// Unstack.
-	for j := 0; j < nc; j++ {
-		copy(c1[j*ldc1:j*ldc1+n], w[j*mw:j*mw+n])
-		copy(c2[j*ldc2:j*ldc2+m2], w[n+j*mw:n+j*mw+m2])
-	}
+// lgemm is the trailing update B[i][j] -= L[i][k]·B[k][j] with L from a;
+// b may be a itself or a right-hand side with a's row tiling.
+func lgemm[F blas.Float](a *tile.Matrix[F], k, i int, b *tile.Matrix[F], j int) {
+	blas.Gemm(blas.NoTrans, blas.NoTrans,
+		b.TileRows(i), b.TileCols(j), a.TileCols(k),
+		-1, a.Tile(i, k), a.TileRows(i),
+		b.Tile(k, j), b.TileRows(k),
+		1, b.Tile(i, j), b.TileRows(i))
 }
 
 // ApplyLU submits tasks applying the forward elimination recorded in the
 // LU factors to the tiled right-hand side B in place (the analogue of the
-// row-swap + L-solve half of GETRS), replaying the factorization order.
+// row-swap + L-solve half of GETRS): it replays the factorization's own
+// swptrsm and lgemm steps, in its order, on B's tile columns.
 func ApplyLU[F blas.Float](s sched.Scheduler, f *LUFactors[F], b *tile.Matrix[F]) {
 	a := f.A
 	kt := min(a.MT, a.NT)
 	for k := 0; k < kt; k++ {
-		k := k
 		for j := 0; j < b.NT; j++ {
-			j := j
+			col := make([]sched.Handle, 0, a.MT-k)
+			for i := k; i < a.MT; i++ {
+				col = append(col, b.Handle(i, j))
+			}
 			s.Submit(sched.Task{
-				Name:     "gessm",
+				Name:     "swptrsm",
 				Priority: priority(k, kt, bandSolve),
 				Reads:    []sched.Handle{a.Handle(k, k)},
-				Writes:   []sched.Handle{b.Handle(k, j)},
-				Fn: timed(solveNs, func() {
-					gessm(b.TileRows(k), b.TileCols(j), min(a.TileRows(k), a.TileCols(k)),
-						f.DiagPiv[k], a.Tile(k, k), a.TileRows(k),
-						b.Tile(k, j), b.TileRows(k))
-				}),
+				Writes:   col,
+				Fn:       timed(solveNs, func() { swptrsm(a, f.Piv, k, b, j) }),
 			})
 		}
-		for i := k + 1; i < a.MT; i++ {
-			i := i
-			for j := 0; j < b.NT; j++ {
-				j := j
+		for j := 0; j < b.NT; j++ {
+			for i := k + 1; i < a.MT; i++ {
 				s.Submit(sched.Task{
-					Name:     "ssssm",
+					Name:     "lgemm",
 					Priority: priority(k, kt, bandUpdate),
-					Reads:    []sched.Handle{a.Handle(i, k)},
-					Writes:   []sched.Handle{b.Handle(k, j), b.Handle(i, j)},
-					Fn: timed(updateNs, func() {
-						ssssm(a.TileCols(k), a.TileRows(i), b.TileCols(j),
-							f.StackL[f.stackIdx(i, k)], f.StackPiv[f.stackIdx(i, k)],
-							b.Tile(k, j), b.TileRows(k),
-							b.Tile(i, j), b.TileRows(i))
-					}),
+					Reads:    []sched.Handle{a.Handle(i, k), b.Handle(k, j)},
+					Writes:   []sched.Handle{b.Handle(i, j)},
+					Fn:       timed(updateNs, func() { lgemm(a, k, i, b, j) }),
 				})
 			}
 		}

@@ -10,9 +10,10 @@ import (
 // registry:
 //
 //	core.panel_ns   — panel kernels on the critical path (potrf, getrf,
-//	                  tstrf, geqrt, tsqrt)
-//	core.solve_ns   — panel-application solves (trsm, gessm, unmqr)
-//	core.update_ns  — trailing-matrix updates (gemm, syrk, ssssm, tsmqr)
+//	                  getrfnp, geqrt, tsqrt)
+//	core.solve_ns   — panel-application solves (trsm, swptrsm, ltrsm,
+//	                  utrsm, unmqr)
+//	core.update_ns  — trailing-matrix updates (gemm, syrk, lgemm, tsmqr)
 //
 // The panel:update ratio is the headline scheduling diagnostic: panel work
 // is the serial spine of the DAG, update work is what the runtime overlaps

@@ -24,13 +24,14 @@ const (
 	// OpLUNoPiv is right-looking LU without pivoting, for diagonally
 	// dominant matrices: its tile finalization order is data-independent.
 	OpLUNoPiv = "lunp"
-	// OpLU is LU with incremental (block pairwise) pivoting; its pivot
-	// state lives in LUFactors, outside the tiles.
+	// OpLU is right-looking LU with partial pivoting; its pivot vector
+	// lives in LUFactors, outside the tiles.
 	OpLU = "lu"
 )
 
 // Step is one tile task of a program: kernel Kind at panel step K on the
-// tiles named by I and J. Coordinates a kernel does not use are zero.
+// tiles named by I and J. A kernel that spans a tile column, rows K…I,
+// names its last tile row by I. Coordinates a kernel does not use are zero.
 type Step struct {
 	Kind    string
 	K, I, J int
@@ -69,14 +70,13 @@ func Program(op string, mt, nt, from int) []Step {
 				}
 			}
 		case OpLU:
-			add("getrf", k, 0, 0)
+			add("getrf", k, mt-1, 0)
 			for j := k + 1; j < nt; j++ {
-				add("gessm", k, 0, j)
+				add("swptrsm", k, mt-1, j)
 			}
-			for i := k + 1; i < mt; i++ {
-				add("tstrf", k, i, 0)
-				for j := k + 1; j < nt; j++ {
-					add("ssssm", k, i, j)
+			for j := k + 1; j < nt; j++ {
+				for i := k + 1; i < mt; i++ {
+					add("lgemm", k, i, j)
 				}
 			}
 		default:
@@ -91,11 +91,13 @@ func Program(op string, mt, nt, from int) []Step {
 func (s Step) Accesses() (reads, writes [][2]int) {
 	k, i, j := s.K, s.I, s.J
 	switch s.Kind {
-	case "potrf", "getrfnp", "getrf":
+	case "potrf", "getrfnp":
 		return nil, [][2]int{{k, k}}
+	case "getrf": // tile column k, rows k…I
+		return nil, column(k, i, k)
 	case "trsm", "utrsm": // A[i][k] ← A[i][k]·op(A[k][k])⁻¹
 		return [][2]int{{k, k}}, [][2]int{{i, k}}
-	case "ltrsm", "gessm": // A[k][j] ← L[k][k]⁻¹·A[k][j]
+	case "ltrsm": // A[k][j] ← L[k][k]⁻¹·A[k][j]
 		return [][2]int{{k, k}}, [][2]int{{k, j}}
 	case "syrk": // A[j][j] -= A[j][k]·A[j][k]ᵀ
 		return [][2]int{{j, k}}, [][2]int{{j, j}}
@@ -103,12 +105,19 @@ func (s Step) Accesses() (reads, writes [][2]int) {
 		return [][2]int{{i, k}, {j, k}}, [][2]int{{i, j}}
 	case "lgemm": // A[i][j] -= L[i][k]·U[k][j]
 		return [][2]int{{i, k}, {k, j}}, [][2]int{{i, j}}
-	case "tstrf":
-		return nil, [][2]int{{k, k}, {i, k}}
-	case "ssssm":
-		return [][2]int{{i, k}}, [][2]int{{k, j}, {i, j}}
+	case "swptrsm": // swap rows k…I of tile column j, then A[k][j] ← L[k][k]⁻¹·A[k][j]
+		return [][2]int{{k, k}}, column(k, i, j)
 	}
 	panic(fmt.Sprintf("core: unknown tile kernel %q", s.Kind))
+}
+
+// column lists tiles (first, j) … (last, j).
+func column(first, last, j int) [][2]int {
+	c := make([][2]int, 0, last-first+1)
+	for i := first; i <= last; i++ {
+		c = append(c, [2]int{i, j})
+	}
+	return c
 }
 
 // Priority bands implement panel lookahead. A task's urgency is keyed to
@@ -132,9 +141,9 @@ func priority(col, cols, band int) int { return 3*(cols-col) + band }
 
 func (s Step) band() int {
 	switch s.Kind {
-	case "potrf", "getrfnp", "getrf", "tstrf":
+	case "potrf", "getrfnp", "getrf":
 		return bandPanel
-	case "trsm", "utrsm", "ltrsm", "gessm":
+	case "trsm", "utrsm", "ltrsm", "swptrsm":
 		return bandSolve
 	}
 	return bandUpdate
@@ -150,18 +159,12 @@ func (s Step) Priority(cols int) int {
 
 // phase names the fork–join phase s belongs to; a fork–join executor drains
 // each phase before starting the next. A panel step splits into its panel,
-// solve and update phases, except that incremental-pivoting LU drains after
-// each tile row's tstrf and the ssssm sweep that follows it.
-func (s Step) phase() [2]int {
-	if s.Kind == "tstrf" || s.Kind == "ssssm" {
-		return [2]int{s.K, bandPanel + 1 + s.I}
-	}
-	return [2]int{s.K, bandPanel - s.band()}
-}
+// solve and update phases.
+func (s Step) phase() [2]int { return [2]int{s.K, bandPanel - s.band()} }
 
 // Apply runs s's kernel in place on the tiles of a. f is the pivot state of
-// an OpLU program, which its steps read and write, and nil otherwise. A
-// failing pivot is reported with its global index.
+// an OpLU program, which its getrf steps write and its swptrsm steps read,
+// and nil otherwise. A failing pivot is reported with its global index.
 func Apply[F blas.Float](s Step, a *tile.Matrix[F], f *LUFactors[F]) error {
 	k, i, j := s.K, s.I, s.J
 	switch s.Kind {
@@ -194,31 +197,11 @@ func Apply[F blas.Float](s Step, a *tile.Matrix[F], f *LUFactors[F]) error {
 			a.TileRows(i), a.TileCols(k), 1,
 			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
 	case "lgemm":
-		blas.Gemm(blas.NoTrans, blas.NoTrans,
-			a.TileRows(i), a.TileCols(j), a.TileCols(k),
-			-1, a.Tile(i, k), a.TileRows(i),
-			a.Tile(k, j), a.TileRows(k),
-			1, a.Tile(i, j), a.TileRows(i))
+		lgemm(a, k, i, a, j)
 	case "getrf":
-		tr, tc := a.TileRows(k), a.TileCols(k)
-		f.DiagPiv[k] = make([]int, min(tr, tc))
-		return singularAt(lapack.Getrf(tr, tc, a.Tile(k, k), tr, f.DiagPiv[k]), k*a.NB)
-	case "gessm":
-		gessm(a.TileRows(k), a.TileCols(j), min(a.TileRows(k), a.TileCols(k)),
-			f.DiagPiv[k], a.Tile(k, k), a.TileRows(k),
-			a.Tile(k, j), a.TileRows(k))
-	case "tstrf":
-		l, piv, err := tstrf(a.TileCols(k), a.TileRows(i),
-			a.Tile(k, k), a.TileRows(k),
-			a.Tile(i, k), a.TileRows(i))
-		f.StackL[f.stackIdx(i, k)] = l
-		f.StackPiv[f.stackIdx(i, k)] = piv
-		return singularAt(err, k*a.NB)
-	case "ssssm":
-		ssssm(a.TileCols(k), a.TileRows(i), a.TileCols(j),
-			f.StackL[f.stackIdx(i, k)], f.StackPiv[f.stackIdx(i, k)],
-			a.Tile(k, j), a.TileRows(k),
-			a.Tile(i, j), a.TileRows(i))
+		return getrfPanel(a, k, i, f.Piv)
+	case "swptrsm":
+		swptrsm(a, f.Piv, k, a, j)
 	default:
 		return fmt.Errorf("core: unknown tile kernel %q", s.Kind)
 	}
@@ -297,9 +280,9 @@ func (noHooks) afterStep(sched.Scheduler, int)    {}
 // any, decorate and extend the walk (see guard).
 //
 // A Cholesky or no-pivot LU kernel error poisons the rest of the program —
-// later tasks turn into no-ops so the DAG drains quickly — while
-// incremental-pivoting LU reports a singular pivot and still runs to
-// completion, like LAPACK's GETRF.
+// later tasks turn into no-ops so the DAG drains quickly — while pivoted LU
+// reports a singular pivot and still runs to completion, like LAPACK's
+// GETRF.
 func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], f *LUFactors[F], es *errState, forkJoin bool, from int, guards ...guard) {
 	if op != OpLU && a.M != a.N {
 		panic(fmt.Sprintf("core: %s needs a square matrix", op))

@@ -34,15 +34,17 @@ import (
 // holds. Unlocatable faults keep failing and surface as a permanent task
 // failure through WaitErr.
 //
-// Post-hoc records, LU with and without pivoting (recordsGuard): incremental
-// pivoting reorders rows dynamically, so checksums cannot be carried
-// through tstrf/ssssm the way they survive Cholesky's updates. Instead,
-// after each panel step a record task snapshots the column sums of every
-// tile the step finalized — the tiles whose last writer in the program
-// belongs to that step — and verification re-sums the unchanged data, so
-// any later corruption of the finalized factor is detected and corrected.
-// Corruption of a tile while it is still being updated is outside this
-// model — the weaker guarantee is the price of pivoting.
+// Post-hoc records, LU with and without pivoting (recordsGuard): partial
+// pivoting swaps rows across a whole tile column, so a tile's column sums
+// cannot be carried through a step the way they survive Cholesky's
+// updates. Instead, after each panel step a record task snapshots the
+// column sums of every tile the step finalized — the tiles whose last
+// writer in the program belongs to that step; interchanges never reach
+// left of their panel, so there is exactly one — and verification re-sums
+// the unchanged data, so any later corruption of the finalized factor is
+// detected and corrected. Corruption of a tile while it is still being
+// updated is outside this model — the weaker guarantee is the price of
+// pivoting.
 //
 // Every protected tile is verified once more by a whole-factor sweep after
 // the walk. A resumed run re-derives the checksums, diagonal witnesses and

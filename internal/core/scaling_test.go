@@ -52,11 +52,7 @@ func tileLU(t *testing.T, seed int64, n, nb, workers int) ([]float64, []int) {
 	if err != nil {
 		t.Fatalf("lu: %v", err)
 	}
-	var pivs []int
-	for _, p := range f.DiagPiv {
-		pivs = append(pivs, p...)
-	}
-	return flattenTiles(a), pivs
+	return flattenTiles(a), f.Piv
 }
 
 func flattenTiles(a *tile.Matrix[float64]) []float64 {

@@ -20,16 +20,10 @@ func Getf2[T blas.Float](m, n int, a []T, lda int, ipiv []int) error {
 		// Find pivot in column j at or below the diagonal.
 		col := a[j*lda:]
 		p := j
-		mx := col[j]
-		if mx < 0 {
-			mx = -mx
-		}
+		mx := max(col[j], -col[j])
 		for i := j + 1; i < m; i++ {
-			v := col[i]
-			if v < 0 {
-				v = -v
-			}
-			if v > mx {
+			// Branch-free |v|: the sign of random data would mispredict.
+			if v := max(col[i], -col[i]); v > mx {
 				mx, p = v, i
 			}
 		}
@@ -71,47 +65,46 @@ func Laswp[T blas.Float](n int, a []T, lda int, k1, k2 int, ipiv []int) {
 	}
 }
 
-// Getrf computes the blocked LU factorization with partial pivoting of the
-// m×n matrix A in place. ipiv has the same meaning as in Getf2.
+// getrfLeaf is the widest panel Getrf hands to the unblocked Getf2
+// instead of splitting it again.
+const getrfLeaf = 8
+
+// Getrf computes the LU factorization with partial pivoting of the m×n
+// matrix A in place by Toledo's recursion (LAPACK's dgetrf2): factor the
+// left half of the columns, apply its row interchanges and L to the right
+// half, update the trailing block with one GEMM, factor that, and swap the
+// left half's rows by its pivots. Most of the flops land in the GEMMs and
+// TRSMs of the upper levels, however tall the panel; only panels at most
+// getrfLeaf wide run the level-2 Getf2. ipiv and the singular-pivot report
+// mean what they mean for Getf2.
 func Getrf[T blas.Float](m, n int, a []T, lda int, ipiv []int) error {
 	k := min(m, n)
 	if len(ipiv) < k {
 		panic("lapack: ipiv too short")
 	}
-	if k <= blockSize {
+	if k <= getrfLeaf {
 		return Getf2(m, n, a, lda, ipiv)
 	}
-	var firstErr error
-	for j := 0; j < k; j += blockSize {
-		jb := min(blockSize, k-j)
-		// Factor the panel A[j:m, j:j+jb].
-		if err := Getf2(m-j, jb, a[j+j*lda:], lda, ipiv[j:j+jb]); err != nil {
-			if firstErr == nil {
-				serr := err.(*SingularError)
-				firstErr = &SingularError{Index: j + serr.Index}
-			}
-		}
-		// Panel pivots are relative to row j.
-		for i := j; i < j+jb; i++ {
-			ipiv[i] += j
-		}
-		// Apply interchanges to the columns left of the panel...
-		Laswp(j, a, lda, j, j+jb, ipiv)
-		if j+jb < n {
-			// ...and right of it.
-			Laswp(n-j-jb, a[(j+jb)*lda:], lda, j, j+jb, ipiv)
-			// U block row: solve L11·U12 = A12.
-			blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit,
-				jb, n-j-jb, 1, a[j+j*lda:], lda, a[j+(j+jb)*lda:], lda)
-			// Trailing update A22 -= L21·U12.
-			if j+jb < m {
-				blas.Gemm(blas.NoTrans, blas.NoTrans, m-j-jb, n-j-jb, jb,
-					-1, a[j+jb+j*lda:], lda, a[j+(j+jb)*lda:], lda,
-					1, a[j+jb+(j+jb)*lda:], lda)
-			}
-		}
+	n1 := k / 2
+	n2 := n - n1
+	a12, a21, a22 := a[n1*lda:], a[n1:], a[n1+n1*lda:]
+	// [A11; A21] = P1·[L11; L21]·U11.
+	err := Getrf(m, n1, a, lda, ipiv[:n1])
+	// [A12; A22] ← P1·[A12; A22], then U12 = L11⁻¹·A12 and A22 -= L21·U12.
+	Laswp(n2, a12, lda, 0, n1, ipiv)
+	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, n1, n2, 1, a, lda, a12, lda)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, m-n1, n2, n1, -1, a21, lda, a12, lda, 1, a22, lda)
+	// A22 = P2·L22·U22, with P2's pivots shifted to A's rows and applied to
+	// L21.
+	err2 := Getrf(m-n1, n2, a22, lda, ipiv[n1:k])
+	for i := n1; i < k; i++ {
+		ipiv[i] += n1
 	}
-	return firstErr
+	Laswp(n1, a, lda, n1, k, ipiv)
+	if err == nil && err2 != nil {
+		err = &SingularError{Index: n1 + err2.(*SingularError).Index}
+	}
+	return err
 }
 
 // Getrs solves op(A)·X = B given the LU factorization from Getrf. B is

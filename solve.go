@@ -93,16 +93,16 @@ func (c *Context) SolveSPD(a, b *Matrix) (*Matrix, error) {
 	return FromSlice(b.rows, b.cols, tb.ToColMajor()), nil
 }
 
-// LUFactor is a reusable tile LU factorization (incremental pivoting).
+// LUFactor is a reusable tile LU factorization with partial pivoting.
 type LUFactor struct {
 	ctx *Context
 	f   *core.LUFactors[float64]
 	n   int
 }
 
-// LU computes the tile LU factorization of a square matrix with
-// incremental (block pairwise) pivoting. See DESIGN.md for the stability
-// trade-off versus classic partial pivoting.
+// LU computes the tile LU factorization of a square matrix with partial
+// pivoting: the pivots, and so the stability, of LAPACK's GETRF, with one
+// task per panel step factoring the whole tile column (see DESIGN.md).
 func (c *Context) LU(a *Matrix) (*LUFactor, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("exadla: LU needs square matrix, got %d×%d", a.rows, a.cols)
