@@ -2,14 +2,18 @@ package core_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
 	"exadla/internal/ckpt"
 	"exadla/internal/core"
+	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
@@ -76,7 +80,8 @@ func graphDigest(g *sched.Graph, nm *graphNamer) string {
 // fork–join barriers — on square, non-square and non-multiple-of-nb tile
 // grids. The digests were recorded before the factorizations were moved
 // onto core.Program — the lu rows when its program became partial
-// pivoting; any change to a loop nest, an access list, a priority or a
+// pivoting, the qr, qrtree and gels rows while QR still submitted its own
+// nests; any change to a loop nest, an access list, a priority or a
 // barrier shows up here.
 func TestProgramGraphsUnchanged(t *testing.T) {
 	mat := func(nm *graphNamer, label string, m, n int) *tile.Matrix[float64] {
@@ -152,6 +157,15 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		}},
 		{"qr/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, mat(nm, "A", 80, 48)); s.Wait() }},
 		{"qrtree/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QRTree(s, mat(nm, "A", 80, 48)); s.Wait() }},
+		{"qr-fj/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QRForkJoin(s, mat(nm, "A", 80, 48)); s.Wait() }},
+		{"qr/50x50", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, mat(nm, "A", 50, 50)); s.Wait() }},
+		{"qrtree/100x45", func(s sched.Scheduler, nm *graphNamer) { core.QRTree(s, mat(nm, "A", 100, 45)); s.Wait() }},
+		{"gels/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
+			core.Gels(s, mat(nm, "A", 80, 48), mat(nm, "B", 80, 20))
+		}},
+		{"gelstree/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
+			core.GelsTree(s, mat(nm, "A", 80, 48), mat(nm, "B", 80, 20))
+		}},
 	}
 	want := map[string]string{
 		"cholesky/80":            "36:1180eb2e8fb96881",
@@ -178,6 +192,11 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		"resilient-lu/50":        "74:e122d48c798b7b35",
 		"qr/80x48":               "27:96a7f8a813c03d53",
 		"qrtree/80x48":           "47:a1bebc21758d0193",
+		"qr-fj/80x48":            "40:8dd7d33d81328b5e",
+		"qr/50x50":               "31:faf01c4aeb61a46f",
+		"qrtree/100x45":          "71:75780fc9d34b7701",
+		"gels/80x48+B80x20":      "63:c6fb9b95a1b59118",
+		"gelstree/80x48+B80x20":  "101:7fe318ffa181c1dd",
 		// Checkpointing composed with ABFT and erasure: the snapshot of
 		// each step follows its verification and commits.
 		"ckpt-abft-cholesky/50":     "45:3d081c73e4b500a7",
@@ -191,6 +210,33 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		got := graphDigest(rec.Graph(), nm)
 		if w, ok := want[c.name]; !ok || got != w {
 			t.Errorf("%s: graph digest %q, want %q", c.name, got, w)
+		}
+	}
+}
+
+// TestQRFactorBitsUnchanged pins the bits of the factored A (R and the
+// Householder vectors) of the flat and tree QR on an 80×48 matrix with
+// ragged edge tiles: a reordered kernel call or a changed kernel operand
+// shows up here even where the task graph is unchanged.
+func TestQRFactorBitsUnchanged(t *testing.T) {
+	const m, n, nb = 80, 48, 16
+	aD := matgen.Dense[float64](rand.New(rand.NewSource(80)), m, n)
+	for _, c := range []struct {
+		name   string
+		factor func(sched.Scheduler, *tile.Matrix[float64])
+		want   string
+	}{
+		{"qr", func(s sched.Scheduler, a *tile.Matrix[float64]) { core.QR(s, a) }, "04756f65e4e06dd5"},
+		{"qrtree", func(s sched.Scheduler, a *tile.Matrix[float64]) { core.QRTree(s, a) }, "dd357a9c9601c9ab"},
+	} {
+		a := tile.FromColMajor(m, n, aD, m, nb)
+		c.factor(sched.NewRecorder(), a)
+		h := sha256.New()
+		for _, x := range a.ToColMajor() {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(x))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != c.want {
+			t.Errorf("%s: factor bits hash %s, want %s", c.name, got, c.want)
 		}
 	}
 }
