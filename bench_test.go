@@ -12,7 +12,6 @@ import (
 	"exadla"
 	"exadla/internal/batch"
 	"exadla/internal/blas"
-	"exadla/internal/ca"
 	"exadla/internal/core"
 	"exadla/internal/dist"
 	"exadla/internal/ft"
@@ -182,9 +181,13 @@ func BenchmarkE4_TSQR(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(m)))
 		a := matgen.Dense[float64](rng, m, n)
 		b.Run(fmt.Sprintf("m=%d_n=%d_blocks=16", m, n), func(b *testing.B) {
+			// TSQR is the tree-order tile QR on one tile column.
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ta := tile.FromColMajor(m, n, a, m, (m+15)/16)
+				b.StartTimer()
 				r := sched.New(1)
-				ca.Factor(r, m, n, a, m, 16)
+				core.QRTree(r, ta)
 				r.Shutdown()
 			}
 			reportGFLOPS(b, 2*float64(m)*float64(n)*float64(n))

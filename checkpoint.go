@@ -67,7 +67,7 @@ func (c *Context) Resume(dir string) (*Resumed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exadla: resuming %s: %w", path, err)
 	}
-	if f != nil {
+	if ck.Op == ckpt.OpLU {
 		return &Resumed{Op: "lu", LU: &LUFactor{ctx: c, f: f, n: ck.M}}, nil
 	}
 	return &Resumed{Op: "cholesky", Cholesky: &CholeskyFactor{ctx: c, l: t, n: ck.M}}, nil

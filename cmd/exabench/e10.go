@@ -58,7 +58,7 @@ func runE10(quick bool) {
 	for _, variant := range []string{"flat", "tree"} {
 		a2 := tile.FromColMajor(m, ncols, aD2, m, nb)
 		rec2 := sched.NewRecorder()
-		var f *core.QRFactors[float64]
+		var f *core.Factors[float64]
 		if variant == "flat" {
 			f = core.QR(rec2, a2)
 		} else {

@@ -6,16 +6,18 @@ import (
 	"math/rand"
 	"time"
 
-	"exadla/internal/ca"
+	"exadla/internal/core"
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
+	"exadla/internal/tile"
 )
 
 // runE4 reproduces the CAQR/TSQR comparison: QR of tall-skinny matrices by
 // flat Householder (one long dependence chain) versus the TSQR reduction
-// tree, over aspect ratios and block counts. The parallel benefit is shown
-// by simulating the recorded TSQR DAG: its critical path is one leaf plus
+// tree, over aspect ratios and block counts. TSQR is core.QRTree on a
+// single tile column of ⌈m/blocks⌉ rows. The parallel benefit is shown by
+// simulating the recorded TSQR DAG: its critical path is one leaf plus
 // log₂(blocks) combines, versus the inherently serial flat panel.
 func runE4(quick bool) {
 	type cfg struct{ m, n int }
@@ -37,10 +39,11 @@ func runE4(quick bool) {
 		lapack.Geqrf(c.m, c.n, flat, c.m, tau)
 		tHouse := time.Since(t0).Seconds()
 
-		for _, nb := range blockCounts {
+		for _, blocks := range blockCounts {
+			ta := tile.FromColMajor(c.m, c.n, a, c.m, max(c.n, (c.m+blocks-1)/blocks))
 			rec := sched.NewRecorder()
 			t0 = time.Now()
-			f := ca.Factor(rec, c.m, c.n, a, c.m, nb)
+			core.QRTree(rec, ta)
 			tTSQR := time.Since(t0).Seconds()
 			g := rec.Graph()
 			sim := sched.Simulate(g, 16)
@@ -48,11 +51,12 @@ func runE4(quick bool) {
 			speedup := seq / sim.Makespan
 
 			// R agreement (up to sign).
-			r := f.R()
+			r := ta.Tile(0, 0)
+			ldr := ta.TileRows(0)
 			var maxDiff, maxR float64
 			for j := 0; j < c.n; j++ {
 				for i := 0; i <= j; i++ {
-					d := math.Abs(math.Abs(r[i+j*c.n]) - math.Abs(flat[i+j*c.m]))
+					d := math.Abs(math.Abs(r[i+j*ldr]) - math.Abs(flat[i+j*c.m]))
 					if d > maxDiff {
 						maxDiff = d
 					}
@@ -61,7 +65,7 @@ func runE4(quick bool) {
 					}
 				}
 			}
-			tbl.add(c.m, c.n, nb, tHouse, tTSQR, g.CriticalPath(), speedup, maxDiff/maxR)
+			tbl.add(c.m, c.n, ta.MT, tHouse, tTSQR, g.CriticalPath(), speedup, maxDiff/maxR)
 		}
 	}
 	tbl.print()

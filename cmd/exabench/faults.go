@@ -87,7 +87,7 @@ func chaosRun(op string, n, nb, workers int, prob float64) (tasks, retried, fail
 			resid = choleskyResidual(n, aD, a)
 		}
 	case "lu":
-		var f *core.LUFactors[float64]
+		var f *core.Factors[float64]
 		f, err = core.LU(r, a)
 		if err == nil {
 			resid = luResidual(n, nb, aD, f, r)
@@ -206,7 +206,7 @@ func choleskyResidual(n int, aD []float64, a *tile.Matrix[float64]) float64 {
 
 // luResidual solves A·x = b with the factors against a random known
 // solution and reports the max error.
-func luResidual(n, nb int, aD []float64, f *core.LUFactors[float64], s sched.Scheduler) float64 {
+func luResidual(n, nb int, aD []float64, f *core.Factors[float64], s sched.Scheduler) float64 {
 	rng := rand.New(rand.NewSource(123))
 	x := make([]float64, n)
 	for i := range x {

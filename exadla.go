@@ -17,7 +17,9 @@
 //
 // Factorizations return factor objects that can be reused for multiple
 // right-hand sides. Higher-level drivers (SolveMixed, LeastSquares,
-// RandomizedLeastSquares, TSQRLeastSquares) expose the specialised solvers.
+// RandomizedLeastSquares) expose the specialised solvers; communication-
+// avoiding TSQR is QRTree on a tall matrix whose tile holds every column
+// (the deprecated TSQRLeastSquares runs exactly that).
 package exadla
 
 import (

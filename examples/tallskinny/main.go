@@ -1,7 +1,8 @@
-// Tall-skinny least squares three ways: tile QR, communication-avoiding
-// TSQR, and randomized sketch-to-precondition — all solving the same
-// overdetermined system to the same accuracy with very different
-// communication and synchronization profiles.
+// Tall-skinny least squares three ways: flat tile QR, communication-avoiding
+// TSQR (the tree-order tile QR on a single tile column), and randomized
+// sketch-to-precondition — all solving the same overdetermined system to
+// the same accuracy with very different communication and synchronization
+// profiles.
 package main
 
 import (
@@ -46,8 +47,8 @@ func main() {
 	}
 	report("randomized (sketch+LSQR)", time.Since(t0), xRand, xTrue)
 
-	fmt.Println("\nTSQR factors the row blocks independently and combines the R factors up")
-	fmt.Println("a log-depth tree: one reduction instead of one synchronization per column.")
+	fmt.Println("\nTSQR factors the row blocks (one tile each) independently and merges the R")
+	fmt.Println("factors up a log-depth tree: one reduction instead of a chain per panel.")
 }
 
 func report(name string, d time.Duration, x, xTrue *exadla.Matrix) {

@@ -190,7 +190,7 @@ func (c *Context) ftOptions() *core.FTOptions {
 // factor runs op's tile program (core.OpCholesky or core.OpLU) over t in
 // place under every protection the Context armed: checkpointing, ABFT and
 // erasure are guards on the one program and compose; with none armed it is
-// the plain dataflow factorization. The pivot state is nil for Cholesky.
-func (c *Context) factor(op string, t *tile.Matrix[float64]) (*core.LUFactors[float64], error) {
+// the plain dataflow factorization. Cholesky's Factors carry no side state.
+func (c *Context) factor(op string, t *tile.Matrix[float64]) (*core.Factors[float64], error) {
 	return core.Protect(c.scheduler(), op, t, c.ckptOptions(), c.ftOptions())
 }

@@ -60,7 +60,7 @@ type Checkpoint struct {
 	NB   int // tile size
 	// Data is the column-major matrix snapshot (M×N, leading dimension M).
 	Data []float64
-	// Piv is the prefix of core.LUFactors.Piv the completed steps wrote —
+	// Piv is the prefix of core.Factors.Piv the completed steps wrote —
 	// the pivots of rows 0 … min(Step·NB, M, N)−1; empty for the pivot-free
 	// operations.
 	Piv []int

@@ -57,9 +57,9 @@ var ckptOps = map[string]ckpt.Op{OpCholesky: ckpt.OpCholesky, OpLUNoPiv: ckpt.Op
 // same protections as Protect: checkpointing continues per ck, and with fo
 // the ABFT checksums, diagonal witnesses and erasure parity of the tiles
 // the snapshot holds final are re-derived from it. It returns the rebuilt
-// tile matrix holding the factor and, for LU, the pivot state restored
-// from the checkpoint and completed.
-func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOptions) (*tile.Matrix[float64], *LUFactors[float64], error) {
+// tile matrix holding the factor and its Factors, for LU with the pivot
+// state restored from the checkpoint and completed.
+func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOptions) (*tile.Matrix[float64], *Factors[float64], error) {
 	op := ""
 	for o, tag := range ckptOps {
 		if tag == c.Op {
@@ -76,9 +76,8 @@ func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOption
 	if kt := min(a.MT, a.NT); c.Step > kt {
 		return nil, nil, fmt.Errorf("core: checkpoint step %d beyond %d panel steps", c.Step, kt)
 	}
-	var f *LUFactors[float64]
+	f := newFactors(op, a)
 	if op == OpLU {
-		f = newLUFactors(a)
 		if want := min(c.Step*c.NB, len(f.Piv)); len(c.Piv) != want {
 			return nil, nil, fmt.Errorf("core: LU checkpoint at step %d holds %d pivots, want %d", c.Step, len(c.Piv), want)
 		}
@@ -93,13 +92,13 @@ func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOption
 }
 
 // ckptGuard injects the snapshot task (and, at AbortAtStep, the abort
-// task) into the DAG after the panel steps opt selects. f is the OpLU
-// pivot state, which the snapshot carries, and nil otherwise.
+// task) into the DAG after the panel steps opt selects. f is the op's side
+// state; the snapshot carries OpLU's pivots.
 type ckptGuard struct {
 	noHooks
 	op  string
 	a   *tile.Matrix[float64]
-	f   *LUFactors[float64]
+	f   *Factors[float64]
 	opt CkptOptions
 }
 
@@ -127,7 +126,7 @@ func (g ckptGuard) afterStep(s sched.Scheduler, k int) {
 				M: a.M, N: a.N, NB: a.NB,
 				Data: a.ToColMajor(),
 			}
-			if f != nil {
+			if f.Piv != nil {
 				// Reference the completed steps' pivots directly: each is
 				// written once, by the getrf task of its step, which
 				// happens-before this snapshot via its tile writes.

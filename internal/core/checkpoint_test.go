@@ -253,6 +253,28 @@ func TestResumeRejectsMismatchedOp(t *testing.T) {
 	}
 }
 
+// TestProtectRejectsQR: no guard understands the QR reflector factors, so
+// Protect refuses the QR programs with an error and Factor, which cannot
+// return their side state, with a panic.
+func TestProtectRejectsQR(t *testing.T) {
+	r := sched.New(1)
+	defer r.Shutdown()
+	for _, op := range []string{core.OpQR, core.OpQRTree} {
+		a := tile.New[float64](32, 16, 8)
+		if _, err := core.Protect(r, op, a, &core.CkptOptions{Dir: t.TempDir(), Every: 1}, &core.FTOptions{}); err == nil {
+			t.Errorf("Protect accepted %s", op)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Factor accepted %s", op)
+				}
+			}()
+			_ = core.Factor(r, op, a, false)
+		}()
+	}
+}
+
 // TestCheckpointAndABFTCompose: with both protections armed, a Cholesky
 // and an LU run write checkpoints and correct an injected flip, and a run
 // aborted mid-way resumes under ABFT — checksums re-derived from the

@@ -4,10 +4,13 @@
 // scheduler, plus the fork–join baselines the extreme-scale argument
 // compares against.
 //
-// The Cholesky and LU loop nests are written once, as data (program.go):
-// Program unrolls a nest into Steps, each Step knows its tile accesses and
-// priority, and Apply runs its kernel. One program, many executors — the
-// same steps are walked by
+// The Cholesky, LU and QR loop nests are written once, as data
+// (program.go): Program unrolls a nest into Steps, each Step knows its tile
+// accesses and priority, and Apply runs its kernel. QR is two programs, one
+// per elimination tree — the flat chain (OpQR) and the binary tree
+// (OpQRTree, which on one tile column is TSQR) — and its reflector factors
+// travel as tiles beside A's. One program, many executors — the same steps
+// are walked by
 //
 //   - the dataflow drivers, which submit all tasks up front and synchronize
 //     once, so the scheduler overlaps independent work across iteration
@@ -15,12 +18,15 @@
 //   - the ForkJoin drivers, which insert a barrier (Scheduler.Wait) after
 //     each phase of each iteration, modelling the block-synchronous
 //     LAPACK-style execution whose idle time the talk attacks;
-//   - the checkpointing and resuming drivers, which inject a snapshot task
-//     after each panel step;
-//   - the distributed runtime (internal/dist), which ships Steps to remote
-//     workers that call Apply on their tile caches.
+//   - the guarded drivers (Protect, Resume), which layer ABFT checksums,
+//     erasure parity and checkpoints onto the Cholesky and LU walks;
+//   - the right-hand-side replays ApplyLU and ApplyQT, which run the
+//     programs' solve and update kernels on B's tiles;
+//   - the distributed runtime (internal/dist), which ships Cholesky and
+//     no-pivot LU Steps to remote workers that call Apply on their tile
+//     caches.
 //
-// QR, the triangular solves and the ABFT-protected Cholesky still submit
+// The triangular solves, the tile GEMM and the tile inversion still submit
 // their own nests over the same tile kernels.
 //
 // Factorization errors discovered inside tasks (a non-positive-definite

@@ -262,7 +262,7 @@ func qrResidualTile(t *testing.T, m, n, nb int, forkJoin bool, mk func() (sched.
 	a := tile.FromColMajor(m, n, aD, m, nb)
 	s, done := mk()
 	defer done()
-	var f *core.QRFactors[float64]
+	var f *core.Factors[float64]
 	if forkJoin {
 		f = core.QRForkJoin(s, a)
 	} else {
@@ -333,48 +333,61 @@ func TestTileGels(t *testing.T) {
 
 // TestQRGelsBitwiseAcrossExecutors: every QR tile kernel is deterministic
 // and the task graph fixes the order of the operations on each tile, so the
-// factors of QR (dataflow and fork-join) and the solution of Gels are bit
-// for bit the same on the recorder and on runtimes with 1 and 4 workers —
-// for a tall least-squares problem with ragged edge tiles and for a wide
-// factorization.
+// factors of QR (dataflow and fork-join) and QRTree and the solution of Gels
+// and GelsTree are bit for bit the same on the recorder and on runtimes
+// with 1 and 4 workers — for a tall least-squares problem with ragged edge
+// tiles, for a wide factorization, and for TSQR (the tree on one tile
+// column).
 func TestQRGelsBitwiseAcrossExecutors(t *testing.T) {
 	execs := schedulers(t)
 	execs["forkjoin4"] = execs["runtime4"]
-	for _, d := range [][4]int{{203, 77, 3, 24}, {60, 100, 0, 16}} {
+	for _, d := range [][4]int{{203, 77, 3, 24}, {60, 100, 0, 16}, {203, 17, 2, 26}} {
 		m, n, nrhs, nb := d[0], d[1], d[2], d[3]
 		rng := rand.New(rand.NewSource(int64(m + n)))
 		aD := matgen.Dense[float64](rng, m, n)
 		bD := matgen.Dense[float64](rng, m, max(nrhs, 1))
-		var want [][]float64
-		for _, name := range []string{"recorder", "runtime1", "runtime4", "forkjoin4"} {
-			s, done := execs[name]()
-			a := tile.FromColMajor(m, n, aD, m, nb)
-			b := tile.FromColMajor(m, max(nrhs, 1), bD, m, nb)
-			var f *core.QRFactors[float64]
-			switch {
-			case name == "forkjoin4":
-				f = core.QRForkJoin(s, a)
-				if nrhs > 0 {
-					core.ApplyQT(s, f, b)
-					core.TrsmUpper(s, a, b)
+		for _, tree := range []bool{false, true} {
+			var want [][]float64
+			for _, name := range []string{"recorder", "runtime1", "runtime4", "forkjoin4"} {
+				if tree && name == "forkjoin4" {
+					continue // the tree order has no fork-join driver
 				}
-				s.Wait()
-			case nrhs > 0:
-				f = core.Gels(s, a, b)
-			default:
-				f = core.QR(s, a)
-			}
-			done()
-			got := [][]float64{a.ToColMajor(), f.T.ToColMajor(), b.ToColMajor()}
-			if want == nil {
-				want = got
-				continue
-			}
-			for k, what := range []string{"factored A", "T", "solution"} {
-				for i := range got[k] {
-					if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
-						t.Fatalf("%dx%d: %s on %s differs from the recorder's at %d: %v vs %v",
-							m, n, what, name, i, got[k][i], want[k][i])
+				s, done := execs[name]()
+				a := tile.FromColMajor(m, n, aD, m, nb)
+				b := tile.FromColMajor(m, max(nrhs, 1), bD, m, nb)
+				var f *core.Factors[float64]
+				switch {
+				case name == "forkjoin4":
+					f = core.QRForkJoin(s, a)
+					if nrhs > 0 {
+						core.ApplyQT(s, f, b)
+						core.TrsmUpper(s, a, b)
+					}
+					s.Wait()
+				case tree && nrhs > 0:
+					f = core.GelsTree(s, a, b)
+				case tree:
+					f = core.QRTree(s, a)
+				case nrhs > 0:
+					f = core.Gels(s, a, b)
+				default:
+					f = core.QR(s, a)
+				}
+				done()
+				got := [][]float64{a.ToColMajor(), f.T.ToColMajor(), b.ToColMajor(), nil}
+				if tree {
+					got[3] = f.T2.ToColMajor()
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				for k, what := range []string{"factored A", "T", "solution", "T2"} {
+					for i := range got[k] {
+						if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+							t.Fatalf("%dx%d tree=%v: %s on %s differs from the recorder's at %d: %v vs %v",
+								m, n, tree, what, name, i, got[k][i], want[k][i])
+						}
 					}
 				}
 			}

@@ -7,9 +7,11 @@ import (
 	"exadla/internal/tile"
 )
 
-// LUFactors holds the output of the tile LU factorization with partial
-// pivoting: the pivots LAPACK's GETRF chooses, found by one task per panel
-// step that factors the whole tile column below the diagonal.
+// LU computes the tile LU factorization of A with partial pivoting as one
+// dataflow graph, with the pivots LAPACK's GETRF chooses: one task per
+// panel step factors the whole tile column below the diagonal. A singular
+// pivot is reported after completion, like LAPACK's GETRF; the
+// factorization still runs to completion.
 //
 // After factorization:
 //   - A holds L\U: U on and above the diagonal, the unit-lower L strictly
@@ -22,31 +24,19 @@ import (
 // LAPACK's L by the interchanges of the later steps. Every tile thus has
 // one finalizing writer; ApplyLU replays the interchanges in the same
 // order.
-type LUFactors[F blas.Float] struct {
-	A   *tile.Matrix[F]
-	Piv []int
-}
-
-// LU computes the tile LU factorization of A with partial pivoting as one
-// dataflow graph. A singular pivot is reported after completion, like
-// LAPACK's GETRF; the factorization still runs to completion.
-func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], error) {
-	f := newLUFactors(a)
+func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*Factors[F], error) {
+	f := newFactors(OpLU, a)
 	es := &errState{}
 	submitProgram(s, OpLU, a, f, es, false, 0)
 	return f, finishErr(es, s)
 }
 
 // LUForkJoin is the block-synchronous baseline of LU.
-func LUForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*LUFactors[F], error) {
-	f := newLUFactors(a)
+func LUForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*Factors[F], error) {
+	f := newFactors(OpLU, a)
 	es := &errState{}
 	submitProgram(s, OpLU, a, f, es, true, 0)
 	return f, finishErr(es, s)
-}
-
-func newLUFactors[F blas.Float](a *tile.Matrix[F]) *LUFactors[F] {
-	return &LUFactors[F]{A: a, Piv: make([]int, min(a.M, a.N))}
 }
 
 // getrfPanel factors tile rows k…last of tile column k with partial
@@ -109,7 +99,7 @@ func lgemm[F blas.Float](a *tile.Matrix[F], k, i int, b *tile.Matrix[F], j int) 
 // LU factors to the tiled right-hand side B in place (the analogue of the
 // row-swap + L-solve half of GETRS): it replays the factorization's own
 // swptrsm and lgemm steps, in its order, on B's tile columns.
-func ApplyLU[F blas.Float](s sched.Scheduler, f *LUFactors[F], b *tile.Matrix[F]) {
+func ApplyLU[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F]) {
 	a := f.A
 	kt := min(a.MT, a.NT)
 	for k := 0; k < kt; k++ {
@@ -142,11 +132,11 @@ func ApplyLU[F blas.Float](s sched.Scheduler, f *LUFactors[F], b *tile.Matrix[F]
 
 // Gesv factors the square tiled matrix A in place and solves A·X = B in
 // place, all in one dataflow graph.
-func Gesv[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) (*LUFactors[F], error) {
+func Gesv[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) (*Factors[F], error) {
 	if a.M != a.N {
 		panic("core: Gesv needs a square matrix")
 	}
-	f := newLUFactors(a)
+	f := newFactors(OpLU, a)
 	es := &errState{}
 	submitProgram(s, OpLU, a, f, es, false, 0)
 	ApplyLU(s, f, b)

@@ -19,7 +19,7 @@ import (
 // lapackLayout returns the tile LU factor as LAPACK's GETRF stores it: each
 // panel step's interchanges, which the tile program applies only right of
 // the panel, applied to the L columns left of it as well.
-func lapackLayout(f *core.LUFactors[float64]) []float64 {
+func lapackLayout(f *core.Factors[float64]) []float64 {
 	a := f.A
 	full := a.ToColMajor()
 	for k := 1; k < min(a.MT, a.NT); k++ {

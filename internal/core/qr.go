@@ -7,107 +7,118 @@ import (
 	"exadla/internal/tile"
 )
 
-// QRFactors holds the output of a tile QR factorization: A's tiles contain
-// R in the upper triangle and the Householder vectors below, and T contains
-// the per-tile block-reflector triangular factors (from GEQRT, plus TSQRT
-// factors for the flat order). Tree-order factorizations (QRTree) also
-// carry the pairwise-merge factors in T2 and replay a different elimination
-// plan in ApplyQT.
-type QRFactors[F blas.Float] struct {
-	A  *tile.Matrix[F]
-	T  *tile.Matrix[F]
-	T2 *tile.Matrix[F] // tree merge factors; nil for the flat order
+// The tile QR drivers are one-line walks of the OpQR and OpQRTree programs
+// (program.go); this file holds the Qᵀ replay and the QR tile kernels.
 
-	tree bool
-}
-
-// QR computes the tile QR factorization of A (m×n, any shape) using the
-// flat (PLASMA-style) elimination order: each subdiagonal tile is folded
-// into the panel's triangular factor with a TSQRT kernel as soon as its
+// QR computes the tile QR factorization of A (m×n, any shape) in the flat
+// (PLASMA-style) elimination order: each subdiagonal tile is folded into
+// the panel's triangular factor with a tsqrt kernel as soon as its
 // dependences allow. The returned factors reference A in place.
-func QR[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *QRFactors[F] {
-	f := &QRFactors[F]{A: a, T: tile.New[F](a.MT*a.NB, a.NT*a.NB, a.NB)}
-	submitQR(s, f, false)
-	s.Wait()
-	return f
+func QR[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] {
+	return qr(s, OpQR, a, nil, false)
 }
 
 // QRForkJoin is the block-synchronous baseline of QR, with a barrier after
-// each phase of each panel step.
-func QRForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *QRFactors[F] {
-	f := &QRFactors[F]{A: a, T: tile.New[F](a.MT*a.NB, a.NT*a.NB, a.NB)}
-	submitQR(s, f, true)
+// the panel's geqrt, after its unmqrs and after each row's elimination.
+func QRForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] {
+	return qr(s, OpQR, a, nil, true)
+}
+
+// QRTree computes the tile QR factorization with a binary reduction tree
+// per panel (the CAQR elimination order): every tile of the panel is
+// QR-factored locally, then the triangular factors are merged pairwise up
+// a log₂-depth tree. Compared to the flat order, the panel's critical path
+// drops from Θ(MT) to Θ(log MT) — the communication-avoiding trade the
+// keynote advocates for tall matrices — at the cost of more reflector
+// storage and slightly more flops in the merge kernels. On a single tile
+// column (nb ≥ N) it is TSQR.
+func QRTree[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] {
+	return qr(s, OpQRTree, a, nil, false)
+}
+
+// Gels solves the least-squares problem min‖A·X − B‖ for a tall tiled
+// matrix A (M ≥ N) and tiled right-hand side B (same M), in one dataflow
+// graph: tile QR, apply Qᵀ to B, then solve R·X = B over the top N rows.
+// The solution occupies the first N rows of B.
+func Gels[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) *Factors[F] {
+	return qr(s, OpQR, a, b, false)
+}
+
+// GelsTree is Gels using the tree elimination order.
+func GelsTree[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) *Factors[F] {
+	return qr(s, OpQRTree, a, b, false)
+}
+
+// qr submits op's program over a and, with b, the least-squares solve on
+// b after it, then waits.
+func qr[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], forkJoin bool) *Factors[F] {
+	if b != nil && a.M < a.N {
+		panic("core: Gels requires M ≥ N")
+	}
+	f := newFactors(op, a)
+	submitProgram(s, op, a, f, &errState{}, forkJoin, 0)
+	if b != nil {
+		ApplyQT(s, f, b)
+		TrsmUpper(s, a, b)
+	}
 	s.Wait()
 	return f
 }
 
-func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
-	a, t := f.A, f.T
+// qrUpdates maps each QR panel kernel to the kernel applying its
+// reflectors to another tile column.
+var qrUpdates = map[string]string{"geqrt": "unmqr", "tsqrt": "tsmqr", "ttqrt": "ttmqr"}
+
+// ApplyQT submits tasks applying Qᵀ from the tile QR factors to the tiled
+// matrix B (A's row tiling) in place: it replays the factorization's panel
+// steps in its order, each geqrt, tsqrt or ttqrt as the unmqr, tsmqr or
+// ttmqr that applies its reflectors, on every tile column of B.
+func ApplyQT[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F]) {
+	a := f.A
 	kt := min(a.MT, a.NT)
-	for k := 0; k < kt; k++ {
-		k := k
-		s.Submit(sched.Task{
-			Name:     "geqrt",
-			Priority: priority(k, kt, bandPanel),
-			Writes:   []sched.Handle{a.Handle(k, k), t.Handle(k, k)},
-			Fn: timed(panelNs, func() {
-				lapack.Geqrt(a.TileRows(k), a.TileCols(k), a.Tile(k, k), a.TileRows(k), t.Tile(k, k), t.TileRows(k))
-			}),
-		})
-		if forkJoin {
-			s.Wait()
+	for _, st := range Program(f.op, a.MT, a.NT, 0) {
+		kind, ok := qrUpdates[st.Kind]
+		if !ok {
+			continue
 		}
-		for j := k + 1; j < a.NT; j++ {
-			j := j
+		refl, at := f.reflector(kind), [2]int{st.I, st.K}
+		for j := 0; j < b.NT; j++ {
+			bs := Step{Kind: kind, K: st.K, I: st.I, J: j}
+			reads, writes := bs.Accesses()
 			s.Submit(sched.Task{
-				Name:     "unmqr",
-				Priority: priority(j, kt, bandSolve),
-				Reads:    []sched.Handle{a.Handle(k, k), t.Handle(k, k)},
-				Writes:   []sched.Handle{a.Handle(k, j)},
-				Fn: timed(solveNs, func() {
-					unmqr(a.TileRows(k), a.TileCols(j), min(a.TileRows(k), a.TileCols(k)),
-						a.Tile(k, k), a.TileRows(k), t.Tile(k, k), t.TileRows(k),
-						a.Tile(k, j), a.TileRows(k))
-				}),
+				Name:     kind,
+				Priority: priority(st.K, kt, bs.band()),
+				Reads:    handles(a, refl, at, reads),
+				Writes:   handles(b, nil, at, writes),
+				Fn:       timed(phaseNs[bs.band()], func() { qrApply(kind, a, refl, st.K, st.I, b, j) }),
 			})
 		}
-		if forkJoin {
-			s.Wait()
-		}
-		for i := k + 1; i < a.MT; i++ {
-			i := i
-			s.Submit(sched.Task{
-				Name:     "tsqrt",
-				Priority: priority(k, kt, bandPanel),
-				Reads:    nil,
-				Writes:   []sched.Handle{a.Handle(k, k), a.Handle(i, k), t.Handle(i, k)},
-				Fn: timed(panelNs, func() {
-					tsqrt(a.TileCols(k), a.TileRows(i),
-						a.Tile(k, k), a.TileRows(k),
-						a.Tile(i, k), a.TileRows(i),
-						t.Tile(i, k), t.TileRows(i))
-				}),
-			})
-			for j := k + 1; j < a.NT; j++ {
-				j := j
-				s.Submit(sched.Task{
-					Name:     "tsmqr",
-					Priority: priority(j, kt, bandUpdate),
-					Reads:    []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
-					Writes:   []sched.Handle{a.Handle(k, j), a.Handle(i, j)},
-					Fn: timed(updateNs, func() {
-						tsmqr(blas.Trans, a.TileCols(k), a.TileRows(i), a.TileCols(j),
-							a.Tile(i, k), a.TileRows(i),
-							t.Tile(i, k), t.TileRows(i),
-							a.Tile(k, j), a.TileRows(k),
-							a.Tile(i, j), a.TileRows(i))
-					}),
-				})
-			}
-			if forkJoin {
-				s.Wait()
-			}
-		}
+	}
+}
+
+// qrApply applies, as kind — unmqr, tsmqr or ttmqr — the Qᵀ of the
+// reflectors panel step k left in tile (i, k) of a, with their block
+// factors in the same tile of t, to tile column j of b. b may be a itself
+// or a right-hand side with a's row tiling.
+func qrApply[F blas.Float](kind string, a, t *tile.Matrix[F], k, i int, b *tile.Matrix[F], j int) {
+	switch kind {
+	case "unmqr":
+		unmqr(b.TileRows(i), b.TileCols(j), min(a.TileRows(i), a.TileCols(k)),
+			a.Tile(i, k), a.TileRows(i), t.Tile(i, k), t.TileRows(i),
+			b.Tile(i, j), b.TileRows(i))
+	case "tsmqr":
+		tsmqr(blas.Trans, a.TileCols(k), a.TileRows(i), b.TileCols(j),
+			a.Tile(i, k), a.TileRows(i),
+			t.Tile(i, k), t.TileRows(i),
+			b.Tile(k, j), b.TileRows(k),
+			b.Tile(i, j), b.TileRows(i))
+	case "ttmqr":
+		p := treePartner(k, i)
+		ttmqr(blas.Trans, a.TileCols(k), min(a.TileRows(i), a.TileCols(k)), b.TileCols(j),
+			a.Tile(i, k), a.TileRows(i),
+			t.Tile(i, k), t.TileRows(i),
+			b.Tile(p, j), b.TileRows(p),
+			b.Tile(i, j), b.TileRows(i))
 	}
 }
 
@@ -213,65 +224,78 @@ func applyTS[F blas.Float](trans blas.Transpose, k, m2, n int, v2 []F, ldv2 int,
 	blas.Gemm(blas.NoTrans, blas.NoTrans, m2, n, k, -1, v2, ldv2, w, ldw, 1, c2, ldc2)
 }
 
-// ApplyQT submits tasks applying Qᵀ (from the tile QR factors) to the tiled
-// matrix B in place, replaying the factorization's elimination order.
-func ApplyQT[F blas.Float](s sched.Scheduler, f *QRFactors[F], b *tile.Matrix[F]) {
-	if f.tree {
-		applyQTTree(s, f, b)
-		return
-	}
-	a, t := f.A, f.T
-	kt := min(a.MT, a.NT)
-	for k := 0; k < kt; k++ {
-		k := k
-		for j := 0; j < b.NT; j++ {
-			j := j
-			s.Submit(sched.Task{
-				Name:     "unmqr",
-				Priority: priority(k, kt, bandSolve),
-				Reads:    []sched.Handle{a.Handle(k, k), t.Handle(k, k)},
-				Writes:   []sched.Handle{b.Handle(k, j)},
-				Fn: timed(solveNs, func() {
-					unmqr(b.TileRows(k), b.TileCols(j), min(a.TileRows(k), a.TileCols(k)),
-						a.Tile(k, k), a.TileRows(k), t.Tile(k, k), t.TileRows(k),
-						b.Tile(k, j), b.TileRows(k))
-				}),
-			})
-		}
-		for i := k + 1; i < a.MT; i++ {
-			i := i
-			for j := 0; j < b.NT; j++ {
-				j := j
-				s.Submit(sched.Task{
-					Name:     "tsmqr",
-					Priority: priority(k, kt, bandUpdate),
-					Reads:    []sched.Handle{a.Handle(i, k), t.Handle(i, k)},
-					Writes:   []sched.Handle{b.Handle(k, j), b.Handle(i, j)},
-					Fn: timed(updateNs, func() {
-						tsmqr(blas.Trans, a.TileCols(k), a.TileRows(i), b.TileCols(j),
-							a.Tile(i, k), a.TileRows(i),
-							t.Tile(i, k), t.TileRows(i),
-							b.Tile(k, j), b.TileRows(k),
-							b.Tile(i, j), b.TileRows(i))
-					}),
-				})
+// ttqrt computes the structured QR of two stacked triangular factors: R1
+// (n×n upper, in the top of tile r1) and R2 (upper trapezoid with m2 ≤ n
+// triangle rows, in the upper region of tile r2). The reflector zeroing
+// R2's column j has an implicit 1 at R1's row j and a dense tail only in
+// R2's rows 0..min(j, m2-1), so the kernel reads and writes nothing below
+// R2's diagonal — the local GEQRT reflectors stored there are preserved.
+// On return R1 holds the merged R, R2's upper region holds the merge
+// reflector tails, and t holds the n×n block-reflector factor.
+func ttqrt[F blas.Float](n, m2 int, r1 []F, ldr1 int, r2 []F, ldr2 int, t []F, ldt int) {
+	ws := blas.GetScratch[F](n)
+	defer ws.Release()
+	w := ws.Buf
+	for j := 0; j < n; j++ {
+		lenj := min(j+1, m2)
+		beta, tau := lapack.Larfg(1+lenj, r1[j+j*ldr1], r2[j*ldr2:j*ldr2+lenj], 1)
+		r1[j+j*ldr1] = beta
+		v2 := r2[j*ldr2 : j*ldr2+lenj]
+		if j+1 < n && tau != 0 {
+			nc := n - j - 1
+			// w = R1[j, j+1:] + V2ᵀ·R2[0:lenj, j+1:].
+			for c := 0; c < nc; c++ {
+				w[c] = r1[j+(j+1+c)*ldr1]
 			}
+			blas.Gemv(blas.Trans, lenj, nc, 1, r2[(j+1)*ldr2:], ldr2, v2, 1, 1, w[:nc], 1)
+			for c := 0; c < nc; c++ {
+				r1[j+(j+1+c)*ldr1] -= tau * w[c]
+			}
+			blas.Ger(lenj, nc, -tau, v2, 1, w[:nc], 1, r2[(j+1)*ldr2:], ldr2)
 		}
+		// T column j: T[0:j, j] = −tau·T[0:j,0:j]·(V2[:,0:j]ᵀ·v2_j); column
+		// c of V2 has min(c+1, m2) stored entries.
+		for c := 0; c < j; c++ {
+			lc := min(min(c+1, m2), lenj)
+			var s F
+			for r := 0; r < lc; r++ {
+				s += r2[r+c*ldr2] * v2[r]
+			}
+			t[c+j*ldt] = -tau * s
+		}
+		if j > 0 {
+			blas.Trmv(blas.Upper, blas.NoTrans, blas.NonUnit, j, t, ldt, t[j*ldt:], 1)
+		}
+		t[j+j*ldt] = tau
 	}
 }
 
-// Gels solves the least-squares problem min‖A·X − B‖ for a tall tiled
-// matrix A (M ≥ N) and tiled right-hand side B (same M), in one dataflow
-// graph: tile QR, apply Qᵀ to B, then solve R·X = B over the top N rows.
-// The solution occupies the first N rows of B.
-func Gels[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) *QRFactors[F] {
-	if a.M < a.N {
-		panic("core: Gels requires M ≥ N")
+// ttmqr applies a ttqrt block reflector to the stacked pair [C1; C2]: C1's
+// top n rows and C2's top m2 rows participate; everything else — including
+// C2's rows below the trapezoid — is untouched. trans selects Qᵀ or Q.
+func ttmqr[F blas.Float](trans blas.Transpose, n, m2, nc int, r2 []F, ldr2 int, t []F, ldt int, c1 []F, ldc1 int, c2 []F, ldc2 int) {
+	if n == 0 || nc == 0 {
+		return
 	}
-	f := &QRFactors[F]{A: a, T: tile.New[F](a.MT*a.NB, a.NT*a.NB, a.NB)}
-	submitQR(s, f, false)
-	ApplyQT(s, f, b)
-	TrsmUpper(s, a, b)
-	s.Wait()
-	return f
+	// W = C1[0:n] + V2ᵀ·C2[0:m2], accumulating row j of W from the stored
+	// tail of reflector j (rows 0..min(j, m2-1) of R2's column j).
+	ws := blas.GetScratch[F](n * nc)
+	defer ws.Release()
+	w := ws.Buf
+	lapack.Lacpy(lapack.General, n, nc, c1, ldc1, w, n)
+	for j := 0; j < n; j++ {
+		lenj := min(j+1, m2)
+		blas.Gemv(blas.Trans, lenj, nc, 1, c2, ldc2, r2[j*ldr2:j*ldr2+lenj], 1, 1, w[j:], n)
+	}
+	blas.Trmm(blas.Left, blas.Upper, trans, blas.NonUnit, n, nc, 1, t, ldt, w, n)
+	// C1 -= W; C2 -= V2·W.
+	for col := 0; col < nc; col++ {
+		for i := 0; i < n; i++ {
+			c1[i+col*ldc1] -= w[i+col*n]
+		}
+	}
+	for j := 0; j < n; j++ {
+		lenj := min(j+1, m2)
+		blas.Ger(lenj, nc, -1, r2[j*ldr2:j*ldr2+lenj], 1, w[j:], n, c2, ldc2)
+	}
 }

@@ -175,8 +175,8 @@ func compact(m, n int, x []float64, ld int) []float64 {
 }
 
 // TestQRKernelsZeroAllocSteadyState asserts that, once the pool is warm,
-// one panel step at nb = 96 — geqrt, unmqr, tsqrt and tsmqr — allocates
-// nothing.
+// one flat panel step at nb = 96 — geqrt, unmqr, tsqrt and tsmqr — and one
+// tree merge — ttqrt and ttmqr — allocate nothing.
 func TestQRKernelsZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally bypasses caching under the race detector")
@@ -190,21 +190,26 @@ func TestQRKernelsZeroAllocSteadyState(t *testing.T) {
 		}
 		return x
 	}
-	a0, a20, c10, c20 := tileOf(), tileOf(), tileOf(), tileOf()
-	a, a2, c1, c2 := make([]float64, nb*nb), make([]float64, nb*nb), make([]float64, nb*nb), make([]float64, nb*nb)
-	t1, t2 := make([]float64, nb*nb), make([]float64, nb*nb)
+	a0, a20, a30, c10, c20 := tileOf(), tileOf(), tileOf(), tileOf(), tileOf()
+	a, a2, a3, c1, c2 := make([]float64, nb*nb), make([]float64, nb*nb), make([]float64, nb*nb), make([]float64, nb*nb), make([]float64, nb*nb)
+	t1, t2, t3 := make([]float64, nb*nb), make([]float64, nb*nb), make([]float64, nb*nb)
 	step := func() {
 		copy(a, a0)
 		copy(a2, a20)
+		copy(a3, a30)
 		copy(c1, c10)
 		copy(c2, c20)
 		lapack.Geqrt(nb, nb, a, nb, t1, nb)
 		unmqr(nb, nb, nb, a, nb, t1, nb, c1, nb)
 		tsqrt(nb, nb, a, nb, a2, nb, t2, nb)
 		tsmqr(blas.Trans, nb, nb, nb, a2, nb, t2, nb, c1, nb, c2, nb)
+		// Merge a second geqrt triangle into the first, as a tree does.
+		lapack.Geqrt(nb, nb, a3, nb, t3, nb)
+		ttqrt(nb, nb, a, nb, a3, nb, t3, nb)
+		ttmqr(blas.Trans, nb, nb, nb, a3, nb, t3, nb, c1, nb, c2, nb)
 	}
 	step() // warm the pool
 	if avg := testing.AllocsPerRun(10, step); avg != 0 {
-		t.Errorf("geqrt+unmqr+tsqrt+tsmqr at nb=%d allocate %.1f objects per step in steady state", nb, avg)
+		t.Errorf("geqrt+unmqr+tsqrt+tsmqr+ttqrt+ttmqr at nb=%d allocate %.1f objects per step in steady state", nb, avg)
 	}
 }

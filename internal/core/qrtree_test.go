@@ -135,16 +135,24 @@ func TestGelsTree(t *testing.T) {
 }
 
 func TestTreePairsCoverAllRows(t *testing.T) {
-	// Every row below k must be eliminated exactly once as an i2.
+	// Every row below k must be eliminated exactly once as an i2, into a
+	// row above it that is k or itself eliminated later.
 	for _, c := range [][2]int{{0, 1}, {0, 2}, {0, 7}, {2, 9}, {3, 16}} {
 		k, mt := c[0], c[1]
-		pairs := core.TreePairsForTest(k, mt)
 		eliminated := map[int]int{}
-		for _, p := range pairs {
-			if p[0] < k || p[1] <= p[0] || p[1] >= mt {
-				t.Fatalf("k=%d mt=%d: bad pair %v", k, mt, p)
+		for _, st := range core.Program(core.OpQRTree, mt, k+1, k) {
+			if st.Kind != "ttqrt" {
+				continue
 			}
-			eliminated[p[1]]++
+			_, w := st.Accesses()
+			i1, i2 := w[0][0], w[1][0]
+			if w[0][1] != k || w[1][1] != k || i1 < k || i2 <= i1 || i2 >= mt || i2 != st.I {
+				t.Fatalf("k=%d mt=%d: bad ttqrt %+v writing %v", k, mt, st, w)
+			}
+			if eliminated[i1] != 0 {
+				t.Fatalf("k=%d mt=%d: row %d merged into after its own elimination", k, mt, i1)
+			}
+			eliminated[i2]++
 		}
 		for i := k + 1; i < mt; i++ {
 			if eliminated[i] != 1 {

@@ -107,8 +107,8 @@ func (o FTOptions) validateLosses(a *tile.Matrix[float64]) error {
 // triangle referenced), OpLUNoPiv or OpLU — under the protections given,
 // either of which may be nil: checkpoints per ck, and ABFT checksums (with
 // erasure parity if fo.Erasure) per fo. The two compose; with neither, the
-// walk is the plain dataflow factorization's. f is the OpLU pivot state,
-// nil for the other ops.
+// walk is the plain dataflow factorization's. The QR ops are refused: no
+// guard covers their reflector factors yet.
 //
 // Detected corruption is corrected in place and re-verified through the
 // scheduler's retry path, so with fo set the scheduler should have a retry
@@ -116,18 +116,18 @@ func (o FTOptions) validateLosses(a *tile.Matrix[float64]) error {
 // the factorization even when the correction succeeded. A checkpoint write
 // failure fails the factorization (a checkpoint that silently does not
 // exist is worse than a loud abort).
-func Protect(s sched.Scheduler, op string, a *tile.Matrix[float64], ck *CkptOptions, fo *FTOptions) (*LUFactors[float64], error) {
-	var f *LUFactors[float64]
-	if op == OpLU {
-		f = newLUFactors(a)
+func Protect(s sched.Scheduler, op string, a *tile.Matrix[float64], ck *CkptOptions, fo *FTOptions) (*Factors[float64], error) {
+	if op == OpQR || op == OpQRTree {
+		return nil, fmt.Errorf("core: no protection covers %s's reflector factors", op)
 	}
+	f := newFactors(op, a)
 	return f, protect(s, op, a, f, 0, ck, fo)
 }
 
 // protect runs op's program from panel step from with the guards ck and fo
-// arm, then the ABFT sweep, and waits for it all. f is the OpLU pivot
-// state, nil otherwise.
-func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *LUFactors[float64], from int, ck *CkptOptions, fo *FTOptions) error {
+// arm, then the ABFT sweep, and waits for it all. f is the op's side
+// state.
+func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *Factors[float64], from int, ck *CkptOptions, fo *FTOptions) error {
 	es := &errState{}
 	var guards []guard
 	var st *resilientState

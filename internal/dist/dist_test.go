@@ -104,7 +104,7 @@ func TestTreeQRMovesFewerPanelWords(t *testing.T) {
 	run := func(tree bool) dist.CommStats {
 		a := tile.FromColMajor(m, n, aD, m, nb)
 		rec := sched.NewRecorder()
-		var f *core.QRFactors[float64]
+		var f *core.Factors[float64]
 		if tree {
 			f = core.QRTree(rec, a)
 		} else {
@@ -139,7 +139,7 @@ func TestCommDepthTreeBeatsFlat(t *testing.T) {
 	depth := func(tree bool) int {
 		a := tile.FromColMajor(m, n, aD, m, nb)
 		rec := sched.NewRecorder()
-		var f *core.QRFactors[float64]
+		var f *core.Factors[float64]
 		if tree {
 			f = core.QRTree(rec, a)
 		} else {

@@ -13,8 +13,8 @@ import (
 // single entry is safely shared by concurrent lanes.
 type factor struct {
 	n    int
-	chol *tile.Matrix[float64]    // Cholesky L (lower triangle of the factored tiles)
-	lu   *core.LUFactors[float64] // LU with pivots
+	chol *tile.Matrix[float64]  // Cholesky L (lower triangle of the factored tiles)
+	lu   *core.Factors[float64] // LU with pivots
 }
 
 type cacheKey struct {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"exadla/internal/blas"
-	"exadla/internal/ca"
 	"exadla/internal/core"
 	"exadla/internal/lapack"
 	"exadla/internal/mixed"
@@ -96,7 +95,7 @@ func (c *Context) SolveSPD(a, b *Matrix) (*Matrix, error) {
 // LUFactor is a reusable tile LU factorization with partial pivoting.
 type LUFactor struct {
 	ctx *Context
-	f   *core.LUFactors[float64]
+	f   *core.Factors[float64]
 	n   int
 }
 
@@ -156,7 +155,7 @@ func (c *Context) Solve(a, b *Matrix) (*Matrix, error) {
 // QRFactor is a reusable tile QR factorization.
 type QRFactor struct {
 	ctx  *Context
-	f    *core.QRFactors[float64]
+	f    *core.Factors[float64]
 	m, n int
 }
 
@@ -190,28 +189,43 @@ func (f *QRFactor) R() *Matrix {
 	return r
 }
 
-// QTb applies Qᵀ to a matrix (for least-squares pipelines). B is untouched.
-func (f *QRFactor) QTb(b *Matrix) *Matrix {
+// QTb applies Qᵀ to a matrix with A's row count (for least-squares
+// pipelines). B is untouched.
+func (f *QRFactor) QTb(b *Matrix) (*Matrix, error) {
+	if b.rows != f.m {
+		return nil, fmt.Errorf("exadla: RHS has %d rows, factor is %d×%d", b.rows, f.m, f.n)
+	}
 	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, f.f.A.NB)
 	s := f.ctx.scheduler()
 	core.ApplyQT(s, f.f, tb)
 	s.Wait()
-	return FromSlice(b.rows, b.cols, tb.ToColMajor())
+	return FromSlice(b.rows, b.cols, tb.ToColMajor()), nil
 }
 
 // LeastSquares solves min‖A·x − b‖₂ for a tall full-rank matrix A (m ≥ n)
-// via tile QR. It returns the n×nrhs solution.
+// via tile QR. It returns the n×nrhs solution, or an error if R has an
+// exactly zero diagonal entry (A is rank-deficient).
 func (c *Context) LeastSquares(a, b *Matrix) (*Matrix, error) {
+	return c.leastSquares(a, b, c.tileSizeFor("qr", a.rows), core.Gels[float64])
+}
+
+// leastSquares runs gels (the flat or tree tile least-squares solver) on
+// copies of A and B tiled at nb.
+func (c *Context) leastSquares(a, b *Matrix, nb int, gels func(sched.Scheduler, *tile.Matrix[float64], *tile.Matrix[float64]) *core.Factors[float64]) (*Matrix, error) {
 	if a.rows < a.cols {
-		return nil, fmt.Errorf("exadla: LeastSquares needs m ≥ n, got %d×%d", a.rows, a.cols)
+		return nil, fmt.Errorf("exadla: least squares needs m ≥ n, got %d×%d", a.rows, a.cols)
 	}
 	if b.rows != a.rows {
 		return nil, fmt.Errorf("exadla: RHS has %d rows, matrix has %d", b.rows, a.rows)
 	}
-	nb := c.tileSizeFor("qr", a.rows)
 	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, nb)
 	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, nb)
-	core.Gels(c.scheduler(), ta, tb)
+	gels(c.scheduler(), ta, tb)
+	for i := 0; i < a.cols; i++ {
+		if ta.At(i, i) == 0 {
+			return nil, fmt.Errorf("exadla: rank-deficient matrix (R[%d][%d] = 0)", i, i)
+		}
+	}
 	full := tb.ToColMajor()
 	x := NewMatrix(a.cols, b.cols)
 	for j := 0; j < b.cols; j++ {
@@ -269,16 +283,17 @@ func (c *Context) SolveMixedSPD(a, b *Matrix) (*Matrix, MixedResult, error) {
 }
 
 // TSQRLeastSquares solves min‖A·x − b‖₂ with communication-avoiding TSQR
-// over nblocks row blocks. b must have one column.
+// over about nblocks row blocks (at most m/n). b must have one column.
+//
+// Deprecated: TSQR is the tree-order tile QR on a single tile column, and
+// this runs exactly that: tree least squares at tile size
+// max(n, ⌈m/nblocks⌉). Use LeastSquares, or QRTree and QTb.
 func (c *Context) TSQRLeastSquares(a, b *Matrix, nblocks int) (*Matrix, error) {
 	if b.cols != 1 || b.rows != a.rows {
 		return nil, fmt.Errorf("exadla: TSQRLeastSquares needs an m×1 RHS")
 	}
-	x, err := ca.LeastSquares(c.scheduler(), a.rows, a.cols, a.data, a.rows, b.data, nblocks)
-	if err != nil {
-		return nil, err
-	}
-	return FromSlice(a.cols, 1, x), nil
+	nblocks = max(nblocks, 1)
+	return c.leastSquares(a, b, max(a.cols, (a.rows+nblocks-1)/nblocks, 1), core.GelsTree[float64])
 }
 
 // RandomizedLeastSquares solves min‖A·x − b‖₂ with the
