@@ -63,12 +63,12 @@ func (c *Context) Resume(dir string) (*Resumed, error) {
 	if ck.Op != ckpt.OpCholesky && ck.Op != ckpt.OpLU {
 		return nil, fmt.Errorf("exadla: checkpoint %s holds unknown operation %v", path, ck.Op)
 	}
-	t, f, err := core.Resume(c.scheduler(), ck, &core.CkptOptions{Dir: dir, Every: c.ckptEvery}, c.ftOptions())
+	_, f, err := core.Resume(c.scheduler(), ck, &core.CkptOptions{Dir: dir, Every: c.ckptEvery}, c.ftOptions())
 	if err != nil {
 		return nil, fmt.Errorf("exadla: resuming %s: %w", path, err)
 	}
 	if ck.Op == ckpt.OpLU {
-		return &Resumed{Op: "lu", LU: &LUFactor{ctx: c, f: f, n: ck.M}}, nil
+		return &Resumed{Op: "lu", LU: &LUFactor{factored{c, f}}}, nil
 	}
-	return &Resumed{Op: "cholesky", Cholesky: &CholeskyFactor{ctx: c, l: t, n: ck.M}}, nil
+	return &Resumed{Op: "cholesky", Cholesky: &CholeskyFactor{factored{c, f}}}, nil
 }

@@ -90,7 +90,7 @@ func chaosRun(op string, n, nb, workers int, prob float64) (tasks, retried, fail
 		var f *core.Factors[float64]
 		f, err = core.LU(r, a)
 		if err == nil {
-			resid = luResidual(n, nb, aD, f, r)
+			resid, err = luResidual(n, nb, aD, f, r)
 		}
 	}
 	snap := reg.Snapshot()
@@ -206,7 +206,7 @@ func choleskyResidual(n int, aD []float64, a *tile.Matrix[float64]) float64 {
 
 // luResidual solves A·x = b with the factors against a random known
 // solution and reports the max error.
-func luResidual(n, nb int, aD []float64, f *core.Factors[float64], s sched.Scheduler) float64 {
+func luResidual(n, nb int, aD []float64, f *core.Factors[float64], s sched.Scheduler) (float64, error) {
 	rng := rand.New(rand.NewSource(123))
 	x := make([]float64, n)
 	for i := range x {
@@ -216,9 +216,9 @@ func luResidual(n, nb int, aD []float64, f *core.Factors[float64], s sched.Sched
 	at := tile.FromColMajor(n, n, aD, n, nb)
 	core.MatVec(blas.NoTrans, 1, at, x, 0, b)
 	tb := tile.FromColMajor(n, 1, b, n, nb)
-	core.ApplyLU(s, f, tb)
-	core.TrsmUpper(s, f.A, tb)
-	s.Wait()
+	if err := core.Solve(s, f, tb); err != nil {
+		return 0, err
+	}
 	got := tb.ToColMajor()
 	var diff float64
 	for i := range x {
@@ -226,5 +226,5 @@ func luResidual(n, nb int, aD []float64, f *core.Factors[float64], s sched.Sched
 			diff = d
 		}
 	}
-	return diff
+	return diff, nil
 }

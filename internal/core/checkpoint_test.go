@@ -184,7 +184,7 @@ func TestCheckpointedLURestartBitwise(t *testing.T) {
 		t.Errorf("resumed LU factor differs from uninterrupted run by %g", d)
 	}
 
-	// Solve A·x = b with the resumed factors: ApplyLU needs the restored
+	// Solve A·x = b with the resumed factors: the LU solve needs the restored
 	// pivot vectors and elimination stacks of the pre-abort steps.
 	rng := rand.New(rand.NewSource(62))
 	xWant := matgen.Dense[float64](rng, n, 1)
@@ -192,9 +192,9 @@ func TestCheckpointedLURestartBitwise(t *testing.T) {
 	at := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
 	core.MatVec(blas.NoTrans, 1, at, xWant, 0, bD)
 	b := tile.FromColMajor(n, 1, bD, n, nb)
-	core.ApplyLU(r2, f, b)
-	core.TrsmUpper(r2, f.A, b)
-	r2.Wait()
+	if err := core.Solve(r2, f, b); err != nil {
+		t.Fatal(err)
+	}
 	got := b.ToColMajor()
 	for i := range xWant {
 		if d := math.Abs(got[i] - xWant[i]); d > 1e-8 {
@@ -254,8 +254,7 @@ func TestResumeRejectsMismatchedOp(t *testing.T) {
 }
 
 // TestProtectRejectsQR: no guard understands the QR reflector factors, so
-// Protect refuses the QR programs with an error and Factor, which cannot
-// return their side state, with a panic.
+// Protect refuses the QR programs with an error, while Factor returns them.
 func TestProtectRejectsQR(t *testing.T) {
 	r := sched.New(1)
 	defer r.Shutdown()
@@ -264,14 +263,9 @@ func TestProtectRejectsQR(t *testing.T) {
 		if _, err := core.Protect(r, op, a, &core.CkptOptions{Dir: t.TempDir(), Every: 1}, &core.FTOptions{}); err == nil {
 			t.Errorf("Protect accepted %s", op)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Factor accepted %s", op)
-				}
-			}()
-			_ = core.Factor(r, op, a, false)
-		}()
+		if f, err := core.Factor(r, op, a, nil, false); err != nil || f.T == nil {
+			t.Errorf("Factor(%s): err %v, T %v", op, err, f.T)
+		}
 	}
 }
 

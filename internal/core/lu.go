@@ -22,21 +22,15 @@ import (
 // Rows are swapped only right of the panel that chose them: panel step k's
 // L columns keep the row order they had at step k, so they differ from
 // LAPACK's L by the interchanges of the later steps. Every tile thus has
-// one finalizing writer; ApplyLU replays the interchanges in the same
-// order.
+// one finalizing writer; the LU solve (see Solve) replays the
+// interchanges in the same order.
 func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*Factors[F], error) {
-	f := newFactors(OpLU, a)
-	es := &errState{}
-	submitProgram(s, OpLU, a, f, es, false, 0)
-	return f, finishErr(es, s)
+	return Factor(s, OpLU, a, nil, false)
 }
 
 // LUForkJoin is the block-synchronous baseline of LU.
 func LUForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*Factors[F], error) {
-	f := newFactors(OpLU, a)
-	es := &errState{}
-	submitProgram(s, OpLU, a, f, es, true, 0)
-	return f, finishErr(es, s)
+	return Factor(s, OpLU, a, nil, true)
 }
 
 // getrfPanel factors tile rows k…last of tile column k with partial
@@ -79,7 +73,7 @@ func swptrsm[F blas.Float](a *tile.Matrix[F], piv []int, k int, b *tile.Matrix[F
 	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, kk, nc, 1, l, tr, c, ldc)
 	if tr > kk {
 		// A diagonal tile taller than wide — the last tile column of a tall
-		// matrix, replayed on B by ApplyLU — also carries multipliers
+		// matrix, replayed on B by the LU solve — also carries multipliers
 		// below its eliminated block.
 		blas.Gemm(blas.NoTrans, blas.NoTrans, tr-kk, nc, kk, -1, l[kk:], tr, c, ldc, 1, c[kk:], ldc)
 	}
@@ -95,51 +89,8 @@ func lgemm[F blas.Float](a *tile.Matrix[F], k, i int, b *tile.Matrix[F], j int) 
 		1, b.Tile(i, j), b.TileRows(i))
 }
 
-// ApplyLU submits tasks applying the forward elimination recorded in the
-// LU factors to the tiled right-hand side B in place (the analogue of the
-// row-swap + L-solve half of GETRS): it replays the factorization's own
-// swptrsm and lgemm steps, in its order, on B's tile columns.
-func ApplyLU[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F]) {
-	a := f.A
-	kt := min(a.MT, a.NT)
-	for k := 0; k < kt; k++ {
-		for j := 0; j < b.NT; j++ {
-			col := make([]sched.Handle, 0, a.MT-k)
-			for i := k; i < a.MT; i++ {
-				col = append(col, b.Handle(i, j))
-			}
-			s.Submit(sched.Task{
-				Name:     "swptrsm",
-				Priority: priority(k, kt, bandSolve),
-				Reads:    []sched.Handle{a.Handle(k, k)},
-				Writes:   col,
-				Fn:       timed(solveNs, func() { swptrsm(a, f.Piv, k, b, j) }),
-			})
-		}
-		for j := 0; j < b.NT; j++ {
-			for i := k + 1; i < a.MT; i++ {
-				s.Submit(sched.Task{
-					Name:     "lgemm",
-					Priority: priority(k, kt, bandUpdate),
-					Reads:    []sched.Handle{a.Handle(i, k), b.Handle(k, j)},
-					Writes:   []sched.Handle{b.Handle(i, j)},
-					Fn:       timed(updateNs, func() { lgemm(a, k, i, b, j) }),
-				})
-			}
-		}
-	}
-}
-
 // Gesv factors the square tiled matrix A in place and solves A·X = B in
 // place, all in one dataflow graph.
 func Gesv[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) (*Factors[F], error) {
-	if a.M != a.N {
-		panic("core: Gesv needs a square matrix")
-	}
-	f := newFactors(OpLU, a)
-	es := &errState{}
-	submitProgram(s, OpLU, a, f, es, false, 0)
-	ApplyLU(s, f, b)
-	TrsmUpper(s, a, b)
-	return f, finishErr(es, s)
+	return Factor(s, OpLU, a, b, false)
 }

@@ -31,7 +31,8 @@ func lapackLayout(f *core.Factors[float64]) []float64 {
 // TestLUPivotsMatchGetrf: the tile LU chooses exactly lapack.Getrf's
 // pivots, on square, tall, wide and ragged tile grids, and its factor is
 // LAPACK's to O(n·ε·‖A‖) once the later interchanges are applied to the
-// left columns; ApplyLU, replaying the elimination on A itself, leaves U.
+// left columns; the LU solve's first sweep, replaying the elimination on A
+// itself, leaves U.
 // The dataflow run on four workers and the fork–join run on the
 // sequential Recorder agree bit for bit. A singular input reports Getrf's
 // zero pivot and still factors completely.
@@ -75,7 +76,7 @@ func TestLUPivotsMatchGetrf(t *testing.T) {
 
 				// L⁻¹·P·A = U: the upper trapezoid of the factor, zero below.
 				b := tile.FromColMajor(m, n, aD, m, nb)
-				core.ApplyLU(r, f, b)
+				core.ApplySweep(r, f, b, 0)
 				r.Wait()
 				u := a.ToColMajor()
 				for j := 0; j < n; j++ {
@@ -84,7 +85,7 @@ func TestLUPivotsMatchGetrf(t *testing.T) {
 					}
 				}
 				if diff := maxAbsDiff(b.ToColMajor(), u); diff > tol {
-					t.Errorf("%s: ApplyLU on A leaves %g off U (tolerance %g)", name, diff, tol)
+					t.Errorf("%s: the elimination sweep on A leaves %g off U (tolerance %g)", name, diff, tol)
 				}
 
 				fj := tile.FromColMajor(m, n, aD, m, nb)

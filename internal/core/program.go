@@ -472,19 +472,3 @@ func handles[F blas.Float](m, refl *tile.Matrix[F], at [2]int, cs [][2]int) []sc
 	}
 	return hs
 }
-
-// Factor factors a in place with op's tile program — OpCholesky (lower
-// triangle referenced; on success the lower tiles hold L) or OpLUNoPiv (on
-// success a holds L\U) — and waits for completion. With forkJoin unset the
-// whole DAG is submitted at once; with it set the block-synchronous
-// baseline drains each phase (panel, solves, trailing update) before the
-// next. OpLU and the QR ops carry side state and run through LU, QR and
-// QRTree instead.
-func Factor[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], forkJoin bool) error {
-	if op == OpLU || op == OpQR || op == OpQRTree {
-		panic(fmt.Sprintf("core: Factor cannot return %s's side state; use its driver", op))
-	}
-	es := &errState{}
-	submitProgram(s, op, a, nil, es, forkJoin, 0)
-	return finishErr(es, s)
-}

@@ -8,7 +8,8 @@ import (
 )
 
 // The tile QR drivers are one-line walks of the OpQR and OpQRTree programs
-// (program.go); this file holds the Qᵀ replay and the QR tile kernels.
+// (program.go) and their solve (solve.go); this file holds the QR tile
+// kernels.
 
 // QR computes the tile QR factorization of A (m×n, any shape) in the flat
 // (PLASMA-style) elimination order: each subdiagonal tile is folded into
@@ -49,51 +50,24 @@ func GelsTree[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) *Factors[F]
 	return qr(s, OpQRTree, a, b, false)
 }
 
-// qr submits op's program over a and, with b, the least-squares solve on
-// b after it, then waits.
+// qr is Factor for the QR drivers, which have no error return: the QR
+// kernels report none, so an error is a scheduler's task failure, and it
+// panics as Runtime.Wait does.
 func qr[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], forkJoin bool) *Factors[F] {
-	if b != nil && a.M < a.N {
-		panic("core: Gels requires M ≥ N")
+	f, err := Factor(s, op, a, b, forkJoin)
+	if err != nil {
+		panic(err)
 	}
-	f := newFactors(op, a)
-	submitProgram(s, op, a, f, &errState{}, forkJoin, 0)
-	if b != nil {
-		ApplyQT(s, f, b)
-		TrsmUpper(s, a, b)
-	}
-	s.Wait()
 	return f
 }
-
-// qrUpdates maps each QR panel kernel to the kernel applying its
-// reflectors to another tile column.
-var qrUpdates = map[string]string{"geqrt": "unmqr", "tsqrt": "tsmqr", "ttqrt": "ttmqr"}
 
 // ApplyQT submits tasks applying Qᵀ from the tile QR factors to the tiled
 // matrix B (A's row tiling) in place: it replays the factorization's panel
 // steps in its order, each geqrt, tsqrt or ttqrt as the unmqr, tsmqr or
-// ttmqr that applies its reflectors, on every tile column of B.
+// ttmqr that applies its reflectors, on every tile column of B — the first
+// sweep of the QR solve.
 func ApplyQT[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F]) {
-	a := f.A
-	kt := min(a.MT, a.NT)
-	for _, st := range Program(f.op, a.MT, a.NT, 0) {
-		kind, ok := qrUpdates[st.Kind]
-		if !ok {
-			continue
-		}
-		refl, at := f.reflector(kind), [2]int{st.I, st.K}
-		for j := 0; j < b.NT; j++ {
-			bs := Step{Kind: kind, K: st.K, I: st.I, J: j}
-			reads, writes := bs.Accesses()
-			s.Submit(sched.Task{
-				Name:     kind,
-				Priority: priority(st.K, kt, bs.band()),
-				Reads:    handles(a, refl, at, reads),
-				Writes:   handles(b, nil, at, writes),
-				Fn:       timed(phaseNs[bs.band()], func() { qrApply(kind, a, refl, st.K, st.I, b, j) }),
-			})
-		}
-	}
+	submitSolve(s, f, b, &errState{}, sweepQT)
 }
 
 // qrApply applies, as kind — unmqr, tsmqr or ttmqr — the Qᵀ of the

@@ -279,9 +279,9 @@ func luSolveResidual(t *testing.T, n, nb int, aD []float64, opt core.FTOptions, 
 	if err != nil {
 		t.Fatalf("resilient LU: %v", err)
 	}
-	core.ApplyLU(r, f, b)
-	core.TrsmUpper(r, a, b)
-	r.Wait()
+	if err := core.Solve(r, f, b); err != nil {
+		t.Fatal(err)
+	}
 	got := b.ToColMajor()
 	var diff float64
 	for i := range xWant {

@@ -1,0 +1,214 @@
+package core
+
+import (
+	"fmt"
+
+	"exadla/internal/blas"
+	"exadla/internal/sched"
+	"exadla/internal/tile"
+)
+
+// This file holds the solves, written once as data like the factorizations
+// (program.go): a factor op's solve is a list of sweeps over the (A, B)
+// pair, a sweep unrolls into solveSteps, and one walk submits them.
+
+// A sweep is one pass of a solve over the right-hand side B.
+type sweep uint8
+
+const (
+	sweepL  sweep = iota // L·X = B forward, L in A's lower tiles
+	sweepLT              // Lᵀ·X = B back
+	sweepLU              // LU's interchanges and unit-L solves: its swptrsm and lgemm steps replayed forward
+	sweepQT              // Qᵀ·B: QR's panel steps replayed forward as the unmqr, tsmqr and ttmqr applying them
+	sweepU               // U·X = B back, U in A's upper tiles (LU's U, QR's R)
+)
+
+// solves lists the sweeps that solve A·X = B with each op's factor — in
+// the least-squares sense for QR, whose solution is B's first N rows.
+var solves = map[string][]sweep{
+	OpCholesky: {sweepL, sweepLT},
+	OpLU:       {sweepLU, sweepU},
+	OpQR:       {sweepQT, sweepU},
+	OpQRTree:   {sweepQT, sweepU},
+}
+
+// qrUpdates maps each QR panel kernel to the kernel applying its
+// reflectors to another tile column.
+var qrUpdates = map[string]string{"geqrt": "unmqr", "tsqrt": "tsmqr", "ttqrt": "ttmqr"}
+
+// solveStep is one right-hand-side task of a sweep: kernel Kind applies
+// the factor tiles of panel step K to tile column J of B, with I naming a
+// tile row as in Step (the row a gemm or lgemm updates, the last row a
+// swptrsm swaps, the row whose reflectors a QR kernel applies). pos is its
+// position in the sweep, which sets its priority. Kind is the task name: it
+// is shared with the factor kernel of the same name, the operands are not.
+type solveStep struct {
+	Step
+	sw  sweep
+	pos int
+}
+
+// steps unrolls sweep sw of a solve with op's factor of an mt×nt tile grid
+// on a B of bnt tile columns, in submission order.
+func (sw sweep) steps(op string, mt, nt, bnt int) []solveStep {
+	kt := min(mt, nt)
+	var p []solveStep
+	add := func(kind string, pos, k, i, j int) {
+		p = append(p, solveStep{Step{Kind: kind, K: k, I: i, J: j}, sw, pos})
+	}
+	switch sw {
+	case sweepQT:
+		for _, st := range Program(op, mt, nt, 0) {
+			if kind, ok := qrUpdates[st.Kind]; ok {
+				for j := range bnt {
+					add(kind, st.K, st.K, st.I, j)
+				}
+			}
+		}
+	case sweepLU:
+		for k := range kt {
+			for j := range bnt {
+				add("swptrsm", k, k, mt-1, j)
+			}
+			for j := range bnt {
+				for i := k + 1; i < mt; i++ {
+					add("lgemm", k, k, i, j)
+				}
+			}
+		}
+	default:
+		// The triangular sweeps: solve with tile (k, k), then update the
+		// tile rows the sweep has yet to reach.
+		for pos := range kt {
+			k, lo, hi := pos, pos+1, kt
+			if sw != sweepL {
+				k, lo, hi = kt-1-pos, 0, kt-1-pos
+			}
+			for j := range bnt {
+				add("trsm", pos, k, 0, j)
+				for i := lo; i < hi; i++ {
+					add("gemm", pos, k, i, j)
+				}
+			}
+		}
+	}
+	return p
+}
+
+// accesses returns the tiles of A st reads and the tiles of B it reads and
+// writes, as (row, column) tile coordinates; a read-modify-written tile of
+// B appears only among the writes.
+func (st solveStep) accesses() (a, bReads, bWrites [][2]int) {
+	k, i, j := st.K, st.I, st.J
+	switch st.Kind {
+	case "trsm": // B[k][j] ← op(A[k][k])⁻¹·B[k][j]
+		return [][2]int{{k, k}}, nil, [][2]int{{k, j}}
+	case "gemm", "lgemm": // B[i][j] -= A[i][k]·B[k][j], or L[k][i]ᵀ·B[k][j] going back up L
+		if st.sw == sweepLT {
+			return [][2]int{{k, i}}, [][2]int{{k, j}}, [][2]int{{i, j}}
+		}
+		return [][2]int{{i, k}}, [][2]int{{k, j}}, [][2]int{{i, j}}
+	}
+	// swptrsm and the QR updates touch B's tiles as they touch A's own
+	// tile column j when the factorization runs them.
+	reads, writes := st.Step.Accesses()
+	return reads, nil, writes
+}
+
+// applySolve runs st's kernel on tile column st.J of b with f's factor. It
+// is keyed by the sweep, never by the task name alone, so a solve's trsm or
+// gemm cannot reach the factor kernels of those names in Apply.
+func applySolve[F blas.Float](st solveStep, f *Factors[F], b *tile.Matrix[F]) {
+	a, k, i, j := f.A, st.K, st.I, st.J
+	switch {
+	case st.sw == sweepQT:
+		qrApply(st.Kind, a, f.reflector(st.Kind), k, i, b, j)
+	case st.sw == sweepLU && st.Kind == "swptrsm":
+		swptrsm(a, f.Piv, k, b, j)
+	case st.Kind == "trsm":
+		uplo, trans := blas.Lower, blas.NoTrans
+		if st.sw == sweepLT {
+			trans = blas.Trans
+		} else if st.sw == sweepU {
+			uplo = blas.Upper
+		}
+		// Only the top TileCols(k) rows of B's tile row k carry the
+		// triangular system: all of them but at the foot of a tall
+		// least-squares B.
+		blas.Trsm(blas.Left, uplo, trans, blas.NonUnit,
+			a.TileCols(k), b.TileCols(j), 1,
+			a.Tile(k, k), a.TileRows(k), b.Tile(k, j), b.TileRows(k))
+	case st.sw == sweepLT:
+		blas.Gemm(blas.Trans, blas.NoTrans,
+			b.TileRows(i), b.TileCols(j), a.TileCols(k),
+			-1, a.Tile(k, i), a.TileRows(k),
+			b.Tile(k, j), b.TileRows(k),
+			1, b.Tile(i, j), b.TileRows(i))
+	default: // the gemm of the L and U sweeps, LU's lgemm
+		lgemm(a, k, i, b, j)
+	}
+}
+
+// submitSolve submits sweeps of a solve with f's factor on b, in place, to
+// s — the one walk behind every right-hand-side driver. A task turns into a
+// no-op once es holds an error.
+func submitSolve[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F], es *errState, sweeps ...sweep) {
+	a := f.A
+	kt := min(a.MT, a.NT)
+	for _, sw := range sweeps {
+		for _, st := range sw.steps(f.op, a.MT, a.NT, b.NT) {
+			ar, br, bw := st.accesses()
+			at := [2]int{st.I, st.K}
+			s.Submit(sched.Task{
+				Name:     st.Kind,
+				Priority: priority(st.pos, kt, st.band()),
+				Reads:    append(handles(a, f.reflector(st.Kind), at, ar), handles(b, nil, at, br)...),
+				Writes:   handles(b, nil, at, bw),
+				Fn: timed(phaseNs[st.band()], func() {
+					if !es.failed() {
+						applySolve(st, f, b)
+					}
+				}),
+			})
+		}
+	}
+}
+
+// Factor factors a in place with op's tile program and, with b not nil,
+// solves A·X = B with the factor in place on b — least squares for the QR
+// ops (A tall), the solution in B's first N rows — all in one dataflow
+// graph, then waits. It returns the factor, whose tiles are a's, and the
+// first error: a kernel's (a non-positive-definite diagonal tile, a
+// singular pivot) joined with the scheduler's task failures. With forkJoin
+// set the factorization is the block-synchronous baseline, draining each
+// phase (panel, solves, trailing update) before the next.
+func Factor[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], forkJoin bool) (*Factors[F], error) {
+	f := newFactors(op, a)
+	var sweeps []sweep
+	if b != nil {
+		sweeps = f.solve()
+	}
+	es := &errState{}
+	submitProgram(s, op, a, f, es, forkJoin, 0)
+	submitSolve(s, f, b, es, sweeps...)
+	return f, finishErr(es, s)
+}
+
+// Solve solves A·X = B in place on b (A's row tiling) with the factor f —
+// least squares for a QR factor — and waits, returning the scheduler's task
+// failures. f is only read, so solves may share it.
+func Solve[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F]) error {
+	es := &errState{}
+	submitSolve(s, f, b, es, f.solve()...)
+	return finishErr(es, s)
+}
+
+// solve returns the sweeps of f's solve, panicking where f's op or shape
+// has none: LU solves need a square A, QR's a tall one.
+func (f *Factors[F]) solve() []sweep {
+	sweeps, ok := solves[f.op]
+	if !ok || f.op == OpLU && f.A.M != f.A.N || f.A.M < f.A.N {
+		panic(fmt.Sprintf("core: no solve with a %d×%d %s factor", f.A.M, f.A.N, f.op))
+	}
+	return sweeps
+}

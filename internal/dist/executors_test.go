@@ -25,7 +25,7 @@ func TestEveryExecutorSameFactor(t *testing.T) {
 	const seed, n, nb = 41, 96, 16
 	inProcess := func(s sched.Scheduler, forkJoin bool) func(*testing.T, string, *tile.Matrix[float64]) *tile.Matrix[float64] {
 		return func(t *testing.T, op string, a *tile.Matrix[float64]) *tile.Matrix[float64] {
-			if err := core.Factor(s, op, a, forkJoin); err != nil {
+			if _, err := core.Factor(s, op, a, nil, forkJoin); err != nil {
 				t.Fatal(err)
 			}
 			return a

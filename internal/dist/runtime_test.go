@@ -157,7 +157,7 @@ func TestDistLUNoPivKilledWorkersBitwise(t *testing.T) {
 	const seed, n, nb = 13, 96, 16 // 91 tasks
 	ref := spdTiled(seed, n, nb)
 	r := sched.New(4)
-	err := core.Factor(r, core.OpLUNoPiv, ref, false)
+	_, err := core.Factor(r, core.OpLUNoPiv, ref, nil, false)
 	r.Shutdown()
 	if err != nil {
 		t.Fatal(err)

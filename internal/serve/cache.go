@@ -5,17 +5,7 @@ import (
 	"sync"
 
 	"exadla/internal/core"
-	"exadla/internal/tile"
 )
-
-// factor is one cached factorization. Exactly one of chol/lu is set.
-// Factors are immutable once inserted — warm solves only read them — so a
-// single entry is safely shared by concurrent lanes.
-type factor struct {
-	n    int
-	chol *tile.Matrix[float64]  // Cholesky L (lower triangle of the factored tiles)
-	lu   *core.Factors[float64] // LU with pivots
-}
 
 type cacheKey struct {
 	fp string
@@ -23,7 +13,9 @@ type cacheKey struct {
 }
 
 // factorCache is an LRU map from matrix fingerprint (plus factorization
-// kind) to the finished factor. Capacity is counted in entries; eviction is
+// kind) to the finished factor, Cholesky or LU. Factors are immutable once
+// inserted — warm solves only read them — so a single entry is safely
+// shared by concurrent lanes. Capacity is counted in entries; eviction is
 // least-recently-used. All methods are safe for concurrent use.
 type factorCache struct {
 	mu  sync.Mutex
@@ -36,7 +28,7 @@ type factorCache struct {
 
 type cacheEnt struct {
 	key cacheKey
-	f   *factor
+	f   *core.Factors[float64]
 }
 
 func newFactorCache(capacity int, met *svMetrics) *factorCache {
@@ -45,7 +37,7 @@ func newFactorCache(capacity int, met *svMetrics) *factorCache {
 
 // get returns the cached factor for key, bumping its recency, and records
 // the hit or miss.
-func (c *factorCache) get(key cacheKey) *factor {
+func (c *factorCache) get(key cacheKey) *core.Factors[float64] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -57,21 +49,10 @@ func (c *factorCache) get(key cacheKey) *factor {
 	return nil
 }
 
-// peek is get without touching recency or the hit/miss counters — used by
-// the fingerprint-reference path to validate a handle before running.
-func (c *factorCache) peek(key cacheKey) *factor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		return el.Value.(*cacheEnt).f
-	}
-	return nil
-}
-
 // put inserts f under key, evicting the least-recently-used entry if the
 // cache is full. If another lane raced the same factorization in, the
 // incumbent wins (both are factors of the identical matrix).
-func (c *factorCache) put(key cacheKey, f *factor) {
+func (c *factorCache) put(key cacheKey, f *core.Factors[float64]) {
 	if c.cap < 1 {
 		return
 	}
