@@ -101,23 +101,86 @@ func TestChaosSolveRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosSolveWithoutRetryFails: with retries off, the same chaos seed
-// surfaces an aggregated failure naming the killed kernel instead of
-// panicking.
+// TestChaosSolveWithoutRetryFails: with retries off, a chaos-killed task
+// surfaces from every entry point with an error return as an aggregated
+// failure naming the killed kernel, instead of panicking. The rows that
+// solve with a stored factor run on one worker and search for a chaos seed
+// whose first draws spare the factorization and whose later ones kill a
+// task of the solve.
 func TestChaosSolveWithoutRetryFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	const n = 160
+	const n = 64
 	a, b, _ := spdSystem(t, rng, n)
-	ctx := newCtx(t, exadla.WithChaos(2016, 0.05), exadla.WithTileSize(48))
-	_, err := ctx.SolveSPD(a, b)
-	if err == nil {
-		t.Fatal("chaos without retries returned nil")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "failed") || !strings.Contains(msg, "chaos") {
-		t.Errorf("error %q does not describe the chaos-killed task", msg)
-	}
-	if st := ctx.FaultStats(); st.Failed == 0 {
-		t.Error("no failed tasks counted")
+	tall, tb := exadla.RandomGeneral(rng, 2*n, n/2), exadla.RandomGeneral(rng, 2*n, 1)
+	for _, c := range []struct {
+		name string
+		// run reports whether the factorization, if the row has a separate
+		// one, succeeded, and the entry point's error.
+		run func(ctx *exadla.Context) (factored bool, err error)
+	}{
+		{"SolveSPD", func(ctx *exadla.Context) (bool, error) { _, err := ctx.SolveSPD(a, b); return true, err }},
+		{"Solve", func(ctx *exadla.Context) (bool, error) { _, err := ctx.Solve(a, b); return true, err }},
+		{"LeastSquares", func(ctx *exadla.Context) (bool, error) { _, err := ctx.LeastSquares(tall, tb); return true, err }},
+		{"TSQRLeastSquares", func(ctx *exadla.Context) (bool, error) {
+			_, err := ctx.TSQRLeastSquares(tall, tb, 4)
+			return true, err
+		}},
+		{"CholeskyFactor.Solve", func(ctx *exadla.Context) (bool, error) {
+			f, err := ctx.Cholesky(a)
+			if err != nil {
+				return false, nil
+			}
+			_, err = f.Solve(b)
+			return true, err
+		}},
+		{"LUFactor.Solve", func(ctx *exadla.Context) (bool, error) {
+			f, err := ctx.LU(a)
+			if err != nil {
+				return false, nil
+			}
+			_, err = f.Solve(b)
+			return true, err
+		}},
+		{"QRFactor.QTb", func(ctx *exadla.Context) (bool, error) {
+			var f *exadla.QRFactor
+			if !func() (ok bool) {
+				defer func() { ok = recover() == nil }() // QR has no error return
+				f = ctx.QR(tall)
+				return
+			}() {
+				return false, nil
+			}
+			_, err := f.QTb(tb)
+			return true, err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 500; seed++ {
+				ctx := exadla.NewContext(exadla.WithWorkers(1), exadla.WithChaos(seed, 0.5), exadla.WithTileSize(32))
+				var factored bool
+				var err error
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("seed %d: panicked: %v", seed, p)
+						}
+					}()
+					factored, err = c.run(ctx)
+				}()
+				failed := ctx.FaultStats().Failed
+				ctx.Close()
+				if !factored || failed == 0 {
+					continue
+				}
+				if err == nil {
+					t.Fatalf("seed %d: %d killed task(s), nil error", seed, failed)
+				}
+				if msg := err.Error(); !strings.Contains(msg, "failed") || !strings.Contains(msg, `chaos: killed "`) {
+					t.Errorf("error %q does not name the chaos-killed kernel", msg)
+				}
+				return
+			}
+			t.Fatal("no chaos seed spared the factorization and killed a task after it")
+		})
 	}
 }
