@@ -55,11 +55,7 @@ func runE2(quick bool) {
 	// Gantt charts at P=4.
 	for _, variant := range []string{"fork-join", "dataflow"} {
 		fmt.Printf("\nGantt (%s, P=4, n=%d, nb=%d) — '.' is idle:\n", variant, n, nb)
-		_, events := sched.SimulateEvents(graphs[variant], 4)
-		log := trace.NewLog()
-		for _, e := range events {
-			log.TaskRan(e.Name, e.Worker, int64(e.Start*1e9), int64(e.End*1e9))
-		}
+		log, _ := trace.Simulate(graphs[variant], 4)
 		if err := log.Gantt(os.Stdout, 100); err != nil {
 			fmt.Println(err)
 		}

@@ -65,28 +65,8 @@ func main() {
 	a := tile.FromColMajor(*n, *n, aD, *n, *nb)
 
 	rec := sched.NewRecorder()
-	var err error
-	switch *op {
-	case "cholesky":
-		if *forkJoin {
-			err = core.CholeskyForkJoin(rec, a)
-		} else {
-			err = core.Cholesky(rec, a)
-		}
-	case "lu":
-		if *forkJoin {
-			_, err = core.LUForkJoin(rec, a)
-		} else {
-			_, err = core.LU(rec, a)
-		}
-	case "qr":
-		if *forkJoin {
-			core.QRForkJoin(rec, a)
-		} else {
-			core.QR(rec, a)
-		}
-	}
-	if err != nil {
+	// The -op names are the tile program names core.Factor takes.
+	if _, err := core.Factor(rec, *op, a, nil, *forkJoin); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -99,23 +79,9 @@ func main() {
 	fmt.Printf("%s %s: n=%d nb=%d — %d tasks, %.4fs total work, %.4fs critical path\n",
 		*op, variant, *n, *nb, g.Tasks(), g.TotalWork(), g.CriticalPath())
 
-	res, events := sched.SimulateEvents(g, *workers)
+	log, res := trace.Simulate(g, *workers)
 	fmt.Printf("simulated on %d workers: makespan %.4fs, utilization %.1f%%, speedup %.2fx\n\n",
 		*workers, res.Makespan, 100*res.Utilization, g.TotalWork()/res.Makespan)
-
-	// Feed the simulated schedule into the trace log as full spans, with
-	// barrier nodes flattened into direct task→task edges, so the DAG view
-	// and the Chrome export see the dependence structure.
-	flat := g.FlattenBarriers()
-	log := trace.NewLog()
-	for _, e := range events {
-		log.TaskSpan(sched.Span{
-			ID: e.ID, Name: e.Name, Worker: e.Worker, Attempt: 1,
-			Deps:  flat[e.ID],
-			Ready: int64(e.Ready * 1e9),
-			Start: int64(e.Start * 1e9), End: int64(e.End * 1e9),
-		})
-	}
 	printCriticalPath(log, *workers)
 	if err := log.Gantt(os.Stdout, *width); err != nil {
 		fmt.Fprintln(os.Stderr, err)

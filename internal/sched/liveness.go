@@ -252,8 +252,6 @@ func (r *Runtime) recoverLost(att *attempt) {
 			sp.Outcome = OutcomeFailed
 		}
 		r.spanTracer.TaskSpan(sp)
-	} else if r.tracer != nil {
-		r.tracer.TaskRan(att.n.task.Name, att.worker, att.start, end)
 	}
 	skipped := r.resolveFailure(att.n, err, retrying, att.num, att.worker)
 	if len(skipped) > 0 {

@@ -143,8 +143,7 @@ type Runtime struct {
 	watchDone    chan struct{}
 	watchOnce    sync.Once
 
-	tracer     Tracer
-	spanTracer SpanTracer // tracer's span extension, when implemented
+	spanTracer SpanTracer
 	met        *rtMetrics
 }
 
@@ -154,28 +153,14 @@ type access struct {
 	readers    []*node // readers since lastWriter
 }
 
-// Tracer receives task lifecycle events from a Runtime. Implementations
-// must be safe for concurrent use. A Tracer that also implements SpanTracer
-// receives full spans (per-attempt, with DAG context) instead of TaskRan
-// calls; see span.go.
-type Tracer interface {
-	// TaskRan reports a completed task: which worker ran it and its start
-	// and end times in nanoseconds since the trace epoch.
-	TaskRan(name string, worker int, start, end int64)
-}
-
 // Option configures a Runtime.
 type Option func(*Runtime)
 
-// WithTracer attaches a tracer to the runtime. If tr also implements
-// SpanTracer the runtime emits spans — one per task attempt, carrying task
-// ID, dependence edges, queue wait, attempt number, and outcome — instead
-// of the legacy TaskRan events.
-func WithTracer(tr Tracer) Option {
-	return func(r *Runtime) {
-		r.tracer = tr
-		r.spanTracer, _ = tr.(SpanTracer)
-	}
+// WithTracer attaches a tracer to the runtime, which emits spans to it —
+// one per task attempt and per skipped task, carrying task ID, dependence
+// edges, queue wait, attempt number, and outcome; see span.go.
+func WithTracer(tr SpanTracer) Option {
+	return func(r *Runtime) { r.spanTracer = tr }
 }
 
 // WithMetrics directs the runtime's instrumentation (task counts, queue
@@ -442,8 +427,6 @@ func (r *Runtime) worker(id int) {
 				sp.Err = err.Error()
 			}
 			r.spanTracer.TaskSpan(sp)
-		} else if r.tracer != nil {
-			r.tracer.TaskRan(n.task.Name, id, start, end)
 		}
 
 		var skipped []*node

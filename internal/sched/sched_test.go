@@ -272,9 +272,9 @@ func TestSubmitAfterShutdownPanics(t *testing.T) {
 func TestTracerReceivesEvents(t *testing.T) {
 	var mu sync.Mutex
 	var names []string
-	tr := tracerFunc(func(name string, worker int, start, end int64) {
+	tr := tracerFunc(func(sp Span) {
 		mu.Lock()
-		names = append(names, name)
+		names = append(names, sp.Name)
 		mu.Unlock()
 	})
 	r := New(2, WithTracer(tr))
@@ -287,9 +287,9 @@ func TestTracerReceivesEvents(t *testing.T) {
 	}
 }
 
-type tracerFunc func(name string, worker int, start, end int64)
+type tracerFunc func(Span)
 
-func (f tracerFunc) TaskRan(name string, worker int, start, end int64) { f(name, worker, start, end) }
+func (f tracerFunc) TaskSpan(sp Span) { f(sp) }
 
 func TestTaskPanicPropagatesToWait(t *testing.T) {
 	r := New(2)

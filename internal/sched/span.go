@@ -57,7 +57,7 @@ func (o Outcome) String() string {
 }
 
 // Span describes one task attempt with full DAG context. Times are
-// nanoseconds since the trace epoch (the same clock TaskRan uses).
+// nanoseconds since the trace epoch.
 type Span struct {
 	// ID is the task's submission sequence number, unique within a Runtime
 	// and shared by every attempt of the same task.
@@ -91,10 +91,9 @@ func (s Span) QueueWait() int64 {
 	return s.Start - s.Ready
 }
 
-// SpanTracer is the span-model extension of Tracer. A tracer passed to
-// WithTracer that also implements SpanTracer receives one TaskSpan call per
-// task attempt (and per skipped task) instead of TaskRan calls.
-// Implementations must be safe for concurrent use.
+// SpanTracer receives a Runtime's task spans (see WithTracer): one
+// TaskSpan call per task attempt and per skipped task. Implementations must
+// be safe for concurrent use.
 type SpanTracer interface {
 	// TaskSpan reports one completed task attempt or one skipped task.
 	TaskSpan(Span)

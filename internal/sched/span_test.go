@@ -13,18 +13,10 @@ import (
 	"exadla/internal/sched"
 )
 
-// spanCollector implements both sched.Tracer and sched.SpanTracer; wired
-// through WithTracer it receives spans, never TaskRan calls.
+// spanCollector is a sched.SpanTracer keeping every span it receives.
 type spanCollector struct {
-	mu      sync.Mutex
-	spans   []sched.Span
-	taskRan int
-}
-
-func (c *spanCollector) TaskRan(string, int, int64, int64) {
-	c.mu.Lock()
-	c.taskRan++
-	c.mu.Unlock()
+	mu    sync.Mutex
+	spans []sched.Span
 }
 
 func (c *spanCollector) TaskSpan(sp sched.Span) {
@@ -43,11 +35,11 @@ func (c *spanCollector) byID() map[int][]sched.Span {
 	return m
 }
 
-// counts reads the collector's totals under its lock.
-func (c *spanCollector) counts() (spans, taskRan int) {
+// count reads the collector's span count under its lock.
+func (c *spanCollector) count() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.spans), c.taskRan
+	return len(c.spans)
 }
 
 func TestSpansCleanChain(t *testing.T) {
@@ -60,11 +52,7 @@ func TestSpansCleanChain(t *testing.T) {
 	rt.Wait()
 	rt.Shutdown()
 
-	nSpans, nTaskRan := col.counts()
-	if nTaskRan != 0 {
-		t.Errorf("TaskRan called %d times on a SpanTracer", nTaskRan)
-	}
-	if nSpans != 3 {
+	if nSpans := col.count(); nSpans != 3 {
 		t.Fatalf("got %d spans, want 3", nSpans)
 	}
 	byID := col.byID()
@@ -181,7 +169,7 @@ func TestSpansCompleteAtWait(t *testing.T) {
 		if err := rt.WaitErr(); err == nil {
 			t.Fatal("WaitErr returned nil for a failed graph")
 		}
-		if n, _ := col.counts(); n != total {
+		if n := col.count(); n != total {
 			t.Fatalf("round %d: %d spans at WaitErr-return, want %d", round, n, total)
 		}
 	}
@@ -218,37 +206,5 @@ func TestSpansCorrectedOutcome(t *testing.T) {
 	}
 	if sps[1].Outcome != sched.OutcomeOK {
 		t.Errorf("second attempt outcome %v, want ok", sps[1].Outcome)
-	}
-}
-
-// legacyTracer implements only the old interface; the runtime must keep
-// calling TaskRan for it.
-type legacyTracer struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (l *legacyTracer) TaskRan(string, int, int64, int64) {
-	l.mu.Lock()
-	l.n++
-	l.mu.Unlock()
-}
-
-func (l *legacyTracer) count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-func TestLegacyTracerStillServed(t *testing.T) {
-	lt := &legacyTracer{}
-	rt := sched.New(2, sched.WithTracer(lt))
-	for i := 0; i < 5; i++ {
-		rt.Submit(sched.Task{Name: "t", Fn: func() {}})
-	}
-	rt.Wait()
-	rt.Shutdown()
-	if n := lt.count(); n != 5 {
-		t.Errorf("TaskRan called %d times, want 5", n)
 	}
 }

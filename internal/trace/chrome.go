@@ -93,7 +93,7 @@ func (l *Log) WriteChrome(w io.Writer) error {
 	type bounds struct{ first, last Event }
 	attempts := map[int]*bounds{}
 	for _, e := range events {
-		if e.Attempt == 0 || e.ID < 0 {
+		if e.Attempt == 0 {
 			continue
 		}
 		b := attempts[e.ID]
@@ -139,7 +139,7 @@ func (l *Log) WriteChrome(w io.Writer) error {
 	// last attempt to the consumer's first.
 	flowID := 0
 	for _, e := range events {
-		if e.Attempt == 0 || e.ID < 0 {
+		if e.Attempt == 0 {
 			continue
 		}
 		to := attempts[e.ID]

@@ -116,10 +116,7 @@ func (n *dagNode) commWeight() float64 {
 // AnalyzeDAG computes the work/span decomposition of the recorded trace.
 // Each task's weight is the summed duration of its attempts (a retried task
 // stretches every path through it, which is exactly what retries do to the
-// schedule). Legacy TaskRan events carry no dependence edges; they enter
-// the analysis as independent tasks, so a legacy-only trace reports
-// TInf = max single-task duration. Skipped tasks never ran and are
-// excluded.
+// schedule). Skipped tasks never ran and are excluded.
 func (l *Log) AnalyzeDAG() DAGStats {
 	events := l.Events()
 	st := DAGStats{CritShare: map[string]float64{}}
@@ -133,7 +130,6 @@ func (l *Log) AnalyzeDAG() DAGStats {
 		}
 		return n
 	}
-	synthetic := -1                 // legacy events get unique negative IDs
 	commitSeen := map[[2]int]bool{} // (id, attempt) whose commit interval is charged
 	var first, last int64
 	for _, e := range events {
@@ -191,15 +187,10 @@ func (l *Log) AnalyzeDAG() DAGStats {
 		if e.End > last {
 			last = e.End
 		}
-		id := e.ID
-		if id < 0 {
-			id = synthetic
-			synthetic--
-		}
-		n := nodes[id]
+		n := nodes[e.ID]
 		if n == nil {
 			n = &dagNode{name: e.Name, deps: e.Deps}
-			nodes[id] = n
+			nodes[e.ID] = n
 		} else if len(n.deps) == 0 {
 			// The node may have been created by a sub-phase span, which
 			// carries no dependence edges; the whole-attempt span does.

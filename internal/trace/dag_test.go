@@ -93,30 +93,15 @@ func TestAnalyzeDAGRetriesStretchPaths(t *testing.T) {
 	}
 }
 
-func TestAnalyzeDAGLegacyEvents(t *testing.T) {
+func TestAnalyzeDAGEdgelessSpans(t *testing.T) {
 	l := trace.NewLog()
-	l.TaskRan("a", 0, 0, 2*sec)
-	l.TaskRan("b", 1, 0, 3*sec)
+	l.TaskSpan(span(0, "a", 0, nil, 0, 2*sec))
+	l.TaskSpan(span(1, "b", 1, nil, 0, 3*sec))
 	d := l.AnalyzeDAG()
 	// No edges recorded: tasks are independent, TInf is the longest task.
 	if d.Tasks != 2 || math.Abs(d.TInf-3) > 1e-9 || math.Abs(d.T1-5) > 1e-9 {
 		t.Errorf("tasks=%d T1=%v TInf=%v", d.Tasks, d.T1, d.TInf)
 	}
-}
-
-// logFromSim replays a simulated schedule into a trace log as spans, with
-// barrier deps flattened — the same wiring cmd/exatrace uses.
-func logFromSim(g *sched.Graph, workers int) (*trace.Log, sched.SimResult) {
-	res, events := sched.SimulateEvents(g, workers)
-	flat := g.FlattenBarriers()
-	l := trace.NewLog()
-	for _, e := range events {
-		l.TaskSpan(sched.Span{ID: e.ID, Name: e.Name, Worker: e.Worker, Attempt: 1,
-			Deps:  flat[e.ID],
-			Ready: int64(e.Ready * 1e9),
-			Start: int64(e.Start * 1e9), End: int64(e.End * 1e9)})
-	}
-	return l, res
 }
 
 // unitCosts gives every non-barrier node cost 1, making structural
@@ -147,8 +132,8 @@ func TestDAGForkJoinVsDataflowCholesky(t *testing.T) {
 	unitCosts(gFJ)
 
 	const workers = 8
-	lDF, _ := logFromSim(gDF, workers)
-	lFJ, _ := logFromSim(gFJ, workers)
+	lDF, _ := trace.Simulate(gDF, workers)
+	lFJ, _ := trace.Simulate(gFJ, workers)
 	dDF, dFJ := lDF.AnalyzeDAG(), lFJ.AnalyzeDAG()
 
 	// Same work, and at unit cost even the same critical path — the
@@ -198,7 +183,7 @@ func TestDAGSandwichProperty(t *testing.T) {
 			g.Nodes = append(g.Nodes, node)
 		}
 		for _, workers := range []int{1, 2, 7} {
-			l, res := logFromSim(g, workers)
+			l, res := trace.Simulate(g, workers)
 			d := l.AnalyzeDAG()
 			const eps = 1e-9
 			if d.TInf > d.Makespan+eps {

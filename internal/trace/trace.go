@@ -17,11 +17,11 @@ import (
 )
 
 // Event records one executed task attempt (or one skipped task) with full
-// span context. Legacy TaskRan events carry ID -1 and no dependence edges.
+// span context.
 type Event struct {
 	// ID is the task's submission sequence number, shared by every attempt
-	// of the same task; negative for events recorded via the legacy TaskRan
-	// interface, which has no task identity.
+	// of the same task; -1 for a distributed fault instant that belongs to
+	// no task.
 	ID int
 	// Name is the kernel label.
 	Name string
@@ -29,7 +29,7 @@ type Event struct {
 	Worker int
 	// Attempt is the 1-based attempt number (0 for skipped tasks).
 	Attempt int
-	// Deps are the IDs of tasks this one depends on (empty for legacy events).
+	// Deps are the IDs of tasks this one depends on.
 	Deps []int
 	// Ready is when the attempt joined the ready queue (nanoseconds since
 	// the trace epoch); Start-Ready is the queue wait. Zero when unknown.
@@ -64,9 +64,8 @@ func (e Event) QueueWait() int64 {
 	return e.Start - e.Ready
 }
 
-// Log accumulates events; it implements both sched.Tracer and
-// sched.SpanTracer, so a runtime wired with WithTracer(log) emits
-// full-fidelity spans. Events are buffered per worker — the hot path takes
+// Log accumulates events; it implements sched.SpanTracer, so a runtime
+// wired with WithTracer(log) records its spans. Events are buffered per worker — the hot path takes
 // only the owning worker's shard lock, never a global one — and merged (and
 // sorted) on demand by Events.
 type Log struct {
@@ -79,10 +78,7 @@ type logShard struct {
 	events []Event
 }
 
-var (
-	_ sched.Tracer     = (*Log)(nil)
-	_ sched.SpanTracer = (*Log)(nil)
-)
+var _ sched.SpanTracer = (*Log)(nil)
 
 // NewLog returns an empty trace log.
 func NewLog() *Log { return &Log{} }
@@ -115,19 +111,6 @@ func (l *Log) shard(w int) *logShard {
 	return grown[w]
 }
 
-// TaskRan implements the scheduler's legacy Tracer interface. Runtimes that
-// recognise SpanTracer call TaskSpan instead; TaskRan remains for
-// simulations and third-party schedulers.
-func (l *Log) TaskRan(name string, worker int, start, end int64) {
-	s := l.shard(worker)
-	s.mu.Lock()
-	s.events = append(s.events, Event{
-		ID: -1, Name: name, Worker: worker, Attempt: 1,
-		Ready: start, Start: start, End: end,
-	})
-	s.mu.Unlock()
-}
-
 // TaskSpan implements sched.SpanTracer: one call per task attempt and per
 // skipped task.
 func (l *Log) TaskSpan(sp sched.Span) {
@@ -139,6 +122,25 @@ func (l *Log) TaskSpan(sp sched.Span) {
 		Outcome: sp.Outcome, Err: sp.Err,
 	})
 	s.mu.Unlock()
+}
+
+// Simulate replays g on the given number of virtual workers
+// (sched.SimulateEvents) and logs the schedule as spans, with barrier nodes
+// flattened into direct task→task edges so the DAG analysis and the Chrome
+// export see the dependence structure.
+func Simulate(g *sched.Graph, workers int) (*Log, sched.SimResult) {
+	res, events := sched.SimulateEvents(g, workers)
+	flat := g.FlattenBarriers()
+	l := NewLog()
+	for _, e := range events {
+		l.TaskSpan(sched.Span{
+			ID: e.ID, Name: e.Name, Worker: e.Worker, Attempt: 1,
+			Deps:  flat[e.ID],
+			Ready: int64(e.Ready * 1e9),
+			Start: int64(e.Start * 1e9), End: int64(e.End * 1e9),
+		})
+	}
+	return l, res
 }
 
 // Add appends an arbitrary event — the entry point for merged cluster

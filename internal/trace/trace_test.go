@@ -5,13 +5,20 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"exadla/internal/sched"
 )
+
+// ran logs one completed first attempt of task id as a span.
+func ran(l *Log, id int, name string, worker int, start, end int64) {
+	l.TaskSpan(sched.Span{ID: id, Name: name, Worker: worker, Attempt: 1, Start: start, End: end})
+}
 
 func TestAnalyzeBasics(t *testing.T) {
 	l := NewLog()
 	// Two workers, each busy 1s over a 2s span → utilization 0.5.
-	l.TaskRan("gemm", 0, 0, 1e9)
-	l.TaskRan("trsm", 1, 1e9, 2e9)
+	ran(l, 0, "gemm", 0, 0, 1e9)
+	ran(l, 1, "trsm", 1, 1e9, 2e9)
 	st := l.Analyze()
 	if st.Tasks != 2 || st.Workers != 2 {
 		t.Fatalf("tasks=%d workers=%d", st.Tasks, st.Workers)
@@ -39,8 +46,8 @@ func TestAnalyzeEmpty(t *testing.T) {
 
 func TestEventsSorted(t *testing.T) {
 	l := NewLog()
-	l.TaskRan("b", 0, 100, 200)
-	l.TaskRan("a", 0, 0, 50)
+	ran(l, 0, "b", 0, 100, 200)
+	ran(l, 1, "a", 0, 0, 50)
 	ev := l.Events()
 	if ev[0].Name != "a" || ev[1].Name != "b" {
 		t.Errorf("events not sorted: %v", ev)
@@ -49,7 +56,7 @@ func TestEventsSorted(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	l := NewLog()
-	l.TaskRan("a", 0, 0, 1)
+	ran(l, 0, "a", 0, 0, 1)
 	l.Reset()
 	if len(l.Events()) != 0 {
 		t.Error("reset did not clear events")
@@ -58,8 +65,8 @@ func TestReset(t *testing.T) {
 
 func TestGantt(t *testing.T) {
 	l := NewLog()
-	l.TaskRan("potrf", 0, 0, 5e8)
-	l.TaskRan("gemm", 1, 5e8, 1e9)
+	ran(l, 0, "potrf", 0, 0, 5e8)
+	ran(l, 1, "gemm", 1, 5e8, 1e9)
 	var sb strings.Builder
 	if err := l.Gantt(&sb, 20); err != nil {
 		t.Fatal(err)
@@ -93,8 +100,8 @@ func TestGanttEmpty(t *testing.T) {
 
 func TestWriteChrome(t *testing.T) {
 	l := NewLog()
-	l.TaskRan("potrf", 0, 1000, 2000)
-	l.TaskRan("gemm", 1, 2000, 5000)
+	ran(l, 0, "potrf", 0, 1000, 2000)
+	ran(l, 1, "gemm", 1, 2000, 5000)
 	var sb strings.Builder
 	if err := l.WriteChrome(&sb); err != nil {
 		t.Fatal(err)
