@@ -9,8 +9,12 @@
 // accesses and priority, and Apply runs its kernel. QR is two programs, one
 // per elimination tree — the flat chain (OpQR) and the binary tree
 // (OpQRTree, which on one tile column is TSQR) — and its reflector factors
-// travel as tiles beside A's. One program, many executors — the same steps
-// are walked by
+// travel as tiles beside A's. Each factor's solve is data too (solve.go):
+// sweeps over the (A, B) pair — L forward then Lᵀ back; LU's swptrsm and
+// lgemm replayed then U back; QR's Qᵀ replayed then R back — submitted by
+// one walk, behind Factor (factor and solve in one graph) and Solve (a
+// stored factor). One program, many executors — the same steps are walked
+// by
 //
 //   - the dataflow drivers, which submit all tasks up front and synchronize
 //     once, so the scheduler overlaps independent work across iteration
@@ -20,14 +24,12 @@
 //     LAPACK-style execution whose idle time the talk attacks;
 //   - the guarded drivers (Protect, Resume), which layer ABFT checksums,
 //     erasure parity and checkpoints onto the Cholesky and LU walks;
-//   - the right-hand-side replays ApplyLU and ApplyQT, which run the
-//     programs' solve and update kernels on B's tiles;
 //   - the distributed runtime (internal/dist), which ships Cholesky and
 //     no-pivot LU Steps to remote workers that call Apply on their tile
 //     caches.
 //
-// The triangular solves, the tile GEMM and the tile inversion still submit
-// their own nests over the same tile kernels.
+// The tile GEMM and the tile inversion still submit their own nests over
+// the same tile kernels.
 //
 // Factorization errors discovered inside tasks (a non-positive-definite
 // diagonal tile, a singular pivot) are captured in an errState and the first
