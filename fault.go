@@ -6,7 +6,6 @@ import (
 	"exadla/internal/core"
 	"exadla/internal/obs"
 	"exadla/internal/sched"
-	"exadla/internal/tile"
 )
 
 // WithFaultTolerance arms ABFT protection on Cholesky, SolveSPD, LU, Solve
@@ -185,12 +184,4 @@ func (c *Context) ftOptions() *core.FTOptions {
 		return nil
 	}
 	return &core.FTOptions{Stats: &c.ftStats, Erasure: c.erasure}
-}
-
-// factor runs op's tile program (core.OpCholesky or core.OpLU) over t in
-// place under every protection the Context armed: checkpointing, ABFT and
-// erasure are guards on the one program and compose; with none armed it is
-// the plain dataflow factorization. Cholesky's Factors carry no side state.
-func (c *Context) factor(op string, t *tile.Matrix[float64]) (*core.Factors[float64], error) {
-	return core.Protect(c.scheduler(), op, t, c.ckptOptions(), c.ftOptions())
 }
