@@ -89,6 +89,62 @@ func FuzzGemmDiff(f *testing.F) {
 	})
 }
 
+// FuzzGemmPrepackedDiff differentially fuzzes GemmPrepacked against Gemm,
+// bit for bit: the product is run twice with fresh shared packs (the first
+// run packs them, the second reads them) and must equal Gemm under the
+// blocking in force each time. flags: bits 0–1 the transposes, bits 2–3
+// the operands read from a pack (A, B or both), bit 4 a small blocking the
+// operands outgrow, bit 5 the other blocking for the second run, bit 6 the
+// default volume cutover, under which a product on the axpy kernels must
+// leave its packs empty.
+func FuzzGemmPrepackedDiff(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(8), uint8(8), uint8(0x0c))
+	f.Add(int64(2), uint8(17), uint8(9), uint8(13), uint8(0x1d))
+	f.Add(int64(3), uint8(23), uint8(14), uint8(29), uint8(0x3e))
+	f.Add(int64(4), uint8(30), uint8(2), uint8(30), uint8(0x4c))
+	f.Add(int64(5), uint8(5), uint8(5), uint8(5), uint8(0x4f))
+	f.Fuzz(func(t *testing.T, seed int64, m8, n8, k8, flags uint8) {
+		m, n, k := 1+int(m8%40), 1+int(n8%40), 1+int(k8%40)
+		transA, transB := NoTrans, NoTrans
+		if flags&1 != 0 {
+			transA = Trans
+		}
+		if flags&2 != 0 {
+			transB = Trans
+		}
+		blk := []Blocking{DefaultBlocking(), smallBlocking}
+		if flags&16 != 0 {
+			blk[0], blk[1] = blk[1], blk[0]
+		}
+		old, oldVolume := GemmBlocking(), minPackedVolume
+		defer func() { SetGemmBlocking(old); minPackedVolume = oldVolume }()
+		if flags&64 == 0 {
+			minPackedVolume = 0
+		}
+		g := newGemmCase[float64](rand.New(rand.NewSource(seed)), transA, transB, m, n, k)
+		var pa, pb *Packed[float64]
+		if flags&4 != 0 || flags&12 == 0 {
+			pa = new(Packed[float64])
+		}
+		if flags&8 != 0 || flags&12 == 0 {
+			pb = new(Packed[float64])
+		}
+		for run := range 2 {
+			SetGemmBlocking(blk[0])
+			if run == 1 && flags&32 != 0 {
+				SetGemmBlocking(blk[1])
+			}
+			if i := sameBits(g.run(pa, pb), g.run(nil, nil)); i >= 0 {
+				t.Fatalf("run %d %v%v m=%d n=%d k=%d flags %#x: differs from Gemm at %d", run, transA, transB, m, n, k, flags, i)
+			}
+		}
+		axpy := n < GemmBlocking().NR || int64(m*n*k) < minPackedVolume
+		if axpy && (pa != nil && pa.ready || pb != nil && pb.ready) {
+			t.Fatalf("m=%d n=%d k=%d: an axpy-path product packed a shared operand", m, n, k)
+		}
+	})
+}
+
 // fuzzAlphas are the α values the Syrk/Trsm/Trmm fuzzers pick from: the early-out
 // gates 0 and 1, a sign flip, and a generic value.
 var fuzzAlphas = []float64{0, 1, -1, 0.7}

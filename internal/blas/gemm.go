@@ -30,6 +30,16 @@ var minPackedVolume int64 = 12 * 12 * 12
 // overwritten without being read, and α == 0 means op(A)·op(B) is never
 // formed.
 func Gemm[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+	GemmPrepacked(transA, transB, m, n, k, alpha, a, lda, nil, b, ldb, nil, beta, c, ldc)
+}
+
+// GemmPrepacked is Gemm reading op(A) from pa and op(B) from pb where they
+// are not nil: shared packed forms of the operands (see Packed), packed by
+// the first product that reads them. a and b are still passed and are
+// packed from as usual where a Packed was made under another blocking. A
+// product Gemm runs on the axpy kernels neither makes nor reads a pack.
+// The result is bitwise Gemm's.
+func GemmPrepacked[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, pa *Packed[T], b []T, ldb int, pb *Packed[T], beta T, c []T, ldc int) {
 	checkTrans(transA)
 	checkTrans(transB)
 	if transA == NoTrans {
@@ -68,7 +78,7 @@ func Gemm[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda in
 	if n < GemmBlocking().NR || int64(m)*int64(n)*int64(k) < minPackedVolume {
 		gemmAxpyKernel(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 	} else {
-		gemmPacked(transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		gemmPacked(allOfC, transA, transB, m, n, k, alpha, a, lda, pa, b, ldb, pb, c, ldc)
 	}
 	gemmMetrics.Stop(start, 2*int64(m)*int64(n)*int64(k))
 }
@@ -139,33 +149,70 @@ func registerTile[T Float](p Blocking) (mr, nr int) {
 // register-tile microkernel sweeps the panels under mc/kc/nc cache
 // blocking. Edge tiles run through a zeroed scratch tile; the packed
 // slivers themselves are zero-padded so the microkernel never branches.
-func gemmPacked[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
+// An operand with a usable shared pack (pa, pb) is read from it instead.
+// For Syrk, tri (Lower or Upper) restricts the update to that triangle of
+// the square C, skipping the cache blocks and register tiles outside it.
+func gemmPacked[T Float](tri Uplo, transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, pa *Packed[T], b []T, ldb int, pb *Packed[T], c []T, ldc int) {
 	p := GemmBlocking()
 	mr, nr := registerTile[T](p)
 	kern := kernelFor[T](mr)
 	mc, kc, nc := p.MC, p.KC, p.NC
 
+	// A lower triangle's row blocks start at column blocks: a shared A
+	// pack's mr-row slivers line up with them only if nc is a multiple of mr.
+	var ap []T
+	var packed int
+	if tri != Lower || n <= nc || nc%mr == 0 {
+		ap, packed = pa.operand(p, false, transA, a, lda, m, k)
+	}
+	bp, packedB := pb.operand(p, true, transB, b, ldb, k, n)
+	packed += packedB
 	kcEff := min(kc, k)
-	aBuf := GetScratch[T](roundUp(min(mc, m), mr) * kcEff)
-	bBuf := GetScratch[T](kcEff * roundUp(min(nc, n), nr))
+	var aBuf, bBuf Scratch[T]
+	if ap == nil {
+		aBuf = GetScratch[T](roundUp(min(mc, m), mr) * kcEff)
+	}
+	if bp == nil {
+		bBuf = GetScratch[T](kcEff * roundUp(min(nc, n), nr))
+	}
 	// Edge-tile scratch lives in the pool too: a local array would escape
 	// through the kern indirect call and cost one heap allocation per call.
 	tBuf := GetScratch[T](maxMR * maxNR)
 	for jc := 0; jc < n; jc += nc {
 		nb := min(nc, n-jc)
+		// Rows of C holding entries to update in columns jc…jc+nb−1.
+		lo, hi := 0, m
+		if tri == Lower {
+			lo = jc
+		} else if tri == Upper {
+			hi = jc + nb
+		}
 		for pc := 0; pc < k; pc += kc {
 			kb := min(kc, k-pc)
-			packB(transB, kb, nb, b, ldb, pc, jc, nr, bBuf.Buf)
-			for ic := 0; ic < m; ic += mc {
-				mb := min(mc, m-ic)
-				packA(transA, mb, kb, a, lda, ic, pc, mr, aBuf.Buf)
-				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.Buf, bBuf.Buf, c[ic+jc*ldc:], ldc, kern, tBuf.Buf, allOfC, 0)
+			bs := bBuf.Buf
+			if bp != nil {
+				bs = bp[jc*k+pc*roundUp(nb, nr):]
+			} else {
+				packB(transB, kb, nb, b, ldb, pc, jc, nr, bs)
+				packed += kb * roundUp(nb, nr)
+			}
+			for ic := lo; ic < hi; ic += mc {
+				mb := min(mc, hi-ic)
+				as := aBuf.Buf
+				if ap != nil {
+					as = ap[pc*roundUp(m, mr)+ic*kb:]
+				} else {
+					packA(transA, mb, kb, a, lda, ic, pc, mr, as)
+					packed += roundUp(mb, mr) * kb
+				}
+				macroKernel(mb, nb, kb, mr, nr, alpha, as, bs, c[ic+jc*ldc:], ldc, kern, tBuf.Buf, tri, ic-jc)
 			}
 		}
 	}
 	aBuf.Release()
 	bBuf.Release()
 	tBuf.Release()
+	packBytes.Add(int64(packed) * sizeOf[T]())
 }
 
 // allOfC is the macroKernel triangle of a plain GEMM: every entry of the

@@ -6,9 +6,18 @@ package blas
 //	C ← α·Aᵀ·A + β·C   (trans == Trans,   A is k×n)
 //
 // where only the uplo triangle of the n×n matrix C is referenced and
-// updated. The product is one packed GEMM sweep that skips the register
-// tiles outside the triangle.
+// updated. The product is one packed GEMM sweep, op(A) packed as both
+// operands, that skips the cache blocks and register tiles outside the
+// triangle.
 func Syrk[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, beta T, c []T, ldc int) {
+	SyrkPrepacked(uplo, trans, n, k, alpha, a, lda, nil, nil, beta, c, ldc)
+}
+
+// SyrkPrepacked is Syrk reading op(A) as the A operand of its sweep from pa
+// and op(A)ᵀ as the B operand from pb where they are not nil — the packed
+// forms Gemm reads op(A) from as its A operand and op(A)ᵀ as its B operand
+// (see Packed). The result is bitwise Syrk's.
+func SyrkPrepacked[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, pa, pb *Packed[T], beta T, c []T, ldc int) {
 	checkUplo(uplo)
 	checkTrans(trans)
 	if trans == NoTrans {
@@ -47,49 +56,9 @@ func Syrk[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int
 		return
 	}
 
-	syrkPacked(uplo, trans, n, k, alpha, a, lda, c, ldc)
-	syrkMetrics.Stop(start, int64(n)*int64(n+1)*int64(k))
-}
-
-// syrkPacked accumulates the uplo triangle of C += α·op(A)·op(A)ᵀ (β already
-// applied) with Gemm's jc/pc/ic blocking: op(A) is packed once as the A
-// operand and once, transposed, as the B operand, and the triangle-aware
-// macro kernel skips the MC blocks and register tiles outside uplo.
-func syrkPacked[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T, lda int, c []T, ldc int) {
-	p := GemmBlocking()
-	mr, nr := registerTile[T](p)
-	kern := kernelFor[T](mr)
-	mc, kc, nc := p.MC, p.KC, p.NC
 	// op(A)ᵀ[l,j] = op(A)[j,l]: the B operand reads A with the other transpose.
-	transB := Trans
-	if trans == Trans {
-		transB = NoTrans
-	}
-
-	kcEff := min(kc, k)
-	aBuf := GetScratch[T](roundUp(min(mc, n), mr) * kcEff)
-	bBuf := GetScratch[T](kcEff * roundUp(min(nc, n), nr))
-	tBuf := GetScratch[T](maxMR * maxNR)
-	for jc := 0; jc < n; jc += nc {
-		nb := min(nc, n-jc)
-		// Rows of C holding triangle entries in columns jc…jc+nb−1.
-		lo, hi := jc, n
-		if uplo == Upper {
-			lo, hi = 0, jc+nb
-		}
-		for pc := 0; pc < k; pc += kc {
-			kb := min(kc, k-pc)
-			packB(transB, kb, nb, a, lda, pc, jc, nr, bBuf.Buf)
-			for ic := lo; ic < hi; ic += mc {
-				mb := min(mc, hi-ic)
-				packA(trans, mb, kb, a, lda, ic, pc, mr, aBuf.Buf)
-				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.Buf, bBuf.Buf, c[ic+jc*ldc:], ldc, kern, tBuf.Buf, uplo, ic-jc)
-			}
-		}
-	}
-	aBuf.Release()
-	bBuf.Release()
-	tBuf.Release()
+	gemmPacked(uplo, trans, flipTrans(trans), n, n, k, alpha, a, lda, pa, a, lda, pb, c, ldc)
+	syrkMetrics.Stop(start, int64(n)*int64(n+1)*int64(k))
 }
 
 // Symm computes C ← α·A·B + β·C (side == Left) or C ← α·B·A + β·C
@@ -212,11 +181,13 @@ func trmmPacked[T Float](uplo Uplo, opU Transpose, diag Diag, na, nv int, alpha 
 	kcEff := min(kc, na)
 	aBuf := GetScratch[T](roundUp(min(mc, na), mr) * kcEff)
 	bBuf := GetScratch[T](kcEff * roundUp(min(nc, nv), nr))
+	packed := 0
 	for jc := 0; jc < nv; jc += nc {
 		nb := min(nc, nv-jc)
 		for pc := 0; pc < na; pc += kc {
 			kb := min(kc, na-pc)
 			packB(opV, kb, nb, b, ldb, pc, jc, nr, bBuf.Buf)
+			packed += kb * roundUp(nb, nr)
 			// Rows with triangle entries at depths pc…pc+kb−1, from a
 			// register-tile boundary.
 			lo, hi := 0, pc+kb
@@ -252,6 +223,7 @@ func trmmPacked[T Float](uplo Uplo, opU Transpose, diag Diag, na, nv int, alpha 
 	cBuf.Release()
 	aBuf.Release()
 	bBuf.Release()
+	packBytes.Add(int64(packed) * sizeOf[T]())
 }
 
 // triDepth returns the depths d0…d1−1 of the block starting at depth l0,

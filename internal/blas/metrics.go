@@ -14,7 +14,10 @@ import "exadla/internal/metrics"
 //     performed (2mnk for Gemm); early-out paths (α == 0, k == 0) charge
 //     zero, so GF/s gauges never report work that never ran;
 //   - Gemm's β-scaling pass (m·n multiplies) is charged to the separate
-//     "blas.gemm.scale_flops" counter, never to the product counter.
+//     "blas.gemm.scale_flops" counter, never to the product counter;
+//   - "blas.pack.bytes" counts the bytes packA and packB write, whether into
+//     a product's own buffers or into a shared Packed; like the flops it is
+//     charged once per call.
 //
 // Symm is not separately instrumented: it expands the symmetric operand and
 // delegates to Gemm, so its work is reported under blas.gemm. Syrk, Trmm and
@@ -26,4 +29,5 @@ var (
 	syrkMetrics    = metrics.Default().Kernel("blas.syrk")
 	trmmMetrics    = metrics.Default().Kernel("blas.trmm")
 	trsmMetrics    = metrics.Default().Kernel("blas.trsm")
+	packBytes      = metrics.Default().Counter("blas.pack.bytes")
 )

@@ -28,6 +28,13 @@
 //     no-pivot LU Steps to remote workers that call Apply on their tile
 //     caches.
 //
+// The in-process walk of a factorization program also owns a pack table
+// (pack.go): the trailing updates — Cholesky's gemm and syrk, LU's lgemm —
+// share one packed copy of each panel tile they read, made by its first
+// reader and returned to the pool after its last, instead of each packing
+// the tile again. Apply, as the distributed workers and the solves call
+// it, packs per call.
+//
 // The tile GEMM and the tile inversion still submit their own nests over
 // the same tile kernels.
 //

@@ -143,10 +143,12 @@ func Potri[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
 		panic("core: Potri needs a square matrix")
 	}
 	es := &errState{}
-	submitProgram(s, OpCholesky, a, nil, es, false, 0)
+	packs := submitProgram(s, OpCholesky, a, nil, es, false, 0)
 	TrtriLower(s, a, es)
 	LauumLower(s, a)
-	return finishErr(es, s)
+	err := finishErr(es, s)
+	packs.release()
+	return err
 }
 
 // TrtriLowerForTest runs TrtriLower with a private error state, for tests.

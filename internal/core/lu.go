@@ -80,12 +80,13 @@ func swptrsm[F blas.Float](a *tile.Matrix[F], piv []int, k int, b *tile.Matrix[F
 }
 
 // lgemm is the trailing update B[i][j] -= L[i][k]·B[k][j] with L from a;
-// b may be a itself or a right-hand side with a's row tiling.
-func lgemm[F blas.Float](a *tile.Matrix[F], k, i int, b *tile.Matrix[F], j int) {
-	blas.Gemm(blas.NoTrans, blas.NoTrans,
+// b may be a itself or a right-hand side with a's row tiling. pl and pb,
+// if not nil, are the shared packs of L[i][k] and B[k][j].
+func lgemm[F blas.Float](a *tile.Matrix[F], k, i int, b *tile.Matrix[F], j int, pl, pb *blas.Packed[F]) {
+	blas.GemmPrepacked(blas.NoTrans, blas.NoTrans,
 		b.TileRows(i), b.TileCols(j), a.TileCols(k),
-		-1, a.Tile(i, k), a.TileRows(i),
-		b.Tile(k, j), b.TileRows(k),
+		-1, a.Tile(i, k), a.TileRows(i), pl,
+		b.Tile(k, j), b.TileRows(k), pb,
 		1, b.Tile(i, j), b.TileRows(i))
 }
 

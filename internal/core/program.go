@@ -278,6 +278,12 @@ func (s Step) phase() [2]int {
 // read, or QR's reflector factors — and may be nil for the ops without
 // one. A failing pivot is reported with its global index.
 func Apply[F blas.Float](s Step, a *tile.Matrix[F], f *Factors[F]) error {
+	return apply(s, a, f, nil, nil)
+}
+
+// apply is Apply with the shared packs an update step reads its A and B
+// operands from (see pack.go); nil packs are packed by the product itself.
+func apply[F blas.Float](s Step, a *tile.Matrix[F], f *Factors[F], pa, pb *blas.Packed[F]) error {
 	k, i, j := s.K, s.I, s.J
 	switch s.Kind {
 	case "potrf":
@@ -290,13 +296,13 @@ func Apply[F blas.Float](s Step, a *tile.Matrix[F], f *Factors[F]) error {
 			a.TileRows(i), a.TileCols(k), 1,
 			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
 	case "syrk":
-		blas.Syrk(blas.Lower, blas.NoTrans, a.TileCols(j), a.TileCols(k),
-			-1, a.Tile(j, k), a.TileRows(j), 1, a.Tile(j, j), a.TileRows(j))
+		blas.SyrkPrepacked(blas.Lower, blas.NoTrans, a.TileCols(j), a.TileCols(k),
+			-1, a.Tile(j, k), a.TileRows(j), pa, pb, 1, a.Tile(j, j), a.TileRows(j))
 	case "gemm":
-		blas.Gemm(blas.NoTrans, blas.Trans,
+		blas.GemmPrepacked(blas.NoTrans, blas.Trans,
 			a.TileRows(i), a.TileCols(j), a.TileCols(k),
-			-1, a.Tile(i, k), a.TileRows(i),
-			a.Tile(j, k), a.TileRows(j),
+			-1, a.Tile(i, k), a.TileRows(i), pa,
+			a.Tile(j, k), a.TileRows(j), pb,
 			1, a.Tile(i, j), a.TileRows(i))
 	case "getrfnp":
 		return getrfnp(a.TileRows(k), a.TileCols(k), a.Tile(k, k), a.TileRows(k), k*a.NB)
@@ -309,7 +315,7 @@ func Apply[F blas.Float](s Step, a *tile.Matrix[F], f *Factors[F]) error {
 			a.TileRows(i), a.TileCols(k), 1,
 			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
 	case "lgemm":
-		lgemm(a, k, i, a, j)
+		lgemm(a, k, i, a, j, pa, pb)
 	case "getrf":
 		return getrfPanel(a, k, i, f.Piv)
 	case "swptrsm":
@@ -406,15 +412,20 @@ func (noHooks) afterStep(sched.Scheduler, int)    {}
 // before starting the next instead of relying on dataflow dependences
 // alone. The guards, if any, decorate and extend the walk (see guard).
 //
+// The trailing updates share one pack of each panel tile they read, held
+// in the returned table (see pack.go); the caller releases it after the
+// final wait.
+//
 // A Cholesky or no-pivot LU kernel error poisons the rest of the program —
 // later tasks turn into no-ops so the DAG drains quickly — while pivoted LU
 // reports a singular pivot and still runs to completion, like LAPACK's
 // GETRF.
-func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], f *Factors[F], es *errState, forkJoin bool, from int, guards ...guard) {
+func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F], f *Factors[F], es *errState, forkJoin bool, from int, guards ...guard) *packTable[F] {
 	if (op == OpCholesky || op == OpLUNoPiv) && a.M != a.N {
 		panic(fmt.Sprintf("core: %s needs a square matrix", op))
 	}
 	prog := Program(op, a.MT, a.NT, from)
+	packs := newPackTable[F](prog, a.MT, a.NT)
 	cols := min(a.MT, a.NT)
 	for n, st := range prog {
 		reads, writes := st.Accesses()
@@ -431,17 +442,20 @@ func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F]
 				after = append(after, fn)
 			}
 		}
+		pa, pb := packs.operands(st)
 		t.Fn = timed(phaseNs[st.band()], func() {
 			if op != OpLU && es.failed() {
 				return
 			}
-			if err := Apply(st, a, f); err != nil {
+			if err := apply(st, a, f, pa.packed(), pb.packed()); err != nil {
 				es.set(err)
 				return
 			}
 			for _, fn := range after {
 				fn()
 			}
+			pa.retire()
+			pb.retire()
 		})
 		s.Submit(t)
 		for _, g := range guards {
@@ -457,6 +471,7 @@ func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F]
 			}
 		}
 	}
+	return packs
 }
 
 // handles maps tile coordinates to m's handles, each followed, at

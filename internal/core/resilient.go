@@ -148,11 +148,13 @@ func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *Factors[f
 	if ck != nil {
 		guards = append(guards, ckptGuard{op: op, a: a, f: f, opt: *ck})
 	}
-	submitProgram(s, op, a, f, es, false, from, guards...)
+	packs := submitProgram(s, op, a, f, es, false, from, guards...)
 	if st != nil {
 		st.submitSweep(s)
 	}
-	return finishErr(es, s)
+	err := finishErr(es, s)
+	packs.release()
+	return err
 }
 
 // finishErr is the common driver epilogue: drain the scheduler, then merge

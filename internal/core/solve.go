@@ -145,7 +145,7 @@ func applySolve[F blas.Float](st solveStep, f *Factors[F], b *tile.Matrix[F]) {
 			b.Tile(k, j), b.TileRows(k),
 			1, b.Tile(i, j), b.TileRows(i))
 	default: // the gemm of the L and U sweeps, LU's lgemm
-		lgemm(a, k, i, b, j)
+		lgemm(a, k, i, b, j, nil, nil)
 	}
 }
 
@@ -189,9 +189,11 @@ func Factor[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], fo
 		sweeps = f.solve()
 	}
 	es := &errState{}
-	submitProgram(s, op, a, f, es, forkJoin, 0)
+	packs := submitProgram(s, op, a, f, es, forkJoin, 0)
 	submitSolve(s, f, b, es, sweeps...)
-	return f, finishErr(es, s)
+	err := finishErr(es, s)
+	packs.release()
+	return f, err
 }
 
 // Solve solves A·X = B in place on b (A's row tiling) with the factor f —
