@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"exadla"
@@ -32,6 +33,39 @@ func TestSolveSPD(t *testing.T) {
 		if r := exadla.Residual(a, x, b); r > 1e-12 {
 			t.Errorf("n=%d: residual %g", n, r)
 		}
+	}
+}
+
+// TestContextHeapFlatAcrossSolves pins that a long-lived Context does not
+// keep finished tasks alive with their bodies: the closures capture the
+// solve's tiles, so a runtime that retained them would grow by about one
+// operator per solve.
+func TestContextHeapFlatAcrossSolves(t *testing.T) {
+	const n, solves = 512, 16
+	ctx := newCtx(t, exadla.WithWorkers(2))
+	rng := rand.New(rand.NewSource(3))
+	a := exadla.RandomSPD(rng, n)
+	b := exadla.RandomGeneral(rng, n, 1)
+	solve := func() {
+		if _, err := ctx.SolveSPD(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	solve() // warm the worker pool, slabs and kernel buffers
+	before := liveHeap()
+	for i := 0; i < solves; i++ {
+		solve()
+	}
+	grown := liveHeap() - before
+	if operator := int64(n * n * 8); grown >= operator {
+		t.Errorf("post-GC heap grew %.1f MB over %d solves, want < one operator (%.1f MB)",
+			float64(grown)/1e6, solves, float64(operator)/1e6)
 	}
 }
 

@@ -320,7 +320,6 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	c.a = a
 	c.fromStep = fromStep
 	c.pl = makePlan(opt.Op, a.NT, fromStep)
-	c.taskDeps = c.pl.deps()
 	c.st = newStore(a, opt.WriteBack, func() { c.addStat(&c.stats.TilesRebuilt, c.m.tilesRebuilt, 1) })
 	// Store callbacks run under c.mu (the coordinator serializes all store
 	// access), so recording fault instants here is safe.
@@ -352,10 +351,11 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	}
 
 	c.fr = sched.NewFrontier(func(id int) { c.readyLocked(id) })
+	c.taskDeps = make([][]int, len(c.pl.tasks))
 	for i := range c.pl.tasks {
 		t := &c.pl.tasks[i]
 		r, w := t.Accesses()
-		c.fr.Add(t.ID, coordHandles(r), coordHandles(w))
+		c.taskDeps[t.ID] = c.fr.Add(t.ID, coordHandles(r), coordHandles(w))
 	}
 	if c.fr.Done() {
 		// A resumed checkpoint can cover the whole factorization: the job is

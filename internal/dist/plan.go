@@ -1,11 +1,6 @@
 package dist
 
-import (
-	"sort"
-
-	"exadla/internal/core"
-	"exadla/internal/sched"
-)
+import "exadla/internal/core"
 
 // The plan is the coordinator's numbered copy of a tile program: the steps
 // core.Program unrolls — the very ones the in-process drivers submit as
@@ -57,25 +52,6 @@ func makePlan(op string, nt, fromStep int) *plan {
 		}
 	}
 	return p
-}
-
-// deps derives each task's dependences (sorted task IDs) by walking the
-// plan into a model recorder — the same RAW/WAR/WAW rules the frontier
-// enforces — so the merged trace can carry edges workers never see.
-func (p *plan) deps() [][]int {
-	rec := sched.NewModelRecorder()
-	for _, t := range p.tasks {
-		r, w := t.Accesses()
-		rec.Submit(sched.Task{Name: t.Kind, Reads: coordHandles(r), Writes: coordHandles(w)})
-	}
-	deps := make([][]int, len(p.tasks))
-	for id, n := range rec.Graph().Nodes {
-		if len(n.Deps) > 0 {
-			deps[id] = n.Deps
-			sort.Ints(deps[id])
-		}
-	}
-	return deps
 }
 
 // homeSlot is the block-cyclic owner of a task: the process-grid slot of

@@ -154,8 +154,8 @@ func (c *Coordinator) localSpanLocked(id int, name string, attempt int, startNS 
 // shard into one trace.Log on the coordinator's clock: each worker's
 // local timestamps are re-based by its best (min-RTT) offset sample, a
 // single constant per shipper, so per-worker ordering is exactly the
-// recording order. Whole-attempt events gain the plan's dependence edges,
-// making the merged log analyzable by AnalyzeDAG.
+// recording order. Whole-attempt events gain the frontier's dependence
+// edges, making the merged log analyzable by AnalyzeDAG.
 func (c *Coordinator) ClusterLog() *trace.Log {
 	c.mu.Lock()
 	defer c.mu.Unlock()

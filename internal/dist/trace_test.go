@@ -10,12 +10,14 @@ package dist_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"exadla/internal/core"
 	"exadla/internal/dist"
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
@@ -95,6 +97,30 @@ func TestDistClusterTraceCleanRun(t *testing.T) {
 	}
 	checkLaneMonotone(t, l)
 	checkAligned(t, l, wallNS)
+
+	// Every successful span carries the edges a model recorder derives for
+	// the same program over the coordinator's [2]int tile handles.
+	handles := func(cs [][2]int) []sched.Handle {
+		hs := make([]sched.Handle, len(cs))
+		for i, c := range cs {
+			hs[i] = c
+		}
+		return hs
+	}
+	rec := sched.NewModelRecorder()
+	for _, st := range core.Program(dist.OpCholesky, a.NT, a.NT, 0) {
+		r, w := st.Accesses()
+		rec.Submit(sched.Task{Name: st.Kind, Reads: handles(r), Writes: handles(w)})
+	}
+	model := rec.Graph().Nodes
+	for _, e := range ok {
+		got, want := slices.Clone(e.Deps), slices.Clone(model[e.ID].Deps)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("task %d (%s): span deps %v, model deps %v", e.ID, e.Name, got, want)
+		}
+	}
 
 	// The comm-aware DAG analysis sees the same wire traffic the
 	// coordinator metered (clean run: no retransmitted fetches).

@@ -2,16 +2,17 @@ package sched
 
 import "fmt"
 
-// Frontier is the dependence-tracking half of the runtime, factored out so
-// the ready set can be *pulled* by an external executor — the distributed
-// coordinator leases ready tasks to remote workers over RPC, which the
-// goroutine-pool Runtime's push-based dispatch cannot express.
+// Frontier tracks dependences by the Runtime's rule but leaves dispatch to
+// the caller, so the ready set can be *pulled* by an external executor —
+// the distributed coordinator leases ready tasks to remote workers over
+// RPC, which the goroutine-pool Runtime's push-based dispatch cannot
+// express.
 //
 // Tasks are added in submission order with declared read/write handles,
-// exactly like Runtime.Submit, and the same RAW/WAR/WAW rules apply. A task
-// becomes ready when its last unmet dependence completes; the Frontier
-// reports that by calling onReady (synchronously, from inside Add or
-// Complete) and otherwise holds no queue of its own — queueing policy
+// exactly like Runtime.Submit, and the same RAW/WAR/WAW rule derives their
+// edges. A task becomes ready when its last unmet dependence completes; the
+// Frontier reports that by calling onReady (synchronously, from inside Add
+// or Complete) and otherwise holds no queue of its own — queueing policy
 // (priorities, placement, work stealing) belongs to the caller. Complete
 // retires a task and releases its successors; an executor that loses a task
 // mid-flight (a dead worker) simply re-runs it and calls Complete once.
@@ -19,7 +20,7 @@ import "fmt"
 // Frontier is not safe for concurrent use; callers serialize access (the
 // distributed coordinator holds its own mutex across every call).
 type Frontier struct {
-	last    map[Handle]*faccess
+	deps    deps[*fnode]
 	nodes   map[int]*fnode
 	pending int
 	onReady func(id int)
@@ -32,67 +33,37 @@ type fnode struct {
 	done  bool
 }
 
-type faccess struct {
-	lastWriter *fnode
-	readers    []*fnode
-}
-
 // NewFrontier returns an empty Frontier. onReady is invoked exactly once
 // per task, when its dependences are all satisfied; it must not call back
 // into the Frontier.
 func NewFrontier(onReady func(id int)) *Frontier {
-	return &Frontier{
-		last:    make(map[Handle]*faccess),
-		nodes:   make(map[int]*fnode),
-		onReady: onReady,
-	}
+	return &Frontier{nodes: make(map[int]*fnode), onReady: onReady}
 }
 
-// Add registers task id with its declared accesses. IDs must be unique and
+// Add registers task id with its declared accesses and returns the IDs of
+// the tasks it depends on, completed or not — its structural edges, in the
+// dependence rule's discovery order (nil for none). IDs must be unique and
 // are the caller's names for tasks; Add panics on a duplicate. Dependences
 // on earlier tasks are derived from the handles in submission order.
-func (f *Frontier) Add(id int, reads, writes []Handle) {
+func (f *Frontier) Add(id int, reads, writes []Handle) []int {
 	if _, dup := f.nodes[id]; dup {
 		panic(fmt.Sprintf("sched: Frontier.Add duplicate task %d", id))
 	}
 	n := &fnode{id: id}
 	f.nodes[id] = n
 	f.pending++
-	addDep := func(from *fnode) {
-		if from == nil || from == n || from.done {
-			return
+	var ids []int
+	for _, p := range f.deps.link(n, reads, writes) {
+		ids = append(ids, p.id)
+		if !p.done {
+			p.succs = append(p.succs, n)
+			n.nDeps++
 		}
-		from.succs = append(from.succs, n)
-		n.nDeps++
-	}
-	for _, h := range reads {
-		acc := f.acc(h)
-		addDep(acc.lastWriter)
-		if !handleIn(writes, h) {
-			acc.readers = append(acc.readers, n)
-		}
-	}
-	for _, h := range writes {
-		acc := f.acc(h)
-		addDep(acc.lastWriter)
-		for _, rd := range acc.readers {
-			addDep(rd)
-		}
-		acc.lastWriter = n
-		acc.readers = acc.readers[:0]
 	}
 	if n.nDeps == 0 {
 		f.onReady(id)
 	}
-}
-
-func (f *Frontier) acc(h Handle) *faccess {
-	a := f.last[h]
-	if a == nil {
-		a = &faccess{}
-		f.last[h] = a
-	}
-	return a
+	return ids
 }
 
 // Complete retires task id and releases its successors, reporting any that

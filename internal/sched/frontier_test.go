@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -105,11 +107,18 @@ func TestFrontierCompletePanics(t *testing.T) {
 	}
 }
 
-// TestFrontierMatchesRecorder drives a random tile-DAG-shaped workload
-// through both the Recorder (the reference dependence derivation) and the
-// Frontier, checking the Frontier admits a full drain in any greedy order
-// and never readies a task before all its recorded deps completed.
+// TestFrontierMatchesRecorder drives random tile-DAG-shaped workloads
+// through the Frontier, the Recorder and the Runtime. All three derive a
+// task's edges by one rule, so the deps Frontier.Add returns, the recorded
+// GraphNode.Deps and the Runtime's span Deps must agree as sets. The
+// Frontier must also admit a full drain in any greedy order, never
+// readying a task before all its deps completed.
 func TestFrontierMatchesRecorder(t *testing.T) {
+	sorted := func(ds []int) []int {
+		ds = slices.Clone(ds)
+		slices.Sort(ds)
+		return ds
+	}
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		nh := 2 + rng.Intn(6)
@@ -119,24 +128,39 @@ func TestFrontierMatchesRecorder(t *testing.T) {
 		}
 		ntasks := 5 + rng.Intn(40)
 		rec := NewModelRecorder()
-		type spec struct{ reads, writes []Handle }
-		specs := make([]spec, ntasks)
-		for i := range specs {
-			var s spec
-			s.writes = []Handle{handles[rng.Intn(nh)]}
-			for k := rng.Intn(3); k > 0; k-- {
-				s.reads = append(s.reads, handles[rng.Intn(nh)])
-			}
-			specs[i] = s
-			rec.Submit(Task{Name: "t", Reads: s.reads, Writes: s.writes})
-		}
-		g := rec.Graph()
-
+		var mu sync.Mutex
+		spanDeps := map[int][]int{}
+		rt := New(2, WithMetrics(nil), WithTracer(tracerFunc(func(sp Span) {
+			mu.Lock()
+			spanDeps[sp.ID] = sp.Deps
+			mu.Unlock()
+		})))
 		readySet := map[int]bool{}
 		f := NewFrontier(func(id int) { readySet[id] = true })
-		for i, s := range specs {
-			f.Add(i, s.reads, s.writes)
+		frontierDeps := make([][]int, ntasks)
+		for i := 0; i < ntasks; i++ {
+			writes := []Handle{handles[rng.Intn(nh)]}
+			var reads []Handle
+			for k := rng.Intn(3); k > 0; k-- {
+				reads = append(reads, handles[rng.Intn(nh)])
+			}
+			rec.Submit(Task{Name: "t", Reads: reads, Writes: writes})
+			rt.Submit(Task{Name: "t", Reads: reads, Writes: writes})
+			frontierDeps[i] = f.Add(i, reads, writes)
 		}
+		rt.Wait()
+		rt.Shutdown()
+		g := rec.Graph()
+		for i := 0; i < ntasks; i++ {
+			want := sorted(g.Nodes[i].Deps)
+			if got := sorted(frontierDeps[i]); !slices.Equal(got, want) {
+				t.Fatalf("trial %d task %d: Frontier deps %v, Recorder deps %v", trial, i, got, want)
+			}
+			if got := sorted(spanDeps[i]); !slices.Equal(got, want) {
+				t.Fatalf("trial %d task %d: Runtime span deps %v, Recorder deps %v", trial, i, got, want)
+			}
+		}
+
 		completed := map[int]bool{}
 		for !f.Done() {
 			// Pick an arbitrary ready task, check its recorded deps are done.

@@ -12,7 +12,9 @@ type GraphNode struct {
 	// Cost is the measured execution time in seconds.
 	Cost float64
 	// Deps are indices of nodes this one depends on (always smaller than
-	// the node's own index: graphs are recorded in topological order).
+	// the node's own index: graphs are recorded in topological order), in
+	// the dependence rule's discovery order with the last barrier, if any,
+	// at the end.
 	Deps []int
 	// Priority mirrors Task.Priority.
 	Priority int
@@ -111,26 +113,17 @@ func (g *Graph) Tasks() int {
 // sequential.
 type Recorder struct {
 	graph       Graph
-	last        map[Handle]*raccess
+	deps        deps[int]
 	lastBarrier int // index of most recent barrier node, -1 if none
 	sinceBar    []int
 	run         bool
 	failures    []*TaskError
 }
 
-type raccess struct {
-	lastWriter int // node index, -1 if none
-	readers    []int
-}
-
 // NewRecorder returns a Recorder that executes and times each task as it is
 // submitted.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		last:        make(map[Handle]*raccess),
-		lastBarrier: -1,
-		run:         true,
-	}
+	return &Recorder{lastBarrier: -1, run: true}
 }
 
 // NewModelRecorder returns a Recorder that does not execute tasks; callers
@@ -150,40 +143,10 @@ func (rec *Recorder) Submit(t Task) {
 		Priority: t.Priority,
 		Reads:    append([]Handle(nil), t.Reads...),
 		Writes:   append([]Handle(nil), t.Writes...),
+		Deps:     append([]int(nil), rec.deps.link(idx, t.Reads, t.Writes)...),
 	}
-	deps := map[int]bool{}
 	if rec.lastBarrier >= 0 {
-		deps[rec.lastBarrier] = true
-	}
-
-	written := make(map[Handle]bool, len(t.Writes))
-	for _, h := range t.Writes {
-		written[h] = true
-	}
-	for _, h := range t.Reads {
-		acc := rec.acc(h)
-		if acc.lastWriter >= 0 {
-			deps[acc.lastWriter] = true
-		}
-		if !written[h] {
-			acc.readers = append(acc.readers, idx)
-		}
-	}
-	for _, h := range t.Writes {
-		acc := rec.acc(h)
-		if acc.lastWriter >= 0 {
-			deps[acc.lastWriter] = true
-		}
-		for _, rd := range acc.readers {
-			deps[rd] = true
-		}
-		acc.lastWriter = idx
-		acc.readers = acc.readers[:0]
-	}
-	for d := range deps {
-		if d != idx {
-			node.Deps = append(node.Deps, d)
-		}
+		node.Deps = append(node.Deps, rec.lastBarrier)
 	}
 
 	if rec.run && (t.Fn != nil || t.FnErr != nil) {
@@ -207,15 +170,6 @@ func (rec *Recorder) Submit(t Task) {
 	}
 	rec.graph.Nodes = append(rec.graph.Nodes, node)
 	rec.sinceBar = append(rec.sinceBar, idx)
-}
-
-func (rec *Recorder) acc(h Handle) *raccess {
-	a := rec.last[h]
-	if a == nil {
-		a = &raccess{lastWriter: -1}
-		rec.last[h] = a
-	}
-	return a
 }
 
 // Wait records a fork–join barrier: every subsequent task will depend on

@@ -22,6 +22,14 @@
 // barriers by calling Wait between phases, which Runtime executes as a real
 // join and Recorder records as an all-to-all dependence.
 //
+// The dependence rule itself lives in one place (deps.go) and is shared by
+// the Runtime, the Recorder and the Frontier (the pull-based tracker the
+// distributed coordinator schedules from), so the three derive the same
+// edges for the same submissions. A task's dependences come out in the
+// rule's discovery order — its read handles' last writers, then its
+// written handles' last writers and readers — deduplicated, with a
+// recorded barrier last: deterministic for a given submission sequence.
+//
 // Dispatch is built for fine-grained tile DAGs, where per-task overhead
 // competes directly with kernel time: the ready set is sharded into
 // per-worker priority heaps with work stealing (dependence tracking keeps
@@ -87,7 +95,9 @@ type Scheduler interface {
 // node is the runtime's internal task state. Graph state (succs, nDeps,
 // done, poisoned) is guarded by Runtime.mu; the per-attempt fields crossed
 // by the dispatch path and the watchdog (enqueued, attempts, readyAt) are
-// atomics so popping a task never touches the runtime lock.
+// atomics so popping a task never touches the runtime lock. The task's
+// body is read by the worker once per attempt and released under
+// Runtime.mu when the node is done.
 type node struct {
 	task     Task
 	succs    []*node
@@ -108,7 +118,7 @@ type Runtime struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	last     map[Handle]*access
+	deps     deps[*node]
 	inFlight int // submitted but not yet completed
 	seq      int
 	shutdown bool
@@ -147,12 +157,6 @@ type Runtime struct {
 	met        *rtMetrics
 }
 
-// access records the dependence frontier for one handle.
-type access struct {
-	lastWriter *node
-	readers    []*node // readers since lastWriter
-}
-
 // Option configures a Runtime.
 type Option func(*Runtime)
 
@@ -179,7 +183,6 @@ func New(workers int, opts ...Option) *Runtime {
 	}
 	r := &Runtime{
 		workers: workers,
-		last:    make(map[Handle]*access),
 		shards:  make([]readyShard, workers),
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -243,73 +246,20 @@ func (r *Runtime) Submit(t Task) {
 	}
 }
 
-// link derives dependences for n and registers it in the access map.
-// Caller holds r.mu.
+// link derives n's dependences and registers its accesses. An unfinished
+// predecessor gates n; under a SpanTracer every predecessor's seq is also
+// recorded, since a completed dep imposes no scheduling constraint but is
+// still part of the DAG. Caller holds r.mu.
 func (r *Runtime) link(n *node) {
-	record := r.spanTracer != nil
-	addDep := func(from *node) {
-		if from == nil || from == n {
-			return
+	for _, p := range r.deps.link(n, n.task.Reads, n.task.Writes) {
+		if r.spanTracer != nil {
+			n.deps = append(n.deps, p.seq)
 		}
-		if record {
-			// Record the structural edge for spans even when the dep has
-			// already completed (it imposes no scheduling constraint but is
-			// still part of the DAG). Dep lists are tiny; linear dedupe.
-			dup := false
-			for _, d := range n.deps {
-				if d == from.seq {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				n.deps = append(n.deps, from.seq)
-			}
-		}
-		if from.done {
-			return
-		}
-		from.succs = append(from.succs, n)
-		n.nDeps++
-	}
-	// Reads: RAW on the last writer. Write lists are tiny (one or two
-	// handles), so membership is a linear scan instead of a per-Submit map.
-	for _, h := range n.task.Reads {
-		acc := r.acc(h)
-		addDep(acc.lastWriter)
-		if !handleIn(n.task.Writes, h) {
-			acc.readers = append(acc.readers, n)
+		if !p.done {
+			p.succs = append(p.succs, n)
+			n.nDeps++
 		}
 	}
-	// Writes: WAW on the last writer, WAR on readers since.
-	for _, h := range n.task.Writes {
-		acc := r.acc(h)
-		addDep(acc.lastWriter)
-		for _, rd := range acc.readers {
-			addDep(rd)
-		}
-		acc.lastWriter = n
-		acc.readers = acc.readers[:0]
-	}
-}
-
-// handleIn reports whether h appears in hs.
-func handleIn(hs []Handle, h Handle) bool {
-	for _, x := range hs {
-		if x == h {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Runtime) acc(h Handle) *access {
-	a := r.last[h]
-	if a == nil {
-		a = &access{}
-		r.last[h] = a
-	}
-	return a
 }
 
 // enqueue makes a dependence-free task runnable on shard home, waking one
@@ -381,11 +331,16 @@ func (r *Runtime) worker(id int) {
 		// make safe (both sides see consistent attempt counts).
 		attemptNum := int(n.attempts.Add(1))
 		readyAt := n.readyAt.Load()
+		// Read the body before the attempt is registered: registration
+		// orders this read before any watchdog handoff of the task, so
+		// finishLocked may release a done task's body without racing an
+		// abandoned attempt.
+		fn, fnErr := n.task.Fn, n.task.FnErr
 
 		start := clock.now()
 		r.met.workerIdle(id, start-idleFrom)
 		att := r.registerAttempt(n, id, attemptNum, readyAt, start)
-		err, died := r.runTask(n, att, attemptNum)
+		err, died := r.runTask(n, fn, fnErr, att, attemptNum)
 		if died {
 			// Hard chaos killed this worker while it held the task. The
 			// attempt stays registered: the watchdog will declare the worker
@@ -474,11 +429,12 @@ func (r *Runtime) finish(n *node, failed bool, home int) []*node {
 // error), kill the *worker* (hard: died is returned true and the caller's
 // goroutine exits holding the task, leaving recovery to the watchdog), or
 // hang it (the body parks until the watchdog abandons the attempt). Then
-// FnErr (preferred) or Fn runs with panic capture, so one faulty kernel
-// can neither unwind a worker nor deadlock the pool. All chaos strikes
-// before the body, so a re-executed attempt is bitwise-safe even for
-// non-idempotent read-modify-write kernels.
-func (r *Runtime) runTask(n *node, att *attempt, attemptNum int) (err error, died bool) {
+// fnErr (preferred) or fn, the task's body as the worker read it, runs
+// with panic capture, so one faulty kernel can neither unwind a worker nor
+// deadlock the pool. All chaos strikes before the body, so a re-executed
+// attempt is bitwise-safe even for non-idempotent read-modify-write
+// kernels.
+func (r *Runtime) runTask(n *node, fn func(), fnErr func() error, att *attempt, attemptNum int) (err error, died bool) {
 	if r.chaos != nil {
 		fate := r.chaos.draw()
 		if fate.delay > 0 {
@@ -502,11 +458,11 @@ func (r *Runtime) runTask(n *node, att *attempt, attemptNum int) (err error, die
 			err = &panicError{val: p}
 		}
 	}()
-	if n.task.FnErr != nil {
-		return n.task.FnErr(), false
+	if fnErr != nil {
+		return fnErr(), false
 	}
-	if n.task.Fn != nil {
-		n.task.Fn()
+	if fn != nil {
+		fn()
 	}
 	return nil, false
 }
@@ -588,6 +544,10 @@ func (r *Runtime) finishLocked(n *node, failed bool, home int) []*node {
 		d := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		d.n.done = true
+		// The dependence tracker keeps done nodes as last writers and
+		// readers; dropping the body lets the tiles it captures be
+		// collected.
+		d.n.task.Fn, d.n.task.FnErr = nil, nil
 		for _, s := range d.n.succs {
 			if d.poison {
 				s.poisoned = true
