@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -78,46 +76,99 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
 }
 
+// errRaw marks every rejection of a raw submission; handleSubmit answers
+// them all with 400.
+var errRaw = errors.New("raw submit")
+
+// rawChunk is the most float64s (8 MiB) the raw decoder allocates before
+// the body has sent them; past it the buffer doubles only as the body fills
+// it, so a body that stops short holds at most max(8 MiB, 2× its bytes).
+const rawChunk = 1 << 20
+
 // specFromRaw parses the zero-copy submission form: op/n/nrhs/fingerprint
 // as query parameters and the body as little-endian float64s — A (n×n,
 // column-major) first unless a fingerprint stands in for it, then B
-// (n×nrhs) for solve ops.
+// (n×nrhs) for solve ops. The body must be exactly that long; the size is
+// known, and a disagreeing Content-Length refused, before anything is
+// allocated. The floats are read straight into A's memory.
 func specFromRaw(r *http.Request) (JobSpec, error) {
 	q := r.URL.Query()
 	spec := JobSpec{Op: Op(q.Get("op")), Fingerprint: q.Get("fingerprint")}
 	var err error
 	if spec.N, err = strconv.Atoi(q.Get("n")); err != nil {
-		return spec, fmt.Errorf("raw submit: bad n: %w", err)
+		return spec, fmt.Errorf("%w: bad n: %w", errRaw, err)
 	}
 	if v := q.Get("nrhs"); v != "" {
 		if spec.NRHS, err = strconv.Atoi(v); err != nil {
-			return spec, fmt.Errorf("raw submit: bad nrhs: %w", err)
+			return spec, fmt.Errorf("%w: bad nrhs: %w", errRaw, err)
 		}
-	} else if spec.Op.solves() {
-		spec.NRHS = 1
 	}
-	body, err := io.ReadAll(r.Body)
+	if err := spec.checkDims(); err != nil {
+		return spec, fmt.Errorf("%w: %w", errRaw, err)
+	}
+	na, nb := 0, 0 // floats of A and of B in the body; checkDims bounds both
+	if spec.Fingerprint == "" {
+		na = spec.N * spec.N
+	}
+	if spec.Op.solves() {
+		nb = spec.N * spec.NRHS
+	}
+	count := na + nb
+	if r.ContentLength >= 0 && r.ContentLength != 8*int64(count) {
+		return spec, fmt.Errorf("%w: Content-Length is %d bytes, want %d for n=%d, nrhs=%d", errRaw, r.ContentLength, 8*count, spec.N, spec.NRHS)
+	}
+	vals, err := readFloats(r.Body, count)
 	if err != nil {
 		return spec, err
 	}
-	if len(body)%8 != 0 {
-		return spec, fmt.Errorf("raw submit: body is %d bytes, not a whole number of float64s", len(body))
-	}
-	vals := make([]float64, len(body)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	if spec.Fingerprint == "" {
-		if len(vals) < spec.N*spec.N {
-			return spec, fmt.Errorf("raw submit: body holds %d floats, need %d for the matrix", len(vals), spec.N*spec.N)
-		}
-		spec.A = vals[:spec.N*spec.N]
-		vals = vals[spec.N*spec.N:]
+	if na > 0 {
+		spec.A = vals[:na:na]
 	}
 	if spec.Op.solves() {
-		spec.B = vals
+		// B gets memory of its own when A is present: a batched solve's
+		// result is B, and it must not hold A's buffer after A is dropped.
+		spec.B = vals[na:]
+		if na > 0 {
+			spec.B = append([]float64(nil), spec.B...)
+		}
+	}
+	if err := spec.check(); err != nil {
+		return spec, fmt.Errorf("%w: %w", errRaw, err)
 	}
 	return spec, nil
+}
+
+// readFloats reads exactly count little-endian float64s from body into the
+// returned slice through its byte view. The slice starts at min(count,
+// rawChunk) elements and doubles when the body has filled it, so a client
+// that declares a huge operator but sends little costs little.
+func readFloats(body io.Reader, count int) ([]float64, error) {
+	vals := make([]float64, min(count, rawChunk))
+	got := 0
+	for {
+		n, err := io.ReadFull(body, byteView(vals)[got:])
+		got += n
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			return nil, fmt.Errorf("%w: body is %d bytes, want %d", errRaw, got, 8*count)
+		case err != nil:
+			return nil, fmt.Errorf("%w: reading body: %w", errRaw, err)
+		}
+		if len(vals) == count {
+			break
+		}
+		grown := make([]float64, min(count, 2*len(vals)))
+		copy(grown, vals)
+		vals = grown
+	}
+	var one [1]byte
+	if n, _ := io.ReadFull(body, one[:]); n > 0 {
+		return nil, fmt.Errorf("%w: body is longer than the %d bytes it should be", errRaw, 8*count)
+	}
+	if !nativeLE {
+		swapBytes(vals)
+	}
+	return vals, nil
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -176,12 +227,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("format") == "bin" {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		buf := make([]byte, 8*len(x))
-		for i, v := range x {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		if !nativeLE {
+			x = append([]float64(nil), x...)
+			swapBytes(x)
 		}
-		_, _ = w.Write(buf)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(8*len(x)))
+		_, _ = w.Write(byteView(x))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "n": st.N, "nrhs": st.NRHS, "x": x})

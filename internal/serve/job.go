@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -41,6 +42,11 @@ func (o Op) solves() bool { return o == OpSolveSPD || o == OpSolveLU }
 // JobSpec is one submitted problem. Either A (the full n×n column-major
 // operator) or Fingerprint (referencing a factor already resident in the
 // cache) must be set; solve ops additionally need B (n×nrhs, column-major).
+//
+// Submit takes ownership of A and B: the server may overwrite both until
+// the job is terminal, and then drops them. A batched solve factors A in
+// place and solves into B, which becomes its result; the lane path copies
+// both into tiles. Callers that need their operands afterwards pass copies.
 type JobSpec struct {
 	Op          Op        `json:"op"`
 	N           int       `json:"n"`
@@ -55,14 +61,8 @@ type JobSpec struct {
 }
 
 func (sp *JobSpec) check() error {
-	if !sp.Op.valid() {
-		return fmt.Errorf("unknown op %q", sp.Op)
-	}
-	if sp.N < 1 {
-		return fmt.Errorf("op %s: n must be positive, got %d", sp.Op, sp.N)
-	}
-	if sp.NRHS == 0 && sp.Op.solves() {
-		sp.NRHS = 1
+	if err := sp.checkDims(); err != nil {
+		return err
 	}
 	if sp.A == nil && sp.Fingerprint == "" {
 		return fmt.Errorf("op %s: need a matrix or a fingerprint", sp.Op)
@@ -71,14 +71,39 @@ func (sp *JobSpec) check() error {
 		return fmt.Errorf("op %s: matrix has %d elements, want %d×%d", sp.Op, len(sp.A), sp.N, sp.N)
 	}
 	if sp.Op.solves() {
-		if sp.NRHS < 1 {
-			return fmt.Errorf("op %s: nrhs must be positive, got %d", sp.Op, sp.NRHS)
-		}
 		if len(sp.B) != sp.N*sp.NRHS {
 			return fmt.Errorf("op %s: rhs has %d elements, want %d×%d", sp.Op, len(sp.B), sp.N, sp.NRHS)
 		}
 	} else if sp.A == nil {
 		return fmt.Errorf("op %s: factorize needs the matrix itself", sp.Op)
+	}
+	return nil
+}
+
+// checkDims validates the op and the dimensions alone, defaulting NRHS to
+// 1 for solves; a raw upload is sized from them before its body is read.
+// It bounds n·(n+nrhs) float64s to an int's worth of bytes, so every size
+// derived from the dimensions afterwards is free of overflow.
+func (sp *JobSpec) checkDims() error {
+	if !sp.Op.valid() {
+		return fmt.Errorf("unknown op %q", sp.Op)
+	}
+	if sp.N < 1 {
+		return fmt.Errorf("op %s: n must be positive, got %d", sp.Op, sp.N)
+	}
+	nrhs := 0
+	if sp.Op.solves() {
+		if sp.NRHS == 0 {
+			sp.NRHS = 1
+		}
+		if sp.NRHS < 1 {
+			return fmt.Errorf("op %s: nrhs must be positive, got %d", sp.Op, sp.NRHS)
+		}
+		nrhs = sp.NRHS
+	}
+	const maxElems = math.MaxInt / 8
+	if sp.N > maxElems || nrhs > maxElems || sp.N > maxElems/(sp.N+nrhs) {
+		return fmt.Errorf("op %s: n=%d, nrhs=%d is too large to address", sp.Op, sp.N, nrhs)
 	}
 	return nil
 }

@@ -213,6 +213,7 @@ func (s *Server) CacheLen() int { return s.cache.len() }
 
 // Submit validates spec and admits it under tenant's budget, returning the
 // job ID. A *ShedError return means admission control rejected the job.
+// An admitted job owns spec.A and spec.B until it ends (see JobSpec).
 func (s *Server) Submit(tenant string, spec JobSpec) (string, error) {
 	if tenant == "" {
 		tenant = "anon"
@@ -384,7 +385,10 @@ func (s *Server) markRunning(j *job) {
 	s.met.queueWait.Observe(w)
 }
 
+// finish publishes j's terminal state. The job releases its operands
+// first: a terminal job holds only its status and its result.
 func (s *Server) finish(j *job, err error) {
+	j.spec.A, j.spec.B = nil, nil
 	el := int64(time.Since(j.submitted))
 	j.finished.Store(el)
 	if err != nil {
@@ -463,7 +467,6 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 	if lu {
 		op = core.OpLU
 	}
-	nb := s.cfg.TileSize
 	key := cacheKey{fp: sp.Fingerprint, lu: lu}
 	if sp.A != nil {
 		key.fp = s.fpr.of(sp.A)
@@ -478,7 +481,7 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 			return nil
 		}
 		j.cacheStatus.Store(cacheMiss)
-		f, err := core.Factor(rt, op, tile.FromColMajor(sp.N, sp.N, sp.A, sp.N, nb), nil, false)
+		f, err := core.Factor(rt, op, s.tiled(sp), nil, false)
 		if err != nil {
 			return err
 		}
@@ -493,7 +496,7 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 	if f == nil && sp.A == nil {
 		return fmt.Errorf("serve: fingerprint %s not resident in the factor cache", key.fp)
 	}
-	tb := tile.FromColMajor(sp.N, sp.NRHS, sp.B, sp.N, nb)
+	tb := tile.FromColMajor(sp.N, sp.NRHS, sp.B, sp.N, s.cfg.TileSize)
 	if f != nil {
 		// Warm path: the cached factor is immutable and shared; only the
 		// right-hand side is written.
@@ -503,7 +506,7 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 		}
 	} else {
 		j.cacheStatus.Store(cacheMiss)
-		f, err := core.Factor(rt, op, tile.FromColMajor(sp.N, sp.N, sp.A, sp.N, nb), tb, false)
+		f, err := core.Factor(rt, op, s.tiled(sp), tb, false)
 		if err != nil {
 			return err
 		}
@@ -511,6 +514,14 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 	}
 	j.result.Store(tb.ToColMajor())
 	return nil
+}
+
+// tiled converts the job's operator to tiles and drops the column-major
+// copy, which the factorization no longer needs.
+func (s *Server) tiled(sp *JobSpec) *tile.Matrix[float64] {
+	a := tile.FromColMajor(sp.N, sp.N, sp.A, sp.N, s.cfg.TileSize)
+	sp.A = nil
+	return a
 }
 
 // Close shuts the server down: stop the HTTP listener gracefully (2s drain,

@@ -16,6 +16,12 @@ type SolveServer = serve.Server
 // ServeJob is one submitted problem: an op, its dimensions, and either the
 // operator matrix or a fingerprint referencing a factor already resident in
 // the server's cache.
+//
+// Submit takes ownership of A and B: the server may overwrite both until
+// the job ends, and then drops them. A batched small solve factors the
+// caller's A in place and solves into the caller's B; every other job
+// copies them into tiles. Pass copies of operands still needed after
+// Submit.
 type ServeJob = serve.JobSpec
 
 // ServeStatus is a job's observable state: lifecycle, span-derived task
