@@ -14,7 +14,6 @@ import (
 	"exadla/internal/blas"
 	"exadla/internal/core"
 	"exadla/internal/dist"
-	"exadla/internal/ft"
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/mixed"
@@ -223,26 +222,30 @@ func BenchmarkE5_TileSweep(b *testing.B) {
 // ---- E6: ABFT overhead ----
 
 func BenchmarkE6_CholeskyPlain(b *testing.B) {
-	n := 384
-	rng := rand.New(rand.NewSource(6))
-	a := matgen.DiagDomSPD[float64](rng, n)
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ft.CholeskyUnprotected(n, a, n); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportGFLOPS(b, float64(n)*float64(n)*float64(n)/3)
-	})
+	benchE6(b, func(r sched.Scheduler, a *tile.Matrix[float64]) error { return core.Cholesky(r, a) })
 }
 
 func BenchmarkE6_CholeskyABFT(b *testing.B) {
-	n := 384
+	benchE6(b, func(r sched.Scheduler, a *tile.Matrix[float64]) error {
+		_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{})
+		return err
+	})
+}
+
+// benchE6 times one tile Cholesky variant on a 4-worker runtime with
+// retries, so the plain and guarded runs differ only in the guard.
+func benchE6(b *testing.B, factor func(sched.Scheduler, *tile.Matrix[float64]) error) {
+	const n, nb = 384, 96
 	rng := rand.New(rand.NewSource(6))
-	a := matgen.DiagDomSPD[float64](rng, n)
+	aD := matgen.DiagDomSPD[float64](rng, n)
+	r := sched.New(4, sched.WithRetry(3, 0))
+	defer r.Shutdown()
 	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ft.Cholesky(n, a, n, nil); err != nil {
+			b.StopTimer()
+			a := tile.FromColMajor(n, n, aD, n, nb)
+			b.StartTimer()
+			if err := factor(r, a); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"exadla/internal/core"
 	"exadla/internal/dist"
 	"exadla/internal/matgen"
-	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
 
@@ -35,15 +34,11 @@ func distFaultSweep(quick bool) {
 	aD := matgen.DiagDomSPD[float64](rng, n)
 
 	// Clean single-process reference.
-	ref := tile.FromColMajor(n, n, aD, n, nb)
-	r := sched.New(4)
-	if err := core.Cholesky(r, ref); err != nil {
+	want, err := plainFactor(core.OpCholesky, aD, n, nb, 4)
+	if err != nil {
 		fmt.Printf("reference factorization failed: %v\n", err)
-		r.Shutdown()
 		return
 	}
-	r.Shutdown()
-	want := ref.ToColMajor()
 
 	type scenario struct {
 		name      string

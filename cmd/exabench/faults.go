@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"exadla/internal/blas"
 	"exadla/internal/core"
-	"exadla/internal/ft"
 	"exadla/internal/matgen"
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
@@ -115,69 +113,31 @@ func noRetryDemo(n, nb, workers int) {
 	}
 }
 
-// abftDemo corrupts the factorization mid-flight through the resilient
-// algorithms' injection hook and reports the recovery accounting.
+// abftDemo corrupts each guarded factorization mid-flight through the
+// guard's injection hook and reports the recovery accounting.
 func abftDemo(n, nb, workers int) {
 	tb := newTable("op", "n", "injected", "detected", "corrected", "unlocated", "retried", "max diff vs clean", "status")
-	for _, op := range []string{"cholesky", "lu"} {
-		var stats ft.Stats
-		var retried atomic.Int64
-		rng := rand.New(rand.NewSource(7))
-		aD := matgen.DiagDomSPD[float64](rng, n)
-
-		// Fault-free reference factor.
-		clean := tile.FromColMajor(n, n, aD, n, nb)
-		rc := sched.New(workers)
-		var cleanErr error
-		if op == "cholesky" {
-			cleanErr = core.Cholesky(rc, clean)
-		} else {
-			_, cleanErr = core.LU(rc, clean)
-		}
-		rc.Shutdown()
-		if cleanErr != nil {
-			tb.add(op, n, 0, 0, 0, 0, 0, "-", "reference failed: "+cleanErr.Error())
+	rng := rand.New(rand.NewSource(7))
+	aD := matgen.DiagDomSPD[float64](rng, n)
+	for _, op := range []string{core.OpCholesky, core.OpLU} {
+		clean, err := plainFactor(op, aD, n, nb, workers)
+		if err != nil {
+			tb.add(op, n, 0, 0, 0, 0, 0, "-", "reference failed: "+err.Error())
 			continue
 		}
-
-		inj := ft.NewInjector(7)
-		hook := func(step int, m *tile.Matrix[float64]) {
-			// One corruption per run, dropped into the middle of the
-			// factorization: a panel tile right after the step's checksum
-			// snapshot.
-			if step != m.NT/2 || m.MT <= step+1 {
-				return
-			}
-			k := step
-			inj.AddNoise(m.Tile(k+1, k), 3+2*m.TileRows(k+1), m.TileRows(k+1), 1e-2)
-			stats.Injected.Add(1)
-		}
-		a := tile.FromColMajor(n, n, aD, n, nb)
-		r := sched.New(workers,
-			sched.WithRetry(3, 0),
-			sched.WithFailureObserver(func(ev sched.FailureEvent) {
-				if ev.Retrying {
-					retried.Add(1)
-				}
-			}),
-		)
-		_, err := core.Protect(r, op, a, nil, &core.FTOptions{InjectHook: hook, Stats: &stats})
-		r.Shutdown()
+		// One corruption dropped into the middle of the factorization: the
+		// panel tile below the diagonal right after the step's checksum
+		// snapshot (for Cholesky, before its trsm).
+		k := (n + nb - 1) / nb / 2
+		tr := runGuarded(op, aD, clean, n, nb, workers, softError{step: k, i: k + 1, j: k, row: 3, col: 2, delta: 1e-2})
 		status := "recovered"
-		if err != nil {
-			status = "FAILED: " + err.Error()
-		}
-		var diff float64
-		cd, gd := clean.ToColMajor(), a.ToColMajor()
-		for i := range cd {
-			if d := math.Abs(cd[i] - gd[i]); d > diff {
-				diff = d
-			}
+		if tr.err != nil {
+			status = "FAILED: " + tr.err.Error()
 		}
 		tb.add(op, n,
-			stats.Injected.Load(), stats.Detected.Load(),
-			stats.Corrected.Load(), stats.Unlocated.Load(),
-			int(retried.Load()), diff, status)
+			tr.stats.Injected.Load(), tr.stats.Detected.Load(),
+			tr.stats.Corrected.Load(), tr.stats.Unlocated.Load(),
+			tr.retried, tr.diff, status)
 	}
 	tb.print()
 }

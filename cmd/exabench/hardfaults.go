@@ -30,18 +30,9 @@ func hardFaultSweep(n, nb, workers int) {
 		rng := rand.New(rand.NewSource(2016))
 		aD := matgen.DiagDomSPD[float64](rng, n)
 
-		// Fault-free reference factor.
-		clean := tile.FromColMajor(n, n, aD, n, nb)
-		rc := sched.New(workers)
-		var cleanErr error
-		if op == "cholesky" {
-			cleanErr = core.Cholesky(rc, clean)
-		} else {
-			_, cleanErr = core.LU(rc, clean)
-		}
-		rc.Shutdown()
-		if cleanErr != nil {
-			tb.add(op, n, "-", 0, 0, 0, "-", "reference failed: "+cleanErr.Error())
+		clean, err := plainFactor(op, aD, n, nb, workers)
+		if err != nil {
+			tb.add(op, n, "-", 0, 0, 0, "-", "reference failed: "+err.Error())
 			continue
 		}
 
@@ -65,7 +56,7 @@ func hardFaultSweep(n, nb, workers int) {
 			if err != nil {
 				status = "FAILED: " + err.Error()
 			}
-			diff := factorDiff(op, clean, a, nb)
+			diff := factorDiff(op, clean, a)
 			if diff != 0 && err == nil {
 				status = "DIVERGED"
 			}
@@ -79,12 +70,13 @@ func hardFaultSweep(n, nb, workers int) {
 	tb.print()
 }
 
-// factorDiff compares the meaningful part of the factor bitwise: the lower
+// factorDiff returns the max-abs difference of got from the column-major
+// fault-free factor cd over the factor's meaningful part: the lower
 // triangle for Cholesky (entries above the diagonal are dead storage), the
 // whole array for LU.
-func factorDiff(op string, clean, got *tile.Matrix[float64], nb int) float64 {
-	cd, gd := clean.ToColMajor(), got.ToColMajor()
-	n := clean.M
+func factorDiff(op string, cd []float64, got *tile.Matrix[float64]) float64 {
+	gd := got.ToColMajor()
+	n := got.M
 	var diff float64
 	for j := 0; j < n; j++ {
 		lo := 0
@@ -109,17 +101,9 @@ func checkpointDemo(n, nb, workers int) {
 		rng := rand.New(rand.NewSource(2016))
 		aD := matgen.DiagDomSPD[float64](rng, n)
 
-		clean := tile.FromColMajor(n, n, aD, n, nb)
-		rc := sched.New(workers)
-		var cleanErr error
-		if op == "cholesky" {
-			cleanErr = core.Cholesky(rc, clean)
-		} else {
-			_, cleanErr = core.LU(rc, clean)
-		}
-		rc.Shutdown()
-		if cleanErr != nil {
-			tb.add(op, n, "-", "-", "-", "reference failed: "+cleanErr.Error())
+		clean, err := plainFactor(op, aD, n, nb, workers)
+		if err != nil {
+			tb.add(op, n, "-", "-", "-", "reference failed: "+err.Error())
 			continue
 		}
 
@@ -130,7 +114,7 @@ func checkpointDemo(n, nb, workers int) {
 		}
 		defer os.RemoveAll(dir)
 
-		abortAt := clean.NT / 2
+		abortAt := (n + nb - 1) / nb / 2
 		opt := core.CkptOptions{Dir: dir, Every: 1, AbortAtStep: abortAt}
 		a := tile.FromColMajor(n, n, aD, n, nb)
 		r := sched.New(workers)
@@ -153,7 +137,7 @@ func checkpointDemo(n, nb, workers int) {
 			tb.add(op, n, abortAt, ck.Step, "-", "resume failed: "+err.Error())
 			continue
 		}
-		diff := factorDiff(op, clean, resumed, nb)
+		diff := factorDiff(op, clean, resumed)
 		status := "bitwise"
 		if diff != 0 {
 			status = "DIVERGED"

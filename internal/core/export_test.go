@@ -12,3 +12,8 @@ import (
 func ApplySweep[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F], i int) {
 	submitSolve(s, f, b, &errState{}, solves[f.op][i])
 }
+
+// TrtriLowerForTest runs TrtriLower with a private error state.
+func TrtriLowerForTest[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) {
+	TrtriLower(s, a, &errState{})
+}

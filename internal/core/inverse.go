@@ -150,8 +150,3 @@ func Potri[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
 	packs.release()
 	return err
 }
-
-// TrtriLowerForTest runs TrtriLower with a private error state, for tests.
-func TrtriLowerForTest[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) {
-	TrtriLower(s, a, &errState{})
-}

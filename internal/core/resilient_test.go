@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"exadla/internal/blas"
@@ -172,6 +173,113 @@ func TestResilientCholeskyUnlocatableFails(t *testing.T) {
 	}
 	if stats.Unlocated.Load() == 0 {
 		t.Error("no unlocatable faults recorded")
+	}
+}
+
+// TestProtectIllScaledNoFalsePositives: a badly scaled SPD matrix (entries
+// around 1e10) must factor under the guard without phantom detections — the
+// point of the norm-scaled tolerance — while a corruption proportional to
+// the factor's scale is still detected and corrected.
+func TestProtectIllScaledNoFalsePositives(t *testing.T) {
+	const n, nb, scale = 64, 16, 1e10
+	rng := rand.New(rand.NewSource(21))
+	aD := matgen.DiagDomSPD[float64](rng, n)
+	for i := range aD {
+		aD[i] *= scale
+	}
+	guarded := func(hook func(int, *tile.Matrix[float64])) ([]float64, *ft.Stats) {
+		t.Helper()
+		a := tile.FromColMajor(n, n, aD, n, nb)
+		var stats ft.Stats
+		r := sched.New(2, sched.WithRetry(3, 0))
+		defer r.Shutdown()
+		if _, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{InjectHook: hook, Stats: &stats}); err != nil {
+			t.Fatal(err)
+		}
+		return a.ToColMajor(), &stats
+	}
+	want, stats := guarded(nil)
+	if d := stats.Detected.Load(); d != 0 {
+		t.Fatalf("clean ill-scaled factorization reported %d phantom detections", d)
+	}
+	got, stats := guarded(func(step int, m *tile.Matrix[float64]) {
+		if step == 0 {
+			// Entry (5, 3) of the freshly factored diagonal tile.
+			m.Tile(0, 0)[5+3*m.TileRows(0)] += 1e-3 * math.Sqrt(scale)
+		}
+	})
+	if stats.Detected.Load() != 1 || stats.Corrected.Load() != 1 || stats.Unlocated.Load() != 0 {
+		t.Fatalf("detected %d / corrected %d / unlocated %d, want 1 / 1 / 0",
+			stats.Detected.Load(), stats.Corrected.Load(), stats.Unlocated.Load())
+	}
+	if d, tol := lowerDiff(n, got, want), ft.DetectTol(normLower(n, aD), n); d > tol {
+		t.Errorf("recovered factor differs from the clean guarded one by %g (tol %g)", d, tol)
+	}
+}
+
+// TestProtectFlipBitRecovery drives ft.Injector.FlipBit through the guard's
+// hook: each trial flips a bit of a seeded entry of a finalized diagonal
+// tile between its potrf and its verification. Every flip above the
+// detection tolerance must be located at the flipped entry and repaired,
+// leaving the factor bitwise equal to the clean guarded run.
+func TestProtectFlipBitRecovery(t *testing.T) {
+	const n, nb, seed = 128, 32, 15
+	rng := rand.New(rand.NewSource(seed))
+	aD := matgen.DiagDomSPD[float64](rng, n)
+	want := tile.FromColMajor(n, n, aD, n, nb)
+	r := sched.New(2, sched.WithRetry(3, 0))
+	if _, err := core.Protect(r, core.OpCholesky, want, nil, &core.FTOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	r.Shutdown()
+	tol := ft.DetectTol(normLower(n, aD), n)
+
+	significant := 0
+	const trials = 25
+	for trial := 0; trial < trials; trial++ {
+		inj := ft.NewInjector(int64(200 + trial))
+		k := trial % want.NT
+		var injected ft.Fault
+		hook := func(step int, m *tile.Matrix[float64]) {
+			if step != k {
+				return
+			}
+			ld := m.TileRows(k)
+			i, j := rng.Intn(ld), rng.Intn(ld)
+			injected = inj.FlipBit(m.Tile(k, k), max(i, j)+min(i, j)*ld, ld)
+		}
+		var mu sync.Mutex
+		var reports []*ft.CorruptionError
+		a := tile.FromColMajor(n, n, aD, n, nb)
+		r := sched.New(2, sched.WithRetry(3, 0), sched.WithFailureObserver(func(ev sched.FailureEvent) {
+			var ce *ft.CorruptionError
+			if errors.As(ev.Err, &ce) {
+				mu.Lock()
+				reports = append(reports, ce)
+				mu.Unlock()
+			}
+		}))
+		_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{InjectHook: hook})
+		r.Shutdown()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if math.Abs(injected.Delta) <= tol {
+			continue // below the detection tolerance by design
+		}
+		significant++
+		if len(reports) != 1 || reports[0].TileRow != k || reports[0].TileCol != k ||
+			len(reports[0].Faults) != 1 || reports[0].Faults[0].Row != injected.Row || reports[0].Faults[0].Col != injected.Col {
+			t.Errorf("trial %d: flip at tile (%d,%d) entry (%d,%d) reported as %v",
+				trial, k, k, injected.Row, injected.Col, reports)
+			continue
+		}
+		if d := lowerDiff(n, a.ToColMajor(), want.ToColMajor()); d != 0 {
+			t.Errorf("trial %d: repaired factor differs from the clean guarded run by %g", trial, d)
+		}
+	}
+	if significant == 0 {
+		t.Fatal("no flip above the detection tolerance; seeds need adjusting")
 	}
 }
 

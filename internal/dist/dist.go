@@ -154,18 +154,12 @@ func CommDepth(g *sched.Graph, place Placement) int {
 // that tile's words (remote reads are fetched, remote writes shipped back).
 // Tasks are charged per access — each task fetches fresh operands, since in
 // a factorization almost every operand was rewritten since any earlier
-// fetch. A node annotated with Executions > 1 (a task the runtime retried)
-// is charged that many times over: every re-execution re-fetches its remote
-// operands, which is exactly how recovery inflates the communication bill.
+// fetch.
 func Count(g *sched.Graph, processes int, place Placement) CommStats {
 	stats := CommStats{Processes: processes, ByKernel: map[string]int{}}
 	for _, n := range g.Nodes {
 		if n.Barrier {
 			continue
-		}
-		execs := n.Executions
-		if execs < 1 {
-			execs = 1
 		}
 		proc := 0
 		if len(n.Writes) > 0 {
@@ -177,9 +171,9 @@ func Count(g *sched.Graph, processes int, place Placement) CommStats {
 			if words == 0 || home == proc {
 				return
 			}
-			stats.Messages += execs
-			stats.Words += execs * words
-			stats.ByKernel[n.Name] += execs * words
+			stats.Messages++
+			stats.Words += words
+			stats.ByKernel[n.Name] += words
 			remote = true
 		}
 		for _, h := range n.Reads {

@@ -235,68 +235,3 @@ func TestParityCommitTrafficCounted(t *testing.T) {
 		t.Errorf("erasure comm bill %d not above unprotected %d", merged.Words, cleanStats.Words)
 	}
 }
-
-// TestCountChargesRetriedExecutions: a node the runtime retried
-// (Executions > 1) re-fetches its remote operands once per execution, so
-// the comm bill scales with the annotation. Nodes left at the zero value
-// replay as a single fault-free execution.
-func TestCountChargesRetriedExecutions(t *testing.T) {
-	a := tile.New[float64](64, 64, 16) // 4×4 tiles of 256 words
-	place := dist.BlockCyclic(a, 2, 2)
-	// One gemm-shaped task homed on tile (1,1)'s process reading two tiles
-	// that live elsewhere.
-	node := sched.GraphNode{
-		Name:   "gemm",
-		Reads:  []sched.Handle{a.Handle(0, 0), a.Handle(0, 1)},
-		Writes: []sched.Handle{a.Handle(1, 1)},
-	}
-	base := dist.Count(&sched.Graph{Nodes: []sched.GraphNode{node}}, 4, place)
-	if base.Messages != 2 || base.Words != 2*256 {
-		t.Fatalf("baseline comm = %d msgs / %d words, want 2 / 512", base.Messages, base.Words)
-	}
-
-	retried := node
-	retried.Executions = 3
-	got := dist.Count(&sched.Graph{Nodes: []sched.GraphNode{retried}}, 4, place)
-	if got.Messages != 3*base.Messages || got.Words != 3*base.Words {
-		t.Errorf("3 executions: %d msgs / %d words, want %d / %d",
-			got.Messages, got.Words, 3*base.Messages, 3*base.Words)
-	}
-	if got.ByKernel["gemm"] != 3*base.ByKernel["gemm"] {
-		t.Errorf("ByKernel[gemm] = %d, want %d", got.ByKernel["gemm"], 3*base.ByKernel["gemm"])
-	}
-	if got.RemoteTasks != 1 {
-		t.Errorf("RemoteTasks = %d, want 1 (retries re-run the same task)", got.RemoteTasks)
-	}
-}
-
-// TestCountReplayWithRetriedDAG replays a small recorded Cholesky DAG,
-// annotates a few interior nodes as retried, and checks the totals move by
-// exactly the extra executions' operand words.
-func TestCountReplayWithRetriedDAG(t *testing.T) {
-	g, a := choleskyGraph(128, 16)
-	place := dist.BlockCyclic(a, 2, 2)
-	base := dist.Count(g, 4, place)
-
-	// Annotate every 5th non-barrier node as having run twice and recompute
-	// the expected delta from the nodes' own remote operand words.
-	extra := 0
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		if n.Barrier || i%5 != 0 {
-			continue
-		}
-		n.Executions = 2
-		one := dist.Count(&sched.Graph{Nodes: []sched.GraphNode{{
-			Name: n.Name, Reads: n.Reads, Writes: n.Writes,
-		}}}, 4, place)
-		extra += one.Words
-	}
-	got := dist.Count(g, 4, place)
-	if got.Words != base.Words+extra {
-		t.Errorf("retried replay words = %d, want %d + %d", got.Words, base.Words, extra)
-	}
-	if got.Messages <= base.Messages {
-		t.Errorf("retried replay messages %d not above baseline %d", got.Messages, base.Messages)
-	}
-}

@@ -1,9 +1,15 @@
 // Package ft implements algorithm-based fault tolerance (ABFT) in the
-// Huang–Abraham tradition: matrices are extended with checksum rows that
-// the factorization or multiplication maintains as a by-product of its own
-// arithmetic, so a silent data corruption is detected, located, and
-// corrected from the checksum relations — without checkpoints and at O(n²)
-// overhead on an O(n³) computation. "At extreme scale, faults are the norm."
+// Huang–Abraham tradition: data carries plain and weighted checksums that
+// the computation maintains as a by-product of its own arithmetic, so a
+// silent data corruption is detected, located, and corrected from the
+// checksum relations — without checkpoints and at O(n²) overhead on an
+// O(n³) computation. "At extreme scale, faults are the norm."
+//
+// The package holds the primitives, not the factorizations: ProtectedGemm
+// (a checksum-extended GEMM), the per-tile column sums that core.Protect's
+// guards carry through the tile Cholesky and record for the LUs, row
+// erasure parity for lost tiles, CRC64 payload checksums, and the Injector
+// that experiments and tests use to model soft errors.
 package ft
 
 import (
@@ -11,7 +17,6 @@ import (
 	"math"
 
 	"exadla/internal/blas"
-	"exadla/internal/lapack"
 )
 
 // Fault describes one detected (and correctable) corruption.
@@ -61,7 +66,7 @@ func DetectTol(norm float64, n int) float64 {
 // ProtectedGemm computes C = A·B (A m×k, B k×n) with Huang–Abraham
 // checksums: A is extended with plain and row-weighted checksum rows, so
 // the product carries column checksums of C. Verify the result with
-// VerifyGemm, which locates single corrupted entries per column.
+// Verify, which locates single corrupted entries per column.
 type ProtectedGemm struct {
 	M, N, K int
 	// C is the m×n product.
@@ -156,176 +161,4 @@ func (p *ProtectedGemm) Correct(faults []Fault) int {
 		p.C[f.Row+f.Col*p.M] -= f.Delta
 	}
 	return len(faults)
-}
-
-// ABFTCholesky factors an SPD matrix with two checksum rows carried through
-// the factorization: the extended matrix [A; eᵀA; wᵀA] = [L; x; y]·Lᵀ
-// forces x = eᵀL and y = wᵀL, so after (and during) factorization the
-// checksum rows independently witness the column sums of L.
-type ABFTCholesky struct {
-	N int
-	// L is the n×n lower-triangular factor (dense storage).
-	L []float64
-	// Sum and Weighted are the carried checksum rows: eᵀL and wᵀL.
-	Sum, Weighted []float64
-	// Norm is the max-abs norm of the input matrix, set by Cholesky and
-	// consumed by Verify's scaled detection tolerance. Zero means unknown:
-	// Verify falls back to the per-column scale and legacy floor.
-	Norm float64
-}
-
-// Cholesky runs the protected factorization of the n×n SPD matrix A (lower
-// triangle referenced; A untouched). faultHook, if non-nil, is invoked
-// after each column is computed with the column index and the factor
-// storage — tests and the benchmark harness use it to inject corruption
-// mid-factorization.
-func Cholesky(n int, a []float64, lda int, faultHook func(col int, l []float64)) (*ABFTCholesky, error) {
-	// Extended working matrix: (n+2)×n, top n×n = lower triangle of A.
-	// Checksums are full-column sums of the symmetric matrix; one
-	// column-major pass over the stored lower triangle scatters each
-	// entry's contribution to both columns it represents, avoiding the
-	// strided reads of reconstructing the upper triangle.
-	m := n + 2
-	w := make([]float64, m*n)
-	var norm float64
-	for j := 0; j < n; j++ {
-		col := a[j*lda:]
-		diag := col[j]
-		w[j+j*m] = diag
-		w[n+j*m] += diag
-		w[n+1+j*m] += float64(j+1) * diag
-		if av := math.Abs(diag); av > norm {
-			norm = av
-		}
-		for i := j + 1; i < n; i++ {
-			v := col[i]
-			if av := math.Abs(v); av > norm {
-				norm = av
-			}
-			w[i+j*m] = v
-			// As A[i][j] in column j and as A[j][i] in column i.
-			w[n+j*m] += v
-			w[n+1+j*m] += float64(i+1) * v
-			w[n+i*m] += v
-			w[n+1+i*m] += float64(j+1) * v
-		}
-	}
-	// Right-looking Cholesky on rows 0..n-1, with rows n and n+1 carried
-	// through the same column operations (they never pivot).
-	for j := 0; j < n; j++ {
-		d := w[j+j*m]
-		for k := 0; k < j; k++ {
-			d -= w[j+k*m] * w[j+k*m]
-		}
-		if d <= 0 {
-			return nil, &lapack.NotPositiveDefiniteError{Index: j}
-		}
-		d = math.Sqrt(d)
-		w[j+j*m] = d
-		// Column j below the diagonal, including the checksum rows.
-		for i := j + 1; i < m; i++ {
-			v := w[i+j*m]
-			for k := 0; k < j; k++ {
-				v -= w[i+k*m] * w[j+k*m]
-			}
-			w[i+j*m] = v / d
-		}
-		if faultHook != nil {
-			faultHook(j, w)
-		}
-	}
-	f := &ABFTCholesky{N: n, L: make([]float64, n*n), Sum: make([]float64, n), Weighted: make([]float64, n), Norm: norm}
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			f.L[i+j*n] = w[i+j*m]
-		}
-		f.Sum[j] = w[n+j*m]
-		f.Weighted[j] = w[n+1+j*m]
-	}
-	return f, nil
-}
-
-// Verify compares L's column sums against the carried checksums and
-// locates single corrupted entries per column.
-func (f *ABFTCholesky) Verify() []Fault {
-	var faults []Fault
-	n := f.N
-	for j := 0; j < n; j++ {
-		var s, ws, scale float64
-		for i := j; i < n; i++ {
-			v := f.L[i+j*n]
-			s += v
-			ws += float64(i+1) * v
-			if av := math.Abs(v); av > scale {
-				scale = av
-			}
-		}
-		ds := s - f.Sum[j]
-		dw := ws - f.Weighted[j]
-		tol := DetectTol(math.Max(f.Norm, scale+1), n)
-		if math.Abs(ds) <= tol {
-			continue
-		}
-		row := int(math.Round(dw/ds)) - 1
-		if row < j || row >= n {
-			row = j
-		}
-		faults = append(faults, Fault{Row: row, Col: j, Delta: ds})
-	}
-	return faults
-}
-
-// Correct repairs the located faults in L.
-func (f *ABFTCholesky) Correct(faults []Fault) int {
-	for _, flt := range faults {
-		f.L[flt.Row+flt.Col*f.N] -= flt.Delta
-	}
-	return len(faults)
-}
-
-// CholeskyUnprotected runs the identical right-looking factorization
-// without checksum rows — the baseline the E6 experiment measures ABFT
-// overhead against. It deliberately uses the same (n+2)-row storage layout
-// as the protected version (the two checksum rows simply stay unused), so
-// the measured delta isolates the checksum arithmetic rather than
-// cache-aliasing differences between leading dimensions.
-func CholeskyUnprotected(n int, a []float64, lda int) ([]float64, error) {
-	m := n + 2
-	w := make([]float64, m*n)
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			w[i+j*m] = a[i+j*lda]
-		}
-	}
-	for j := 0; j < n; j++ {
-		d := w[j+j*m]
-		for k := 0; k < j; k++ {
-			d -= w[j+k*m] * w[j+k*m]
-		}
-		if d <= 0 {
-			return nil, &lapack.NotPositiveDefiniteError{Index: j}
-		}
-		d = math.Sqrt(d)
-		w[j+j*m] = d
-		for i := j + 1; i < n; i++ {
-			v := w[i+j*m]
-			for k := 0; k < j; k++ {
-				v -= w[i+k*m] * w[j+k*m]
-			}
-			w[i+j*m] = v / d
-		}
-	}
-	l := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			l[i+j*n] = w[i+j*m]
-		}
-	}
-	return l, nil
-}
-
-// Solve uses the (verified) factor to solve A·x = b in place.
-func (f *ABFTCholesky) Solve(b []float64) {
-	blas.Trsv(blas.Lower, blas.NoTrans, blas.NonUnit, f.N, f.L, f.N, b, 1)
-	blas.Trsv(blas.Lower, blas.Trans, blas.NonUnit, f.N, f.L, f.N, b, 1)
 }

@@ -109,112 +109,6 @@ func TestProtectedGemmMultiColumnFaults(t *testing.T) {
 	}
 }
 
-func TestABFTCholeskyCleanRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 60
-	a := matgen.DiagDomSPD[float64](rng, n)
-	f, err := ft.Cholesky(n, a, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faults := f.Verify(); len(faults) != 0 {
-		t.Errorf("false positives on clean factorization: %v", faults)
-	}
-	// The factor must actually solve the system.
-	xTrue := matgen.Dense[float64](rng, n, 1)
-	bb := make([]float64, n)
-	blas.Symv(blas.Lower, n, 1, a, n, xTrue, 1, 0, bb, 1)
-	f.Solve(bb)
-	for i := range bb {
-		if math.Abs(bb[i]-xTrue[i]) > 1e-8 {
-			t.Fatalf("solve error at %d: %g vs %g", i, bb[i], xTrue[i])
-		}
-	}
-}
-
-func TestABFTCholeskyChecksumsAreColumnSums(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 30
-	a := matgen.DiagDomSPD[float64](rng, n)
-	f, err := ft.Cholesky(n, a, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < n; j++ {
-		var s float64
-		for i := j; i < n; i++ {
-			s += f.L[i+j*n]
-		}
-		if math.Abs(s-f.Sum[j]) > 1e-9*(math.Abs(s)+1) {
-			t.Fatalf("column %d: carried checksum %g, column sum %g", j, f.Sum[j], s)
-		}
-	}
-}
-
-func TestABFTCholeskyDetectCorrectStoredFault(t *testing.T) {
-	// Fault model: silent corruption of the stored factor after
-	// factorization (e.g. a DRAM upset before the factor is reused).
-	rng := rand.New(rand.NewSource(7))
-	n := 50
-	a := matgen.DiagDomSPD[float64](rng, n)
-	for trial := 0; trial < 20; trial++ {
-		f, err := ft.Cholesky(n, a, n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clean := append([]float64(nil), f.L...)
-		inj := ft.NewInjector(int64(trial + 40))
-		idx := inj.RandomLowerIndex(n)
-		injected := inj.AddNoise(f.L, idx, n, 10)
-		faults := f.Verify()
-		if len(faults) != 1 || faults[0].Row != injected.Row || faults[0].Col != injected.Col {
-			t.Fatalf("trial %d: faults %v, injected %v", trial, faults, injected)
-		}
-		f.Correct(faults)
-		for i := range clean {
-			if math.Abs(f.L[i]-clean[i]) > 1e-8 {
-				t.Fatalf("trial %d: correction imperfect", trial)
-			}
-		}
-	}
-}
-
-func TestABFTCholeskyRecoveredSolveAccuracy(t *testing.T) {
-	// End to end: corrupt, verify, correct, then the solve must be as good
-	// as a fault-free one.
-	rng := rand.New(rand.NewSource(8))
-	n := 40
-	a := matgen.DiagDomSPD[float64](rng, n)
-	xTrue := matgen.Dense[float64](rng, n, 1)
-	b := make([]float64, n)
-	blas.Symv(blas.Lower, n, 1, a, n, xTrue, 1, 0, b, 1)
-
-	f, err := ft.Cholesky(n, a, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := ft.NewInjector(99)
-	inj.AddNoise(f.L, inj.RandomLowerIndex(n), n, 25)
-	// Without correction the solve is garbage; with correction it's exact.
-	f.Correct(f.Verify())
-	got := append([]float64(nil), b...)
-	f.Solve(got)
-	for i := range got {
-		if math.Abs(got[i]-xTrue[i]) > 1e-8 {
-			t.Fatalf("recovered solve wrong at %d", i)
-		}
-	}
-}
-
-func TestABFTCholeskyNotPD(t *testing.T) {
-	n := 5
-	a := matgen.Identity[float64](n)
-	a[3+3*n] = -1
-	if _, err := ft.Cholesky(n, a, n, nil); err == nil {
-		t.Error("expected not-positive-definite error")
-	}
-}
-
 func TestInjectorRecordsFaults(t *testing.T) {
 	inj := ft.NewInjector(1)
 	data := []float64{1, 2, 3, 4}

@@ -76,32 +76,6 @@ func TestDetectTolFloorAndScaling(t *testing.T) {
 	}
 }
 
-// TestABFTCholeskyIllScaledNoFalsePositives: a badly scaled SPD matrix
-// (entries around 1e10) must factor without phantom fault reports — the
-// point of the norm-scaled tolerance — while a genuinely injected fault of
-// relative size is still caught.
-func TestABFTCholeskyIllScaledNoFalsePositives(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const n, scale = 64, 1e10
-	a := matgen.DiagDomSPD[float64](rng, n)
-	for i := range a {
-		a[i] *= scale
-	}
-	f, err := ft.Cholesky(n, a, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faults := f.Verify(); len(faults) != 0 {
-		t.Fatalf("clean ill-scaled factorization reported %d phantom faults: %v", len(faults), faults)
-	}
-	// A corruption proportional to the factor's scale must still be seen.
-	f.L[5+3*n] += 1e-3 * math.Sqrt(scale)
-	faults := f.Verify()
-	if len(faults) != 1 || faults[0].Row != 5 || faults[0].Col != 3 {
-		t.Fatalf("injected fault not located: %v", faults)
-	}
-}
-
 // TestColSumsRoundTrip: recomputing sums of unchanged data must match the
 // witness bit-for-bit (same summation order), so verification with any
 // tolerance reports nothing.

@@ -519,15 +519,6 @@ func TestRecorderFnErrAndWaitErr(t *testing.T) {
 	}
 }
 
-func TestGraphNodeExecutionsDefault(t *testing.T) {
-	// Executions is an annotation layer: zero means one execution, so
-	// pre-failure-model graphs replay unchanged.
-	var n GraphNode
-	if n.Executions != 0 {
-		t.Errorf("zero value Executions = %d, want 0", n.Executions)
-	}
-}
-
 // --- interface conformance ----------------------------------------------
 
 var (

@@ -24,10 +24,6 @@ type GraphNode struct {
 	// analyses (communication counting, locality studies) can replay data
 	// placement decisions over the graph.
 	Reads, Writes []Handle
-	// Executions is how many times the task ran (retries re-execute it and
-	// re-fetch its operands). Zero means one: graphs recorded before the
-	// failure model, or never annotated, replay as fault-free.
-	Executions int
 }
 
 // Graph is a recorded task DAG with measured costs, replayable under any
