@@ -7,17 +7,17 @@ import (
 	"exadla/internal/core"
 )
 
-// WithCheckpoint arms checkpoint/restart on Cholesky, SolveSPD, LU and
-// Solve: after every `every`-th panel step (minimum 1) a consistent
+// WithCheckpoint arms checkpoint/restart on Cholesky, SolveSPD, InvertSPD,
+// LU and Solve: after every `every`-th panel step (minimum 1) a consistent
 // snapshot of the tile matrix and the DAG frontier — plus, for LU, the
 // pivot state of the completed steps — is written atomically into dir.
 // A run that dies can be resumed with Context.Resume and, the kernels
 // being deterministic, finishes with a factor bitwise identical to an
 // uninterrupted run. A checkpoint that cannot be written fails the
-// factorization rather than continuing unprotected. SolveSPD and Solve
-// checkpoint their factorization the same way, then solve against the
-// finished factor — a barrier the unprotected one-shot graph does not
-// have — and return the same solution bit for bit.
+// factorization rather than continuing unprotected. SolveSPD, InvertSPD
+// and Solve checkpoint their factorization the same way, then solve (or
+// invert) with the finished factor — a barrier the unprotected one-shot
+// graph does not have — and return the same result bit for bit.
 func WithCheckpoint(dir string, every int) Option {
 	if dir == "" {
 		panic("exadla: WithCheckpoint needs a directory")

@@ -8,8 +8,8 @@ import (
 	"exadla/internal/sched"
 )
 
-// WithFaultTolerance arms ABFT protection on Cholesky, SolveSPD, LU, Solve
-// and Context.Resume: per-tile checksums are carried (or recorded)
+// WithFaultTolerance arms ABFT protection on Cholesky, SolveSPD, InvertSPD,
+// LU, Solve and Context.Resume: per-tile checksums are carried (or recorded)
 // alongside the numerical tiles of the same tile program, verified after
 // each panel step and once more over the finished factor, and detected
 // corruption is corrected in place and re-verified through the scheduler's

@@ -13,6 +13,9 @@
 // sweeps over the (A, B) pair — L forward then Lᵀ back; LU's swptrsm and
 // lgemm replayed then U back; QR's Qᵀ replayed then R back — submitted by
 // one walk, behind Factor (factor and solve in one graph) and Solve (a
+// stored factor). The inverse of an SPD matrix is two more sweeps of that
+// walk on the Cholesky factor's own tiles — L ← L⁻¹ (TRTRI), then Wᵀ·W
+// (LAUUM) — behind Potri (factor and invert in one graph) and Invert (a
 // stored factor). One program, many executors — the same steps are walked
 // by
 //
@@ -35,8 +38,8 @@
 // the tile again. Apply, as the distributed workers and the solves call
 // it, packs per call.
 //
-// The tile GEMM and the tile inversion still submit their own nests over
-// the same tile kernels.
+// The tile GEMM alone submits its own nest: a product has three operands
+// where the walks take two.
 //
 // Factorization errors discovered inside tasks (a non-positive-definite
 // diagonal tile, a singular pivot) are captured in an errState and the first
@@ -76,64 +79,32 @@ func (e *errState) get() error {
 
 func (e *errState) failed() bool { return e.get() != nil }
 
-// Gemm submits tile tasks computing C ← α·op(A)·op(B) + β·C over tiled
-// matrices. Tile geometries must agree (same NB, conforming dimensions).
-// The tasks are submitted to s; the caller is responsible for Wait.
-func Gemm[F blas.Float](s sched.Scheduler, transA, transB blas.Transpose, alpha F, a, b *tile.Matrix[F], beta F, c *tile.Matrix[F]) {
-	// Logical tile dims of op(A): mi×ki, of op(B): ki×nj.
-	amt, ant := a.MT, a.NT
-	if transA == blas.Trans {
-		amt, ant = ant, amt
-	}
-	bmt, bnt := b.MT, b.NT
-	if transB == blas.Trans {
-		bmt, bnt = bnt, bmt
-	}
-	if amt != c.MT || bnt != c.NT || ant != bmt {
+// Gemm submits tile tasks computing C ← A·B over tiled matrices with the
+// same NB and conforming dimensions, one task per tile of C. The caller is
+// responsible for Wait.
+func Gemm[F blas.Float](s sched.Scheduler, a, b, c *tile.Matrix[F]) {
+	if a.MT != c.MT || b.NT != c.NT || a.NT != b.MT {
 		panic("core: Gemm tile dimensions mismatch")
 	}
-	kt := ant
-	for i := 0; i < c.MT; i++ {
-		for j := 0; j < c.NT; j++ {
-			i, j := i, j
-			reads := make([]sched.Handle, 0, 2*kt)
-			for l := 0; l < kt; l++ {
-				ai, aj := i, l
-				if transA == blas.Trans {
-					ai, aj = l, i
-				}
-				bi, bj := l, j
-				if transB == blas.Trans {
-					bi, bj = j, l
-				}
-				reads = append(reads, a.Handle(ai, aj), b.Handle(bi, bj))
+	for i := range c.MT {
+		for j := range c.NT {
+			reads := make([]sched.Handle, 0, 2*a.NT)
+			for l := range a.NT {
+				reads = append(reads, a.Handle(i, l), b.Handle(l, j))
 			}
 			s.Submit(sched.Task{
 				Name:   "gemm",
 				Reads:  reads,
 				Writes: []sched.Handle{c.Handle(i, j)},
 				Fn: func() {
-					ct := c.Tile(i, j)
-					m, n := c.TileRows(i), c.TileCols(j)
-					bb := beta
-					for l := 0; l < kt; l++ {
-						ai, aj := i, l
-						if transA == blas.Trans {
-							ai, aj = l, i
-						}
-						bi, bj := l, j
-						if transB == blas.Trans {
-							bi, bj = j, l
-						}
-						at := a.Tile(ai, aj)
-						bt := b.Tile(bi, bj)
-						k := a.TileCols(aj)
-						if transA == blas.Trans {
-							k = a.TileRows(ai)
-						}
-						blas.Gemm(transA, transB, m, n, k,
-							alpha, at, a.TileRows(ai), bt, b.TileRows(bi), bb, ct, m)
-						bb = 1
+					var beta F
+					for l := range a.NT {
+						blas.Gemm(blas.NoTrans, blas.NoTrans,
+							c.TileRows(i), c.TileCols(j), a.TileCols(l),
+							1, a.Tile(i, l), a.TileRows(i),
+							b.Tile(l, j), b.TileRows(l),
+							beta, c.Tile(i, j), c.TileRows(i))
+						beta = 1
 					}
 				},
 			})

@@ -13,7 +13,8 @@ func ApplySweep[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F
 	submitSolve(s, f, b, &errState{}, solves[f.op][i])
 }
 
-// TrtriLowerForTest runs TrtriLower with a private error state.
-func TrtriLowerForTest[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) {
-	TrtriLower(s, a, &errState{})
+// InverseSweep submits sweep i of the inverse in place on the lower
+// triangle of a without waiting: 0 is L ← L⁻¹, 1 is W ← Wᵀ·W.
+func InverseSweep[F blas.Float](s sched.Scheduler, a *tile.Matrix[F], i int) {
+	submitSolve(s, newFactors(OpCholesky, a), a, &errState{}, inverse[i])
 }

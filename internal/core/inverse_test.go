@@ -42,7 +42,7 @@ func TestTrtriLowerTiles(t *testing.T) {
 
 			a := tile.FromColMajor(n, n, lD, n, nb)
 			s, done := mk()
-			core.TrtriLowerForTest(s, a)
+			core.InverseSweep(s, a, 0)
 			s.Wait()
 			done()
 			got := lowerOf(a)
@@ -69,7 +69,7 @@ func TestLauumLowerTiles(t *testing.T) {
 
 			a := tile.FromColMajor(n, n, lD, n, nb)
 			s, done := mk()
-			core.LauumLower(s, a)
+			core.InverseSweep(s, a, 1)
 			s.Wait()
 			done()
 			got := a.ToColMajor()

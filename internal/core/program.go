@@ -246,7 +246,7 @@ func priority(col, cols, band int) int { return 3*(cols-col) + band }
 
 func (s Step) band() int {
 	switch s.Kind {
-	case "potrf", "getrfnp", "getrf", "geqrt", "tsqrt", "ttqrt":
+	case "potrf", "getrfnp", "getrf", "geqrt", "tsqrt", "ttqrt", "trtri", "lauum":
 		return bandPanel
 	case "trsm", "utrsm", "ltrsm", "swptrsm", "unmqr":
 		return bandSolve

@@ -108,6 +108,10 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 			_ = core.Posv(s, mat(nm, "A", 50, 50), mat(nm, "B", 50, 20))
 		}},
 		{"potri/50", func(s sched.Scheduler, nm *graphNamer) { _ = core.Potri(s, mat(nm, "A", 50, 50)) }},
+		{"potri/80", func(s sched.Scheduler, nm *graphNamer) { _ = core.Potri(s, mat(nm, "A", 80, 80)) }},
+		{"multiply/50x40·40x20", func(s sched.Scheduler, nm *graphNamer) {
+			core.Gemm(s, mat(nm, "A", 50, 40), mat(nm, "B", 40, 20), mat(nm, "C", 50, 20))
+		}},
 		{"lu/64", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 64, 64)) }},
 		{"lu/90", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 90, 90)) }},
 		{"lu/80x48", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 80, 48)) }},
@@ -195,6 +199,8 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		"cholesky-fj/50":         "30:dd57c92066b59a06",
 		"posv/50x20":             "61:077877ab57a410be",
 		"potri/50":               "47:a0e442adebd285de",
+		"potri/80":               "76:830af0dfdfcf6862",
+		"multiply/50x40·40x20":   "8:f896b88b9376932a",
 		"lu/64":                  "25:fb5ddefb17817d5b",
 		"lu/90":                  "77:da0ea688ed3c897e",
 		"lu/80x48":               "18:270ffa595c8d08c8",
@@ -303,5 +309,23 @@ func TestSolutionBitsUnchanged(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != c.want {
 			t.Errorf("%s: solution bits hash %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestInverseBitsUnchanged pins the bits of Potri's A⁻¹ (lower tiles) at
+// n = 80, nb = 16: a reordered or changed kernel call in the inverse
+// sweeps shows up here even where the task graph is unchanged.
+func TestInverseBitsUnchanged(t *testing.T) {
+	const n, nb = 80, 16
+	a := tile.FromColMajor(n, n, matgen.DiagDomSPD[float64](rand.New(rand.NewSource(82)), n), n, nb)
+	if err := core.Potri(sched.NewRecorder(), a); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, x := range a.ToColMajor() {
+		binary.Write(h, binary.LittleEndian, math.Float64bits(x))
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)[:8]), "3437ae7567d13e73"; got != want {
+		t.Errorf("potri: inverse bits hash %s, want %s", got, want)
 	}
 }

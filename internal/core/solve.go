@@ -4,23 +4,28 @@ import (
 	"fmt"
 
 	"exadla/internal/blas"
+	"exadla/internal/lapack"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
 
 // This file holds the solves, written once as data like the factorizations
 // (program.go): a factor op's solve is a list of sweeps over the (A, B)
-// pair, a sweep unrolls into solveSteps, and one walk submits them.
+// pair, a sweep unrolls into solveSteps, and one walk submits them. The
+// inverse of an SPD matrix is two more sweeps, run with the Cholesky
+// factor's own tiles as B.
 
 // A sweep is one pass of a solve over the right-hand side B.
 type sweep uint8
 
 const (
-	sweepL  sweep = iota // L·X = B forward, L in A's lower tiles
-	sweepLT              // Lᵀ·X = B back
-	sweepLU              // LU's interchanges and unit-L solves: its swptrsm and lgemm steps replayed forward
-	sweepQT              // Qᵀ·B: QR's panel steps replayed forward as the unmqr, tsmqr and ttmqr applying them
-	sweepU               // U·X = B back, U in A's upper tiles (LU's U, QR's R)
+	sweepL    sweep = iota // L·X = B forward, L in A's lower tiles
+	sweepLT                // Lᵀ·X = B back
+	sweepLU                // LU's interchanges and unit-L solves: its swptrsm and lgemm steps replayed forward
+	sweepQT                // Qᵀ·B: QR's panel steps replayed forward as the unmqr, tsmqr and ttmqr applying them
+	sweepU                 // U·X = B back, U in A's upper tiles (LU's U, QR's R)
+	sweepInvL              // L ← L⁻¹ in place (TRTRI), tile columns last to first
+	sweepWTW               // W ← Wᵀ·W in place for a lower-triangular W (LAUUM), tile rows first to last
 )
 
 // solves lists the sweeps that solve A·X = B with each op's factor — in
@@ -32,6 +37,10 @@ var solves = map[string][]sweep{
 	OpQRTree:   {sweepQT, sweepU},
 }
 
+// inverse lists the sweeps that turn a Cholesky factor L, in place, into
+// the lower triangle of A⁻¹ = L⁻ᵀ·L⁻¹.
+var inverse = []sweep{sweepInvL, sweepWTW}
+
 // qrUpdates maps each QR panel kernel to the kernel applying its
 // reflectors to another tile column.
 var qrUpdates = map[string]string{"geqrt": "unmqr", "tsqrt": "tsmqr", "ttqrt": "ttmqr"}
@@ -39,9 +48,12 @@ var qrUpdates = map[string]string{"geqrt": "unmqr", "tsqrt": "tsmqr", "ttqrt": "
 // solveStep is one right-hand-side task of a sweep: kernel Kind applies
 // the factor tiles of panel step K to tile column J of B, with I naming a
 // tile row as in Step (the row a gemm or lgemm updates, the last row a
-// swptrsm swaps, the row whose reflectors a QR kernel applies). pos is its
-// position in the sweep, which sets its priority. Kind is the task name: it
-// is shared with the factor kernel of the same name, the operands are not.
+// swptrsm swaps, the row whose reflectors a QR kernel applies). The inverse
+// sweeps run on B = A: an L⁻¹ step writes tile (I, K), and a Wᵀ·W step,
+// which reads tile column K's rows K…I as a getrf spans them, writes tile
+// (K, J). pos is its position in the sweep, which sets its priority. Kind
+// is the task name: it is shared with the factor kernel of the same name,
+// the operands are not.
 type solveStep struct {
 	Step
 	sw  sweep
@@ -64,6 +76,27 @@ func (sw sweep) steps(op string, mt, nt, bnt int) []solveStep {
 					add(kind, st.K, st.K, st.I, j)
 				}
 			}
+		}
+	case sweepInvL:
+		// Column k below the diagonal, bottom row first so every task reads
+		// only tiles of column k it has yet to transform, then its
+		// diagonal tile.
+		for pos := range kt {
+			k := kt - 1 - pos
+			for i := kt - 1; i > k; i-- {
+				add("trmm", pos, k, i, 0)
+				add("trsm", pos, k, i, 0)
+			}
+			add("trtri", pos, k, k, 0)
+		}
+	case sweepWTW:
+		// Row i left of the diagonal, then its diagonal tile, reading only
+		// tile rows below i, which have yet to be transformed.
+		for i := range kt {
+			for j := range i {
+				add("trmm", i, i, kt-1, j)
+			}
+			add("lauum", i, i, kt-1, i)
 		}
 	case sweepLU:
 		for k := range kt {
@@ -97,9 +130,30 @@ func (sw sweep) steps(op string, mt, nt, bnt int) []solveStep {
 
 // accesses returns the tiles of A st reads and the tiles of B it reads and
 // writes, as (row, column) tile coordinates; a read-modify-written tile of
-// B appears only among the writes.
+// B appears only among the writes. B is A in the inverse sweeps, which
+// list every tile they read as A's.
 func (st solveStep) accesses() (a, bReads, bWrites [][2]int) {
 	k, i, j := st.K, st.I, st.J
+	switch {
+	case st.Kind == "trtri": // L[k][k] ← L[k][k]⁻¹
+		return nil, nil, [][2]int{{k, k}}
+	case st.Kind == "lauum": // W[k][k] ← W[k][k]ᵀ·W[k][k] + Σ_{l>k} W[l][k]ᵀ·W[l][k]
+		return column(k+1, i, k), nil, [][2]int{{k, k}}
+	case st.sw == sweepInvL && st.Kind == "trsm": // L[i][k] ← −L[i][k]·L[k][k]⁻¹
+		return [][2]int{{k, k}}, nil, [][2]int{{i, k}}
+	case st.sw == sweepInvL: // trmm: L[i][k] ← L⁻¹[i][i]·L[i][k] + Σ_{k<l<i} L⁻¹[i][l]·L[l][k]
+		a := [][2]int{{i, i}}
+		for l := k + 1; l < i; l++ {
+			a = append(a, [2]int{i, l}, [2]int{l, k})
+		}
+		return a, nil, [][2]int{{i, k}}
+	case st.sw == sweepWTW: // trmm: W[k][j] ← W[k][k]ᵀ·W[k][j] + Σ_{k<l≤i} W[l][k]ᵀ·W[l][j]
+		a := [][2]int{{k, k}}
+		for l := k + 1; l <= i; l++ {
+			a = append(a, [2]int{l, k}, [2]int{l, j})
+		}
+		return a, nil, [][2]int{{k, j}}
+	}
 	switch st.Kind {
 	case "trsm": // B[k][j] ← op(A[k][k])⁻¹·B[k][j]
 		return [][2]int{{k, k}}, nil, [][2]int{{k, j}}
@@ -115,12 +169,48 @@ func (st solveStep) accesses() (a, bReads, bWrites [][2]int) {
 	return reads, nil, writes
 }
 
-// applySolve runs st's kernel on tile column st.J of b with f's factor. It
-// is keyed by the sweep, never by the task name alone, so a solve's trsm or
-// gemm cannot reach the factor kernels of those names in Apply.
-func applySolve[F blas.Float](st solveStep, f *Factors[F], b *tile.Matrix[F]) {
+// applySolve runs st's kernel on tile column st.J of b with f's factor —
+// on A itself in the inverse sweeps. It is keyed by the sweep, never by the
+// task name alone, so a solve's trsm or gemm cannot reach the factor
+// kernels of those names in Apply. A singular diagonal tile of L is
+// reported with its global index.
+func applySolve[F blas.Float](st solveStep, f *Factors[F], b *tile.Matrix[F]) error {
 	a, k, i, j := f.A, st.K, st.I, st.J
 	switch {
+	case st.Kind == "trtri":
+		return singularAt(lapack.Trtri(blas.Lower, blas.NonUnit, a.TileCols(k), a.Tile(k, k), a.TileRows(k)), k*a.NB)
+	case st.sw == sweepInvL && st.Kind == "trsm":
+		blas.Trsm(blas.Right, blas.Lower, blas.NoTrans, blas.NonUnit,
+			a.TileRows(i), a.TileCols(k), -1,
+			a.Tile(k, k), a.TileRows(k), a.Tile(i, k), a.TileRows(i))
+	case st.sw == sweepInvL: // trmm: the diagonal term in place, then the strictly lower ones
+		blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit,
+			a.TileRows(i), a.TileCols(k), 1,
+			a.Tile(i, i), a.TileRows(i), a.Tile(i, k), a.TileRows(i))
+		for l := k + 1; l < i; l++ {
+			blas.Gemm(blas.NoTrans, blas.NoTrans,
+				a.TileRows(i), a.TileCols(k), a.TileCols(l),
+				1, a.Tile(i, l), a.TileRows(i),
+				a.Tile(l, k), a.TileRows(l),
+				1, a.Tile(i, k), a.TileRows(i))
+		}
+	case st.Kind == "lauum":
+		lapack.Lauu2(blas.Lower, a.TileCols(k), a.Tile(k, k), a.TileRows(k))
+		for l := k + 1; l <= i; l++ {
+			blas.Syrk(blas.Lower, blas.Trans, a.TileCols(k), a.TileRows(l),
+				1, a.Tile(l, k), a.TileRows(l), 1, a.Tile(k, k), a.TileRows(k))
+		}
+	case st.sw == sweepWTW: // trmm
+		blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.NonUnit,
+			a.TileRows(k), a.TileCols(j), 1,
+			a.Tile(k, k), a.TileRows(k), a.Tile(k, j), a.TileRows(k))
+		for l := k + 1; l <= i; l++ {
+			blas.Gemm(blas.Trans, blas.NoTrans,
+				a.TileCols(k), a.TileCols(j), a.TileRows(l),
+				1, a.Tile(l, k), a.TileRows(l),
+				a.Tile(l, j), a.TileRows(l),
+				1, a.Tile(k, j), a.TileRows(k))
+		}
 	case st.sw == sweepQT:
 		qrApply(st.Kind, a, f.reflector(st.Kind), k, i, b, j)
 	case st.sw == sweepLU && st.Kind == "swptrsm":
@@ -147,11 +237,13 @@ func applySolve[F blas.Float](st solveStep, f *Factors[F], b *tile.Matrix[F]) {
 	default: // the gemm of the L and U sweeps, LU's lgemm
 		lgemm(a, k, i, b, j, nil, nil)
 	}
+	return nil
 }
 
 // submitSolve submits sweeps of a solve with f's factor on b, in place, to
-// s — the one walk behind every right-hand-side driver. A task turns into a
-// no-op once es holds an error.
+// s — the one walk behind every right-hand-side driver and the inverse,
+// whose b is f.A. A task turns into a no-op once es holds an error, and
+// records its own there.
 func submitSolve[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F], es *errState, sweeps ...sweep) {
 	a := f.A
 	kt := min(a.MT, a.NT)
@@ -165,8 +257,11 @@ func submitSolve[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[
 				Reads:    append(handles(a, f.reflector(st.Kind), at, ar), handles(b, nil, at, br)...),
 				Writes:   handles(b, nil, at, bw),
 				Fn: timed(phaseNs[st.band()], func() {
-					if !es.failed() {
-						applySolve(st, f, b)
+					if es.failed() {
+						return
+					}
+					if err := applySolve(st, f, b); err != nil {
+						es.set(err)
 					}
 				}),
 			})
@@ -188,12 +283,36 @@ func Factor[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], fo
 	if b != nil {
 		sweeps = f.solve()
 	}
+	return f, f.factorThen(s, b, forkJoin, sweeps)
+}
+
+// factorThen factors f.A in place with its op's tile program and sweeps
+// b after it, all in one dataflow graph, then waits and returns the first
+// error, as Factor does.
+func (f *Factors[F]) factorThen(s sched.Scheduler, b *tile.Matrix[F], forkJoin bool, sweeps []sweep) error {
 	es := &errState{}
-	packs := submitProgram(s, op, a, f, es, forkJoin, 0)
+	packs := submitProgram(s, f.op, f.A, f, es, forkJoin, 0)
 	submitSolve(s, f, b, es, sweeps...)
 	err := finishErr(es, s)
 	packs.release()
-	return f, err
+	return err
+}
+
+// Potri computes the inverse of an SPD tiled matrix in place from scratch:
+// tile Cholesky, then the inverse sweeps — L ← L⁻¹, then Wᵀ·W — all in one
+// dataflow graph. On return the lower tiles hold the lower triangle of
+// A⁻¹.
+func Potri[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
+	return newFactors(OpCholesky, a).factorThen(s, a, false, inverse)
+}
+
+// Invert turns the Cholesky factor f in place into the lower triangle of
+// A⁻¹ and waits, returning a singular diagonal tile of L or the
+// scheduler's task failures.
+func Invert[F blas.Float](s sched.Scheduler, f *Factors[F]) error {
+	es := &errState{}
+	submitSolve(s, f, f.A, es, inverse...)
+	return finishErr(es, s)
 }
 
 // Solve solves A·X = B in place on b (A's row tiling) with the factor f —

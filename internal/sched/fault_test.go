@@ -256,6 +256,36 @@ func TestPoisonPropagatesThroughChain(t *testing.T) {
 	}
 }
 
+func TestPoisonReachesLateDependent(t *testing.T) {
+	// A dependent submitted after its producer already failed, in the same
+	// epoch, is skipped like one submitted before the failure — and poisons
+	// its own dependents in turn. One worker runs the ready tasks in
+	// submission order, so "fail" has failed once "unrelated" has closed
+	// the channel.
+	r := New(1, WithMetrics(nil))
+	defer r.Shutdown()
+	r.Submit(Task{Name: "fail", Writes: []Handle{"x"}, FnErr: func() error {
+		return Permanent(errors.New("dead"))
+	}})
+	failed := make(chan struct{})
+	r.Submit(Task{Name: "unrelated", Writes: []Handle{"z"}, Fn: func() { close(failed) }})
+	<-failed
+	var ran atomic.Bool
+	r.Submit(Task{Name: "reader", Reads: []Handle{"x"}, Writes: []Handle{"y"}, Fn: func() { ran.Store(true) }})
+	r.Submit(Task{Name: "reader2", Reads: []Handle{"y"}, Fn: func() { ran.Store(true) }})
+	err := r.WaitErr()
+	var fe *FailuresError
+	if !errors.As(err, &fe) {
+		t.Fatalf("WaitErr = %v, want *FailuresError", err)
+	}
+	if len(fe.Failures) != 1 || fe.Skipped != 2 {
+		t.Errorf("failures = %d, skipped = %d, want 1 and 2", len(fe.Failures), fe.Skipped)
+	}
+	if ran.Load() {
+		t.Error("a dependent of the failed task ran")
+	}
+}
+
 func TestPoisonedEpochThenCleanEpoch(t *testing.T) {
 	// After WaitErr consumes a failed epoch the runtime must be fully
 	// reusable: fresh tasks on the same handles run normally.

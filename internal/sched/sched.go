@@ -41,7 +41,8 @@
 // The runtime is fault-aware ("at extreme scale, faults are the norm"):
 // tasks may return errors (Task.FnErr) or panic without taking down the
 // pool, transient failures are retried with capped exponential backoff
-// (WithRetry), permanently failed tasks poison — skip — their dependents
+// (WithRetry), permanently failed tasks poison — skip — their dependents,
+// whether submitted before or after the failure within one WaitErr epoch,
 // while the rest of the DAG drains, and WaitErr aggregates the root
 // failures with kernel and handle context. A seeded chaos layer
 // (WithChaos) kills or delays task attempts to exercise all of this
@@ -93,18 +94,20 @@ type Scheduler interface {
 }
 
 // node is the runtime's internal task state. Graph state (succs, nDeps,
-// done, poisoned) is guarded by Runtime.mu; the per-attempt fields crossed
-// by the dispatch path and the watchdog (enqueued, attempts, readyAt) are
-// atomics so popping a task never touches the runtime lock. The task's
-// body is read by the worker once per attempt and released under
-// Runtime.mu when the node is done.
+// done, failed, poisoned) is guarded by Runtime.mu; the per-attempt fields
+// crossed by the dispatch path and the watchdog (enqueued, attempts,
+// readyAt) are atomics so popping a task never touches the runtime lock.
+// The task's body is read by the worker once per attempt and released
+// under Runtime.mu when the node is done.
 type node struct {
 	task     Task
 	succs    []*node
 	nDeps    int   // remaining unmet dependences; guarded by Runtime.mu
 	seq      int   // submission order, for FIFO tie-breaking
 	done     bool  // completed; guarded by Runtime.mu
-	poisoned bool  // an upstream task failed; skip the body. Guarded by mu.
+	failed   bool  // failed permanently; guarded by mu
+	poisoned bool  // an upstream task failed or was skipped; skip the body. Guarded by mu.
+	epoch    int   // the Wait epoch n was submitted in
 	deps     []int // dep task seqs, recorded only under a SpanTracer; immutable after link
 
 	enqueued atomic.Bool  // on a ready shard (or about to be)
@@ -122,10 +125,11 @@ type Runtime struct {
 	inFlight int // submitted but not yet completed
 	seq      int
 	shutdown bool
+	epoch    int          // WaitErr calls so far: the current Wait epoch
 	failures []*TaskError // permanent failures of the current Wait epoch
 	skipped  int          // poisoned dependents that never ran
 	nodeSlab []node       // slab allocator for nodes; guarded by mu
-	finStack []finEntry   // finishLocked scratch, reused; guarded by mu
+	finStack []*node      // finishLocked scratch, reused; guarded by mu
 
 	// Ready set: per-worker shards plus the idle-worker parking lot.
 	// readyCount is the total across shards; stopping mirrors shutdown for
@@ -233,23 +237,35 @@ func (r *Runtime) Submit(t Task) {
 	n := r.newNode()
 	n.task = t
 	n.seq = r.seq
+	n.epoch = r.epoch
 	r.seq++
 	r.inFlight++
 	r.met.taskSubmitted()
 	r.link(n)
 	ready := n.nDeps == 0
+	var skipped []*node
+	if ready && n.poisoned {
+		ready = false
+		skipped = r.finishLocked(n, false, n.seq%r.workers)
+	}
 	r.mu.Unlock()
 	if ready {
 		// Source tasks spread round-robin across shards so a burst of
 		// submissions parallelizes immediately.
 		r.enqueue(n, n.seq%r.workers)
 	}
+	if len(skipped) > 0 {
+		r.emitSkipped(skipped, traceNow())
+		r.completeSkipped(len(skipped))
+	}
 }
 
 // link derives n's dependences and registers its accesses. An unfinished
-// predecessor gates n; under a SpanTracer every predecessor's seq is also
-// recorded, since a completed dep imposes no scheduling constraint but is
-// still part of the DAG. Caller holds r.mu.
+// predecessor gates n; a finished one that failed or was skipped in this
+// Wait epoch poisons it, as it would have had n been submitted before it
+// finished. Under a SpanTracer every predecessor's seq is also recorded,
+// since a completed dep imposes no scheduling constraint but is still part
+// of the DAG. Caller holds r.mu.
 func (r *Runtime) link(n *node) {
 	for _, p := range r.deps.link(n, n.task.Reads, n.task.Writes) {
 		if r.spanTracer != nil {
@@ -258,6 +274,8 @@ func (r *Runtime) link(n *node) {
 		if !p.done {
 			p.succs = append(p.succs, n)
 			n.nDeps++
+		} else if (p.failed || p.poisoned) && p.epoch == r.epoch {
+			n.poisoned = true
 		}
 	}
 }
@@ -523,44 +541,42 @@ func (r *Runtime) resolveFailure(n *node, err error, retry bool, attempt, home i
 	return skipped
 }
 
-// finEntry is one pending completion in finishLocked's drain stack.
-type finEntry struct {
-	n      *node
-	poison bool
-}
-
-// finishLocked marks n complete — failed reports a permanent failure —
-// releases its successors, and drains poisoned dependents inline: a
-// dependent of a failed or skipped task never runs its body, because its
-// inputs are garbage, but it still completes so the DAG drains. Successors
-// made ready are enqueued on shard home. It returns the drained dependents
-// (collected only under a SpanTracer, for skip-span emission outside the
-// lock). Caller holds r.mu; the drain stack is reused across calls so the
-// steady-state dispatch path does not allocate.
+// finishLocked marks n complete — failed reports a permanent failure, a
+// poisoned n is skipped without having run — releases its successors, and
+// drains poisoned dependents inline: a dependent of a failed or skipped
+// task never runs its body, because its inputs are garbage, but it still
+// completes so the DAG drains. Successors made ready are enqueued on shard
+// home. It returns the skipped tasks (collected only under a SpanTracer,
+// for skip-span emission outside the lock). Caller holds r.mu; the drain
+// stack is reused across calls so the steady-state dispatch path does not
+// allocate.
 func (r *Runtime) finishLocked(n *node, failed bool, home int) []*node {
 	var skipped []*node
-	stack := append(r.finStack[:0], finEntry{n, failed})
+	n.failed = failed
+	stack := append(r.finStack[:0], n)
 	for len(stack) > 0 {
 		d := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		d.n.done = true
+		if d.poisoned {
+			r.skipped++
+			r.met.taskSkipped()
+			if r.spanTracer != nil {
+				skipped = append(skipped, d)
+			}
+		}
+		d.done = true
 		// The dependence tracker keeps done nodes as last writers and
 		// readers; dropping the body lets the tiles it captures be
 		// collected.
-		d.n.task.Fn, d.n.task.FnErr = nil, nil
-		for _, s := range d.n.succs {
-			if d.poison {
+		d.task.Fn, d.task.FnErr = nil, nil
+		for _, s := range d.succs {
+			if d.failed || d.poisoned {
 				s.poisoned = true
 			}
 			s.nDeps--
 			if s.nDeps == 0 {
 				if s.poisoned {
-					r.skipped++
-					r.met.taskSkipped()
-					if r.spanTracer != nil {
-						skipped = append(skipped, s)
-					}
-					stack = append(stack, finEntry{s, true})
+					stack = append(stack, s)
 				} else {
 					r.enqueue(s, home)
 				}
@@ -622,6 +638,7 @@ func (r *Runtime) WaitErr() error {
 	sk := r.skipped
 	r.failures = nil
 	r.skipped = 0
+	r.epoch++
 	r.mu.Unlock()
 	if len(fs) == 0 {
 		return nil

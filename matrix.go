@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"exadla/internal/blas"
+	"exadla/internal/core"
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/tile"
@@ -109,6 +110,9 @@ func Identity(n int) *Matrix {
 }
 
 // Multiply computes C = A·B on the Context's worker pool using tiled GEMM.
+// A task that fails permanently (see WithChaos and WithTaskRetry) makes it
+// panic with the scheduler's *FailuresError, which names each failed
+// kernel: the error the error-returning entry points return.
 func (c *Context) Multiply(a, b *Matrix) *Matrix {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("exadla: Multiply dims %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
@@ -116,7 +120,9 @@ func (c *Context) Multiply(a, b *Matrix) *Matrix {
 	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, c.tileSize)
 	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, c.tileSize)
 	tc := tile.New[float64](a.rows, b.cols, c.tileSize)
-	coreGemm(c.scheduler(), ta, tb, tc)
+	s := c.scheduler()
+	core.Gemm(s, ta, tb, tc)
+	s.Wait()
 	return FromSlice(a.rows, b.cols, tc.ToColMajor())
 }
 

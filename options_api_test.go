@@ -47,8 +47,8 @@ func pivotIndex(err error) int {
 }
 
 // TestEveryOptionOnEveryEntryPoint runs every factorizing entry point —
-// Cholesky, SolveSPD, LU, Solve, and Resume of a checkpointed Cholesky and
-// LU — under every protection set, and demands from each the unprotected
+// Cholesky, SolveSPD, InvertSPD, LU, Solve, and Resume of a checkpointed
+// Cholesky and LU — under every protection set, and demands from each the unprotected
 // result bit for bit, verify tasks exactly when ABFT is armed, and
 // checkpoint files exactly when checkpointing is armed (Resume always
 // keeps checkpointing into the directory it resumes from). On a non-SPD or
@@ -102,6 +102,10 @@ func TestEveryOptionOnEveryEntryPoint(t *testing.T) {
 		{"SolveSPD", notSPD, func(ctx *exadla.Context, m *exadla.Matrix) (*exadla.Matrix, string, error) {
 			x, err := ctx.SolveSPD(m, b)
 			return x, "", err
+		}},
+		{"InvertSPD", notSPD, func(ctx *exadla.Context, m *exadla.Matrix) (*exadla.Matrix, string, error) {
+			inv, err := ctx.InvertSPD(m)
+			return inv, "", err
 		}},
 		{"LU", singular, func(ctx *exadla.Context, m *exadla.Matrix) (*exadla.Matrix, string, error) {
 			f, err := ctx.LU(m)

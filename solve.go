@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"exadla/internal/blas"
 	"exadla/internal/core"
 	"exadla/internal/lapack"
 	"exadla/internal/mixed"
@@ -12,12 +11,6 @@ import (
 	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
-
-// coreGemm hides the generic instantiation from matrix.go.
-func coreGemm(s sched.Scheduler, a, b, c *tile.Matrix[float64]) {
-	core.Gemm(s, blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
-	s.Wait()
-}
 
 // factored is what the reusable factorizations share: the tile factor and
 // the Context that solves with it.
@@ -317,16 +310,30 @@ func (c *Context) Invert(a *Matrix) (*Matrix, error) {
 
 // InvertSPD computes the inverse of a symmetric positive definite matrix
 // (lower triangle referenced; A untouched) with the tile dataflow pipeline:
-// Cholesky → triangular inverse → Wᵀ·W, all one task graph. The full
-// symmetric inverse is returned.
+// Cholesky → triangular inverse → Wᵀ·W, all one task graph. With a
+// protection armed (see WithCheckpoint and WithFaultTolerance) the
+// factorization runs first under it, then the inverse, like SolveSPD. The
+// full symmetric inverse is returned.
 func (c *Context) InvertSPD(a *Matrix) (*Matrix, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("exadla: InvertSPD needs square matrix, got %d×%d", a.rows, a.cols)
 	}
 	n := a.rows
-	t := tile.FromColMajor(n, n, a.data, n, c.tileSizeFor("cholesky", n))
-	if err := core.Potri(c.scheduler(), t); err != nil {
-		return nil, err
+	var t *tile.Matrix[float64]
+	if c.ckptDir != "" || c.faultTolerant {
+		f, err := c.factor("InvertSPD", core.OpCholesky, a)
+		if err != nil {
+			return nil, err
+		}
+		if err := core.Invert(c.scheduler(), f.f); err != nil {
+			return nil, err
+		}
+		t = f.f.A
+	} else {
+		t = tile.FromColMajor(n, n, a.data, n, c.tileSizeFor(core.OpCholesky, n))
+		if err := core.Potri(c.scheduler(), t); err != nil {
+			return nil, err
+		}
 	}
 	f := FromSlice(n, n, t.ToColMajor())
 	// Mirror the computed lower triangle.
