@@ -79,6 +79,23 @@ func TestSolveSPDNotPD(t *testing.T) {
 	}
 }
 
+// TestSolveSPDNaN: a NaN in the operator fails SolveSPD at the pivot it
+// reaches, on the diagonal or off it, instead of returning a NaN solution.
+func TestSolveSPDNaN(t *testing.T) {
+	const n = 100
+	ctx := newCtx(t, exadla.WithTileSize(32))
+	rng := rand.New(rand.NewSource(37))
+	for _, at := range [][2]int{{40, 40}, {70, 5}} {
+		a := exadla.RandomSPD(rng, n)
+		a.Set(at[0], at[1], math.NaN())
+		a.Set(at[1], at[0], math.NaN())
+		_, err := ctx.SolveSPD(a, exadla.RandomGeneral(rng, n, 1))
+		if got := pivotIndex(err); got != at[0] {
+			t.Errorf("NaN at %v: got %v (pivot %d), want a NotPositiveDefiniteError at %d", at, err, got, at[0])
+		}
+	}
+}
+
 func TestCholeskyFactorReuse(t *testing.T) {
 	ctx := newCtx(t, exadla.WithTileSize(16))
 	rng := rand.New(rand.NewSource(2))

@@ -115,6 +115,39 @@ func TestPotrfNotPositiveDefinite(t *testing.T) {
 	}
 }
 
+// TestPotrfNaNPivot: a NaN that reaches a pivot stops the factorization
+// like a non-positive one, at that pivot's index, in both triangles and
+// through the blocked recursion. A NaN on the diagonal is its own pivot;
+// one below (Lower) or right of (Upper) it reaches the pivot of its row
+// (column). A NaN pivot compares false with 0, so "d <= 0" let it through.
+func TestPotrfNaNPivot(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, tc := range []struct {
+		name      string
+		n, i, j   int // NaN at (i,j) of the referenced triangle
+		wantPivot int
+	}{
+		{"diagonal", 5, 2, 2, 2},
+		{"off-diagonal", 5, 3, 1, 3},
+		{"diagonal blocked", 130, 100, 100, 100},
+		{"off-diagonal blocked", 130, 100, 10, 100},
+	} {
+		for _, uplo := range []blas.Uplo{blas.Lower, blas.Upper} {
+			a := matgen.DiagDomSPD[float64](rng, tc.n)
+			i, j := tc.i, tc.j
+			if uplo == blas.Upper {
+				i, j = j, i
+			}
+			a[i+j*tc.n] = math.NaN()
+			err := lapack.Potrf(uplo, tc.n, a, tc.n)
+			var pd *lapack.NotPositiveDefiniteError
+			if !errors.As(err, &pd) || pd.Index != tc.wantPivot {
+				t.Errorf("%s, uplo %v: got %v, want a NotPositiveDefiniteError at %d", tc.name, uplo, err, tc.wantPivot)
+			}
+		}
+	}
+}
+
 func TestPotrfNotPDBlocked(t *testing.T) {
 	// The failing minor must be reported with a global index even when it
 	// falls in a later block.

@@ -4,7 +4,9 @@ import "exadla/internal/blas"
 
 // Potf2 computes the unblocked Cholesky factorization of the n×n symmetric
 // positive definite matrix A: A = L·Lᵀ (uplo == Lower) or A = Uᵀ·U
-// (uplo == Upper). The factor overwrites the referenced triangle.
+// (uplo == Upper). The factor overwrites the referenced triangle. A pivot
+// that is not positive, a NaN included, stops it with
+// *NotPositiveDefiniteError, as reference DPOTF2 does.
 func Potf2[T blas.Float](uplo blas.Uplo, n int, a []T, lda int) error {
 	if uplo == blas.Lower {
 		for j := 0; j < n; j++ {
@@ -14,7 +16,7 @@ func Potf2[T blas.Float](uplo blas.Uplo, n int, a []T, lda int) error {
 				v := a[j+k*lda]
 				d -= v * v
 			}
-			if d <= 0 {
+			if !(d > 0) {
 				return &NotPositiveDefiniteError{Index: j}
 			}
 			d = sqrt(d)
@@ -47,7 +49,7 @@ func Potf2[T blas.Float](uplo blas.Uplo, n int, a []T, lda int) error {
 		for k := 0; k < j; k++ {
 			d -= col[k] * col[k]
 		}
-		if d <= 0 {
+		if !(d > 0) {
 			return &NotPositiveDefiniteError{Index: j}
 		}
 		d = sqrt(d)

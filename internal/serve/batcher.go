@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"exadla/internal/batch"
 	"exadla/internal/blas"
@@ -12,21 +11,19 @@ import (
 
 // runBatcher is the small-problem fast path. Tiny solves pay more in
 // scheduler submission and tile conversion than in arithmetic, so instead
-// of one DAG per job the batcher gathers up to BatchMax of them, lingers
-// BatchWait for stragglers, and pushes each (kind, n) group through the
-// batched panel kernels as a handful of fused chunk tasks on one runtime.
+// of one DAG per job the batcher takes everything queued, up to BatchMax,
+// and pushes each (kind, n) group through the batched panel kernels as a
+// handful of fused chunk tasks on one runtime. It never waits for a batch
+// to fill: a lone job flushes at once, and in a flood the jobs that arrive
+// during one flush make up the next.
 func (s *Server) runBatcher() {
 	defer s.wg.Done()
 	rt := sched.New(s.cfg.Workers, sched.WithMetrics(s.reg))
 	defer rt.Shutdown()
 	for {
-		jobs := s.takeSmall(s.cfg.BatchMax)
+		jobs := s.take(s.qSmall, &s.rrSmall, s.cfg.BatchMax)
 		if jobs == nil {
 			return
-		}
-		if len(jobs) < s.cfg.BatchMax && s.cfg.BatchWait > 0 {
-			time.Sleep(s.cfg.BatchWait)
-			jobs = append(jobs, s.takeSmallNow(s.cfg.BatchMax-len(jobs))...)
 		}
 		s.flushBatch(rt, jobs)
 	}

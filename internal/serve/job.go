@@ -80,6 +80,38 @@ func (sp *JobSpec) check() error {
 	return nil
 }
 
+// NonFiniteError rejects a job whose operand holds a NaN or an infinity.
+// A factorization would spread it through the factor, the cache would keep
+// that factor for later solves, and every solution would be NaN. The HTTP
+// layer answers it with 400.
+type NonFiniteError struct {
+	Operand  string // "A" or "B"
+	Row, Col int
+	Value    float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("serve: %s(%d,%d) is %v; operands must be finite", e.Operand, e.Row, e.Col, e.Value)
+}
+
+// checkFinite scans A and B once for NaN and ±Inf entries. It runs at
+// submission, after check, so the raw decoder does not scan them too.
+func (sp *JobSpec) checkFinite() error {
+	const expMask = 0x7ff << 52
+	for _, op := range []struct {
+		name string
+		v    []float64
+	}{{"A", sp.A}, {"B", sp.B}} {
+		for i, x := range op.v {
+			// NaN and ±Inf are the floats whose exponent bits are all set.
+			if math.Float64bits(x)&expMask == expMask {
+				return &NonFiniteError{Operand: op.name, Row: i % sp.N, Col: i / sp.N, Value: x}
+			}
+		}
+	}
+	return nil
+}
+
 // checkDims validates the op and the dimensions alone, defaulting NRHS to
 // 1 for solves; a raw upload is sized from them before its body is read.
 // It bounds n·(n+nrhs) float64s to an int's worth of bytes, so every size

@@ -59,6 +59,9 @@ func FuzzSpecFromRaw(f *testing.F) {
 	f.Add("lusolve", "2", "2", "fp", leBody([]float64{1, 2, 3, 4}), uint8(1))
 	f.Add("solve", "1", "", "", leBody([]float64{2, 1}), uint8(2))
 	f.Add("solve", "1000000", "", "fp", []byte{1, 2, 3}, uint8(3))
+	f.Add("solve", "2", "1", "", leBody([]float64{4, 1, 1, 3, math.NaN(), 1}), uint8(0))
+	f.Add("lusolve", "1", "", "", leBody([]float64{math.Inf(1), 2}), uint8(3))
+	f.Add("lusolve", "2", "1", "fp", leBody([]float64{1, math.Inf(-1)}), uint8(0))
 	f.Fuzz(func(t *testing.T, op, n, nrhs, fp string, body []byte, mode uint8) {
 		q := url.Values{"op": {op}, "n": {n}}
 		if nrhs != "" {
@@ -107,6 +110,30 @@ func FuzzSpecFromRaw(f *testing.F) {
 		}
 		if c := 8 * (cap(spec.A) + cap(spec.B)); c > max(8<<20, 2*len(body)) {
 			t.Fatalf("decoder holds %d bytes for a %d-byte body", c, len(body))
+		}
+		// Submit's scan refuses exactly the bodies holding a NaN or ±Inf,
+		// and names the first one.
+		bad := -1
+		for i, v := range got {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				bad = i
+				break
+			}
+		}
+		var nf *NonFiniteError
+		switch ferr := spec.checkFinite(); {
+		case bad < 0 && ferr != nil:
+			t.Fatalf("finite operands refused: %v", ferr)
+		case bad >= 0 && !errors.As(ferr, &nf):
+			t.Fatalf("float %d is %v, yet the scan passes it", bad, got[bad])
+		case bad >= 0:
+			op, k := "A", bad
+			if bad >= len(spec.A) {
+				op, k = "B", bad-len(spec.A)
+			}
+			if nf.Operand != op || nf.Row != k%spec.N || nf.Col != k/spec.N {
+				t.Fatalf("scan names %s(%d,%d), the first non-finite float is %s(%d,%d)", nf.Operand, nf.Row, nf.Col, op, k%spec.N, k/spec.N)
+			}
 		}
 	})
 }
@@ -204,7 +231,7 @@ func TestFinishedJobsReleaseOperands(t *testing.T) {
 		for _, viaHTTP := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/http=%v", path.name, viaHTTP), func(t *testing.T) {
 				s, err := New(Config{Addr: "127.0.0.1:0", Lanes: 1, Workers: 2, TileSize: nb,
-					CacheEntries: -1, SmallCutoff: path.cutoff, BatchWait: -1})
+					CacheEntries: -1, SmallCutoff: path.cutoff})
 				if err != nil {
 					t.Fatal(err)
 				}

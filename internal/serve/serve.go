@@ -64,12 +64,10 @@ type Config struct {
 	// SmallCutoff routes solve jobs of order ≤ SmallCutoff through the
 	// batched fast path; negative disables batching. Default 32.
 	SmallCutoff int
-	// BatchMax is the most problems fused into one batched flush.
-	// Default 256.
+	// BatchMax is the most problems fused into one batched flush. A flush
+	// takes whatever is queued, up to BatchMax, and never waits for more:
+	// jobs arriving while it runs form the next one. Default 256.
 	BatchMax int
-	// BatchWait is how long an underfull batch lingers for stragglers
-	// before flushing; negative flushes immediately. Default 2ms.
-	BatchWait time.Duration
 
 	// Registry receives the serve.* counters and histograms (plus the lane
 	// runtimes' sched.* instrumentation). Default: a fresh private registry,
@@ -110,12 +108,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 256
-	}
-	switch {
-	case c.BatchWait == 0:
-		c.BatchWait = 2 * time.Millisecond
-	case c.BatchWait < 0:
-		c.BatchWait = 0
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.New()
@@ -212,7 +204,8 @@ func (s *Server) Metrics() metrics.Snapshot { return s.reg.Snapshot() }
 func (s *Server) CacheLen() int { return s.cache.len() }
 
 // Submit validates spec and admits it under tenant's budget, returning the
-// job ID. A *ShedError return means admission control rejected the job.
+// job ID. A *NonFiniteError return means an operand holds a NaN or an
+// infinity; a *ShedError means admission control rejected the job.
 // An admitted job owns spec.A and spec.B until it ends (see JobSpec).
 func (s *Server) Submit(tenant string, spec JobSpec) (string, error) {
 	if tenant == "" {
@@ -220,6 +213,9 @@ func (s *Server) Submit(tenant string, spec JobSpec) (string, error) {
 	}
 	s.met.submitted.Inc()
 	if err := spec.check(); err != nil {
+		return "", err
+	}
+	if err := spec.checkFinite(); err != nil {
 		return "", err
 	}
 	small := s.isSmall(&spec)
@@ -309,73 +305,34 @@ func (s *Server) Result(id string) ([]float64, error) {
 	return nil, fmt.Errorf("serve: job %s produced no solution (factorize jobs deliver a fingerprint)", id)
 }
 
-// popRR pops the head of the first non-empty tenant queue at or after
-// *cursor, advancing the cursor past the served tenant — one job per tenant
-// per revolution, so a tenant with a thousand queued jobs cannot starve one
-// with a single job. Caller holds s.mu.
-func (s *Server) popRR(q map[string][]*job, cursor *int) *job {
-	n := len(s.order)
-	for k := 0; k < n; k++ {
-		t := s.order[(*cursor+k)%n]
-		if len(q[t]) > 0 {
-			j := q[t][0]
+// take blocks until q holds a job and dequeues up to max of them
+// fair-share: one job per tenant per revolution of the ring, resuming at
+// *cursor, so a tenant with a thousand queued jobs cannot starve one with
+// a single job. Lanes take one job at a time, the batcher up to BatchMax.
+// Nil once the server is closed (Close empties the queues).
+func (s *Server) take(q map[string][]*job, cursor *int, max int) []*job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*job
+	for {
+		// Walk the ring until max jobs are taken or a whole revolution
+		// finds every tenant's queue empty.
+		for idle := 0; idle < len(s.order) && len(out) < max; {
+			t := s.order[*cursor]
+			*cursor = (*cursor + 1) % len(s.order)
+			if len(q[t]) == 0 {
+				idle++
+				continue
+			}
+			out = append(out, q[t][0])
 			q[t] = q[t][1:]
-			*cursor = (*cursor + k + 1) % n
-			return j
+			idle = 0
 		}
-	}
-	return nil
-}
-
-// nextBig blocks until a lane-path job is available (nil once the server is
-// closed and drained).
-func (s *Server) nextBig() *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if j := s.popRR(s.qBig, &s.rrBig); j != nil {
-			return j
-		}
-		if s.closed {
-			return nil
-		}
-		s.cond.Wait()
-	}
-}
-
-// takeSmall blocks until at least one batched-path job is available and
-// returns up to max of them, dequeued fair-share. Nil once closed.
-func (s *Server) takeSmall(max int) []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if out := s.popSmallLocked(max); len(out) > 0 {
+		if len(out) > 0 || s.closed {
 			return out
 		}
-		if s.closed {
-			return nil
-		}
 		s.cond.Wait()
 	}
-}
-
-// takeSmallNow is the non-blocking top-up used after the batch linger.
-func (s *Server) takeSmallNow(max int) []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.popSmallLocked(max)
-}
-
-func (s *Server) popSmallLocked(max int) []*job {
-	var out []*job
-	for len(out) < max {
-		j := s.popRR(s.qSmall, &s.rrSmall)
-		if j == nil {
-			break
-		}
-		out = append(out, j)
-	}
-	return out
 }
 
 func (s *Server) markRunning(j *job) {
@@ -431,11 +388,11 @@ func (s *Server) runLane() {
 	rt := sched.New(s.cfg.Workers, sched.WithTracer(tr), sched.WithMetrics(s.reg))
 	defer rt.Shutdown()
 	for {
-		j := s.nextBig()
-		if j == nil {
+		jobs := s.take(s.qBig, &s.rrBig, 1)
+		if jobs == nil {
 			return
 		}
-		s.execBig(rt, tr, j)
+		s.execBig(rt, tr, jobs[0])
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -319,7 +321,7 @@ func TestFairShareDequeue(t *testing.T) {
 
 func TestBatchedFastPathFusesJobs(t *testing.T) {
 	s, err := New(Config{Lanes: 1, Workers: 2, TileSize: 16,
-		SmallCutoff: 16, BatchMax: 64, BatchWait: 5 * time.Millisecond, MaxQueue: 4096})
+		SmallCutoff: 16, BatchMax: 64, MaxQueue: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +365,7 @@ func TestBatchedFastPathFusesJobs(t *testing.T) {
 
 func TestBatchedPathIsolatesBadProblem(t *testing.T) {
 	s, err := New(Config{Lanes: 1, Workers: 2, TileSize: 16,
-		SmallCutoff: 16, BatchMax: 32, BatchWait: 5 * time.Millisecond})
+		SmallCutoff: 16, BatchMax: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,6 +392,85 @@ func TestBatchedPathIsolatesBadProblem(t *testing.T) {
 		if st.State != "done" {
 			t.Errorf("job %d: %s (%s) — a bad neighbor took it down", i, st.State, st.Error)
 		}
+	}
+}
+
+// TestLoneSmallJobsAreNotHeld: a tiny solve with nothing queued beside it
+// flushes at once; the batcher does not wait for a batch to fill.
+func TestLoneSmallJobsAreNotHeld(t *testing.T) {
+	s, err := New(Config{Lanes: 1, Workers: 1, SmallCutoff: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(37))
+	const n, lone = 8, 9
+	var waits []float64
+	for i := 0; i < lone; i++ {
+		st := waitDone(t, s, mustSubmit(t, s, "t0", JobSpec{Op: OpSolveSPD, N: n,
+			A: matgen.DiagDomSPD[float64](rng, n), B: matgen.Dense[float64](rng, n, 1)}))
+		if !st.Batched {
+			t.Fatalf("job %d took the lane path", i)
+		}
+		waits = append(waits, st.QueueWaitMs)
+	}
+	sort.Float64s(waits)
+	if med := waits[lone/2]; med >= 1 {
+		t.Errorf("median queue wait of a lone tiny job is %.2f ms (all: %v), want < 1 ms", med, waits)
+	}
+}
+
+// TestNonFiniteOperandsRejected: a NaN or ±Inf anywhere in A or B is
+// refused at submission, in process with a *NonFiniteError naming the
+// entry and over raw HTTP with 400, on the lane and the batched path, for
+// SPD and LU solves. Accepted, it would end "done" with an all-NaN X.
+func TestNonFiniteOperandsRejected(t *testing.T) {
+	const n = 8
+	rng := rand.New(rand.NewSource(37))
+	for _, path := range []struct {
+		name   string
+		cutoff int
+	}{{"lane", -1}, {"batched", 16}} {
+		s, err := New(Config{Addr: "127.0.0.1:0", Lanes: 1, Workers: 1, SmallCutoff: path.cutoff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []Op{OpSolveSPD, OpSolveLU} {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				for _, operand := range []string{"A", "B"} {
+					a, b := matgen.DiagDomSPD[float64](rng, n), matgen.Dense[float64](rng, n, 1)
+					row, col := 5, 0
+					if operand == "A" {
+						col = 2
+						a[row+col*n] = bad
+					} else {
+						b[row] = bad
+					}
+					name := fmt.Sprintf("%s/%s/%v/%s", path.name, op, bad, operand)
+					_, err := s.Submit("t0", JobSpec{Op: op, N: n, A: clone(a), B: clone(b)})
+					var nf *NonFiniteError
+					if !errors.As(err, &nf) || nf.Operand != operand || nf.Row != row || nf.Col != col {
+						t.Errorf("%s: Submit returned %v, want a NonFiniteError at %s(%d,%d)", name, err, operand, row, col)
+					}
+					resp, err := http.Post(fmt.Sprintf("http://%s/jobs?op=%s&n=%d", s.Addr(), op, n),
+						"application/octet-stream", bytes.NewReader(leBody(a, b)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusBadRequest {
+						t.Errorf("%s: raw HTTP submit got %d, want 400", name, resp.StatusCode)
+					}
+				}
+			}
+		}
+		// Rejections leave the server working.
+		a := matgen.DiagDomSPD[float64](rng, n)
+		waitDone(t, s, mustSubmit(t, s, "t0", JobSpec{Op: OpSolveSPD, N: n, A: a, B: matgen.Dense[float64](rng, n, 1)}))
+		if got := s.Metrics().Counters["serve.admitted"]; got != 1 {
+			t.Errorf("%s: %d jobs admitted, want only the clean one", path.name, got)
+		}
+		s.Close()
 	}
 }
 

@@ -4,7 +4,8 @@ import "exadla/internal/serve"
 
 // ServeConfig configures the solve service started by Serve: HTTP address,
 // executor lanes, admission budgets, factorization-cache capacity, and the
-// batched small-problem fast path. The zero value gets working defaults.
+// batched small-problem fast path, which fuses the tiny solves already
+// queued and never waits for more. The zero value gets working defaults.
 type ServeConfig = serve.Config
 
 // SolveServer is a running dense-linear-algebra service: factorize/solve
@@ -31,6 +32,10 @@ type ServeStatus = serve.Status
 // ServeShedError is the admission-control rejection carrying the
 // Retry-After hint (HTTP 429 on the wire).
 type ServeShedError = serve.ShedError
+
+// ServeNonFiniteError rejects a job whose operand holds a NaN or an
+// infinity (HTTP 400 on the wire).
+type ServeNonFiniteError = serve.NonFiniteError
 
 // ServeOp names a job kind accepted by the solve service.
 type ServeOp = serve.Op
