@@ -10,13 +10,6 @@ import (
 	"exadla/internal/tile"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"a2", "A2 (ablation): scheduler priorities on/off", runA2},
-		experiment{"a3", "A3 (ablation): flat vs tree tile QR — panel critical path", runA3},
-	)
-}
-
 // runA2 disables the priority policy (panel > solve > update, earlier steps
 // first) and measures the simulated makespan penalty — the ablation for the
 // scheduler's critical-path hinting.

@@ -14,11 +14,6 @@ import (
 	"exadla/internal/tile"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"e11", "E11 (extension): distributed chaos sweep", distFaultSweep})
-}
-
 // distFaultSweep is the distributed-runtime act of -faults: one coordinator
 // and a small worker fleet (in-process goroutines here; cmd/exadist runs
 // the same runtime as real processes) driven through the full fault menu —

@@ -11,11 +11,6 @@ import (
 	"exadla/internal/tile"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"e10", "E10 (extension): communication volume on a process grid", runE10})
-}
-
 // runE10 quantifies the keynote's central rule — data movement, not flops,
 // is the cost — by replaying recorded DAGs on simulated 2D block-cyclic
 // process grids and counting words moved: tile Cholesky across grid sizes

@@ -14,11 +14,6 @@ import (
 	"exadla/internal/trace"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"e12", "E12 (extension): merged cluster trace under chaos", runE12})
-}
-
 // runE12 exercises the cluster-wide tracer: a coordinator and three
 // workers (one killed mid-run, all behind seeded wire chaos) factor a
 // matrix while every process records lease-lifecycle spans; the worker
@@ -114,7 +109,7 @@ func runE12(quick bool) {
 				return err
 			}
 			defer f.Close()
-			return l.WriteChromeCluster(f)
+			return l.WriteChrome(f)
 		}},
 		{"E12_cluster_events.json", func(l *trace.Log) error {
 			f, err := os.Create("E12_cluster_events.json")

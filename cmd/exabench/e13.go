@@ -13,11 +13,6 @@ import (
 	"exadla/internal/tile"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"e13", "E13 (extension): straggler sweep — speculative execution off vs on", runE13})
-}
-
 // stragglerProfile describes one misbehaving worker in a 3-worker fleet;
 // the other two are healthy.
 type stragglerProfile struct {

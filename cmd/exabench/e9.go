@@ -9,11 +9,6 @@ import (
 	"exadla/internal/mixed"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"e9", "E9 (extension): the precision ladder — fp16 vs fp32 refinement", runE9})
-}
-
 // runE9 extends E3 down the precision ladder to emulated fp16 storage (the
 // tensor-core model the post-keynote mixed-precision work targets):
 // convergence range, sweep counts, and delivered accuracy of fp16-factor

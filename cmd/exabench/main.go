@@ -1,6 +1,7 @@
-// Command exabench regenerates the reproduction's experiment suite E1–E8
-// (see DESIGN.md for the mapping to the keynote's claims), printing one
-// table or series per experiment.
+// Command exabench regenerates the reproduction's experiment suite — E1–E8
+// (see DESIGN.md for the mapping to the keynote's claims), the E9–E13
+// extensions and the A2–A3 ablations — printing one table or series per
+// experiment.
 //
 // Usage:
 //
@@ -39,10 +40,17 @@ var experiments = []experiment{
 	{"e6", "E6: ABFT overhead and fault recovery", runE6},
 	{"e7", "E7: batched small factorizations vs one-at-a-time loop", runE7},
 	{"e8", "E8: randomized least squares vs direct QR", runE8},
+	{"e9", "E9 (extension): the precision ladder — fp16 vs fp32 refinement", runE9},
+	{"e10", "E10 (extension): communication volume on a process grid", runE10},
+	{"e11", "E11 (extension): distributed chaos sweep", distFaultSweep},
+	{"e12", "E12 (extension): merged cluster trace under chaos", runE12},
+	{"e13", "E13 (extension): straggler sweep — speculative execution off vs on", runE13},
+	{"a2", "A2 (ablation): scheduler priorities on/off", runA2},
+	{"a3", "A3 (ablation): flat vs tree tile QR — panel critical path", runA3},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: e1..e13 or all")
+	exp := flag.String("exp", "all", "experiment to run: "+experimentNames())
 	quick := flag.Bool("quick", false, "use reduced sizes for a fast pass")
 	showMetrics := flag.Bool("metrics", false, "collect runtime metrics and dump a JSON snapshot per experiment")
 	faults := flag.Bool("faults", false, "run the fault-injection mode instead of the experiment suite")
@@ -111,9 +119,19 @@ func main() {
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: e1..e13, all\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", *exp, experimentNames())
 		os.Exit(2)
 	}
+}
+
+// experimentNames lists the valid -exp values: the experiments table's
+// names, then "all".
+func experimentNames() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
 }
 
 // dumpMetrics prints the accumulated metrics snapshot for one experiment as

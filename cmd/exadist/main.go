@@ -58,7 +58,7 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 1, "panel steps between checkpoints")
 	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -ckpt instead of starting fresh")
 	verify := flag.Bool("verify", false, "after the run, factor the same matrix single-process and compare bitwise")
-	obsAddr := flag.String("obs", "", "serve live observability on this host:port (serve side: /metrics, /dist, /trace?scope=cluster; join side: /healthz, /trace, pprof)")
+	obsAddr := flag.String("obs", "", "serve live observability on this host:port (serve side: /metrics, /dist, /trace of the merged cluster; join side: /healthz, /trace of the worker mirror, pprof)")
 	traceOut := flag.String("trace-out", "", "after the run, write the merged cluster trace (Chrome/Perfetto JSON) here")
 	eventsOut := flag.String("events-out", "", "after the run, write the merged cluster trace in the native events format (for exatrace -cluster) here")
 	logEvents := flag.Bool("log-events", false, "log structured cluster fault events (evictions, reaps, stale commits, wire chaos) to stderr")
@@ -112,7 +112,7 @@ func main() {
 			// lives on the coordinator).
 			tl := trace.NewLog()
 			opt.Trace = tl
-			srv, err := obs.Start(*obsAddr, obs.Options{Trace: tl})
+			srv, err := obs.Start(*obsAddr, obs.Options{Trace: func() *trace.Log { return tl }})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "exadist:", err)
 				os.Exit(1)
@@ -212,7 +212,7 @@ func runServe(addr string, cfg serveConfig) error {
 			return err
 		}
 		defer srv.Close()
-		fmt.Printf("observability on http://%s/metrics /dist /trace?scope=cluster\n", srv.Addr())
+		fmt.Printf("observability on http://%s/metrics /dist /trace\n", srv.Addr())
 	}
 
 	fmt.Printf("coordinator on %s: %s n=%d nb=%d (ctrl-c to abandon)\n", job.Addr(), cfg.op, cfg.n, cfg.nb)

@@ -10,16 +10,18 @@
 //
 // With -cluster it instead summarizes a merged multi-process trace (the
 // native events JSON written by exadist -events-out or the obs server's
-// /trace?scope=cluster&format=events): per-process compute/fetch/commit/
-// idle split, fault counts, the comm-aware critical path, and the top
-// tile-transfer edges by bytes.
+// /trace?format=events): per-process compute/fetch/commit/idle split,
+// fault counts, the comm-aware critical path, and the top tile-transfer
+// edges by bytes. Both modes write the same Chrome export with -chrome.
 //
 //	exatrace -cluster cluster-events.json
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -33,104 +35,116 @@ import (
 )
 
 func main() {
-	op := flag.String("op", "cholesky", "operation: cholesky, lu, or qr")
-	n := flag.Int("n", 1024, "problem size")
-	nb := flag.Int("nb", 96, "tile size")
-	workers := flag.Int("workers", 8, "virtual workers for the simulated schedule")
-	forkJoin := flag.Bool("forkjoin", false, "use the block-synchronous variant")
-	width := flag.Int("width", 110, "Gantt chart width in columns")
-	chrome := flag.String("chrome", "", "also write a Chrome trace-event JSON to this path")
-	cluster := flag.String("cluster", "", "summarize a merged cluster trace (native events JSON) instead of simulating")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "exatrace:", err)
+		os.Exit(1)
+	}
+}
 
-	if *cluster != "" {
-		if err := summarizeCluster(*cluster, *workers, *chrome); err != nil {
-			fmt.Fprintln(os.Stderr, "exatrace:", err)
-			os.Exit(1)
+// run parses args and executes one exatrace invocation, writing its report
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("exatrace", flag.ContinueOnError)
+	op := fs.String("op", "cholesky", "operation: cholesky, lu, or qr")
+	n := fs.Int("n", 1024, "problem size")
+	nb := fs.Int("nb", 96, "tile size")
+	workers := fs.Int("workers", 8, "virtual workers for the simulated schedule")
+	forkJoin := fs.Bool("forkjoin", false, "use the block-synchronous variant")
+	width := fs.Int("width", 110, "Gantt chart width in columns")
+	chrome := fs.String("chrome", "", "also write a Chrome trace-event JSON to this path")
+	cluster := fs.String("cluster", "", "summarize a merged cluster trace (native events JSON) instead of simulating")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		return
+		return err
 	}
 
-	rng := rand.New(rand.NewSource(1))
-	var aD []float64
-	switch *op {
-	case "cholesky":
-		aD = matgen.DiagDomSPD[float64](rng, *n)
-	case "lu", "qr":
-		aD = matgen.Dense[float64](rng, *n, *n)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown op %q\n", *op)
-		os.Exit(2)
-	}
-	a := tile.FromColMajor(*n, *n, aD, *n, *nb)
+	var log *trace.Log
+	if *cluster != "" {
+		var err error
+		if log, err = summarizeCluster(stdout, *cluster, *workers); err != nil {
+			return err
+		}
+	} else {
+		rng := rand.New(rand.NewSource(1))
+		var aD []float64
+		switch *op {
+		case "cholesky":
+			aD = matgen.DiagDomSPD[float64](rng, *n)
+		case "lu", "qr":
+			aD = matgen.Dense[float64](rng, *n, *n)
+		default:
+			return fmt.Errorf("unknown op %q", *op)
+		}
+		a := tile.FromColMajor(*n, *n, aD, *n, *nb)
 
-	rec := sched.NewRecorder()
-	// The -op names are the tile program names core.Factor takes.
-	if _, err := core.Factor(rec, *op, a, nil, *forkJoin); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+		rec := sched.NewRecorder()
+		// The -op names are the tile program names core.Factor takes.
+		if _, err := core.Factor(rec, *op, a, nil, *forkJoin); err != nil {
+			return err
+		}
 
-	g := rec.Graph()
-	variant := "dataflow"
-	if *forkJoin {
-		variant = "fork-join"
-	}
-	fmt.Printf("%s %s: n=%d nb=%d — %d tasks, %.4fs total work, %.4fs critical path\n",
-		*op, variant, *n, *nb, g.Tasks(), g.TotalWork(), g.CriticalPath())
+		g := rec.Graph()
+		variant := "dataflow"
+		if *forkJoin {
+			variant = "fork-join"
+		}
+		fmt.Fprintf(stdout, "%s %s: n=%d nb=%d — %d tasks, %.4fs total work, %.4fs critical path\n",
+			*op, variant, *n, *nb, g.Tasks(), g.TotalWork(), g.CriticalPath())
 
-	log, res := trace.Simulate(g, *workers)
-	fmt.Printf("simulated on %d workers: makespan %.4fs, utilization %.1f%%, speedup %.2fx\n\n",
-		*workers, res.Makespan, 100*res.Utilization, g.TotalWork()/res.Makespan)
-	printCriticalPath(log, *workers)
-	if err := log.Gantt(os.Stdout, *width); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		var res sched.SimResult
+		log, res = trace.Simulate(g, *workers)
+		fmt.Fprintf(stdout, "simulated on %d workers: makespan %.4fs, utilization %.1f%%, speedup %.2fx\n\n",
+			*workers, res.Makespan, 100*res.Utilization, g.TotalWork()/res.Makespan)
+		printDAG(stdout, log.AnalyzeDAG(), *workers)
+		fmt.Fprintln(stdout)
+		if err := log.Gantt(stdout, *width); err != nil {
+			return err
+		}
 	}
 
 	if *chrome != "" {
 		f, err := os.Create(*chrome)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := log.WriteChrome(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("\nwrote Chrome trace to %s (open at ui.perfetto.dev)\n", *chrome)
+		fmt.Fprintf(stdout, "\nwrote Chrome trace to %s (open at ui.perfetto.dev)\n", *chrome)
 	}
+	return nil
 }
 
 // summarizeCluster loads a merged cluster trace (native events JSON) and
-// prints the per-process time split, fault counts, the comm-aware critical
-// path, and the heaviest tile-transfer edges. With -chrome it also
-// re-exports the Perfetto view.
-func summarizeCluster(path string, workers int, chrome string) error {
+// prints the per-process time split, fault counts, the critical path, and
+// the heaviest tile-transfer edges. It returns the loaded log.
+func summarizeCluster(w io.Writer, path string, workers int) (*trace.Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	log, err := trace.ReadJSON(f)
 	f.Close()
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	cs := log.AnalyzeCluster()
-	fmt.Printf("cluster trace %s: %d processes, span %.4fs\n", path, len(cs.Procs), cs.Span)
+	fmt.Fprintf(w, "cluster trace %s: %d processes, span %.4fs\n", path, len(cs.Procs), cs.Span)
 	for _, p := range cs.Procs {
 		name := "coordinator"
 		if p.Proc > 0 {
 			name = fmt.Sprintf("worker %d", p.Proc-1)
 		}
-		fmt.Printf("  %-12s %4d tasks  compute %8.4fs  fetch %8.4fs  commit %8.4fs  idle %8.4fs",
+		fmt.Fprintf(w, "  %-12s %4d tasks  compute %8.4fs  fetch %8.4fs  commit %8.4fs  idle %8.4fs",
 			name, p.Tasks, p.Compute, p.Fetch, p.Commit, p.Idle)
 		if p.BytesFetched > 0 || p.BytesCommitted > 0 {
-			fmt.Printf("  (%s fetched, %s committed)", fmtBytes(p.BytesFetched), fmtBytes(p.BytesCommitted))
+			fmt.Fprintf(w, "  (%s fetched, %s committed)", fmtBytes(p.BytesFetched), fmtBytes(p.BytesCommitted))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if len(cs.Faults) > 0 {
@@ -139,56 +153,26 @@ func summarizeCluster(path string, workers int, chrome string) error {
 			kinds = append(kinds, k)
 		}
 		sort.Strings(kinds)
-		fmt.Printf("faults:")
+		fmt.Fprintf(w, "faults:")
 		for _, k := range kinds {
-			fmt.Printf(" %s ×%d", k, cs.Faults[k])
+			fmt.Fprintf(w, " %s ×%d", k, cs.Faults[k])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	d := log.AnalyzeDAG()
-	if d.TInf > 0 {
-		fmt.Printf("critical path: T1 %.4fs, T∞ %.4fs (parallelism %.2f)", d.T1, d.TInf, d.T1/d.TInf)
-		if d.TCommInf > d.TInf {
-			fmt.Printf(", comm-aware T∞ %.4fs", d.TCommInf)
-		}
-		fmt.Println()
-		dag, comm := d.SpeedupBound(workers), d.CommSpeedupBound(workers)
-		fmt.Printf("speedup bound on %d workers: %.2fx DAG-limited", workers, dag)
-		if comm < dag {
-			fmt.Printf(", %.2fx comm-limited (communication costs %.0f%% of the bound)",
-				comm, 100*(1-comm/dag))
-		}
-		fmt.Println()
-		if d.BytesFetched > 0 {
-			fmt.Printf("traffic on the task path: %s fetched, %.4fs fetching, %.4fs committing\n",
-				fmtBytes(d.BytesFetched), d.FetchTime, d.CommitTime)
-		}
-	}
+	printDAG(w, log.AnalyzeDAG(), workers)
 
 	if len(cs.Transfers) > 0 {
 		top := cs.Transfers
 		if len(top) > 8 {
 			top = top[:8]
 		}
-		fmt.Printf("top tile transfers by bytes:\n")
+		fmt.Fprintf(w, "top tile transfers by bytes:\n")
 		for _, t := range top {
-			fmt.Printf("  tile(%d,%d)  %s over %d fetches\n", t.Tile[0], t.Tile[1], fmtBytes(t.Bytes), t.Count)
+			fmt.Fprintf(w, "  tile(%d,%d)  %s over %d fetches\n", t.Tile[0], t.Tile[1], fmtBytes(t.Bytes), t.Count)
 		}
 	}
-
-	if chrome != "" {
-		out, err := os.Create(chrome)
-		if err != nil {
-			return err
-		}
-		defer out.Close()
-		if err := log.WriteChromeCluster(out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote Perfetto cluster trace to %s (open at ui.perfetto.dev)\n", chrome)
-	}
-	return nil
+	return log, nil
 }
 
 func fmtBytes(b int64) string {
@@ -201,16 +185,21 @@ func fmtBytes(b int64) string {
 	return fmt.Sprintf("%d B", b)
 }
 
-// printCriticalPath reports the work/span decomposition of the traced
-// schedule: T∞ and its per-kernel composition, Brent's makespan bounds, and
-// how the achieved speedup compares to the DAG-limited bound min(p, T₁/T∞).
-func printCriticalPath(log *trace.Log, workers int) {
-	d := log.AnalyzeDAG()
+// printDAG reports the work/span decomposition of a trace: T₁, T∞ and (for
+// cluster traces) the comm-aware T∞, T∞'s per-kernel composition, Brent's
+// makespan bounds, how the achieved speedup compares to the DAG-limited
+// bound min(p, T₁/T∞) and, when communication tightens it, the
+// comm-limited bound, and the bytes moved on the task path.
+func printDAG(w io.Writer, d trace.DAGStats, workers int) {
 	if d.TInf <= 0 {
 		return
 	}
-	fmt.Printf("critical path: %.4fs across %d tasks (T1/T∞ = %.2f)\n",
-		d.TInf, d.CritTasks, d.T1/d.TInf)
+	fmt.Fprintf(w, "critical path: T1 %.4fs, T∞ %.4fs across %d tasks (parallelism %.2f)",
+		d.T1, d.TInf, d.CritTasks, d.T1/d.TInf)
+	if d.TCommInf > d.TInf {
+		fmt.Fprintf(w, ", comm-aware T∞ %.4fs", d.TCommInf)
+	}
+	fmt.Fprintln(w)
 	type share struct {
 		name string
 		frac float64
@@ -225,14 +214,22 @@ func printCriticalPath(log *trace.Log, workers int) {
 		}
 		return shares[i].name < shares[j].name
 	})
-	fmt.Printf("critical-path share:")
+	fmt.Fprintf(w, "critical-path share:")
 	for _, s := range shares {
-		fmt.Printf(" %s %.1f%%", s.name, 100*s.frac)
+		fmt.Fprintf(w, " %s %.1f%%", s.name, 100*s.frac)
 	}
-	fmt.Println()
-	fmt.Printf("Brent bounds on %d workers: makespan in [%.4fs, %.4fs]\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "Brent bounds on %d workers: makespan in [%.4fs, %.4fs]\n",
 		workers, math.Max(d.T1/float64(workers), d.TInf), d.BrentBound(workers))
-	bound := d.SpeedupBound(workers)
-	fmt.Printf("speedup %.2fx of %.2fx DAG-limited (%.0f%%)\n\n",
-		d.Speedup(), bound, 100*d.Speedup()/bound)
+	dag, comm := d.SpeedupBound(workers), d.CommSpeedupBound(workers)
+	fmt.Fprintf(w, "speedup %.2fx of %.2fx DAG-limited (%.0f%%)", d.Speedup(), dag, 100*d.Speedup()/dag)
+	if comm < dag {
+		fmt.Fprintf(w, ", %.2fx comm-limited (communication costs %.0f%% of the bound)",
+			comm, 100*(1-comm/dag))
+	}
+	fmt.Fprintln(w)
+	if d.BytesFetched > 0 {
+		fmt.Fprintf(w, "traffic on the task path: %s fetched, %.4fs fetching, %.4fs committing\n",
+			fmtBytes(d.BytesFetched), d.FetchTime, d.CommitTime)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"exadla/internal/metrics"
 	"exadla/internal/obs"
 	"exadla/internal/tile"
-	"exadla/internal/trace"
 )
 
 // This file is the public face of the multi-process distributed runtime
@@ -211,15 +210,16 @@ func (j *DistJob) Stats() DistStats { return j.c.Stats() }
 func (j *DistJob) Status() DistStatus { return j.c.Status() }
 
 // WriteClusterTrace writes the merged multi-process trace as Chrome
-// trace-event JSON, loadable in Perfetto (ui.perfetto.dev): one process
-// lane per OS process (the coordinator plus each worker), lease-lifecycle
-// slices with fetch/compute/commit sub-phases, flow arrows from a tile's
-// commit to its dependent fetches, and fault instants (evictions, lease
-// reaps, stale commits, injected wire faults). Worker timestamps are
+// trace-event JSON, loadable in Perfetto (ui.perfetto.dev), through the
+// same writer as an in-process trace: one process lane per OS process (the
+// coordinator plus each worker), lease-lifecycle slices with fetch/compute/
+// commit sub-phases, dependence flows between tasks, flow arrows from a
+// tile's commit to its dependent fetches, and fault instants (evictions,
+// lease reaps, stale commits, injected wire faults). Worker timestamps are
 // aligned onto the coordinator's clock by each process's best RTT-midpoint
 // offset sample. Callable mid-run (a partial trace) or after Run.
 func (j *DistJob) WriteClusterTrace(w io.Writer) error {
-	return j.c.ClusterLog().WriteChromeCluster(w)
+	return j.c.ClusterLog().WriteChrome(w)
 }
 
 // WriteClusterEvents writes the merged multi-process trace in the native
@@ -232,15 +232,15 @@ func (j *DistJob) WriteClusterEvents(w io.Writer) error {
 // ServeObs starts the observability HTTP server for this job on addr
 // (host:port; port 0 picks one — read it back from Server.Addr). On top of
 // the standard endpoints, /dist serves the live cluster status as JSON,
-// /trace?scope=cluster serves the merged multi-process trace (add
-// &format=events for the native form), and /healthz reports the live
-// fleet: workers currently alive, their heartbeat ages, and how many have
-// been evicted — not a static count. Close the returned server when done.
+// /trace serves the merged multi-process trace (add ?format=events for the
+// native form), and /healthz reports the live fleet: workers currently
+// alive, their heartbeat ages, and how many have been evicted — not a
+// static count. Close the returned server when done.
 func (j *DistJob) ServeObs(addr string) (*obs.Server, error) {
 	metrics.Enable()
 	return obs.Start(addr, obs.Options{
 		Registry: metrics.Default(),
-		Cluster:  func() *trace.Log { return j.c.ClusterLog() },
+		Trace:    j.c.ClusterLog,
 		Dist:     func() any { return j.c.Status() },
 		Health: func() map[string]any {
 			st := j.c.Status()

@@ -134,7 +134,7 @@ func TestDistMultiProcessSurvivesSIGKILL(t *testing.T) {
 		t.Errorf("merged trace has no eviction instant: %v", cs.Faults)
 	}
 	var buf bytes.Buffer
-	if err := l.WriteChromeCluster(&buf); err != nil {
+	if err := l.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var chromeEvents []map[string]any

@@ -327,7 +327,7 @@ func TestDistClusterTraceChromeExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := c.ClusterLog().WriteChromeCluster(&buf); err != nil {
+	if err := c.ClusterLog().WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any

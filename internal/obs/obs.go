@@ -1,7 +1,8 @@
 // Package obs is the live observability server: an opt-in HTTP endpoint a
 // running factorization can be inspected through without stopping it —
-// metrics in Prometheus text or JSON form, the live trace as a Chrome/
-// Perfetto JSON download, a health probe, and net/http/pprof for CPU and
+// metrics in Prometheus text or JSON form, the one trace log it was given
+// (in-process, merged cluster, or a worker's mirror) as a Chrome/Perfetto
+// or native JSON download, a health probe, and net/http/pprof for CPU and
 // heap profiling. Production systems are profiled in production; this is
 // the repo's answer to that requirement.
 package obs
@@ -26,15 +27,12 @@ type Options struct {
 	// Registry is the metrics registry /metrics exposes; nil means the
 	// package default registry.
 	Registry *metrics.Registry
-	// Trace, when non-nil, enables /trace serving the live log as Chrome
-	// trace JSON.
-	Trace *trace.Log
-	// Cluster, when non-nil, enables /trace?scope=cluster: it is called per
-	// request and must return the merged multi-process trace (e.g. a dist
-	// coordinator's ClusterLog), served as Chrome trace JSON with one
-	// process lane per OS process, or as the native events format with
-	// &format=events.
-	Cluster func() *trace.Log
+	// Trace, when non-nil, enables /trace: it is called per request and
+	// returns the log to serve — a Context's live in-process trace, a dist
+	// coordinator's merged multi-process ClusterLog, or a worker's span
+	// mirror — as Chrome trace JSON, or as the native events format with
+	// ?format=events.
+	Trace func() *trace.Log
 	// Dist, when non-nil, enables /dist serving its return value as a JSON
 	// document — the live cluster status (workers, leases, evictions,
 	// counters) of a distributed coordinator.
@@ -63,9 +61,8 @@ type Server struct {
 // serves the observability endpoints in a background goroutine:
 //
 //	/metrics        Prometheus text format (?format=json for a JSON snapshot)
-//	/trace          Chrome trace-event JSON of the live trace log
-//	                (?scope=cluster for the merged multi-process trace,
-//	                &format=events for the native re-loadable form)
+//	/trace          Chrome trace-event JSON of the trace log
+//	                (?format=events for the native re-loadable form)
 //	/dist           JSON cluster status (workers, leases, evictions)
 //	/healthz        JSON liveness report
 //	/debug/pprof/   the standard net/http/pprof handlers
@@ -92,29 +89,19 @@ func Start(addr string, opt Options) (*Server, error) {
 		_ = snap.WritePrometheus(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("scope") == "cluster" {
-			if opt.Cluster == nil {
-				http.Error(w, "cluster tracing not enabled", http.StatusNotFound)
-				return
-			}
-			l := opt.Cluster()
-			w.Header().Set("Content-Type", "application/json")
-			if r.URL.Query().Get("format") == "events" {
-				w.Header().Set("Content-Disposition", `attachment; filename="exadla-cluster-events.json"`)
-				_ = l.WriteJSON(w)
-				return
-			}
-			w.Header().Set("Content-Disposition", `attachment; filename="exadla-cluster-trace.json"`)
-			_ = l.WriteChromeCluster(w)
-			return
-		}
 		if opt.Trace == nil {
 			http.Error(w, "tracing not enabled", http.StatusNotFound)
 			return
 		}
+		l := opt.Trace()
 		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Query().Get("format") == "events" {
+			w.Header().Set("Content-Disposition", `attachment; filename="exadla-events.json"`)
+			_ = l.WriteJSON(w)
+			return
+		}
 		w.Header().Set("Content-Disposition", `attachment; filename="exadla-trace.json"`)
-		_ = opt.Trace.WriteChrome(w)
+		_ = l.WriteChrome(w)
 	})
 	mux.HandleFunc("/dist", func(w http.ResponseWriter, r *http.Request) {
 		if opt.Dist == nil {

@@ -36,7 +36,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	s, err := Start("127.0.0.1:0", Options{
 		Registry: reg,
-		Trace:    log,
+		Trace:    func() *trace.Log { return log },
 		Health:   func() map[string]any { return map[string]any{"workers": 4} },
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestServerClusterEndpoints(t *testing.T) {
 	}
 	s, err := Start("127.0.0.1:0", Options{
 		Registry: metrics.New(),
-		Cluster:  clusterLog,
+		Trace:    clusterLog,
 		Dist: func() any {
 			return map[string]any{"workers_live": 3, "tasks_completed": 12}
 		},
@@ -116,6 +116,7 @@ func TestServerClusterEndpoints(t *testing.T) {
 	if code != 200 || json.Unmarshal([]byte(body), &events) != nil {
 		t.Fatalf("/trace?scope=cluster: code=%d body=%q", code, body)
 	}
+	body0 := body
 	lane := false
 	for _, e := range events {
 		if e["name"] == "process_name" {
@@ -148,10 +149,10 @@ func TestServerClusterEndpoints(t *testing.T) {
 		t.Errorf("/dist body: %v", st)
 	}
 
-	// A plain /trace on a server with only a cluster source is 404; so are
-	// the cluster endpoints on a server without one.
-	if code, _ := get(t, base+"/trace"); code != http.StatusNotFound {
-		t.Errorf("/trace without a log: code=%d, want 404", code)
+	// The scope parameter is ignored: /trace and /trace?scope=cluster serve
+	// the same log. The endpoints are 404 on a server without a source.
+	if code, plain := get(t, base+"/trace"); code != 200 || plain != body0 {
+		t.Errorf("/trace: code=%d, body differs from /trace?scope=cluster", code)
 	}
 	bare, err := Start("127.0.0.1:0", Options{Registry: metrics.New()})
 	if err != nil {
@@ -163,6 +164,53 @@ func TestServerClusterEndpoints(t *testing.T) {
 	}
 	if code, _ := get(t, "http://"+bare.Addr()+"/dist"); code != http.StatusNotFound {
 		t.Errorf("/dist without a job: code=%d, want 404", code)
+	}
+}
+
+// TestServerWorkerMirrorTrace pins that /trace serves a worker's span
+// mirror whole: its fetch sub-phase and fault instants come back exactly
+// as WriteChrome renders them, not just the whole-attempt slices.
+func TestServerWorkerMirrorTrace(t *testing.T) {
+	mirror := trace.NewLog()
+	mirror.Add(trace.Event{ID: 3, Name: "gemm", Worker: 0, Attempt: 1, Proc: 1,
+		Start: 0, End: 1000, Outcome: sched.OutcomeOK})
+	mirror.Add(trace.Event{ID: 3, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseFetch,
+		Start: 0, End: 250, Bytes: 800, Tile: [2]int{2, 1}, HasTile: true})
+	mirror.Add(trace.Event{ID: -1, Worker: 0, Proc: 1, Phase: trace.PhasePartition,
+		Start: 500, End: 500, Err: "enter"})
+	mirror.Add(trace.Event{ID: 3, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseCorrupt,
+		Start: 750, End: 750, Err: "tile (2,1) checksum"})
+	s, err := Start("127.0.0.1:0", Options{
+		Registry: metrics.New(),
+		Trace:    func() *trace.Log { return mirror },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	code, body := get(t, "http://"+s.Addr()+"/trace")
+	var want strings.Builder
+	if err := mirror.WriteChrome(&want); err != nil {
+		t.Fatal(err)
+	}
+	if code != 200 || body != want.String() {
+		t.Fatalf("/trace: code=%d body=%q, want %q", code, body, want.String())
+	}
+	var events []map[string]any
+	if err := json.Unmarshal([]byte(body), &events); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range events {
+		if cat, _ := e["cat"].(string); cat == "phase" || cat == "fault" {
+			seen[e["name"].(string)] = true
+		}
+	}
+	for _, name := range []string{trace.PhaseFetch, trace.PhasePartition, trace.PhaseCorrupt} {
+		if !seen[name] {
+			t.Errorf("/trace dropped the worker mirror's %s event: %v", name, events)
+		}
 	}
 }
 

@@ -83,138 +83,6 @@ func ReadJSON(r io.Reader) (*Log, error) {
 	return l, nil
 }
 
-// WriteChromeCluster renders a merged cluster trace in the Chrome
-// trace-event format: one Perfetto process lane per OS process (pid 1 is
-// the coordinator, pid 1+k worker k), whole-attempt slices with nested
-// fetch/compute/commit sub-slices, flow arrows from a tile's commit to
-// each dependent fetch of that tile, and instant markers for faults
-// (evictions, lease reaps, stale-commit rejections, wire chaos).
-func (l *Log) WriteChromeCluster(w io.Writer) error {
-	events := l.Events()
-
-	procs := map[int]bool{}
-	for _, e := range events {
-		procs[e.Proc] = true
-	}
-	pids := make([]int, 0, len(procs))
-	for p := range procs {
-		pids = append(pids, p)
-	}
-	sort.Ints(pids)
-
-	out := make([]chromeEvent, 0, 2*len(events)+2*len(pids))
-	for _, p := range pids {
-		name := "coordinator"
-		if p > 0 {
-			name = fmt.Sprintf("worker %d", p-1)
-		}
-		out = append(out,
-			chromeEvent{Name: "process_name", Phase: "M", PID: p + 1,
-				Args: map[string]any{"name": name}},
-			chromeEvent{Name: "process_sort_index", Phase: "M", PID: p + 1,
-				Args: map[string]any{"sort_index": p}},
-		)
-	}
-
-	// Commit spans indexed by tile, sorted by end time, for flow sources.
-	type anchor struct {
-		endUS    float64
-		pid, tid int
-	}
-	commits := map[[2]int][]anchor{}
-	tid := func(e Event) int {
-		if e.Worker >= 0 {
-			return e.Worker
-		}
-		return 0
-	}
-	for _, e := range events {
-		if e.Phase == PhaseCommit && e.HasTile {
-			commits[e.Tile] = append(commits[e.Tile],
-				anchor{float64(e.End) / 1e3, e.Proc + 1, tid(e)})
-		}
-	}
-	for _, as := range commits {
-		sort.Slice(as, func(i, j int) bool { return as[i].endUS < as[j].endUS })
-	}
-
-	flowID := 0
-	for _, e := range events {
-		ts := float64(e.Start) / 1e3
-		switch {
-		case IsFault(e.Phase):
-			args := map[string]any{"kind": e.Phase}
-			if e.ID >= 0 {
-				args["task"] = e.ID
-			}
-			if e.Worker >= 0 {
-				args["worker"] = e.Worker
-			}
-			if e.Err != "" {
-				args["detail"] = e.Err
-			}
-			out = append(out, chromeEvent{
-				Name: e.Phase, Phase: "i", Cat: "fault", S: "p",
-				Ts: ts, PID: e.Proc + 1, TID: tid(e), Args: args,
-			})
-		case e.Phase != "":
-			args := map[string]any{"task": e.ID, "attempt": e.Attempt}
-			if e.Bytes > 0 {
-				args["bytes"] = e.Bytes
-			}
-			if e.HasTile {
-				args["tile"] = fmt.Sprintf("(%d,%d)", e.Tile[0], e.Tile[1])
-			}
-			out = append(out, chromeEvent{
-				Name: e.Phase, Phase: "X", Cat: "phase",
-				Ts: ts, Dur: float64(e.End-e.Start) / 1e3,
-				PID: e.Proc + 1, TID: tid(e), Args: args,
-			})
-			// Flow arrow: the latest commit of this tile that finished
-			// before the fetch began is the transfer's producer.
-			if e.Phase == PhaseFetch && e.HasTile && e.ID >= 0 {
-				as := commits[e.Tile]
-				i := sort.Search(len(as), func(i int) bool { return as[i].endUS > ts })
-				if i > 0 {
-					src := as[i-1]
-					flowID++
-					name := fmt.Sprintf("tile(%d,%d)", e.Tile[0], e.Tile[1])
-					out = append(out,
-						chromeEvent{Name: name, Phase: "s", Cat: "tile", ID: flowID,
-							Ts: src.endUS, PID: src.pid, TID: src.tid},
-						chromeEvent{Name: name, Phase: "f", Cat: "tile", ID: flowID, BP: "e",
-							Ts: ts, PID: e.Proc + 1, TID: tid(e)},
-					)
-				}
-			}
-		case e.Attempt == 0:
-			out = append(out, chromeEvent{
-				Name: e.Name, Phase: "i", S: "t", Ts: ts,
-				PID: e.Proc + 1, TID: tid(e),
-				Args: map[string]any{"task": e.ID, "outcome": "skipped"},
-			})
-		default:
-			args := map[string]any{
-				"task": e.ID, "attempt": e.Attempt, "outcome": e.Outcome.String(),
-			}
-			if e.Err != "" {
-				args["error"] = e.Err
-			}
-			out = append(out, chromeEvent{
-				Name: e.Name, Phase: "X",
-				Ts: ts, Dur: float64(e.End-e.Start) / 1e3,
-				PID: e.Proc + 1, TID: tid(e), Args: args,
-			})
-		}
-	}
-
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("trace: encode cluster trace: %w", err)
-	}
-	return nil
-}
-
 // ProcStats is one process lane's share of a cluster trace.
 type ProcStats struct {
 	// Proc is the process lane (0 coordinator, k worker k-1).

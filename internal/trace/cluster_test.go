@@ -7,7 +7,6 @@ package trace_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -171,30 +170,27 @@ func TestAnalyzeDAGCommitDedup(t *testing.T) {
 	}
 }
 
-func TestWriteChromeClusterShape(t *testing.T) {
-	var buf bytes.Buffer
-	if err := clusterFixture().WriteChromeCluster(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("export is not a JSON array: %v", err)
-	}
+func TestWriteChromeShapeOnClusterLog(t *testing.T) {
+	events := decodeChrome(t, clusterFixture())
 	names := map[string]int{}
 	var lanes []string
-	flows := map[string]int{}
+	flows := map[string]map[string]int{} // cat → ph → count
 	for _, e := range events {
 		ph, _ := e["ph"].(string)
 		name, _ := e["name"].(string)
+		cat, _ := e["cat"].(string)
 		names[name]++
 		if name == "process_name" {
 			args := e["args"].(map[string]any)
 			lanes = append(lanes, args["name"].(string))
 		}
 		if ph == "s" || ph == "f" {
-			flows[ph]++
+			if flows[cat] == nil {
+				flows[cat] = map[string]int{}
+			}
+			flows[cat][ph]++
 		}
-		if cat, _ := e["cat"].(string); cat == "fault" {
+		if cat == "fault" {
 			if ph != "i" {
 				t.Errorf("fault event has phase %q, want instant", ph)
 			}
@@ -204,8 +200,11 @@ func TestWriteChromeClusterShape(t *testing.T) {
 	if !reflect.DeepEqual(lanes, want) {
 		t.Errorf("process lanes %v, want %v", lanes, want)
 	}
-	if flows["s"] != 1 || flows["f"] != 1 {
-		t.Errorf("flow events s=%d f=%d, want one commit→fetch pair", flows["s"], flows["f"])
+	if flows["tile"]["s"] != 1 || flows["tile"]["f"] != 1 {
+		t.Errorf("tile flow events s=%d f=%d, want one commit→fetch pair", flows["tile"]["s"], flows["tile"]["f"])
+	}
+	if flows["dep"]["s"] != 1 || flows["dep"]["f"] != 1 {
+		t.Errorf("dep flow events s=%d f=%d, want one pair for task 1's edge", flows["dep"]["s"], flows["dep"]["f"])
 	}
 	if names[trace.PhaseEvicted] != 1 {
 		t.Errorf("eviction instants %d, want 1", names[trace.PhaseEvicted])
@@ -214,5 +213,52 @@ func TestWriteChromeClusterShape(t *testing.T) {
 		if names[phase] != 2 {
 			t.Errorf("%s slices %d, want 2", phase, names[phase])
 		}
+	}
+}
+
+// mirrorFixture is a worker's local span mirror, as an exadist -join -obs
+// worker serves it on /trace: worker 0's events on process lane 1, a
+// fetch sub-phase span plus partition and corrupt-payload fault instants.
+func mirrorFixture() *trace.Log {
+	l := trace.NewLog()
+	l.Add(trace.Event{ID: 3, Name: "gemm", Worker: 0, Attempt: 1, Proc: 1,
+		Start: 0, End: sec, Outcome: sched.OutcomeOK})
+	l.Add(trace.Event{ID: 3, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseFetch,
+		Start: 0, End: sec / 4, Bytes: 800, Tile: [2]int{2, 1}, HasTile: true})
+	l.Add(trace.Event{ID: -1, Worker: 0, Proc: 1, Phase: trace.PhasePartition,
+		Start: sec / 2, End: sec / 2, Err: "enter"})
+	l.Add(trace.Event{ID: 3, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseCorrupt,
+		Start: 3 * sec / 4, End: 3 * sec / 4, Err: "tile (2,1) checksum"})
+	return l
+}
+
+// TestWriteChromeWorkerMirror pins that the one Chrome writer keeps a
+// worker mirror's sub-phase slices and fault instants on the worker's
+// process lane instead of dropping every phased event.
+func TestWriteChromeWorkerMirror(t *testing.T) {
+	events := decodeChrome(t, mirrorFixture())
+	pid := -1.0
+	for _, e := range events {
+		if e["name"] == "process_name" && e["args"].(map[string]any)["name"] == "worker 0" {
+			pid = e["pid"].(float64)
+		}
+	}
+	if pid < 0 {
+		t.Fatalf("no worker 0 process lane: %v", events)
+	}
+	got := map[string]string{}
+	for _, e := range events {
+		if e["pid"].(float64) != pid {
+			continue
+		}
+		if cat, _ := e["cat"].(string); cat == "phase" || cat == "fault" {
+			got[e["name"].(string)] = e["ph"].(string)
+		}
+	}
+	want := map[string]string{
+		trace.PhaseFetch: "X", trace.PhasePartition: "i", trace.PhaseCorrupt: "i",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("worker 0 phase/fault events %v, want %v", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"log/slog"
 
 	"exadla/internal/obs"
+	"exadla/internal/trace"
 )
 
 // WithObsServer starts a live observability HTTP server on addr (host:port;
@@ -12,8 +13,9 @@ import (
 //
 //	/metrics        process metrics, Prometheus text format
 //	                (append ?format=json for the JSON snapshot)
-//	/trace          the live trace as Chrome/Perfetto JSON
-//	                (requires WithTracing; 404 otherwise)
+//	/trace          the live trace as Chrome/Perfetto JSON, or the native
+//	                form with ?format=events (requires WithTracing; 404
+//	                otherwise)
 //	/healthz        JSON liveness report
 //	/debug/pprof/   net/http/pprof CPU, heap, and goroutine profiling
 //
@@ -51,8 +53,12 @@ func (c *Context) startObs() {
 	if c.obsAddr == "" {
 		return
 	}
+	var tl func() *trace.Log
+	if c.log != nil {
+		tl = func() *trace.Log { return c.log }
+	}
 	s, err := obs.Start(c.obsAddr, obs.Options{
-		Trace: c.log,
+		Trace: tl,
 		Health: func() map[string]any {
 			fs := c.FaultStats()
 			return map[string]any{
