@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -85,14 +84,8 @@ func distFaultSweep(quick bool) {
 		status := "bitwise identical"
 		if runErr != nil {
 			status = "FAILED: " + runErr.Error()
-		} else {
-			got := c.Result().ToColMajor()
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					status = fmt.Sprintf("DIVERGED at element %d", i)
-					break
-				}
-			}
+		} else if i := firstBitDiff(c.Result().ToColMajor(), want); i >= 0 {
+			status = fmt.Sprintf("DIVERGED at element %d", i)
 		}
 		s := c.Stats()
 		tb.add(sc.name, s.WorkersLost, s.TasksReexecuted, s.TasksLocal,

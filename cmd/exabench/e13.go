@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -65,7 +64,7 @@ func runE13(quick bool) {
 			}
 			row[i].wall = res.wall
 			row[i].stats = res.stats
-			row[i].ok = e13Bitwise(got, want)
+			row[i].ok = firstBitDiff(got, want) < 0
 		}
 		okBoth := "yes"
 		if !row[0].ok || !row[1].ok {
@@ -160,16 +159,4 @@ func e13Run(aD []float64, n, nb int, straggler *dist.WorkerOptions, spec bool) (
 		return nil, e13Result{}, err
 	}
 	return c.Result().ToColMajor(), e13Result{wall: wall, stats: c.Stats()}, nil
-}
-
-func e13Bitwise(got, want []float64) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -238,6 +238,6 @@ func runGuarded(op string, aD, clean []float64, n, nb, workers int, e softError)
 	tr.f, tr.err = core.Protect(r, op, a, nil, &core.FTOptions{InjectHook: hook, Stats: tr.stats})
 	r.Shutdown()
 	tr.located = tr.located && reports > 0
-	tr.diff = factorDiff(op, clean, a)
+	tr.diff, _ = factorDiff(op, clean, a)
 	return tr
 }

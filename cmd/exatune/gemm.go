@@ -2,8 +2,8 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
-	"os"
 
 	"exadla/internal/autotune"
 	"exadla/internal/blas"
@@ -31,7 +31,7 @@ var gemmParams = []gemmParam{
 // it). Winners are persisted under machine-global keys — unlike the tiled
 // factorizations, the blocking is a property of the cache hierarchy, not of
 // the problem size.
-func tuneGemm(n, reps int, out string) {
+func tuneGemm(stdout io.Writer, n, reps int, out string) error {
 	rng := rand.New(rand.NewSource(1))
 	a := matgen.Dense[float64](rng, n, n)
 	b := matgen.Dense[float64](rng, n, n)
@@ -50,14 +50,14 @@ func tuneGemm(n, reps int, out string) {
 		})
 	}
 
-	fmt.Printf("tuning gemm blocking n=%d (%d reps per candidate, coordinate descent)\n", n, reps)
+	fmt.Fprintf(stdout, "tuning gemm blocking n=%d (%d reps per candidate, coordinate descent)\n", n, reps)
 	for _, p := range gemmParams {
 		res := autotune.Search(p.candidates, reps, func(v int) float64 {
 			trial := cur
 			*p.field(&trial) = v
 			return measure(trial)
 		})
-		fmt.Printf("\n%-8s %-12s\n", p.key, "seconds")
+		fmt.Fprintf(stdout, "\n%-8s %-12s\n", p.key, "seconds")
 		for _, m := range res.Table {
 			mark := ""
 			if m.Param == res.Best {
@@ -66,7 +66,7 @@ func tuneGemm(n, reps int, out string) {
 			if m.Pruned {
 				mark = "(pruned)"
 			}
-			fmt.Printf("%-8d %-12.4f %s\n", m.Param, m.Seconds, mark)
+			fmt.Fprintf(stdout, "%-8d %-12.4f %s\n", m.Param, m.Seconds, mark)
 		}
 		if res.Best >= 0 {
 			*p.field(&cur) = res.Best
@@ -75,22 +75,18 @@ func tuneGemm(n, reps int, out string) {
 
 	flops := 2 * float64(n) * float64(n) * float64(n)
 	best := measure(cur)
-	fmt.Printf("\nbest blocking: MR=%d NR=%d MC=%d KC=%d NC=%d (%.2f GF/s at n=%d)\n",
+	fmt.Fprintf(stdout, "\nbest blocking: MR=%d NR=%d MC=%d KC=%d NC=%d (%.2f GF/s at n=%d)\n",
 		cur.MR, cur.NR, cur.MC, cur.KC, cur.NC, flops/best/1e9, n)
 
 	if out != "" {
-		table, err := autotune.Load(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		entries := map[string]int{}
 		for _, p := range gemmParams {
-			table.Set(autotune.GlobalKey(p.key), *p.field(&cur))
+			entries[autotune.GlobalKey(p.key)] = *p.field(&cur)
 		}
-		if err := table.Save(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := update(out, entries); err != nil {
+			return err
 		}
-		fmt.Printf("saved global gemm.* keys to %s\n", out)
+		fmt.Fprintf(stdout, "saved global gemm.* keys to %s\n", out)
 	}
+	return nil
 }

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -25,25 +27,38 @@ import (
 )
 
 func main() {
-	op := flag.String("op", "cholesky", "operation to tune: cholesky, lu, qr, or gemm")
-	n := flag.Int("n", 1024, "problem size")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
-	reps := flag.Int("reps", 3, "repetitions per candidate (min is kept)")
-	out := flag.String("out", "", "tuning table JSON to update (optional)")
-	list := flag.String("nb", "16,32,48,64,96,128,192,256", "comma-separated tile sizes to try")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "exatune:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and executes one exatune invocation, writing its report
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("exatune", flag.ContinueOnError)
+	op := fs.String("op", "cholesky", "operation to tune: cholesky, lu, qr, or gemm")
+	n := fs.Int("n", 1024, "problem size")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size")
+	reps := fs.Int("reps", 3, "repetitions per candidate (min is kept)")
+	out := fs.String("out", "", "tuning table JSON to update (optional)")
+	list := fs.String("nb", "16,32,48,64,96,128,192,256", "comma-separated tile sizes to try")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *op == "gemm" {
 		// The GEMM blocking search sweeps its own per-parameter candidate
 		// lists (coordinate descent); -nb and -workers do not apply.
-		tuneGemm(*n, *reps, *out)
-		return
+		return tuneGemm(stdout, *n, *reps, *out)
 	}
 
 	candidates, err := parseList(*list)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -54,8 +69,7 @@ func main() {
 	case "lu", "qr":
 		aD = matgen.Dense[float64](rng, *n, *n)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown op %q\n", *op)
-		os.Exit(2)
+		return fmt.Errorf("unknown op %q", *op)
 	}
 
 	measure := func(nb int) float64 {
@@ -81,9 +95,9 @@ func main() {
 		})
 	}
 
-	fmt.Printf("tuning %s n=%d workers=%d (%d reps per candidate)\n\n", *op, *n, *workers, *reps)
+	fmt.Fprintf(stdout, "tuning %s n=%d workers=%d (%d reps per candidate)\n\n", *op, *n, *workers, *reps)
 	res := autotune.Search(candidates, *reps, measure)
-	fmt.Printf("%-6s %-12s %s\n", "nb", "seconds", "")
+	fmt.Fprintf(stdout, "%-6s %-12s %s\n", "nb", "seconds", "")
 	for _, m := range res.Table {
 		mark := ""
 		if m.Param == res.Best {
@@ -92,28 +106,33 @@ func main() {
 		if m.Pruned {
 			mark = "(pruned)"
 		}
-		fmt.Printf("%-6d %-12.4f %s\n", m.Param, m.Seconds, mark)
+		fmt.Fprintf(stdout, "%-6d %-12.4f %s\n", m.Param, m.Seconds, mark)
 	}
 	if res.Best < 0 {
-		fmt.Fprintln(os.Stderr, "no valid candidate")
-		os.Exit(1)
+		return errors.New("no valid candidate")
 	}
 	key := autotune.Key(*op, *n, *workers)
-	fmt.Printf("\n%s → nb=%d\n", key, res.Best)
+	fmt.Fprintf(stdout, "\n%s → nb=%d\n", key, res.Best)
 
 	if *out != "" {
-		table, err := autotune.Load(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := update(*out, map[string]int{key: res.Best}); err != nil {
+			return err
 		}
-		table.Set(key, res.Best)
-		if err := table.Save(*out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("saved to %s\n", *out)
+		fmt.Fprintf(stdout, "saved to %s\n", *out)
 	}
+	return nil
+}
+
+// update sets entries in the tuning table at path, creating it if absent.
+func update(path string, entries map[string]int) error {
+	table, err := autotune.Load(path)
+	if err != nil {
+		return err
+	}
+	for k, v := range entries {
+		table.Set(k, v)
+	}
+	return table.Save(path)
 }
 
 func parseList(s string) ([]int, error) {

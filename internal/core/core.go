@@ -49,6 +49,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 
 	"exadla/internal/blas"
@@ -67,6 +68,17 @@ func (e *errState) set(err error) {
 	e.mu.Lock()
 	if e.err == nil {
 		e.err = err
+	}
+	e.mu.Unlock()
+}
+
+// join records err after any error already recorded.
+func (e *errState) join(err error) {
+	e.mu.Lock()
+	if e.err == nil {
+		e.err = err
+	} else {
+		e.err = errors.Join(e.err, err)
 	}
 	e.mu.Unlock()
 }

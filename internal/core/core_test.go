@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +117,36 @@ func TestTileCholeskyForkJoin(t *testing.T) {
 	for name, mk := range schedulers(t) {
 		if r := choleskyResidual(t, 64, 16, true, mk); r > 30 {
 			t.Errorf("%s: fork-join residual %g", name, r)
+		}
+	}
+}
+
+// TestForkJoinReturnsTaskFailures kills every task attempt on a 1-worker
+// runtime: the fork–join walks must return the failures through their
+// error, as the dataflow walks do, instead of panicking at a barrier, and
+// the first failure must be the seq-0 panel task.
+func TestForkJoinReturnsTaskFailures(t *testing.T) {
+	const n, nb = 64, 16
+	walks := map[string]func(s sched.Scheduler, a *tile.Matrix[float64]) error{
+		"cholesky": func(s sched.Scheduler, a *tile.Matrix[float64]) error { return core.CholeskyForkJoin(s, a) },
+		"lu": func(s sched.Scheduler, a *tile.Matrix[float64]) error {
+			_, err := core.LUForkJoin(s, a)
+			return err
+		},
+	}
+	panel := map[string]string{"cholesky": "potrf", "lu": "getrf"}
+	for name, walk := range walks {
+		rng := rand.New(rand.NewSource(5))
+		a := tile.FromColMajor(n, n, matgen.DiagDomSPD[float64](rng, n), n, nb)
+		r := sched.New(1, sched.WithChaos(3, 1, nil))
+		err := walk(r, a)
+		r.Shutdown()
+		var fe *sched.FailuresError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s: fork-join walk returned %v, want a *sched.FailuresError", name, err)
+		}
+		if f := fe.Failures[0]; f.Seq != 0 || f.Kernel != panel[name] {
+			t.Errorf("%s: first failure is %q seq %d, want %q seq 0", name, f.Kernel, f.Seq, panel[name])
 		}
 	}
 }

@@ -410,7 +410,8 @@ func (noHooks) afterStep(sched.Scheduler, int)    {}
 // every in-process factorization driver. f is the op's side state (nil
 // allowed for the ops without one). With forkJoin set it drains each phase
 // before starting the next instead of relying on dataflow dependences
-// alone. The guards, if any, decorate and extend the walk (see guard).
+// alone, folding each phase's task failures into es. The guards, if any,
+// decorate and extend the walk (see guard).
 //
 // The trailing updates share one pack of each panel tile they read, held
 // in the returned table (see pack.go); the caller releases it after the
@@ -463,7 +464,7 @@ func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F]
 		}
 		last := n == len(prog)-1
 		if forkJoin && (last || prog[n+1].phase() != st.phase()) {
-			s.Wait()
+			drain(es, s)
 		}
 		if last || prog[n+1].K != st.K {
 			for _, g := range guards {

@@ -158,28 +158,30 @@ func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *Factors[f
 	return err
 }
 
-// finishErr is the common driver epilogue: drain the scheduler, then merge
-// the algorithm's own error state with the runtime's aggregated task
-// failures (when the scheduler has the error-returning wait, as
-// sched.Runtime and sched.Recorder do; a plain Scheduler just waits). A
-// sole error is returned unwrapped, preserving the historical concrete
-// error types (e.g. *lapack.NotPositiveDefiniteError) that callers
-// type-assert on.
+// finishErr is the common driver epilogue: drain the scheduler, then
+// return the algorithm's own error state merged with the runtime's
+// aggregated task failures. A sole error is returned unwrapped, preserving
+// the historical concrete error types (e.g. *lapack.NotPositiveDefiniteError)
+// that callers type-assert on.
 func finishErr(es *errState, s sched.Scheduler) error {
-	var werr error
-	if ew, ok := s.(sched.ErrorWaiter); ok {
-		werr = ew.WaitErr()
-	} else {
+	drain(es, s)
+	return es.get()
+}
+
+// drain waits for s and joins its aggregated task failures into es, when
+// the scheduler has the error-returning wait, as sched.Runtime and
+// sched.Recorder do; a plain Scheduler just waits. A fork–join walk drains
+// at every barrier, so a task failure there is the walk's error, not a
+// panic.
+func drain(es *errState, s sched.Scheduler) {
+	ew, ok := s.(sched.ErrorWaiter)
+	if !ok {
 		s.Wait()
+		return
 	}
-	err := es.get()
-	switch {
-	case err == nil:
-		return werr
-	case werr == nil:
-		return err
+	if err := ew.WaitErr(); err != nil {
+		es.join(err)
 	}
-	return errors.Join(err, werr)
 }
 
 // resilientState owns the checksum and parity storage of one protected

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -190,26 +189,6 @@ type workerState struct {
 
 func (w *workerState) live() bool { return !w.evicted && !w.byed }
 
-// heapItem orders ready tasks by descending priority, then plan order (the
-// tiebreak keeps lease order deterministic given the same event sequence).
-type heapItem struct{ id, prio int }
-
-type taskHeap []heapItem
-
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(a, b int) bool {
-	if h[a].prio != h[b].prio {
-		return h[a].prio > h[b].prio
-	}
-	return h[a].id < h[b].id
-}
-func (h taskHeap) Swap(a, b int)        { h[a], h[b] = h[b], h[a] }
-func (h *taskHeap) Push(x any)          { *h = append(*h, x.(heapItem)) }
-func (h *taskHeap) Pop() any            { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h taskHeap) peek() heapItem       { return h[0] }
-func (h *taskHeap) popItem() heapItem   { return heap.Pop(h).(heapItem) }
-func (h *taskHeap) pushItem(i heapItem) { heap.Push(h, i) }
-
 // Coordinator runs one distributed factorization. Create with
 // NewCoordinator (which binds the listener, so workers can join
 // immediately), then call Run.
@@ -223,9 +202,9 @@ type Coordinator struct {
 	st       *store
 	pl       *plan
 	fr       *sched.Frontier
-	heaps    []taskHeap // per grid slot when Strict, else heaps[0]
-	gated    []int      // ready tasks beyond the checkpoint window
-	window   int        // only tasks of panel steps < window may be leased
+	heaps    []sched.Ready[int] // ready task IDs per grid slot when Strict, else heaps[0]
+	gated    []int              // ready tasks beyond the checkpoint window
+	window   int                // only tasks of panel steps < window may be leased
 	fromStep int
 	leases   map[int]*lease
 	attempts map[int]int
@@ -337,7 +316,7 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	if opt.Strict {
 		nslots = opt.GridP * opt.GridQ
 	}
-	c.heaps = make([]taskHeap, nslots)
+	c.heaps = make([]sched.Ready[int], nslots)
 	c.slots = make([]int, opt.GridP*opt.GridQ)
 	for i := range c.slots {
 		c.slots[i] = -1
@@ -493,7 +472,8 @@ func (c *Coordinator) pushReadyLocked(id int) {
 	if c.opt.Strict {
 		slot = homeSlot(t, c.opt.GridP, c.opt.GridQ)
 	}
-	c.heaps[slot].pushItem(heapItem{id: id, prio: t.Priority(c.pl.steps)})
+	// The plan order is the submission order: the ID breaks priority ties.
+	c.heaps[slot].Push(id, t.Priority(c.pl.steps), id)
 }
 
 // liveCountLocked counts registered, non-evicted, non-departed workers.
@@ -513,36 +493,27 @@ func (c *Coordinator) liveCountLocked() int {
 // owner-computes model whenever the grid is fully populated.
 func (c *Coordinator) pickTaskLocked(w *workerState) (int, bool) {
 	if !c.opt.Strict {
-		if len(c.heaps[0]) == 0 {
-			return 0, false
-		}
-		return c.heaps[0].popItem().id, true
+		return c.popBestLocked(nil)
 	}
-	best, bestHeap := heapItem{prio: -1, id: -1}, -1
-	consider := func(s int) {
-		h := c.heaps[s]
-		if len(h) == 0 {
-			return
-		}
-		it := h.peek()
-		if bestHeap < 0 || it.prio > best.prio || (it.prio == best.prio && it.id < best.id) {
-			best, bestHeap = it, s
-		}
+	if w.slot >= 0 && c.heaps[w.slot].Len() > 0 {
+		return c.heaps[w.slot].Pop(), true
 	}
-	if w.slot >= 0 {
-		consider(w.slot)
-	}
-	if bestHeap < 0 {
-		for s := range c.heaps {
-			if c.slots[s] == -1 {
-				consider(s)
-			}
+	return c.popBestLocked(func(s int) bool { return c.slots[s] == -1 })
+}
+
+// popBestLocked pops the ready task that runs first across the heaps of
+// the slots eligible admits (every slot when eligible is nil).
+func (c *Coordinator) popBestLocked(eligible func(slot int) bool) (int, bool) {
+	best := -1
+	for s := range c.heaps {
+		if (eligible == nil || eligible(s)) && (best < 0 || c.heaps[s].Before(&c.heaps[best])) {
+			best = s
 		}
 	}
-	if bestHeap < 0 {
+	if best < 0 || c.heaps[best].Len() == 0 {
 		return 0, false
 	}
-	return c.heaps[bestHeap].popItem().id, true
+	return c.heaps[best].Pop(), true
 }
 
 // completeLocked retires a finished task (committed remotely or executed
@@ -842,22 +813,10 @@ func (c *Coordinator) localStepLocked(now time.Time) bool {
 		// before the fleet assembles would scramble the pinned placement.
 		return false
 	}
-	// Pick the globally best ready task across all heaps.
-	bestSlot := -1
-	var best heapItem
-	for s := range c.heaps {
-		if len(c.heaps[s]) == 0 {
-			continue
-		}
-		it := c.heaps[s].peek()
-		if bestSlot < 0 || it.prio > best.prio || (it.prio == best.prio && it.id < best.id) {
-			best, bestSlot = it, s
-		}
-	}
-	if bestSlot < 0 {
+	id, ok := c.popBestLocked(nil)
+	if !ok {
 		return false
 	}
-	id := c.heaps[bestSlot].popItem().id
 	t := &c.pl.tasks[id]
 	r, w := t.Accesses()
 	for _, cd := range append(r, w...) {
@@ -1002,7 +961,6 @@ func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	*reply = RegisterReply{
 		Worker: id, Slot: w.slot,
 		M: c.a.M, N: c.a.N, NB: c.a.NB,
-		Grid: c.opt.GridP * c.opt.GridQ, GridP: c.opt.GridP,
 		LeaseMS:     int(c.opt.Lease / time.Millisecond),
 		PollMS:      int(c.opt.Poll / time.Millisecond),
 		HeartbeatMS: int(c.opt.DeadAfter / (4 * time.Millisecond)),
@@ -1015,7 +973,7 @@ func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	if c.opt.Strict && w.slot >= 0 {
 		for i := 0; i < c.a.MT; i++ {
 			for j := 0; j < c.a.NT; j++ {
-				if (i%c.opt.GridP)*c.opt.GridQ+j%c.opt.GridQ == w.slot {
+				if cyclicSlot(i, j, c.opt.GridP, c.opt.GridQ) == w.slot {
 					reply.Scatter = append(reply.Scatter, [2]int{i, j})
 				}
 			}

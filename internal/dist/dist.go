@@ -58,9 +58,15 @@ func BlockCyclic[F interface{ ~float32 | ~float64 }](a *tile.Matrix[F], p, q int
 		if !ownsHandle(a, h) {
 			return 0, 0
 		}
-		return (i%p)*q + (j % q), a.TileRows(i) * a.TileCols(j)
+		return cyclicSlot(i, j, p, q), a.TileRows(i) * a.TileCols(j)
 	}
 }
+
+// cyclicSlot is the block-cyclic home of tile (i, j) on a p×q process
+// grid: process (i mod p)·q + (j mod q). BlockCyclic, ParityPlacement, the
+// coordinator's strict task homes and its scatter lists all place by it,
+// so live-run traffic and the Count model agree by construction.
+func cyclicSlot(i, j, p, q int) int { return (i%p)*q + j%q }
 
 // ownsHandle reports whether h names a tile of a (handles embed matrix
 // identity, so comparing against a freshly built handle suffices).
@@ -89,7 +95,7 @@ func ParityPlacement(nt, p, q int) Placement {
 		if !ok {
 			return 0, 0
 		}
-		return (eh.Row()%p)*q + (nt % q), eh.Words()
+		return cyclicSlot(eh.Row(), nt, p, q), eh.Words()
 	}
 }
 
@@ -105,6 +111,30 @@ func Merge(ps ...Placement) Placement {
 	}
 }
 
+// remote applies the owner-computes rule to one task: it runs on the home
+// of its first written handle, and every other operand homed elsewhere —
+// a read fetched, a further write shipped back — costs one message of that
+// operand's words. It returns the task's messages and words.
+func remote(n *sched.GraphNode, place Placement) (msgs, words int) {
+	proc := 0
+	if len(n.Writes) > 0 {
+		proc, _ = place(n.Writes[0]) // the task's own output is local by construction
+	}
+	count := func(hs []sched.Handle) {
+		for _, h := range hs {
+			if home, w := place(h); w > 0 && home != proc {
+				msgs++
+				words += w
+			}
+		}
+	}
+	count(n.Reads)
+	if len(n.Writes) > 1 {
+		count(n.Writes[1:])
+	}
+	return msgs, words
+}
+
 // CommDepth returns the number of remote transfers on the graph's longest
 // dependence chain — the latency-bound cost of the algorithm (how many
 // message rounds must happen in sequence, no matter how much bandwidth is
@@ -114,82 +144,42 @@ func Merge(ps ...Placement) Placement {
 func CommDepth(g *sched.Graph, place Placement) int {
 	depth := make([]int, len(g.Nodes))
 	best := 0
-	for i, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		d := 0
 		for _, dep := range n.Deps {
-			if depth[dep] > d {
-				d = depth[dep]
-			}
+			d = max(d, depth[dep])
 		}
 		if !n.Barrier {
-			proc := 0
-			if len(n.Writes) > 0 {
-				proc, _ = place(n.Writes[0])
-			}
-			for _, h := range n.Reads {
-				if home, words := place(h); words > 0 && home != proc {
-					d++
-				}
-			}
-			for i, h := range n.Writes {
-				if i == 0 {
-					continue
-				}
-				if home, words := place(h); words > 0 && home != proc {
-					d++
-				}
-			}
+			msgs, _ := remote(n, place)
+			d += msgs
 		}
 		depth[i] = d
-		if d > best {
-			best = d
-		}
+		best = max(best, d)
 	}
 	return best
 }
 
 // Count replays a recorded graph under the placement with the static
-// owner-computes rule: each task executes on the home process of its first
-// written handle; every other operand homed elsewhere costs one message of
-// that tile's words (remote reads are fetched, remote writes shipped back).
-// Tasks are charged per access — each task fetches fresh operands, since in
-// a factorization almost every operand was rewritten since any earlier
-// fetch.
+// owner-computes rule (see remote), skipping barriers. Tasks are charged
+// per access — each task fetches fresh operands, since in a factorization
+// almost every operand was rewritten since any earlier fetch.
 func Count(g *sched.Graph, processes int, place Placement) CommStats {
 	stats := CommStats{Processes: processes, ByKernel: map[string]int{}}
-	for _, n := range g.Nodes {
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.Barrier {
 			continue
 		}
-		proc := 0
-		if len(n.Writes) > 0 {
-			proc, _ = place(n.Writes[0])
-		}
-		remote := false
-		count := func(h sched.Handle) {
-			home, words := place(h)
-			if words == 0 || home == proc {
-				return
-			}
-			stats.Messages++
-			stats.Words += words
-			stats.ByKernel[n.Name] += words
-			remote = true
-		}
-		for _, h := range n.Reads {
-			count(h)
-		}
-		for i, h := range n.Writes {
-			if i == 0 {
-				continue // the task's own output is local by construction
-			}
-			count(h)
-		}
-		if remote {
-			stats.RemoteTasks++
-		} else {
+		msgs, words := remote(n, place)
+		if msgs == 0 {
 			stats.LocalTasks++
+			continue
 		}
+		stats.RemoteTasks++
+		stats.Messages += msgs
+		stats.Words += words
+		stats.ByKernel[n.Name] += words
 	}
 	return stats
 }

@@ -55,10 +55,8 @@ func makePlan(op string, nt, fromStep int) *plan {
 }
 
 // homeSlot is the block-cyclic owner of a task: the process-grid slot of
-// its first written tile, matching BlockCyclic so live-run placement and
-// the replay cost model agree tile for tile.
+// its first written tile.
 func homeSlot(t *TaskSpec, p, q int) int {
 	_, w := t.Accesses()
-	c := w[0]
-	return (c[0]%p)*q + c[1]%q
+	return cyclicSlot(w[0][0], w[0][1], p, q)
 }

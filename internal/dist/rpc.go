@@ -89,8 +89,6 @@ type RegisterReply struct {
 	Slot   int // process-grid slot owned (block-cyclic placement), -1 if none free
 	M, N   int
 	NB     int
-	Grid   int // total grid slots (P)
-	GridP  int // grid rows; columns are Grid/GridP
 	// LeaseMS and PollMS are the lease duration and the idle re-poll
 	// interval the coordinator wants this worker to use.
 	LeaseMS int

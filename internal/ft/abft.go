@@ -66,16 +66,18 @@ func DetectTol(norm float64, n int) float64 {
 // ProtectedGemm computes C = A·B (A m×k, B k×n) with Huang–Abraham
 // checksums: A is extended with plain and row-weighted checksum rows, so
 // the product carries column checksums of C. Verify the result with
-// Verify, which locates single corrupted entries per column.
+// Verify, which locates single corrupted entries per column by the tile
+// verifier's rule (VerifyColSums).
 type ProtectedGemm struct {
 	M, N, K int
 	// C is the m×n product.
 	C []float64
-	// Sum[j] and Weighted[j] carry eᵀC and wᵀC (w_i = i+1) per column.
-	Sum, Weighted []float64
+	// Sums carries C's column checksums in ColSums' layout: Sums[2j] = eᵀC
+	// and Sums[2j+1] = wᵀC (w_i = i+1) for column j.
+	Sums []float64
 	// Norm bounds the magnitude of C's entries (max|A|·max|B|·k), set by
 	// Gemm and consumed by Verify's scaled detection tolerance. Zero means
-	// unknown: Verify falls back to the per-column scale and legacy floor.
+	// unknown: Verify then uses DetectTol's legacy floor.
 	Norm float64
 }
 
@@ -111,54 +113,28 @@ func Gemm(m, n, k int, a []float64, lda int, b []float64, ldb int) *ProtectedGem
 	cext := make([]float64, (m+2)*n)
 	blas.Gemm(blas.NoTrans, blas.NoTrans, m+2, n, k, 1, ext, m+2, b, ldb, 0, cext, m+2)
 	p := &ProtectedGemm{M: m, N: n, K: k,
-		C:        make([]float64, m*n),
-		Sum:      make([]float64, n),
-		Weighted: make([]float64, n),
-		Norm:     maxA * maxB * float64(k),
+		C:    make([]float64, m*n),
+		Sums: make([]float64, 2*n),
+		Norm: maxA * maxB * float64(k),
 	}
 	for j := 0; j < n; j++ {
 		copy(p.C[j*m:j*m+m], cext[j*(m+2):j*(m+2)+m])
-		p.Sum[j] = cext[m+j*(m+2)]
-		p.Weighted[j] = cext[m+1+j*(m+2)]
+		copy(p.Sums[2*j:2*j+2], cext[m+j*(m+2):])
 	}
 	return p
 }
 
-// Verify checks every column's checksums against the data, returning the
-// located faults (at most one per column is assumed, the standard ABFT
-// fault model). It does not modify C.
+// Verify checks every column's checksums against the data, returning one
+// Fault per column that fails (at most one corrupted entry per column is
+// assumed, the standard ABFT fault model). A fault outside that model — a
+// located row out of range, or a NaN — is reported with Row = -1. It does
+// not modify C.
 func (p *ProtectedGemm) Verify() []Fault {
-	var faults []Fault
-	for j := 0; j < p.N; j++ {
-		col := p.C[j*p.M : j*p.M+p.M]
-		var s, ws, scale float64
-		for i, v := range col {
-			s += v
-			ws += float64(i+1) * v
-			if av := math.Abs(v); av > scale {
-				scale = av
-			}
-		}
-		ds := s - p.Sum[j]
-		dw := ws - p.Weighted[j]
-		tol := DetectTol(math.Max(p.Norm, scale+1), p.M+p.K)
-		if math.Abs(ds) <= tol {
-			continue
-		}
-		// Single-error location: dw/ds = (row+1).
-		row := int(math.Round(dw/ds)) - 1
-		if row < 0 || row >= p.M {
-			row = 0 // fault outside the single-error model; clamp
-		}
-		faults = append(faults, Fault{Row: row, Col: j, Delta: ds})
-	}
-	return faults
+	return VerifyColSums(p.M, p.N, p.C, p.M, p.Sums, DetectTol(p.Norm, p.M+p.K))
 }
 
-// Correct repairs the given faults in place and returns the count.
+// Correct repairs the located faults in place, skipping those with
+// Row = -1, and returns how many it repaired.
 func (p *ProtectedGemm) Correct(faults []Fault) int {
-	for _, f := range faults {
-		p.C[f.Row+f.Col*p.M] -= f.Delta
-	}
-	return len(faults)
+	return CorrectColSums(p.C, p.M, faults)
 }

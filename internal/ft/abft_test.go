@@ -109,6 +109,40 @@ func TestProtectedGemmMultiColumnFaults(t *testing.T) {
 	}
 }
 
+// TestProtectedGemmUnlocatable pins Verify and Correct to the tile
+// verifier's rule for faults outside the single-error model: two
+// corruptions in one column (whose weighted ratio points outside C) and a
+// NaN are reported with Row = -1, and Correct leaves C as it was rather
+// than editing an innocent entry.
+func TestProtectedGemmUnlocatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m, n, k := 6, 3, 4
+	a := matgen.Dense[float64](rng, m, k)
+	b := matgen.Dense[float64](rng, k, n)
+	p := ft.Gemm(m, n, k, a, m, b, k)
+	p.C[0+1*m] += 2
+	p.C[3+1*m]--
+	p.C[2+0*m] = math.NaN()
+	before := append([]float64(nil), p.C...)
+	faults := p.Verify()
+	if len(faults) != 2 {
+		t.Fatalf("detected %v, want a fault in columns 0 and 1", faults)
+	}
+	for _, f := range faults {
+		if f.Row != -1 {
+			t.Errorf("fault %v located at row %d, want unlocatable (-1)", f, f.Row)
+		}
+	}
+	if c := p.Correct(faults); c != 0 {
+		t.Errorf("Correct repaired %d entries, want 0", c)
+	}
+	for i := range before {
+		if math.Float64bits(p.C[i]) != math.Float64bits(before[i]) {
+			t.Errorf("Correct changed C[%d] from %g to %g", i, before[i], p.C[i])
+		}
+	}
+}
+
 func TestInjectorRecordsFaults(t *testing.T) {
 	inj := ft.NewInjector(1)
 	data := []float64{1, 2, 3, 4}

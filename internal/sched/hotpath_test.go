@@ -12,6 +12,11 @@ import (
 // queue, the work-stealing dequeue, the slab allocator, and the claim that
 // steady-state dispatch does not allocate.
 
+// nodeRunsBefore is the ready order on two nodes.
+func nodeRunsBefore(a, b *node) bool {
+	return runsBefore(a.task.Priority, a.seq, b.task.Priority, b.seq)
+}
+
 // TestReadyShardPriorityOrder drains a shard filled with random priorities
 // and checks the pops come out in (priority desc, seq asc) order.
 func TestReadyShardPriorityOrder(t *testing.T) {
@@ -26,7 +31,7 @@ func TestReadyShardPriorityOrder(t *testing.T) {
 			s.push(nodes[i])
 		}
 		want := append([]*node(nil), nodes...)
-		sort.SliceStable(want, func(i, j int) bool { return runsBefore(want[i], want[j]) })
+		sort.SliceStable(want, func(i, j int) bool { return nodeRunsBefore(want[i], want[j]) })
 		for i := 0; i < n; i++ {
 			got := s.pop()
 			if got == nil {
@@ -48,7 +53,7 @@ func TestReadyShardPriorityOrder(t *testing.T) {
 func TestReadyShardInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var s readyShard
-	var model []*node // kept sorted ascending by runsBefore (best last)
+	var model []*node // kept sorted ascending by the ready order (best last)
 	seq := 0
 	for step := 0; step < 5000; step++ {
 		if len(model) == 0 || rng.Intn(2) == 0 {
@@ -57,7 +62,7 @@ func TestReadyShardInterleaved(t *testing.T) {
 			seq++
 			s.push(n)
 			model = append(model, n)
-			sort.SliceStable(model, func(i, j int) bool { return runsBefore(model[j], model[i]) })
+			sort.SliceStable(model, func(i, j int) bool { return nodeRunsBefore(model[j], model[i]) })
 		} else {
 			got := s.pop()
 			want := model[len(model)-1]

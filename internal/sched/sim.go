@@ -1,7 +1,5 @@
 package sched
 
-import "container/heap"
-
 // SimResult summarizes a simulated execution of a recorded graph.
 type SimResult struct {
 	// Makespan is the simulated wall-clock time in seconds.
@@ -31,8 +29,10 @@ type SimEvent struct {
 
 // Simulate replays a recorded graph under the given number of virtual
 // workers using event-driven greedy list scheduling: whenever a worker is
-// free, it takes the highest-priority ready task (FIFO tie-break). This is
-// the same policy the real Runtime uses, so simulated scaling reflects what
+// free, it takes the ready task that runs first in the Runtime's ready
+// order (Ready: higher priority first, then submission order, so
+// equal-priority tasks start first in, first out, roots included). Idle
+// workers take tasks lowest ID first. Simulated scaling thus reflects what
 // the runtime would do on a machine with that many cores.
 func Simulate(g *Graph, workers int) SimResult {
 	res, _ := simulate(g, workers, false)
@@ -62,109 +62,73 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []SimEvent) {
 			succs[d] = append(succs[d], i)
 		}
 	}
-	var ready simReadyQueue // deps met
-	var running simRunningQueue
+	var ready Ready[int] // deps met, keyed by (priority, node index)
 	readyAt := make([]float64, n)
 	for i := range g.Nodes {
 		if indeg[i] == 0 {
-			heap.Push(&ready, simTask{idx: i, prio: g.Nodes[i].Priority})
+			ready.Push(i, g.Nodes[i].Priority, i)
 		}
 	}
 
-	// Free-worker IDs for event attribution.
-	freeIDs := make([]int, workers)
-	for i := range freeIDs {
-		freeIDs[i] = workers - 1 - i // pop order: 0, 1, 2, ...
+	// running[w] is the node worker w executes (-1 when idle) and
+	// finish[w] when it completes.
+	running := make([]int, workers)
+	finish := make([]float64, workers)
+	for w := range running {
+		running[w] = -1
 	}
 	var events []SimEvent
 
 	now := 0.0
-	var makespan, busy float64
+	var busy float64
 	for {
-		// Start as many ready tasks as there are free workers.
-		for len(freeIDs) > 0 && ready.Len() > 0 {
-			t := heap.Pop(&ready).(simTask)
-			w := freeIDs[len(freeIDs)-1]
-			freeIDs = freeIDs[:len(freeIDs)-1]
-			cost := g.Nodes[t.idx].Cost
-			finish := now + cost
-			heap.Push(&running, simEvent{time: finish, idx: t.idx, worker: w})
+		// Start ready tasks on the idle workers.
+		for w := 0; w < workers && ready.Len() > 0; w++ {
+			if running[w] >= 0 {
+				continue
+			}
+			i := ready.Pop()
+			cost := g.Nodes[i].Cost
+			running[w], finish[w] = i, now+cost
 			busy += cost
-			if record && !g.Nodes[t.idx].Barrier {
+			if record && !g.Nodes[i].Barrier {
 				events = append(events, SimEvent{
-					ID: t.idx, Name: g.Nodes[t.idx].Name, Worker: w,
-					Ready: readyAt[t.idx], Start: now, End: finish,
+					ID: i, Name: g.Nodes[i].Name, Worker: w,
+					Ready: readyAt[i], Start: now, End: finish[w],
 				})
 			}
 		}
-		if running.Len() == 0 {
-			break // nothing running and nothing ready: done
-		}
-		now = running[0].time
-		// Complete everything finishing at 'now'.
-		for running.Len() > 0 && running[0].time <= now {
-			ev := heap.Pop(&running).(simEvent)
-			freeIDs = append(freeIDs, ev.worker)
-			if ev.time > makespan {
-				makespan = ev.time
+		// Advance to the earliest finish; nothing running means done.
+		next := -1
+		for w, i := range running {
+			if i >= 0 && (next < 0 || finish[w] < finish[next]) {
+				next = w
 			}
-			for _, s := range succs[ev.idx] {
+		}
+		if next < 0 {
+			break
+		}
+		now = finish[next]
+		// Complete everything finishing at 'now'.
+		for w, i := range running {
+			if i < 0 || finish[w] > now {
+				continue
+			}
+			running[w] = -1
+			for _, s := range succs[i] {
 				indeg[s]--
 				if indeg[s] == 0 {
 					readyAt[s] = now
-					heap.Push(&ready, simTask{idx: s, prio: g.Nodes[s].Priority, seq: s})
+					ready.Push(s, g.Nodes[s].Priority, s)
 				}
 			}
 		}
 	}
-	res := SimResult{Makespan: makespan, Busy: busy, Workers: workers}
-	if makespan > 0 {
-		res.Utilization = busy / (float64(workers) * makespan)
+	res := SimResult{Makespan: now, Busy: busy, Workers: workers}
+	if now > 0 {
+		res.Utilization = busy / (float64(workers) * now)
 	} else {
 		res.Utilization = 1
 	}
 	return res, events
-}
-
-type simTask struct {
-	idx  int
-	prio int
-	seq  int
-}
-
-type simReadyQueue []simTask
-
-func (q simReadyQueue) Len() int { return len(q) }
-func (q simReadyQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio > q[j].prio
-	}
-	return q[i].seq < q[j].seq
-}
-func (q simReadyQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *simReadyQueue) Push(x any)   { *q = append(*q, x.(simTask)) }
-func (q *simReadyQueue) Pop() any {
-	old := *q
-	t := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return t
-}
-
-type simEvent struct {
-	time   float64
-	idx    int
-	worker int
-}
-
-type simRunningQueue []simEvent
-
-func (q simRunningQueue) Len() int           { return len(q) }
-func (q simRunningQueue) Less(i, j int) bool { return q[i].time < q[j].time }
-func (q simRunningQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *simRunningQueue) Push(x any)        { *q = append(*q, x.(simEvent)) }
-func (q *simRunningQueue) Pop() any {
-	old := *q
-	t := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return t
 }

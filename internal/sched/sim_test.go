@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -227,5 +228,31 @@ func TestSimulateEmptyGraph(t *testing.T) {
 	res := Simulate(&Graph{}, 4)
 	if res.Makespan != 0 {
 		t.Errorf("empty graph makespan %v", res.Makespan)
+	}
+}
+
+// TestSimulateRootsFIFO pins the ready order's tie rule on roots: one
+// worker starts equal-priority ready tasks in submission order, as the
+// Runtime does, and a higher priority still runs first.
+func TestSimulateRootsFIFO(t *testing.T) {
+	for _, tc := range []struct {
+		prio []int
+		want []int
+	}{
+		{[]int{0, 0, 0, 0, 0}, []int{0, 1, 2, 3, 4}},
+		{[]int{1, 0, 2, 0, 2}, []int{2, 4, 0, 1, 3}},
+	} {
+		g := &Graph{}
+		for _, p := range tc.prio {
+			g.Nodes = append(g.Nodes, GraphNode{Name: "t", Cost: 1, Priority: p})
+		}
+		_, events := SimulateEvents(g, 1)
+		var got []int
+		for _, e := range events {
+			got = append(got, e.ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("priorities %v: start order %v, want %v", tc.prio, got, tc.want)
+		}
 	}
 }

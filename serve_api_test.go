@@ -70,11 +70,14 @@ func TestServeAPIShedType(t *testing.T) {
 		return exadla.ServeJob{Op: exadla.ServeSolveSPD, N: n, NRHS: 1,
 			A: matgen.DiagDomSPD[float64](rng, n), B: matgen.Dense[float64](rng, n, 1)}
 	}
-	first, err := s.Submit("t", job())
+	// Both operands are drawn before the first Submit, so nothing but the
+	// second Submit runs while the first job must still be pending.
+	j1, j2 := job(), job()
+	first, err := s.Submit("t", j1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Submit("t", job())
+	_, err = s.Submit("t", j2)
 	var shed *exadla.ServeShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("overload returned %T (%v), want *exadla.ServeShedError", err, err)
