@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,53 +37,67 @@ import (
 )
 
 func main() {
-	serve := flag.String("serve", "", "serve a coordinator on this host:port")
-	join := flag.String("join", "", "join the coordinator at this host:port as a worker")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "exadist:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs one coordinator (-serve) or worker (-join),
+// writing its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("exadist", flag.ContinueOnError)
+	serve := fs.String("serve", "", "serve a coordinator on this host:port")
+	join := fs.String("join", "", "join the coordinator at this host:port as a worker")
 
 	// Serve-side flags.
-	op := flag.String("op", "cholesky", "operation: cholesky or lunp (LU without pivoting)")
-	n := flag.Int("n", 1024, "matrix order")
-	nb := flag.Int("nb", exadla.DefaultTileSize, "tile size")
-	seed := flag.Int64("seed", 1, "matrix generator seed")
-	minWorkers := flag.Int("min-workers", 0, "fleet size below which the coordinator computes locally")
-	waitWorkers := flag.Int("wait-workers", 0, "hold task leasing until this many workers registered")
-	gridP := flag.Int("grid-p", 0, "process grid rows (with -strict)")
-	gridQ := flag.Int("grid-q", 0, "process grid columns (with -strict)")
-	strict := flag.Bool("strict", false, "strict owner-computes placement (byte-exact vs the replay cost model)")
-	writeBack := flag.Bool("writeback", false, "write-back residency: drop finalized tiles to worker caches, keep XOR parity")
-	lease := flag.Duration("lease", 2*time.Second, "task lease duration")
-	deadAfter := flag.Duration("dead-after", 1500*time.Millisecond, "heartbeat silence before a worker is declared dead")
-	spec := flag.Bool("spec", false, "speculative execution: twin leases running long vs their kernel's duration history onto idle workers")
-	scrub := flag.Duration("scrub", 0, "background integrity scrub interval (0 disables); repairs at-rest tile rot from row parity")
-	ckptDir := flag.String("ckpt", "", "checkpoint directory (arms snapshots; use -resume to restart)")
-	ckptEvery := flag.Int("ckpt-every", 1, "panel steps between checkpoints")
-	resume := flag.Bool("resume", false, "resume from the newest checkpoint in -ckpt instead of starting fresh")
-	verify := flag.Bool("verify", false, "after the run, factor the same matrix single-process and compare bitwise")
-	obsAddr := flag.String("obs", "", "serve live observability on this host:port (serve side: /metrics, /dist, /trace of the merged cluster; join side: /healthz, /trace of the worker mirror, pprof)")
-	traceOut := flag.String("trace-out", "", "after the run, write the merged cluster trace (Chrome/Perfetto JSON) here")
-	eventsOut := flag.String("events-out", "", "after the run, write the merged cluster trace in the native events format (for exatrace -cluster) here")
-	logEvents := flag.Bool("log-events", false, "log structured cluster fault events (evictions, reaps, stale commits, wire chaos) to stderr")
+	op := fs.String("op", "cholesky", "operation: cholesky or lunp (LU without pivoting)")
+	n := fs.Int("n", 1024, "matrix order")
+	nb := fs.Int("nb", exadla.DefaultTileSize, "tile size")
+	seed := fs.Int64("seed", 1, "matrix generator seed")
+	minWorkers := fs.Int("min-workers", 0, "fleet size below which the coordinator computes locally")
+	waitWorkers := fs.Int("wait-workers", 0, "hold task leasing until this many workers registered")
+	gridP := fs.Int("grid-p", 0, "process grid rows (with -strict)")
+	gridQ := fs.Int("grid-q", 0, "process grid columns (with -strict)")
+	strict := fs.Bool("strict", false, "strict owner-computes placement (byte-exact vs the replay cost model)")
+	writeBack := fs.Bool("writeback", false, "write-back residency: drop finalized tiles to worker caches, keep XOR parity")
+	lease := fs.Duration("lease", 2*time.Second, "task lease duration")
+	deadAfter := fs.Duration("dead-after", 1500*time.Millisecond, "heartbeat silence before a worker is declared dead")
+	spec := fs.Bool("spec", false, "speculative execution: twin leases running long vs their kernel's duration history onto idle workers")
+	scrub := fs.Duration("scrub", 0, "background integrity scrub interval (0 disables); repairs at-rest tile rot from row parity")
+	ckptDir := fs.String("ckpt", "", "checkpoint directory (arms snapshots; use -resume to restart)")
+	ckptEvery := fs.Int("ckpt-every", 1, "checkpoint after every Nth panel step, placed as the in-process drivers place them (none after the last step)")
+	resume := fs.Bool("resume", false, "resume from the newest checkpoint in -ckpt instead of starting fresh")
+	verify := fs.Bool("verify", false, "after the run, factor the same matrix single-process and compare bitwise")
+	obsAddr := fs.String("obs", "", "serve live observability on this host:port (serve side: /metrics, /dist, /trace of the merged cluster; join side: /healthz, /trace of the worker mirror, pprof)")
+	traceOut := fs.String("trace-out", "", "after the run, write the merged cluster trace (Chrome/Perfetto JSON) here")
+	eventsOut := fs.String("events-out", "", "after the run, write the merged cluster trace in the native events format (for exatrace -cluster) here")
+	logEvents := fs.Bool("log-events", false, "log structured cluster fault events (evictions, reaps, stale commits, wire chaos) to stderr")
 
 	// Join-side fault hooks.
-	killAfter := flag.Int("kill-after", 0, "exit(137) upon being granted the Nth task (simulated SIGKILL)")
-	hangAfter := flag.Int("hang-after", 0, "hang upon the Nth granted task, heartbeats still flowing")
-	hangFor := flag.Duration("hang-for", 3*time.Second, "hang duration for -hang-after")
-	drop := flag.Float64("drop", 0, "probability of dropping an RPC request or reply")
-	dup := flag.Float64("dup", 0, "probability of duplicating an RPC")
-	delay := flag.Float64("delay", 0, "probability of delaying an RPC by -max-delay")
-	maxDelay := flag.Duration("max-delay", 5*time.Millisecond, "injected RPC latency")
-	corrupt := flag.Float64("corrupt", 0, "probability of flipping one payload bit in a tile in flight")
-	partAfter := flag.Duration("partition-after", 0, "silence every RPC starting this long after the worker connects")
-	partFor := flag.Duration("partition-for", 0, "partition window length; the worker rejoins when it closes")
-	slow := flag.Float64("slow", 0, "straggler factor: pad every kernel to this multiple of its measured duration")
-	rejoinWindow := flag.Duration("rejoin-window", 0, "keep re-registering after losing the coordinator for this long (default: derived from the partition window)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the wire-fault injector")
-	flag.Parse()
+	killAfter := fs.Int("kill-after", 0, "exit(137) upon being granted the Nth task (simulated SIGKILL)")
+	hangAfter := fs.Int("hang-after", 0, "hang upon the Nth granted task, heartbeats still flowing")
+	hangFor := fs.Duration("hang-for", 3*time.Second, "hang duration for -hang-after")
+	drop := fs.Float64("drop", 0, "probability of dropping an RPC request or reply")
+	dup := fs.Float64("dup", 0, "probability of duplicating an RPC")
+	delay := fs.Float64("delay", 0, "probability of delaying an RPC by -max-delay")
+	maxDelay := fs.Duration("max-delay", 5*time.Millisecond, "injected RPC latency")
+	corrupt := fs.Float64("corrupt", 0, "probability of flipping one payload bit in a tile in flight")
+	partAfter := fs.Duration("partition-after", 0, "silence every RPC starting this long after the worker connects")
+	partFor := fs.Duration("partition-for", 0, "partition window length; the worker rejoins when it closes")
+	slow := fs.Float64("slow", 0, "straggler factor: pad every kernel to this multiple of its measured duration")
+	rejoinWindow := fs.Duration("rejoin-window", 0, "keep re-registering after losing the coordinator for this long (default: derived from the partition window)")
+	chaosSeed := fs.Int64("chaos-seed", 1, "seed for the wire-fault injector")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	switch {
 	case *serve != "" && *join != "":
-		fmt.Fprintln(os.Stderr, "exadist: -serve and -join are mutually exclusive")
-		os.Exit(2)
+		return errors.New("-serve and -join are mutually exclusive")
 	case *join != "":
 		opt := dist.WorkerOptions{
 			Chaos: dist.NetChaos{
@@ -114,19 +129,18 @@ func main() {
 			opt.Trace = tl
 			srv, err := obs.Start(*obsAddr, obs.Options{Trace: func() *trace.Log { return tl }})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "exadist:", err)
-				os.Exit(1)
+				return err
 			}
 			defer srv.Close()
 			fmt.Fprintf(os.Stderr, "worker observability on http://%s/healthz\n", srv.Addr())
 		}
 		if err := dist.RunWorker(*join, opt); err != nil {
-			fmt.Fprintln(os.Stderr, "exadist:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println("exadist: job complete, worker done")
+		fmt.Fprintln(stdout, "exadist: job complete, worker done")
+		return nil
 	case *serve != "":
-		if err := runServe(*serve, serveConfig{
+		return runServe(stdout, *serve, serveConfig{
 			op: *op, n: *n, nb: *nb, seed: *seed,
 			minWorkers: *minWorkers, waitWorkers: *waitWorkers,
 			gridP: *gridP, gridQ: *gridQ, strict: *strict, writeBack: *writeBack,
@@ -135,14 +149,10 @@ func main() {
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
 			verify: *verify, obsAddr: *obsAddr,
 			traceOut: *traceOut, eventsOut: *eventsOut, logEvents: *logEvents,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "exadist:", err)
-			os.Exit(1)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
+		})
 	}
+	fs.Usage()
+	return errors.New("one of -serve or -join is required")
 }
 
 type serveConfig struct {
@@ -164,7 +174,7 @@ type serveConfig struct {
 	logEvents               bool
 }
 
-func runServe(addr string, cfg serveConfig) error {
+func runServe(stdout io.Writer, addr string, cfg serveConfig) error {
 	var distOp string
 	switch cfg.op {
 	case "cholesky":
@@ -212,10 +222,10 @@ func runServe(addr string, cfg serveConfig) error {
 			return err
 		}
 		defer srv.Close()
-		fmt.Printf("observability on http://%s/metrics /dist /trace\n", srv.Addr())
+		fmt.Fprintf(stdout, "observability on http://%s/metrics /dist /trace\n", srv.Addr())
 	}
 
-	fmt.Printf("coordinator on %s: %s n=%d nb=%d (ctrl-c to abandon)\n", job.Addr(), cfg.op, cfg.n, cfg.nb)
+	fmt.Fprintf(stdout, "coordinator on %s: %s n=%d nb=%d (ctrl-c to abandon)\n", job.Addr(), cfg.op, cfg.n, cfg.nb)
 	t0 := time.Now()
 	got, err := job.Run()
 	wall := time.Since(t0)
@@ -223,21 +233,21 @@ func runServe(addr string, cfg serveConfig) error {
 		return err
 	}
 	s := job.Stats()
-	fmt.Printf("done in %v\n", wall)
-	fmt.Printf("  workers: %d joined, %d lost; leases: %d granted, %d expired\n",
+	fmt.Fprintf(stdout, "done in %v\n", wall)
+	fmt.Fprintf(stdout, "  workers: %d joined, %d lost; leases: %d granted, %d expired\n",
 		s.WorkersJoined, s.WorkersLost, s.LeasesGranted, s.LeasesExpired)
-	fmt.Printf("  tasks: %d done (%d re-executed, %d local); commits: %d rejected, %d duplicate\n",
+	fmt.Fprintf(stdout, "  tasks: %d done (%d re-executed, %d local); commits: %d rejected, %d duplicate\n",
 		s.TasksCompleted, s.TasksReexecuted, s.TasksLocal, s.CommitsRejected, s.CommitsDuplicate)
-	fmt.Printf("  traffic: %d B fetched, %d B committed, %d B scattered, %d RPC retries\n",
+	fmt.Fprintf(stdout, "  traffic: %d B fetched, %d B committed, %d B scattered, %d RPC retries\n",
 		s.BytesFetched, s.BytesCommitted, s.BytesScattered, s.RPCRetries)
-	fmt.Printf("  recovery: %d tiles reconstructed, %d checkpoints, %d workers rejoined\n",
+	fmt.Fprintf(stdout, "  recovery: %d tiles reconstructed, %d checkpoints, %d workers rejoined\n",
 		s.TilesRebuilt, s.CheckpointsSaved, s.WorkersRejoined)
 	if s.SpecLaunched > 0 {
-		fmt.Printf("  speculation: %d twins launched, %d won, %d wasted\n",
+		fmt.Fprintf(stdout, "  speculation: %d twins launched, %d won, %d wasted\n",
 			s.SpecLaunched, s.SpecWins, s.SpecWasted)
 	}
 	if s.CorruptInjected+s.CorruptCommits+s.CorruptGets+s.AtRestDetected > 0 || s.ScrubScanned > 0 {
-		fmt.Printf("  integrity: %d corruptions injected, %d caught at commit, %d caught at fetch; scrub scanned %d tiles, repaired %d/%d rotted\n",
+		fmt.Fprintf(stdout, "  integrity: %d corruptions injected, %d caught at commit, %d caught at fetch; scrub scanned %d tiles, repaired %d/%d rotted\n",
 			s.CorruptInjected, s.CorruptCommits, s.CorruptGets, s.ScrubScanned, s.AtRestRepaired, s.AtRestDetected)
 	}
 
@@ -245,18 +255,18 @@ func runServe(addr string, cfg serveConfig) error {
 		if err := writeFileWith(cfg.traceOut, job.WriteClusterTrace); err != nil {
 			return fmt.Errorf("write -trace-out: %w", err)
 		}
-		fmt.Printf("  merged cluster trace: %s (load at ui.perfetto.dev)\n", cfg.traceOut)
+		fmt.Fprintf(stdout, "  merged cluster trace: %s (load at ui.perfetto.dev)\n", cfg.traceOut)
 	}
 	if cfg.eventsOut != "" {
 		if err := writeFileWith(cfg.eventsOut, job.WriteClusterEvents); err != nil {
 			return fmt.Errorf("write -events-out: %w", err)
 		}
-		fmt.Printf("  merged cluster events: %s (summarize with exatrace -cluster)\n", cfg.eventsOut)
+		fmt.Fprintf(stdout, "  merged cluster events: %s (summarize with exatrace -cluster)\n", cfg.eventsOut)
 	}
 
 	if cfg.verify {
 		if a == nil {
-			fmt.Println("verify: skipped (resumed run has no reference input)")
+			fmt.Fprintln(stdout, "verify: skipped (resumed run has no reference input)")
 			return nil
 		}
 		want, err := localFactor(distOp, a, cfg.nb)
@@ -274,7 +284,7 @@ func runServe(addr string, cfg serveConfig) error {
 				}
 			}
 		}
-		fmt.Println("verify: bitwise identical to the single-process factorization")
+		fmt.Fprintln(stdout, "verify: bitwise identical to the single-process factorization")
 	}
 	return nil
 }

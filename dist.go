@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"time"
 
+	"exadla/internal/core"
 	"exadla/internal/dist"
 	"exadla/internal/metrics"
 	"exadla/internal/obs"
@@ -96,8 +97,11 @@ type DistConfig struct {
 	// coordinator re-verifies stored tiles against their at-rest CRCs at
 	// this interval, repairing detected rot from row parity.
 	ScrubEvery time.Duration
-	// CheckpointDir, when set, arms per-panel-window snapshots (every
-	// CheckpointEvery steps, minimum 1) from which ResumeDist restarts.
+	// CheckpointDir, when set, arms checkpoints after every
+	// CheckpointEvery-th panel step (minimum 1), placed by the rule the
+	// in-process drivers follow: the frontier after the last step is the
+	// finished factor and gets none. ResumeDist restarts from them, and
+	// Context.Resume reads them too.
 	CheckpointDir   string
 	CheckpointEvery int
 	// Metrics publishes the job's counters to the process-global metrics
@@ -124,8 +128,9 @@ func (cfg DistConfig) options(a *tile.Matrix[float64]) dist.Options {
 		DeadAfter:   cfg.DeadAfter,
 		Speculate:   cfg.Speculate,
 		ScrubEvery:  cfg.ScrubEvery,
-		CkptDir:     cfg.CheckpointDir,
-		CkptEvery:   cfg.CheckpointEvery,
+	}
+	if cfg.CheckpointDir != "" {
+		opt.Ckpt = &core.CkptOptions{Dir: cfg.CheckpointDir, Every: cfg.CheckpointEvery}
 	}
 	if opt.Op == "" {
 		opt.Op = DistCholesky
@@ -143,7 +148,6 @@ func (cfg DistConfig) options(a *tile.Matrix[float64]) dist.Options {
 // DistJob is a coordinator serving one distributed factorization.
 type DistJob struct {
 	c *dist.Coordinator
-	n int
 }
 
 // ServeDist starts a coordinator on addr (host:port; port 0 picks one —
@@ -162,7 +166,7 @@ func ServeDist(addr string, a *Matrix, cfg DistConfig) (*DistJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DistJob{c: c, n: a.rows}, nil
+	return &DistJob{c: c}, nil
 }
 
 // ResumeDist starts a coordinator that restarts the factorization
@@ -178,8 +182,7 @@ func ResumeDist(addr string, cfg DistConfig) (*DistJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &DistJob{c: c}
-	return j, nil
+	return &DistJob{c: c}, nil
 }
 
 // Addr returns the coordinator's listen address (with the concrete port

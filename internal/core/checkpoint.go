@@ -42,24 +42,26 @@ type CkptOptions struct {
 	AbortAtStep int
 }
 
-func (o CkptOptions) every() int {
-	if o.Every < 1 {
-		return 1
-	}
-	return o.Every
+// After is the one checkpoint rule of every executor: it reports whether
+// the frontier after panel step k of a kt-step program is snapshotted, and
+// whether the run aborts there, right after that snapshot. Steps count
+// from 0 whatever step a run resumed at, so a resumed run snapshots where
+// an uninterrupted one would.
+func (o CkptOptions) After(k, kt int) (snapshot, abort bool) {
+	every := max(o.Every, 1)
+	abort = o.AbortAtStep > 0 && k == o.AbortAtStep
+	return abort || ((k+1)%every == 0 && k != kt-1), abort
 }
 
 // ckptOps tags each tile program in its checkpoints.
 var ckptOps = map[string]ckpt.Op{OpCholesky: ckpt.OpCholesky, OpLUNoPiv: ckpt.OpLUNoPiv, OpLU: ckpt.OpLU}
 
-// Resume restarts the factorization a checkpoint records — Cholesky,
-// no-pivot LU or LU, as written by Protect — at its panel step, under the
-// same protections as Protect: checkpointing continues per ck, and with fo
-// the ABFT checksums, diagonal witnesses and erasure parity of the tiles
-// the snapshot holds final are re-derived from it. It returns the rebuilt
-// tile matrix holding the factor and its Factors, for LU with the pivot
-// state restored from the checkpoint and completed.
-func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOptions) (*tile.Matrix[float64], *Factors[float64], error) {
+// Restore validates checkpoint c and rebuilds what it records: the tile
+// program (Cholesky, no-pivot LU or LU), the tile matrix at panel step
+// c.Step, and the op's side state, for LU the pivots of the completed
+// steps. Every executor resumes through it, so each refuses the same bad
+// checkpoint.
+func Restore(c *ckpt.Checkpoint) (string, *tile.Matrix[float64], *Factors[float64], error) {
 	op := ""
 	for o, tag := range ckptOps {
 		if tag == c.Op {
@@ -67,28 +69,60 @@ func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOption
 		}
 	}
 	if op == "" {
-		return nil, nil, fmt.Errorf("core: checkpoint holds unknown operation %v", c.Op)
+		return "", nil, nil, fmt.Errorf("core: checkpoint holds unknown operation %v", c.Op)
 	}
 	if op != OpLU && c.M != c.N {
-		return nil, nil, fmt.Errorf("core: %v checkpoint with non-square %d×%d matrix", c.Op, c.M, c.N)
+		return "", nil, nil, fmt.Errorf("core: %v checkpoint with non-square %d×%d matrix", c.Op, c.M, c.N)
 	}
 	a := tile.FromColMajor(c.M, c.N, c.Data, c.M, c.NB)
 	if kt := min(a.MT, a.NT); c.Step > kt {
-		return nil, nil, fmt.Errorf("core: checkpoint step %d beyond %d panel steps", c.Step, kt)
+		return "", nil, nil, fmt.Errorf("core: checkpoint step %d beyond %d panel steps", c.Step, kt)
 	}
 	f := newFactors(op, a)
 	if op == OpLU {
 		if want := min(c.Step*c.NB, len(f.Piv)); len(c.Piv) != want {
-			return nil, nil, fmt.Errorf("core: LU checkpoint at step %d holds %d pivots, want %d", c.Step, len(c.Piv), want)
+			return "", nil, nil, fmt.Errorf("core: LU checkpoint at step %d holds %d pivots, want %d", c.Step, len(c.Piv), want)
 		}
 		for r, p := range c.Piv {
 			if p < r || p >= c.M {
-				return nil, nil, fmt.Errorf("core: LU checkpoint pivot %d of row %d outside rows %d…%d", p, r, r, c.M-1)
+				return "", nil, nil, fmt.Errorf("core: LU checkpoint pivot %d of row %d outside rows %d…%d", p, r, r, c.M-1)
 			}
 		}
 		copy(f.Piv, c.Piv)
 	}
+	return op, a, f, nil
+}
+
+// Resume restarts the factorization checkpoint c records (see Restore) at
+// its panel step, under the same protections as Protect: checkpointing
+// continues per ck, and with fo the ABFT checksums, diagonal witnesses and
+// erasure parity of the tiles the snapshot holds final are re-derived from
+// it. It returns the rebuilt tile matrix holding the factor and its
+// Factors, for LU with the pivot state restored from the checkpoint and
+// completed.
+func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOptions) (*tile.Matrix[float64], *Factors[float64], error) {
+	op, a, f, err := Restore(c)
+	if err != nil {
+		return nil, nil, err
+	}
 	return a, f, protect(s, op, a, f, c.Step, ck, fo)
+}
+
+// SaveCheckpoint saves into dir the checkpoint of the frontier after panel
+// step k of op's program over a: a's tiles and, for OpLU, the pivots piv
+// of steps ≤ k (nil for the pivot-free ops). The caller guarantees that
+// frontier: every step ≤ k has run and no later step has written a tile.
+func SaveCheckpoint(dir, op string, a *tile.Matrix[float64], piv []int, k int) error {
+	c := &ckpt.Checkpoint{
+		Op: ckptOps[op], Step: k + 1,
+		M: a.M, N: a.N, NB: a.NB,
+		Data: a.ToColMajor(),
+		Piv:  piv[:min((k+1)*a.NB, len(piv))],
+	}
+	if _, err := ckpt.Save(dir, c); err != nil {
+		return fmt.Errorf("core: checkpoint at step %d: %w", k+1, err)
+	}
+	return nil
 }
 
 // ckptGuard injects the snapshot task (and, at AbortAtStep, the abort
@@ -104,8 +138,8 @@ type ckptGuard struct {
 
 func (g ckptGuard) afterStep(s sched.Scheduler, k int) {
 	a, f, opt := g.a, g.f, g.opt
-	abortHere := opt.AbortAtStep > 0 && k == opt.AbortAtStep
-	if !abortHere && ((k+1)%opt.every() != 0 || k == min(a.MT, a.NT)-1) {
+	snapshot, abort := opt.After(k, min(a.MT, a.NT))
+	if !snapshot {
 		return
 	}
 	allTiles := func() []sched.Handle {
@@ -121,24 +155,16 @@ func (g ckptGuard) afterStep(s sched.Scheduler, k int) {
 		Name:  "ckpt",
 		Reads: allTiles(),
 		FnErr: func() error {
-			c := &ckpt.Checkpoint{
-				Op: ckptOps[g.op], Step: k + 1,
-				M: a.M, N: a.N, NB: a.NB,
-				Data: a.ToColMajor(),
-			}
-			if f.Piv != nil {
-				// Reference the completed steps' pivots directly: each is
-				// written once, by the getrf task of its step, which
-				// happens-before this snapshot via its tile writes.
-				c.Piv = f.Piv[:min((k+1)*a.NB, len(f.Piv))]
-			}
-			if _, err := ckpt.Save(opt.Dir, c); err != nil {
-				return sched.Permanent(fmt.Errorf("core: checkpoint at step %d: %w", k+1, err))
+			// The completed steps' pivots are referenced directly: each is
+			// written once, by the getrf task of its step, which
+			// happens-before this snapshot via its tile writes.
+			if err := SaveCheckpoint(opt.Dir, g.op, a, f.Piv, k); err != nil {
+				return sched.Permanent(err)
 			}
 			return nil
 		},
 	})
-	if abortHere {
+	if abort {
 		s.Submit(sched.Task{
 			Name:   "abort",
 			Writes: allTiles(),

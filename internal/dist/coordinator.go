@@ -36,9 +36,11 @@ import (
 //   - if the live worker count falls below the configured minimum the
 //     coordinator degrades to executing ready tasks itself — the job never
 //     deadlocks, it just stops being distributed;
-//   - with checkpointing enabled, leases are gated to a step window and a
-//     snapshot is cut at each window boundary, so a killed coordinator
-//     resumes from the last window bitwise-identically.
+//   - with checkpointing enabled, each step core's rule checkpoints is
+//     followed by a snapshot node in the DAG that reads every tile, so a
+//     killed coordinator resumes from the last snapshot
+//     bitwise-identically, and a checkpoint of either executor resumes on
+//     the other.
 //
 // Locking is deliberately coarse: one mutex guards the frontier, heaps,
 // leases, workers, and store maps, and every RPC handler takes it. Tile
@@ -47,10 +49,10 @@ import (
 // so workers compute outside any lock while the coordinator stays simple
 // enough to reason about under chaos.
 
-// ErrAborted is returned by Run when the coordinator was told to abort
-// after a checkpoint (the AbortAtStep test hook — the moral equivalent of
-// kill -9 on the coordinator, minus the inconvenience).
-var ErrAborted = errors.New("dist: coordinator aborted after checkpoint")
+// ErrAborted is core's sentinel, which Run returns wrapped when
+// Ckpt.AbortAtStep fires (the moral equivalent of kill -9 on the
+// coordinator, minus the inconvenience).
+var ErrAborted = core.ErrAborted
 
 // scrubTilesPerPass bounds how many tiles one background scrub pass
 // re-verifies, keeping each pass short under the coordinator lock.
@@ -107,15 +109,13 @@ type Options struct {
 	// repairing detected rot from the row parity where possible. Zero
 	// disables scrubbing (the read path still verifies on every Get).
 	ScrubEvery time.Duration
-	// CkptDir enables checkpointing into that directory; CkptEvery is the
-	// window width in panel steps (default 1). AbortAtStep > 0 aborts the
-	// run (ErrAborted) once the snapshot covering steps < AbortAtStep is
-	// saved — the coordinator-death test hook. Resume loads the latest
-	// checkpoint from CkptDir instead of starting from Options.A.
-	CkptDir     string
-	CkptEvery   int
-	AbortAtStep int
-	Resume      bool
+	// Ckpt, when set, checkpoints the run into Ckpt.Dir after the panel
+	// steps core's rule (CkptOptions.After) selects, and aborts it with
+	// ErrAborted after Ckpt.AbortAtStep's snapshot — the coordinator-death
+	// test hook. Resume restarts from the latest checkpoint in Ckpt.Dir
+	// instead of starting from Options.A.
+	Ckpt   *core.CkptOptions
+	Resume bool
 	// Registry mirrors the run counters (nil disables mirroring).
 	Registry *metrics.Registry
 	// Events, when non-nil, receives structured fault events (evictions,
@@ -146,9 +146,6 @@ func (o *Options) defaults() {
 	}
 	if o.Poll <= 0 {
 		o.Poll = 5 * time.Millisecond
-	}
-	if o.CkptEvery < 1 {
-		o.CkptEvery = 1
 	}
 	if o.SpecQuantile <= 0 || o.SpecQuantile >= 1 {
 		o.SpecQuantile = 0.95
@@ -197,15 +194,17 @@ type Coordinator struct {
 	ln  net.Listener
 	srv *rpc.Server
 
-	mu       sync.Mutex
-	a        *tile.Matrix[float64]
-	st       *store
-	pl       *plan
-	fr       *sched.Frontier
-	heaps    []sched.Ready[int] // ready task IDs per grid slot when Strict, else heaps[0]
-	gated    []int              // ready tasks beyond the checkpoint window
-	window   int                // only tasks of panel steps < window may be leased
-	fromStep int
+	mu    sync.Mutex
+	a     *tile.Matrix[float64]
+	st    *store
+	pl    *plan
+	fr    *sched.Frontier
+	heaps []sched.Ready[int] // ready task IDs per grid slot when Strict, else heaps[0]
+	// The frontier's snapshot nodes have the IDs from len(pl.tasks) on, in
+	// step order: snapStep[id-len(pl.tasks)] is the panel step a node's
+	// checkpoint follows. cuts holds the nodes made ready but not yet cut.
+	snapStep []int
+	cuts     []int
 	leases   map[int]*lease
 	attempts map[int]int
 	workers  map[int]*workerState
@@ -297,7 +296,6 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: unknown op %q", opt.Op)
 	}
 	c.a = a
-	c.fromStep = fromStep
 	c.pl = makePlan(opt.Op, a.NT, fromStep)
 	c.st = newStore(a, opt.WriteBack, func() { c.addStat(&c.stats.TilesRebuilt, c.m.tilesRebuilt, 1) })
 	// Store callbacks run under c.mu (the coordinator serializes all store
@@ -321,20 +319,16 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	for i := range c.slots {
 		c.slots[i] = -1
 	}
-	c.window = c.pl.steps
-	if opt.CkptDir != "" {
-		c.window = fromStep + opt.CkptEvery
-		if c.window > c.pl.steps {
-			c.window = c.pl.steps
-		}
-	}
 
-	c.fr = sched.NewFrontier(func(id int) { c.readyLocked(id) })
+	c.fr = sched.NewFrontier(c.readyLocked)
 	c.taskDeps = make([][]int, len(c.pl.tasks))
 	for i := range c.pl.tasks {
 		t := &c.pl.tasks[i]
 		r, w := t.Accesses()
 		c.taskDeps[t.ID] = c.fr.Add(t.ID, coordHandles(r), coordHandles(w))
+		if i == len(c.pl.tasks)-1 || c.pl.tasks[i+1].K != t.K {
+			c.addSnapshot(t.K)
+		}
 	}
 	if c.fr.Done() {
 		// A resumed checkpoint can cover the whole factorization: the job is
@@ -357,30 +351,49 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 }
 
 // initialState picks the starting matrix and panel step: the latest
-// checkpoint when resuming, Options.A otherwise.
+// checkpoint when resuming, rebuilt by core.Restore, Options.A otherwise.
 func (c *Coordinator) initialState() (*tile.Matrix[float64], int, error) {
-	if c.opt.Resume && c.opt.CkptDir != "" {
-		snap, path, err := ckpt.Latest(c.opt.CkptDir)
-		if err == nil {
-			want := ckptOp(c.opt.Op)
-			if snap.Op != want {
-				return nil, 0, fmt.Errorf("dist: checkpoint %s is %v, want %v", path, snap.Op, want)
-			}
-			c.opt.logf("dist: resuming from %s (step %d)", path, snap.Step)
-			return tile.FromColMajor(snap.M, snap.N, snap.Data, snap.M, snap.NB), snap.Step, nil
-		}
-		if !errors.Is(err, ckpt.ErrNoCheckpoint) {
-			return nil, 0, err
-		}
+	if !c.opt.Resume || c.opt.Ckpt == nil {
+		return c.opt.A, 0, nil
 	}
-	return c.opt.A, 0, nil
+	snap, path, err := ckpt.Latest(c.opt.Ckpt.Dir)
+	if errors.Is(err, ckpt.ErrNoCheckpoint) {
+		return c.opt.A, 0, nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	op, a, _, err := core.Restore(snap)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dist: %s: %w", path, err)
+	}
+	if op != c.opt.Op {
+		return nil, 0, fmt.Errorf("dist: checkpoint %s is %s, want %s", path, op, c.opt.Op)
+	}
+	c.opt.logf("dist: resuming from %s (step %d)", path, snap.Step)
+	return a, snap.Step, nil
 }
 
-func ckptOp(op string) ckpt.Op {
-	if op == OpLUNoPiv {
-		return ckpt.OpLUNoPiv
+// addSnapshot adds the snapshot node of panel step k to the frontier when
+// core's rule checkpoints there. The node reads every tile, so the
+// dependence rule orders it after the last writers of steps ≤ k and before
+// every later writer, as it orders the in-process ckpt task.
+func (c *Coordinator) addSnapshot(k int) {
+	if c.opt.Ckpt == nil {
+		return
 	}
-	return ckpt.OpCholesky
+	if snapshot, _ := c.opt.Ckpt.After(k, c.pl.steps); !snapshot {
+		return
+	}
+	all := make([]sched.Handle, 0, c.a.MT*c.a.NT)
+	for j := 0; j < c.a.NT; j++ {
+		for i := 0; i < c.a.MT; i++ {
+			all = append(all, coord{i, j})
+		}
+	}
+	id := len(c.pl.tasks) + len(c.snapStep)
+	c.snapStep = append(c.snapStep, k)
+	c.taskDeps = append(c.taskDeps, c.fr.Add(id, all, nil))
 }
 
 func coordHandles(cs []coord) []sched.Handle {
@@ -456,11 +469,11 @@ func (c *Coordinator) signal() {
 	}
 }
 
-// readyLocked routes a newly ready task to its heap, or parks it if its
-// step lies beyond the current checkpoint window.
+// readyLocked routes a newly ready task to its heap. A ready snapshot node
+// waits in cuts: the Frontier call that readied it must return first.
 func (c *Coordinator) readyLocked(id int) {
-	if c.pl.tasks[id].K >= c.window {
-		c.gated = append(c.gated, id)
+	if id >= len(c.pl.tasks) {
+		c.cuts = append(c.cuts, id)
 		return
 	}
 	c.pushReadyLocked(id)
@@ -517,88 +530,46 @@ func (c *Coordinator) popBestLocked(eligible func(slot int) bool) (int, bool) {
 }
 
 // completeLocked retires a finished task (committed remotely or executed
-// locally) and advances the checkpoint window / completion state.
-func (c *Coordinator) completeLocked(id int) error {
+// locally), cuts the snapshot nodes its completion made ready, and latches
+// completion.
+func (c *Coordinator) completeLocked(id int) {
 	c.fr.Complete(id)
 	c.addStat(&c.stats.TasksCompleted, c.m.tasksCompleted, 1)
-	if err := c.advanceWindowLocked(); err != nil {
-		return err
+	for len(c.cuts) > 0 && !c.done {
+		s := c.cuts[0]
+		c.cuts = c.cuts[1:]
+		c.cutLocked(s)
 	}
 	if c.fr.Done() && !c.done {
 		c.done = true
 		c.signal()
 	}
-	return nil
 }
 
-// stepsDoneBelow reports whether every task with Step < s has completed.
-func (c *Coordinator) stepsDoneBelowLocked(s int) bool {
-	for i := range c.pl.tasks {
-		t := &c.pl.tasks[i]
-		if t.K < s && !c.fr.Completed(t.ID) {
-			return false
-		}
+// cutLocked saves snapshot node id's checkpoint and retires the node. Every
+// task of the steps up to its own has completed and no later one is ready
+// (the dependence rule), so the materialized store is exactly the frontier
+// after that step. The cut is a ckpt span on the coordinator's lane; at
+// the abort step the run then fails with ErrAborted.
+func (c *Coordinator) cutLocked(id int) {
+	k := c.snapStep[id-len(c.pl.tasks)]
+	startNS := c.nowNS()
+	err := c.st.materialize()
+	if err == nil {
+		err = core.SaveCheckpoint(c.opt.Ckpt.Dir, c.opt.Op, c.a, nil, k)
 	}
-	return true
-}
-
-// advanceWindowLocked cuts a checkpoint each time every task below the
-// window boundary has completed, then widens the window and releases gated
-// tasks. With AbortAtStep set, the run aborts right after the covering
-// snapshot is saved — simulating coordinator death at a restartable point.
-func (c *Coordinator) advanceWindowLocked() error {
-	if c.opt.CkptDir == "" || c.done {
-		return nil
-	}
-	for c.window <= c.pl.steps && c.stepsDoneBelowLocked(c.window) {
-		if err := c.snapshotLocked(c.window); err != nil {
-			return err
-		}
-		if c.opt.AbortAtStep > 0 && c.window >= c.opt.AbortAtStep {
-			c.failErr = ErrAborted
-			c.done = true
-			c.signal()
-			return nil
-		}
-		if c.window == c.pl.steps {
-			break
-		}
-		c.window += c.opt.CkptEvery
-		if c.window > c.pl.steps {
-			c.window = c.pl.steps
-		}
-		kept := c.gated[:0]
-		for _, id := range c.gated {
-			if c.pl.tasks[id].K < c.window {
-				c.pushReadyLocked(id)
-			} else {
-				kept = append(kept, id)
-			}
-		}
-		c.gated = kept
-	}
-	return nil
-}
-
-// snapshotLocked persists a consistent checkpoint: all tasks below step
-// have run, none at or above it have been leased (window gating), so the
-// store is exactly the state between panel steps.
-func (c *Coordinator) snapshotLocked(step int) error {
-	if err := c.st.materialize(); err != nil {
-		return err
-	}
-	_, err := ckpt.Save(c.opt.CkptDir, &ckpt.Checkpoint{
-		Op:   ckptOp(c.opt.Op),
-		Step: step,
-		M:    c.a.M, N: c.a.N, NB: c.a.NB,
-		Data: c.a.ToColMajor(),
-	})
+	c.localSpanLocked(id, "ckpt", 1, startNS, err)
 	if err != nil {
-		return err
+		c.failLocked(err)
+		return
 	}
 	c.addStat(&c.stats.CheckpointsSaved, c.m.ckptsSaved, 1)
-	c.opt.logf("dist: checkpoint at step %d", step)
-	return nil
+	c.opt.logf("dist: checkpoint at step %d", k+1)
+	if _, abort := c.opt.Ckpt.After(k, c.pl.steps); abort {
+		c.failLocked(fmt.Errorf("%w %d", ErrAborted, k))
+		return
+	}
+	c.fr.Complete(id)
 }
 
 // failLocked records a deterministic job failure and releases everyone.
@@ -648,6 +619,14 @@ func (c *Coordinator) evictLocked(w *workerState, reason string) {
 	c.m.workersLive.Set(float64(c.liveCountLocked()))
 	c.faultLocked(trace.PhaseEvicted, w.id, -1, 0, reason)
 	c.evictLog = append(c.evictLog, Eviction{Worker: w.id, Reason: reason, AtMS: c.nowNS() / 1e6})
+	c.releaseLocked(w)
+	c.opt.logf("dist: worker %d lost (%s)", w.id, reason)
+}
+
+// releaseLocked is the one release path of a departing worker, evicted or
+// gone by Bye: it frees the worker's grid slot, revokes its leases, drops
+// its twins, reconstructs any tile it held the only copy of, and wakes Run.
+func (c *Coordinator) releaseLocked(w *workerState) {
 	if w.slot >= 0 {
 		c.slots[w.slot] = -1
 		w.slot = -1
@@ -665,7 +644,6 @@ func (c *Coordinator) evictLocked(w *workerState, reason string) {
 	if _, err := c.st.dropWorker(w.id); err != nil {
 		c.failLocked(err)
 	}
-	c.opt.logf("dist: worker %d lost (%s)", w.id, reason)
 	c.signal()
 }
 
@@ -842,9 +820,7 @@ func (c *Coordinator) localStepLocked(now time.Time) bool {
 		c.st.putLocal(cd, c.pl.finalWriter[cd] == id)
 	}
 	c.addStat(&c.stats.TasksLocal, c.m.tasksLocal, 1)
-	if err := c.completeLocked(id); err != nil {
-		c.failLocked(err)
-	}
+	c.completeLocked(id)
 	return true
 }
 
@@ -1194,9 +1170,7 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 		c.m.rpcCommitBytes.Observe(int64(len(p.Data)))
 	}
 	reply.Accepted = true
-	if err := c.completeLocked(args.Task); err != nil {
-		c.failLocked(err)
-	}
+	c.completeLocked(args.Task)
 	return nil
 }
 
@@ -1234,25 +1208,8 @@ func (r *coordRPC) Bye(args *ByeArgs, _ *ByeReply) error {
 		return nil
 	}
 	w.byed = true
-	if w.slot >= 0 {
-		c.slots[w.slot] = -1
-		w.slot = -1
-	}
-	var lost []*lease
-	for _, l := range c.leases {
-		if l.worker == w.id {
-			lost = append(lost, l)
-		}
-	}
-	for _, l := range lost {
-		c.revokeLeaseLocked(l)
-	}
-	c.dropTwinsLocked(w)
-	if _, err := c.st.dropWorker(w.id); err != nil {
-		c.failLocked(err)
-	}
+	c.releaseLocked(w)
 	c.m.workersLive.Set(float64(c.liveCountLocked()))
 	c.opt.logf("dist: worker %d left", w.id)
-	c.signal()
 	return nil
 }

@@ -1,7 +1,11 @@
 package dist_test
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,9 +22,10 @@ import (
 // workers, its fork–join mode, the sequential Recorder, a checkpointed run
 // aborted mid-way and resumed, the same under ABFT with a corrected flip,
 // with an erasure-rebuilt tile loss and with checkpointing, the
-// distributed coordinator alone and with two workers — and demands
-// bit-identical factors from all of them. Each protected row also checks
-// that its fault fired.
+// distributed coordinator alone and with two workers, and checkpoints
+// crossing between the two executors both ways — and demands bit-identical
+// factors from all of them. Each protected row also checks that its fault
+// fired.
 func TestEveryExecutorSameFactor(t *testing.T) {
 	const seed, n, nb = 41, 96, 16
 	inProcess := func(s sched.Scheduler, forkJoin bool) func(*testing.T, string, *tile.Matrix[float64]) *tile.Matrix[float64] {
@@ -64,6 +69,41 @@ func TestEveryExecutorSameFactor(t *testing.T) {
 	defer r1.Shutdown()
 	defer r4.Shutdown()
 	defer rft.Shutdown()
+	// onDist runs opt on the coordinator alone (workers 0), which must
+	// then run every task itself, or with that many workers, which must
+	// run them all.
+	onDist := func(t *testing.T, opt dist.Options, workers int) (*dist.Coordinator, error) {
+		t.Helper()
+		if workers == 0 {
+			opt.LocalDelay = time.Millisecond
+		} else {
+			opt.WaitWorkers = workers
+		}
+		c, err := runDistributed(t, opt, make([]dist.WorkerOptions, workers))
+		if s := c.Stats(); workers == 0 && (s.TasksLocal == 0 || s.TasksCompleted != s.TasksLocal) {
+			t.Fatalf("zero-worker run was not fully local: %+v", s)
+		} else if workers > 0 && s.TasksLocal != 0 {
+			t.Fatalf("%d-worker run executed %d tasks locally", workers, s.TasksLocal)
+		}
+		return c, err
+	}
+	// coreToDist resumes the checkpoint of an aborted core.Protect run on
+	// the coordinator.
+	coreToDist := func(workers int) func(*testing.T, string, *tile.Matrix[float64]) *tile.Matrix[float64] {
+		return func(t *testing.T, op string, a *tile.Matrix[float64]) *tile.Matrix[float64] {
+			dir := t.TempDir()
+			if _, err := ckpt.Save(dir, abortAt2(t, op, a, r4, nil)); err != nil {
+				t.Fatal(err)
+			}
+			opt := fastOpts(op, nil)
+			opt.Ckpt, opt.Resume = &core.CkptOptions{Dir: dir}, true
+			c, err := onDist(t, opt, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.Result()
+		}
+	}
 	executors := []struct {
 		name string
 		run  func(t *testing.T, op string, a *tile.Matrix[float64]) *tile.Matrix[float64]
@@ -116,28 +156,37 @@ func TestEveryExecutorSameFactor(t *testing.T) {
 			return done
 		}},
 		{"dist-0-workers", func(t *testing.T, op string, a *tile.Matrix[float64]) *tile.Matrix[float64] {
-			opt := fastOpts(op, a)
-			opt.LocalDelay = time.Millisecond
-			c, err := runDistributed(t, opt, nil)
+			c, err := onDist(t, fastOpts(op, a), 0)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if s := c.Stats(); s.TasksLocal == 0 || s.TasksCompleted != s.TasksLocal {
-				t.Fatalf("zero-worker run was not fully local: %+v", s)
 			}
 			return c.Result()
 		}},
 		{"dist-2-workers", func(t *testing.T, op string, a *tile.Matrix[float64]) *tile.Matrix[float64] {
-			opt := fastOpts(op, a)
-			opt.WaitWorkers = 2
-			c, err := runDistributed(t, opt, make([]dist.WorkerOptions, 2))
+			c, err := onDist(t, fastOpts(op, a), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := c.Stats(); s.TasksLocal != 0 {
-				t.Fatalf("two-worker run executed %d tasks locally", s.TasksLocal)
-			}
 			return c.Result()
+		}},
+		{"ckpt-core-to-dist-0-workers", coreToDist(0)},
+		{"ckpt-core-to-dist-2-workers", coreToDist(2)},
+		{"ckpt-dist-to-core", func(t *testing.T, op string, a *tile.Matrix[float64]) *tile.Matrix[float64] {
+			dir := t.TempDir()
+			opt := fastOpts(op, a)
+			opt.Ckpt = &core.CkptOptions{Dir: dir, AbortAtStep: 2}
+			if _, err := onDist(t, opt, 2); !errors.Is(err, core.ErrAborted) {
+				t.Fatalf("aborted coordinator returned %v, want ErrAborted", err)
+			}
+			c, _, err := ckpt.Latest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, _, err := core.Resume(r4, c, &core.CkptOptions{Dir: t.TempDir()}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return done
 		}},
 	}
 	for _, op := range []string{core.OpCholesky, core.OpLUNoPiv} {
@@ -152,5 +201,100 @@ func TestEveryExecutorSameFactor(t *testing.T) {
 				bitwiseEqual(t, got, want, op+" on "+ex.name)
 			})
 		}
+	}
+}
+
+// TestExecutorsCheckpointSameSteps runs one CkptOptions on core.Protect and
+// on the coordinator: both must write the same checkpoint files, byte for
+// byte, none of them after the last panel step. Each cut is a ckpt span on
+// the coordinator's lane, so every dependence edge of the merged trace
+// names a recorded task.
+func TestExecutorsCheckpointSameSteps(t *testing.T) {
+	const seed, n, nb = 41, 96, 16 // 6 panel steps
+	rt := sched.New(4)
+	defer rt.Shutdown()
+	// files lists dir's file names in order and reads their bytes.
+	files := func(t *testing.T, dir string) ([]string, map[string][]byte) {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		data := map[string][]byte{}
+		for _, e := range ents {
+			names = append(names, e.Name())
+			if data[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return names, data
+	}
+	for _, op := range []string{core.OpCholesky, core.OpLUNoPiv} {
+		t.Run(op, func(t *testing.T) {
+			inDir, distDir := t.TempDir(), t.TempDir()
+			if _, err := core.Protect(rt, op, spdTiled(seed, n, nb), &core.CkptOptions{Dir: inDir, Every: 2}, nil); err != nil {
+				t.Fatal(err)
+			}
+			opt := fastOpts(op, spdTiled(seed, n, nb))
+			opt.Ckpt = &core.CkptOptions{Dir: distDir, Every: 2}
+			opt.WaitWorkers = 2
+			c, err := runDistributed(t, opt, make([]dist.WorkerOptions, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ran, cuts := map[int]bool{}, 0
+			spans := okSpans(c.ClusterLog())
+			for _, e := range spans {
+				ran[e.ID] = true
+				if e.Name == "ckpt" && e.Proc == 0 {
+					cuts++
+				}
+			}
+			for _, e := range spans {
+				for _, d := range e.Deps {
+					if !ran[d] {
+						t.Fatalf("%s (task %d) depends on task %d, which no span records", e.Name, e.ID, d)
+					}
+				}
+			}
+			if cuts != 2 {
+				t.Errorf("merged trace holds %d ckpt spans on the coordinator, want 2", cuts)
+			}
+			inNames, in := files(t, inDir)
+			distNames, out := files(t, distDir)
+			want := []string{"ckpt-000002.ckpt", "ckpt-000004.ckpt"}
+			if !slices.Equal(inNames, want) || !slices.Equal(distNames, want) {
+				t.Fatalf("checkpoint files in-process %v, dist %v; want %v in both", inNames, distNames, want)
+			}
+			for _, name := range want {
+				if !bytes.Equal(in[name], out[name]) {
+					t.Errorf("%s differs between the executors", name)
+				}
+			}
+		})
+	}
+}
+
+// TestExecutorsRefuseStepBeyondProgram hands both executors a checkpoint
+// with a valid CRC whose step lies past the last panel step: each must
+// refuse it rather than return the unfactored input as the factor.
+func TestExecutorsRefuseStepBeyondProgram(t *testing.T) {
+	const n, nb = 64, 16 // 4 panel steps
+	a := spdTiled(7, n, nb)
+	c := &ckpt.Checkpoint{Op: ckpt.OpCholesky, Step: 9, M: n, N: n, NB: nb, Data: a.ToColMajor()}
+	dir := t.TempDir()
+	if _, err := ckpt.Save(dir, c); err != nil {
+		t.Fatal(err)
+	}
+	rt := sched.New(2)
+	defer rt.Shutdown()
+	if _, _, err := core.Resume(rt, c, nil, nil); err == nil {
+		t.Error("core.Resume accepted a checkpoint at step 9 of 4")
+	}
+	opt := fastOpts(core.OpCholesky, nil)
+	opt.Ckpt, opt.Resume = &core.CkptOptions{Dir: dir}, true
+	if co, err := dist.NewCoordinator("127.0.0.1:0", opt); err == nil {
+		t.Errorf("coordinator accepted a checkpoint at step 9 of 4; Run returned %v", co.Run())
 	}
 }

@@ -337,16 +337,14 @@ func TestDistCheckpointAbortResume(t *testing.T) {
 
 	a := spdTiled(seed, n, nb)
 	opt := fastOpts(dist.OpCholesky, a)
-	opt.CkptDir = dir
-	opt.CkptEvery = 2
-	opt.AbortAtStep = 4
+	opt.Ckpt = &core.CkptOptions{Dir: dir, Every: 2, AbortAtStep: 2}
 	_, err := runDistributed(t, opt, make([]dist.WorkerOptions, 2))
 	if !errors.Is(err, dist.ErrAborted) {
 		t.Fatalf("abort hook returned %v, want ErrAborted", err)
 	}
 
 	opt2 := fastOpts(dist.OpCholesky, nil)
-	opt2.CkptDir = dir
+	opt2.Ckpt = &core.CkptOptions{Dir: dir}
 	opt2.Resume = true
 	c2, err := runDistributed(t, opt2, make([]dist.WorkerOptions, 2))
 	if err != nil {
