@@ -51,7 +51,7 @@ func run(args []string, stdout io.Writer) error {
 	join := fs.String("join", "", "join the coordinator at this host:port as a worker")
 
 	// Serve-side flags.
-	op := fs.String("op", "cholesky", "operation: cholesky or lunp (LU without pivoting)")
+	op := fs.String("op", "", "operation: cholesky (default) or lunp (LU without pivoting); with -resume, the checkpoint's by default")
 	n := fs.Int("n", 1024, "matrix order")
 	nb := fs.Int("nb", exadla.DefaultTileSize, "tile size")
 	seed := fs.Int64("seed", 1, "matrix generator seed")
@@ -175,8 +175,12 @@ type serveConfig struct {
 }
 
 func runServe(stdout io.Writer, addr string, cfg serveConfig) error {
-	var distOp string
+	var distOp string // empty with -resume: the checkpoint's
 	switch cfg.op {
+	case "":
+		if !cfg.resume {
+			distOp = exadla.DistCholesky
+		}
 	case "cholesky":
 		distOp = exadla.DistCholesky
 	case "lunp", "lu-nopiv":
@@ -225,7 +229,8 @@ func runServe(stdout io.Writer, addr string, cfg serveConfig) error {
 		fmt.Fprintf(stdout, "observability on http://%s/metrics /dist /trace\n", srv.Addr())
 	}
 
-	fmt.Fprintf(stdout, "coordinator on %s: %s n=%d nb=%d (ctrl-c to abandon)\n", job.Addr(), cfg.op, cfg.n, cfg.nb)
+	st := job.Status()
+	fmt.Fprintf(stdout, "coordinator on %s: %s n=%d nb=%d (ctrl-c to abandon)\n", job.Addr(), st.Op, st.N, st.NB)
 	t0 := time.Now()
 	got, err := job.Run()
 	wall := time.Since(t0)

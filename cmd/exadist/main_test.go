@@ -28,6 +28,27 @@ func TestRunServeCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestRunResumeTakesCheckpointShape resumes a no-pivot LU job without
+// repeating -op, -n or -nb: the coordinator takes all three from the
+// checkpoint, and its banner says so.
+func TestRunResumeTakesCheckpointShape(t *testing.T) {
+	dir := t.TempDir()
+	var stdout strings.Builder
+	if err := run([]string{"-serve", "127.0.0.1:0", "-op", "lunp", "-n", "96", "-nb", "16", "-ckpt", dir, "-ckpt-every", "2"}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if err := run([]string{"-serve", "127.0.0.1:0", "-ckpt", dir, "-resume"}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stdout.String(), ": lunp n=96 nb=16 ") {
+		t.Errorf("resumed run's banner does not name the checkpoint's op and shape:\n%s", stdout.String())
+	}
+	if err := run([]string{"-serve", "127.0.0.1:0", "-ckpt", dir, "-resume", "-op", "cholesky"}, &stdout); err == nil {
+		t.Error("resuming a lunp checkpoint with -op cholesky returned nil, want an error")
+	}
+}
+
 func TestRunRejectsBadArgs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-serve", "127.0.0.1:0", "-join", "127.0.0.1:1"},

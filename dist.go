@@ -40,6 +40,10 @@ const (
 	DistLUNoPiv = dist.OpLUNoPiv
 )
 
+// ErrDistCheckpointOp is wrapped by the error of a ResumeDist whose
+// DistConfig.Op contradicts the op its checkpoint records.
+var ErrDistCheckpointOp = dist.ErrCheckpointOp
+
 // DistChaos configures the seeded wire-fault injector a joining worker
 // wraps around every RPC (drop requests, drop replies after execution,
 // duplicate, delay, flip payload bits in flight, or silence everything
@@ -64,7 +68,8 @@ type DistEvent = dist.Event
 // the Context-independent defaults: tile size DefaultTileSize, a 1×1
 // logical grid, caching enabled, no checkpoints.
 type DistConfig struct {
-	// Op is DistCholesky (default) or DistLUNoPiv.
+	// Op is DistCholesky (ServeDist's default) or DistLUNoPiv; ResumeDist
+	// takes the checkpoint's when it is empty.
 	Op string
 	// TileSize is the tile edge; DefaultTileSize when zero.
 	TileSize int
@@ -132,9 +137,6 @@ func (cfg DistConfig) options(a *tile.Matrix[float64]) dist.Options {
 	if cfg.CheckpointDir != "" {
 		opt.Ckpt = &core.CkptOptions{Dir: cfg.CheckpointDir, Every: cfg.CheckpointEvery}
 	}
-	if opt.Op == "" {
-		opt.Op = DistCholesky
-	}
 	if cfg.Metrics {
 		metrics.Enable()
 		opt.Registry = metrics.Default()
@@ -161,6 +163,9 @@ func ServeDist(addr string, a *Matrix, cfg DistConfig) (*DistJob, error) {
 	if nb <= 0 {
 		nb = DefaultTileSize
 	}
+	if cfg.Op == "" {
+		cfg.Op = DistCholesky
+	}
 	opt := cfg.options(tile.FromColMajor(a.rows, a.cols, a.data, a.rows, nb))
 	c, err := dist.NewCoordinator(addr, opt)
 	if err != nil {
@@ -170,8 +175,10 @@ func ServeDist(addr string, a *Matrix, cfg DistConfig) (*DistJob, error) {
 }
 
 // ResumeDist starts a coordinator that restarts the factorization
-// recorded in cfg.CheckpointDir from its newest valid snapshot. The
-// resumed run finishes bitwise identical to an uninterrupted one.
+// recorded in cfg.CheckpointDir from its newest valid snapshot, with the
+// snapshot's op when cfg.Op is empty; an Op the snapshot contradicts is an
+// error wrapping ErrDistCheckpointOp. The resumed run finishes bitwise
+// identical to an uninterrupted one.
 func ResumeDist(addr string, cfg DistConfig) (*DistJob, error) {
 	if cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("exadla: ResumeDist needs DistConfig.CheckpointDir")

@@ -1,6 +1,7 @@
 package exadla_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -127,6 +128,48 @@ func TestResumeDist(t *testing.T) {
 		for i := j; i < n; i++ {
 			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
 				t.Fatalf("resumed L(%d,%d) differs", i, j)
+			}
+		}
+	}
+}
+
+// TestResumeDistTakesCheckpointOp resumes a no-pivot LU checkpoint with an
+// empty DistConfig.Op: the op comes from the checkpoint, and the factor is
+// bitwise the uninterrupted run's. An Op the checkpoint contradicts is
+// refused with ErrDistCheckpointOp.
+func TestResumeDistTakesCheckpointOp(t *testing.T) {
+	const n = 96
+	a := exadla.RandomSPD(rand.New(rand.NewSource(44)), n)
+	dir := t.TempDir()
+	job, err := exadla.ServeDist("127.0.0.1:0", a.Clone(), exadla.DistConfig{
+		Op: exadla.DistLUNoPiv, TileSize: 16, CheckpointDir: dir, CheckpointEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := exadla.ResumeDist("127.0.0.1:0", exadla.DistConfig{Op: exadla.DistCholesky, CheckpointDir: dir}); !errors.Is(err, exadla.ErrDistCheckpointOp) {
+		t.Errorf("resuming a lunp checkpoint as cholesky: %v, want ErrDistCheckpointOp", err)
+	}
+	resumed, err := exadla.ResumeDist("127.0.0.1:0", exadla.DistConfig{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op := resumed.Status().Op; op != exadla.DistLUNoPiv {
+		t.Errorf("resumed job runs %q, want the checkpoint's %q", op, exadla.DistLUNoPiv)
+	}
+	got, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("resumed L\\U(%d,%d) differs", i, j)
 			}
 		}
 	}

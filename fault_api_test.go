@@ -155,7 +155,7 @@ func TestChaosSolveWithoutRetryFails(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 500; seed++ {
+			for seed := int64(1); seed <= 5000; seed++ {
 				ctx := exadla.NewContext(exadla.WithWorkers(1), exadla.WithChaos(seed, 0.5), exadla.WithTileSize(32))
 				var factored bool
 				var err error

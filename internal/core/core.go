@@ -15,9 +15,10 @@
 // one walk, behind Factor (factor and solve in one graph) and Solve (a
 // stored factor). The inverse of an SPD matrix is two more sweeps of that
 // walk on the Cholesky factor's own tiles — L ← L⁻¹ (TRTRI), then Wᵀ·W
-// (LAUUM) — behind Potri (factor and invert in one graph) and Invert (a
-// stored factor). One program, many executors — the same steps are walked
-// by
+// (LAUUM) — behind Potri. Run is that walk for column-major callers: its
+// first tasks fill the tiles of tile.Deferred operands (convert) and its
+// last copy the result out (gather). One program, many executors — the
+// same steps are walked by
 //
 //   - the dataflow drivers, which submit all tasks up front and synchronize
 //     once, so the scheduler overlaps independent work across iteration

@@ -407,8 +407,9 @@ func (noHooks) afterTask(sched.Scheduler, Step)   {}
 func (noHooks) afterStep(sched.Scheduler, int)    {}
 
 // submitProgram submits op's tile program over a to s — the one walk behind
-// every in-process factorization driver. f is the op's side state (nil
-// allowed for the ops without one). With forkJoin set it drains each phase
+// every in-process factorization driver — after the fills a deferred a
+// still owes (see submitFills). f is the op's side state (nil allowed for
+// the ops without one). With forkJoin set it drains each phase
 // before starting the next instead of relying on dataflow dependences
 // alone, folding each phase's task failures into es. The guards, if any,
 // decorate and extend the walk (see guard).
@@ -428,6 +429,7 @@ func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F]
 	prog := Program(op, a.MT, a.NT, from)
 	packs := newPackTable[F](prog, a.MT, a.NT)
 	cols := min(a.MT, a.NT)
+	submitFills(s, a, cols)
 	for n, st := range prog {
 		reads, writes := st.Accesses()
 		refl, at := f.reflector(st.Kind), [2]int{st.I, st.K}
@@ -487,4 +489,36 @@ func handles[F blas.Float](m, refl *tile.Matrix[F], at [2]int, cs [][2]int) []sc
 		}
 	}
 	return hs
+}
+
+// submitFills submits the fills a deferred matrix m still owes
+// (tile.Matrix.Fills) as one convert task per tile, each writing its tile,
+// so a kernel waits only for the tiles it touches and the page faults of
+// the fresh tiles spread over the workers. They rank above every task of
+// a walk over cols panel columns; tile (0, 0) is submitted first.
+func submitFills[F blas.Float](s sched.Scheduler, m *tile.Matrix[F], cols int) {
+	for t, fill := range m.Fills() {
+		s.Submit(sched.Task{
+			Name:     "convert",
+			Priority: priority(-1, cols, bandUpdate),
+			Writes:   []sched.Handle{m.Handle(t%m.MT, t/m.MT)},
+			Fn:       fill,
+		})
+	}
+}
+
+// submitGather submits one gather task per tile of m, reading it — so it
+// runs once the tile's last writer submitted before it retires — and
+// copying it to its place in out, m column-major with leading dimension
+// m.M. They rank below every task of a walk.
+func submitGather[F blas.Float](s sched.Scheduler, m *tile.Matrix[F], out []F) {
+	for j := range m.NT {
+		for i := range m.MT {
+			s.Submit(sched.Task{
+				Name:  "gather",
+				Reads: []sched.Handle{m.Handle(i, j)},
+				Fn:    func() { m.TileTo(out, i, j) },
+			})
+		}
+	}
 }

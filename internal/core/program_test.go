@@ -88,6 +88,10 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 	mat := func(nm *graphNamer, label string, m, n int) *tile.Matrix[float64] {
 		return nm.add(label, tile.New[float64](m, n, 16))
 	}
+	// deferred is mat held column-major, its tiles filled by the walk.
+	deferred := func(nm *graphNamer, label string, m, n int) *tile.Matrix[float64] {
+		return nm.add(label, tile.Deferred(m, n, make([]float64, m*n), m, 16))
+	}
 	chk := func(op ckpt.Op, m, n, step int) *ckpt.Checkpoint {
 		c := &ckpt.Checkpoint{Op: op, Step: step, M: m, N: n, NB: 16, Data: make([]float64, m*n)}
 		if op == ckpt.OpLU {
@@ -192,6 +196,45 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 			f := core.QRTree(sched.NewModelRecorder(), mat(nm, "A", 80, 48))
 			core.ApplyQT(s, f, mat(nm, "B", 80, 20))
 		}},
+		// The same walks on deferred operands: convert tasks first, and
+		// gather tasks last where core.Run copies a result out.
+		{"run-posv/50x20", func(s sched.Scheduler, nm *graphNamer) {
+			_, _, _ = core.Run(s, nil, core.OpCholesky, deferred(nm, "A", 50, 50), deferred(nm, "B", 50, 20), core.ThenSolve)
+		}},
+		{"run-gesv/50x20", func(s sched.Scheduler, nm *graphNamer) {
+			_, _, _ = core.Run(s, nil, core.OpLU, deferred(nm, "A", 50, 50), deferred(nm, "B", 50, 20), core.ThenSolve)
+		}},
+		{"run-potri/50", func(s sched.Scheduler, nm *graphNamer) {
+			a := deferred(nm, "A", 50, 50)
+			_, _, _ = core.Run(s, nil, core.OpCholesky, a, a, core.ThenInvert)
+		}},
+		{"run-gels/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
+			_, _, _ = core.Run(s, nil, core.OpQR, deferred(nm, "A", 80, 48), deferred(nm, "B", 80, 20), core.ThenSolve)
+		}},
+		{"run-gelstree/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
+			_, _, _ = core.Run(s, nil, core.OpQRTree, deferred(nm, "A", 80, 48), deferred(nm, "B", 80, 20), core.ThenSolve)
+		}},
+		{"run-chol-solve/50+B50x20", func(s sched.Scheduler, nm *graphNamer) {
+			f, _ := core.Factor(sched.NewModelRecorder(), core.OpCholesky, mat(nm, "A", 50, 50), nil, false)
+			_, _, _ = core.Run(s, f, "", nil, deferred(nm, "B", 50, 20), core.ThenSolve)
+		}},
+		{"run-qt/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
+			f := core.QR(sched.NewModelRecorder(), mat(nm, "A", 80, 48))
+			_, _, _ = core.Run(s, f, "", nil, deferred(nm, "B", 80, 20), core.ThenQT)
+		}},
+		{"run-invert/50", func(s sched.Scheduler, nm *graphNamer) {
+			f, _ := core.Factor(sched.NewModelRecorder(), core.OpCholesky, mat(nm, "A", 50, 50), nil, false)
+			_, _, _ = core.Run(s, f, "", nil, f.A, core.ThenInvert)
+		}},
+		{"qr-deferred/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, deferred(nm, "A", 80, 48)); s.Wait() }},
+		{"ckpt-cholesky-abort-deferred/50", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Protect(s, core.OpCholesky, deferred(nm, "A", 50, 50), &core.CkptOptions{Every: 1, AbortAtStep: 2}, nil)
+		}},
+		// ABFT takes its checksums from the input before the walk, so it
+		// fills a deferred A first: the graph is resilient-cholesky/50's.
+		{"resilient-cholesky-deferred/50", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Protect(s, core.OpCholesky, deferred(nm, "A", 50, 50), nil, &core.FTOptions{Erasure: true})
+		}},
 	}
 	want := map[string]string{
 		"cholesky/80":            "36:1180eb2e8fb96881",
@@ -235,6 +278,18 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		"lu-elim/80x48+B80x20":      "24:3a1f4dc4275cdba8",
 		"qt/80x48+B80x20":           "24:15cb946413a8351e",
 		"qt-tree/80x48+B80x20":      "42:479a7aa893c86ed7",
+		// Rows recorded when the conversions became tasks of the walk.
+		"run-posv/50x20":                  "93:05ea16ded366e217",
+		"run-gesv/50x20":                  "97:82afe4f261fb49d5",
+		"run-potri/50":                    "79:054adefd94967915",
+		"run-gels/80x48+B80x20":           "98:f9df11c28c4b88e3",
+		"run-gelstree/80x48+B80x20":       "136:9df6a24e9cafb420",
+		"run-chol-solve/50+B50x20":        "57:ff0ba3fd5aa01f6c",
+		"run-qt/80x48+B80x20":             "45:195d0aa289fec200",
+		"run-invert/50":                   "43:7872e19a26e69693",
+		"qr-deferred/80x48":               "42:c89d6b6caea10de0",
+		"ckpt-cholesky-abort-deferred/50": "41:f044f6768ae3e2a5",
+		"resilient-cholesky-deferred/50":  "42:2a4571f40d3dd3ff",
 	}
 	for _, c := range cases {
 		rec := sched.NewModelRecorder()

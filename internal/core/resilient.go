@@ -133,6 +133,9 @@ func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *Factors[f
 	var guards []guard
 	var st *resilientState
 	if fo != nil {
+		// The checksums and the detection tolerance are taken from the
+		// input before the walk, so a deferred a is filled first.
+		a.Fill()
 		var err error
 		if st, err = newResilientState(op, a, from, es, *fo); err != nil {
 			return err
@@ -239,10 +242,10 @@ func newResilientState(op string, a *tile.Matrix[float64], from int, es *errStat
 	// the factorization DAG is submitted — tasks start mutating tiles the
 	// moment Submit links them.
 	if op == OpCholesky {
-		st.tol = ft.DetectTol(maxAbsLower(a), a.N)
+		st.tol = ft.DetectTol(maxAbs(a, true), a.N)
 		st.diag = make([][]float64, a.NT)
 	} else {
-		st.tol = ft.DetectTol(maxAbs(a), max(a.M, a.N))
+		st.tol = ft.DetectTol(maxAbs(a, false), max(a.M, a.N))
 	}
 	if opt.Erasure {
 		st.ers = ft.NewRowErasure(a, opt.Stats)
@@ -307,37 +310,18 @@ func (st *resilientState) unlessFailed(fn func() error) func() error {
 	}
 }
 
-// maxAbsLower returns the max-abs norm over the referenced (lower) region
-// of a symmetric tiled matrix.
-func maxAbsLower(a *tile.Matrix[float64]) float64 {
-	var norm float64
-	for j := 0; j < a.NT; j++ {
-		for i := j; i < a.MT; i++ {
-			t := a.Tile(i, j)
-			ld := a.TileRows(i)
-			for c := 0; c < a.TileCols(j); c++ {
-				lo := 0
-				if i == j {
-					lo = c
-				}
-				for r := lo; r < a.TileRows(i); r++ {
-					if av := math.Abs(t[r+c*ld]); av > norm {
-						norm = av
-					}
-				}
-			}
-		}
-	}
-	return norm
-}
-
-func maxAbs(a *tile.Matrix[float64]) float64 {
+// maxAbs returns the max-abs norm of a, over its lower triangle only with
+// lower set: the referenced region of a symmetric matrix.
+func maxAbs(a *tile.Matrix[float64], lower bool) float64 {
 	var norm float64
 	for j := 0; j < a.NT; j++ {
 		for i := 0; i < a.MT; i++ {
-			for _, v := range a.Tile(i, j) {
-				if av := math.Abs(v); av > norm {
-					norm = av
+			t, ld := a.Tile(i, j), a.TileRows(i)
+			for c := 0; c < a.TileCols(j); c++ {
+				for r := 0; r < ld; r++ {
+					if av := math.Abs(t[r+c*ld]); av > norm && (!lower || i*a.NB+r >= j*a.NB+c) {
+						norm = av
+					}
 				}
 			}
 		}

@@ -242,11 +242,14 @@ func applySolve[F blas.Float](st solveStep, f *Factors[F], b *tile.Matrix[F]) er
 
 // submitSolve submits sweeps of a solve with f's factor on b, in place, to
 // s — the one walk behind every right-hand-side driver and the inverse,
-// whose b is f.A. A task turns into a no-op once es holds an error, and
-// records its own there.
+// whose b is f.A — after the fills a deferred b still owes. A task turns
+// into a no-op once es holds an error, and records its own there.
 func submitSolve[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F], es *errState, sweeps ...sweep) {
 	a := f.A
 	kt := min(a.MT, a.NT)
+	if len(sweeps) > 0 {
+		submitFills(s, b, kt)
+	}
 	for _, sw := range sweeps {
 		for _, st := range sw.steps(f.op, a.MT, a.NT, b.NT) {
 			ar, br, bw := st.accesses()
@@ -283,19 +286,58 @@ func Factor[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], fo
 	if b != nil {
 		sweeps = f.solve()
 	}
-	return f, f.factorThen(s, b, forkJoin, sweeps)
+	return f, f.walk(s, true, forkJoin, b, sweeps, nil)
 }
 
-// factorThen factors f.A in place with its op's tile program and sweeps
-// b after it, all in one dataflow graph, then waits and returns the first
-// error, as Factor does.
-func (f *Factors[F]) factorThen(s sched.Scheduler, b *tile.Matrix[F], forkJoin bool, sweeps []sweep) error {
+// walk is the one walk behind every driver: with factor set, f's op's
+// tile program over f.A, then the sweeps on b, then, with out not nil, the
+// gather of b into out, all in one dataflow graph; it waits and returns the
+// first error, as Factor does.
+func (f *Factors[F]) walk(s sched.Scheduler, factor, forkJoin bool, b *tile.Matrix[F], sweeps []sweep, out []F) error {
 	es := &errState{}
-	packs := submitProgram(s, f.op, f.A, f, es, forkJoin, 0)
+	packs := &packTable[F]{}
+	if factor {
+		packs = submitProgram(s, f.op, f.A, f, es, forkJoin, 0)
+	}
 	submitSolve(s, f, b, es, sweeps...)
+	if out != nil {
+		submitGather(s, b, out)
+	}
 	err := finishErr(es, s)
 	packs.release()
 	return err
+}
+
+// Then names what a Run does with its factor on B.
+type Then uint8
+
+const (
+	ThenSolve  Then = iota // A·X = B, as Solve
+	ThenQT                 // Qᵀ·B, as ApplyQT
+	ThenInvert             // A⁻¹'s lower triangle, as Potri; B is the factor's A
+)
+
+// Run is the one walk behind the column-major entry points: it factors a
+// with op — unless f is a factor already, when op and a are unused — then
+// does then on b and gathers b into a fresh column-major array with
+// leading dimension b.M, all in one dataflow graph. a and b may be
+// tile.Deferred, the walk's first tasks filling them, so their sources are
+// free again once Run returns. It waits and returns the factor, the array
+// and the first error, as Factor does.
+func Run[F blas.Float](s sched.Scheduler, f *Factors[F], op string, a, b *tile.Matrix[F], then Then) (*Factors[F], []F, error) {
+	factor := f == nil
+	if factor {
+		f = newFactors(op, a)
+	}
+	sweeps := inverse
+	switch then {
+	case ThenSolve:
+		sweeps = f.solve()
+	case ThenQT:
+		sweeps = []sweep{sweepQT}
+	}
+	out := make([]F, b.M*b.N)
+	return f, out, f.walk(s, factor, false, b, sweeps, out)
 }
 
 // Potri computes the inverse of an SPD tiled matrix in place from scratch:
@@ -303,25 +345,14 @@ func (f *Factors[F]) factorThen(s sched.Scheduler, b *tile.Matrix[F], forkJoin b
 // dataflow graph. On return the lower tiles hold the lower triangle of
 // A⁻¹.
 func Potri[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
-	return newFactors(OpCholesky, a).factorThen(s, a, false, inverse)
-}
-
-// Invert turns the Cholesky factor f in place into the lower triangle of
-// A⁻¹ and waits, returning a singular diagonal tile of L or the
-// scheduler's task failures.
-func Invert[F blas.Float](s sched.Scheduler, f *Factors[F]) error {
-	es := &errState{}
-	submitSolve(s, f, f.A, es, inverse...)
-	return finishErr(es, s)
+	return newFactors(OpCholesky, a).walk(s, true, false, a, inverse, nil)
 }
 
 // Solve solves A·X = B in place on b (A's row tiling) with the factor f —
 // least squares for a QR factor — and waits, returning the scheduler's task
 // failures. f is only read, so solves may share it.
 func Solve[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F]) error {
-	es := &errState{}
-	submitSolve(s, f, b, es, f.solve()...)
-	return finishErr(es, s)
+	return f.walk(s, false, false, b, f.solve(), nil)
 }
 
 // solve returns the sweeps of f's solve, panicking where f's op or shape

@@ -54,13 +54,18 @@ import (
 // coordinator, minus the inconvenience).
 var ErrAborted = core.ErrAborted
 
+// ErrCheckpointOp is returned, wrapped, by NewCoordinator when the
+// checkpoint it resumes from records another operation than Options.Op.
+var ErrCheckpointOp = errors.New("dist: checkpoint holds another operation")
+
 // scrubTilesPerPass bounds how many tiles one background scrub pass
 // re-verifies, keeping each pass short under the coordinator lock.
 const scrubTilesPerPass = 32
 
 // Options configures a distributed run.
 type Options struct {
-	// Op is the factorization: OpCholesky or OpLUNoPiv.
+	// Op is the factorization: OpCholesky or OpLUNoPiv. Resuming, an
+	// empty Op is the checkpoint's.
 	Op string
 	// A is the matrix to factor in place (tile layout). Ignored when Resume
 	// finds a checkpoint.
@@ -292,11 +297,11 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	if a.M != a.N {
 		return nil, fmt.Errorf("dist: need a square matrix, got %d×%d", a.M, a.N)
 	}
-	if opt.Op != OpCholesky && opt.Op != OpLUNoPiv {
-		return nil, fmt.Errorf("dist: unknown op %q", opt.Op)
+	if c.opt.Op != OpCholesky && c.opt.Op != OpLUNoPiv {
+		return nil, fmt.Errorf("dist: unknown op %q", c.opt.Op)
 	}
 	c.a = a
-	c.pl = makePlan(opt.Op, a.NT, fromStep)
+	c.pl = makePlan(c.opt.Op, a.NT, fromStep)
 	c.st = newStore(a, opt.WriteBack, func() { c.addStat(&c.stats.TilesRebuilt, c.m.tilesRebuilt, 1) })
 	// Store callbacks run under c.mu (the coordinator serializes all store
 	// access), so recording fault instants here is safe.
@@ -351,7 +356,8 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 }
 
 // initialState picks the starting matrix and panel step: the latest
-// checkpoint when resuming, rebuilt by core.Restore, Options.A otherwise.
+// checkpoint when resuming, rebuilt by core.Restore, with its op when
+// Options.Op is empty; Options.A otherwise.
 func (c *Coordinator) initialState() (*tile.Matrix[float64], int, error) {
 	if !c.opt.Resume || c.opt.Ckpt == nil {
 		return c.opt.A, 0, nil
@@ -367,8 +373,11 @@ func (c *Coordinator) initialState() (*tile.Matrix[float64], int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("dist: %s: %w", path, err)
 	}
+	if c.opt.Op == "" {
+		c.opt.Op = op
+	}
 	if op != c.opt.Op {
-		return nil, 0, fmt.Errorf("dist: checkpoint %s is %s, want %s", path, op, c.opt.Op)
+		return nil, 0, fmt.Errorf("%w: %s is %s, want %s", ErrCheckpointOp, path, op, c.opt.Op)
 	}
 	c.opt.logf("dist: resuming from %s (step %d)", path, snap.Step)
 	return a, snap.Step, nil

@@ -59,6 +59,8 @@ type LeaseInfo struct {
 // by the obs server's /dist endpoint and folded into /healthz.
 type ClusterStatus struct {
 	Op          string        `json:"op"`
+	N           int           `json:"n"`
+	NB          int           `json:"nb"`
 	Tasks       int           `json:"tasks"`
 	Completed   int           `json:"tasks_completed"`
 	Done        bool          `json:"done"`
@@ -185,6 +187,8 @@ func (c *Coordinator) Status() ClusterStatus {
 	now := time.Now()
 	st := ClusterStatus{
 		Op:          c.opt.Op,
+		N:           c.a.N,
+		NB:          c.a.NB,
 		Tasks:       len(c.pl.tasks),
 		Completed:   int(c.stats.TasksCompleted.Load()),
 		Done:        c.done,

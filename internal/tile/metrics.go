@@ -8,14 +8,17 @@ import (
 
 // Layout-conversion accounting in the default metrics registry:
 //
-//	tile.convert_ns     — wall time spent converting between column-major
-//	                      and tiled layout (FromColMajor + ToColMajor)
-//	tile.convert_elems  — elements moved by those conversions
+//	tile.convert_ns     — wall time spent copying tiles between column-major
+//	                      and tiled layout, summed over tiles and goroutines
+//	tile.convert_elems  — elements moved by those copies
 //
-// Conversions sit outside the task DAG, so their cost is pure overhead
-// relative to an application that keeps data tiled end to end; the ratio of
-// tile.convert_ns to scheduler busy time shows how much a benchmark pays
-// for the legacy interface.
+// Every tile fill of a deferred matrix (FromColMajor fills them all in
+// turn) and every TileTo (ToColMajor calls it per tile) adds to both. The
+// one-shot solvers run those copies as convert and gather tasks of their
+// walk, spread over the workers, so there tile.convert_ns is task time, not
+// a serial prologue; the ratio to scheduler busy time still shows what the
+// column-major interface costs an application that keeps data tiled end
+// to end.
 var (
 	convertNs    = metrics.Default().Counter("tile.convert_ns")
 	convertElems = metrics.Default().Counter("tile.convert_elems")

@@ -22,8 +22,13 @@ type Matrix[T blas.Float] struct {
 	// MT and NT are the number of tile rows and tile columns.
 	MT, NT int
 
-	tiles [][]T
-	id    *int // unique identity for scheduler handles
+	tiles [][]T // nil while the matrix is deferred
+	id    *int  // unique identity for scheduler handles
+
+	// src, with leading dimension lda, is a deferred matrix's column-major
+	// source, until Fills hands it over.
+	src []T
+	lda int
 }
 
 // Handle identifies one tile of one matrix for dependence tracking.
@@ -40,23 +45,55 @@ func (h Handle) Coords() (i, j int) { return h.i, h.j }
 
 // New allocates an M×N tiled matrix with tile size nb, zero-initialized.
 func New[T blas.Float](m, n, nb int) *Matrix[T] {
+	return Deferred[T](m, n, nil, 0, nb).Fill()
+}
+
+// Deferred returns the m×n matrix held column-major, with leading dimension
+// lda, in src, tiled at nb: it has its shape and handles but no tiles until
+// they are filled, one by one through Fills, so src must not change until
+// then. A nil src fills zero tiles.
+func Deferred[T blas.Float](m, n int, src []T, lda, nb int) *Matrix[T] {
 	if m < 0 || n < 0 || nb < 1 {
 		panic(fmt.Sprintf("tile: invalid dimensions %d×%d nb=%d", m, n, nb))
 	}
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb
-	if mt == 0 {
-		mt = 1
+	return &Matrix[T]{M: m, N: n, NB: nb, MT: max(mt, 1), NT: max(nt, 1), id: new(int), src: src, lda: lda}
+}
+
+// Fills returns, for a deferred matrix, one function per tile — tile
+// (i, j)'s at index i+j·MT — that allocates the tile and copies it in from
+// the source, and detaches the matrix from its source; it returns nil once
+// the tiles exist. Each function runs once, before anything reads its
+// tile; they may run concurrently.
+func (a *Matrix[T]) Fills() []func() {
+	if a.tiles != nil {
+		return nil
 	}
-	if nt == 0 {
-		nt = 1
-	}
-	a := &Matrix[T]{M: m, N: n, NB: nb, MT: mt, NT: nt, id: new(int)}
-	a.tiles = make([][]T, mt*nt)
-	for j := 0; j < nt; j++ {
-		for i := 0; i < mt; i++ {
-			a.tiles[i+j*mt] = make([]T, a.TileRows(i)*a.TileCols(j))
+	src, lda := a.src, a.lda
+	a.src, a.tiles = nil, make([][]T, a.MT*a.NT)
+	fills := make([]func(), len(a.tiles))
+	for t := range fills {
+		i, j := t%a.MT, t/a.MT
+		fills[t] = func() {
+			start, tr, tc := convertStart(), a.TileRows(i), a.TileCols(j)
+			a.tiles[t] = make([]T, tr*tc)
+			for jj := 0; src != nil && jj < tc; jj++ {
+				off := i*a.NB + (j*a.NB+jj)*lda
+				copy(a.tiles[t][jj*tr:(jj+1)*tr], src[off:off+tr])
+			}
+			if src != nil {
+				convertDone(start, int64(tr*tc))
+			}
 		}
+	}
+	return fills
+}
+
+// Fill runs every fill a still owes (see Fills) in turn and returns a.
+func (a *Matrix[T]) Fill() *Matrix[T] {
+	for _, fill := range a.Fills() {
+		fill()
 	}
 	return a
 }
@@ -125,61 +162,29 @@ func (a *Matrix[T]) Set(i, j int, v T) {
 // FromColMajor converts an m×n column-major matrix with leading dimension
 // lda into tiled layout with tile size nb.
 func FromColMajor[T blas.Float](m, n int, src []T, lda, nb int) *Matrix[T] {
-	start := convertStart()
-	defer func() { convertDone(start, int64(m)*int64(n)) }()
-	a := New[T](m, n, nb)
-	for tj := 0; tj < a.NT; tj++ {
-		tc := a.TileCols(tj)
-		for ti := 0; ti < a.MT; ti++ {
-			tr := a.TileRows(ti)
-			dst := a.Tile(ti, tj)
-			for jj := 0; jj < tc; jj++ {
-				srcOff := (ti * a.NB) + (tj*a.NB+jj)*lda
-				copy(dst[jj*tr:jj*tr+tr], src[srcOff:srcOff+tr])
-			}
-		}
-	}
-	return a
+	return Deferred(m, n, src, lda, nb).Fill()
 }
 
 // ToColMajor converts the tiled matrix back to column-major with leading
 // dimension m.
 func (a *Matrix[T]) ToColMajor() []T {
-	start := convertStart()
-	defer func() { convertDone(start, int64(a.M)*int64(a.N)) }()
 	out := make([]T, a.M*a.N)
-	for tj := 0; tj < a.NT; tj++ {
-		tc := a.TileCols(tj)
-		for ti := 0; ti < a.MT; ti++ {
-			tr := a.TileRows(ti)
-			src := a.Tile(ti, tj)
-			for jj := 0; jj < tc; jj++ {
-				dstOff := (ti * a.NB) + (tj*a.NB+jj)*a.M
-				copy(out[dstOff:dstOff+tr], src[jj*tr:jj*tr+tr])
-			}
+	for j := range a.NT {
+		for i := range a.MT {
+			a.TileTo(out, i, j)
 		}
 	}
 	return out
 }
 
-// Clone returns a deep copy sharing no storage with a (its handles are
-// distinct from a's: the copy is a different datum).
-func (a *Matrix[T]) Clone() *Matrix[T] {
-	b := New[T](a.M, a.N, a.NB)
-	for idx, t := range a.tiles {
-		copy(b.tiles[idx], t)
+// TileTo copies tile (i, j) to its place in out, the matrix column-major
+// with leading dimension M.
+func (a *Matrix[T]) TileTo(out []T, i, j int) {
+	start := convertStart()
+	tr, tc, t := a.TileRows(i), a.TileCols(j), a.Tile(i, j)
+	for jj := range tc {
+		off := i*a.NB + (j*a.NB+jj)*a.M
+		copy(out[off:off+tr], t[jj*tr:(jj+1)*tr])
 	}
-	return b
-}
-
-// Convert returns a copy of the matrix in the other precision.
-func Convert[D, S blas.Float](a *Matrix[S]) *Matrix[D] {
-	b := New[D](a.M, a.N, a.NB)
-	for idx, t := range a.tiles {
-		dst := b.tiles[idx]
-		for k, v := range t {
-			dst[k] = D(v)
-		}
-	}
-	return b
+	convertDone(start, int64(tr*tc))
 }

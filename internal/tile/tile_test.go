@@ -90,34 +90,6 @@ func TestHandlesDistinguishTilesAndMatrices(t *testing.T) {
 	if a.Handle(0, 0) == b.Handle(0, 0) {
 		t.Error("tiles of distinct matrices share a handle")
 	}
-	c := a.Clone()
-	if a.Handle(1, 1) == c.Handle(1, 1) {
-		t.Error("clone shares handles with original")
-	}
-}
-
-func TestConvertPrecision(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	src := matgen.Dense[float64](rng, 9, 5)
-	a := FromColMajor(9, 5, src, 9, 4)
-	s := Convert[float32](a)
-	d := Convert[float64](s)
-	out := d.ToColMajor()
-	for i := range src {
-		if float32(src[i]) != float32(out[i]) {
-			t.Fatalf("precision round trip differs at %d", i)
-		}
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	a := New[float64](4, 4, 2)
-	a.Set(1, 1, 5)
-	b := a.Clone()
-	b.Set(1, 1, 9)
-	if a.At(1, 1) != 5 {
-		t.Error("clone shares storage")
-	}
 }
 
 func TestSetTile(t *testing.T) {

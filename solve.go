@@ -8,7 +8,6 @@ import (
 	"exadla/internal/lapack"
 	"exadla/internal/mixed"
 	"exadla/internal/rnd"
-	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
 
@@ -19,30 +18,62 @@ type factored struct {
 	f   *core.Factors[float64]
 }
 
-// apply runs run — the factor's solve, or Qᵀ — on a copy of b with the
-// factor's row tiling and returns the result. B is untouched.
-func (f factored) apply(b *Matrix, run func(sched.Scheduler, *core.Factors[float64], *tile.Matrix[float64]) error) (*Matrix, error) {
-	a := f.f.A
-	if b.rows != a.M {
-		return nil, fmt.Errorf("exadla: RHS has %d rows, factor is %d×%d", b.rows, a.M, a.N)
-	}
-	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, a.NB)
-	if err := run(f.ctx.scheduler(), f.f, tb); err != nil {
-		return nil, err
-	}
-	return FromSlice(b.rows, b.cols, tb.ToColMajor()), nil
+// apply does then (core.ThenSolve or core.ThenQT) with the factor on B
+// and returns the result. B is untouched.
+func (f factored) apply(b *Matrix, then core.Then) (*Matrix, error) {
+	x, _, err := f.ctx.run(f.f, "", nil, b, f.f.A.NB, then)
+	return x, err
 }
 
-// factor runs op's tile program (core.OpCholesky or core.OpLU) over a
-// tiled copy of the square matrix A under every protection the Context
-// armed: checkpointing, ABFT and erasure are guards on the one program and
+// run is the one entry path of the tile solvers, a core.Run walk: it
+// factors A with op — unless f is the factor to reuse — then does then on
+// B, or on the factor's own tiles when b is nil, and returns the result
+// and the factor. Its operands are tiled at nb as its tasks need them, one
+// convert task per tile, and the result copied out by one gather task per
+// tile, so A and B are untouched, and free again once it returns.
+func (c *Context) run(f *core.Factors[float64], op string, a, b *Matrix, nb int, then core.Then) (*Matrix, *core.Factors[float64], error) {
+	var ta *tile.Matrix[float64]
+	if f != nil {
+		ta = f.A
+	} else {
+		ta = tile.Deferred(a.rows, a.cols, a.data, a.rows, nb)
+	}
+	tb := ta
+	if b != nil {
+		if b.rows != ta.M {
+			return nil, nil, fmt.Errorf("exadla: RHS has %d rows, matrix has %d", b.rows, ta.M)
+		}
+		tb = tile.Deferred(b.rows, b.cols, b.data, b.rows, nb)
+	}
+	f, x, err := core.Run(c.scheduler(), f, op, ta, tb, then)
+	if err != nil {
+		return nil, nil, err
+	}
+	return FromSlice(tb.M, tb.N, x), f, nil
+}
+
+// protected factors the square matrix A with op under the protections the
+// Context armed (see factor) and returns the factor for run to reuse, or
+// nil when none is armed: run then factors A in its one graph. name is the
+// entry point, for the error on a non-square A.
+func (c *Context) protected(name, op string, a *Matrix) (*core.Factors[float64], error) {
+	if c.ckptDir == "" && !c.faultTolerant && a.rows == a.cols {
+		return nil, nil
+	}
+	f, err := c.factor(name, op, a)
+	return f.f, err
+}
+
+// factor runs op's tile program (core.OpCholesky or core.OpLU) over A,
+// filled by its convert tasks, under every protection the Context armed:
+// checkpointing, ABFT and erasure are guards on the one program and
 // compose; with none armed it is the plain dataflow factorization. name is
 // the entry point, for the error on a non-square A.
 func (c *Context) factor(name, op string, a *Matrix) (factored, error) {
 	if a.rows != a.cols {
 		return factored{}, fmt.Errorf("exadla: %s needs square matrix, got %d×%d", name, a.rows, a.cols)
 	}
-	t := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, c.tileSizeFor(op, a.rows))
+	t := tile.Deferred(a.rows, a.cols, a.data, a.rows, c.tileSizeFor(op, a.rows))
 	f, err := core.Protect(c.scheduler(), op, t, c.ckptOptions(), c.ftOptions())
 	return factored{c, f}, err
 }
@@ -61,7 +92,7 @@ func (c *Context) Cholesky(a *Matrix) (*CholeskyFactor, error) {
 }
 
 // Solve solves A·X = B using the factorization. B is untouched.
-func (f *CholeskyFactor) Solve(b *Matrix) (*Matrix, error) { return f.apply(b, core.Solve[float64]) }
+func (f *CholeskyFactor) Solve(b *Matrix) (*Matrix, error) { return f.apply(b, core.ThenSolve) }
 
 // L returns the explicit lower-triangular factor as a Matrix.
 func (f *CholeskyFactor) L() *Matrix {
@@ -86,26 +117,15 @@ func (c *Context) SolveSPD(a, b *Matrix) (*Matrix, error) {
 // WithFaultTolerance) the factorization runs first under it, then the
 // solve: the barrier between the two phases is the price of protection.
 func (c *Context) solve(name, op string, a, b *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("exadla: %s needs square matrix, got %d×%d", name, a.rows, a.cols)
-	}
 	if b.rows != a.rows {
 		return nil, fmt.Errorf("exadla: RHS has %d rows, matrix has %d", b.rows, a.rows)
 	}
-	if c.ckptDir != "" || c.faultTolerant {
-		f, err := c.factor(name, op, a)
-		if err != nil {
-			return nil, err
-		}
-		return f.apply(b, core.Solve[float64])
-	}
-	nb := c.tileSizeFor(op, a.rows)
-	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, nb)
-	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, nb)
-	if _, err := core.Factor(c.scheduler(), op, ta, tb, false); err != nil {
+	f, err := c.protected(name, op, a)
+	if err != nil {
 		return nil, err
 	}
-	return FromSlice(b.rows, b.cols, tb.ToColMajor()), nil
+	x, _, err := c.run(f, op, a, b, c.tileSizeFor(op, a.rows), core.ThenSolve)
+	return x, err
 }
 
 // LUFactor is a reusable tile LU factorization with partial pivoting.
@@ -123,7 +143,7 @@ func (c *Context) LU(a *Matrix) (*LUFactor, error) {
 }
 
 // Solve solves A·X = B using the factorization. B is untouched.
-func (f *LUFactor) Solve(b *Matrix) (*Matrix, error) { return f.apply(b, core.Solve[float64]) }
+func (f *LUFactor) Solve(b *Matrix) (*Matrix, error) { return f.apply(b, core.ThenSolve) }
 
 // Solve factors A (general square) and solves A·X = B in one dataflow
 // graph.
@@ -137,7 +157,7 @@ type QRFactor struct{ factored }
 // QR computes the tile QR factorization of an m×n matrix (A untouched)
 // using the flat elimination order.
 func (c *Context) QR(a *Matrix) *QRFactor {
-	t := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("qr", a.rows))
+	t := tile.Deferred(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("qr", a.rows))
 	return &QRFactor{factored{c, core.QR(c.scheduler(), t)}}
 }
 
@@ -145,7 +165,7 @@ func (c *Context) QR(a *Matrix) *QRFactor {
 // per panel (CAQR order) — shorter critical path on tall matrices at the
 // cost of extra reflector storage. The factor behaves identically to QR's.
 func (c *Context) QRTree(a *Matrix) *QRFactor {
-	t := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("qr", a.rows))
+	t := tile.Deferred(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("qr", a.rows))
 	return &QRFactor{factored{c, core.QRTree(c.scheduler(), t)}}
 }
 
@@ -163,12 +183,7 @@ func (f *QRFactor) R() *Matrix {
 
 // QTb applies Qᵀ to a matrix with A's row count (for least-squares
 // pipelines). B is untouched.
-func (f *QRFactor) QTb(b *Matrix) (*Matrix, error) {
-	return f.apply(b, func(s sched.Scheduler, qr *core.Factors[float64], tb *tile.Matrix[float64]) error {
-		core.ApplyQT(s, qr, tb)
-		return f.ctx.rt.WaitErr()
-	})
-}
+func (f *QRFactor) QTb(b *Matrix) (*Matrix, error) { return f.apply(b, core.ThenQT) }
 
 // LeastSquares solves min‖A·x − b‖₂ for a tall full-rank matrix A (m ≥ n)
 // via tile QR. It returns the n×nrhs solution, or an error if R has an
@@ -178,28 +193,23 @@ func (c *Context) LeastSquares(a, b *Matrix) (*Matrix, error) {
 }
 
 // leastSquares runs the tile least-squares solver with op, the flat or
-// tree QR, on copies of A and B tiled at nb.
+// tree QR, on A and B tiled at nb.
 func (c *Context) leastSquares(a, b *Matrix, nb int, op string) (*Matrix, error) {
 	if a.rows < a.cols {
 		return nil, fmt.Errorf("exadla: least squares needs m ≥ n, got %d×%d", a.rows, a.cols)
 	}
-	if b.rows != a.rows {
-		return nil, fmt.Errorf("exadla: RHS has %d rows, matrix has %d", b.rows, a.rows)
-	}
-	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, nb)
-	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, nb)
-	if _, err := core.Factor(c.scheduler(), op, ta, tb, false); err != nil {
+	full, f, err := c.run(nil, op, a, b, nb, core.ThenSolve)
+	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < a.cols; i++ {
-		if ta.At(i, i) == 0 {
+		if f.A.At(i, i) == 0 {
 			return nil, fmt.Errorf("exadla: rank-deficient matrix (R[%d][%d] = 0)", i, i)
 		}
 	}
-	full := tb.ToColMajor()
 	x := NewMatrix(a.cols, b.cols)
 	for j := 0; j < b.cols; j++ {
-		copy(x.data[j*a.cols:(j+1)*a.cols], full[j*b.rows:j*b.rows+a.cols])
+		copy(x.data[j*a.cols:(j+1)*a.cols], full.data[j*b.rows:j*b.rows+a.cols])
 	}
 	return x, nil
 }
@@ -211,15 +221,7 @@ type MixedResult = mixed.Result
 // iterative refinement (the dsgesv scheme), falling back to a full float64
 // solve for hopelessly conditioned systems. b must have one column.
 func (c *Context) SolveMixed(a, b *Matrix) (*Matrix, MixedResult, error) {
-	if a.rows != a.cols {
-		return nil, MixedResult{}, fmt.Errorf("exadla: SolveMixed needs square matrix")
-	}
-	if b.rows != a.rows || b.cols != 1 {
-		return nil, MixedResult{}, fmt.Errorf("exadla: SolveMixed needs an n×1 RHS")
-	}
-	x := NewMatrix(a.rows, 1)
-	res, err := mixed.SolveLU(a.rows, a.data, a.rows, b.data, x.data)
-	return x, res, err
+	return solveMixed("SolveMixed", mixed.SolveLU, a, b)
 }
 
 // SolveMixedHalf solves A·x = b with three precisions: an emulated
@@ -228,27 +230,25 @@ func (c *Context) SolveMixed(a, b *Matrix) (*Matrix, MixedResult, error) {
 // It only converges for mildly conditioned systems (cond ≲ 10³) and falls
 // back to float64 beyond; see the E9 experiment.
 func (c *Context) SolveMixedHalf(a, b *Matrix) (*Matrix, MixedResult, error) {
-	if a.rows != a.cols {
-		return nil, MixedResult{}, fmt.Errorf("exadla: SolveMixedHalf needs square matrix")
-	}
-	if b.rows != a.rows || b.cols != 1 {
-		return nil, MixedResult{}, fmt.Errorf("exadla: SolveMixedHalf needs an n×1 RHS")
-	}
-	x := NewMatrix(a.rows, 1)
-	res, err := mixed.SolveLUHalf(a.rows, a.data, a.rows, b.data, x.data)
-	return x, res, err
+	return solveMixed("SolveMixedHalf", mixed.SolveLUHalf, a, b)
 }
 
 // SolveMixedSPD is SolveMixed with a Cholesky kernel for SPD systems.
 func (c *Context) SolveMixedSPD(a, b *Matrix) (*Matrix, MixedResult, error) {
+	return solveMixed("SolveMixedSPD", mixed.SolveCholesky, a, b)
+}
+
+// solveMixed runs the internal/mixed solver run, for the entry point name,
+// on the square A and n×1 b.
+func solveMixed(name string, run func(n int, a []float64, lda int, b, x []float64) (MixedResult, error), a, b *Matrix) (*Matrix, MixedResult, error) {
 	if a.rows != a.cols {
-		return nil, MixedResult{}, fmt.Errorf("exadla: SolveMixedSPD needs square matrix")
+		return nil, MixedResult{}, fmt.Errorf("exadla: %s needs square matrix", name)
 	}
 	if b.rows != a.rows || b.cols != 1 {
-		return nil, MixedResult{}, fmt.Errorf("exadla: SolveMixedSPD needs an n×1 RHS")
+		return nil, MixedResult{}, fmt.Errorf("exadla: %s needs an n×1 RHS", name)
 	}
 	x := NewMatrix(a.rows, 1)
-	res, err := mixed.SolveCholesky(a.rows, a.data, a.rows, b.data, x.data)
+	res, err := run(a.rows, a.data, a.rows, b.data, x.data)
 	return x, res, err
 }
 
@@ -315,32 +315,20 @@ func (c *Context) Invert(a *Matrix) (*Matrix, error) {
 // factorization runs first under it, then the inverse, like SolveSPD. The
 // full symmetric inverse is returned.
 func (c *Context) InvertSPD(a *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("exadla: InvertSPD needs square matrix, got %d×%d", a.rows, a.cols)
+	f, err := c.protected("InvertSPD", core.OpCholesky, a)
+	if err != nil {
+		return nil, err
 	}
-	n := a.rows
-	var t *tile.Matrix[float64]
-	if c.ckptDir != "" || c.faultTolerant {
-		f, err := c.factor("InvertSPD", core.OpCholesky, a)
-		if err != nil {
-			return nil, err
-		}
-		if err := core.Invert(c.scheduler(), f.f); err != nil {
-			return nil, err
-		}
-		t = f.f.A
-	} else {
-		t = tile.FromColMajor(n, n, a.data, n, c.tileSizeFor(core.OpCholesky, n))
-		if err := core.Potri(c.scheduler(), t); err != nil {
-			return nil, err
-		}
+	inv, _, err := c.run(f, core.OpCholesky, a, nil, c.tileSizeFor(core.OpCholesky, a.rows), core.ThenInvert)
+	if err != nil {
+		return nil, err
 	}
-	f := FromSlice(n, n, t.ToColMajor())
 	// Mirror the computed lower triangle.
+	n := a.rows
 	for j := 0; j < n; j++ {
 		for i := j + 1; i < n; i++ {
-			f.data[j+i*n] = f.data[i+j*n]
+			inv.data[j+i*n] = inv.data[i+j*n]
 		}
 	}
-	return f, nil
+	return inv, nil
 }
