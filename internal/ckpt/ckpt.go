@@ -1,10 +1,11 @@
 // Package ckpt serializes factorization checkpoints: a consistent
 // snapshot of the tile matrix plus the DAG frontier (the next panel step)
-// and, for LU, the pivots the completed steps chose. The format is
-// self-contained binary — a versioned magic, a length-prefixed payload of
-// fixed-width little-endian words, and a CRC32 trailer — so a checkpoint
-// survives process death and partial writes are rejected rather than
-// resumed from.
+// and, for LU, the pivots the completed steps chose. The format is a
+// versioned magic followed by ft frames — one header frame, then one frame
+// per tile in tile-column order, each sealed with its own CRC64 — so a
+// checkpoint survives process death, partial writes are rejected rather
+// than resumed from, and a tile is the same bytes on disk as on the dist
+// wire.
 //
 // Bitwise fidelity is part of the contract: float64 values are stored as
 // their IEEE-754 bit patterns, so a run resumed from a checkpoint
@@ -14,17 +15,19 @@
 package ckpt
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"exadla/internal/ft"
+	"exadla/internal/tile"
 )
 
 // Op identifies the factorization a checkpoint belongs to.
@@ -56,10 +59,10 @@ func (op Op) String() string {
 type Checkpoint struct {
 	Op   Op
 	Step int // next panel step to execute on resume
-	M, N int // matrix dimensions
-	NB   int // tile size
-	// Data is the column-major matrix snapshot (M×N, leading dimension M).
-	Data []float64
+	// A is the tile matrix snapshot; its M, N and NB are the checkpoint's
+	// geometry. Encode writes its tiles as they are and Decode allocates
+	// each tile as its frame arrives.
+	A *tile.Matrix[float64]
 	// Piv is the prefix of core.Factors.Piv the completed steps wrote —
 	// the pivots of rows 0 … min(Step·NB, M, N)−1; empty for the pivot-free
 	// operations.
@@ -67,8 +70,9 @@ type Checkpoint struct {
 }
 
 // version is the format this build writes and reads; it is the last byte
-// of the magic. Version 1 carried incremental-pivoting LU state.
-const version = 2
+// of the magic. Version 1 carried incremental-pivoting LU state, version 2
+// one column-major matrix under a 32-bit checksum.
+const version = 3
 
 var (
 	magic = [8]byte{'E', 'X', 'A', 'D', 'L', 'A', 'C', '0' + version}
@@ -86,200 +90,90 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("ckpt: format version %d is not readable (this build reads version %d)", e.Version, version)
 }
 
-// Caps keep Decode from trusting hostile or torn length fields with huge
-// allocations; they bound, not model, real checkpoint sizes.
-const (
-	maxPayload = 1 << 31 // bytes
-	maxDim     = 1 << 20 // M, N
-	maxList    = 1 << 24 // pivot list length
-)
+// maxDim caps M, N, NB and Step, so Decode refuses absurd geometry before
+// reading a tile; it bounds, not models, real checkpoint sizes.
+const maxDim = 1 << 20
 
-// Encode writes the checkpoint to w.
+// Encode writes the checkpoint to w: the magic, the header frame — the
+// words op, step, M, N, NB and the pivots, each as an element's bit
+// pattern — then one frame per tile in tile-column order, each encoded
+// straight from the tile.
 func Encode(w io.Writer, c *Checkpoint) error {
-	if len(c.Data) != c.M*c.N {
-		return fmt.Errorf("ckpt: Data has %d elements for a %d×%d matrix", len(c.Data), c.M, c.N)
+	a := c.A
+	var words []float64
+	for _, v := range append([]int{int(c.Op), c.Step, a.M, a.N, a.NB}, c.Piv...) {
+		words = append(words, math.Float64frombits(uint64(v)))
 	}
-	var buf bytes.Buffer
-	putU8 := func(v uint8) { buf.WriteByte(v) }
-	putU32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf.Write(b[:])
-	}
-	putU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
-	}
-	putU8(uint8(c.Op))
-	putU32(uint32(c.Step))
-	putU32(uint32(c.M))
-	putU32(uint32(c.N))
-	putU32(uint32(c.NB))
-	for _, v := range c.Data {
-		putU64(math.Float64bits(v))
-	}
-	putU32(uint32(len(c.Piv)))
-	for _, v := range c.Piv {
-		putU64(uint64(int64(v)))
-	}
-
-	payload := buf.Bytes()
-	var hdr [16]byte
-	copy(hdr[:8], magic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	buf := ft.Frame{Kind: ft.FrameCheckpoint, Rows: 1, Cols: len(words)}.Append(magic[:], words)
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
+	for j := 0; j < a.NT; j++ {
+		for i := 0; i < a.MT; i++ {
+			buf = ft.TileFrame(a, i, j).Append(buf[:0], a.Tile(i, j))
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(tail[:])
-	return err
+	return nil
 }
 
-// payloadReader parses fixed-width words out of a validated payload,
-// latching the first error.
-type payloadReader struct {
-	b   []byte
-	err error
-}
-
-func (r *payloadReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ckpt: "+format, args...)
-	}
-}
-
-func (r *payloadReader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail("truncated payload")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *payloadReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 4 {
-		r.fail("truncated payload")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *payloadReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail("truncated payload")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-// ints reads a length-prefixed list of 64-bit integers; an empty list
-// reads as nil, and a length beyond maxList or the remaining payload is
-// rejected.
-func (r *payloadReader) ints() []int {
-	n := r.u32()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if n > maxList || int(n)*8 > len(r.b) {
-		r.fail("list length %d exceeds payload", n)
-		return nil
-	}
-	l := make([]int, n)
-	for i := range l {
-		l[i] = int(int64(r.u64()))
-	}
-	return l
-}
-
-// Decode reads one checkpoint from r, verifying magic, length, and CRC
-// before trusting any field. A checkpoint of another format version is
-// refused with a *VersionError.
+// Decode reads one checkpoint from r. Every frame's checksum is verified
+// before any of its fields is trusted, the tiles must be exactly the
+// header's grid in tile-column order, and nothing may follow the last one.
+// Tiles are allocated as their frames arrive, never from the header's
+// claimed geometry. A checkpoint of another format version is refused with
+// a *VersionError.
 func Decode(rd io.Reader) (*Checkpoint, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
-		return nil, fmt.Errorf("ckpt: reading header: %w", err)
+	r := bufio.NewReader(rd)
+	var m [8]byte
+	if _, err := io.ReadFull(r, m[:]); err != nil {
+		return nil, fmt.Errorf("ckpt: reading magic: %w", err)
 	}
-	if !bytes.Equal(hdr[:7], magic[:7]) {
+	if !bytes.Equal(m[:7], magic[:7]) {
 		return nil, errors.New("ckpt: bad magic")
 	}
-	if hdr[7] != magic[7] {
-		return nil, &VersionError{Version: int(hdr[7]) - '0'}
+	if m[7] != magic[7] {
+		return nil, &VersionError{Version: int(m[7]) - '0'}
 	}
-	plen := binary.LittleEndian.Uint64(hdr[8:])
-	if plen > maxPayload {
-		return nil, fmt.Errorf("ckpt: payload length %d exceeds cap", plen)
-	}
-	// Read incrementally rather than pre-allocating plen bytes: a torn or
-	// hostile header may declare a payload far larger than the file.
-	payload, err := io.ReadAll(io.LimitReader(rd, int64(plen)))
+	h, words, err := ft.ReadFrame(r)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: reading payload: %w", err)
+		return nil, fmt.Errorf("ckpt: header: %w", err)
 	}
-	if uint64(len(payload)) != plen {
-		return nil, fmt.Errorf("ckpt: payload truncated (%d of %d bytes)", len(payload), plen)
+	if h != (ft.Frame{Kind: ft.FrameCheckpoint, Rows: 1, Cols: h.Cols}) || h.Cols < 5 {
+		return nil, fmt.Errorf("ckpt: bad header frame %+v", h)
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(rd, tail[:]); err != nil {
-		return nil, fmt.Errorf("ckpt: reading checksum: %w", err)
+	v := make([]int, len(words))
+	for k, w := range words {
+		v[k] = int(math.Float64bits(w))
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, fmt.Errorf("ckpt: checksum mismatch (%08x != %08x)", got, want)
+	c := &Checkpoint{Op: Op(v[0]), Step: v[1], Piv: v[5:]}
+	if c.Op != OpCholesky && c.Op != OpLU && c.Op != OpLUNoPiv || v[0] != int(c.Op) {
+		return nil, fmt.Errorf("ckpt: unknown op %d", v[0])
 	}
-
-	r := &payloadReader{b: payload}
-	c := &Checkpoint{}
-	c.Op = Op(r.u8())
-	c.Step = int(r.u32())
-	c.M = int(r.u32())
-	c.N = int(r.u32())
-	c.NB = int(r.u32())
-	if r.err == nil {
-		switch {
-		case c.Op != OpCholesky && c.Op != OpLU && c.Op != OpLUNoPiv:
-			r.fail("unknown op %d", uint8(c.Op))
-		case c.M <= 0 || c.N <= 0 || c.M > maxDim || c.N > maxDim:
-			r.fail("bad dimensions %d×%d", c.M, c.N)
-		case c.NB <= 0 || c.NB > maxDim:
-			r.fail("bad tile size %d", c.NB)
-		case c.Step < 0 || c.Step > maxDim:
-			r.fail("bad step %d", c.Step)
-		case c.M*c.N*8 > len(r.b):
-			r.fail("matrix data exceeds payload")
+	if min(v[2], v[3], v[4]) <= 0 || max(v[2], v[3], v[4]) > maxDim || c.Step < 0 || c.Step > maxDim {
+		return nil, fmt.Errorf("ckpt: bad geometry %d×%d, tile size %d, step %d", v[2], v[3], v[4], c.Step)
+	}
+	// The grid is only a shape until its tiles have arrived.
+	a := tile.Deferred[float64](v[2], v[3], nil, 0, v[4])
+	var tiles [][]float64
+	for j := 0; j < a.NT; j++ {
+		for i := 0; i < a.MT; i++ {
+			f, data, err := ft.ReadFrame(r)
+			if err != nil {
+				return nil, fmt.Errorf("ckpt: tile (%d,%d): %w", i, j, err)
+			}
+			if want := ft.TileFrame(a, i, j); f != want {
+				return nil, fmt.Errorf("ckpt: frame %+v where tile %+v belongs", f, want)
+			}
+			tiles = append(tiles, data)
 		}
 	}
-	if r.err == nil {
-		c.Data = make([]float64, c.M*c.N)
-		for i := range c.Data {
-			c.Data[i] = math.Float64frombits(r.u64())
-		}
+	if _, err := r.ReadByte(); err != io.EOF {
+		return nil, errors.New("ckpt: trailing bytes after the last tile")
 	}
-	c.Piv = r.ints()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes in payload", len(r.b))
-	}
+	c.A = a.Assemble(tiles)
 	return c, nil
 }
 
@@ -338,16 +232,6 @@ func Save(dir string, c *Checkpoint) (string, error) {
 	return path, nil
 }
 
-// Load reads and validates one checkpoint file.
-func Load(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
 // Latest loads the newest valid checkpoint in dir (highest step whose
 // file decodes cleanly — corrupt or torn files are skipped), returning
 // the checkpoint and its path, or ErrNoCheckpoint.
@@ -365,9 +249,12 @@ func Latest(dir string) (*Checkpoint, string, error) {
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, n := range names {
 		p := filepath.Join(dir, n)
-		c, err := Load(p)
-		if err == nil {
-			return c, p, nil
+		if f, err := os.Open(p); err == nil {
+			c, err := Decode(f)
+			f.Close()
+			if err == nil {
+				return c, p, nil
+			}
 		}
 	}
 	return nil, "", ErrNoCheckpoint

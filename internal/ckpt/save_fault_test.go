@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"exadla/internal/tile"
 )
 
 // faultFile wraps the temp file Save encodes into, injecting the failure
@@ -72,7 +74,7 @@ func testCheckpoint(step int) *Checkpoint {
 	for i := range data {
 		data[i] = float64(i+step) * 1.25
 	}
-	return &Checkpoint{Op: OpCholesky, Step: step, M: n, N: n, NB: 4, Data: data}
+	return &Checkpoint{Op: OpCholesky, Step: step, A: tile.FromColMajor(n, n, data, n, 4)}
 }
 
 // assertDirClean fails if dir holds any visible checkpoint or leftover
@@ -101,8 +103,8 @@ func assertOnly(t *testing.T, dir string, want ...string) {
 }
 
 func TestSaveDiskFullLeavesNoCheckpoint(t *testing.T) {
-	// Fail at several points through the file: inside the header, inside
-	// the payload, and inside the CRC trailer. None may leave anything a
+	// Fail at several points through the file: inside the magic, inside the
+	// header frame, and inside the tile frames. None may leave anything a
 	// reader could mistake for a checkpoint.
 	for _, budget := range []int{0, 8, 100, 16 + 16*16*8} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
@@ -158,10 +160,10 @@ func TestFailedSavePreservesPreviousCheckpoint(t *testing.T) {
 	if c.Step != 1 || filepath.Base(path) != "ckpt-000001.ckpt" {
 		t.Fatalf("Latest = step %d (%s), want step 1", c.Step, path)
 	}
-	want := testCheckpoint(1)
-	for i := range want.Data {
-		if c.Data[i] != want.Data[i] {
-			t.Fatalf("surviving checkpoint data[%d] = %v, want %v", i, c.Data[i], want.Data[i])
+	got, want := c.A.ToColMajor(), testCheckpoint(1).A.ToColMajor()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("surviving checkpoint data[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -58,9 +58,9 @@ var ckptOps = map[string]ckpt.Op{OpCholesky: ckpt.OpCholesky, OpLUNoPiv: ckpt.Op
 
 // Restore validates checkpoint c and rebuilds what it records: the tile
 // program (Cholesky, no-pivot LU or LU), the tile matrix at panel step
-// c.Step, and the op's side state, for LU the pivots of the completed
-// steps. Every executor resumes through it, so each refuses the same bad
-// checkpoint.
+// c.Step — c.A itself, which the resumed run factors in place — and the
+// op's side state, for LU the pivots of the completed steps. Every executor
+// resumes through it, so each refuses the same bad checkpoint.
 func Restore(c *ckpt.Checkpoint) (string, *tile.Matrix[float64], *Factors[float64], error) {
 	op := ""
 	for o, tag := range ckptOps {
@@ -71,21 +71,21 @@ func Restore(c *ckpt.Checkpoint) (string, *tile.Matrix[float64], *Factors[float6
 	if op == "" {
 		return "", nil, nil, fmt.Errorf("core: checkpoint holds unknown operation %v", c.Op)
 	}
-	if op != OpLU && c.M != c.N {
-		return "", nil, nil, fmt.Errorf("core: %v checkpoint with non-square %d×%d matrix", c.Op, c.M, c.N)
+	a := c.A
+	if op != OpLU && a.M != a.N {
+		return "", nil, nil, fmt.Errorf("core: %v checkpoint with non-square %d×%d matrix", c.Op, a.M, a.N)
 	}
-	a := tile.FromColMajor(c.M, c.N, c.Data, c.M, c.NB)
 	if kt := min(a.MT, a.NT); c.Step > kt {
 		return "", nil, nil, fmt.Errorf("core: checkpoint step %d beyond %d panel steps", c.Step, kt)
 	}
 	f := newFactors(op, a)
 	if op == OpLU {
-		if want := min(c.Step*c.NB, len(f.Piv)); len(c.Piv) != want {
+		if want := min(c.Step*a.NB, len(f.Piv)); len(c.Piv) != want {
 			return "", nil, nil, fmt.Errorf("core: LU checkpoint at step %d holds %d pivots, want %d", c.Step, len(c.Piv), want)
 		}
 		for r, p := range c.Piv {
-			if p < r || p >= c.M {
-				return "", nil, nil, fmt.Errorf("core: LU checkpoint pivot %d of row %d outside rows %d…%d", p, r, r, c.M-1)
+			if p < r || p >= a.M {
+				return "", nil, nil, fmt.Errorf("core: LU checkpoint pivot %d of row %d outside rows %d…%d", p, r, r, a.M-1)
 			}
 		}
 		copy(f.Piv, c.Piv)
@@ -113,12 +113,7 @@ func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOption
 // of steps ≤ k (nil for the pivot-free ops). The caller guarantees that
 // frontier: every step ≤ k has run and no later step has written a tile.
 func SaveCheckpoint(dir, op string, a *tile.Matrix[float64], piv []int, k int) error {
-	c := &ckpt.Checkpoint{
-		Op: ckptOps[op], Step: k + 1,
-		M: a.M, N: a.N, NB: a.NB,
-		Data: a.ToColMajor(),
-		Piv:  piv[:min((k+1)*a.NB, len(piv))],
-	}
+	c := &ckpt.Checkpoint{Op: ckptOps[op], Step: k + 1, A: a, Piv: piv[:min((k+1)*a.NB, len(piv))]}
 	if _, err := ckpt.Save(dir, c); err != nil {
 		return fmt.Errorf("core: checkpoint at step %d: %w", k+1, err)
 	}

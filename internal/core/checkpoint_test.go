@@ -234,21 +234,24 @@ func TestCheckpointWriteFailureFailsRun(t *testing.T) {
 func TestResumeRejectsMismatchedOp(t *testing.T) {
 	r := sched.New(1)
 	defer r.Shutdown()
-	for _, c := range []*ckpt.Checkpoint{
-		{Op: ckpt.Op(99), Step: 1, M: 4, N: 4, NB: 2},
-		{Op: ckpt.OpCholesky, Step: 1, M: 6, N: 4, NB: 2},
-		{Op: ckpt.OpLU, Step: 99, M: 4, N: 4, NB: 2},
-		{Op: ckpt.OpLU, Step: 1, M: 4, N: 4, NB: 2, Piv: []int{0}},
-		{Op: ckpt.OpLU, Step: 1, M: 4, N: 4, NB: 2, Piv: []int{0, 4}},
-		{Op: ckpt.OpLU, Step: 1, M: 4, N: 4, NB: 2, Piv: []int{1, 0}},
-	} {
-		// The identity: nothing but the checkpoint's shape can fail.
-		c.Data = make([]float64, c.M*c.N)
-		for i := 0; i < min(c.M, c.N); i++ {
-			c.Data[i+i*c.M] = 1
+	// The identity: nothing but the checkpoint's shape can fail.
+	eye := func(m, n int) *tile.Matrix[float64] {
+		a := tile.New[float64](m, n, 2)
+		for i := 0; i < min(m, n); i++ {
+			a.Set(i, i, 1)
 		}
+		return a
+	}
+	for _, c := range []*ckpt.Checkpoint{
+		{Op: ckpt.Op(99), Step: 1, A: eye(4, 4)},
+		{Op: ckpt.OpCholesky, Step: 1, A: eye(6, 4)},
+		{Op: ckpt.OpLU, Step: 99, A: eye(4, 4)},
+		{Op: ckpt.OpLU, Step: 1, A: eye(4, 4), Piv: []int{0}},
+		{Op: ckpt.OpLU, Step: 1, A: eye(4, 4), Piv: []int{0, 4}},
+		{Op: ckpt.OpLU, Step: 1, A: eye(4, 4), Piv: []int{1, 0}},
+	} {
 		if _, _, err := core.Resume(r, c, &core.CkptOptions{Dir: t.TempDir()}, nil); err == nil {
-			t.Errorf("Resume accepted a %v checkpoint of a %d×%d matrix at step %d", c.Op, c.M, c.N, c.Step)
+			t.Errorf("Resume accepted a %v checkpoint of a %d×%d matrix at step %d", c.Op, c.A.M, c.A.N, c.Step)
 		}
 	}
 }

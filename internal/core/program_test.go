@@ -93,7 +93,7 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		return nm.add(label, tile.Deferred(m, n, make([]float64, m*n), m, 16))
 	}
 	chk := func(op ckpt.Op, m, n, step int) *ckpt.Checkpoint {
-		c := &ckpt.Checkpoint{Op: op, Step: step, M: m, N: n, NB: 16, Data: make([]float64, m*n)}
+		c := &ckpt.Checkpoint{Op: op, Step: step, A: tile.New[float64](m, n, 16)}
 		if op == ckpt.OpLU {
 			for r := range min(step*16, m, n) {
 				c.Piv = append(c.Piv, r)

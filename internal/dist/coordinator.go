@@ -1066,14 +1066,13 @@ func (r *coordRPC) Get(args *GetArgs, reply *GetReply) error {
 	if args.I < 0 || args.I >= c.a.MT || args.J < 0 || args.J >= c.a.NT {
 		return fmt.Errorf("dist: tile (%d,%d) out of range", args.I, args.J)
 	}
-	data, ver, crc, err := c.st.get(coord{args.I, args.J}, args.Worker)
+	frame, ver, err := c.st.get(coord{args.I, args.J})
 	if err != nil {
 		return err
 	}
-	reply.Data = data
+	reply.Frame = frame
 	reply.Ver = ver
-	reply.CRC = crc
-	n := int64(len(data))
+	n := int64(8 * c.a.TileRows(args.I) * c.a.TileCols(args.J)) // payload bytes
 	c.m.rpcGetBytes.Observe(n)
 	if args.Scatter {
 		c.addStat(&c.stats.BytesScattered, c.m.bytesScattered, n)
@@ -1087,16 +1086,17 @@ func (r *coordRPC) Get(args *GetArgs, reply *GetReply) error {
 // lease token is the exactly-once gate: a reaped straggler's token no
 // longer matches and its (possibly stale-input) result is discarded; a
 // chaos-duplicated commit of a completed task is acknowledged idempotently.
-// A commit whose payloads are not exactly the task's written tiles, each of
-// exactly its tile's size, is refused with an error before any byte lands.
+// A commit whose frames are not exactly the task's written tiles, each of
+// exactly its tile's shape, is refused with an error before any byte lands.
 func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 	c := r.c
 	defer c.m.timeRPC("commit")()
-	// Checksum the payloads before taking the lock: hashing is the only
-	// per-byte work of a commit, and it needs nothing the lock guards.
-	sums := make([]uint64, len(args.Tiles))
-	for k, p := range args.Tiles {
-		sums[k] = ft.CRC64Bytes(p.Data)
+	// Open the frames before taking the lock: checking their seals is the
+	// only per-byte work of a commit, and it needs nothing the lock guards.
+	frames := make([]openedFrame, len(args.Tiles))
+	for k, b := range args.Tiles {
+		o := &frames[k]
+		o.Frame, o.payload, o.sum, o.err = ft.OpenFrame(b)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1134,25 +1134,22 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 		c.opt.logf("dist: rejected stale commit of task %d from worker %d", args.Task, args.Worker)
 		return nil
 	}
-	// End-to-end integrity: check the payloads' shape, then verify every
-	// payload against the CRC the worker computed at the kernel's output,
-	// before a single byte is applied. A mismatch means the wire lied in
-	// flight; the lease stays live so the worker can resend the same
-	// attempt's clean bytes.
+	// End-to-end integrity, before a single byte is applied. A frame whose
+	// seal is broken is one the wire lied about in flight — its bytes or the
+	// tile it names; the lease stays live so the worker can resend the same
+	// attempt's clean frames. Any other misfit is refused with an error.
 	if args.Err == "" {
-		if err := c.checkPayloadsLocked(args); err != nil {
+		err := c.checkFramesLocked(args.Task, frames)
+		if errors.Is(err, ft.ErrFrameChecksum) {
+			c.addStat(&c.stats.CorruptCommits, c.m.corruptCommits, 1)
+			c.faultLocked(trace.PhaseCorrupt, args.Worker, args.Task, c.attempts[args.Task], err.Error())
+			c.opt.logf("dist: rejected corrupt commit from worker %d: %v", args.Worker, err)
+			reply.BadPayload = true
+			return nil
+		}
+		if err != nil {
 			c.opt.logf("dist: refused malformed commit of task %d from worker %d: %v", args.Task, args.Worker, err)
 			return err
-		}
-		for k, p := range args.Tiles {
-			if sums[k] != p.CRC {
-				c.addStat(&c.stats.CorruptCommits, c.m.corruptCommits, 1)
-				c.faultLocked(trace.PhaseCorrupt, args.Worker, args.Task, c.attempts[args.Task],
-					fmt.Sprintf("commit payload for tile (%d,%d) failed CRC", p.I, p.J))
-				c.opt.logf("dist: rejected corrupt commit payload for tile (%d,%d) from worker %d", p.I, p.J, args.Worker)
-				reply.BadPayload = true
-				return nil
-			}
 		}
 	}
 	delete(c.leases, args.Task)
@@ -1172,32 +1169,42 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 		return nil
 	}
 	c.leaseObserveLocked(c.pl.tasks[args.Task].Kind, time.Since(win.granted))
-	for _, p := range args.Tiles {
-		final := c.pl.finalWriter[coord{p.I, p.J}] == args.Task
-		reply.Vers = append(reply.Vers, c.st.put(coord{p.I, p.J}, p.Data, p.CRC, args.Worker, final))
-		c.addStat(&c.stats.BytesCommitted, c.m.bytesCommitted, int64(len(p.Data)))
-		c.m.rpcCommitBytes.Observe(int64(len(p.Data)))
+	for _, o := range frames {
+		at := coord{o.I, o.J}
+		final := c.pl.finalWriter[at] == args.Task
+		reply.Vers = append(reply.Vers, c.st.put(at, o.payload, o.sum, args.Worker, final))
+		c.addStat(&c.stats.BytesCommitted, c.m.bytesCommitted, int64(len(o.payload)))
+		c.m.rpcCommitBytes.Observe(int64(len(o.payload)))
 	}
 	reply.Accepted = true
 	c.completeLocked(args.Task)
 	return nil
 }
 
-// checkPayloadsLocked validates a leased commit's payloads against its task:
-// one per written tile, in Step.Accesses order, each exactly 8·rows·cols
-// bytes. Coordinates are checked against the write set, never used to index
-// the store first, so a bad one can neither alias another tile nor panic.
-func (c *Coordinator) checkPayloadsLocked(args *CommitArgs) error {
-	_, writes := c.pl.tasks[args.Task].Accesses()
-	if len(args.Tiles) != len(writes) {
-		return fmt.Errorf("dist: commit of task %d carries %d tiles, task writes %d", args.Task, len(args.Tiles), len(writes))
+// openedFrame is one commit frame as ft.OpenFrame returned it.
+type openedFrame struct {
+	ft.Frame
+	payload []byte
+	sum     uint64
+	err     error
+}
+
+// checkFramesLocked validates a leased commit's frames against its task:
+// one per written tile, in Step.Accesses order, each sealed and naming
+// exactly that tile and its shape. Coordinates are checked against the
+// write set, never used to index the store first, so a bad one can neither
+// alias another tile nor panic.
+func (c *Coordinator) checkFramesLocked(task int, frames []openedFrame) error {
+	_, writes := c.pl.tasks[task].Accesses()
+	if len(frames) != len(writes) {
+		return fmt.Errorf("dist: commit of task %d carries %d tiles, task writes %d", task, len(frames), len(writes))
 	}
-	for k, p := range args.Tiles {
-		if w := writes[k]; p.I != w[0] || p.J != w[1] {
-			return fmt.Errorf("dist: commit of task %d ships tile (%d,%d), task writes (%d,%d)", args.Task, p.I, p.J, w[0], w[1])
+	for k, o := range frames {
+		if o.err != nil {
+			return fmt.Errorf("dist: commit of task %d, frame %d: %w", task, k, o.err)
 		}
-		if want := 8 * c.a.TileRows(p.I) * c.a.TileCols(p.J); len(p.Data) != want {
-			return fmt.Errorf("dist: commit of task %d ships %d bytes for tile (%d,%d), want %d", args.Task, len(p.Data), p.I, p.J, want)
+		if w := writes[k]; o.Frame != ft.TileFrame(c.a, w[0], w[1]) {
+			return fmt.Errorf("dist: commit of task %d ships %+v, task writes tile (%d,%d)", task, o.Frame, w[0], w[1])
 		}
 	}
 	return nil

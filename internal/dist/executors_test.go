@@ -277,12 +277,12 @@ func TestExecutorsCheckpointSameSteps(t *testing.T) {
 }
 
 // TestExecutorsRefuseStepBeyondProgram hands both executors a checkpoint
-// with a valid CRC whose step lies past the last panel step: each must
+// with valid seals whose step lies past the last panel step: each must
 // refuse it rather than return the unfactored input as the factor.
 func TestExecutorsRefuseStepBeyondProgram(t *testing.T) {
 	const n, nb = 64, 16 // 4 panel steps
 	a := spdTiled(7, n, nb)
-	c := &ckpt.Checkpoint{Op: ckpt.OpCholesky, Step: 9, M: n, N: n, NB: nb, Data: a.ToColMajor()}
+	c := &ckpt.Checkpoint{Op: ckpt.OpCholesky, Step: 9, A: a}
 	dir := t.TempDir()
 	if _, err := ckpt.Save(dir, c); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // sees it), drop the reply after the server executed (forcing a retry of a
 // call whose effects already happened — the at-least-once case that proves
 // handler idempotency), delay the call, duplicate it, or flip a payload bit
-// (the lying-node case the end-to-end tile checksum, ft.CRC64, exists to
+// (the lying-node case the end-to-end seal of every tile frame exists to
 // catch).
 // Probabilities are independent; the seed makes every run's fault sequence
 // reproducible, so a chaos test that passes once passes always.
@@ -41,7 +41,7 @@ type NetChaos struct {
 	MaxDelay time.Duration
 	// Corrupt is the probability a data-bearing payload (a Get reply or a
 	// Commit body) has one random bit flipped in flight: bit b of element i,
-	// i.e. byte 8i + b/8 of the little-endian payload. The CRC travels
+	// i.e. byte 8i + b/8 of a frame's payload. The frame's trailer travels
 	// untouched — corruption lies about the data, not about the check.
 	Corrupt float64
 	// PartitionAfter/PartitionFor define the partition window: starting

@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/rpc"
 	"reflect"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"exadla/internal/core"
+	"exadla/internal/ft"
 )
 
 // This file is the wire protocol of the distributed runtime: the net/rpc
@@ -62,11 +61,12 @@ type WireSpan struct {
 }
 
 // protocolVersion names the wire protocol: the message types in this file
-// and the ft.CRC64 tile checksum. Bump it with any change a worker of another
-// build would misread — a payload type gob cannot convert, or a checksum
-// every payload would fail, which the bounded integrity retries would turn
-// into a fleet of workers exiting one by one.
-const protocolVersion = 1
+// and the ft tile frame they carry, CRC64 seal included. Bump it with any
+// change a worker of another build would misread — a payload type gob
+// cannot convert, or a frame layout or checksum every payload would fail,
+// which the bounded integrity retries would turn into a fleet of workers
+// exiting one by one. Version 2 ships each tile as one sealed frame.
+const protocolVersion = 2
 
 // RegisterArgs announces a new (or re-registering) worker. Version must equal
 // the coordinator's protocolVersion (a worker from a build before versioning
@@ -159,33 +159,22 @@ type HeartbeatReply struct {
 // GetArgs fetches one tile. Scatter marks the initial home-tile prefetch,
 // billed separately from task-driven traffic.
 type GetArgs struct {
-	Worker  int
 	I, J    int
 	Scatter bool
 }
 
-// GetReply carries the tile payload and its ft.CRC64, verified against the
-// tile before serving (at-rest rot is repaired from parity first) and
-// re-verified by the fetching worker on arrival. Data is the tile's
-// elements (column-major, ld = rows) as 8 little-endian bytes each — see
-// encodeTile — so gob ships it as one bulk copy.
+// GetReply carries the tile as one ft frame, sealed with the tile's at-rest
+// checksum (rot is repaired from parity first) and re-verified by the
+// fetching worker, and its store version, which the frame does not hold.
 type GetReply struct {
-	Data []byte
-	Ver  int
-	CRC  uint64
+	Frame []byte
+	Ver   int
 }
 
-// TilePayload is one written tile shipped back in a commit, encoded like
-// GetReply.Data. CRC is the ft.CRC64 of the tile computed by the worker that
-// ran the kernel; the coordinator verifies it before the store accepts the
-// bytes and keeps it as the tile's at-rest checksum.
-type TilePayload struct {
-	I, J int
-	Data []byte
-	CRC  uint64
-}
-
-// CommitArgs completes a leased task, shipping its outputs. Err, when
+// CommitArgs completes a leased task, shipping its outputs: one ft frame
+// per written tile, in Step.Accesses order, sealed by the worker that ran
+// the kernel and verified by the coordinator before the store accepts the
+// bytes and keeps the seal at rest. Err, when
 // non-empty, reports a deterministic kernel failure (e.g. a non-SPD pivot)
 // instead of outputs; the coordinator fails the job. Token must match the
 // task's current lease or the commit is rejected (a reaped straggler).
@@ -193,7 +182,7 @@ type CommitArgs struct {
 	Worker int
 	Task   int
 	Token  int64
-	Tiles  []TilePayload
+	Tiles  [][]byte
 	Err    string
 }
 
@@ -204,8 +193,8 @@ type CommitArgs struct {
 // marks an accepted-but-unapplied commit (the task already completed — a
 // retransmission, or the losing half of a speculative twin pair); the
 // sender records the attempt as retried, not successful, so exactly one OK
-// span exists per completed task. BadPayload reports a checksum mismatch on
-// a shipped tile: the lease is still live and the worker must resend.
+// span exists per completed task. BadPayload reports a shipped frame that
+// failed its seal: the lease is still live and the worker must resend.
 type CommitReply struct {
 	Accepted   bool
 	Vers       []int
@@ -244,27 +233,6 @@ var ErrProtocolVersion = errors.New("dist: wire protocol version mismatch")
 // a link that corrupts every payload cannot make progress, and the worker
 // leaves so its leases are reaped and re-run elsewhere.
 var ErrPayloadCorrupt = errors.New("dist: tile payload failed its checksum on every attempt")
-
-// encodeTile returns a tile's wire form: each element's IEEE-754 bit pattern
-// as 8 little-endian bytes, the encoding ft.CRC64 is defined over.
-func encodeTile(t []float64) []byte {
-	out := make([]byte, 8*len(t))
-	b := out
-	for _, v := range t {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-		b = b[8:]
-	}
-	return out
-}
-
-// decodeTile writes an encoded payload into tile t. The caller has checked
-// len(b) == 8·len(t) and the payload's checksum.
-func decodeTile(t []float64, b []byte) {
-	for i := range t {
-		t[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-	}
-}
 
 // jitterSource decorrelates retry schedules across workers: each delay in
 // the capped exponential ladder is re-drawn uniformly from [d/2, d] (equal
@@ -316,7 +284,7 @@ type client struct {
 	rpc      *rpc.Client
 	retries  int64 // client-side retry count, drained by takeRetries
 	corrupts int64 // payload corruptions injected, drained by takeCorrupts
-	detected int64 // fetch-side CRC mismatches caught, drained alongside
+	detected int64 // fetch-side seal failures caught, drained alongside
 
 	// retry policy
 	maxAttempts int
@@ -419,7 +387,7 @@ func (c *client) call(method string, args, reply any) error {
 		sendArgs := args
 		if fate.corrupt && method == "Commit" {
 			// Corrupt a deep copy, never the caller's buffer: the retry after
-			// the coordinator's CRC rejection must resend the clean original,
+			// the coordinator's seal rejection must resend the clean original,
 			// or the corruption would be permanent instead of transient.
 			if mutated, ok := corruptCommitArgs(args, fate); ok {
 				sendArgs = mutated
@@ -448,8 +416,7 @@ func (c *client) call(method string, args, reply any) error {
 			if fate.corrupt && method == "Get" {
 				// The delivered reply is what gets corrupted — a dropped one
 				// would make the injection unobservable (and uncounted).
-				if gr, ok := reply.(*GetReply); ok && len(gr.Data) >= 8 {
-					flipPayloadBit(gr.Data, fate)
+				if gr, ok := reply.(*GetReply); ok && flipPayloadBit(gr.Frame, fate) {
 					c.countCorrupt()
 					c.chaos("corrupt_get")
 				}
@@ -477,33 +444,38 @@ func (c *client) call(method string, args, reply any) error {
 var errPartitioned = errors.New("dist: chaos partition silenced call")
 
 // corruptCommitArgs deep-copies a CommitArgs and flips one data bit in one
-// shipped tile (false when the commit carries no payload). The CRC field is
-// copied untouched: corruption lies about the bytes, the checksum is how
-// the receiver finds out.
+// shipped frame (false when the commit carries no payload). The trailer is
+// copied untouched: corruption lies about the bytes, the seal is how the
+// receiver finds out.
 func corruptCommitArgs(args any, f fate) (*CommitArgs, bool) {
 	ca, ok := args.(*CommitArgs)
 	if !ok || len(ca.Tiles) == 0 {
 		return nil, false
 	}
 	cp := *ca
-	cp.Tiles = append([]TilePayload(nil), ca.Tiles...)
+	cp.Tiles = append([][]byte(nil), ca.Tiles...)
 	k := int(f.corruptElem % uint64(len(cp.Tiles)))
-	if len(cp.Tiles[k].Data) < 8 {
+	data := append([]byte(nil), cp.Tiles[k]...)
+	if !flipPayloadBit(data, f) {
 		return nil, false
 	}
-	data := append([]byte(nil), cp.Tiles[k].Data...)
-	flipPayloadBit(data, f)
-	cp.Tiles[k].Data = data
+	cp.Tiles[k] = data
 	return &cp, true
 }
 
-// flipPayloadBit flips bit b of element i of an encoded payload — byte
-// 8i + b/8, bit b%8 — with i and b chosen by the fate's raw random draws
-// reduced onto the payload length, so seeded chaos hits the same (element,
-// bit) pairs whatever the encoding.
-func flipPayloadBit(data []byte, f fate) {
+// flipPayloadBit flips bit b of element i of a frame's payload — payload
+// byte 8i + b/8, bit b%8 — with i and b chosen by the fate's raw random
+// draws reduced onto the payload length, so seeded chaos hits the same
+// (element, bit) pairs whatever the framing. It reports false, flipping
+// nothing, for a frame that does not open or carries no element.
+func flipPayloadBit(frame []byte, f fate) bool {
+	_, data, _, err := ft.OpenFrame(frame)
+	if err != nil || len(data) < 8 {
+		return false
+	}
 	i := int((f.corruptElem >> 8) % uint64(len(data)/8))
 	data[8*i+int(f.corruptBit/8)] ^= 1 << (f.corruptBit % 8)
+	return true
 }
 
 func (c *client) countCorrupt() {
@@ -512,7 +484,7 @@ func (c *client) countCorrupt() {
 	c.mu.Unlock()
 }
 
-// countDetected records a fetch-side CRC mismatch (called by the worker).
+// countDetected records a fetch-side seal failure (called by the worker).
 func (c *client) countDetected() {
 	c.mu.Lock()
 	c.detected++

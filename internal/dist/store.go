@@ -23,14 +23,15 @@ import (
 // reconstructs instead of re-running the task chain that produced it:
 // recovery cost is one XOR pass, not a DAG suffix.
 //
-// Every tile also carries an at-rest checksum (see ft.CRC64): set from the
-// worker's end-to-end payload checksum on commit, recomputed after local
-// kernels and reconstructions, verified before any byte is served, and
-// re-verified by the background scrub. A mismatch is at-rest rot; a rotted
-// *finalized* tile is repaired from the row parity (the same machinery as
-// residency), while rot the parity cannot cover — an unfinalized tile, or
-// a second fault in a row that already dropped a tile — fails the read
-// loudly rather than letting silent corruption into the factor.
+// Every tile also carries an at-rest checksum, the trailer of its ft frame:
+// taken from the frame the worker sealed on commit, recomputed after local
+// kernels, checked after reconstructions and against the very frame a Get
+// serves, and re-verified by the background scrub. A mismatch is at-rest
+// rot; a rotted *finalized* tile is repaired from the row parity (the same
+// machinery as residency), while rot the parity cannot cover — an
+// unfinalized tile, or a second fault in a row that already dropped a tile
+// — fails the read loudly rather than letting silent corruption into the
+// factor.
 //
 // The store is not internally locked; the coordinator serializes access
 // under its own mutex.
@@ -41,8 +42,10 @@ type store struct {
 	// writers, so the version sequence — and hence the data each version
 	// names — is deterministic; workers use versions for cache coherence.
 	ver [][]int
-	// crc[i][j] is the at-rest ft.CRC64 of tile (i,j)'s current bytes.
+	// crc[i][j] is the at-rest frame trailer of tile (i,j)'s current bytes.
 	crc [][]uint64
+	// scratch is the buffer sum encodes tile frames into.
+	scratch []byte
 	// dirty[i][j] latches a detected-but-not-yet-repaired rot, so one rotted
 	// tile is counted once across repeated scrub passes.
 	dirty [][]bool
@@ -81,34 +84,41 @@ func newStore(a *tile.Matrix[float64], writeBack bool, onReconstruct func()) *st
 		s.resident[i] = make([]int, a.NT)
 		for j := 0; j < a.NT; j++ {
 			s.resident[i][j] = -1
-			s.crc[i][j] = ft.CRC64(a.Tile(i, j))
+			s.crc[i][j] = s.sum(i, j)
 		}
 	}
 	return s
 }
 
-// get returns tile c's data in wire form (encodeTile), its version, and its
-// at-rest CRC, reconstructing a dropped resident tile from parity first and
-// repairing detected rot where the parity allows. requester is the worker
-// asking (so its own residency is not pointlessly reconstructed — it has the
-// bytes cached; anyone else's read needs them in-store).
-func (s *store) get(c coord, requester int) ([]byte, int, uint64, error) {
+// sum is the trailer of tile (i,j)'s frame as the tile stands, encoded
+// into the store's scratch buffer.
+func (s *store) sum(i, j int) uint64 {
+	s.scratch = ft.TileFrame(s.a, i, j).Append(s.scratch[:0], s.a.Tile(i, j))
+	return ft.FrameSum(s.scratch)
+}
+
+// get returns tile c's sealed frame and its version, reconstructing a
+// dropped resident tile from parity first — whoever asks, its holder
+// included: a worker fetches only what its cache lacks — and repairing
+// detected rot where the parity allows.
+func (s *store) get(c coord) ([]byte, int, error) {
 	i, j := c[0], c[1]
-	if w := s.resident[i][j]; w >= 0 && w != requester {
+	if s.resident[i][j] >= 0 {
 		if err := s.reconstruct(c); err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 	}
-	// Verify the encoded bytes themselves: the wire form is what ft.CRC64 is
-	// defined over, so one encode serves both the check and the reply.
-	b := encodeTile(s.a.Tile(i, j))
-	if s.resident[i][j] < 0 && ft.CRC64Bytes(b) != s.crc[i][j] {
+	// Verify the frame itself against the at-rest trailer, so the frame
+	// served is sealed with exactly the checksum the tile was committed with.
+	f := ft.TileFrame(s.a, i, j)
+	b := f.Append(nil, s.a.Tile(i, j))
+	if ft.FrameSum(b) != s.crc[i][j] {
 		if err := s.verifyLocked(c); err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
-		b = encodeTile(s.a.Tile(i, j)) // repaired from parity
+		b = f.Append(b[:0], s.a.Tile(i, j)) // repaired from parity
 	}
-	return b, s.ver[i][j], s.crc[i][j], nil
+	return b, s.ver[i][j], nil
 }
 
 // verifyLocked checks tile c's bytes against its at-rest CRC and repairs a
@@ -117,7 +127,7 @@ func (s *store) get(c coord, requester int) ([]byte, int, uint64, error) {
 // an error: the caller must not serve or snapshot rotted bytes.
 func (s *store) verifyLocked(c coord) error {
 	i, j := c[0], c[1]
-	if ft.CRC64(s.a.Tile(i, j)) == s.crc[i][j] {
+	if s.sum(i, j) == s.crc[i][j] {
 		s.dirty[i][j] = false
 		return nil
 	}
@@ -136,7 +146,7 @@ func (s *store) verifyLocked(c coord) error {
 	if err := s.ers.ReconstructTile(i, j); err != nil {
 		return err
 	}
-	if got := ft.CRC64(s.a.Tile(i, j)); got != s.crc[i][j] {
+	if s.sum(i, j) != s.crc[i][j] {
 		return fmt.Errorf("dist: tile (%d,%d) reconstruction does not match its committed CRC (peer rot?)", i, j)
 	}
 	s.dirty[i][j] = false
@@ -172,15 +182,15 @@ func (s *store) scrub(max int) int {
 	return scanned
 }
 
-// put stores a committed tile payload in wire form (whose length and CRC the
-// coordinator has already verified end-to-end), bumps its version, and —
-// when the committing task finalizes the tile — folds it into the row parity
-// and possibly drops the bytes (write-back residency at the committing
-// worker). Returns the new version.
-func (s *store) put(c coord, data []byte, crc uint64, worker int, finalized bool) int {
+// put stores a committed tile — the payload of a frame the coordinator has
+// already opened and matched to tile c, and the frame's trailer — bumps its
+// version, and, when the committing task finalizes the tile, folds it into
+// the row parity and possibly drops the bytes (write-back residency at the
+// committing worker). Returns the new version.
+func (s *store) put(c coord, payload []byte, crc uint64, worker int, finalized bool) int {
 	i, j := c[0], c[1]
 	t := s.a.Tile(i, j)
-	decodeTile(t, data)
+	ft.Unpack(t, payload)
 	s.ver[i][j]++
 	s.crc[i][j] = crc
 	s.dirty[i][j] = false
@@ -209,7 +219,7 @@ func (s *store) put(c coord, data []byte, crc uint64, worker int, finalized bool
 // writes have no wire hop, so the chain starts here.
 func (s *store) putLocal(c coord, finalized bool) int {
 	s.ver[c[0]][c[1]]++
-	s.crc[c[0]][c[1]] = ft.CRC64(s.a.Tile(c[0], c[1]))
+	s.crc[c[0]][c[1]] = s.sum(c[0], c[1])
 	s.dirty[c[0]][c[1]] = false
 	if finalized {
 		s.ers.Commit(c[0], c[1])
@@ -226,7 +236,7 @@ func (s *store) reconstruct(c coord) error {
 	if err := s.ers.ReconstructTile(i, j); err != nil {
 		return err
 	}
-	if got := ft.CRC64(s.a.Tile(i, j)); got != s.crc[i][j] {
+	if s.sum(i, j) != s.crc[i][j] {
 		return fmt.Errorf("dist: tile (%d,%d) reconstruction does not match its committed CRC (peer rot?)", i, j)
 	}
 	s.clearResident(c)

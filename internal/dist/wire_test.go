@@ -6,6 +6,7 @@ package dist
 // the coordinator stays up and the job still finishes bitwise.
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -75,9 +76,11 @@ func finishWireJob(t *testing.T, c *Coordinator, done <-chan error) {
 }
 
 // TestCommitRefusesMalformedPayloads leases the root task over a raw RPC
-// connection and commits payloads that name the wrong tiles or carry the
-// wrong byte count, every one under a valid lease token and a matching
-// checksum. Each must be refused with an error before a byte lands.
+// connection and commits frames that name the wrong tiles or carry the
+// wrong shape or byte count, every one under a valid lease token and a
+// valid seal. Each must be refused with an error before a byte lands. A
+// frame whose header was flipped after sealing is BadPayload instead: the
+// worker resends it.
 func TestCommitRefusesMalformedPayloads(t *testing.T) {
 	c, done := startWireJob(t)
 	cl, err := rpc.Dial("tcp", c.Addr())
@@ -97,21 +100,30 @@ func TestCommitRefusesMalformedPayloads(t *testing.T) {
 	}
 	_, writes := lr.Task.Accesses()
 	wi, wj := writes[0][0], writes[0][1]
-	full := encodeTile(make([]float64, wireNB*wireNB))
-	tp := func(i, j int, data []byte) TilePayload {
-		return TilePayload{I: i, J: j, Data: data, CRC: ft.CRC64Bytes(data)}
+	frame := func(kind ft.FrameKind, i, j, rows, cols int) []byte {
+		return ft.Frame{Kind: kind, I: i, J: j, Rows: rows, Cols: cols}.Append(nil, make([]float64, rows*cols))
 	}
+	tileFrame := func(i, j int) []byte { return frame(ft.FrameTile, i, j, wireNB, wireNB) }
+	full := tileFrame(wi, wj)
+	// reseal seals a header and payload whose lengths disagree.
+	reseal := func(body []byte) []byte {
+		return binary.LittleEndian.AppendUint64(body, ft.CRC64Bytes(body))
+	}
+	body := full[:len(full)-8]
 	mt := wireN / wireNB
 	for _, tc := range []struct {
 		name  string
-		tiles []TilePayload
+		tiles [][]byte
 	}{
-		{"tile outside the write set", []TilePayload{tp(wi+1, wj, full)}},
-		{"row index MT (aliases the next column)", []TilePayload{tp(mt, 0, full)}},
-		{"negative coordinate", []TilePayload{tp(-1, 0, full)}},
-		{"short payload", []TilePayload{tp(wi, wj, full[:len(full)-8])}},
-		{"long payload", []TilePayload{tp(wi, wj, append(full, 0, 0, 0, 0, 0, 0, 0, 0))}},
-		{"duplicate tile", []TilePayload{tp(wi, wj, full), tp(wi, wj, full)}},
+		{"frame naming a tile outside the write set", [][]byte{tileFrame(wi+1, wj)}},
+		{"row index MT (aliases the next column)", [][]byte{tileFrame(mt, 0)}},
+		{"negative coordinate", [][]byte{tileFrame(-1, 0)}},
+		{"frame of another kind", [][]byte{frame(ft.FrameCheckpoint, wi, wj, wireNB, wireNB)}},
+		{"wrong shape", [][]byte{frame(ft.FrameTile, wi, wj, wireNB, wireNB-1)}},
+		{"short payload", [][]byte{reseal(append([]byte(nil), body[:len(body)-8]...))}},
+		{"long payload", [][]byte{reseal(append(append([]byte(nil), body...), 0, 0, 0, 0, 0, 0, 0, 0))}},
+		{"truncated frame", [][]byte{full[:10]}},
+		{"duplicate tile", [][]byte{full, full}},
 		{"no tiles", nil},
 	} {
 		var rep CommitReply
@@ -120,13 +132,21 @@ func TestCommitRefusesMalformedPayloads(t *testing.T) {
 			t.Errorf("%s: commit accepted: %+v", tc.name, rep)
 		}
 	}
+	// The seal covers the header: a tile row flipped in flight is a corrupt
+	// payload, not a write to another tile.
+	flipped := append([]byte(nil), full...)
+	flipped[4] ^= 1
+	var rep CommitReply
+	if err := cl.Call("Coord.Commit", &CommitArgs{Worker: reg.Worker, Task: lr.Task.ID, Token: lr.Token, Tiles: [][]byte{flipped}}, &rep); err != nil || !rep.BadPayload {
+		t.Errorf("flipped header: err %v, reply %+v, want BadPayload", err, rep)
+	}
 	// Still up, still leased, nothing applied.
 	var hb HeartbeatReply
 	if err := cl.Call("Coord.Heartbeat", &HeartbeatArgs{Worker: reg.Worker}, &hb); err != nil || hb.Evicted {
 		t.Fatalf("coordinator after malformed commits: err %v, evicted %v", err, hb.Evicted)
 	}
-	if s := c.Stats(); s.TasksCompleted != 0 {
-		t.Fatalf("a malformed commit completed a task: %+v", s)
+	if s := c.Stats(); s.TasksCompleted != 0 || s.CorruptCommits != 1 {
+		t.Fatalf("want no task completed and one corrupt commit: %+v", s)
 	}
 	cl.Close() // silence: the lease is reaped and re-run
 	finishWireJob(t, c, done)

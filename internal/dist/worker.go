@@ -230,31 +230,29 @@ func (w *worker) stopHeartbeat() {
 
 // fetch pulls one tile into the cache, recording a fetch span attributed
 // to the current task attempt (or to the scatter prefetch, id -1). The
-// payload is verified against the CRC the store keeps at rest; a mismatch
-// means the wire corrupted it in flight, and the fetch re-asks — the corrupt
-// bytes never reach the cache, let alone a kernel — up to defaultRPCAttempts
-// times in a row before giving up with ErrPayloadCorrupt.
+// frame's seal is the at-rest checksum the store verified it against; a
+// broken seal means the wire corrupted it in flight, and the fetch re-asks —
+// the corrupt bytes never reach the cache, let alone a kernel — up to
+// defaultRPCAttempts times in a row before giving up with ErrPayloadCorrupt.
 func (w *worker) fetch(c coord, scatter bool) error {
 	for attempt := 1; ; attempt++ {
 		var rep GetReply
 		t0 := time.Now().UnixNano()
-		if err := w.cl.call("Get", &GetArgs{Worker: w.id, I: c[0], J: c[1], Scatter: scatter}, &rep); err != nil {
+		if err := w.cl.call("Get", &GetArgs{I: c[0], J: c[1], Scatter: scatter}, &rep); err != nil {
 			return err
 		}
+		t := w.a.Tile(c[0], c[1])
 		ws := WireSpan{
 			ID: w.cur.id, Name: w.cur.name, Attempt: w.cur.attempt,
 			Phase: trace.PhaseFetch, StartNS: t0, EndNS: time.Now().UnixNano(),
-			Bytes: int64(len(rep.Data)), TileI: c[0], TileJ: c[1], HasTile: true,
+			Bytes: int64(8 * len(t)), TileI: c[0], TileJ: c[1], HasTile: true,
 		}
 		if scatter {
 			ws.ID, ws.Name, ws.Attempt = -1, "scatter", 1
 		}
 		w.sh.add(ws)
-		t := w.a.Tile(c[0], c[1])
-		if len(rep.Data) != 8*len(t) {
-			return fmt.Errorf("dist: tile (%d,%d) fetch returned %d bytes, want %d", c[0], c[1], len(rep.Data), 8*len(t))
-		}
-		if ft.CRC64Bytes(rep.Data) != rep.CRC {
+		f, payload, _, err := ft.OpenFrame(rep.Frame)
+		if errors.Is(err, ft.ErrFrameChecksum) {
 			w.cl.countDetected()
 			w.sh.instant(trace.PhaseCorrupt, fmt.Sprintf("get (%d,%d) failed CRC, refetching", c[0], c[1]))
 			if attempt == defaultRPCAttempts {
@@ -263,7 +261,10 @@ func (w *worker) fetch(c coord, scatter bool) error {
 			w.opt.logf("dist: worker %d refetching tile (%d,%d): payload failed CRC", w.id, c[0], c[1])
 			continue
 		}
-		decodeTile(t, rep.Data)
+		if want := ft.TileFrame(w.a, c[0], c[1]); err != nil || f != want {
+			return fmt.Errorf("dist: tile (%d,%d) fetch returned frame %+v (%v)", c[0], c[1], f, err)
+		}
+		ft.Unpack(t, payload)
 		w.ver[c] = rep.Ver
 		return nil
 	}
@@ -380,8 +381,7 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 			// (an acknowledged-but-unapplied stale commit must not leave them
 			// looking current).
 			delete(w.ver, c)
-			data := encodeTile(w.a.Tile(c[0], c[1]))
-			args.Tiles = append(args.Tiles, TilePayload{I: c[0], J: c[1], Data: data, CRC: ft.CRC64Bytes(data)})
+			args.Tiles = append(args.Tiles, ft.TileFrame(w.a, c[0], c[1]).Append(nil, w.a.Tile(c[0], c[1])))
 		}
 	}
 	commitStart := time.Now().UnixNano()
@@ -400,10 +400,10 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 		rpcErr = w.cl.call("Commit", args, &rep)
 	}
 	commitEnd := time.Now().UnixNano()
-	for _, p := range args.Tiles {
+	for _, c := range writes[:len(args.Tiles)] {
 		w.sh.add(WireSpan{ID: t.ID, Name: t.Kind, Attempt: attempt,
 			Phase: trace.PhaseCommit, StartNS: commitStart, EndNS: commitEnd,
-			Bytes: int64(len(p.Data)), TileI: p.I, TileJ: p.J, HasTile: true})
+			Bytes: int64(8 * len(w.a.Tile(c[0], c[1]))), TileI: c[0], TileJ: c[1], HasTile: true})
 	}
 	whole.EndNS = commitEnd
 	switch {
@@ -430,9 +430,9 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 		// Not applied: the written cache entries stay invalidated.
 		return nil
 	}
-	for k, p := range args.Tiles {
+	for k := range args.Tiles {
 		if k < len(rep.Vers) {
-			w.ver[coord{p.I, p.J}] = rep.Vers[k]
+			w.ver[writes[k]] = rep.Vers[k]
 		}
 	}
 	return nil

@@ -438,7 +438,7 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 			return nil
 		}
 		j.cacheStatus.Store(cacheMiss)
-		f, err := core.Factor(rt, op, s.tiled(sp), nil, false)
+		f, err := core.Factor(rt, op, s.deferred(sp), nil, false)
 		if err != nil {
 			return err
 		}
@@ -453,30 +453,26 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 	if f == nil && sp.A == nil {
 		return fmt.Errorf("serve: fingerprint %s not resident in the factor cache", key.fp)
 	}
-	tb := tile.FromColMajor(sp.N, sp.NRHS, sp.B, sp.N, s.cfg.TileSize)
-	if f != nil {
-		// Warm path: the cached factor is immutable and shared; only the
-		// right-hand side is written.
-		j.cacheStatus.Store(cacheHit)
-		if err := core.Solve(rt, f, tb); err != nil {
-			return err
-		}
-	} else {
-		j.cacheStatus.Store(cacheMiss)
-		f, err := core.Factor(rt, op, s.tiled(sp), tb, false)
-		if err != nil {
-			return err
-		}
+	status := cacheHit // warm: the cached factor is shared and only read
+	if f == nil {
+		status = cacheMiss // cold: the walk factors A first
+	}
+	j.cacheStatus.Store(status)
+	f, x, err := core.Run(rt, f, op, s.deferred(sp), tile.Deferred(sp.N, sp.NRHS, sp.B, sp.N, s.cfg.TileSize), core.ThenSolve)
+	if err != nil {
+		return err
+	}
+	if status == cacheMiss {
 		s.cache.put(key, f)
 	}
-	j.result.Store(tb.ToColMajor())
+	j.result.Store(x)
 	return nil
 }
 
-// tiled converts the job's operator to tiles and drops the column-major
-// copy, which the factorization no longer needs.
-func (s *Server) tiled(sp *JobSpec) *tile.Matrix[float64] {
-	a := tile.FromColMajor(sp.N, sp.N, sp.A, sp.N, s.cfg.TileSize)
+// deferred hands the job's operator to a deferred tile matrix, which the
+// walk fills, and drops the job's own reference to it.
+func (s *Server) deferred(sp *JobSpec) *tile.Matrix[float64] {
+	a := tile.Deferred(sp.N, sp.N, sp.A, sp.N, s.cfg.TileSize)
 	sp.A = nil
 	return a
 }

@@ -98,6 +98,19 @@ func (a *Matrix[T]) Fill() *Matrix[T] {
 	return a
 }
 
+// Assemble gives a sourceless deferred matrix its tiles in place of its
+// fills, tile (i, j) at tiles[i+j·MT] (see SetTile), and returns a.
+func (a *Matrix[T]) Assemble(tiles [][]T) *Matrix[T] {
+	if a.tiles != nil || a.src != nil || len(tiles) != a.MT*a.NT {
+		panic("tile: Assemble needs a sourceless deferred matrix and one slice per tile")
+	}
+	a.tiles = make([][]T, len(tiles))
+	for t, d := range tiles {
+		a.SetTile(t%a.MT, t/a.MT, d)
+	}
+	return a
+}
+
 // TileRows returns the row count of tiles in tile-row i.
 func (a *Matrix[T]) TileRows(i int) int {
 	if i < 0 || i >= a.MT {

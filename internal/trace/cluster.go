@@ -66,8 +66,13 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	return nil
 }
 
+// MaxProc is the highest process lane ReadJSON accepts: a Log keeps one
+// buffer per lane up to the highest it has seen.
+const MaxProc = 1 << 16
+
 // ReadJSON parses a native events file back into a Log, for offline
-// analysis of a trace captured from a live run.
+// analysis of a trace captured from a live run. An event on a lane outside
+// 0…MaxProc is an error.
 func ReadJSON(r io.Reader) (*Log, error) {
 	var f eventsFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -77,7 +82,10 @@ func ReadJSON(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("trace: unrecognised trace format %q (want %q)", f.Format, eventsFormat)
 	}
 	l := NewLog()
-	for _, e := range f.Events {
+	for k, e := range f.Events {
+		if e.Proc < 0 || e.Proc > MaxProc {
+			return nil, fmt.Errorf("trace: event %d on lane %d, outside 0…%d", k, e.Proc, MaxProc)
+		}
 		l.Add(e)
 	}
 	return l, nil

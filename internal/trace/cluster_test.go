@@ -7,6 +7,7 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -71,6 +72,37 @@ func TestReadJSONRejectsUnknownFormat(t *testing.T) {
 	if _, err := trace.ReadJSON(strings.NewReader(`[1,2,3]`)); err == nil {
 		t.Fatal("want error for non-envelope JSON")
 	}
+}
+
+// hostileLane is an envelope whose one event sits on lane math.MaxInt: a
+// Log sized to it would need MaxInt+1 shards.
+var hostileLane = fmt.Sprintf(`{"format":"exadla-trace-v1","events":[{"Proc":%d}]}`, math.MaxInt)
+
+func TestReadJSONRejectsHostileLane(t *testing.T) {
+	for _, doc := range []string{
+		hostileLane,
+		`{"format":"exadla-trace-v1","events":[{"Proc":-1}]}`,
+	} {
+		if _, err := trace.ReadJSON(strings.NewReader(doc)); err == nil {
+			t.Errorf("ReadJSON accepted %s", doc)
+		}
+	}
+}
+
+// FuzzReadJSON: any input gives an error or a log, never a panic.
+func FuzzReadJSON(f *testing.F) {
+	var buf bytes.Buffer
+	if err := clusterFixture().WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(hostileLane))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		l, err := trace.ReadJSON(bytes.NewReader(b))
+		if err == nil && l == nil {
+			t.Fatal("no error and no log")
+		}
+	})
 }
 
 func TestAnalyzeCluster(t *testing.T) {
