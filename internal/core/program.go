@@ -172,6 +172,19 @@ func Program(op string, mt, nt, from int) []Step {
 	return p
 }
 
+// LastWriters maps each tile prog writes to the index in prog of its last
+// writer: the step whose completion finalizes the tile.
+func LastWriters(prog []Step) map[[2]int]int {
+	last := map[[2]int]int{}
+	for id, st := range prog {
+		_, w := st.Accesses()
+		for _, c := range w {
+			last[c] = id
+		}
+	}
+	return last
+}
+
 // Accesses returns the tiles s reads and writes as (row, column) tile
 // coordinates. A read-modify-written tile appears only among the writes.
 func (s Step) Accesses() (reads, writes [][2]int) {

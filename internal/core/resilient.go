@@ -232,11 +232,9 @@ func newResilientState(op string, a *tile.Matrix[float64], from int, es *errStat
 		committed: make([]int, kt),
 		sums:      make([][]float64, a.MT*a.NT),
 	}
-	for _, p := range Program(op, a.MT, a.NT, 0) {
-		_, w := p.Accesses()
-		for _, c := range w {
-			st.last[c[0]+c[1]*a.MT] = p
-		}
+	prog := Program(op, a.MT, a.NT, 0)
+	for c, id := range LastWriters(prog) {
+		st.last[c[0]+c[1]*a.MT] = prog[id]
 	}
 	// The tolerance reads the input matrix, so it must be computed before
 	// the factorization DAG is submitted — tasks start mutating tiles the

@@ -8,7 +8,6 @@ import (
 	"net/rpc"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"exadla/internal/ckpt"
@@ -129,8 +128,6 @@ type Options struct {
 	// coordinator lock held: the hook must not call back into the
 	// coordinator.
 	Events func(Event)
-	// Logf, when non-nil, receives progress and fault events.
-	Logf func(format string, args ...any)
 }
 
 func (o *Options) defaults() {
@@ -160,12 +157,6 @@ func (o *Options) defaults() {
 	}
 	if o.SpecMinSamples < 1 {
 		o.SpecMinSamples = 5
-	}
-}
-
-func (o *Options) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
 	}
 }
 
@@ -251,14 +242,13 @@ type Coordinator struct {
 	epoch    time.Time
 	cevents  []trace.Event
 	lineage  map[int]int
-	shards   map[int][]WireSpan
+	shards   map[int][]trace.Event
 	absorbed map[int]int64
 	offs     map[int]int64
 	offRTTs  map[int]int64
-	evictLog []Eviction
 	taskDeps [][]int
 
-	stats RunStats
+	stats *ledger
 	m     *distMetrics
 	wake  chan struct{}
 }
@@ -280,12 +270,13 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 		wake:        make(chan struct{}, 1),
 		epoch:       time.Now(),
 		lineage:     map[int]int{},
-		shards:      map[int][]WireSpan{},
+		shards:      map[int][]trace.Event{},
 		absorbed:    map[int]int64{},
 		offs:        map[int]int64{},
 		offRTTs:     map[int]int64{},
 	}
 	c.m = newDistMetrics(opt.Registry)
+	c.stats = newLedger(opt.Registry)
 
 	a, fromStep, err := c.initialState()
 	if err != nil {
@@ -302,17 +293,15 @@ func NewCoordinator(addr string, opt Options) (*Coordinator, error) {
 	}
 	c.a = a
 	c.pl = makePlan(c.opt.Op, a.NT, fromStep)
-	c.st = newStore(a, opt.WriteBack, func() { c.addStat(&c.stats.TilesRebuilt, c.m.tilesRebuilt, 1) })
+	c.st = newStore(a, opt.WriteBack, func() { c.stats.add(&c.stats.TilesRebuilt, 1) })
 	// Store callbacks run under c.mu (the coordinator serializes all store
 	// access), so recording fault instants here is safe.
 	c.st.onRotDetect = func(i, j int) {
-		c.addStat(&c.stats.AtRestDetected, c.m.atRestDetected, 1)
+		c.stats.add(&c.stats.AtRestDetected, 1)
 		c.faultLocked(trace.PhaseCorrupt, -1, -1, 0, fmt.Sprintf("at-rest rot in tile (%d,%d)", i, j))
-		c.opt.logf("dist: at-rest rot detected in tile (%d,%d)", i, j)
 	}
 	c.st.onRotRepair = func(i, j int) {
-		c.addStat(&c.stats.AtRestRepaired, c.m.atRestRepaired, 1)
-		c.opt.logf("dist: tile (%d,%d) repaired from row parity", i, j)
+		c.stats.add(&c.stats.AtRestRepaired, 1)
 	}
 
 	nslots := 1
@@ -379,7 +368,6 @@ func (c *Coordinator) initialState() (*tile.Matrix[float64], int, error) {
 	if op != c.opt.Op {
 		return nil, 0, fmt.Errorf("%w: %s is %s, want %s", ErrCheckpointOp, path, op, c.opt.Op)
 	}
-	c.opt.logf("dist: resuming from %s (step %d)", path, snap.Step)
 	return a, snap.Step, nil
 }
 
@@ -420,11 +408,10 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 func (c *Coordinator) Result() *tile.Matrix[float64] { return c.a }
 
 // Stats returns the run's fault-and-traffic counters.
-func (c *Coordinator) Stats() StatsSnapshot { return c.stats.Snapshot() }
-
-func (c *Coordinator) addStat(a *atomic.Int64, m *metrics.Counter, d int64) {
-	a.Add(d)
-	m.Add(d)
+func (c *Coordinator) Stats() StatsSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats.StatsSnapshot
 }
 
 // absorbCorruptsLocked lands a worker's piggybacked corruption ledger: how
@@ -432,10 +419,10 @@ func (c *Coordinator) addStat(a *atomic.Int64, m *metrics.Counter, d int64) {
 // Get replies it detected and refetched.
 func (c *Coordinator) absorbCorruptsLocked(injected, detected int64) {
 	if injected > 0 {
-		c.addStat(&c.stats.CorruptInjected, c.m.corruptInjected, injected)
+		c.stats.add(&c.stats.CorruptInjected, injected)
 	}
 	if detected > 0 {
-		c.addStat(&c.stats.CorruptGets, c.m.corruptGets, detected)
+		c.stats.add(&c.stats.CorruptGets, detected)
 	}
 }
 
@@ -543,7 +530,7 @@ func (c *Coordinator) popBestLocked(eligible func(slot int) bool) (int, bool) {
 // completion.
 func (c *Coordinator) completeLocked(id int) {
 	c.fr.Complete(id)
-	c.addStat(&c.stats.TasksCompleted, c.m.tasksCompleted, 1)
+	c.stats.add(&c.stats.TasksCompleted, 1)
 	for len(c.cuts) > 0 && !c.done {
 		s := c.cuts[0]
 		c.cuts = c.cuts[1:]
@@ -572,8 +559,7 @@ func (c *Coordinator) cutLocked(id int) {
 		c.failLocked(err)
 		return
 	}
-	c.addStat(&c.stats.CheckpointsSaved, c.m.ckptsSaved, 1)
-	c.opt.logf("dist: checkpoint at step %d", k+1)
+	c.stats.add(&c.stats.CheckpointsSaved, 1)
 	if _, abort := c.opt.Ckpt.After(k, c.pl.steps); abort {
 		c.failLocked(fmt.Errorf("%w %d", ErrAborted, k))
 		return
@@ -596,11 +582,10 @@ func (c *Coordinator) failLocked(err error) {
 // Otherwise the task returns to the ready heap.
 func (c *Coordinator) revokeLeaseLocked(l *lease) {
 	delete(c.leases, l.task)
-	c.addStat(&c.stats.LeasesExpired, c.m.leasesExpired, 1)
+	c.stats.add(&c.stats.LeasesExpired, 1)
 	if tw := c.twins[l.task]; tw != nil {
 		c.leases[l.task] = tw
 		delete(c.twins, l.task)
-		c.opt.logf("dist: twin of task %d (worker %d) promoted to primary", l.task, tw.worker)
 		return
 	}
 	c.pushReadyLocked(l.task)
@@ -612,7 +597,7 @@ func (c *Coordinator) dropTwinsLocked(w *workerState) {
 	for id, tw := range c.twins {
 		if tw.worker == w.id {
 			delete(c.twins, id)
-			c.addStat(&c.stats.LeasesExpired, c.m.leasesExpired, 1)
+			c.stats.add(&c.stats.LeasesExpired, 1)
 		}
 	}
 }
@@ -624,12 +609,10 @@ func (c *Coordinator) evictLocked(w *workerState, reason string) {
 		return
 	}
 	w.evicted = true
-	c.addStat(&c.stats.WorkersLost, c.m.workersLost, 1)
+	c.stats.add(&c.stats.WorkersLost, 1)
 	c.m.workersLive.Set(float64(c.liveCountLocked()))
 	c.faultLocked(trace.PhaseEvicted, w.id, -1, 0, reason)
-	c.evictLog = append(c.evictLog, Eviction{Worker: w.id, Reason: reason, AtMS: c.nowNS() / 1e6})
 	c.releaseLocked(w)
-	c.opt.logf("dist: worker %d lost (%s)", w.id, reason)
 }
 
 // releaseLocked is the one release path of a departing worker, evicted or
@@ -669,16 +652,14 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		}
 	}
 	for _, l := range expired {
-		c.opt.logf("dist: lease on task %d (worker %d) expired", l.task, l.worker)
 		c.faultLocked(trace.PhaseReaped, l.worker, l.task, c.attempts[l.task], "lease deadline passed")
 		c.revokeLeaseLocked(l)
 	}
 	for id, tw := range c.twins {
 		if now.After(tw.deadline) {
-			c.opt.logf("dist: twin lease on task %d (worker %d) expired", id, tw.worker)
 			c.faultLocked(trace.PhaseReaped, tw.worker, id, c.attempts[id], "twin lease deadline passed")
 			delete(c.twins, id)
-			c.addStat(&c.stats.LeasesExpired, c.m.leasesExpired, 1)
+			c.stats.add(&c.stats.LeasesExpired, 1)
 		}
 	}
 	for _, w := range c.workers {
@@ -815,7 +796,7 @@ func (c *Coordinator) localStepLocked(now time.Time) bool {
 		}
 	}
 	if c.attempts[id] > 0 {
-		c.addStat(&c.stats.TasksReexecuted, c.m.tasksReexecuted, 1)
+		c.stats.add(&c.stats.TasksReexecuted, 1)
 	}
 	c.attempts[id]++
 	startNS := c.nowNS()
@@ -828,7 +809,7 @@ func (c *Coordinator) localStepLocked(now time.Time) bool {
 	for _, cd := range w {
 		c.st.putLocal(cd, c.pl.finalWriter[cd] == id)
 	}
-	c.addStat(&c.stats.TasksLocal, c.m.tasksLocal, 1)
+	c.stats.add(&c.stats.TasksLocal, 1)
 	c.completeLocked(id)
 	return true
 }
@@ -865,7 +846,7 @@ func (c *Coordinator) Run() error {
 		c.reapLocked(now)
 		c.speculateLocked(now)
 		if c.opt.ScrubEvery > 0 && !c.done && now.Sub(c.lastScrub) >= c.opt.ScrubEvery {
-			c.addStat(&c.stats.ScrubScanned, c.m.scrubScanned, int64(c.st.scrub(scrubTilesPerPass)))
+			c.stats.add(&c.stats.ScrubScanned, int64(c.st.scrub(scrubTilesPerPass)))
 			c.lastScrub = now
 		}
 		for c.localStepLocked(now) {
@@ -912,7 +893,6 @@ func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	c := r.c
 	defer c.m.timeRPC("register")()
 	if args.Version != protocolVersion {
-		c.opt.logf("dist: refused a worker speaking wire protocol v%d", args.Version)
 		return fmt.Errorf("%w: coordinator speaks v%d, worker sent v%d", ErrProtocolVersion, protocolVersion, args.Version)
 	}
 	c.mu.Lock()
@@ -922,9 +902,8 @@ func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	if args.Rejoin {
 		// A flapping node coming back after eviction: its old identity (and
 		// anything leased to it) is gone; it re-enters as a fresh worker.
-		c.addStat(&c.stats.WorkersRejoined, c.m.workersRejoined, 1)
+		c.stats.add(&c.stats.WorkersRejoined, 1)
 		c.faultLocked(trace.PhaseRejoin, id, -1, 0, fmt.Sprintf("was worker %d", args.PrevWorker))
-		c.opt.logf("dist: worker %d rejoined (was worker %d)", id, args.PrevWorker)
 		// The returning process keeps its span shipper, whose cumulative
 		// indices (and clock) span identities: chain the new id to the old
 		// lineage so absorption stays exactly-once even when a batch shipped
@@ -941,7 +920,7 @@ func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	}
 	c.workers[id] = w
 	c.everJoined = true
-	c.addStat(&c.stats.WorkersJoined, c.m.workersJoined, 1)
+	c.stats.add(&c.stats.WorkersJoined, 1)
 	c.m.workersLive.Set(float64(c.liveCountLocked()))
 	*reply = RegisterReply{
 		Worker: id, Slot: w.slot,
@@ -964,7 +943,6 @@ func (r *coordRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 			}
 		}
 	}
-	c.opt.logf("dist: worker %d joined (slot %d)", id, w.slot)
 	return nil
 }
 
@@ -976,7 +954,7 @@ func (r *coordRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if args.RPCRetries > 0 {
-		c.addStat(&c.stats.RPCRetries, c.m.rpcRetries, args.RPCRetries)
+		c.stats.add(&c.stats.RPCRetries, args.RPCRetries)
 		c.m.rpcRetriesHist.Observe(args.RPCRetries)
 	}
 	c.absorbCorruptsLocked(args.CorruptsInjected, args.CorruptsDetected)
@@ -1016,19 +994,18 @@ func (r *coordRPC) Lease(args *LeaseArgs, reply *LeaseReply) error {
 	l := &lease{task: id, worker: w.id, token: c.nextToken, deadline: now.Add(c.opt.Lease), granted: now}
 	if spec {
 		c.twins[id] = l
-		c.addStat(&c.stats.SpecLaunched, c.m.specLaunched, 1)
+		c.stats.add(&c.stats.SpecLaunched, 1)
 		prim := c.leases[id]
 		c.faultLocked(trace.PhaseSpecTwin, w.id, id, c.attempts[id]+1,
 			fmt.Sprintf("twin of worker %d", prim.worker))
-		c.opt.logf("dist: task %d straggling on worker %d; twin leased to worker %d", id, prim.worker, w.id)
 	} else {
 		c.leases[id] = l
 	}
 	if c.attempts[id] > 0 {
-		c.addStat(&c.stats.TasksReexecuted, c.m.tasksReexecuted, 1)
+		c.stats.add(&c.stats.TasksReexecuted, 1)
 	}
 	c.attempts[id]++
-	c.addStat(&c.stats.LeasesGranted, c.m.leasesGranted, 1)
+	c.stats.add(&c.stats.LeasesGranted, 1)
 	rd, wr := t.Accesses()
 	reply.Task = &t
 	reply.Token = c.nextToken
@@ -1075,9 +1052,9 @@ func (r *coordRPC) Get(args *GetArgs, reply *GetReply) error {
 	n := int64(8 * c.a.TileRows(args.I) * c.a.TileCols(args.J)) // payload bytes
 	c.m.rpcGetBytes.Observe(n)
 	if args.Scatter {
-		c.addStat(&c.stats.BytesScattered, c.m.bytesScattered, n)
+		c.stats.add(&c.stats.BytesScattered, n)
 	} else {
-		c.addStat(&c.stats.BytesFetched, c.m.bytesFetched, n)
+		c.stats.add(&c.stats.BytesFetched, n)
 	}
 	return nil
 }
@@ -1124,14 +1101,13 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 			// versions — this payload was NOT applied, and blessing the
 			// sender's cache with current version numbers would let a stale
 			// straggler's bytes masquerade as the store's.
-			c.addStat(&c.stats.CommitsDuplicate, c.m.commitsDuplicate, 1)
+			c.stats.add(&c.stats.CommitsDuplicate, 1)
 			reply.Accepted = true
 			reply.Duplicate = true
 			return nil
 		}
-		c.addStat(&c.stats.CommitsRejected, c.m.commitsRejected, 1)
+		c.stats.add(&c.stats.CommitsRejected, 1)
 		c.faultLocked(trace.PhaseStale, args.Worker, args.Task, c.attempts[args.Task], "stale lease token")
-		c.opt.logf("dist: rejected stale commit of task %d from worker %d", args.Task, args.Worker)
 		return nil
 	}
 	// End-to-end integrity, before a single byte is applied. A frame whose
@@ -1141,14 +1117,12 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 	if args.Err == "" {
 		err := c.checkFramesLocked(args.Task, frames)
 		if errors.Is(err, ft.ErrFrameChecksum) {
-			c.addStat(&c.stats.CorruptCommits, c.m.corruptCommits, 1)
+			c.stats.add(&c.stats.CorruptCommits, 1)
 			c.faultLocked(trace.PhaseCorrupt, args.Worker, args.Task, c.attempts[args.Task], err.Error())
-			c.opt.logf("dist: rejected corrupt commit from worker %d: %v", args.Worker, err)
 			reply.BadPayload = true
 			return nil
 		}
 		if err != nil {
-			c.opt.logf("dist: refused malformed commit of task %d from worker %d: %v", args.Task, args.Worker, err)
 			return err
 		}
 	}
@@ -1156,10 +1130,9 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 	if tw != nil {
 		delete(c.twins, args.Task)
 		if win == tw {
-			c.addStat(&c.stats.SpecWins, c.m.specWins, 1)
-			c.opt.logf("dist: twin of task %d (worker %d) won the race", args.Task, args.Worker)
+			c.stats.add(&c.stats.SpecWins, 1)
 		} else {
-			c.addStat(&c.stats.SpecWasted, c.m.specWasted, 1)
+			c.stats.add(&c.stats.SpecWasted, 1)
 		}
 	}
 	delete(c.specPending, args.Task)
@@ -1173,7 +1146,7 @@ func (r *coordRPC) Commit(args *CommitArgs, reply *CommitReply) error {
 		at := coord{o.I, o.J}
 		final := c.pl.finalWriter[at] == args.Task
 		reply.Vers = append(reply.Vers, c.st.put(at, o.payload, o.sum, args.Worker, final))
-		c.addStat(&c.stats.BytesCommitted, c.m.bytesCommitted, int64(len(o.payload)))
+		c.stats.add(&c.stats.BytesCommitted, int64(len(o.payload)))
 		c.m.rpcCommitBytes.Observe(int64(len(o.payload)))
 	}
 	reply.Accepted = true
@@ -1226,6 +1199,5 @@ func (r *coordRPC) Bye(args *ByeArgs, _ *ByeReply) error {
 	w.byed = true
 	c.releaseLocked(w)
 	c.m.workersLive.Set(float64(c.liveCountLocked()))
-	c.opt.logf("dist: worker %d left", w.id)
 	return nil
 }

@@ -1,150 +1,87 @@
 package dist
 
 import (
-	"sync/atomic"
+	"reflect"
 	"time"
 
 	"exadla/internal/metrics"
 )
 
-// RunStats is one distributed run's fault-and-traffic ledger. Fields are
-// atomics so RPC handlers, the reaper, and the run loop update them
-// without coordination; Snapshot copies them out for reports. Every field
-// is also mirrored into a metrics.Registry (when one is configured) under
-// "dist.*" names, alongside the scheduler's "sched.*" counters, so the
-// obs Prometheus endpoint exposes the distributed runtime for free.
-type RunStats struct {
-	WorkersJoined    atomic.Int64
-	WorkersLost      atomic.Int64
-	LeasesGranted    atomic.Int64
-	LeasesExpired    atomic.Int64
-	TasksCompleted   atomic.Int64
-	TasksReexecuted  atomic.Int64
-	TasksLocal       atomic.Int64
-	CommitsRejected  atomic.Int64
-	CommitsDuplicate atomic.Int64
-	RPCRetries       atomic.Int64
-	BytesFetched     atomic.Int64
-	BytesCommitted   atomic.Int64
-	BytesScattered   atomic.Int64
-	TilesRebuilt     atomic.Int64
-	CheckpointsSaved atomic.Int64
+// StatsSnapshot is one distributed run's fault-and-traffic ledger, and the
+// one place each run counter is named: its field, its JSON tag, and (the
+// metric tag) the "dist.*" name it is mirrored under in a metrics.Registry,
+// alongside the scheduler's "sched.*" counters, so the obs Prometheus
+// endpoint exposes the distributed runtime for free.
+type StatsSnapshot struct {
+	WorkersJoined    int64 `json:"workers_joined" metric:"dist.workers_joined"`
+	WorkersLost      int64 `json:"workers_lost" metric:"dist.workers_lost"`
+	LeasesGranted    int64 `json:"leases_granted" metric:"dist.leases_granted"`
+	LeasesExpired    int64 `json:"leases_expired" metric:"dist.leases_expired"`
+	TasksCompleted   int64 `json:"tasks_completed" metric:"dist.tasks_completed"`
+	TasksReexecuted  int64 `json:"tasks_reexecuted" metric:"dist.tasks_reexecuted"`
+	TasksLocal       int64 `json:"tasks_local" metric:"dist.tasks_local"`
+	CommitsRejected  int64 `json:"commits_rejected" metric:"dist.commits_rejected"`
+	CommitsDuplicate int64 `json:"commits_duplicate" metric:"dist.commits_duplicate"`
+	RPCRetries       int64 `json:"rpc_retries" metric:"dist.rpc_retries"`
+	BytesFetched     int64 `json:"bytes_fetched" metric:"dist.bytes_fetched"`
+	BytesCommitted   int64 `json:"bytes_committed" metric:"dist.bytes_committed"`
+	BytesScattered   int64 `json:"bytes_scattered" metric:"dist.bytes_scattered"`
+	TilesRebuilt     int64 `json:"tiles_reconstructed" metric:"dist.tiles_reconstructed"`
+	CheckpointsSaved int64 `json:"checkpoints_written" metric:"dist.checkpoints_written"`
 
 	// Speculative execution: twin leases granted for slow-running tasks,
 	// how many twins won (committed first), and how many were wasted work
 	// (the primary finished first).
-	SpecLaunched atomic.Int64
-	SpecWins     atomic.Int64
-	SpecWasted   atomic.Int64
+	SpecLaunched int64 `json:"spec_launched" metric:"dist.spec.launched"`
+	SpecWins     int64 `json:"spec_wins" metric:"dist.spec.wins"`
+	SpecWasted   int64 `json:"spec_wasted" metric:"dist.spec.wasted"`
 
 	// End-to-end integrity: corrupt commit payloads the coordinator
 	// rejected, corrupt Get replies workers detected, total corruptions the
 	// chaos layer reports injecting, and the at-rest scrub's ledger.
-	CorruptCommits  atomic.Int64
-	CorruptGets     atomic.Int64
-	CorruptInjected atomic.Int64
-	ScrubScanned    atomic.Int64
-	AtRestDetected  atomic.Int64
-	AtRestRepaired  atomic.Int64
+	CorruptCommits  int64 `json:"corrupt_commits_rejected" metric:"dist.integrity.commit_rejected"`
+	CorruptGets     int64 `json:"corrupt_gets_detected" metric:"dist.integrity.get_rejected"`
+	CorruptInjected int64 `json:"corrupts_injected" metric:"dist.integrity.wire_injected"`
+	ScrubScanned    int64 `json:"scrub_tiles_scanned" metric:"dist.integrity.scrub_scanned"`
+	AtRestDetected  int64 `json:"atrest_rot_detected" metric:"dist.integrity.atrest_detected"`
+	AtRestRepaired  int64 `json:"atrest_rot_repaired" metric:"dist.integrity.atrest_repaired"`
 
 	// Partition tolerance: workers that re-registered under a fresh
 	// identity after losing a previous one.
-	WorkersRejoined atomic.Int64
+	WorkersRejoined int64 `json:"workers_rejoined" metric:"dist.rejoin.workers"`
 }
 
-// StatsSnapshot is a plain-value copy of RunStats for reporting.
-type StatsSnapshot struct {
-	WorkersJoined    int64 `json:"workers_joined"`
-	WorkersLost      int64 `json:"workers_lost"`
-	LeasesGranted    int64 `json:"leases_granted"`
-	LeasesExpired    int64 `json:"leases_expired"`
-	TasksCompleted   int64 `json:"tasks_completed"`
-	TasksReexecuted  int64 `json:"tasks_reexecuted"`
-	TasksLocal       int64 `json:"tasks_local"`
-	CommitsRejected  int64 `json:"commits_rejected"`
-	CommitsDuplicate int64 `json:"commits_duplicate"`
-	RPCRetries       int64 `json:"rpc_retries"`
-	BytesFetched     int64 `json:"bytes_fetched"`
-	BytesCommitted   int64 `json:"bytes_committed"`
-	BytesScattered   int64 `json:"bytes_scattered"`
-	TilesRebuilt     int64 `json:"tiles_reconstructed"`
-	CheckpointsSaved int64 `json:"checkpoints_written"`
-	SpecLaunched     int64 `json:"spec_launched"`
-	SpecWins         int64 `json:"spec_wins"`
-	SpecWasted       int64 `json:"spec_wasted"`
-	CorruptCommits   int64 `json:"corrupt_commits_rejected"`
-	CorruptGets      int64 `json:"corrupt_gets_detected"`
-	CorruptInjected  int64 `json:"corrupts_injected"`
-	ScrubScanned     int64 `json:"scrub_tiles_scanned"`
-	AtRestDetected   int64 `json:"atrest_rot_detected"`
-	AtRestRepaired   int64 `json:"atrest_rot_repaired"`
-	WorkersRejoined  int64 `json:"workers_rejoined"`
+// ledger is a run's live counters, guarded by the coordinator lock. Each
+// add lands in the run's own snapshot and in the field's registry mirror,
+// so Stats stays per run even when runs share one registry.
+type ledger struct {
+	StatsSnapshot
+	mirror map[*int64]*metrics.Counter // by field address
 }
 
-// Snapshot copies the current counter values.
-func (s *RunStats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		WorkersJoined:    s.WorkersJoined.Load(),
-		WorkersLost:      s.WorkersLost.Load(),
-		LeasesGranted:    s.LeasesGranted.Load(),
-		LeasesExpired:    s.LeasesExpired.Load(),
-		TasksCompleted:   s.TasksCompleted.Load(),
-		TasksReexecuted:  s.TasksReexecuted.Load(),
-		TasksLocal:       s.TasksLocal.Load(),
-		CommitsRejected:  s.CommitsRejected.Load(),
-		CommitsDuplicate: s.CommitsDuplicate.Load(),
-		RPCRetries:       s.RPCRetries.Load(),
-		BytesFetched:     s.BytesFetched.Load(),
-		BytesCommitted:   s.BytesCommitted.Load(),
-		BytesScattered:   s.BytesScattered.Load(),
-		TilesRebuilt:     s.TilesRebuilt.Load(),
-		CheckpointsSaved: s.CheckpointsSaved.Load(),
-		SpecLaunched:     s.SpecLaunched.Load(),
-		SpecWins:         s.SpecWins.Load(),
-		SpecWasted:       s.SpecWasted.Load(),
-		CorruptCommits:   s.CorruptCommits.Load(),
-		CorruptGets:      s.CorruptGets.Load(),
-		CorruptInjected:  s.CorruptInjected.Load(),
-		ScrubScanned:     s.ScrubScanned.Load(),
-		AtRestDetected:   s.AtRestDetected.Load(),
-		AtRestRepaired:   s.AtRestRepaired.Load(),
-		WorkersRejoined:  s.WorkersRejoined.Load(),
+func newLedger(r *metrics.Registry) *ledger {
+	l := &ledger{mirror: map[*int64]*metrics.Counter{}}
+	v := reflect.ValueOf(&l.StatsSnapshot).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		l.mirror[v.Field(i).Addr().Interface().(*int64)] = r.Counter(v.Type().Field(i).Tag.Get("metric"))
 	}
+	return l
 }
 
-// distMetrics is the registry mirror of RunStats plus the live-worker
-// gauge. All handles are nil-safe (a nil registry disables mirroring).
-type distMetrics struct {
-	workersLive      *metrics.Gauge
-	workersJoined    *metrics.Counter
-	workersLost      *metrics.Counter
-	leasesGranted    *metrics.Counter
-	leasesExpired    *metrics.Counter
-	tasksCompleted   *metrics.Counter
-	tasksReexecuted  *metrics.Counter
-	tasksLocal       *metrics.Counter
-	commitsRejected  *metrics.Counter
-	commitsDuplicate *metrics.Counter
-	rpcRetries       *metrics.Counter
-	bytesFetched     *metrics.Counter
-	bytesCommitted   *metrics.Counter
-	bytesScattered   *metrics.Counter
-	tilesRebuilt     *metrics.Counter
-	ckptsSaved       *metrics.Counter
-	specLaunched     *metrics.Counter
-	specWins         *metrics.Counter
-	specWasted       *metrics.Counter
-	corruptCommits   *metrics.Counter
-	corruptGets      *metrics.Counter
-	corruptInjected  *metrics.Counter
-	scrubScanned     *metrics.Counter
-	atRestDetected   *metrics.Counter
-	atRestRepaired   *metrics.Counter
-	workersRejoined  *metrics.Counter
+// add bumps counter f, a field of l.StatsSnapshot, by d.
+func (l *ledger) add(f *int64, d int64) {
+	*f += d
+	l.mirror[f].Add(d)
+}
 
-	// Per-RPC telemetry: handler latency per method ("dist.rpc.<m>.ns"),
-	// payload sizes for the data-bearing methods, and the distribution of
-	// client-retry bursts reported on leases ("dist.rpc.retries").
+// distMetrics is the registry's view of a run beyond its counters: the
+// live-worker gauge and the per-RPC telemetry — handler latency per method
+// ("dist.rpc.<m>.ns"), payload sizes for the data-bearing methods, and the
+// distribution of client-retry bursts reported on leases
+// ("dist.rpc.retries"). All handles are nil-safe (a nil registry disables
+// them).
+type distMetrics struct {
+	workersLive    *metrics.Gauge
 	rpcNS          map[string]*metrics.Histogram
 	rpcGetBytes    *metrics.Histogram
 	rpcCommitBytes *metrics.Histogram
@@ -166,36 +103,11 @@ func (m *distMetrics) timeRPC(method string) func() {
 
 func newDistMetrics(r *metrics.Registry) *distMetrics {
 	return &distMetrics{
-		workersLive:      r.Gauge("dist.workers_live"),
-		workersJoined:    r.Counter("dist.workers_joined"),
-		workersLost:      r.Counter("dist.workers_lost"),
-		leasesGranted:    r.Counter("dist.leases_granted"),
-		leasesExpired:    r.Counter("dist.leases_expired"),
-		tasksCompleted:   r.Counter("dist.tasks_completed"),
-		tasksReexecuted:  r.Counter("dist.tasks_reexecuted"),
-		tasksLocal:       r.Counter("dist.tasks_local"),
-		commitsRejected:  r.Counter("dist.commits_rejected"),
-		commitsDuplicate: r.Counter("dist.commits_duplicate"),
-		rpcRetries:       r.Counter("dist.rpc_retries"),
-		bytesFetched:     r.Counter("dist.bytes_fetched"),
-		bytesCommitted:   r.Counter("dist.bytes_committed"),
-		bytesScattered:   r.Counter("dist.bytes_scattered"),
-		tilesRebuilt:     r.Counter("dist.tiles_reconstructed"),
-		ckptsSaved:       r.Counter("dist.checkpoints_written"),
-		specLaunched:     r.Counter("dist.spec.launched"),
-		specWins:         r.Counter("dist.spec.wins"),
-		specWasted:       r.Counter("dist.spec.wasted"),
-		corruptCommits:   r.Counter("dist.integrity.commit_rejected"),
-		corruptGets:      r.Counter("dist.integrity.get_rejected"),
-		corruptInjected:  r.Counter("dist.integrity.wire_injected"),
-		scrubScanned:     r.Counter("dist.integrity.scrub_scanned"),
-		atRestDetected:   r.Counter("dist.integrity.atrest_detected"),
-		atRestRepaired:   r.Counter("dist.integrity.atrest_repaired"),
-		workersRejoined:  r.Counter("dist.rejoin.workers"),
-		rpcNS:            rpcLatencyHists(r),
-		rpcGetBytes:      r.Histogram("dist.rpc.get.bytes"),
-		rpcCommitBytes:   r.Histogram("dist.rpc.commit.bytes"),
-		rpcRetriesHist:   r.Histogram("dist.rpc.retries"),
+		workersLive:    r.Gauge("dist.workers_live"),
+		rpcNS:          rpcLatencyHists(r),
+		rpcGetBytes:    r.Histogram("dist.rpc.get.bytes"),
+		rpcCommitBytes: r.Histogram("dist.rpc.commit.bytes"),
+		rpcRetriesHist: r.Histogram("dist.rpc.retries"),
 	}
 }
 

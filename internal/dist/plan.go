@@ -43,13 +43,10 @@ type plan struct {
 // fromStep on (tiles must already hold the state of earlier steps — the
 // checkpoint-resume path). Task IDs index p.tasks.
 func makePlan(op string, nt, fromStep int) *plan {
-	p := &plan{steps: nt, finalWriter: map[coord]int{}}
-	for id, st := range core.Program(op, nt, nt, fromStep) {
+	prog := core.Program(op, nt, nt, fromStep)
+	p := &plan{steps: nt, finalWriter: core.LastWriters(prog)}
+	for id, st := range prog {
 		p.tasks = append(p.tasks, TaskSpec{ID: id, Step: st})
-		_, w := st.Accesses()
-		for _, c := range w {
-			p.finalWriter[c] = id
-		}
 	}
 	return p
 }

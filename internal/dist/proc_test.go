@@ -165,7 +165,11 @@ func TestDistMultiProcessClusterTrace(t *testing.T) {
 	}
 	const seed, n, nb = 33, 160, 16
 	a := spdTiled(seed, n, nb)
-	c, err := dist.NewCoordinator("127.0.0.1:0", fastOpts(dist.OpCholesky, a))
+	opt := fastOpts(dist.OpCholesky, a)
+	// Start barrier: it also holds back the local fallback, which would
+	// otherwise run the whole job if the re-exec'd workers are slow to join.
+	opt.WaitWorkers = 2
+	c, err := dist.NewCoordinator("127.0.0.1:0", opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"exadla/internal/core"
 	"exadla/internal/ft"
+	"exadla/internal/trace"
 )
 
 // This file is the wire protocol of the distributed runtime: the net/rpc
@@ -39,34 +40,14 @@ type TaskSpec struct {
 	core.Step
 }
 
-// WireSpan is one trace event in transit from a worker to the coordinator:
-// a whole task attempt (Phase ""), a fetch/compute/commit sub-phase, or a
-// zero-duration fault instant (see trace.IsFault). Timestamps are the
-// recording process's local clock (UnixNano); the coordinator re-bases
-// them onto its own epoch with the RTT-midpoint offset shipped alongside.
-type WireSpan struct {
-	ID      int    // task id, -1 for scatter prefetch and chaos instants
-	Name    string // kernel kind, or "scatter"
-	Worker  int    // worker id at recording time (lane in the merged trace)
-	Attempt int
-	Phase   string
-	StartNS int64 // local clock, UnixNano
-	EndNS   int64
-	Bytes   int64 // payload moved, fetch/commit phases only
-	TileI   int
-	TileJ   int
-	HasTile bool
-	Outcome int // sched.Outcome, whole-attempt spans only
-	Err     string
-}
-
 // protocolVersion names the wire protocol: the message types in this file
 // and the ft tile frame they carry, CRC64 seal included. Bump it with any
 // change a worker of another build would misread — a payload type gob
 // cannot convert, or a frame layout or checksum every payload would fail,
 // which the bounded integrity retries would turn into a fleet of workers
-// exiting one by one. Version 2 ships each tile as one sealed frame.
-const protocolVersion = 2
+// exiting one by one. Version 2 ships each tile as one sealed frame;
+// version 3 ships trace spans as trace.Event values.
+const protocolVersion = 3
 
 // RegisterArgs announces a new (or re-registering) worker. Version must equal
 // the coordinator's protocolVersion (a worker from a build before versioning
@@ -139,13 +120,16 @@ type LeaseReply struct {
 
 // HeartbeatArgs keeps a worker and its leases alive between Lease calls.
 // It doubles as the trace-shard shipping channel: Spans carries a batch of
-// locally recorded spans, SpanBase the cumulative index of the batch's
-// first span (so retransmissions and re-shipped unacked batches are
-// absorbed exactly once), and OffsetNS/RTTNS the worker's current best
-// (min-RTT) clock-offset sample.
+// locally recorded spans — a whole task attempt (Phase ""), a
+// fetch/compute/commit sub-phase, or a zero-duration fault instant (see
+// trace.IsFault), timed on the worker's own clock (UnixNano) — SpanBase
+// the cumulative index of the batch's first span (so retransmissions and
+// re-shipped unacked batches are absorbed exactly once), and
+// OffsetNS/RTTNS the worker's current best (min-RTT) clock-offset sample,
+// by which the coordinator re-bases the spans onto its own epoch.
 type HeartbeatArgs struct {
 	Worker    int
-	Spans     []WireSpan
+	Spans     []trace.Event
 	SpanBase  int64
 	OffsetNS  int64
 	RTTNS     int64
@@ -209,7 +193,7 @@ type CommitReply struct {
 // reports every injected and detected corruption.
 type ByeArgs struct {
 	Worker           int
-	Spans            []WireSpan
+	Spans            []trace.Event
 	SpanBase         int64
 	OffsetNS         int64
 	RTTNS            int64

@@ -359,7 +359,10 @@ func TestDistCheckpointAbortResume(t *testing.T) {
 // TestDistWriteBackReconstruction: with write-back residency the store
 // deliberately holds only parity for some finalized tiles; killing the
 // worker that owns them forces erasure reconstruction (not recomputation),
-// and the factor is still exact.
+// and the factor is still exact. Owner-computes on a 3×1 grid makes the
+// kill certain: the doomed worker's home tasks can be leased to no one
+// else until it is evicted, so it reaches its 4th grant however fast the
+// other two are.
 func TestDistWriteBackReconstruction(t *testing.T) {
 	const seed, n, nb = 18, 96, 16
 	want := choleskyLocal(t, seed, n, nb)
@@ -368,6 +371,8 @@ func TestDistWriteBackReconstruction(t *testing.T) {
 	a := spdTiled(seed, n, nb)
 	opt := killOpts(dist.OpCholesky, a)
 	opt.WriteBack = true
+	opt.Strict = true
+	opt.GridP = 3
 	opt.WaitWorkers = 3
 	c, err := runDistributed(t, opt, workers)
 	if err != nil {

@@ -26,7 +26,7 @@ type Event struct {
 	Detail  string
 }
 
-// Eviction is one entry of the coordinator's eviction log.
+// Eviction is one worker eviction, as its fault instant records it.
 type Eviction struct {
 	Worker int    `json:"worker"`
 	Reason string `json:"reason"`
@@ -108,7 +108,7 @@ func (c *Coordinator) rootLocked(id int) int {
 // shipper's lineage is dropped, making retransmitted and re-shipped
 // batches idempotent — including a batch absorbed under a previous
 // identity whose acknowledgement was lost before the worker rejoined.
-func (c *Coordinator) absorbLocked(shipper int, spans []WireSpan, base, off, rtt int64, hasOff bool) {
+func (c *Coordinator) absorbLocked(shipper int, spans []trace.Event, base, off, rtt int64, hasOff bool) {
 	shipper = c.rootLocked(shipper)
 	if hasOff {
 		if r, seen := c.offRTTs[shipper]; !seen || rtt < r {
@@ -130,9 +130,9 @@ func (c *Coordinator) absorbLocked(shipper int, spans []WireSpan, base, off, rtt
 	c.absorbed[shipper] = end
 	c.shards[shipper] = append(c.shards[shipper], spans...)
 	if c.opt.Events != nil {
-		for _, ws := range spans {
-			if trace.IsFault(ws.Phase) {
-				c.opt.Events(Event{Kind: ws.Phase, Worker: ws.Worker, Task: ws.ID, Detail: ws.Err})
+		for _, e := range spans {
+			if trace.IsFault(e.Phase) {
+				c.opt.Events(Event{Kind: e.Phase, Worker: e.Worker, Task: e.ID, Detail: e.Err})
 			}
 		}
 	}
@@ -173,8 +173,10 @@ func (c *Coordinator) ClusterLog() *trace.Log {
 	}
 	for shipper, spans := range c.shards {
 		off := c.offs[shipper]
-		for _, ws := range spans {
-			l.Add(withDeps(wireToEvent(ws, off)))
+		for _, e := range spans {
+			e.Start += off
+			e.End += off
+			l.Add(withDeps(e))
 		}
 	}
 	return l
@@ -190,12 +192,16 @@ func (c *Coordinator) Status() ClusterStatus {
 		N:           c.a.N,
 		NB:          c.a.NB,
 		Tasks:       len(c.pl.tasks),
-		Completed:   int(c.stats.TasksCompleted.Load()),
+		Completed:   int(c.stats.TasksCompleted),
 		Done:        c.done,
 		WorkersLive: c.liveCountLocked(),
 		UptimeMS:    c.nowNS() / 1e6,
-		Evictions:   append([]Eviction(nil), c.evictLog...),
-		Stats:       c.stats.Snapshot(),
+		Stats:       c.stats.StatsSnapshot,
+	}
+	for _, e := range c.cevents {
+		if e.Phase == trace.PhaseEvicted {
+			st.Evictions = append(st.Evictions, Eviction{Worker: e.Worker, Reason: e.Err, AtMS: e.Start / 1e6})
+		}
 	}
 	for id, w := range c.workers {
 		root := c.rootLocked(id)

@@ -10,6 +10,7 @@ package dist_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -206,6 +207,16 @@ func TestDistClusterTraceFaultInstants(t *testing.T) {
 			t.Errorf("Events hook never saw %s: %v", kind, kinds)
 		}
 	}
+	// The status's eviction list is the same record as the instants.
+	ev := c.Status().Evictions
+	if len(ev) != kinds[trace.PhaseEvicted] {
+		t.Errorf("Status lists %d evictions, the hook saw %d", len(ev), kinds[trace.PhaseEvicted])
+	}
+	for _, e := range ev {
+		if e.Worker < 0 || e.Reason != "heartbeat silence" || e.AtMS < 0 {
+			t.Errorf("eviction %+v, want a worker evicted for heartbeat silence", e)
+		}
+	}
 }
 
 func TestDistClusterTraceStaleCommit(t *testing.T) {
@@ -267,6 +278,42 @@ func TestDistRPCMetricsPrometheus(t *testing.T) {
 	}
 	for _, name := range []string{"dist_rpc_get_bytes", "dist_rpc_commit_bytes"} {
 		checkPromHistogram(t, text, name)
+	}
+}
+
+// TestDistStatsMirrorIntoSharedRegistry: every StatsSnapshot field is
+// mirrored under its metric tag, and two jobs sharing one registry each
+// keep their own Stats while the registry holds the sums.
+func TestDistStatsMirrorIntoSharedRegistry(t *testing.T) {
+	reg := metrics.New()
+	var runs []dist.StatsSnapshot
+	for seed := int64(80); seed < 82; seed++ {
+		opt := fastOpts(dist.OpCholesky, spdTiled(seed, 64, 16))
+		opt.Registry = reg
+		c, err := runDistributed(t, opt, make([]dist.WorkerOptions, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, c.Stats())
+	}
+	const tasks = 20 // 4×4 tiles: 4 potrf, 6 trsm, 6 syrk, 4 gemm
+	for k, s := range runs {
+		if s.TasksCompleted != tasks {
+			t.Errorf("run %d: Stats().TasksCompleted = %d, want its own %d", k, s.TasksCompleted, tasks)
+		}
+	}
+	counters := reg.Snapshot().Counters
+	typ := reflect.TypeOf(dist.StatsSnapshot{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Tag.Get("metric")
+		if !strings.HasPrefix(name, "dist.") {
+			t.Errorf("field %s has no dist.* metric tag", typ.Field(i).Name)
+			continue
+		}
+		sum := reflect.ValueOf(runs[0]).Field(i).Int() + reflect.ValueOf(runs[1]).Field(i).Int()
+		if got, ok := counters[name]; !ok || got != sum {
+			t.Errorf("%s = %d (registered %v), want the two runs' sum %d", name, got, ok, sum)
+		}
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"sync"
 	"time"
 
-	"exadla/internal/sched"
 	"exadla/internal/trace"
 )
 
 // spanShipper is a worker process's trace recorder: every span the worker
-// emits is appended here (and mirrored into an optional local trace.Log),
-// then shipped to the coordinator in batches piggybacked on heartbeats.
+// emits is a trace.Event on the worker's local clock (UnixNano), appended
+// here and mirrored as is into an optional local trace.Log, then shipped
+// to the coordinator in batches piggybacked on heartbeats.
 // Shipping is at-least-once with exactly-once absorption: spans keep their
 // cumulative index (SpanBase), are removed from the queue only once a
 // shipment is acknowledged, and the coordinator drops any prefix it has
@@ -32,7 +32,7 @@ type spanShipper struct {
 
 	mu      sync.Mutex
 	worker  int // current registration id, -1 before the first Register
-	pending []WireSpan
+	pending []trace.Event
 	acked   int64 // cumulative index of pending[0]
 	bestRTT int64
 	offset  int64
@@ -54,21 +54,22 @@ func (s *spanShipper) setWorker(id int) {
 }
 
 // add records one span for shipping (and into the local mirror), stamping
-// it with the current registration id.
-func (s *spanShipper) add(ws WireSpan) {
+// it with the current registration id and that id's process lane.
+func (s *spanShipper) add(e trace.Event) {
 	s.mu.Lock()
-	ws.Worker = s.worker
-	s.pending = append(s.pending, ws)
+	e.Worker = s.worker
+	e.Proc = s.worker + 1
+	s.pending = append(s.pending, e)
 	s.mu.Unlock()
 	if s.mirror != nil {
-		s.mirror.Add(wireToEvent(ws, 0))
+		s.mirror.Add(e)
 	}
 }
 
 // instant records a zero-duration fault span (e.g. an injected wire fault).
 func (s *spanShipper) instant(phase, detail string) {
 	now := time.Now().UnixNano()
-	s.add(WireSpan{ID: -1, Phase: phase, StartNS: now, EndNS: now, Err: detail})
+	s.add(trace.Event{ID: -1, Phase: phase, Start: now, End: now, Err: detail})
 }
 
 // sample feeds one (t0, coordNS, t1) clock observation; coordNS == 0 means
@@ -90,14 +91,14 @@ func (s *spanShipper) sample(coordNS, t0, t1 int64) {
 // batch snapshots up to max unacked spans (0 = all) plus the current
 // offset, without removing anything: removal happens in ack once the
 // shipment is known to have landed.
-func (s *spanShipper) batch(max int) (spans []WireSpan, base, off, rtt int64, hasOff bool) {
+func (s *spanShipper) batch(max int) (spans []trace.Event, base, off, rtt int64, hasOff bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.pending)
 	if max > 0 && n > max {
 		n = max
 	}
-	spans = append([]WireSpan(nil), s.pending[:n]...)
+	spans = append([]trace.Event(nil), s.pending[:n]...)
 	return spans, s.acked, s.offset, s.bestRTT, s.hasOff
 }
 
@@ -110,16 +111,4 @@ func (s *spanShipper) ack(n int) {
 	s.pending = s.pending[n:]
 	s.acked += int64(n)
 	s.mu.Unlock()
-}
-
-// wireToEvent converts a shipped span into a trace event, re-basing its
-// local-clock timestamps by off (0 for a worker-local mirror).
-func wireToEvent(ws WireSpan, off int64) trace.Event {
-	return trace.Event{
-		ID: ws.ID, Name: ws.Name, Worker: ws.Worker, Attempt: ws.Attempt,
-		Start: ws.StartNS + off, End: ws.EndNS + off,
-		Outcome: sched.Outcome(ws.Outcome), Err: ws.Err,
-		Proc: ws.Worker + 1, Phase: ws.Phase, Bytes: ws.Bytes,
-		Tile: [2]int{ws.TileI, ws.TileJ}, HasTile: ws.HasTile,
-	}
 }

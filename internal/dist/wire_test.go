@@ -161,7 +161,8 @@ func TestRegisterRefusesOtherProtocolVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{0, protocolVersion + 1, -1} {
+	// 2 is the previous protocol, whose spans had their own wire type.
+	for _, v := range []int{0, 2, protocolVersion + 1, -1} {
 		var rep RegisterReply
 		err := cl.call("Register", &RegisterArgs{Version: v}, &rep)
 		if !errors.Is(err, ErrProtocolVersion) {

@@ -242,15 +242,15 @@ func (w *worker) fetch(c coord, scatter bool) error {
 			return err
 		}
 		t := w.a.Tile(c[0], c[1])
-		ws := WireSpan{
+		e := trace.Event{
 			ID: w.cur.id, Name: w.cur.name, Attempt: w.cur.attempt,
-			Phase: trace.PhaseFetch, StartNS: t0, EndNS: time.Now().UnixNano(),
-			Bytes: int64(8 * len(t)), TileI: c[0], TileJ: c[1], HasTile: true,
+			Phase: trace.PhaseFetch, Start: t0, End: time.Now().UnixNano(),
+			Bytes: int64(8 * len(t)), Tile: c, HasTile: true,
 		}
 		if scatter {
-			ws.ID, ws.Name, ws.Attempt = -1, "scatter", 1
+			e.ID, e.Name, e.Attempt = -1, "scatter", 1
 		}
-		w.sh.add(ws)
+		w.sh.add(e)
 		f, payload, _, err := ft.OpenFrame(rep.Frame)
 		if errors.Is(err, ft.ErrFrameChecksum) {
 			w.cl.countDetected()
@@ -349,7 +349,7 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 	}
 	w.cur.id, w.cur.attempt, w.cur.name = t.ID, attempt, t.Kind
 	defer func() { w.cur.id, w.cur.attempt, w.cur.name = -1, 0, "" }()
-	whole := WireSpan{ID: t.ID, Name: t.Kind, Attempt: attempt, StartNS: time.Now().UnixNano()}
+	whole := trace.Event{ID: t.ID, Name: t.Kind, Attempt: attempt, Start: time.Now().UnixNano()}
 	reads, writes := t.Accesses()
 	ops := append(reads, writes...)
 	if len(vers) != len(ops) {
@@ -365,10 +365,10 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 		// Straggler injection: pad the whole attempt so far (fetch, decode,
 		// compute) to SlowFactor× its measured duration — a throttled CPU
 		// slows serialization every bit as much as it slows kernels.
-		time.Sleep(time.Duration(float64(time.Now().UnixNano()-whole.StartNS) * (w.opt.SlowFactor - 1)))
+		time.Sleep(time.Duration(float64(time.Now().UnixNano()-whole.Start) * (w.opt.SlowFactor - 1)))
 	}
-	w.sh.add(WireSpan{ID: t.ID, Name: t.Kind, Attempt: attempt,
-		Phase: trace.PhaseCompute, StartNS: compStart, EndNS: time.Now().UnixNano()})
+	w.sh.add(trace.Event{ID: t.ID, Name: t.Kind, Attempt: attempt,
+		Phase: trace.PhaseCompute, Start: compStart, End: time.Now().UnixNano()})
 	if kerr != nil {
 		args.Err = kerr.Error()
 		for _, c := range writes {
@@ -401,23 +401,23 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 	}
 	commitEnd := time.Now().UnixNano()
 	for _, c := range writes[:len(args.Tiles)] {
-		w.sh.add(WireSpan{ID: t.ID, Name: t.Kind, Attempt: attempt,
-			Phase: trace.PhaseCommit, StartNS: commitStart, EndNS: commitEnd,
-			Bytes: int64(8 * len(w.a.Tile(c[0], c[1]))), TileI: c[0], TileJ: c[1], HasTile: true})
+		w.sh.add(trace.Event{ID: t.ID, Name: t.Kind, Attempt: attempt,
+			Phase: trace.PhaseCommit, Start: commitStart, End: commitEnd,
+			Bytes: int64(8 * len(w.a.Tile(c[0], c[1]))), Tile: c, HasTile: true})
 	}
-	whole.EndNS = commitEnd
+	whole.End = commitEnd
 	switch {
 	case rpcErr != nil:
-		whole.Outcome, whole.Err = int(sched.OutcomeFailed), rpcErr.Error()
+		whole.Outcome, whole.Err = sched.OutcomeFailed, rpcErr.Error()
 	case kerr != nil:
-		whole.Outcome, whole.Err = int(sched.OutcomeFailed), kerr.Error()
+		whole.Outcome, whole.Err = sched.OutcomeFailed, kerr.Error()
 	case rep.Evicted || !rep.Accepted || rep.Duplicate:
 		// The result was discarded (reaped straggler / eviction / losing twin
 		// of a speculative race): the task ran or runs again elsewhere, which
 		// is what Retried means. Exactly one attempt per task records OK.
-		whole.Outcome = int(sched.OutcomeRetried)
+		whole.Outcome = sched.OutcomeRetried
 	default:
-		whole.Outcome = int(sched.OutcomeOK)
+		whole.Outcome = sched.OutcomeOK
 	}
 	w.sh.add(whole)
 	if rpcErr != nil {

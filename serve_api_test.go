@@ -2,6 +2,7 @@ package exadla_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"exadla"
 	"exadla/internal/matgen"
+	"exadla/internal/serve"
 )
 
 func TestServeAPISolveAndCache(t *testing.T) {
@@ -57,35 +59,21 @@ func TestServeAPISolveAndCache(t *testing.T) {
 	}
 }
 
+// The public shed error is serve's own type, and SolveServer is serve's
+// Server, so what Submit returns on overload is what errors.As finds
+// through the public name. internal/serve's
+// TestShedUnderOverloadAndAdmitAfterDrain holds its first job in flight, so
+// it checks the shed itself, its type and the configured RetryAfter
+// without racing the job's completion.
+var _ *serve.ShedError = (*exadla.ServeShedError)(nil)
+
 func TestServeAPIShedType(t *testing.T) {
-	s, err := exadla.Serve(exadla.ServeConfig{Lanes: 1, Workers: 1, TileSize: 16,
-		SmallCutoff: -1, MaxQueue: 1, RetryAfter: 3 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(2))
-	n := 256 // big enough to still be in flight when the second submit lands
-	job := func() exadla.ServeJob {
-		return exadla.ServeJob{Op: exadla.ServeSolveSPD, N: n, NRHS: 1,
-			A: matgen.DiagDomSPD[float64](rng, n), B: matgen.Dense[float64](rng, n, 1)}
-	}
-	// Both operands are drawn before the first Submit, so nothing but the
-	// second Submit runs while the first job must still be pending.
-	j1, j2 := job(), job()
-	first, err := s.Submit("t", j1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Submit("t", j2)
+	err := fmt.Errorf("submit: %w", &serve.ShedError{RetryAfter: 3 * time.Second})
 	var shed *exadla.ServeShedError
 	if !errors.As(err, &shed) {
-		t.Fatalf("overload returned %T (%v), want *exadla.ServeShedError", err, err)
+		t.Fatalf("errors.As(%v) found no *exadla.ServeShedError", err)
 	}
 	if shed.RetryAfter != 3*time.Second {
 		t.Errorf("RetryAfter=%v", shed.RetryAfter)
-	}
-	if st, _ := s.WaitJob(first); st.State != "done" {
-		t.Errorf("first job: %s", st.State)
 	}
 }
