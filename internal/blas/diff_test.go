@@ -35,11 +35,11 @@ func randPadded(rng *rand.Rand, m, n, ld int) []float64 {
 
 // checkPadding fails the test if any padding row of the m×n/ld matrix was
 // overwritten.
-func checkPadding(t *testing.T, name string, m, n, ld int, s []float64) {
+func checkPadding[T Float](t *testing.T, name string, m, n, ld int, s []T) {
 	t.Helper()
 	for j := 0; j < n; j++ {
 		for i := m; i < ld; i++ {
-			if s[i+j*ld] != padSentinel {
+			if s[i+j*ld] != T(padSentinel) {
 				t.Fatalf("%s: padding clobbered at (%d,%d)", name, i, j)
 			}
 		}

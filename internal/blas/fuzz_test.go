@@ -14,6 +14,18 @@ import (
 // overflow; NaN/±Inf coverage comes from deterministic seeding, where the
 // value class is order-independent and compared exactly.
 func FuzzGemmDiff(f *testing.F) {
+	addGemmDiffSeeds(f)
+	f.Fuzz(fuzzGemmDiff[float64])
+}
+
+// FuzzGemmDiff32 is FuzzGemmDiff in float32, whose packed path runs the
+// 16×4 kernel where the CPU has it, against the float32 reference loops.
+func FuzzGemmDiff32(f *testing.F) {
+	addGemmDiffSeeds(f)
+	f.Fuzz(fuzzGemmDiff[float32])
+}
+
+func addGemmDiffSeeds(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(8), uint8(8), uint8(0))
 	f.Add(int64(2), uint8(17), uint8(9), uint8(13), uint8(3))
 	f.Add(int64(3), uint8(1), uint8(31), uint8(2), uint8(0xff))
@@ -22,71 +34,76 @@ func FuzzGemmDiff(f *testing.F) {
 	f.Add(int64(5), uint8(32), uint8(1), uint8(32), uint8(0))
 	f.Add(int64(6), uint8(32), uint8(1), uint8(32), uint8(1))
 	f.Add(int64(7), uint8(29), uint8(3), uint8(30), uint8(0x16))
-	f.Fuzz(func(t *testing.T, seed int64, m8, n8, k8, flags uint8) {
-		m, n, k := int(m8%33), int(n8%33), int(k8%33)
-		transA, transB := NoTrans, NoTrans
-		if flags&1 != 0 {
-			transA = Trans
-		}
-		if flags&2 != 0 {
-			transB = Trans
-		}
-		rng := rand.New(rand.NewSource(seed))
-		scalars := []float64{0, 1, -1, 0.5, rng.NormFloat64()}
-		alpha := scalars[int(flags>>2)%len(scalars)]
-		beta := scalars[int(flags>>5)%len(scalars)]
+	// Odd depth (the kernels' unrolling tail) across two row tiles of
+	// either wide kernel, α = −1, β = 0.
+	f.Add(int64(8), uint8(31), uint8(7), uint8(17), uint8(0x08))
+}
 
-		ar, ac := m, k
-		if transA == Trans {
-			ar, ac = k, m
-		}
-		br, bc := k, n
-		if transB == Trans {
-			br, bc = n, k
-		}
-		lda := max(1, ar) + rng.Intn(3)
-		ldb := max(1, br) + rng.Intn(3)
-		ldc := max(1, m) + rng.Intn(3)
-		a := randPadded(rng, ar, ac, lda)
-		b := randPadded(rng, br, bc, ldb)
-		c := randPadded(rng, m, n, ldc)
-		if flags&4 != 0 {
-			seedNonFinite(rng, a, ar, ac, lda)
-			seedNonFinite(rng, b, br, bc, ldb)
-			seedNonFinite(rng, c, m, n, ldc)
-		}
+// fuzzGemmDiff is one FuzzGemmDiff case in T.
+func fuzzGemmDiff[T Float](t *testing.T, seed int64, m8, n8, k8, flags uint8) {
+	m, n, k := int(m8%33), int(n8%33), int(k8%33)
+	transA, transB := NoTrans, NoTrans
+	if flags&1 != 0 {
+		transA = Trans
+	}
+	if flags&2 != 0 {
+		transB = Trans
+	}
+	rng := rand.New(rand.NewSource(seed))
+	scalars := []float64{0, 1, -1, 0.5, rng.NormFloat64()}
+	alpha := T(scalars[int(flags>>2)%len(scalars)])
+	beta := T(scalars[int(flags>>5)%len(scalars)])
 
-		want := append([]float64(nil), c...)
-		RefGemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
+	ar, ac := m, k
+	if transA == Trans {
+		ar, ac = k, m
+	}
+	br, bc := k, n
+	if transB == Trans {
+		br, bc = n, k
+	}
+	lda := max(1, ar) + rng.Intn(3)
+	ldb := max(1, br) + rng.Intn(3)
+	ldc := max(1, m) + rng.Intn(3)
+	a := randOf[T](rng, ar, ac, lda)
+	b := randOf[T](rng, br, bc, ldb)
+	c := randOf[T](rng, m, n, ldc)
+	if flags&4 != 0 {
+		seedNonFinite(rng, a, ar, ac, lda)
+		seedNonFinite(rng, b, br, bc, ldb)
+		seedNonFinite(rng, c, m, n, ldc)
+	}
 
-		check := func(name string, got []float64) {
-			t.Helper()
-			checkPadding(t, name+" C", m, n, ldc, got)
-			// Active entries are O(1), so any out-of-bounds read of the
-			// 1e30 padding sentinel blows this tolerance immediately.
-			tol := 1e-9 * float64(k+1)
-			for j := 0; j < n; j++ {
-				for i := 0; i < m; i++ {
-					g, w := got[i+j*ldc], want[i+j*ldc]
-					if !sameValueClass(g, w, tol) {
-						t.Fatalf("%s: transA=%v transB=%v m=%d n=%d k=%d α=%g β=%g: C(%d,%d) = %g, ref %g",
-							name, transA, transB, m, n, k, alpha, beta, i, j, g, w)
-					}
+	want := append([]T(nil), c...)
+	RefGemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, want, ldc)
+
+	check := func(name string, got []T) {
+		t.Helper()
+		checkPadding(t, name+" C", m, n, ldc, got)
+		// Active entries are O(1), so any out-of-bounds read of the
+		// 1e30 padding sentinel blows this tolerance immediately.
+		tol := tolFor[T](1e-9, 1e-5) * float64(k+1)
+		for j := 0; j < n; j++ {
+			for i := 0; i < m; i++ {
+				g, w := got[i+j*ldc], want[i+j*ldc]
+				if !sameValueClass(float64(g), float64(w), tol) {
+					t.Fatalf("%s: transA=%v transB=%v m=%d n=%d k=%d α=%g β=%g: C(%d,%d) = %g, ref %g",
+						name, transA, transB, m, n, k, alpha, beta, i, j, g, w)
 				}
 			}
 		}
+	}
 
-		packed := append([]float64(nil), c...)
-		old := minPackedVolume
-		minPackedVolume = 0
-		Gemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, packed, ldc)
-		minPackedVolume = old
-		check("packed", packed)
+	packed := append([]T(nil), c...)
+	old := minPackedVolume
+	minPackedVolume = 0
+	Gemm(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, packed, ldc)
+	minPackedVolume = old
+	check("packed", packed)
 
-		axpy := append([]float64(nil), c...)
-		GemmAxpy(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, axpy, ldc)
-		check("axpy", axpy)
-	})
+	axpy := append([]T(nil), c...)
+	GemmAxpy(transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, axpy, ldc)
+	check("axpy", axpy)
 }
 
 // FuzzGemmPrepackedDiff differentially fuzzes GemmPrepacked against Gemm,

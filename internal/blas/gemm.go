@@ -131,16 +131,23 @@ func scaleMatrix[T Float](m, n int, beta T, c []T, ldc int) {
 }
 
 // registerTile returns the register-tile shape of every packed sweep (Gemm,
-// Syrk, Trmm, Trsm) for element type T under blocking p: the installed MR×NR,
-// except that the 8-row kernel is AVX2+FMA assembly for float64 only, so
-// everything else runs the portable 4×4 kernel. Callers take the kernel
-// itself from kernelFor in their own frame: returned from here, the generic
-// function value would escape and cost an allocation per call.
+// Syrk, Trmm, Trsm, and Symm through Gemm) for element type T under
+// blocking p. MR = 8 installs the wide AVX2+FMA kernels: 8×4 for float64
+// and 16×4 for float32, the same register footprint at single width. The
+// float32 tile is used only where 16 rows divide MC, since a shared A pack
+// lays its cache blocks out as whole slivers; otherwise, and for MR = 4,
+// other element types or CPUs without AVX2+FMA, the portable 4×4 kernel
+// runs. Callers take the kernel itself from kernelFor in their own frame.
 func registerTile[T Float](p Blocking) (mr, nr int) {
-	if p.MR == 8 && (!is64[T]() || !haveAvx2Fma) {
-		return 4, p.NR
+	if p.MR == 8 && haveAvx2Fma {
+		if is64[T]() {
+			return 8, p.NR
+		}
+		if is32[T]() && p.MC%16 == 0 {
+			return 16, p.NR
+		}
 	}
-	return p.MR, p.NR
+	return 4, p.NR
 }
 
 // gemmPacked is the packed, register-blocked path: kc×nc panels of op(B)

@@ -31,13 +31,13 @@ func randMat(rng *rand.Rand, m, n, ld int) []float64 {
 	return s
 }
 
-func maxAbsDiff(a, b []float64) float64 {
+func maxAbsDiff[T Float](a, b []T) float64 {
 	if len(a) != len(b) {
 		panic("length mismatch")
 	}
 	var d float64
 	for i := range a {
-		if v := math.Abs(a[i] - b[i]); v > d {
+		if v := math.Abs(float64(a[i]) - float64(b[i])); v > d {
 			d = v
 		}
 	}

@@ -133,25 +133,37 @@ func Symv[T Float](uplo Uplo, n int, alpha T, a []T, lda int, x []T, incX int, b
 	if alpha == 0 {
 		return
 	}
-	// Work in logical indices; handle strides via helpers.
-	xi := func(i int) T { return x[vstart(n, incX)+i*incX] }
-	addY := func(i int, v T) { y[vstart(n, incY)+i*incY] += v }
-	for j := 0; j < n; j++ {
-		col := a[j*lda:]
-		if uplo == Lower {
-			// Diagonal and below stored in column j.
-			addY(j, alpha*col[j]*xi(j))
-			for i := j + 1; i < n; i++ {
-				addY(i, alpha*col[i]*xi(j))
-				addY(j, alpha*col[i]*xi(i))
-			}
-		} else {
-			addY(j, alpha*col[j]*xi(j))
-			for i := 0; i < j; i++ {
-				addY(i, alpha*col[i]*xi(j))
-				addY(j, alpha*col[i]*xi(i))
-			}
+	if incX != 1 || incY != 1 {
+		// Strided vectors run on pooled unit-stride copies.
+		xs, ys := GetScratch[T](n), GetScratch[T](n)
+		Copy(n, x, incX, xs.Buf, 1)
+		Copy(n, y, incY, ys.Buf, 1)
+		Symv(uplo, n, alpha, a, lda, xs.Buf, 1, 1, ys.Buf, 1)
+		Copy(n, ys.Buf, 1, y, incY)
+		xs.Release()
+		ys.Release()
+		return
+	}
+	// Each column j does one axpy into the rest of y and one dot into y[j]
+	// off the stored triangle, reference DSYMV's order. Products are formed
+	// as (α·aᵢⱼ)·xⱼ.
+	x, y = x[:n], y[:n]
+	for j, xj := range x {
+		col := a[j*lda : j*lda+n]
+		// The off-diagonal part of column j and the entries of x and y it
+		// pairs with.
+		cs, xs, ys := col[j+1:], x[j+1:], y[j+1:]
+		if uplo == Upper {
+			cs, xs, ys = col[:j], x[:j], y[:j]
 		}
+		xs, ys = xs[:len(cs)], ys[:len(cs)]
+		yj := y[j] + alpha*col[j]*xj
+		for i, v := range cs {
+			av := alpha * v
+			ys[i] += av * xj
+			yj += av * xs[i]
+		}
+		y[j] = yj
 	}
 }
 

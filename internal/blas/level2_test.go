@@ -67,27 +67,66 @@ func TestGer(t *testing.T) {
 	}
 }
 
+// TestSymv checks Symv against Gemv on the full symmetric matrix for both
+// triangles, at sizes around and off the multiples of 4, with the
+// unreferenced triangle holding the sentinel, so reading it blows the
+// tolerance. Strided vectors, negative strides included, must give the
+// unit-stride result bit for bit and leave the gaps untouched.
 func TestSymv(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	n := 11
-	lda := n
-	// Build a full symmetric matrix, then test both triangle encodings.
-	full := randMat(rng, n, n, lda)
-	for j := 0; j < n; j++ {
-		for i := 0; i < j; i++ {
-			full[j+i*lda] = full[i+j*lda]
+	for _, n := range []int{1, 2, 7, 11, 33} {
+		lda := n + 2
+		full := randMat(rng, n, n, lda)
+		for j := 0; j < n; j++ {
+			for i := 0; i < j; i++ {
+				full[j+i*lda] = full[i+j*lda]
+			}
+		}
+		x := randSlice(rng, n)
+		y0 := randSlice(rng, n)
+		want := append([]float64(nil), y0...)
+		RefGemv(NoTrans, n, n, 0.9, full, lda, x, 1, 1.1, want, 1)
+		for _, uplo := range []Uplo{Upper, Lower} {
+			a := append([]float64(nil), full...)
+			for j := 0; j < n; j++ {
+				for i := 0; i < n; i++ {
+					if (uplo == Upper && i > j) || (uplo == Lower && i < j) {
+						a[i+j*lda] = padSentinel
+					}
+				}
+			}
+			y := append([]float64(nil), y0...)
+			Symv(uplo, n, 0.9, a, lda, x, 1, 1.1, y, 1)
+			if d := maxAbsDiff(y, want); d > tol64*float64(n) {
+				t.Errorf("Symv %v n=%d: max diff %g", uplo, n, d)
+			}
+			for _, inc := range [][2]int{{2, 3}, {-2, 1}, {1, -3}} {
+				ys := strided(y0, inc[1])
+				Symv(uplo, n, 0.9, a, lda, strided(x, inc[0]), inc[0], 1.1, ys, inc[1])
+				got := unstrided(t, ys, n, inc[1])
+				if i := sameBits(got, y); i >= 0 {
+					t.Errorf("Symv %v n=%d incX=%d incY=%d: y[%d] = %g, unit stride %g", uplo, n, inc[0], inc[1], i, got[i], y[i])
+				}
+			}
 		}
 	}
-	x := randSlice(rng, n)
-	for _, uplo := range []Uplo{Upper, Lower} {
-		y := randSlice(rng, n)
-		yRef := append([]float64(nil), y...)
-		Symv(uplo, n, 0.9, full, lda, x, 1, 1.1, y, 1)
-		RefGemv(NoTrans, n, n, 0.9, full, lda, x, 1, 1.1, yRef, 1)
-		if d := maxAbsDiff(y, yRef); d > tol64*float64(n) {
-			t.Errorf("Symv %v: max diff %g", uplo, d)
+}
+
+// unstrided reads the n logical elements of s back out of strided's
+// layout, failing the test if a gap lost its 7.
+func unstrided(t *testing.T, s []float64, n, inc int) []float64 {
+	t.Helper()
+	v := make([]float64, n)
+	for i := range v {
+		p := vstart(n, inc) + i*inc
+		v[i], s[p] = s[p], 7
+	}
+	for i, x := range s {
+		if x != 7 {
+			t.Fatalf("strided vector written at gap %d", i)
 		}
 	}
+	return v
 }
 
 func TestTrmvTrsvRoundTrip(t *testing.T) {

@@ -12,7 +12,7 @@ package blas
 // Maximum compiled register-tile footprint; the macro kernel's edge scratch
 // is sized by these.
 const (
-	maxMR = 8
+	maxMR = 16
 	maxNR = 4
 )
 
@@ -21,23 +21,41 @@ const (
 // product over kb depth steps.
 type microKernel[T Float] func(kb int, ap, bp []T, alpha T, c []T, ldc int)
 
-// kernelFor selects the compiled microkernel for the given register-tile
-// height. mr == 8 is only ever requested for float64 on CPUs with the
-// AVX2+FMA assembly kernel (see gemmPacked); everything else takes the
-// generic 4×4 kernel, which the compiler specializes per element type
-// anyway.
+// The assembly kernels as interface values. A func value of a plain
+// function is a static closure, so boxing it here and asserting it back to
+// microKernel[T] in kernelFor allocates nothing; a generic wrapper
+// instantiated per call site would need a closure over its dictionary.
+var (
+	kern8x4F64  any = microKernel[float64](microKern8x4F64Avx)
+	kern16x4F32 any = microKernel[float32](microKern16x4F32Avx)
+)
+
+// kernelFor selects the compiled microkernel for a register-tile height
+// that registerTile returned: mr == 8 is the float64 AVX2+FMA kernel and
+// mr == 16 the float32 one (the assertion panics if T is not that type);
+// everything else takes the generic 4×4 kernel, which the compiler
+// specializes per element type.
 func kernelFor[T Float](mr int) microKernel[T] {
-	if mr == 8 {
-		return microKern8x4AvxT[T]
+	switch mr {
+	case 8:
+		return kern8x4F64.(microKernel[T])
+	case 16:
+		return kern16x4F32.(microKernel[T])
 	}
 	return microKern4x4[T]
 }
 
-// is64 reports whether T is exactly float64. Named ~float64 types return
-// false and use the generic kernels.
+// is64 and is32 report whether T is exactly float64 or float32. Named
+// ~float64 and ~float32 types report false and use the generic kernels.
 func is64[T Float]() bool {
 	var z T
 	_, ok := any(z).(float64)
+	return ok
+}
+
+func is32[T Float]() bool {
+	var z T
+	_, ok := any(z).(float32)
 	return ok
 }
 
@@ -91,12 +109,4 @@ func microKern4x4[T Float](kb int, ap, bp []T, alpha T, c []T, ldc int) {
 	d3[1] += alpha * c13
 	d3[2] += alpha * c23
 	d3[3] += alpha * c33
-}
-
-// microKern8x4AvxT adapts the assembly float64 8×4 kernel to the generic
-// microKernel signature. The type assertions are allocation-free and the
-// function is only reachable when T is float64 (kernelFor is handed mr == 8
-// only in that case).
-func microKern8x4AvxT[T Float](kb int, ap, bp []T, alpha T, c []T, ldc int) {
-	microKern8x4F64Avx(kb, any(ap).([]float64), any(bp).([]float64), float64(alpha), any(c).([]float64), ldc)
 }

@@ -2,7 +2,7 @@
 
 package blas
 
-// AVX2+FMA microkernel support. The assembly kernel is only dispatched when
+// AVX2+FMA microkernel support. The assembly kernels are only dispatched when
 // the CPU reports the full feature set it needs (AVX, AVX2, FMA, and OS
 // support for YMM state); everything else falls back to the portable Go
 // kernels. Detection runs once at init via raw CPUID/XGETBV so the package
@@ -15,6 +15,12 @@ package blas
 //
 //go:noescape
 func microKern8x4F64Avx(kb int, ap, bp []float64, alpha float64, c []float64, ldc int)
+
+// microKern16x4F32Avx is microKern8x4F64Avx at single width: a 16×4 float32
+// tile, two 8-wide column vectors of op(A) per depth step.
+//
+//go:noescape
+func microKern16x4F32Avx(kb int, ap, bp []float32, alpha float32, c []float32, ldc int)
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -32,19 +32,25 @@ func forcePath(t *testing.T, packed bool) {
 }
 
 // TestGemmPackedEdgeSweep drives the packed path through every geometry
-// around the register tile: m, n, k ∈ {1..2·MR+1} crosses every partial-tile
+// around the register tile: m, n, k ∈ {1..2·mr+1} crosses every partial-tile
 // and partial-sliver combination for all four transpose cases, with leading
 // dimensions strictly greater than minimal and sentinel-filled padding.
 func TestGemmPackedEdgeSweep(t *testing.T) {
-	forcePath(t, true)
 	limit := 2*GemmBlocking().MR + 1
+	gemmEdgeSweep[float64](t, limit, limit)
+}
+
+// gemmEdgeSweep checks Gemm against RefGemm for m up to rows and n, k up
+// to cols.
+func gemmEdgeSweep[T Float](t *testing.T, rows, cols int) {
+	forcePath(t, true)
 	transes := []Transpose{NoTrans, Trans}
 	rng := rand.New(rand.NewSource(31))
 	for _, transA := range transes {
 		for _, transB := range transes {
-			for m := 1; m <= limit; m++ {
-				for n := 1; n <= limit; n++ {
-					for k := 1; k <= limit; k++ {
+			for m := 1; m <= rows; m++ {
+				for n := 1; n <= cols; n++ {
+					for k := 1; k <= cols; k++ {
 						ar, ac := m, k
 						if transA == Trans {
 							ar, ac = k, m
@@ -55,15 +61,15 @@ func TestGemmPackedEdgeSweep(t *testing.T) {
 						}
 						pad := 1 + (m+n+k)%3
 						lda, ldb, ldc := ar+pad, br+pad, m+pad
-						a := randPadded(rng, ar, ac, lda)
-						b := randPadded(rng, br, bc, ldb)
-						c := randPadded(rng, m, n, ldc)
-						got := append([]float64(nil), c...)
-						want := append([]float64(nil), c...)
+						a := randOf[T](rng, ar, ac, lda)
+						b := randOf[T](rng, br, bc, ldb)
+						c := randOf[T](rng, m, n, ldc)
+						got := append([]T(nil), c...)
+						want := append([]T(nil), c...)
 						Gemm(transA, transB, m, n, k, 1.25, a, lda, b, ldb, 0.5, got, ldc)
 						RefGemm(transA, transB, m, n, k, 1.25, a, lda, b, ldb, 0.5, want, ldc)
 						checkPadding(t, "Gemm C", m, n, ldc, got)
-						if d := maxAbsDiff(got, want); d > 1e-10*float64(k+1) {
+						if d := maxAbsDiff(got, want); d > tolFor[T](1e-10, 1e-5)*float64(k+1) {
 							t.Fatalf("transA=%v transB=%v m=%d n=%d k=%d: max diff %g", transA, transB, m, n, k, d)
 						}
 					}
@@ -71,6 +77,15 @@ func TestGemmPackedEdgeSweep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tolFor is the comparison tolerance for element type T: tol64 for float64
+// and tol32 for float32, whose rounding unit is 2²⁹ times larger.
+func tolFor[T Float](tol64, tol32 float64) float64 {
+	if is32[T]() {
+		return tol32
+	}
+	return tol64
 }
 
 // forcePortableKernel runs the rest of the test on the portable 4×4
@@ -87,20 +102,20 @@ func forcePortableKernel(t *testing.T) {
 // its triangles is well conditioned: dominant diagonal, off-diagonal damped
 // by na (a unit-diagonal triangle with N(0,1) entries is exponentially
 // ill-conditioned, and substitution would amplify comparison noise).
-func conditionedTriangle(a []float64, na, ld int) {
+func conditionedTriangle[T Float](a []T, na, ld int) {
 	for j := 0; j < na; j++ {
 		for i := 0; i < na; i++ {
 			if i == j {
-				a[i+j*ld] = 2 + math.Abs(a[i+j*ld])
+				a[i+j*ld] = 2 + T(math.Abs(float64(a[i+j*ld])))
 			} else {
-				a[i+j*ld] /= float64(na)
+				a[i+j*ld] /= T(na)
 			}
 		}
 	}
 }
 
 // checkSyrk runs one Syrk against RefSyrk with sentinel-padded operands.
-func checkSyrk(t *testing.T, rng *rand.Rand, uplo Uplo, trans Transpose, n, k int, alpha, beta float64) {
+func checkSyrk[T Float](t *testing.T, rng *rand.Rand, uplo Uplo, trans Transpose, n, k int, alpha, beta T) {
 	t.Helper()
 	ar, ac := n, k
 	if trans == Trans {
@@ -108,22 +123,22 @@ func checkSyrk(t *testing.T, rng *rand.Rand, uplo Uplo, trans Transpose, n, k in
 	}
 	pad := 1 + (n+k)%3
 	lda, ldc := max(1, ar)+pad, max(1, n)+pad
-	a := randPadded(rng, ar, ac, lda)
-	c := randPadded(rng, n, n, ldc)
-	got := append([]float64(nil), c...)
-	want := append([]float64(nil), c...)
+	a := randOf[T](rng, ar, ac, lda)
+	c := randOf[T](rng, n, n, ldc)
+	got := append([]T(nil), c...)
+	want := append([]T(nil), c...)
 	Syrk(uplo, trans, n, k, alpha, a, lda, beta, got, ldc)
 	RefSyrk(uplo, trans, n, k, alpha, a, lda, beta, want, ldc)
 	checkPadding(t, "Syrk C", n, n, ldc, got)
 	// want shares the untouched triangle, so this also pins it bit for bit.
-	if d := maxAbsDiff(got, want); d > 1e-10*float64(k+1) {
+	if d := maxAbsDiff(got, want); d > tolFor[T](1e-10, 1e-5)*float64(k+1) {
 		t.Fatalf("Syrk %v %v n=%d k=%d α=%g: max diff %g", uplo, trans, n, k, alpha, d)
 	}
 }
 
 // checkTrsm runs one Trsm against RefTrsm with a conditioned triangle and
 // sentinel-padded operands.
-func checkTrsm(t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64) {
+func checkTrsm[T Float](t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha T) {
 	t.Helper()
 	na := m
 	if side == Right {
@@ -131,15 +146,15 @@ func checkTrsm(t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpo
 	}
 	pad := 1 + (m+n)%3
 	lda, ldb := na+pad, m+pad
-	a := randPadded(rng, na, na, lda)
+	a := randOf[T](rng, na, na, lda)
 	conditionedTriangle(a, na, lda)
-	b := randPadded(rng, m, n, ldb)
-	got := append([]float64(nil), b...)
-	want := append([]float64(nil), b...)
+	b := randOf[T](rng, m, n, ldb)
+	got := append([]T(nil), b...)
+	want := append([]T(nil), b...)
 	Trsm(side, uplo, trans, diag, m, n, alpha, a, lda, got, ldb)
 	RefTrsm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
 	checkPadding(t, "Trsm B", m, n, ldb, got)
-	if d := maxAbsDiff(got, want); d > 1e-12*float64(na+1) {
+	if d := maxAbsDiff(got, want); d > tolFor[T](1e-12, 1e-5)*float64(na+1) {
 		t.Fatalf("Trsm %v%v%v%v m=%d n=%d α=%g: max diff %g", side, uplo, trans, diag, m, n, alpha, d)
 	}
 }
@@ -195,7 +210,7 @@ func TestSyrkTrsmEdgeSweep(t *testing.T) {
 // checkTrmm runs one Trmm against RefTrmm with sentinel-padded operands.
 // The unreferenced triangle of A, and a unit diagonal, hold the sentinel
 // too, so reading any of it blows the tolerance.
-func checkTrmm(t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64) {
+func checkTrmm[T Float](t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha T) {
 	t.Helper()
 	na := m
 	if side == Right {
@@ -203,7 +218,7 @@ func checkTrmm(t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpo
 	}
 	pad := 1 + (m+n)%3
 	lda, ldb := na+pad, m+pad
-	a := randPadded(rng, na, na, lda)
+	a := randOf[T](rng, na, na, lda)
 	for j := 0; j < na; j++ {
 		for i := 0; i < na; i++ {
 			if (uplo == Upper && i > j) || (uplo == Lower && i < j) || (i == j && diag == Unit) {
@@ -211,13 +226,13 @@ func checkTrmm(t *testing.T, rng *rand.Rand, side Side, uplo Uplo, trans Transpo
 			}
 		}
 	}
-	b := randPadded(rng, m, n, ldb)
-	got := append([]float64(nil), b...)
-	want := append([]float64(nil), b...)
+	b := randOf[T](rng, m, n, ldb)
+	got := append([]T(nil), b...)
+	want := append([]T(nil), b...)
 	Trmm(side, uplo, trans, diag, m, n, alpha, a, lda, got, ldb)
 	RefTrmm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
 	checkPadding(t, "Trmm B", m, n, ldb, got)
-	if d := maxAbsDiff(got, want); d > 1e-12*float64(na+1) {
+	if d := maxAbsDiff(got, want); d > tolFor[T](1e-12, 1e-5)*float64(na+1) {
 		t.Fatalf("Trmm %v%v%v%v m=%d n=%d α=%g: max diff %g", side, uplo, trans, diag, m, n, alpha, d)
 	}
 }
@@ -267,13 +282,71 @@ func TestTrmmEdgeSweep(t *testing.T) {
 	}
 }
 
+// TestLevel3EdgeSweepFloat32 runs the edge sweeps of Gemm, Syrk, Trsm and
+// Trmm in float32 against the reference loops on the installed kernel, the
+// 16×4 AVX2+FMA one where the CPU has it. Rows of C, and the vectors of
+// Trsm and Trmm, run to two register tiles and one; the other dimensions
+// to sweepLimits' cols; so every partial tile and the thin-operand
+// cutovers are crossed. It runs once under the installed blocking, with
+// sizes crossing its cache blocks too, and once under cache blocks one
+// tile tall, which the sweeps span several of in every dimension.
+func TestLevel3EdgeSweepFloat32(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		b    Blocking
+	}{
+		{"installed", GemmBlocking()},
+		{"small-blocks", Blocking{MR: GemmBlocking().MR, MC: 16, KC: 13, NC: 12}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			useBlocking(t, cfg.b)
+			rows, cols := sweepLimits[float32]()
+			gemmEdgeSweep[float32](t, rows, cols)
+			rng := rand.New(rand.NewSource(61))
+			for _, uplo := range []Uplo{Upper, Lower} {
+				for _, trans := range []Transpose{NoTrans, Trans} {
+					for n := 1; n <= rows; n++ {
+						for k := 1; k <= cols; k++ {
+							checkSyrk[float32](t, rng, uplo, trans, n, k, 0.7, 0.5)
+						}
+					}
+					for _, side := range []Side{Left, Right} {
+						for _, diag := range []Diag{NonUnit, Unit} {
+							// nv vectors against an na×na triangle.
+							for nv := 1; nv <= rows; nv++ {
+								for na := 1; na <= cols; na++ {
+									m, n := na, nv
+									if side == Right {
+										m, n = nv, na
+									}
+									checkTrsm[float32](t, rng, side, uplo, trans, diag, m, n, 0.7)
+									checkTrmm[float32](t, rng, side, uplo, trans, diag, m, n, 0.7)
+								}
+							}
+							if cfg.name == "installed" && !raceEnabled {
+								for _, d := range [][2]int{{257, 40}, {40, 257}} {
+									checkTrsm[float32](t, rng, side, uplo, trans, diag, d[0], d[1], 1)
+									checkTrmm[float32](t, rng, side, uplo, trans, diag, d[0], d[1], 1)
+								}
+							}
+						}
+					}
+					if cfg.name == "installed" && !raceEnabled {
+						checkSyrk[float32](t, rng, uplo, trans, 300, 257, -1, 1)
+					}
+				}
+			}
+		})
+	}
+}
+
 // seedNonFinite overwrites a few active entries of an m×n/ld matrix with
 // NaN and ±Inf.
-func seedNonFinite(rng *rand.Rand, s []float64, m, n, ld int) {
+func seedNonFinite[T Float](rng *rand.Rand, s []T, m, n, ld int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	specials := []T{T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1))}
 	for i := 0; i < 1+rng.Intn(3); i++ {
 		s[rng.Intn(m)+rng.Intn(n)*ld] = specials[rng.Intn(3)]
 	}
@@ -387,22 +460,39 @@ func TestGemmConcurrentPool(t *testing.T) {
 }
 
 // TestLevel3ZeroAllocSteadyState asserts that, once the pack pool is warm,
-// the pooled level-3 routines allocate nothing per call: the packed Gemm,
-// the axpy TT path (pooled row scratch), Symm (pooled symmetric expansion),
-// the packed Syrk, Trmm and Trsm sweeps, and the thin paths of Trmm and
-// Trsm (Trmv and Trsv on strided rows, pooled gather).
+// the pooled level-3 routines allocate nothing per call, in float64 and
+// (the rows suffixed 32) float32: the packed Gemm, the axpy TT path (pooled
+// row scratch), Symm (pooled symmetric expansion), the packed Syrk, Trmm
+// and Trsm sweeps, and the thin paths of Trmm and Trsm (Trmv and Trsv on
+// strided rows, pooled gather).
 func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally bypasses caching under the race detector")
 	}
+	for _, tc := range append(level3AllocCases[float64](""), level3AllocCases[float32]("32")...) {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run() // warm the pool
+			if avg := testing.AllocsPerRun(10, tc.run); avg != 0 {
+				t.Errorf("%s allocates %.1f objects per call in steady state", tc.name, avg)
+			}
+		})
+	}
+}
+
+// level3AllocCases are TestLevel3ZeroAllocSteadyState's calls in T, each
+// name ending in suffix.
+func level3AllocCases[T Float](suffix string) []struct {
+	name string
+	run  func()
+} {
 	const n = 48
 	rng := rand.New(rand.NewSource(41))
-	a := randPadded(rng, n, n, n)
-	b := randPadded(rng, n, n, n)
-	c := randPadded(rng, n, n, n)
+	a := randOf[T](rng, n, n, n)
+	b := randOf[T](rng, n, n, n)
+	c := randOf[T](rng, n, n, n)
 	// Repeated in-place solves shrink B by the dominant diagonal, never
 	// overflow it.
-	tri := randPadded(rng, n, n, n)
+	tri := randOf[T](rng, n, n, n)
 	conditionedTriangle(tri, n, n)
 	cases := []struct {
 		name string
@@ -442,14 +532,10 @@ func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 			Trsm(Right, Lower, NoTrans, NonUnit, 2, n, 1, tri, n, b, n)
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.run() // warm the pool
-			if avg := testing.AllocsPerRun(10, tc.run); avg != 0 {
-				t.Errorf("%s allocates %.1f objects per call in steady state", tc.name, avg)
-			}
-		})
+	for i := range cases {
+		cases[i].name += suffix
 	}
+	return cases
 }
 
 // TestGemmMetricsAccounting pins the flop-accounting contract: the product

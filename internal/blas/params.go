@@ -14,17 +14,20 @@ import "sync/atomic"
 // instance) and may be retuned at runtime with SetGemmBlocking; cmd/exatune
 // persists tuned values, and exadla.WithTuningTable installs them.
 type Blocking struct {
-	MR int // microkernel rows; supported: 4 or 8
+	// MR selects the microkernel: 4 the portable 4×4 one, 8 the wide
+	// AVX2+FMA one, whose tile is 8×4 in float64 and 16×4 in float32, the
+	// same register footprint (see registerTile).
+	MR int
 	NR int // microkernel columns; supported: 4
 	MC int // rows of the packed op(A) block
 	KC int // shared inner (depth) block
 	NC int // columns of the packed op(B) block
 }
 
-// DefaultBlocking is the untuned parameter set: an 8×4 register tile with
-// cache blocks sized for a typical ≥32 KiB L1 / ≥512 KiB L2 core. The
-// packed op(A) block is MC·KC·8 B = 512 KiB of float64 and each packed
-// op(B) sliver (KC·NR) stays under L1.
+// DefaultBlocking is the untuned parameter set: the wide register tile
+// (8×4 in float64, 16×4 in float32) with cache blocks sized for a typical
+// ≥32 KiB L1 / ≥512 KiB L2 core. The packed op(A) block is MC·KC·8 B =
+// 512 KiB of float64 and each packed op(B) sliver (KC·NR) stays under L1.
 func DefaultBlocking() Blocking {
 	return Blocking{MR: 8, NR: 4, MC: 256, KC: 256, NC: 1024}
 }

@@ -23,6 +23,11 @@ import (
 // shared A pack's sliver grid.
 var smallBlocking = Blocking{MR: 8, NR: 4, MC: 8, KC: 5, NC: 12}
 
+// smallBlocking32 is smallBlocking for float32, whose 16-row tile runs only
+// where 16 rows divide MC (under smallBlocking it falls back to 4×4); nc is
+// again off the tile's row grid.
+var smallBlocking32 = Blocking{MR: 8, NR: 4, MC: 16, KC: 5, NC: 12}
+
 // useBlocking installs b for the rest of the test.
 func useBlocking(t *testing.T, b Blocking) {
 	t.Helper()
@@ -122,27 +127,31 @@ func (g gemmCase[T]) check(t *testing.T, between *Blocking) {
 	}
 }
 
-// sweepLimit is the largest dimension of the edge sweeps: two register
-// tiles and one, or, under the race detector, which slows them twentyfold,
-// one and one.
-func sweepLimit() int {
+// sweepLimits are the largest dimensions of T's edge sweeps: columns and
+// depth to two installed MR-row tiles and one (past the 4-column tile, the
+// ×2 depth unrolling and the small cache blocks), rows as far or to two of
+// T's register tiles and one if those are taller; under the race detector,
+// which slows the sweeps twentyfold, one tile and one each.
+func sweepLimits[T Float]() (rows, cols int) {
+	mr, _ := registerTile[T](GemmBlocking())
+	tile := GemmBlocking().MR
 	if raceEnabled {
-		return GemmBlocking().MR + 1
+		return max(mr, tile) + 1, tile + 1
 	}
-	return 2*GemmBlocking().MR + 1
+	return 2*max(mr, tile) + 1, 2*tile + 1
 }
 
 // prepackedSweep checks every edge geometry around the register tile, all
 // four transpose cases, on the packed path.
 func prepackedSweep[T Float](t *testing.T, between *Blocking) {
 	forcePath(t, true)
-	limit := sweepLimit()
+	rows, cols := sweepLimits[T]()
 	rng := rand.New(rand.NewSource(37))
 	for _, transA := range []Transpose{NoTrans, Trans} {
 		for _, transB := range []Transpose{NoTrans, Trans} {
-			for m := 1; m <= limit; m++ {
-				for n := 1; n <= limit; n++ {
-					for k := 1; k <= limit; k++ {
+			for m := 1; m <= rows; m++ {
+				for n := 1; n <= cols; n++ {
+					for k := 1; k <= cols; k++ {
 						newGemmCase[T](rng, transA, transB, m, n, k).check(t, between)
 					}
 				}
@@ -164,6 +173,8 @@ func TestGemmPrepackedEdgeSweepFloat32(t *testing.T) {
 func TestGemmPrepackedSmallBlocks(t *testing.T) {
 	useBlocking(t, smallBlocking)
 	prepackedSweep[float64](t, nil)
+	prepackedSweep[float32](t, nil)
+	useBlocking(t, smallBlocking32)
 	prepackedSweep[float32](t, nil)
 }
 
@@ -210,12 +221,12 @@ func checkSyrkPrepacked[T Float](t *testing.T, rng *rand.Rand, uplo Uplo, trans 
 
 func syrkPrepackedSweep[T Float](t *testing.T) {
 	forcePath(t, true)
-	limit := sweepLimit()
+	rows, cols := sweepLimits[T]()
 	rng := rand.New(rand.NewSource(41))
 	for _, uplo := range []Uplo{Lower, Upper} {
 		for _, trans := range []Transpose{NoTrans, Trans} {
-			for n := 1; n <= limit; n++ {
-				for k := 1; k <= limit; k++ {
+			for n := 1; n <= rows; n++ {
+				for k := 1; k <= cols; k++ {
 					checkSyrkPrepacked[T](t, rng, uplo, trans, n, k)
 				}
 			}
@@ -228,6 +239,8 @@ func TestSyrkPrepackedEdgeSweep(t *testing.T) {
 	syrkPrepackedSweep[float32](t)
 	useBlocking(t, smallBlocking)
 	syrkPrepackedSweep[float64](t)
+	syrkPrepackedSweep[float32](t)
+	useBlocking(t, smallBlocking32)
 	syrkPrepackedSweep[float32](t)
 }
 

@@ -352,14 +352,32 @@ func TestLangeNorms(t *testing.T) {
 	}
 }
 
+// TestLansyMatchesLange checks Lansy on one stored triangle, with the
+// other triangle and the padding rows poisoned with NaN, against Lange on
+// the whole symmetric matrix, whose entries take both signs.
 func TestLansyMatchesLange(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	n := 17
-	a := matgen.DiagDomSPD[float64](rng, n)
+	const n, lda = 17, 19
+	full := matgen.DiagDomSPD[float64](rng, n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < j; i++ {
+			v := rng.NormFloat64()
+			full[i+j*n], full[j+i*n] = v, v
+		}
+	}
 	for _, norm := range []lapack.Norm{lapack.OneNorm, lapack.InfNorm, lapack.MaxAbs, lapack.FrobeniusNorm} {
-		want := lapack.Lange(norm, n, n, a, n)
+		want := lapack.Lange(norm, n, n, full, n)
 		for _, uplo := range []blas.Uplo{blas.Lower, blas.Upper} {
-			got := lapack.Lansy(norm, uplo, n, a, n)
+			a := make([]float64, lda*n)
+			for j := 0; j < n; j++ {
+				for i := 0; i < lda; i++ {
+					a[i+j*lda] = math.NaN()
+					if i < n && (uplo == blas.Lower) == (i >= j) || i == j {
+						a[i+j*lda] = full[i+j*n]
+					}
+				}
+			}
+			got := lapack.Lansy(norm, uplo, n, a, lda)
 			if math.Abs(got-want) > 1e-12*want {
 				t.Errorf("Lansy %c %v: got %v want %v", norm, uplo, got, want)
 			}
