@@ -16,7 +16,6 @@ import (
 	"exadla/internal/dist"
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
-	"exadla/internal/mixed"
 	"exadla/internal/rnd"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
@@ -138,14 +137,15 @@ func BenchmarkE3_SolveFP64(b *testing.B) {
 }
 
 func BenchmarkE3_SolveMixed(b *testing.B) {
+	ctx := exadla.NewContext()
+	defer ctx.Close()
 	for _, n := range []int{256, 512} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		a := matgen.WithCond[float64](rng, n, n, 100)
-		rhs := matgen.Dense[float64](rng, n, 1)
-		x := make([]float64, n)
+		a := exadla.FromSlice(n, n, matgen.WithCond[float64](rng, n, n, 100))
+		rhs := exadla.FromSlice(n, 1, matgen.Dense[float64](rng, n, 1))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mixed.SolveLU(n, a, n, rhs, x); err != nil {
+				if _, _, err := ctx.SolveMixed(a, rhs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -351,12 +351,13 @@ func BenchmarkSolveSPD(b *testing.B) {
 func BenchmarkE9_SolveMixedHalf(b *testing.B) {
 	n := 256
 	rng := rand.New(rand.NewSource(10))
-	a := matgen.WithCond[float64](rng, n, n, 50)
-	rhs := matgen.Dense[float64](rng, n, 1)
-	x := make([]float64, n)
+	a := exadla.FromSlice(n, n, matgen.WithCond[float64](rng, n, n, 50))
+	rhs := exadla.FromSlice(n, 1, matgen.Dense[float64](rng, n, 1))
+	ctx := exadla.NewContext()
+	defer ctx.Close()
 	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mixed.SolveLUHalf(n, a, n, rhs, x); err != nil {
+			if _, _, err := ctx.SolveMixedHalf(a, rhs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"exadla"
 	"exadla/internal/blas"
 	"exadla/internal/matgen"
-	"exadla/internal/mixed"
 )
 
 // runE9 extends E3 down the precision ladder to emulated fp16 storage (the
@@ -17,6 +17,8 @@ func runE9(quick bool) {
 	n := pick(quick, 200, 500)
 	conds := []float64{1e1, 1e2, 1e3, 1e4, 1e6}
 
+	ctx := exadla.NewContext()
+	defer ctx.Close()
 	tbl := newTable("cond", "scheme", "iters", "outcome", "fwd_err")
 	for _, cond := range conds {
 		rng := rand.New(rand.NewSource(int64(cond)))
@@ -25,15 +27,13 @@ func runE9(quick bool) {
 		b := make([]float64, n)
 		blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 
+		am, bm := exadla.FromSlice(n, n, a), exadla.FromSlice(n, 1, b)
 		for _, scheme := range []string{"fp32+IR", "fp16+IR"} {
-			x := make([]float64, n)
-			var res mixed.Result
-			var err error
-			if scheme == "fp32+IR" {
-				res, err = mixed.SolveLU(n, a, n, b, x)
-			} else {
-				res, err = mixed.SolveLUHalf(n, a, n, b, x)
+			solve := ctx.SolveMixed
+			if scheme == "fp16+IR" {
+				solve = ctx.SolveMixedHalf
 			}
+			x, res, err := solve(am, bm)
 			if err != nil {
 				fmt.Printf("cond=%.0e %s: %v\n", cond, scheme, err)
 				continue
@@ -44,7 +44,7 @@ func runE9(quick bool) {
 			} else if !res.Converged {
 				outcome = "stalled"
 			}
-			tbl.add(fmt.Sprintf("%.0e", cond), scheme, res.Iterations, outcome, fwdErr(x, xTrue))
+			tbl.add(fmt.Sprintf("%.0e", cond), scheme, res.Iterations, outcome, fwdErr(x.Data(), xTrue))
 		}
 	}
 	tbl.print()

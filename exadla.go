@@ -30,6 +30,7 @@ import (
 
 	"exadla/internal/autotune"
 	"exadla/internal/blas"
+	"exadla/internal/core"
 	"exadla/internal/ft"
 	"exadla/internal/metrics"
 	"exadla/internal/obs"
@@ -37,10 +38,9 @@ import (
 	"exadla/internal/trace"
 )
 
-// DefaultTileSize is the tile size used when neither an option nor the
-// tuning table overrides it. 96 is a good default for the pure-Go kernels
-// on current x86 cores (see the E5 tile-size sweep in EXPERIMENTS.md).
-const DefaultTileSize = 96
+// DefaultTileSize, 96, is the tile size used when neither an option nor the
+// tuning table overrides it.
+const DefaultTileSize = core.DefaultTileSize
 
 // Context owns the scheduler and configuration shared by the library's
 // operations. A Context is safe for sequential use; concurrent calls on the

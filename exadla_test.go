@@ -256,6 +256,62 @@ func TestSolveMixedSPD(t *testing.T) {
 	}
 }
 
+// TestSolveMixedHonoursContext pins that the three mixed-precision entry
+// points run on the Context: the answer and the report are bitwise the
+// same on one worker and on two, a non-default tile size still converges,
+// and a traced Context records the call's factorization tasks.
+func TestSolveMixedHonoursContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	n := 200
+	general := exadla.RandomWithCond(rng, n, n, 50)
+	spd := exadla.RandomSPDWithCond(rng, n, 50)
+	b := exadla.RandomGeneral(rng, n, 1)
+	type solver func(*exadla.Context, *exadla.Matrix, *exadla.Matrix) (*exadla.Matrix, exadla.MixedResult, error)
+	for _, tc := range []struct {
+		name, panel string
+		a           *exadla.Matrix
+		solve       solver
+	}{
+		{"SolveMixed", "getrf", general, (*exadla.Context).SolveMixed},
+		{"SolveMixedSPD", "potrf", spd, (*exadla.Context).SolveMixedSPD},
+		{"SolveMixedHalf", "getrf", general, (*exadla.Context).SolveMixedHalf},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(opts ...exadla.Option) (*exadla.Context, *exadla.Matrix, exadla.MixedResult) {
+				ctx := newCtx(t, opts...)
+				x, res, err := tc.solve(ctx, tc.a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ctx, x, res
+			}
+			_, x1, res1 := run(exadla.WithWorkers(1))
+			_, x2, res2 := run(exadla.WithWorkers(2))
+			if res1 != res2 {
+				t.Errorf("report on 1 worker %+v, on 2 workers %+v", res1, res2)
+			}
+			for i := range n {
+				if math.Float64bits(x1.At(i, 0)) != math.Float64bits(x2.At(i, 0)) {
+					t.Fatalf("x[%d] = %v on 1 worker, %v on 2 workers", i, x1.At(i, 0), x2.At(i, 0))
+				}
+			}
+
+			_, x, res := run(exadla.WithTileSize(48))
+			if !res.Converged {
+				t.Errorf("tile size 48: not converged: %+v", res)
+			}
+			if r := exadla.Residual(tc.a, x, b); r > 1e-12 {
+				t.Errorf("tile size 48: residual %g", r)
+			}
+
+			ctx, _, _ := run(exadla.WithTracing())
+			if st := ctx.TraceStats(); st.Tasks == 0 || st.ByKernel[tc.panel] == 0 {
+				t.Errorf("traced call recorded %d tasks, %s kernels %v s", st.Tasks, tc.panel, st.ByKernel[tc.panel])
+			}
+		})
+	}
+}
+
 func TestTSQRLeastSquares(t *testing.T) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(9))

@@ -38,6 +38,11 @@ const (
 	OpQRTree = "qrtree"
 )
 
+// DefaultTileSize is the library's tile size where nothing chooses another:
+// a good default for the pure-Go kernels on current x86 cores (see the E5
+// tile-size sweep in EXPERIMENTS.md).
+const DefaultTileSize = 96
+
 // Factors is what a factorization leaves besides its tiles. A holds the
 // factor in place: L (Cholesky), L\U (LU), or R above the diagonal and
 // the Householder vectors below it (QR). Piv is OpLU's pivot vector (see

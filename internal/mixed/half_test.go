@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"exadla/internal/blas"
+	"exadla/internal/core"
 	"exadla/internal/matgen"
-	"exadla/internal/mixed"
 )
 
 func TestSolveLUHalfWellConditioned(t *testing.T) {
@@ -17,7 +17,7 @@ func TestSolveLUHalfWellConditioned(t *testing.T) {
 		b := make([]float64, n)
 		blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 		x := make([]float64, n)
-		res, err := mixed.SolveLUHalf(n, a, n, b, x)
+		res, err := solve(core.OpLU, true, n, a, b, x)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -41,11 +41,11 @@ func TestSolveLUHalfNeedsMoreSweepsThanSingle(t *testing.T) {
 	blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 
 	x := make([]float64, n)
-	resHalf, err := mixed.SolveLUHalf(n, a, n, b, x)
+	resHalf, err := solve(core.OpLU, true, n, a, b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSingle, err := mixed.SolveLU(n, a, n, b, x)
+	resSingle, err := solve(core.OpLU, false, n, a, b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSolveLUHalfFallsBackWhenTooIllConditioned(t *testing.T) {
 	b := make([]float64, n)
 	blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 	x := make([]float64, n)
-	res, err := mixed.SolveLUHalf(n, a, n, b, x)
+	res, err := solve(core.OpLU, true, n, a, b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSolveLUHalfScalingHandlesLargeEntries(t *testing.T) {
 	b := make([]float64, n)
 	blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 	x := make([]float64, n)
-	res, err := mixed.SolveLUHalf(n, a, n, b, x)
+	res, err := solve(core.OpLU, true, n, a, b, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,21 @@
 // then recover full double-precision accuracy with cheap O(n²) refinement
 // sweeps, falling back to a full double-precision solve when the matrix is
 // too ill-conditioned for the low-precision factors to act as a contraction.
+// The factorization and every solve are core's tile walk at float32 or
+// float64; this package owns only the rounding and the refinement loop.
 package mixed
 
 import (
 	"errors"
 	"math"
+	"runtime"
 
 	"exadla/internal/blas"
+	"exadla/internal/core"
+	"exadla/internal/half"
 	"exadla/internal/lapack"
+	"exadla/internal/sched"
+	"exadla/internal/tile"
 )
 
 // Result reports how a mixed-precision solve converged.
@@ -35,84 +42,111 @@ const MaxIterations = 30
 // factorizations encounter an exactly singular pivot.
 var ErrSingular = errors.New("mixed: matrix is singular")
 
-// SolveLU solves A·x = b (A n×n column-major, untouched) by factorizing a
-// float32 copy of A with partial-pivoting LU and refining in float64.
-// x must have length n.
-func SolveLU(n int, a []float64, lda int, b, x []float64) (Result, error) {
-	// Factor in float32.
-	a32 := make([]float32, n*n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			a32[i+j*n] = float32(a[i+j*lda])
-		}
-	}
-	ipiv := make([]int, n)
-	factErr := lapack.Getrf(n, n, a32, n, ipiv)
+// Solve solves A·x = b (A n×n column-major, untouched; x of length n) with
+// op's factor — core.OpLU, or core.OpCholesky for an SPD A, of which only
+// the lower triangle is referenced — computed by the tile walk on s at tile
+// size nb in float32, and refined in float64. When the float32
+// factorization fails or the refinement does not converge, the float64
+// walk solves the system instead; its error is ErrSingular for a singular
+// LU and *lapack.NotPositiveDefiniteError for Cholesky. A correction solve
+// that fails (a task failure the scheduler did not retry away) reads as a
+// diverged one.
+//
+// With fp16 set it is the three-precision scheme modeled on the
+// fp16/tensor-core refinement work that followed the keynote: A, scaled by
+// its largest entry so the factorization stays inside fp16's tiny exponent
+// range, is rounded to half precision, and so is every factor tile (fp16
+// storage, fp32 compute); correction solves run in float32. Because
+// ε₁₆ = 2⁻¹⁰, it contracts only for condition numbers up to ~10³ and needs
+// more sweeps than the float32 scheme.
+func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, lda int, b, x []float64) (Result, error) {
+	lower := op == core.OpCholesky
 	residual := gemvResidual(n, a, lda, b)
-	solve32 := func(r []float64, d []float64) {
-		r32 := make([]float32, n)
-		for i, v := range r {
-			r32[i] = float32(v)
-		}
-		lapack.Getrs(blas.NoTrans, n, 1, a32, n, ipiv, r32, n)
-		for i, v := range r32 {
-			d[i] = float64(v)
+	if lower {
+		residual = func(x, r []float64) {
+			copy(r, b[:n])
+			blas.Symv(blas.Lower, n, -1, a, lda, x, 1, 1, r, 1)
 		}
 	}
 	fallback := func() (Result, error) {
-		a64 := make([]float64, n*n)
-		lapack.Lacpy(lapack.General, n, n, a, lda, a64, n)
-		copy(x, b[:n])
-		ipiv64 := make([]int, n)
-		if err := lapack.Gesv(n, 1, a64, n, ipiv64, x, n); err != nil {
-			return Result{FellBack: true}, ErrSingular
+		_, x64, err := core.Run(s, nil, op, tile.Deferred(n, n, a, lda, nb), tile.Deferred(n, 1, b, n, nb), core.ThenSolve)
+		if errors.As(err, new(*lapack.SingularError)) {
+			err = ErrSingular
 		}
-		return Result{FellBack: true, ResidualNorm: residualNorm(n, x, residual)}, nil
-	}
-	if factErr != nil {
-		return fallback()
-	}
-	return refine(n, b, x, lapack.Lange(lapack.InfNorm, n, n, a, lda), residual, solve32, fallback)
-}
-
-// SolveCholesky solves the SPD system A·x = b by factorizing a float32 copy
-// with Cholesky (lower) and refining in float64. Only the lower triangle of
-// A is referenced.
-func SolveCholesky(n int, a []float64, lda int, b, x []float64) (Result, error) {
-	a32 := make([]float32, n*n)
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			a32[i+j*n] = float32(a[i+j*lda])
-		}
-	}
-	factErr := lapack.Potrf(blas.Lower, n, a32, n)
-	residual := func(x, r []float64) {
-		copy(r, b[:n])
-		blas.Symv(blas.Lower, n, -1, a, lda, x, 1, 1, r, 1)
-	}
-	solve32 := func(r []float64, d []float64) {
-		r32 := make([]float32, n)
-		for i, v := range r {
-			r32[i] = float32(v)
-		}
-		lapack.Potrs(blas.Lower, n, 1, a32, n, r32, n)
-		for i, v := range r32 {
-			d[i] = float64(v)
-		}
-	}
-	fallback := func() (Result, error) {
-		a64 := make([]float64, n*n)
-		lapack.Lacpy(blas.Lower, n, n, a, lda, a64, n)
-		copy(x, b[:n])
-		if err := lapack.Posv(blas.Lower, n, 1, a64, n, x, n); err != nil {
+		if err != nil {
 			return Result{FellBack: true}, err
 		}
-		return Result{FellBack: true, ResidualNorm: residualNorm(n, x, residual)}, nil
+		copy(x, x64)
+		r := make([]float64, n)
+		residual(x, r)
+		return Result{FellBack: true, ResidualNorm: infNorm(r)}, nil
 	}
-	if factErr != nil {
+
+	// Round A (its lower triangle for Cholesky) into float32 — scaled and
+	// through fp16 on the half rung — and factor it.
+	scale := 1.0
+	if fp16 {
+		if amax := lapack.Lange(lapack.MaxAbs, n, n, a, lda); amax > 0 {
+			scale = 1 / amax
+		}
+	}
+	a32 := make([]float32, n*n)
+	for j := range n {
+		lo := 0
+		if lower {
+			lo = j
+		}
+		col, col32 := a[lo+j*lda:n+j*lda], a32[lo+j*n:(j+1)*n]
+		if fp16 {
+			for i, v := range col {
+				col32[i] = half.FromFloat64(v * scale).Float32()
+			}
+		} else {
+			for i, v := range col {
+				col32[i] = float32(v)
+			}
+		}
+	}
+	f, err := core.Factor(s, op, tile.Deferred(n, n, a32, n, nb), nil, false)
+	if err != nil {
 		return fallback()
 	}
-	return refine(n, b, x, lapack.Lansy(lapack.InfNorm, blas.Lower, n, a, lda), residual, solve32, fallback)
+	if fp16 {
+		for t := range f.A.MT * f.A.NT {
+			half.RoundSlice32(f.A.Tile(t%f.A.MT, t/f.A.MT))
+		}
+	}
+
+	r32 := make([]float32, n)
+	solve32 := func(r, d []float64) {
+		for i, v := range r {
+			r32[i] = float32(v * scale) // fold in the matrix scaling
+		}
+		_, d32, err := core.Run(s, f, "", nil, tile.Deferred(n, 1, r32, n, nb), core.ThenSolve)
+		if err != nil {
+			for i := range d {
+				d[i] = math.NaN()
+			}
+			return
+		}
+		for i, v := range d32 {
+			d[i] = float64(v)
+		}
+	}
+	anorm := lapack.Lange(lapack.InfNorm, n, n, a, lda)
+	if lower {
+		anorm = lapack.Lansy(lapack.InfNorm, blas.Lower, n, a, lda)
+	}
+	return refine(n, b, x, anorm, residual, solve32, fallback)
+}
+
+// SolveCholesky solves the SPD system A·x = b as Solve does with
+// core.OpCholesky in float32, on a runtime of GOMAXPROCS workers at the
+// library's default tile size. Only the lower triangle of A is referenced.
+func SolveCholesky(n int, a []float64, lda int, b, x []float64) (Result, error) {
+	rt := sched.New(runtime.GOMAXPROCS(0))
+	defer rt.Shutdown()
+	return Solve(rt, core.DefaultTileSize, core.OpCholesky, false, n, a, lda, b, x)
 }
 
 // refine runs the double-precision refinement loop around a low-precision
@@ -155,13 +189,6 @@ func gemvResidual(n int, a []float64, lda int, b []float64) func(x, r []float64)
 		copy(r, b[:n])
 		blas.Gemv(blas.NoTrans, n, n, -1, a, lda, x, 1, 1, r, 1)
 	}
-}
-
-// residualNorm returns ‖b − A·x‖∞ for the residual function of A and b.
-func residualNorm(n int, x []float64, residual func(x, r []float64)) float64 {
-	r := make([]float64, n)
-	residual(x, r)
-	return infNorm(r)
 }
 
 // infNorm returns max |vᵢ|, or NaN if any entry is NaN.

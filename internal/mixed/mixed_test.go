@@ -1,15 +1,30 @@
 package mixed_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"exadla/internal/blas"
+	"exadla/internal/core"
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/mixed"
+	"exadla/internal/sched"
 )
+
+// testNB splits the larger test matrices into several tiles.
+const testNB = 48
+
+// solve runs mixed.Solve with op — at fp16 with fp16 set, float32
+// otherwise — on the n×n A (lda n) and b, on two workers at tile size
+// testNB.
+func solve(op string, fp16 bool, n int, a, b, x []float64) (mixed.Result, error) {
+	rt := sched.New(2)
+	defer rt.Shutdown()
+	return mixed.Solve(rt, testNB, op, fp16, n, a, n, b, x)
+}
 
 // forwardError returns ‖x − xTrue‖∞ / ‖xTrue‖∞.
 func forwardError(x, xTrue []float64) float64 {
@@ -33,7 +48,7 @@ func TestSolveLUWellConditioned(t *testing.T) {
 		b := make([]float64, n)
 		blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 		x := make([]float64, n)
-		res, err := mixed.SolveLU(n, a, n, b, x)
+		res, err := solve(core.OpLU, false, n, a, b, x)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -61,7 +76,7 @@ func TestSolveLUAccuracyBeatsPureSingle(t *testing.T) {
 	blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 
 	x := make([]float64, n)
-	if _, err := mixed.SolveLU(n, a, n, b, x); err != nil {
+	if _, err := solve(core.OpLU, false, n, a, b, x); err != nil {
 		t.Fatal(err)
 	}
 	feMixed := forwardError(x, xTrue)
@@ -99,7 +114,7 @@ func TestSolveLUIllConditionedFallsBack(t *testing.T) {
 	b := make([]float64, n)
 	blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 	x := make([]float64, n)
-	res, err := mixed.SolveLU(n, a, n, b, x)
+	res, err := solve(core.OpLU, false, n, a, b, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +133,8 @@ func TestSolveLUSingular(t *testing.T) {
 	a := make([]float64, n*n) // zero matrix
 	b := make([]float64, n)
 	x := make([]float64, n)
-	if _, err := mixed.SolveLU(n, a, n, b, x); err == nil {
-		t.Error("expected error for singular matrix")
+	if _, err := solve(core.OpLU, false, n, a, b, x); !errors.Is(err, mixed.ErrSingular) {
+		t.Errorf("singular matrix: got error %v, want mixed.ErrSingular", err)
 	}
 }
 
@@ -150,8 +165,13 @@ func TestSolveCholeskyNotPDFallsBackToError(t *testing.T) {
 	a[2+2*n] = -5 // indefinite
 	b := []float64{1, 1, 1, 1}
 	x := make([]float64, n)
-	if _, err := mixed.SolveCholesky(n, a, n, b, x); err == nil {
+	_, err := mixed.SolveCholesky(n, a, n, b, x)
+	if err == nil {
 		t.Error("expected error for indefinite matrix")
+	}
+	var npd *lapack.NotPositiveDefiniteError
+	if !errors.As(err, &npd) {
+		t.Errorf("indefinite matrix: got error %v, want *lapack.NotPositiveDefiniteError", err)
 	}
 }
 
@@ -166,7 +186,7 @@ func TestIterationCountGrowsWithCondition(t *testing.T) {
 		b := make([]float64, n)
 		blas.Gemv(blas.NoTrans, n, n, 1, a, n, xTrue, 1, 0, b, 1)
 		x := make([]float64, n)
-		res, err := mixed.SolveLU(n, a, n, b, x)
+		res, err := solve(core.OpLU, false, n, a, b, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,22 +200,30 @@ func TestIterationCountGrowsWithCondition(t *testing.T) {
 func TestInputsNotClobbered(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 40
-	a := matgen.WithCond[float64](rng, n, n, 10)
+	general := matgen.WithCond[float64](rng, n, n, 10)
 	b := matgen.Dense[float64](rng, n, 1)
-	aCopy := append([]float64(nil), a...)
-	bCopy := append([]float64(nil), b...)
+	spd := matgen.SPDWithCond[float64](rng, n, 10)
 	x := make([]float64, n)
-	if _, err := mixed.SolveLU(n, a, n, b, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != aCopy[i] {
-			t.Fatal("A was modified")
+	for _, rung := range []struct {
+		op   string
+		fp16 bool
+		a    []float64
+	}{{core.OpLU, false, general}, {core.OpLU, true, general}, {core.OpCholesky, false, spd}} {
+		a := rung.a
+		aCopy := append([]float64(nil), a...)
+		bCopy := append([]float64(nil), b...)
+		if _, err := solve(rung.op, rung.fp16, n, a, b, x); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := range b {
-		if b[i] != bCopy[i] {
-			t.Fatal("b was modified")
+		for i := range a {
+			if a[i] != aCopy[i] {
+				t.Fatalf("%s fp16=%v: A was modified", rung.op, rung.fp16)
+			}
+		}
+		for i := range b {
+			if b[i] != bCopy[i] {
+				t.Fatalf("%s fp16=%v: b was modified", rung.op, rung.fp16)
+			}
 		}
 	}
 }

@@ -131,9 +131,12 @@ func TestPriorityOrdering(t *testing.T) {
 	defer r.Shutdown()
 	var mu sync.Mutex
 	var order []int
-	// Block the worker so all tasks become ready before any runs.
-	gate := make(chan struct{})
-	r.Submit(Task{Name: "gate", Fn: func() { <-gate }})
+	// Block the worker so all tasks become ready before any runs: the
+	// prioritized tasks are submitted only once the gate task holds the
+	// worker, or the worker could pick one of them before the gate.
+	gate, started := make(chan struct{}), make(chan struct{})
+	r.Submit(Task{Name: "gate", Fn: func() { close(started); <-gate }})
+	<-started
 	for _, p := range []int{1, 5, 3, 2, 4} {
 		p := p
 		r.Submit(Task{Name: "t", Priority: p, Fn: func() {

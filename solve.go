@@ -217,30 +217,36 @@ func (c *Context) leastSquares(a, b *Matrix, nb int, op string) (*Matrix, error)
 // MixedResult re-exports the mixed-precision convergence report.
 type MixedResult = mixed.Result
 
-// SolveMixed solves A·x = b with float32 LU factorization plus float64
+// SolveMixed solves A·x = b with float32 tile LU factorization plus float64
 // iterative refinement (the dsgesv scheme), falling back to a full float64
-// solve for hopelessly conditioned systems. b must have one column.
+// solve for hopelessly conditioned systems. b must have one column. The
+// factorization and the solves run on the Context's workers at its tile
+// size, traced when tracing is on; no fault-tolerance or checkpoint
+// protection applies.
 func (c *Context) SolveMixed(a, b *Matrix) (*Matrix, MixedResult, error) {
-	return solveMixed("SolveMixed", mixed.SolveLU, a, b)
+	return c.solveMixed("SolveMixed", core.OpLU, false, a, b)
 }
 
 // SolveMixedHalf solves A·x = b with three precisions: an emulated
 // half-precision factorization (fp16 storage, fp32 compute — the
 // tensor-core model), float32 correction solves, and float64 residuals.
 // It only converges for mildly conditioned systems (cond ≲ 10³) and falls
-// back to float64 beyond; see the E9 experiment.
+// back to float64 beyond; see the E9 experiment. It runs on the Context as
+// SolveMixed does.
 func (c *Context) SolveMixedHalf(a, b *Matrix) (*Matrix, MixedResult, error) {
-	return solveMixed("SolveMixedHalf", mixed.SolveLUHalf, a, b)
+	return c.solveMixed("SolveMixedHalf", core.OpLU, true, a, b)
 }
 
-// SolveMixedSPD is SolveMixed with a Cholesky kernel for SPD systems.
+// SolveMixedSPD is SolveMixed with a tile Cholesky factorization for SPD
+// systems (lower triangle referenced).
 func (c *Context) SolveMixedSPD(a, b *Matrix) (*Matrix, MixedResult, error) {
-	return solveMixed("SolveMixedSPD", mixed.SolveCholesky, a, b)
+	return c.solveMixed("SolveMixedSPD", core.OpCholesky, false, a, b)
 }
 
-// solveMixed runs the internal/mixed solver run, for the entry point name,
-// on the square A and n×1 b.
-func solveMixed(name string, run func(n int, a []float64, lda int, b, x []float64) (MixedResult, error), a, b *Matrix) (*Matrix, MixedResult, error) {
+// solveMixed runs mixed.Solve with op, at fp16 or float32, on the Context's
+// scheduler and tile size, for the entry point name, on the square A and
+// n×1 b.
+func (c *Context) solveMixed(name, op string, fp16 bool, a, b *Matrix) (*Matrix, MixedResult, error) {
 	if a.rows != a.cols {
 		return nil, MixedResult{}, fmt.Errorf("exadla: %s needs square matrix", name)
 	}
@@ -248,7 +254,7 @@ func solveMixed(name string, run func(n int, a []float64, lda int, b, x []float6
 		return nil, MixedResult{}, fmt.Errorf("exadla: %s needs an n×1 RHS", name)
 	}
 	x := NewMatrix(a.rows, 1)
-	res, err := run(a.rows, a.data, a.rows, b.data, x.data)
+	res, err := mixed.Solve(c.scheduler(), c.tileSizeFor(op, a.rows), op, fp16, a.rows, a.data, a.rows, b.data, x.data)
 	return x, res, err
 }
 
