@@ -15,9 +15,10 @@ import (
 // being deterministic, finishes with a factor bitwise identical to an
 // uninterrupted run. A checkpoint that cannot be written fails the
 // factorization rather than continuing unprotected. SolveSPD, InvertSPD
-// and Solve checkpoint their factorization the same way, then solve (or
-// invert) with the finished factor — a barrier the unprotected one-shot
-// graph does not have — and return the same result bit for bit.
+// and Solve checkpoint their factorization the same way in their one task
+// graph: a snapshot task reads every tile and the solve (or inverse) only
+// reads or writes tiles, so no barrier separates the two, and the result
+// is the unprotected call's bit for bit.
 func WithCheckpoint(dir string, every int) Option {
 	if dir == "" {
 		panic("exadla: WithCheckpoint needs a directory")

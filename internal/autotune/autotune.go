@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
@@ -114,18 +113,6 @@ func (t *Table) Set(key string, v int) {
 	t.mu.Lock()
 	t.Entries[key] = v
 	t.mu.Unlock()
-}
-
-// Keys returns the stored keys in sorted order.
-func (t *Table) Keys() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ks := make([]string, 0, len(t.Entries))
-	for k := range t.Entries {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // Save writes the table as JSON to path.

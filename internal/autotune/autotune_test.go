@@ -101,8 +101,8 @@ func TestTableRoundTrip(t *testing.T) {
 	if v, ok := loaded.Lookup(Key("cholesky", 1024, 4)); !ok || v != 96 {
 		t.Errorf("lookup: %d %v", v, ok)
 	}
-	if len(loaded.Keys()) != 2 {
-		t.Errorf("keys: %v", loaded.Keys())
+	if len(loaded.Entries) != 2 {
+		t.Errorf("entries: %v", loaded.Entries)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestLoadMissingFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Keys()) != 0 {
+	if len(tab.Entries) != 0 {
 		t.Error("missing file should load empty")
 	}
 }

@@ -143,18 +143,6 @@ func Getrf(s sched.Scheduler, n int, mats [][]float64, opts Options) (pivs [][]i
 	return pivs, errs
 }
 
-// GetrfSeq is the loop baseline of Getrf.
-func GetrfSeq(n int, mats [][]float64) (pivs [][]int, errs []error) {
-	pivs = make([][]int, len(mats))
-	errs = make([]error, len(mats))
-	for i := range mats {
-		piv := make([]int, n)
-		errs[i] = lapack.Getf2(n, n, mats[i], n, piv)
-		pivs[i] = piv
-	}
-	return pivs, errs
-}
-
 // Gemm computes cs[i] ← as[i]·bs[i] for batches of m×k and k×n matrices.
 func Gemm(s sched.Scheduler, m, n, k int, as, bs, cs [][]float64, opts Options) {
 	if len(as) != len(bs) || len(as) != len(cs) {
@@ -177,11 +165,4 @@ func Gemm(s sched.Scheduler, m, n, k int, as, bs, cs [][]float64, opts Options) 
 		})
 	}
 	s.Wait()
-}
-
-// GemmSeq is the loop baseline of Gemm.
-func GemmSeq(m, n, k int, as, bs, cs [][]float64) {
-	for i := range as {
-		blas.Gemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, as[i], m, bs[i], k, 0, cs[i], m)
-	}
 }

@@ -6,9 +6,29 @@ import (
 	"testing"
 
 	"exadla/internal/batch"
+	"exadla/internal/blas"
+	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 )
+
+// getrfSeq is the loop baseline of batch.Getrf.
+func getrfSeq(n int, mats [][]float64) (pivs [][]int, errs []error) {
+	pivs = make([][]int, len(mats))
+	errs = make([]error, len(mats))
+	for i := range mats {
+		pivs[i] = make([]int, n)
+		errs[i] = lapack.Getf2(n, n, mats[i], n, pivs[i])
+	}
+	return pivs, errs
+}
+
+// gemmSeq is the loop baseline of batch.Gemm.
+func gemmSeq(m, n, k int, as, bs, cs [][]float64) {
+	for i := range as {
+		blas.Gemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, as[i], m, bs[i], k, 0, cs[i], m)
+	}
+}
 
 func spdBatch(rng *rand.Rand, count, n int) [][]float64 {
 	mats := make([][]float64, count)
@@ -80,7 +100,7 @@ func TestBatchedGetrfMatchesSeq(t *testing.T) {
 		mats[i] = matgen.Dense[float64](rng, n, n)
 	}
 	seq := cloneBatch(mats)
-	pivSeq, errsSeq := batch.GetrfSeq(n, seq)
+	pivSeq, errsSeq := getrfSeq(n, seq)
 	if anyErr(errsSeq) {
 		t.Fatal("seq errors")
 	}
@@ -118,7 +138,7 @@ func TestBatchedGemmMatchesSeq(t *testing.T) {
 		cs[i] = make([]float64, m*n)
 		cs2[i] = make([]float64, m*n)
 	}
-	batch.GemmSeq(m, n, k, as, bs, cs)
+	gemmSeq(m, n, k, as, bs, cs)
 	r := sched.New(3)
 	defer r.Shutdown()
 	batch.Gemm(r, m, n, k, as, bs, cs2, batch.Options{ChunkSize: 2})
@@ -175,7 +195,7 @@ func TestGemmRectangularChunking(t *testing.T) {
 		t.Fatal("no tasks at all")
 	}
 	// And the fused chunks must still compute the right products.
-	batch.GemmSeq(m, n, k, as, bs, cs2)
+	gemmSeq(m, n, k, as, bs, cs2)
 	for i := range cs {
 		for j := range cs[i] {
 			if cs[i][j] != cs2[i][j] {

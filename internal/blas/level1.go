@@ -81,22 +81,6 @@ func nrm2Scaled[T Float](n int, x []T, incX int) T {
 	return scale * T(math.Sqrt(float64(ssq)))
 }
 
-// Asum computes the sum of absolute values of an n-vector.
-func Asum[T Float](n int, x []T, incX int) T {
-	checkVector("x", n, x, incX)
-	var s T
-	ix := vstart(n, incX)
-	for i := 0; i < n; i++ {
-		v := x[ix]
-		if v < 0 {
-			v = -v
-		}
-		s += v
-		ix += incX
-	}
-	return s
-}
-
 // Axpy computes y ← αx + y for n-vectors x and y.
 func Axpy[T Float](n int, alpha T, x []T, incX int, y []T, incY int) {
 	checkVector("x", n, x, incX)
@@ -157,93 +141,6 @@ func Swap[T Float](n int, x []T, incX int, y []T, incY int) {
 	ix, iy := vstart(n, incX), vstart(n, incY)
 	for i := 0; i < n; i++ {
 		x[ix], y[iy] = y[iy], x[ix]
-		ix += incX
-		iy += incY
-	}
-}
-
-// Iamax returns the index (in logical vector order, zero-based) of the
-// element with the largest absolute value. It returns -1 for n == 0.
-func Iamax[T Float](n int, x []T, incX int) int {
-	checkVector("x", n, x, incX)
-	if n == 0 {
-		return -1
-	}
-	ix := vstart(n, incX)
-	best, bestIdx := x[ix], 0
-	if best < 0 {
-		best = -best
-	}
-	ix += incX
-	for i := 1; i < n; i++ {
-		v := x[ix]
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
-			best, bestIdx = v, i
-		}
-		ix += incX
-	}
-	return bestIdx
-}
-
-// Rotg computes the parameters of a Givens rotation that zeroes b:
-//
-//	⎡ c  s⎤ ⎡a⎤   ⎡r⎤
-//	⎣-s  c⎦ ⎣b⎦ = ⎣0⎦
-//
-// It returns r, c, and s, using the numerically careful formulation of the
-// reference drotg.
-func Rotg[T Float](a, b T) (r, c, s T) {
-	if b == 0 {
-		if a == 0 {
-			return 0, 1, 0
-		}
-		return a, 1, 0
-	}
-	if a == 0 {
-		return b, 0, 1
-	}
-	aa, ab := a, b
-	if aa < 0 {
-		aa = -aa
-	}
-	if ab < 0 {
-		ab = -ab
-	}
-	if aa > ab {
-		t := b / a
-		u := T(math.Sqrt(float64(1 + t*t)))
-		if a < 0 {
-			u = -u
-		}
-		c = 1 / u
-		s = t * c
-		r = a * u
-	} else {
-		t := a / b
-		u := T(math.Sqrt(float64(1 + t*t)))
-		if b < 0 {
-			u = -u
-		}
-		s = 1 / u
-		c = t * s
-		r = b * u
-	}
-	return r, c, s
-}
-
-// Rot applies a plane rotation with cosine c and sine s to the n-vectors x
-// and y: (xᵢ, yᵢ) ← (c·xᵢ + s·yᵢ, -s·xᵢ + c·yᵢ).
-func Rot[T Float](n int, x []T, incX int, y []T, incY int, c, s T) {
-	checkVector("x", n, x, incX)
-	checkVector("y", n, y, incY)
-	ix, iy := vstart(n, incX), vstart(n, incY)
-	for i := 0; i < n; i++ {
-		xv, yv := x[ix], y[iy]
-		x[ix] = c*xv + s*yv
-		y[iy] = -s*xv + c*yv
 		ix += incX
 		iy += incY
 	}

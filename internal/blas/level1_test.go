@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 const (
@@ -229,72 +228,6 @@ func TestAxpyScalCopySwap(t *testing.T) {
 	Swap(n, x, 1, y, 1)
 	if maxAbsDiff(x, y2) != 0 || maxAbsDiff(y, x2) != 0 {
 		t.Fatal("Swap mismatch")
-	}
-}
-
-func TestIamax(t *testing.T) {
-	cases := []struct {
-		x    []float64
-		want int
-	}{
-		{nil, -1},
-		{[]float64{3}, 0},
-		{[]float64{1, -5, 2}, 1},
-		{[]float64{-2, -2, 1}, 0}, // first of equal magnitudes
-	}
-	for _, c := range cases {
-		if got := Iamax(len(c.x), c.x, 1); got != c.want {
-			t.Errorf("Iamax(%v): got %d want %d", c.x, got, c.want)
-		}
-	}
-}
-
-func TestRotg(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		a, b := rng.NormFloat64(), rng.NormFloat64()
-		r, c, s := Rotg(a, b)
-		// The rotation must zero b and produce r.
-		if got := c*a + s*b; math.Abs(got-r) > 1e-12 {
-			t.Fatalf("Rotg(%v,%v): c*a+s*b=%v, r=%v", a, b, got, r)
-		}
-		if got := -s*a + c*b; math.Abs(got) > 1e-12 {
-			t.Fatalf("Rotg(%v,%v): -s*a+c*b=%v, want 0", a, b, got)
-		}
-		if got := c*c + s*s; math.Abs(got-1) > 1e-12 {
-			t.Fatalf("Rotg(%v,%v): c²+s²=%v", a, b, got)
-		}
-	}
-	// Degenerate cases.
-	if r, c, s := Rotg(0.0, 0.0); r != 0 || c != 1 || s != 0 {
-		t.Errorf("Rotg(0,0) = %v,%v,%v", r, c, s)
-	}
-}
-
-func TestAsum(t *testing.T) {
-	x := []float64{1, -2, 3, -4}
-	if got := Asum(4, x, 1); got != 10 {
-		t.Errorf("Asum: got %v want 10", got)
-	}
-}
-
-func TestRotPreservesNorm(t *testing.T) {
-	f := func(a, b, xv, yv float64) bool {
-		for _, v := range []float64{a, b, xv, yv} {
-			if math.IsNaN(v) || math.Abs(v) > math.MaxFloat64/4 {
-				return true // rotation itself cannot avoid overflow of x,y
-			}
-		}
-		_, c, s := Rotg(a, b)
-		x, y := []float64{xv}, []float64{yv}
-		before := math.Hypot(xv, yv)
-		Rot(1, x, 1, y, 1, c, s)
-		after := math.Hypot(x[0], y[0])
-		return math.Abs(before-after) <= 1e-9*(1+before)
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 

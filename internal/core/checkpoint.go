@@ -101,11 +101,11 @@ func Restore(c *ckpt.Checkpoint) (string, *tile.Matrix[float64], *Factors[float6
 // Factors, for LU with the pivot state restored from the checkpoint and
 // completed.
 func Resume(s sched.Scheduler, c *ckpt.Checkpoint, ck *CkptOptions, fo *FTOptions) (*tile.Matrix[float64], *Factors[float64], error) {
-	op, a, f, err := Restore(c)
+	_, a, f, err := Restore(c)
 	if err != nil {
 		return nil, nil, err
 	}
-	return a, f, protect(s, op, a, f, c.Step, ck, fo)
+	return a, f, f.walk(s, true, false, c.Step, &Guards{ck, fo}, nil, nil, nil)
 }
 
 // SaveCheckpoint saves into dir the checkpoint of the frontier after panel
@@ -121,18 +121,16 @@ func SaveCheckpoint(dir, op string, a *tile.Matrix[float64], piv []int, k int) e
 }
 
 // ckptGuard injects the snapshot task (and, at AbortAtStep, the abort
-// task) into the DAG after the panel steps opt selects. f is the op's side
-// state; the snapshot carries OpLU's pivots.
+// task) into the DAG after the panel steps opt selects. f is the factor
+// being walked; the snapshot carries OpLU's pivots.
 type ckptGuard struct {
 	noHooks
-	op  string
-	a   *tile.Matrix[float64]
 	f   *Factors[float64]
 	opt CkptOptions
 }
 
 func (g ckptGuard) afterStep(s sched.Scheduler, k int) {
-	a, f, opt := g.a, g.f, g.opt
+	a, f, opt := g.f.A, g.f, g.opt
 	snapshot, abort := opt.After(k, min(a.MT, a.NT))
 	if !snapshot {
 		return
@@ -153,7 +151,7 @@ func (g ckptGuard) afterStep(s sched.Scheduler, k int) {
 			// The completed steps' pivots are referenced directly: each is
 			// written once, by the getrf task of its step, which
 			// happens-before this snapshot via its tile writes.
-			if err := SaveCheckpoint(opt.Dir, g.op, a, f.Piv, k); err != nil {
+			if err := SaveCheckpoint(opt.Dir, f.op, a, f.Piv, k); err != nil {
 				return sched.Permanent(err)
 			}
 			return nil

@@ -26,8 +26,9 @@
 //   - the ForkJoin drivers, which insert a barrier (Scheduler.Wait) after
 //     each phase of each iteration, modelling the block-synchronous
 //     LAPACK-style execution whose idle time the talk attacks;
-//   - the guarded drivers (Protect, Resume), which layer ABFT checksums,
-//     erasure parity and checkpoints onto the Cholesky and LU walks;
+//   - the guarded walks (Protect, Resume, and Run given Guards), which
+//     layer ABFT checksums, erasure parity and checkpoints onto the
+//     Cholesky and LU walks, with no drain before a solve;
 //   - the distributed runtime (internal/dist), which ships Cholesky and
 //     no-pivot LU Steps to remote workers that call Apply on their tile
 //     caches.

@@ -405,7 +405,9 @@ var phaseNs = [...]*metrics.Counter{bandUpdate: updateNs, bandSolve: solveNs, ba
 //   - afterTask: submitting its own tasks right after a step's task;
 //   - afterStep: submitting its own tasks once panel step k's tasks (and
 //     every guard's afterTask tasks) are submitted, before step k+1's — the
-//     point where a consistent-frontier task such as a checkpoint goes.
+//     point where a consistent-frontier task such as a checkpoint goes;
+//   - afterProgram: submitting its own tasks once every step's are, such
+//     as ABFT's verification of the whole factor.
 //
 // Guards are called in order, so a later guard's tasks follow an earlier
 // one's at each hook: the drivers list ABFT before erasure (a tile is
@@ -415,6 +417,7 @@ type guard interface {
 	decorate(st Step, t *sched.Task) (after func())
 	afterTask(s sched.Scheduler, st Step)
 	afterStep(s sched.Scheduler, k int)
+	afterProgram(s sched.Scheduler)
 }
 
 // noHooks gives a guard no-op defaults for the hooks it does not use.
@@ -423,6 +426,7 @@ type noHooks struct{}
 func (noHooks) decorate(Step, *sched.Task) func() { return nil }
 func (noHooks) afterTask(sched.Scheduler, Step)   {}
 func (noHooks) afterStep(sched.Scheduler, int)    {}
+func (noHooks) afterProgram(sched.Scheduler)      {}
 
 // submitProgram submits op's tile program over a to s — the one walk behind
 // every in-process factorization driver — after the fills a deferred a
@@ -491,6 +495,9 @@ func submitProgram[F blas.Float](s sched.Scheduler, op string, a *tile.Matrix[F]
 				g.afterStep(s, st.K)
 			}
 		}
+	}
+	for _, g := range guards {
+		g.afterProgram(s)
 	}
 	return packs
 }

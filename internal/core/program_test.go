@@ -199,32 +199,32 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		// The same walks on deferred operands: convert tasks first, and
 		// gather tasks last where core.Run copies a result out.
 		{"run-posv/50x20", func(s sched.Scheduler, nm *graphNamer) {
-			_, _, _ = core.Run(s, nil, core.OpCholesky, deferred(nm, "A", 50, 50), deferred(nm, "B", 50, 20), core.ThenSolve)
+			_, _, _ = core.Run(s, nil, core.OpCholesky, deferred(nm, "A", 50, 50), deferred(nm, "B", 50, 20), core.ThenSolve, nil)
 		}},
 		{"run-gesv/50x20", func(s sched.Scheduler, nm *graphNamer) {
-			_, _, _ = core.Run(s, nil, core.OpLU, deferred(nm, "A", 50, 50), deferred(nm, "B", 50, 20), core.ThenSolve)
+			_, _, _ = core.Run(s, nil, core.OpLU, deferred(nm, "A", 50, 50), deferred(nm, "B", 50, 20), core.ThenSolve, nil)
 		}},
 		{"run-potri/50", func(s sched.Scheduler, nm *graphNamer) {
 			a := deferred(nm, "A", 50, 50)
-			_, _, _ = core.Run(s, nil, core.OpCholesky, a, a, core.ThenInvert)
+			_, _, _ = core.Run(s, nil, core.OpCholesky, a, a, core.ThenInvert, nil)
 		}},
 		{"run-gels/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
-			_, _, _ = core.Run(s, nil, core.OpQR, deferred(nm, "A", 80, 48), deferred(nm, "B", 80, 20), core.ThenSolve)
+			_, _, _ = core.Run(s, nil, core.OpQR, deferred(nm, "A", 80, 48), deferred(nm, "B", 80, 20), core.ThenSolve, nil)
 		}},
 		{"run-gelstree/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
-			_, _, _ = core.Run(s, nil, core.OpQRTree, deferred(nm, "A", 80, 48), deferred(nm, "B", 80, 20), core.ThenSolve)
+			_, _, _ = core.Run(s, nil, core.OpQRTree, deferred(nm, "A", 80, 48), deferred(nm, "B", 80, 20), core.ThenSolve, nil)
 		}},
 		{"run-chol-solve/50+B50x20", func(s sched.Scheduler, nm *graphNamer) {
 			f, _ := core.Factor(sched.NewModelRecorder(), core.OpCholesky, mat(nm, "A", 50, 50), nil, false)
-			_, _, _ = core.Run(s, f, "", nil, deferred(nm, "B", 50, 20), core.ThenSolve)
+			_, _, _ = core.Run(s, f, "", nil, deferred(nm, "B", 50, 20), core.ThenSolve, nil)
 		}},
 		{"run-qt/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
 			f := core.QR(sched.NewModelRecorder(), mat(nm, "A", 80, 48))
-			_, _, _ = core.Run(s, f, "", nil, deferred(nm, "B", 80, 20), core.ThenQT)
+			_, _, _ = core.Run(s, f, "", nil, deferred(nm, "B", 80, 20), core.ThenQT, nil)
 		}},
 		{"run-invert/50", func(s sched.Scheduler, nm *graphNamer) {
 			f, _ := core.Factor(sched.NewModelRecorder(), core.OpCholesky, mat(nm, "A", 50, 50), nil, false)
-			_, _, _ = core.Run(s, f, "", nil, f.A, core.ThenInvert)
+			_, _, _ = core.Run(s, f, "", nil, f.A, core.ThenInvert, nil)
 		}},
 		{"qr-deferred/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, deferred(nm, "A", 80, 48)); s.Wait() }},
 		{"ckpt-cholesky-abort-deferred/50", func(s sched.Scheduler, nm *graphNamer) {

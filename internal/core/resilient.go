@@ -47,8 +47,10 @@ import (
 // pivoting.
 //
 // Every protected tile is verified once more by a whole-factor sweep after
-// the walk. A resumed run re-derives the checksums, diagonal witnesses and
-// parity of the tiles its snapshot already holds final from the snapshot.
+// the program, which writes them all, so a solve in the same walk reads
+// the verified factor. A resumed run re-derives the checksums, diagonal
+// witnesses and parity of the tiles its snapshot already holds final from
+// the snapshot.
 
 // FTOptions configures ABFT protection of a factorization (see Protect).
 type FTOptions struct {
@@ -104,11 +106,19 @@ func (o FTOptions) validateLosses(a *tile.Matrix[float64]) error {
 	return nil
 }
 
+// Guards are the protections a walk layers onto a float64 Cholesky or LU
+// factorization: checkpoints per Ckpt, and ABFT checksums (with erasure
+// parity if FT.Erasure) per FT. Either may be nil, and a nil Guards arms
+// none. They cover the factor's tiles, not the sweeps after it, which wait
+// on every verify, snapshot and abort task through their tile accesses.
+type Guards struct {
+	Ckpt *CkptOptions
+	FT   *FTOptions
+}
+
 // Protect factors a in place with op's tile program — OpCholesky (lower
 // triangle referenced), OpLUNoPiv or OpLU — under the protections given,
-// either of which may be nil: checkpoints per ck, and ABFT checksums (with
-// erasure parity if fo.Erasure) per fo. The two compose; with neither, the
-// walk is the plain dataflow factorization's. The QR ops are refused: no
+// either of which may be nil (see Guards). The QR ops are refused: no
 // guard covers their reflector factors yet.
 //
 // Detected corruption is corrected in place and re-verified through the
@@ -118,27 +128,28 @@ func (o FTOptions) validateLosses(a *tile.Matrix[float64]) error {
 // failure fails the factorization (a checkpoint that silently does not
 // exist is worse than a loud abort).
 func Protect(s sched.Scheduler, op string, a *tile.Matrix[float64], ck *CkptOptions, fo *FTOptions) (*Factors[float64], error) {
-	if op == OpQR || op == OpQRTree {
-		return nil, fmt.Errorf("core: no protection covers %s's reflector factors", op)
-	}
 	f := newFactors(op, a)
-	return f, protect(s, op, a, f, 0, ck, fo)
+	return f, f.walk(s, true, false, 0, &Guards{ck, fo}, nil, nil, nil)
 }
 
-// protect runs op's program from panel step from with the guards ck and fo
-// arm, then the ABFT sweep, and waits for it all. f is the op's side
-// state.
-func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *Factors[float64], from int, ck *CkptOptions, fo *FTOptions) error {
-	es := &errState{}
+// arm returns the guards g layers onto the walk of f's program from panel
+// step from, in hook order: ABFT, then erasure, then checkpoints. es is the
+// walk's error state. The checksums and the detection tolerance are taken
+// from the input before the walk, so a deferred A is filled first.
+func (f *Factors[F]) arm(g *Guards, from int, es *errState) ([]guard, error) {
+	if g == nil {
+		return nil, nil
+	}
+	if f.op == OpQR || f.op == OpQRTree {
+		return nil, fmt.Errorf("core: no protection covers %s's reflector factors", f.op)
+	}
+	f64 := any(f).(*Factors[float64])
 	var guards []guard
-	var st *resilientState
-	if fo != nil {
-		// The checksums and the detection tolerance are taken from the
-		// input before the walk, so a deferred a is filled first.
-		a.Fill()
-		var err error
-		if st, err = newResilientState(op, a, from, es, *fo); err != nil {
-			return err
+	if g.FT != nil {
+		f64.A.Fill()
+		st, err := newResilientState(f.op, f64.A, from, es, *g.FT)
+		if err != nil {
+			return nil, err
 		}
 		if st.maintained() {
 			guards = append(guards, sumsGuard{resilientState: st})
@@ -149,42 +160,10 @@ func protect(s sched.Scheduler, op string, a *tile.Matrix[float64], f *Factors[f
 			guards = append(guards, erasureGuard{resilientState: st})
 		}
 	}
-	if ck != nil {
-		guards = append(guards, ckptGuard{op: op, a: a, f: f, opt: *ck})
+	if g.Ckpt != nil {
+		guards = append(guards, ckptGuard{f: f64, opt: *g.Ckpt})
 	}
-	packs := submitProgram(s, op, a, f, es, false, from, guards...)
-	if st != nil {
-		st.submitSweep(s)
-	}
-	err := finishErr(es, s)
-	packs.release()
-	return err
-}
-
-// finishErr is the common driver epilogue: drain the scheduler, then
-// return the algorithm's own error state merged with the runtime's
-// aggregated task failures. A sole error is returned unwrapped, preserving
-// the historical concrete error types (e.g. *lapack.NotPositiveDefiniteError)
-// that callers type-assert on.
-func finishErr(es *errState, s sched.Scheduler) error {
-	drain(es, s)
-	return es.get()
-}
-
-// drain waits for s and joins its aggregated task failures into es, when
-// the scheduler has the error-returning wait, as sched.Runtime and
-// sched.Recorder do; a plain Scheduler just waits. A fork–join walk drains
-// at every barrier, so a task failure there is the walk's error, not a
-// panic.
-func drain(es *errState, s sched.Scheduler) {
-	ew, ok := s.(sched.ErrorWaiter)
-	if !ok {
-		s.Wait()
-		return
-	}
-	if err := ew.WaitErr(); err != nil {
-		es.join(err)
-	}
+	return guards, nil
 }
 
 // resilientState owns the checksum and parity storage of one protected
@@ -368,6 +347,8 @@ func (g sumsGuard) decorate(st Step, t *sched.Task) func() {
 	return nil
 }
 
+func (g sumsGuard) afterProgram(s sched.Scheduler) { g.submitSweep(s) }
+
 func (g sumsGuard) afterTask(s sched.Scheduler, st Step) {
 	switch st.Kind {
 	case "potrf":
@@ -389,6 +370,8 @@ type recordsGuard struct {
 	noHooks
 	*resilientState
 }
+
+func (g recordsGuard) afterProgram(s sched.Scheduler) { g.submitSweep(s) }
 
 func (g recordsGuard) afterStep(s sched.Scheduler, k int) {
 	a := g.a

@@ -286,26 +286,47 @@ func Factor[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], fo
 	if b != nil {
 		sweeps = f.solve()
 	}
-	return f, f.walk(s, true, forkJoin, b, sweeps, nil)
+	return f, f.walk(s, true, forkJoin, 0, nil, b, sweeps, nil)
 }
 
 // walk is the one walk behind every driver: with factor set, f's op's
-// tile program over f.A, then the sweeps on b, then, with out not nil, the
-// gather of b into out, all in one dataflow graph; it waits and returns the
-// first error, as Factor does.
-func (f *Factors[F]) walk(s sched.Scheduler, factor, forkJoin bool, b *tile.Matrix[F], sweeps []sweep, out []F) error {
+// tile program over f.A from panel step from under the guards g arms, then
+// the sweeps on b, then, with out not nil, the gather of b into out, all
+// in one dataflow graph with one final wait. It returns the first error,
+// as Factor does, a sole one unwrapped to keep its concrete type.
+func (f *Factors[F]) walk(s sched.Scheduler, factor, forkJoin bool, from int, g *Guards, b *tile.Matrix[F], sweeps []sweep, out []F) error {
 	es := &errState{}
 	packs := &packTable[F]{}
 	if factor {
-		packs = submitProgram(s, f.op, f.A, f, es, forkJoin, 0)
+		guards, err := f.arm(g, from, es)
+		if err != nil {
+			return err
+		}
+		packs = submitProgram(s, f.op, f.A, f, es, forkJoin, from, guards...)
 	}
 	submitSolve(s, f, b, es, sweeps...)
 	if out != nil {
 		submitGather(s, b, out)
 	}
-	err := finishErr(es, s)
+	drain(es, s)
 	packs.release()
-	return err
+	return es.get()
+}
+
+// drain waits for s and joins its aggregated task failures into es, when
+// the scheduler has the error-returning wait, as sched.Runtime and
+// sched.Recorder do; a plain Scheduler just waits. A fork–join walk drains
+// at every barrier, so a task failure there is the walk's error, not a
+// panic.
+func drain(es *errState, s sched.Scheduler) {
+	ew, ok := s.(sched.ErrorWaiter)
+	if !ok {
+		s.Wait()
+		return
+	}
+	if err := ew.WaitErr(); err != nil {
+		es.join(err)
+	}
 }
 
 // Then names what a Run does with its factor on B.
@@ -318,13 +339,13 @@ const (
 )
 
 // Run is the one walk behind the column-major entry points: it factors a
-// with op — unless f is a factor already, when op and a are unused — then
-// does then on b and gathers b into a fresh column-major array with
-// leading dimension b.M, all in one dataflow graph. a and b may be
-// tile.Deferred, the walk's first tasks filling them, so their sources are
-// free again once Run returns. It waits and returns the factor, the array
-// and the first error, as Factor does.
-func Run[F blas.Float](s sched.Scheduler, f *Factors[F], op string, a, b *tile.Matrix[F], then Then) (*Factors[F], []F, error) {
+// with op under the guards g — unless f is a factor already, when op, a
+// and g are unused — then does then on b and gathers b into a fresh
+// column-major array with leading dimension b.M, all in one dataflow
+// graph. a and b may be tile.Deferred, the walk's first tasks filling
+// them, so their sources are free again once Run returns. It waits and
+// returns the factor, the array and the first error, as Factor does.
+func Run[F blas.Float](s sched.Scheduler, f *Factors[F], op string, a, b *tile.Matrix[F], then Then, g *Guards) (*Factors[F], []F, error) {
 	factor := f == nil
 	if factor {
 		f = newFactors(op, a)
@@ -337,7 +358,7 @@ func Run[F blas.Float](s sched.Scheduler, f *Factors[F], op string, a, b *tile.M
 		sweeps = []sweep{sweepQT}
 	}
 	out := make([]F, b.M*b.N)
-	return f, out, f.walk(s, factor, false, b, sweeps, out)
+	return f, out, f.walk(s, factor, false, 0, g, b, sweeps, out)
 }
 
 // Potri computes the inverse of an SPD tiled matrix in place from scratch:
@@ -345,14 +366,14 @@ func Run[F blas.Float](s sched.Scheduler, f *Factors[F], op string, a, b *tile.M
 // dataflow graph. On return the lower tiles hold the lower triangle of
 // A⁻¹.
 func Potri[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
-	return newFactors(OpCholesky, a).walk(s, true, false, a, inverse, nil)
+	return newFactors(OpCholesky, a).walk(s, true, false, 0, nil, a, inverse, nil)
 }
 
 // Solve solves A·X = B in place on b (A's row tiling) with the factor f —
 // least squares for a QR factor — and waits, returning the scheduler's task
 // failures. f is only read, so solves may share it.
 func Solve[F blas.Float](s sched.Scheduler, f *Factors[F], b *tile.Matrix[F]) error {
-	return f.walk(s, false, false, b, f.solve(), nil)
+	return f.walk(s, false, false, 0, nil, b, f.solve(), nil)
 }
 
 // solve returns the sweeps of f's solve, panicking where f's op or shape

@@ -1,13 +1,18 @@
-// Package dist analyses the communication a tile algorithm would incur on
-// a distributed-memory machine: tiles are assigned to processes of a P×Q
-// grid (2D block-cyclic, ScaLAPACK style), each recorded task runs where
-// its output tile lives ("owner computes"), and every remote operand counts
-// as one message of one tile's worth of words.
+// Package dist is the distributed runtime: a Coordinator (coordinator.go)
+// owns a tile program's DAG, the tile store and the lease table, and
+// workers (RunWorker) pull leases over net/rpc, fetch operands, run the
+// Steps' kernels with core.Apply and commit the results back. Dead or
+// hung workers are reaped and their tiles rebuilt from parity, and the
+// job checkpoints and resumes bitwise; coordinator.go lists the failure
+// rules.
 //
-// This is the quantitative backing for the keynote's central rule — data
-// movement, not flops, is the cost at scale: two DAGs with identical flop
-// counts (flat vs tree QR, dataflow vs fork-join Cholesky) can be compared
-// directly by words moved and messages sent.
+// This file is the runtime's communication model: tiles are placed on a
+// P×Q process grid (BlockCyclic, 2D block-cyclic as in ScaLAPACK), each
+// task of a recorded graph runs where its output tile lives ("owner
+// computes"), and Count replays the graph, counting every remote operand
+// as one message of one tile's worth of words. It is the quantitative
+// backing for the keynote's central rule — data movement, not flops, is
+// the cost at scale — and what the runtime's measured bytes are held to.
 package dist
 
 import (

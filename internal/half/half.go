@@ -114,15 +114,6 @@ func (h Half) IsInf() bool { return h&0x7fff == 0x7c00 }
 // way to emulate an fp16 store in a higher-precision computation.
 func Round64(f float64) float64 { return FromFloat64(f).Float64() }
 
-// RoundSlice64 rounds every element of a float64 slice through half
-// precision in place, returning the slice.
-func RoundSlice64(s []float64) []float64 {
-	for i, v := range s {
-		s[i] = Round64(v)
-	}
-	return s
-}
-
 // RoundSlice32 rounds every element of a float32 slice through half
 // precision in place, returning the slice.
 func RoundSlice32(s []float32) []float32 {

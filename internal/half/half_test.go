@@ -137,7 +137,9 @@ func TestEpsilonProperty(t *testing.T) {
 
 func TestRoundSlices(t *testing.T) {
 	s := []float64{1, 1 + 1e-8, 100000, 1e-30}
-	RoundSlice64(s)
+	for i, v := range s {
+		s[i] = Round64(v)
+	}
 	if s[0] != 1 || s[1] != 1 {
 		t.Error("small perturbation should vanish at half precision")
 	}

@@ -252,13 +252,6 @@ func Org2r[T blas.Float](m, n, k int, a []T, lda int, tau []T) {
 	}
 }
 
-// Orgqr generates the explicit m×n orthogonal factor Q (n ≥ k columns)
-// from Geqrf output. It currently delegates to the unblocked Org2r; Q is
-// only materialised in tests and small drivers.
-func Orgqr[T blas.Float](m, n, k int, a []T, lda int, tau []T) {
-	Org2r(m, n, k, a, lda, tau)
-}
-
 // Ormqr applies Q or Qᵀ (from Geqrf's reflectors in A, k of them) to the
 // m×n matrix C from the left: C ← op(Q)·C.
 func Ormqr[T blas.Float](trans blas.Transpose, m, n, k int, a []T, lda int, tau []T, c []T, ldc int) {

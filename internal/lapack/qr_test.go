@@ -26,7 +26,7 @@ func qrCheck(t *testing.T, rng *rand.Rand, m, n int) {
 	// Materialize Q (m×k).
 	q := make([]float64, m*k)
 	lapack.Lacpy(lapack.General, m, k, f, m, q, m)
-	lapack.Orgqr(m, k, k, q, m, tau)
+	lapack.Org2r(m, k, k, q, m, tau)
 
 	// QᵀQ == I.
 	qtq := make([]float64, k*k)
@@ -90,7 +90,7 @@ func TestOrmqrMatchesExplicitQ(t *testing.T) {
 
 	q := make([]float64, m*m)
 	lapack.Lacpy(lapack.General, m, min(m, n), a, m, q, m)
-	lapack.Orgqr(m, m, n, q, m, tau)
+	lapack.Org2r(m, m, n, q, m, tau)
 
 	c := matgen.Dense[float64](rng, m, nrhs)
 	for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
@@ -204,7 +204,7 @@ func TestGeqrfFloat32(t *testing.T) {
 	lapack.Geqrf(m, n, a, m, tau)
 	q := make([]float32, m*n)
 	lapack.Lacpy(lapack.General, m, n, a, m, q, m)
-	lapack.Orgqr(m, n, n, q, m, tau)
+	lapack.Org2r(m, n, n, q, m, tau)
 	r := make([]float32, n*n)
 	for j := 0; j < n; j++ {
 		for i := 0; i <= j; i++ {

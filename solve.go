@@ -21,17 +21,18 @@ type factored struct {
 // apply does then (core.ThenSolve or core.ThenQT) with the factor on B
 // and returns the result. B is untouched.
 func (f factored) apply(b *Matrix, then core.Then) (*Matrix, error) {
-	x, _, err := f.ctx.run(f.f, "", nil, b, f.f.A.NB, then)
+	x, _, err := f.ctx.run(f.f, "", nil, b, f.f.A.NB, then, nil)
 	return x, err
 }
 
 // run is the one entry path of the tile solvers, a core.Run walk: it
-// factors A with op — unless f is the factor to reuse — then does then on
-// B, or on the factor's own tiles when b is nil, and returns the result
-// and the factor. Its operands are tiled at nb as its tasks need them, one
-// convert task per tile, and the result copied out by one gather task per
-// tile, so A and B are untouched, and free again once it returns.
-func (c *Context) run(f *core.Factors[float64], op string, a, b *Matrix, nb int, then core.Then) (*Matrix, *core.Factors[float64], error) {
+// factors A with op under the guards g — unless f is the factor to reuse
+// — then does then on B, or on the factor's own tiles when b is nil, and
+// returns the result and the factor. Its operands are tiled at nb as its
+// tasks need them, one convert task per tile, and the result copied out by
+// one gather task per tile, so A and B are untouched, and free again once
+// it returns.
+func (c *Context) run(f *core.Factors[float64], op string, a, b *Matrix, nb int, then core.Then, g *core.Guards) (*Matrix, *core.Factors[float64], error) {
 	var ta *tile.Matrix[float64]
 	if f != nil {
 		ta = f.A
@@ -45,23 +46,11 @@ func (c *Context) run(f *core.Factors[float64], op string, a, b *Matrix, nb int,
 		}
 		tb = tile.Deferred(b.rows, b.cols, b.data, b.rows, nb)
 	}
-	f, x, err := core.Run(c.scheduler(), f, op, ta, tb, then)
+	f, x, err := core.Run(c.scheduler(), f, op, ta, tb, then, g)
 	if err != nil {
 		return nil, nil, err
 	}
 	return FromSlice(tb.M, tb.N, x), f, nil
-}
-
-// protected factors the square matrix A with op under the protections the
-// Context armed (see factor) and returns the factor for run to reuse, or
-// nil when none is armed: run then factors A in its one graph. name is the
-// entry point, for the error on a non-square A.
-func (c *Context) protected(name, op string, a *Matrix) (*core.Factors[float64], error) {
-	if c.ckptDir == "" && !c.faultTolerant && a.rows == a.cols {
-		return nil, nil
-	}
-	f, err := c.factor(name, op, a)
-	return f.f, err
 }
 
 // factor runs op's tile program (core.OpCholesky or core.OpLU) over A,
@@ -109,22 +98,21 @@ func (f *CholeskyFactor) L() *Matrix {
 // SolveSPD factors A (SPD) and solves A·X = B in one dataflow graph, the
 // recommended one-shot driver.
 func (c *Context) SolveSPD(a, b *Matrix) (*Matrix, error) {
-	return c.solve("SolveSPD", core.OpCholesky, a, b)
+	return c.solve("SolveSPD", core.OpCholesky, a, b, core.ThenSolve)
 }
 
-// solve factors the square matrix A with op and solves A·X = B in one
-// dataflow graph. With a protection armed (see WithCheckpoint and
-// WithFaultTolerance) the factorization runs first under it, then the
-// solve: the barrier between the two phases is the price of protection.
-func (c *Context) solve(name, op string, a, b *Matrix) (*Matrix, error) {
-	if b.rows != a.rows {
+// solve factors the square matrix A with op under the protections the
+// Context armed (see factor) and does then on B, or on the factor's own
+// tiles when b is nil, all in one dataflow graph.
+func (c *Context) solve(name, op string, a, b *Matrix, then core.Then) (*Matrix, error) {
+	if b != nil && b.rows != a.rows {
 		return nil, fmt.Errorf("exadla: RHS has %d rows, matrix has %d", b.rows, a.rows)
 	}
-	f, err := c.protected(name, op, a)
-	if err != nil {
-		return nil, err
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("exadla: %s needs square matrix, got %d×%d", name, a.rows, a.cols)
 	}
-	x, _, err := c.run(f, op, a, b, c.tileSizeFor(op, a.rows), core.ThenSolve)
+	g := &core.Guards{Ckpt: c.ckptOptions(), FT: c.ftOptions()}
+	x, _, err := c.run(nil, op, a, b, c.tileSizeFor(op, a.rows), then, g)
 	return x, err
 }
 
@@ -148,7 +136,7 @@ func (f *LUFactor) Solve(b *Matrix) (*Matrix, error) { return f.apply(b, core.Th
 // Solve factors A (general square) and solves A·X = B in one dataflow
 // graph.
 func (c *Context) Solve(a, b *Matrix) (*Matrix, error) {
-	return c.solve("Solve", core.OpLU, a, b)
+	return c.solve("Solve", core.OpLU, a, b, core.ThenSolve)
 }
 
 // QRFactor is a reusable tile QR factorization.
@@ -198,7 +186,7 @@ func (c *Context) leastSquares(a, b *Matrix, nb int, op string) (*Matrix, error)
 	if a.rows < a.cols {
 		return nil, fmt.Errorf("exadla: least squares needs m ≥ n, got %d×%d", a.rows, a.cols)
 	}
-	full, f, err := c.run(nil, op, a, b, nb, core.ThenSolve)
+	full, f, err := c.run(nil, op, a, b, nb, core.ThenSolve, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -316,16 +304,11 @@ func (c *Context) Invert(a *Matrix) (*Matrix, error) {
 
 // InvertSPD computes the inverse of a symmetric positive definite matrix
 // (lower triangle referenced; A untouched) with the tile dataflow pipeline:
-// Cholesky → triangular inverse → Wᵀ·W, all one task graph. With a
-// protection armed (see WithCheckpoint and WithFaultTolerance) the
-// factorization runs first under it, then the inverse, like SolveSPD. The
-// full symmetric inverse is returned.
+// Cholesky → triangular inverse → Wᵀ·W, all one task graph, under the
+// protections the Context armed, as SolveSPD. The full symmetric inverse is
+// returned.
 func (c *Context) InvertSPD(a *Matrix) (*Matrix, error) {
-	f, err := c.protected("InvertSPD", core.OpCholesky, a)
-	if err != nil {
-		return nil, err
-	}
-	inv, _, err := c.run(f, core.OpCholesky, a, nil, c.tileSizeFor(core.OpCholesky, a.rows), core.ThenInvert)
+	inv, err := c.solve("InvertSPD", core.OpCholesky, a, nil, core.ThenInvert)
 	if err != nil {
 		return nil, err
 	}
