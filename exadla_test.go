@@ -312,6 +312,80 @@ func TestSolveMixedHonoursContext(t *testing.T) {
 	}
 }
 
+// TestSolveMixedSPDReadsLowerTriangle pins SolveMixedSPD's contract that
+// only A's lower triangle is referenced: with NaN in the strict upper
+// triangle, x and the report are bitwise those of the clean symmetric A,
+// both when the float32 refinement converges and when it falls back to
+// float64 (κ = 1e12).
+func TestSolveMixedSPDReadsLowerTriangle(t *testing.T) {
+	const n = 200
+	ctx := newCtx(t, exadla.WithWorkers(2), exadla.WithTileSize(48))
+	rng := rand.New(rand.NewSource(22))
+	b := exadla.RandomGeneral(rng, n, 1)
+	for _, tc := range []struct {
+		cond     float64
+		fellBack bool
+	}{{50, false}, {1e12, true}} {
+		a := exadla.RandomSPDWithCond(rng, n, tc.cond)
+		dirty := a.Clone()
+		for j := range n {
+			for i := range j {
+				dirty.Set(i, j, math.NaN())
+			}
+		}
+		x, res, err := ctx.SolveMixedSPD(a, b)
+		if err != nil {
+			t.Fatalf("cond %g: %v", tc.cond, err)
+		}
+		if res.FellBack != tc.fellBack || res.Converged == tc.fellBack {
+			t.Fatalf("cond %g: report %+v, want fell back %v", tc.cond, res, tc.fellBack)
+		}
+		xd, resd, err := ctx.SolveMixedSPD(dirty, b)
+		if err != nil {
+			t.Fatalf("cond %g, NaN upper triangle: %v", tc.cond, err)
+		}
+		if res != resd {
+			t.Errorf("cond %g: report %+v, with NaN upper triangle %+v", tc.cond, res, resd)
+		}
+		for i := range n {
+			if math.Float64bits(x.At(i, 0)) != math.Float64bits(xd.At(i, 0)) {
+				t.Fatalf("cond %g: x[%d] = %v, with NaN upper triangle %v", tc.cond, i, x.At(i, 0), xd.At(i, 0))
+			}
+		}
+	}
+}
+
+// TestSolveMixedSPDUnderChaos: injected task failures that the retry
+// policy absorbs — in the convert, factorization, residual and correction
+// tasks alike — leave x and the report bitwise those of a clean run.
+func TestSolveMixedSPDUnderChaos(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(23))
+	a := exadla.RandomSPDWithCond(rng, n, 1e4)
+	b := exadla.RandomGeneral(rng, n, 1)
+	clean := newCtx(t, exadla.WithWorkers(2), exadla.WithTileSize(48))
+	x, res, err := clean.SolveMixedSPD(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos := newCtx(t, exadla.WithWorkers(2), exadla.WithTileSize(48), exadla.WithChaos(24, 0.05), exadla.WithTaskRetry(50, 0))
+	xc, resc, err := chaos.SolveMixedSPD(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := chaos.FaultStats(); st.Retried == 0 {
+		t.Errorf("no task was retried: %+v", st)
+	}
+	if res != resc {
+		t.Errorf("report %+v, under chaos %+v", res, resc)
+	}
+	for i := range n {
+		if math.Float64bits(x.At(i, 0)) != math.Float64bits(xc.At(i, 0)) {
+			t.Fatalf("x[%d] = %v, under chaos %v", i, x.At(i, 0), xc.At(i, 0))
+		}
+	}
+}
+
 func TestTSQRLeastSquares(t *testing.T) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(9))

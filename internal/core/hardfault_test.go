@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"errors"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -235,6 +238,30 @@ func TestResilientLUSilentLossCaughtBySweep(t *testing.T) {
 	}
 	if stats.Detected.Load() == 0 {
 		t.Error("silent loss was not detected")
+	}
+}
+
+// TestSilentLossBeforeCheckpointRefused: a silent loss is rebuilt only by
+// the final verification sweep, so a checkpoint taken between the loss and
+// the sweep would persist the zeroed tile, and a resume would certify it.
+// The walk refuses such a schedule before it writes anything.
+func TestSilentLossBeforeCheckpointRefused(t *testing.T) {
+	const n, nb, seed = 192, 48, 55
+	aD, _ := cleanLU(t, n, nb, seed)
+	a := tile.FromColMajor(n, n, aD, n, nb)
+	dir := t.TempDir()
+	r := sched.New(2, sched.WithRetry(3, 0))
+	defer r.Shutdown()
+	_, err := core.Protect(r, core.OpLU, a, &core.CkptOptions{Dir: dir, Every: 1, AbortAtStep: 2}, &core.FTOptions{
+		Erasure:   true,
+		Stats:     &ft.Stats{},
+		LoseTiles: []core.TileLoss{{Step: 2, I: 3, J: 0, Silent: true}},
+	})
+	if err == nil || errors.Is(err, core.ErrAborted) || !strings.Contains(err.Error(), "tile (3,0) at step 2") {
+		t.Fatalf("err = %v, want a refusal naming the silent loss of tile (3,0) at step 2", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("refused run wrote %d checkpoint files", len(ents))
 	}
 }
 

@@ -85,6 +85,8 @@ type FTOptions struct {
 // scheduled: the loss must be caught by checksum verification (the final
 // sweep detects the multi-column fault pattern and reconstructs), which is
 // only sound for tiles with no remaining readers before that verification.
+// A checkpoint snapshot is such a reader, so a walk refuses a silent loss
+// that one of its checkpoints would snapshot.
 type TileLoss struct {
 	Step, I, J int
 	Silent     bool
@@ -144,6 +146,19 @@ func (f *Factors[F]) arm(g *Guards, from int, es *errState) ([]guard, error) {
 		return nil, fmt.Errorf("core: no protection covers %s's reflector factors", f.op)
 	}
 	f64 := any(f).(*Factors[float64])
+	if g.FT != nil && g.Ckpt != nil {
+		// A silent loss is caught only by the final sweep, so no snapshot
+		// may read the lost tile first; one at a step the run does not walk
+		// never fires.
+		kt := min(f64.A.MT, f64.A.NT)
+		for _, l := range g.FT.LoseTiles {
+			for k := l.Step; l.Silent && l.Step >= from && k < kt; k++ {
+				if snapshot, _ := g.Ckpt.After(k, kt); snapshot {
+					return nil, fmt.Errorf("core: silent loss of tile (%d,%d) at step %d would be checkpointed after step %d, before the verification sweep can rebuild it", l.I, l.J, l.Step, k)
+				}
+			}
+		}
+	}
 	var guards []guard
 	if g.FT != nil {
 		f64.A.Fill()

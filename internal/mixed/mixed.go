@@ -5,7 +5,9 @@
 // sweeps, falling back to a full double-precision solve when the matrix is
 // too ill-conditioned for the low-precision factors to act as a contraction.
 // The factorization and every solve are core's tile walk at float32 or
-// float64; this package owns only the rounding and the refinement loop.
+// float64; this package owns the rounding, which runs inside the walk's
+// convert tasks and takes ‖A‖∞ on the way, the residual tasks and the
+// refinement loop.
 package mixed
 
 import (
@@ -49,8 +51,15 @@ var ErrSingular = errors.New("mixed: matrix is singular")
 // factorization fails or the refinement does not converge, the float64
 // walk solves the system instead; its error is ErrSingular for a singular
 // LU and *lapack.NotPositiveDefiniteError for Cholesky. A correction solve
-// that fails (a task failure the scheduler did not retry away) reads as a
-// diverged one.
+// or residual that fails (a task failure the scheduler did not retry away)
+// reads as a diverged one.
+//
+// Every O(n²) pass over A runs as tasks on s. The walk's convert tasks
+// round A straight into the float32 tiles and record the tiles' absolute
+// row sums, from which ‖A‖∞ is reduced (see operand); each residual
+// b − A·x is one task per block of nb columns (see blockResidual). Both sum
+// their partials in a fixed order, so x is bitwise the same on any number
+// of workers.
 //
 // With fp16 set it is the three-precision scheme modeled on the
 // fp16/tensor-core refinement work that followed the keynote: A, scaled by
@@ -61,13 +70,7 @@ var ErrSingular = errors.New("mixed: matrix is singular")
 // more sweeps than the float32 scheme.
 func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, lda int, b, x []float64) (Result, error) {
 	lower := op == core.OpCholesky
-	residual := gemvResidual(n, a, lda, b)
-	if lower {
-		residual = func(x, r []float64) {
-			copy(r, b[:n])
-			blas.Symv(blas.Lower, n, -1, a, lda, x, 1, 1, r, 1)
-		}
-	}
+	residual := blockResidual(s, nb, lower, n, a, lda, b)
 	fallback := func() (Result, error) {
 		_, x64, err := core.Run(s, nil, op, tile.Deferred(n, n, a, lda, nb), tile.Deferred(n, 1, b, n, nb), core.ThenSolve, nil)
 		if errors.As(err, new(*lapack.SingularError)) {
@@ -82,32 +85,15 @@ func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, 
 		return Result{FellBack: true, ResidualNorm: infNorm(r)}, nil
 	}
 
-	// Round A (its lower triangle for Cholesky) into float32 — scaled and
-	// through fp16 on the half rung — and factor it.
-	scale := 1.0
+	// Factor A rounded to float32 — scaled and through fp16 on the half
+	// rung — by the convert tasks of the factorization's own walk.
+	in := &operand{n: n, nb: nb, a: a, lda: lda, lower: lower, fp16: fp16, scale: 1}
 	if fp16 {
-		if amax := lapack.Lange(lapack.MaxAbs, n, n, a, lda); amax > 0 {
-			scale = 1 / amax
+		if amax := maxAbs(n, a, lda, lower); amax > 0 {
+			in.scale = 1 / amax
 		}
 	}
-	a32 := make([]float32, n*n)
-	for j := range n {
-		lo := 0
-		if lower {
-			lo = j
-		}
-		col, col32 := a[lo+j*lda:n+j*lda], a32[lo+j*n:(j+1)*n]
-		if fp16 {
-			for i, v := range col {
-				col32[i] = half.FromFloat64(v * scale).Float32()
-			}
-		} else {
-			for i, v := range col {
-				col32[i] = float32(v)
-			}
-		}
-	}
-	f, err := core.Factor(s, op, tile.Deferred(n, n, a32, n, nb), nil, false)
+	f, err := core.Factor(s, op, in.matrix(), nil, false)
 	if err != nil {
 		return fallback()
 	}
@@ -120,7 +106,7 @@ func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, 
 	r32 := make([]float32, n)
 	solve32 := func(r, d []float64) {
 		for i, v := range r {
-			r32[i] = float32(v * scale) // fold in the matrix scaling
+			r32[i] = float32(v * in.scale) // fold in the matrix scaling
 		}
 		_, d32, err := core.Run(s, f, "", nil, tile.Deferred(n, 1, r32, n, nb), core.ThenSolve, nil)
 		if err != nil {
@@ -133,11 +119,124 @@ func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, 
 			d[i] = float64(v)
 		}
 	}
-	anorm := lapack.Lange(lapack.InfNorm, n, n, a, lda)
-	if lower {
-		anorm = lapack.Lansy(lapack.InfNorm, blas.Lower, n, a, lda)
+	return refine(n, b, x, in.norm(), residual, solve32, fallback)
+}
+
+// operand is the float32 operand of Solve's factorization: A rounded tile
+// by tile inside the walk's convert tasks, which also record the partial
+// sums ‖A‖∞ is reduced from, so neither the rounding nor the norm is a
+// serial pass. For Cholesky only A's lower triangle is read: strictly
+// upper tiles stay zero, and an off-diagonal tile's column sums stand in
+// for the rows of its mirror image.
+type operand struct {
+	n, nb int
+	a     []float64
+	lda   int
+	lower bool
+	// fp16 rounds each scale·aᵢⱼ through binary16; otherwise aᵢⱼ is rounded
+	// to float32 and scale is 1.
+	fp16  bool
+	scale float64
+	// rows[t] and cols[t] hold the absolute row and column sums of tile
+	// t = i+j·MT as its fill recorded them: rows for every tile read, cols
+	// for Cholesky's off-diagonal ones.
+	rows, cols [][]float64
+}
+
+// matrix returns the deferred float32 matrix whose fills round A.
+func (o *operand) matrix() *tile.Matrix[float32] {
+	m := tile.DeferredFunc(o.n, o.n, o.nb, o.fill)
+	o.rows, o.cols = make([][]float64, m.MT*m.NT), make([][]float64, m.MT*m.NT)
+	return m
+}
+
+// fill rounds tile (i, j) of A into dst and records its sums.
+func (o *operand) fill(i, j int, dst []float32) {
+	if o.lower && i < j {
+		return
 	}
-	return refine(n, b, x, anorm, residual, solve32, fallback)
+	mt, nb := (o.n+o.nb-1)/o.nb, o.nb
+	tr, tc := min(nb, o.n-i*nb), min(nb, o.n-j*nb)
+	diag := o.lower && i == j
+	rows := make([]float64, tr)
+	var cols []float64
+	if o.lower && !diag {
+		cols = make([]float64, tc)
+	}
+	for c := range tc {
+		col := o.a[i*nb+(j*nb+c)*o.lda:][:tr]
+		first := 0
+		if diag {
+			first = c
+		}
+		out := dst[c*tr+first : (c+1)*tr]
+		if o.fp16 {
+			for r, v := range col[first:] {
+				out[r] = half.FromFloat64(v * o.scale).Float32()
+			}
+		} else {
+			for r, v := range col[first:] {
+				out[r] = float32(v)
+			}
+		}
+		// A diagonal tile's strictly lower entry (r, c) also stands for
+		// (c, r), in row c.
+		if diag {
+			rows[c] += math.Abs(col[c])
+			first++
+		}
+		var sum float64
+		for r, v := range col[first:] {
+			av := math.Abs(v)
+			rows[first+r] += av
+			sum += av
+		}
+		switch {
+		case diag:
+			rows[c] += sum
+		case cols != nil:
+			cols[c] = sum
+		}
+	}
+	o.rows[i+j*mt], o.cols[i+j*mt] = rows, cols
+}
+
+// norm returns ‖A‖∞ from the sums the fills recorded, adding each row's
+// partials in tile order: the same bits on any number of workers.
+func (o *operand) norm() float64 {
+	mt := (o.n + o.nb - 1) / o.nb
+	var anorm float64
+	for i := range mt {
+		sums := make([]float64, min(o.nb, o.n-i*o.nb))
+		for j := range mt {
+			part := o.rows[i+j*mt]
+			if j > i && o.lower {
+				part = o.cols[j+i*mt]
+			}
+			for r, v := range part {
+				sums[r] += v
+			}
+		}
+		for _, v := range sums {
+			anorm = max(anorm, v) // max propagates NaN
+		}
+	}
+	return anorm
+}
+
+// maxAbs returns max |aᵢⱼ| over A, its lower triangle only with lower set.
+func maxAbs(n int, a []float64, lda int, lower bool) float64 {
+	var m float64
+	for j := range n {
+		lo := 0
+		if lower {
+			lo = j
+		}
+		for _, v := range a[lo+j*lda : n+j*lda] {
+			m = max(m, math.Abs(v))
+		}
+	}
+	return m
 }
 
 // SolveCholesky solves the SPD system A·x = b as Solve does with
@@ -183,12 +282,70 @@ func refine(n int, b, x []float64, anorm float64, residual func(x, r []float64),
 	return fres, err
 }
 
-// gemvResidual returns the residual function r ← b − A·x of a general A.
-func gemvResidual(n int, a []float64, lda int, b []float64) func(x, r []float64) {
-	return func(x, r []float64) {
-		copy(r, b[:n])
-		blas.Gemv(blas.NoTrans, n, n, -1, a, lda, x, 1, 1, r, 1)
+// blockResidual returns the function r ← b − A·x of refine (A n×n with leading
+// dimension lda, its lower triangle holding a symmetric A with lower set)
+// that runs as one task per block of nb columns on s. Each task clears and
+// writes its own partial product, so a retried task leaves the same one,
+// and r is b minus the partials in block order: the same bits on any
+// number of workers. A task failure the scheduler did not retry away
+// leaves r NaN.
+func blockResidual(s sched.Scheduler, nb int, lower bool, n int, a []float64, lda int, b []float64) func(x, r []float64) {
+	parts := make([][]float64, (n+nb-1)/nb)
+	for k := range parts {
+		parts[k] = make([]float64, n)
 	}
+	return func(x, r []float64) {
+		for k, p := range parts {
+			c0, c1 := k*nb, min((k+1)*nb, n)
+			s.Submit(sched.Task{Name: "residual", Fn: func() {
+				if !lower {
+					blas.Gemv(blas.NoTrans, n, c1-c0, 1, a[c0*lda:], lda, x[c0:c1], 1, 0, p, 1)
+					return
+				}
+				clear(p)
+				symvColumns(n, c0, c1, a, lda, x, p)
+			}})
+		}
+		if wait(s) != nil {
+			for i := range r[:n] {
+				r[i] = math.NaN()
+			}
+			return
+		}
+		copy(r, b[:n])
+		for _, p := range parts {
+			for i, v := range p {
+				r[i] -= v
+			}
+		}
+	}
+}
+
+// symvColumns adds to p the share of A·x that columns c0…c1−1 of the
+// symmetric A, held in its lower triangle, contribute: Symv's column loop,
+// an axpy below the diagonal and a dot into the column's own row,
+// restricted to those columns.
+func symvColumns(n, c0, c1 int, a []float64, lda int, x, p []float64) {
+	for j := c0; j < c1; j++ {
+		col, xj := a[j*lda+j:j*lda+n], x[j]
+		cs, xs, ps := col[1:], x[j+1:n], p[j+1:n]
+		pj := p[j] + col[0]*xj
+		for i, v := range cs {
+			ps[i] += v * xj
+			pj += v * xs[i]
+		}
+		p[j] = pj
+	}
+}
+
+// wait waits for s, returning its aggregated task failures when it has the
+// error-returning wait, as sched.Runtime and sched.Recorder do.
+func wait(s sched.Scheduler) error {
+	if ew, ok := s.(sched.ErrorWaiter); ok {
+		return ew.WaitErr()
+	}
+	s.Wait()
+	return nil
 }
 
 // infNorm returns max |vᵢ|, or NaN if any entry is NaN.

@@ -3,6 +3,8 @@ package mixed
 import (
 	"math"
 	"testing"
+
+	"exadla/internal/sched"
 )
 
 // TestRefineNonFiniteFallsBack drives the refinement loop with a
@@ -36,7 +38,7 @@ func TestRefineNonFiniteFallsBack(t *testing.T) {
 			}
 			return Result{FellBack: true}, nil
 		}
-		res, err := refine(n, b, x, 2*n, gemvResidual(n, a, n, b), solve32, fallback)
+		res, err := refine(n, b, x, 2*n, blockResidual(sched.NewRecorder(), 2, false, n, a, n, b), solve32, fallback)
 		if err != nil {
 			t.Fatalf("solve32 → %v: %v", bad, err)
 		}

@@ -25,10 +25,9 @@ type Matrix[T blas.Float] struct {
 	tiles [][]T // nil while the matrix is deferred
 	id    *int  // unique identity for scheduler handles
 
-	// src, with leading dimension lda, is a deferred matrix's column-major
-	// source, until Fills hands it over.
-	src []T
-	lda int
+	// fill writes a deferred matrix's tile (i, j) into dst, until Fills
+	// hands it over (see DeferredFunc).
+	fill func(i, j int, dst []T)
 }
 
 // Handle identifies one tile of one matrix for dependence tracking.
@@ -49,40 +48,57 @@ func New[T blas.Float](m, n, nb int) *Matrix[T] {
 }
 
 // Deferred returns the m×n matrix held column-major, with leading dimension
-// lda, in src, tiled at nb: it has its shape and handles but no tiles until
-// they are filled, one by one through Fills, so src must not change until
-// then. A nil src fills zero tiles.
+// lda, in src, tiled at nb: a DeferredFunc matrix whose fill copies each
+// tile in from src, so src must not change until the tiles are filled. A
+// nil src fills zero tiles.
 func Deferred[T blas.Float](m, n int, src []T, lda, nb int) *Matrix[T] {
+	a := DeferredFunc[T](m, n, nb, nil)
+	if src != nil {
+		a.fill = func(i, j int, dst []T) {
+			tr := a.TileRows(i)
+			for jj := range a.TileCols(j) {
+				off := i*nb + (j*nb+jj)*lda
+				copy(dst[jj*tr:(jj+1)*tr], src[off:off+tr])
+			}
+		}
+	}
+	return a
+}
+
+// DeferredFunc returns an m×n matrix tiled at nb that has its shape and
+// handles but no tiles until they are filled, one by one through Fills:
+// fill(i, j, dst) writes tile (i, j) into dst, zeroed and column-major with
+// leading dimension TileRows(i). It may run concurrently for distinct
+// tiles, and again for a tile whose fill task is retried, so it must
+// assign rather than accumulate. A nil fill leaves the tiles zero.
+func DeferredFunc[T blas.Float](m, n, nb int, fill func(i, j int, dst []T)) *Matrix[T] {
 	if m < 0 || n < 0 || nb < 1 {
 		panic(fmt.Sprintf("tile: invalid dimensions %d×%d nb=%d", m, n, nb))
 	}
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb
-	return &Matrix[T]{M: m, N: n, NB: nb, MT: max(mt, 1), NT: max(nt, 1), id: new(int), src: src, lda: lda}
+	return &Matrix[T]{M: m, N: n, NB: nb, MT: max(mt, 1), NT: max(nt, 1), id: new(int), fill: fill}
 }
 
 // Fills returns, for a deferred matrix, one function per tile — tile
-// (i, j)'s at index i+j·MT — that allocates the tile and copies it in from
-// the source, and detaches the matrix from its source; it returns nil once
-// the tiles exist. Each function runs once, before anything reads its
-// tile; they may run concurrently.
+// (i, j)'s at index i+j·MT — that allocates the tile and runs the fill on
+// it, and detaches the matrix from its fill; it returns nil once the tiles
+// exist. Each function runs before anything reads its tile; they may run
+// concurrently.
 func (a *Matrix[T]) Fills() []func() {
 	if a.tiles != nil {
 		return nil
 	}
-	src, lda := a.src, a.lda
-	a.src, a.tiles = nil, make([][]T, a.MT*a.NT)
+	fill := a.fill
+	a.fill, a.tiles = nil, make([][]T, a.MT*a.NT)
 	fills := make([]func(), len(a.tiles))
 	for t := range fills {
 		i, j := t%a.MT, t/a.MT
 		fills[t] = func() {
 			start, tr, tc := convertStart(), a.TileRows(i), a.TileCols(j)
 			a.tiles[t] = make([]T, tr*tc)
-			for jj := 0; src != nil && jj < tc; jj++ {
-				off := i*a.NB + (j*a.NB+jj)*lda
-				copy(a.tiles[t][jj*tr:(jj+1)*tr], src[off:off+tr])
-			}
-			if src != nil {
+			if fill != nil {
+				fill(i, j, a.tiles[t])
 				convertDone(start, int64(tr*tc))
 			}
 		}
@@ -98,11 +114,11 @@ func (a *Matrix[T]) Fill() *Matrix[T] {
 	return a
 }
 
-// Assemble gives a sourceless deferred matrix its tiles in place of its
+// Assemble gives a deferred matrix without a fill its tiles in place of its
 // fills, tile (i, j) at tiles[i+j·MT] (see SetTile), and returns a.
 func (a *Matrix[T]) Assemble(tiles [][]T) *Matrix[T] {
-	if a.tiles != nil || a.src != nil || len(tiles) != a.MT*a.NT {
-		panic("tile: Assemble needs a sourceless deferred matrix and one slice per tile")
+	if a.tiles != nil || a.fill != nil || len(tiles) != a.MT*a.NT {
+		panic("tile: Assemble needs a deferred matrix without a fill and one slice per tile")
 	}
 	a.tiles = make([][]T, len(tiles))
 	for t, d := range tiles {

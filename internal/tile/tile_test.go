@@ -109,3 +109,41 @@ func TestSetTile(t *testing.T) {
 	}()
 	a.SetTile(0, 0, make([]float64, 3))
 }
+
+func TestDeferredFuncFillsEachTileOnce(t *testing.T) {
+	calls := make(map[[2]int]int)
+	a := DeferredFunc(7, 5, 3, func(i, j int, dst []float32) {
+		calls[[2]int{i, j}]++
+		for k := range dst {
+			if dst[k] != 0 {
+				t.Fatalf("tile (%d,%d) handed over unzeroed", i, j)
+			}
+			dst[k] = float32(10*i + j)
+		}
+	})
+	a.Fill()
+	if len(calls) != a.MT*a.NT {
+		t.Fatalf("%d tiles filled, want %d", len(calls), a.MT*a.NT)
+	}
+	for c, n := range calls {
+		if n != 1 {
+			t.Errorf("tile %v filled %d times", c, n)
+		}
+	}
+	for j := range 5 {
+		for i := range 7 {
+			if got, want := a.At(i, j), float32(10*(i/3)+j/3); got != want {
+				t.Fatalf("(%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	if a.Fills() != nil {
+		t.Error("a filled matrix still owes fills")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Assemble over a fill must panic")
+		}
+	}()
+	DeferredFunc(2, 2, 2, func(int, int, []float64) {}).Assemble([][]float64{make([]float64, 4)})
+}
