@@ -85,12 +85,7 @@ func benchCholesky(b *testing.B, n, nb int, forkJoin bool) {
 		a := tile.FromColMajor(n, n, aD, n, nb)
 		r := sched.New(4)
 		b.StartTimer()
-		var err error
-		if forkJoin {
-			err = core.CholeskyForkJoin(r, a)
-		} else {
-			err = core.Cholesky(r, a)
-		}
+		_, err := core.Factor(r, core.OpCholesky, a, nil, forkJoin)
 		b.StopTimer()
 		r.Shutdown()
 		if err != nil {

@@ -29,13 +29,7 @@ func runE1(quick bool) {
 		for _, variant := range []string{"dataflow", "fork-join"} {
 			a := tile.FromColMajor(n, n, aD, n, nb)
 			rec := sched.NewRecorder()
-			var err error
-			if variant == "dataflow" {
-				err = core.Cholesky(rec, a)
-			} else {
-				err = core.CholeskyForkJoin(rec, a)
-			}
-			if err != nil {
+			if _, err := core.Factor(rec, core.OpCholesky, a, nil, variant == "fork-join"); err != nil {
 				fmt.Printf("n=%d %s: %v\n", n, variant, err)
 				continue
 			}

@@ -30,13 +30,7 @@ func runE2(quick bool) {
 	for _, variant := range []string{"dataflow", "fork-join"} {
 		a := tile.FromColMajor(n, n, aD, n, nb)
 		rec := sched.NewRecorder()
-		var err error
-		if variant == "dataflow" {
-			err = core.Cholesky(rec, a)
-		} else {
-			err = core.CholeskyForkJoin(rec, a)
-		}
-		if err != nil {
+		if _, err := core.Factor(rec, core.OpCholesky, a, nil, variant == "fork-join"); err != nil {
 			fmt.Println(err)
 			return
 		}
@@ -55,7 +49,8 @@ func runE2(quick bool) {
 	// Gantt charts at P=4.
 	for _, variant := range []string{"fork-join", "dataflow"} {
 		fmt.Printf("\nGantt (%s, P=4, n=%d, nb=%d) — '.' is idle:\n", variant, n, nb)
-		log, _ := trace.Simulate(graphs[variant], 4)
+		_, events := sched.SimulateEvents(graphs[variant], 4)
+		log := trace.NewLog(events...)
 		if err := log.Gantt(os.Stdout, 100); err != nil {
 			fmt.Println(err)
 		}

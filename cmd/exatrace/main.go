@@ -93,8 +93,8 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%s %s: n=%d nb=%d — %d tasks, %.4fs total work, %.4fs critical path\n",
 			*op, variant, *n, *nb, g.Tasks(), g.TotalWork(), g.CriticalPath())
 
-		var res sched.SimResult
-		log, res = trace.Simulate(g, *workers)
+		res, events := sched.SimulateEvents(g, *workers)
+		log = trace.NewLog(events...)
 		fmt.Fprintf(stdout, "simulated on %d workers: makespan %.4fs, utilization %.1f%%, speedup %.2fx\n\n",
 			*workers, res.Makespan, 100*res.Utilization, g.TotalWork()/res.Makespan)
 		printDAG(stdout, log.AnalyzeDAG(), *workers)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"exadla/internal/sched"
 	"exadla/internal/trace"
 )
 
@@ -52,7 +51,7 @@ func TestRunClusterSummary(t *testing.T) {
 	const sec = int64(1e9)
 	l := trace.NewLog()
 	l.Add(trace.Event{ID: 0, Name: "potrf", Worker: 0, Attempt: 1, Proc: 1,
-		Start: 0, End: sec, Outcome: sched.OutcomeOK})
+		Start: 0, End: sec, Outcome: trace.OutcomeOK})
 	l.Add(trace.Event{ID: 0, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseCompute,
 		Start: 0, End: sec})
 	l.Add(trace.Event{ID: 0, Worker: 1, Attempt: 2, Proc: 2, Phase: trace.PhaseSpecTwin,

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"exadla"
-	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
 
 // TestHardChaosSolveSPDRecovers is the public hard-fault acceptance run:
@@ -43,11 +43,11 @@ func TestHardChaosSolveSPDRecovers(t *testing.T) {
 	var retried, timedOut, failed int64
 	for _, e := range ctx.TraceLog().Events() {
 		switch e.Outcome {
-		case sched.OutcomeRetried, sched.OutcomeCorrected:
+		case trace.OutcomeRetried, trace.OutcomeCorrected:
 			retried++
-		case sched.OutcomeTimedOut:
+		case trace.OutcomeTimedOut:
 			timedOut++
-		case sched.OutcomeFailed:
+		case trace.OutcomeFailed:
 			failed++
 		}
 	}

@@ -15,14 +15,6 @@ func Cholesky[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
 	return err
 }
 
-// CholeskyForkJoin is the block-synchronous baseline: identical tile
-// kernels, but with a barrier after the panel factorization, after the
-// panel solves, and after the trailing update of every step.
-func CholeskyForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) error {
-	_, err := Factor(s, OpCholesky, a, nil, true)
-	return err
-}
-
 // TrsmLower submits tile tasks solving op(L)·X = B in place, where L is the
 // lower-triangular tile factor in A's lower tiles and B is a tiled
 // right-hand side with A's row tiling: one sweep of the Cholesky solve.

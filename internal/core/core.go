@@ -23,9 +23,10 @@
 //   - the dataflow drivers, which submit all tasks up front and synchronize
 //     once, so the scheduler overlaps independent work across iteration
 //     boundaries;
-//   - the ForkJoin drivers, which insert a barrier (Scheduler.Wait) after
-//     each phase of each iteration, modelling the block-synchronous
-//     LAPACK-style execution whose idle time the talk attacks;
+//   - the fork–join walk (Factor with forkJoin set), which inserts a
+//     barrier (Scheduler.WaitErr) after each phase of each iteration,
+//     modelling the block-synchronous LAPACK-style execution whose idle
+//     time the talk attacks;
 //   - the guarded walks (Protect, Resume, and Run given Guards), which
 //     layer ABFT checksums, erasure parity and checkpoints onto the
 //     Cholesky and LU walks, with no drain before a solve;

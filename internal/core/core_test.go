@@ -70,13 +70,7 @@ func choleskyResidual(t *testing.T, n, nb int, forkJoin bool, mk func() (sched.S
 	a := tile.FromColMajor(n, n, aD, n, nb)
 	s, done := mk()
 	defer done()
-	var err error
-	if forkJoin {
-		err = core.CholeskyForkJoin(s, a)
-	} else {
-		err = core.Cholesky(s, a)
-	}
-	if err != nil {
+	if _, err := core.Factor(s, core.OpCholesky, a, nil, forkJoin); err != nil {
 		t.Fatalf("n=%d nb=%d: %v", n, nb, err)
 	}
 	// Reconstruct L·Lᵀ from the lower tiles.
@@ -128,9 +122,12 @@ func TestTileCholeskyForkJoin(t *testing.T) {
 func TestForkJoinReturnsTaskFailures(t *testing.T) {
 	const n, nb = 64, 16
 	walks := map[string]func(s sched.Scheduler, a *tile.Matrix[float64]) error{
-		"cholesky": func(s sched.Scheduler, a *tile.Matrix[float64]) error { return core.CholeskyForkJoin(s, a) },
+		"cholesky": func(s sched.Scheduler, a *tile.Matrix[float64]) error {
+			_, err := core.Factor(s, core.OpCholesky, a, nil, true)
+			return err
+		},
 		"lu": func(s sched.Scheduler, a *tile.Matrix[float64]) error {
-			_, err := core.LUForkJoin(s, a)
+			_, err := core.Factor(s, core.OpLU, a, nil, true)
 			return err
 		},
 	}
@@ -238,7 +235,7 @@ func TestTileLUForkJoinMatchesDataflow(t *testing.T) {
 	if _, err := core.LU(rec1, a1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LUForkJoin(rec2, a2); err != nil {
+	if _, err := core.Factor(rec2, core.OpLU, a2, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(a1.ToColMajor(), a2.ToColMajor()); d != 0 {
@@ -281,11 +278,9 @@ func qrResidualTile(t *testing.T, m, n, nb int, forkJoin bool, mk func() (sched.
 	a := tile.FromColMajor(m, n, aD, m, nb)
 	s, done := mk()
 	defer done()
-	var f *core.Factors[float64]
-	if forkJoin {
-		f = core.QRForkJoin(s, a)
-	} else {
-		f = core.QR(s, a)
+	f, err := core.Factor(s, core.OpQR, a, nil, forkJoin)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Verify via Qᵀ·A₀ == R: apply Qᵀ to the original and compare with R.
 	b := tile.FromColMajor(m, n, aD, m, nb)
@@ -352,11 +347,11 @@ func TestTileGels(t *testing.T) {
 
 // TestQRGelsBitwiseAcrossExecutors: every QR tile kernel is deterministic
 // and the task graph fixes the order of the operations on each tile, so the
-// factors of QR (dataflow and fork-join) and QRTree and the solution of Gels
-// and GelsTree are bit for bit the same on the recorder and on runtimes
-// with 1 and 4 workers — for a tall least-squares problem with ragged edge
-// tiles, for a wide factorization, and for TSQR (the tree on one tile
-// column).
+// factors of QR (dataflow and fork-join) and QRTree and the least-squares
+// solutions of both orders are bit for bit the same on the recorder and on
+// runtimes with 1 and 4 workers — for a tall least-squares problem with
+// ragged edge tiles, for a wide factorization, and for TSQR (the tree on
+// one tile column).
 func TestQRGelsBitwiseAcrossExecutors(t *testing.T) {
 	execs := schedulers(t)
 	execs["forkjoin4"] = execs["runtime4"]
@@ -375,14 +370,15 @@ func TestQRGelsBitwiseAcrossExecutors(t *testing.T) {
 				a := tile.FromColMajor(m, n, aD, m, nb)
 				b := tile.FromColMajor(m, max(nrhs, 1), bD, m, nb)
 				var f *core.Factors[float64]
+				var err error
 				switch {
 				case name == "forkjoin4":
-					f = core.QRForkJoin(s, a)
+					f, err = core.Factor(s, core.OpQR, a, nil, true)
 					if nrhs > 0 {
 						_ = core.Solve(s, f, b)
 					}
 				case tree && nrhs > 0:
-					f = core.GelsTree(s, a, b)
+					f, err = core.Factor(s, core.OpQRTree, a, b, false)
 				case tree:
 					f = core.QRTree(s, a)
 				case nrhs > 0:
@@ -391,6 +387,9 @@ func TestQRGelsBitwiseAcrossExecutors(t *testing.T) {
 					f = core.QR(s, a)
 				}
 				done()
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := [][]float64{a.ToColMajor(), f.T.ToColMajor(), b.ToColMajor(), nil}
 				if tree {
 					got[3] = f.T2.ToColMajor()
@@ -477,7 +476,7 @@ func TestForkJoinGraphHasLowerParallelism(t *testing.T) {
 	if err := core.Cholesky(rec1, a1); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.CholeskyForkJoin(rec2, a2); err != nil {
+	if _, err := core.Factor(rec2, core.OpCholesky, a2, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	df, fj := rec1.Graph(), rec2.Graph()

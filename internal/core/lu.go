@@ -28,11 +28,6 @@ func LU[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*Factors[F], error)
 	return Factor(s, OpLU, a, nil, false)
 }
 
-// LUForkJoin is the block-synchronous baseline of LU.
-func LUForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) (*Factors[F], error) {
-	return Factor(s, OpLU, a, nil, true)
-}
-
 // getrfPanel factors tile rows k…last of tile column k with partial
 // pivoting: it gathers them into pooled contiguous scratch, runs the
 // recursive lapack.Getrf there, scatters the factor back and records the

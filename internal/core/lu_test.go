@@ -89,7 +89,7 @@ func TestLUPivotsMatchGetrf(t *testing.T) {
 				}
 
 				fj := tile.FromColMajor(m, n, aD, m, nb)
-				ffj, _ := core.LUForkJoin(sched.NewRecorder(), fj)
+				ffj, _ := core.Factor(sched.NewRecorder(), core.OpLU, fj, nil, true)
 				if !slices.Equal(ffj.Piv, f.Piv) || maxAbsDiff(fj.ToColMajor(), a.ToColMajor()) != 0 {
 					t.Errorf("%s: fork–join on the Recorder is not bitwise the dataflow factor", name)
 				}

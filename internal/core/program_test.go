@@ -107,7 +107,9 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 	}{
 		{"cholesky/80", func(s sched.Scheduler, nm *graphNamer) { _ = core.Cholesky(s, mat(nm, "A", 80, 80)) }},
 		{"cholesky/50", func(s sched.Scheduler, nm *graphNamer) { _ = core.Cholesky(s, mat(nm, "A", 50, 50)) }},
-		{"cholesky-fj/50", func(s sched.Scheduler, nm *graphNamer) { _ = core.CholeskyForkJoin(s, mat(nm, "A", 50, 50)) }},
+		{"cholesky-fj/50", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Factor(s, core.OpCholesky, mat(nm, "A", 50, 50), nil, true)
+		}},
 		{"posv/50x20", func(s sched.Scheduler, nm *graphNamer) {
 			_ = core.Posv(s, mat(nm, "A", 50, 50), mat(nm, "B", 50, 20))
 		}},
@@ -121,9 +123,15 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		{"lu/80x48", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 80, 48)) }},
 		{"lu/48x80", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 48, 80)) }},
 		{"lu/100x45", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LU(s, mat(nm, "A", 100, 45)) }},
-		{"lu-fj/50", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LUForkJoin(s, mat(nm, "A", 50, 50)) }},
-		{"lu-fj/80x48", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LUForkJoin(s, mat(nm, "A", 80, 48)) }},
-		{"lu-fj/48x80", func(s sched.Scheduler, nm *graphNamer) { _, _ = core.LUForkJoin(s, mat(nm, "A", 48, 80)) }},
+		{"lu-fj/50", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Factor(s, core.OpLU, mat(nm, "A", 50, 50), nil, true)
+		}},
+		{"lu-fj/80x48", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Factor(s, core.OpLU, mat(nm, "A", 80, 48), nil, true)
+		}},
+		{"lu-fj/48x80", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Factor(s, core.OpLU, mat(nm, "A", 48, 80), nil, true)
+		}},
 		{"gesv/50x20", func(s sched.Scheduler, nm *graphNamer) {
 			_, _ = core.Gesv(s, mat(nm, "A", 50, 50), mat(nm, "B", 50, 20))
 		}},
@@ -166,14 +174,17 @@ func TestProgramGraphsUnchanged(t *testing.T) {
 		}},
 		{"qr/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, mat(nm, "A", 80, 48)); s.Wait() }},
 		{"qrtree/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QRTree(s, mat(nm, "A", 80, 48)); s.Wait() }},
-		{"qr-fj/80x48", func(s sched.Scheduler, nm *graphNamer) { core.QRForkJoin(s, mat(nm, "A", 80, 48)); s.Wait() }},
+		{"qr-fj/80x48", func(s sched.Scheduler, nm *graphNamer) {
+			_, _ = core.Factor(s, core.OpQR, mat(nm, "A", 80, 48), nil, true)
+			s.Wait()
+		}},
 		{"qr/50x50", func(s sched.Scheduler, nm *graphNamer) { core.QR(s, mat(nm, "A", 50, 50)); s.Wait() }},
 		{"qrtree/100x45", func(s sched.Scheduler, nm *graphNamer) { core.QRTree(s, mat(nm, "A", 100, 45)); s.Wait() }},
 		{"gels/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
 			core.Gels(s, mat(nm, "A", 80, 48), mat(nm, "B", 80, 20))
 		}},
 		{"gelstree/80x48+B80x20", func(s sched.Scheduler, nm *graphNamer) {
-			core.GelsTree(s, mat(nm, "A", 80, 48), mat(nm, "B", 80, 20))
+			_, _ = core.Factor(s, core.OpQRTree, mat(nm, "A", 80, 48), mat(nm, "B", 80, 20), false)
 		}},
 		// The solves alone, on factors computed off the record.
 		{"chol-solve/50+B50x20", func(s sched.Scheduler, nm *graphNamer) {
@@ -352,7 +363,7 @@ func TestSolutionBitsUnchanged(t *testing.T) {
 		{"posv", spd, b50, 50, 50, func(s sched.Scheduler, a, b *tile.Matrix[float64]) { _ = core.Posv(s, a, b) }, "1c5986eddf391e8e"},
 		{"gesv", sq, b50, 50, 50, func(s sched.Scheduler, a, b *tile.Matrix[float64]) { _, _ = core.Gesv(s, a, b) }, "9ff49f0a35abcec2"},
 		{"gels", tall, b80, 80, 48, func(s sched.Scheduler, a, b *tile.Matrix[float64]) { core.Gels(s, a, b) }, "95347a91f02765b6"},
-		{"gelstree", tall, b80, 80, 48, func(s sched.Scheduler, a, b *tile.Matrix[float64]) { core.GelsTree(s, a, b) }, "99850df46d224b0d"},
+		{"gelstree", tall, b80, 80, 48, func(s sched.Scheduler, a, b *tile.Matrix[float64]) { _, _ = core.Factor(s, core.OpQRTree, a, b, false) }, "99850df46d224b0d"},
 	} {
 		a := tile.FromColMajor(c.m, c.n, c.a, c.m, nb)
 		b := tile.FromColMajor(c.m, nrhs, c.b, c.m, nb)

@@ -16,13 +16,7 @@ import (
 // the panel's triangular factor with a tsqrt kernel as soon as its
 // dependences allow. The returned factors reference A in place.
 func QR[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] {
-	return qr(s, OpQR, a, nil, false)
-}
-
-// QRForkJoin is the block-synchronous baseline of QR, with a barrier after
-// the panel's geqrt, after its unmqrs and after each row's elimination.
-func QRForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] {
-	return qr(s, OpQR, a, nil, true)
+	return qr(s, OpQR, a, nil)
 }
 
 // QRTree computes the tile QR factorization with a binary reduction tree
@@ -34,7 +28,7 @@ func QRForkJoin[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] 
 // storage and slightly more flops in the merge kernels. On a single tile
 // column (nb ≥ N) it is TSQR.
 func QRTree[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] {
-	return qr(s, OpQRTree, a, nil, false)
+	return qr(s, OpQRTree, a, nil)
 }
 
 // Gels solves the least-squares problem min‖A·X − B‖ for a tall tiled
@@ -42,19 +36,14 @@ func QRTree[F blas.Float](s sched.Scheduler, a *tile.Matrix[F]) *Factors[F] {
 // graph: tile QR, apply Qᵀ to B, then solve R·X = B over the top N rows.
 // The solution occupies the first N rows of B.
 func Gels[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) *Factors[F] {
-	return qr(s, OpQR, a, b, false)
-}
-
-// GelsTree is Gels using the tree elimination order.
-func GelsTree[F blas.Float](s sched.Scheduler, a, b *tile.Matrix[F]) *Factors[F] {
-	return qr(s, OpQRTree, a, b, false)
+	return qr(s, OpQR, a, b)
 }
 
 // qr is Factor for the QR drivers, which have no error return: the QR
 // kernels report none, so an error is a scheduler's task failure, and it
 // panics as Runtime.Wait does.
-func qr[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F], forkJoin bool) *Factors[F] {
-	f, err := Factor(s, op, a, b, forkJoin)
+func qr[F blas.Float](s sched.Scheduler, op string, a, b *tile.Matrix[F]) *Factors[F] {
+	f, err := Factor(s, op, a, b, false)
 	if err != nil {
 		panic(err)
 	}

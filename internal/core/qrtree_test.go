@@ -123,7 +123,9 @@ func TestGelsTree(t *testing.T) {
 		a := tile.FromColMajor(m, n, aD, m, nb)
 		b := tile.FromColMajor(m, 1, bD, m, nb)
 		s, done := mk()
-		core.GelsTree(s, a, b)
+		if _, err := core.Factor(s, core.OpQRTree, a, b, false); err != nil {
+			t.Fatal(err)
+		}
 		done()
 		x := b.ToColMajor()[:n]
 		for i := range x {

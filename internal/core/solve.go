@@ -313,18 +313,11 @@ func (f *Factors[F]) walk(s sched.Scheduler, factor, forkJoin bool, from int, g 
 	return es.get()
 }
 
-// drain waits for s and joins its aggregated task failures into es, when
-// the scheduler has the error-returning wait, as sched.Runtime and
-// sched.Recorder do; a plain Scheduler just waits. A fork–join walk drains
-// at every barrier, so a task failure there is the walk's error, not a
-// panic.
+// drain waits for s and joins its aggregated task failures into es. A
+// fork–join walk drains at every barrier, so a task failure there is the
+// walk's error, not a panic.
 func drain(es *errState, s sched.Scheduler) {
-	ew, ok := s.(sched.ErrorWaiter)
-	if !ok {
-		s.Wait()
-		return
-	}
-	if err := ew.WaitErr(); err != nil {
+	if err := s.WaitErr(); err != nil {
 		es.join(err)
 	}
 }

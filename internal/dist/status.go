@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"exadla/internal/sched"
 	"exadla/internal/trace"
 )
 
@@ -146,7 +145,7 @@ func (c *Coordinator) localSpanLocked(id int, name string, attempt int, startNS 
 		Start: startNS, End: c.nowNS(), Proc: 0,
 	}
 	if err != nil {
-		e.Outcome = sched.OutcomeFailed
+		e.Outcome = trace.OutcomeFailed
 		e.Err = err.Error()
 	}
 	c.cevents = append(c.cevents, e)

@@ -29,7 +29,7 @@ import (
 func okSpans(l *trace.Log) []trace.Event {
 	var ok []trace.Event
 	for _, e := range l.Events() {
-		if e.Phase == "" && e.Attempt > 0 && e.Outcome == sched.OutcomeOK {
+		if e.Phase == "" && e.Attempt > 0 && e.Outcome == trace.OutcomeOK {
 			ok = append(ok, e)
 		}
 	}

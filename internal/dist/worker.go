@@ -9,7 +9,6 @@ import (
 
 	"exadla/internal/core"
 	"exadla/internal/ft"
-	"exadla/internal/sched"
 	"exadla/internal/tile"
 	"exadla/internal/trace"
 )
@@ -408,16 +407,16 @@ func (w *worker) execute(t *TaskSpec, token int64, vers []int, attempt int) erro
 	whole.End = commitEnd
 	switch {
 	case rpcErr != nil:
-		whole.Outcome, whole.Err = sched.OutcomeFailed, rpcErr.Error()
+		whole.Outcome, whole.Err = trace.OutcomeFailed, rpcErr.Error()
 	case kerr != nil:
-		whole.Outcome, whole.Err = sched.OutcomeFailed, kerr.Error()
+		whole.Outcome, whole.Err = trace.OutcomeFailed, kerr.Error()
 	case rep.Evicted || !rep.Accepted || rep.Duplicate:
 		// The result was discarded (reaped straggler / eviction / losing twin
 		// of a speculative race): the task ran or runs again elsewhere, which
 		// is what Retried means. Exactly one attempt per task records OK.
-		whole.Outcome = sched.OutcomeRetried
+		whole.Outcome = trace.OutcomeRetried
 	default:
-		whole.Outcome = sched.OutcomeOK
+		whole.Outcome = trace.OutcomeOK
 	}
 	w.sh.add(whole)
 	if rpcErr != nil {

@@ -306,7 +306,7 @@ func blockResidual(s sched.Scheduler, nb int, lower bool, n int, a []float64, ld
 				symvColumns(n, c0, c1, a, lda, x, p)
 			}})
 		}
-		if wait(s) != nil {
+		if s.WaitErr() != nil {
 			for i := range r[:n] {
 				r[i] = math.NaN()
 			}
@@ -336,16 +336,6 @@ func symvColumns(n, c0, c1 int, a []float64, lda int, x, p []float64) {
 		}
 		p[j] = pj
 	}
-}
-
-// wait waits for s, returning its aggregated task failures when it has the
-// error-returning wait, as sched.Runtime and sched.Recorder do.
-func wait(s sched.Scheduler) error {
-	if ew, ok := s.(sched.ErrorWaiter); ok {
-		return ew.WaitErr()
-	}
-	s.Wait()
-	return nil
 }
 
 // infNorm returns max |vᵢ|, or NaN if any entry is NaN.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"exadla/internal/metrics"
-	"exadla/internal/sched"
 	"exadla/internal/trace"
 )
 
@@ -32,7 +31,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg := metrics.New()
 	reg.Counter("sched.tasks_completed").Add(7)
 	log := trace.NewLog()
-	log.TaskSpan(sched.Span{ID: 0, Name: "potrf", Worker: 0, Attempt: 1, Start: 0, End: 1000})
+	log.TaskSpan(trace.Event{ID: 0, Name: "potrf", Worker: 0, Attempt: 1, Start: 0, End: 1000})
 
 	s, err := Start("127.0.0.1:0", Options{
 		Registry: reg,
@@ -92,7 +91,7 @@ func TestServerClusterEndpoints(t *testing.T) {
 	clusterLog := func() *trace.Log {
 		l := trace.NewLog()
 		l.Add(trace.Event{ID: 0, Name: "potrf", Worker: 0, Attempt: 1, Proc: 1,
-			Start: 0, End: 1000, Outcome: sched.OutcomeOK})
+			Start: 0, End: 1000, Outcome: trace.OutcomeOK})
 		l.Add(trace.Event{ID: 0, Worker: 0, Attempt: 1, Proc: 1,
 			Phase: trace.PhaseCompute, Start: 0, End: 1000})
 		return l
@@ -173,7 +172,7 @@ func TestServerClusterEndpoints(t *testing.T) {
 func TestServerWorkerMirrorTrace(t *testing.T) {
 	mirror := trace.NewLog()
 	mirror.Add(trace.Event{ID: 3, Name: "gemm", Worker: 0, Attempt: 1, Proc: 1,
-		Start: 0, End: 1000, Outcome: sched.OutcomeOK})
+		Start: 0, End: 1000, Outcome: trace.OutcomeOK})
 	mirror.Add(trace.Event{ID: 3, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseFetch,
 		Start: 0, End: 250, Bytes: 800, Tile: [2]int{2, 1}, HasTile: true})
 	mirror.Add(trace.Event{ID: -1, Worker: 0, Proc: 1, Phase: trace.PhasePartition,

@@ -17,6 +17,7 @@ import (
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 // kernelCounts tallies non-barrier nodes of a recorded graph by name.
@@ -177,7 +178,7 @@ func TestMetricsCrossCheckQRWithRetry(t *testing.T) {
 			ids[s.Name][s.ID] = true
 			attempts[s.Name]++
 			totalAttempts++
-			if s.Outcome == sched.OutcomeRetried || s.Outcome == sched.OutcomeCorrected {
+			if s.Outcome == trace.OutcomeRetried || s.Outcome == trace.OutcomeCorrected {
 				retriedSpans++
 			}
 			if s.Attempt > maxAttempt {

@@ -89,15 +89,6 @@ func (e *FailuresError) Unwrap() []error {
 	return errs
 }
 
-// ErrorWaiter is implemented by schedulers whose Wait has an
-// error-returning form. Algorithms that submit error-returning tasks
-// should prefer WaitErr over Wait.
-type ErrorWaiter interface {
-	// WaitErr blocks like Wait and returns the aggregated task failures of
-	// the epoch (a *FailuresError), or nil if every task succeeded.
-	WaitErr() error
-}
-
 // panicError adapts a recovered panic value into the error plumbing.
 type panicError struct{ val any }
 

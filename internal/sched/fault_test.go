@@ -552,10 +552,8 @@ func TestRecorderFnErrAndWaitErr(t *testing.T) {
 // --- interface conformance ----------------------------------------------
 
 var (
-	_ Scheduler   = (*Runtime)(nil)
-	_ Scheduler   = (*Recorder)(nil)
-	_ ErrorWaiter = (*Runtime)(nil)
-	_ ErrorWaiter = (*Recorder)(nil)
+	_ Scheduler = (*Runtime)(nil)
+	_ Scheduler = (*Recorder)(nil)
 )
 
 func TestFailuresErrorText(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"exadla/internal/trace"
 )
 
 // collectReady returns a Frontier whose ready events append to the returned
@@ -130,7 +132,7 @@ func TestFrontierMatchesRecorder(t *testing.T) {
 		rec := NewModelRecorder()
 		var mu sync.Mutex
 		spanDeps := map[int][]int{}
-		rt := New(2, WithMetrics(nil), WithTracer(tracerFunc(func(sp Span) {
+		rt := New(2, WithMetrics(nil), WithTracer(tracerFunc(func(sp trace.Event) {
 			mu.Lock()
 			spanDeps[sp.ID] = sp.Deps
 			mu.Unlock()

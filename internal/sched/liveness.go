@@ -1,11 +1,12 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
+
+	"exadla/internal/trace"
 )
 
 // This file is the runtime's liveness layer — the hard-fault half of the
@@ -13,19 +14,14 @@ import (
 // error, panics, or is killed by chaos still hands control back to the
 // runtime. A *hard* fault does not: the worker hangs inside a body, or the
 // goroutine dies holding the task, and without intervention Wait blocks
-// forever. Two mechanisms restore liveness:
-//
-//   - WithTaskDeadline arms a watchdog. Every attempt is registered with a
-//     deadline; a polling watchdog abandons attempts that overrun it, marks
-//     the executing worker dead, spawns a replacement worker under the same
-//     id, and routes the task back through the ordinary retry path as a
-//     transient *TimeoutError. Go cannot kill a goroutine, so an abandoned
-//     worker that eventually returns from its body discovers the
-//     abandonment and exits instead of double-completing the task.
-//
-//   - WaitCtx bounds the wait itself: even without a deadline (or when the
-//     watchdog cannot help, e.g. a deadlock between bodies), the caller
-//     gets control back when its context expires.
+// forever. WithTaskDeadline restores liveness: it arms a watchdog. Every
+// attempt is registered with a deadline; a polling watchdog abandons
+// attempts that overrun it, marks the executing worker dead, spawns a
+// replacement worker under the same id, and routes the task back through
+// the ordinary retry path as a transient *TimeoutError. Go cannot kill a
+// goroutine, so an abandoned worker that eventually returns from its body
+// discovers the abandonment and exits instead of double-completing the
+// task.
 //
 // The watchdog's correctness constraint: the deadline must comfortably
 // exceed the worst-case task execution time. A legitimately slow attempt
@@ -66,7 +62,7 @@ func (e *TimeoutError) Unwrap() error { return ErrTaskTimeout }
 // dead (a replacement worker is spawned so the pool keeps its capacity),
 // and the task is re-enqueued through the retry path as a transient
 // timeout, counted by the sched.tasks_timed_out and sched.workers_lost
-// metrics and reported as an OutcomeTimedOut span.
+// metrics and reported as a trace.OutcomeTimedOut attempt.
 //
 // d must comfortably exceed the worst-case execution time of any single
 // task: the runtime cannot distinguish a hung worker from a slow one, and
@@ -235,65 +231,15 @@ func (r *Runtime) recoverLost(att *attempt) {
 	// Emit the abandoned attempt's span before resolveFailure can retire
 	// the node, mirroring the worker fast path's ordering guarantee.
 	if r.spanTracer != nil {
-		sp := Span{
-			ID:      att.n.seq,
-			Name:    att.n.task.Name,
-			Worker:  att.worker,
-			Attempt: att.num,
-			Deps:    att.n.deps,
-			Ready:   att.readyAt,
-			Start:   att.start,
-			End:     end,
-			Err:     err.Error(),
-		}
+		out := trace.OutcomeFailed
 		if retrying {
-			sp.Outcome = OutcomeTimedOut
-		} else {
-			sp.Outcome = OutcomeFailed
+			out = trace.OutcomeTimedOut
 		}
-		r.spanTracer.TaskSpan(sp)
+		r.spanTracer.TaskSpan(att.n.span(att.worker, att.num, att.readyAt, att.start, end, out, err))
 	}
 	skipped := r.resolveFailure(att.n, err, retrying, att.num, att.worker)
 	if len(skipped) > 0 {
 		r.emitSkipped(skipped, end)
 		r.completeSkipped(len(skipped))
 	}
-}
-
-// WaitCtx blocks like WaitErr but additionally returns ctx.Err() as soon
-// as the context is cancelled, even if tasks are still in flight — the
-// escape hatch when a task body deadlocks and no watchdog deadline is
-// armed. On cancellation the runtime's failure state is left untouched:
-// tasks keep draining in the background, and a later WaitErr/Shutdown
-// observes their results.
-func (r *Runtime) WaitCtx(ctx context.Context) error {
-	if ctx == nil {
-		return r.WaitErr()
-	}
-	// Wake the cond broadcast loop when the context fires. AfterFunc covers
-	// both a deadline in the future and a ctx already cancelled.
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
-
-	r.mu.Lock()
-	for r.inFlight > 0 && ctx.Err() == nil {
-		r.cond.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	fs := r.failures
-	sk := r.skipped
-	r.failures = nil
-	r.skipped = 0
-	r.mu.Unlock()
-	if len(fs) == 0 {
-		return nil
-	}
-	return &FailuresError{Failures: fs, Skipped: sk}
 }

@@ -1,12 +1,10 @@
 // Liveness-layer tests: the watchdog must detect attempts stuck past the
 // task deadline, declare their workers dead, replace them, and re-execute
-// the work through the retry path; WaitCtx must return control when a task
-// body deadlocks; the hard chaos modes must exercise all of it with a
-// deterministic fault budget.
+// the work through the retry path; the hard chaos modes must exercise all
+// of it with a deterministic fault budget.
 package sched_test
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -14,57 +12,8 @@ import (
 
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
-
-// TestWaitCtxHungBody is the satellite regression test: WaitErr blocks
-// forever on a deadlocked body, WaitCtx returns ctx.Err().
-func TestWaitCtxHungBody(t *testing.T) {
-	rt := sched.New(2)
-	release := make(chan struct{})
-	rt.Submit(sched.Task{Name: "hung", Fn: func() { <-release }})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := rt.WaitCtx(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("WaitCtx on hung body = %v, want DeadlineExceeded", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("WaitCtx took %v to honour a 50ms context", time.Since(start))
-	}
-
-	// Unblock the body: the run completes normally and the runtime stays
-	// usable — cancellation abandoned the wait, not the work.
-	close(release)
-	if err := rt.WaitErr(); err != nil {
-		t.Fatalf("WaitErr after release: %v", err)
-	}
-	rt.Shutdown()
-}
-
-// TestWaitCtxCleanRun checks WaitCtx degrades to WaitErr when the context
-// never fires, including failure aggregation.
-func TestWaitCtxCleanRun(t *testing.T) {
-	rt := sched.New(2)
-	defer rt.Shutdown()
-	var ran atomic.Int32
-	rt.Submit(sched.Task{Name: "ok", Fn: func() { ran.Add(1) }})
-	if err := rt.WaitCtx(context.Background()); err != nil {
-		t.Fatalf("WaitCtx clean = %v", err)
-	}
-	if ran.Load() != 1 {
-		t.Fatalf("task ran %d times", ran.Load())
-	}
-
-	boom := errors.New("boom")
-	rt.Submit(sched.Task{Name: "bad", FnErr: func() error { return sched.Permanent(boom) }})
-	err := rt.WaitCtx(context.Background())
-	var fe *sched.FailuresError
-	if !errors.As(err, &fe) || !errors.Is(err, boom) {
-		t.Fatalf("WaitCtx failure = %v, want FailuresError wrapping boom", err)
-	}
-}
 
 // TestWatchdogRecoversHungTask hangs a body on its first attempt only: the
 // watchdog must abandon it, replace the worker, and let the retry succeed.
@@ -118,7 +67,7 @@ func TestWatchdogRecoversHungTask(t *testing.T) {
 	for _, sp := range col.byID() {
 		for _, s := range sp {
 			switch s.Outcome {
-			case sched.OutcomeTimedOut:
+			case trace.OutcomeTimedOut:
 				timedOut++
 				if s.Attempt != 1 {
 					t.Errorf("timed-out span attempt = %d, want 1", s.Attempt)
@@ -126,7 +75,7 @@ func TestWatchdogRecoversHungTask(t *testing.T) {
 				if s.Err == "" {
 					t.Error("timed-out span has empty Err")
 				}
-			case sched.OutcomeOK:
+			case trace.OutcomeOK:
 				ok++
 				if s.Attempt != 2 {
 					t.Errorf("ok span attempt = %d, want 2", s.Attempt)

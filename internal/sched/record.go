@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // GraphNode is one task in a recorded graph.
 type GraphNode struct {
@@ -61,12 +58,12 @@ func (g *Graph) CriticalPath() float64 {
 	return cp
 }
 
-// FlattenBarriers returns per-node dependency lists with barrier nodes
+// flattenBarriers returns per-node dependency lists with barrier nodes
 // transitively replaced by their own (flattened) dependencies, so analyses
 // that drop barrier nodes — such as SimulateEvents timelines — still see the
 // fork–join ordering as direct task→task edges. Barrier nodes keep an entry
 // (their flattened deps) so indices stay aligned with g.Nodes.
-func (g *Graph) FlattenBarriers() [][]int {
+func (g *Graph) flattenBarriers() [][]int {
 	flat := make([][]int, len(g.Nodes))
 	for i, n := range g.Nodes {
 		seen := map[int]bool{}
@@ -194,18 +191,6 @@ func (rec *Recorder) WaitErr() error {
 		return nil
 	}
 	return &FailuresError{Failures: fs}
-}
-
-// WaitCtx matches Runtime.WaitCtx for interface parity. Tasks were
-// executed inline at Submit, so there is never anything in flight: a
-// cancelled context is still honoured, but nothing is abandoned.
-func (rec *Recorder) WaitCtx(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return rec.WaitErr()
 }
 
 // Graph returns the recorded DAG.

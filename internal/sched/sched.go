@@ -19,8 +19,14 @@
 //     reproduce scaling behaviour on small hosts.
 //
 // A fork–join baseline needs no separate implementation: algorithms express
-// barriers by calling Wait between phases, which Runtime executes as a real
-// join and Recorder records as an all-to-all dependence.
+// barriers by calling WaitErr (or Wait) between phases, which Runtime
+// executes as a real join and Recorder records as an all-to-all
+// dependence.
+//
+// Task attempts are reported in one record, trace.Event: a Runtime with a
+// SpanTracer (WithTracer) emits one per attempt and per skipped task, and
+// SimulateEvents returns a simulated schedule as the same records, so
+// trace.Log stores and analyses both without conversion.
 //
 // The dependence rule itself lives in one place (deps.go) and is shared by
 // the Runtime, the Recorder and the Frontier (the pull-based tracker the
@@ -56,6 +62,7 @@ import (
 	"time"
 
 	"exadla/internal/metrics"
+	"exadla/internal/trace"
 )
 
 // Handle identifies a datum (typically one matrix tile) for dependence
@@ -86,11 +93,15 @@ type Task struct {
 }
 
 // Scheduler is the submission interface shared by the real runtime and the
-// recorder. Wait blocks until every task submitted so far has completed,
-// and doubles as the phase barrier for fork–join style algorithms.
+// recorder. Wait and WaitErr block until every task submitted so far has
+// completed, and double as the phase barrier for fork–join style
+// algorithms: Wait panics on a task failure, WaitErr returns the epoch's
+// failures as a *FailuresError (nil if every task succeeded). Algorithms
+// that submit error-returning tasks use WaitErr.
 type Scheduler interface {
 	Submit(t Task)
 	Wait()
+	WaitErr() error
 }
 
 // node is the runtime's internal task state. Graph state (succs, nDeps,
@@ -164,9 +175,9 @@ type Runtime struct {
 // Option configures a Runtime.
 type Option func(*Runtime)
 
-// WithTracer attaches a tracer to the runtime, which emits spans to it —
-// one per task attempt and per skipped task, carrying task ID, dependence
-// edges, queue wait, attempt number, and outcome; see span.go.
+// WithTracer attaches a tracer to the runtime, which emits one trace.Event
+// to it per task attempt and per skipped task, carrying task ID,
+// dependence edges, queue wait, attempt number, and outcome; see span.go.
 func WithTracer(tr SpanTracer) Option {
 	return func(r *Runtime) { r.spanTracer = tr }
 }
@@ -385,21 +396,7 @@ func (r *Runtime) worker(id int) {
 		// missed by a caller reading the tracer right after Wait.
 		retrying := err != nil && attemptNum <= r.retryMax && retryable(err)
 		if r.spanTracer != nil {
-			sp := Span{
-				ID:      n.seq,
-				Name:    n.task.Name,
-				Worker:  id,
-				Attempt: attemptNum,
-				Deps:    n.deps,
-				Ready:   readyAt,
-				Start:   start,
-				End:     end,
-				Outcome: outcomeOf(err, retrying),
-			}
-			if err != nil {
-				sp.Err = err.Error()
-			}
-			r.spanTracer.TaskSpan(sp)
+			r.spanTracer.TaskSpan(n.span(id, attemptNum, readyAt, start, end, outcomeOf(err, retrying), err))
 		}
 
 		var skipped []*node
@@ -419,15 +416,7 @@ func (r *Runtime) worker(id int) {
 // zero-length spans, so DAG analyses see the complete graph.
 func (r *Runtime) emitSkipped(skipped []*node, ts int64) {
 	for _, s := range skipped {
-		r.spanTracer.TaskSpan(Span{
-			ID:      s.seq,
-			Name:    s.task.Name,
-			Worker:  -1,
-			Deps:    s.deps,
-			Start:   ts,
-			End:     ts,
-			Outcome: OutcomeSkipped,
-		})
+		r.spanTracer.TaskSpan(s.span(-1, 0, 0, ts, ts, trace.OutcomeSkipped, nil))
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"exadla/internal/trace"
 )
 
 func TestRuntimeRunsAllTasks(t *testing.T) {
@@ -275,7 +277,7 @@ func TestSubmitAfterShutdownPanics(t *testing.T) {
 func TestTracerReceivesEvents(t *testing.T) {
 	var mu sync.Mutex
 	var names []string
-	tr := tracerFunc(func(sp Span) {
+	tr := tracerFunc(func(sp trace.Event) {
 		mu.Lock()
 		names = append(names, sp.Name)
 		mu.Unlock()
@@ -290,9 +292,9 @@ func TestTracerReceivesEvents(t *testing.T) {
 	}
 }
 
-type tracerFunc func(Span)
+type tracerFunc func(trace.Event)
 
-func (f tracerFunc) TaskSpan(sp Span) { f(sp) }
+func (f tracerFunc) TaskSpan(sp trace.Event) { f(sp) }
 
 func TestTaskPanicPropagatesToWait(t *testing.T) {
 	r := New(2)

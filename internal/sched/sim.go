@@ -1,5 +1,7 @@
 package sched
 
+import "exadla/internal/trace"
+
 // SimResult summarizes a simulated execution of a recorded graph.
 type SimResult struct {
 	// Makespan is the simulated wall-clock time in seconds.
@@ -11,20 +13,6 @@ type SimResult struct {
 	Utilization float64
 	// Workers echoes the simulated worker count.
 	Workers int
-}
-
-// SimEvent is one task execution in a simulated schedule, attributed to a
-// virtual worker; times are in seconds.
-type SimEvent struct {
-	// ID is the task's node index in the simulated graph.
-	ID     int
-	Name   string
-	Worker int
-	// Ready is when the task's last dependency finished (0 for initial
-	// tasks); Start-Ready is the simulated queue wait.
-	Ready float64
-	Start float64
-	End   float64
 }
 
 // Simulate replays a recorded graph under the given number of virtual
@@ -39,13 +27,17 @@ func Simulate(g *Graph, workers int) SimResult {
 	return res
 }
 
-// SimulateEvents is Simulate returning the per-task schedule for Gantt
-// rendering and timeline analysis. Barrier nodes are omitted from events.
-func SimulateEvents(g *Graph, workers int) (SimResult, []SimEvent) {
+// SimulateEvents is Simulate returning the per-task schedule, one first
+// attempt per task on its virtual worker with times in nanoseconds since
+// the simulated start, for Gantt rendering and timeline analysis
+// (trace.NewLog(events...)). Barrier nodes are omitted from events and
+// flattened into direct task→task edges, so the DAG analysis and the
+// Chrome export see the dependence structure.
+func SimulateEvents(g *Graph, workers int) (SimResult, []trace.Event) {
 	return simulate(g, workers, true)
 }
 
-func simulate(g *Graph, workers int, record bool) (SimResult, []SimEvent) {
+func simulate(g *Graph, workers int, record bool) (SimResult, []trace.Event) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -77,7 +69,12 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []SimEvent) {
 	for w := range running {
 		running[w] = -1
 	}
-	var events []SimEvent
+	var events []trace.Event
+	var flat [][]int
+	if record {
+		flat = g.flattenBarriers()
+	}
+	ns := func(t float64) int64 { return int64(t * 1e9) }
 
 	now := 0.0
 	var busy float64
@@ -92,9 +89,9 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []SimEvent) {
 			running[w], finish[w] = i, now+cost
 			busy += cost
 			if record && !g.Nodes[i].Barrier {
-				events = append(events, SimEvent{
-					ID: i, Name: g.Nodes[i].Name, Worker: w,
-					Ready: readyAt[i], Start: now, End: finish[w],
+				events = append(events, trace.Event{
+					ID: i, Name: g.Nodes[i].Name, Worker: w, Attempt: 1, Deps: flat[i],
+					Ready: ns(readyAt[i]), Start: ns(now), End: ns(finish[w]),
 				})
 			}
 		}

@@ -11,24 +11,25 @@ import (
 	"testing"
 
 	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
 
 // spanCollector is a sched.SpanTracer keeping every span it receives.
 type spanCollector struct {
 	mu    sync.Mutex
-	spans []sched.Span
+	spans []trace.Event
 }
 
-func (c *spanCollector) TaskSpan(sp sched.Span) {
+func (c *spanCollector) TaskSpan(sp trace.Event) {
 	c.mu.Lock()
 	c.spans = append(c.spans, sp)
 	c.mu.Unlock()
 }
 
-func (c *spanCollector) byID() map[int][]sched.Span {
+func (c *spanCollector) byID() map[int][]trace.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := map[int][]sched.Span{}
+	m := map[int][]trace.Event{}
 	for _, sp := range c.spans {
 		m[sp.ID] = append(m[sp.ID], sp)
 	}
@@ -62,7 +63,7 @@ func TestSpansCleanChain(t *testing.T) {
 			t.Fatalf("task %d: %d spans, want 1", id, len(sps))
 		}
 		sp := sps[0]
-		if sp.Outcome != sched.OutcomeOK || sp.Attempt != 1 || sp.Err != "" {
+		if sp.Outcome != trace.OutcomeOK || sp.Attempt != 1 || sp.Err != "" {
 			t.Errorf("task %d: outcome=%v attempt=%d err=%q", id, sp.Outcome, sp.Attempt, sp.Err)
 		}
 		if sp.Worker < 0 || sp.Start > sp.End || sp.Ready == 0 || sp.QueueWait() < 0 {
@@ -103,13 +104,13 @@ func TestSpansRetryAttempts(t *testing.T) {
 			t.Errorf("span %d: attempt %d, want %d", i, sp.Attempt, i+1)
 		}
 	}
-	if sps[0].Outcome != sched.OutcomeRetried || sps[1].Outcome != sched.OutcomeRetried {
+	if sps[0].Outcome != trace.OutcomeRetried || sps[1].Outcome != trace.OutcomeRetried {
 		t.Errorf("retried attempts: outcomes %v %v", sps[0].Outcome, sps[1].Outcome)
 	}
 	if sps[0].Err == "" {
 		t.Error("retried span carries no error")
 	}
-	if sps[2].Outcome != sched.OutcomeOK {
+	if sps[2].Outcome != trace.OutcomeOK {
 		t.Errorf("final attempt outcome %v", sps[2].Outcome)
 	}
 }
@@ -131,14 +132,14 @@ func TestSpansFailureAndSkip(t *testing.T) {
 
 	byID := col.byID()
 	bad, dep := byID[0], byID[1]
-	if len(bad) != 1 || bad[0].Outcome != sched.OutcomeFailed || bad[0].Err == "" {
+	if len(bad) != 1 || bad[0].Outcome != trace.OutcomeFailed || bad[0].Err == "" {
 		t.Fatalf("failed task spans: %+v", bad)
 	}
 	if len(dep) != 1 {
 		t.Fatalf("dependent spans: %+v", dep)
 	}
 	sk := dep[0]
-	if sk.Outcome != sched.OutcomeSkipped || sk.Attempt != 0 || sk.Worker != -1 {
+	if sk.Outcome != trace.OutcomeSkipped || sk.Attempt != 0 || sk.Worker != -1 {
 		t.Errorf("skipped span: outcome=%v attempt=%d worker=%d", sk.Outcome, sk.Attempt, sk.Worker)
 	}
 	if len(sk.Deps) != 1 || sk.Deps[0] != 0 {
@@ -203,10 +204,10 @@ func TestSpansCorrectedOutcome(t *testing.T) {
 	if len(sps) != 2 {
 		t.Fatalf("got %d spans, want 2", len(sps))
 	}
-	if sps[0].Outcome != sched.OutcomeCorrected {
+	if sps[0].Outcome != trace.OutcomeCorrected {
 		t.Errorf("first attempt outcome %v, want corrected", sps[0].Outcome)
 	}
-	if sps[1].Outcome != sched.OutcomeOK {
+	if sps[1].Outcome != trace.OutcomeOK {
 		t.Errorf("second attempt outcome %v, want ok", sps[1].Outcome)
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 // Config configures a Server. The zero value gets sensible defaults: two
@@ -368,17 +369,18 @@ func (s *Server) finish(j *job, err error) {
 	s.mu.Unlock()
 }
 
-// progressTracer feeds span traces back into the lane's current job, which
-// is where poll/stream status comes from: tasks completed so far and their
-// accumulated scheduler queue wait.
+// progressTracer feeds the lane runtime's task attempts (trace.Event)
+// back into the lane's current job, which is where poll/stream status
+// comes from: tasks completed so far and their accumulated scheduler queue
+// wait.
 type progressTracer struct {
 	cur atomic.Pointer[job]
 }
 
-func (t *progressTracer) TaskSpan(sp sched.Span) {
+func (t *progressTracer) TaskSpan(e trace.Event) {
 	if j := t.cur.Load(); j != nil {
 		j.tasksDone.Add(1)
-		j.spanWaitNs.Add(sp.QueueWait())
+		j.spanWaitNs.Add(e.QueueWait())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"exadla/internal/sched"
 	"exadla/internal/trace"
 )
 
@@ -63,10 +62,10 @@ func TestWriteChromeFlowTargetsFirstAttempt(t *testing.T) {
 	l.TaskSpan(span(0, "a", 0, nil, 0, 1000))
 	// b retried once: the flow must land on attempt 1, and the span args
 	// must carry attempt/outcome.
-	l.TaskSpan(sched.Span{ID: 1, Name: "b", Worker: 1, Attempt: 1, Deps: []int{0},
-		Ready: 1000, Start: 1000, End: 2000, Outcome: sched.OutcomeRetried, Err: "transient"})
-	l.TaskSpan(sched.Span{ID: 1, Name: "b", Worker: 0, Attempt: 2, Deps: []int{0},
-		Ready: 2000, Start: 2000, End: 4000, Outcome: sched.OutcomeOK})
+	l.TaskSpan(trace.Event{ID: 1, Name: "b", Worker: 1, Attempt: 1, Deps: []int{0},
+		Ready: 1000, Start: 1000, End: 2000, Outcome: trace.OutcomeRetried, Err: "transient"})
+	l.TaskSpan(trace.Event{ID: 1, Name: "b", Worker: 0, Attempt: 2, Deps: []int{0},
+		Ready: 2000, Start: 2000, End: 4000, Outcome: trace.OutcomeOK})
 	ph := byPhase(decodeChrome(t, l))
 
 	if len(ph["s"]) != 1 {
@@ -92,10 +91,10 @@ func TestWriteChromeFlowTargetsFirstAttempt(t *testing.T) {
 
 func TestWriteChromeCountersAndSkipped(t *testing.T) {
 	l := trace.NewLog()
-	l.TaskSpan(sched.Span{ID: 0, Name: "a", Worker: 0, Attempt: 1,
-		Ready: 500, Start: 1000, End: 2000, Outcome: sched.OutcomeFailed, Err: "boom"})
-	l.TaskSpan(sched.Span{ID: 1, Name: "b", Worker: -1, Attempt: 0, Deps: []int{0},
-		Start: 2000, End: 2000, Outcome: sched.OutcomeSkipped})
+	l.TaskSpan(trace.Event{ID: 0, Name: "a", Worker: 0, Attempt: 1,
+		Ready: 500, Start: 1000, End: 2000, Outcome: trace.OutcomeFailed, Err: "boom"})
+	l.TaskSpan(trace.Event{ID: 1, Name: "b", Worker: -1, Attempt: 0, Deps: []int{0},
+		Start: 2000, End: 2000, Outcome: trace.OutcomeSkipped})
 	events := decodeChrome(t, l)
 	ph := byPhase(events)
 

@@ -81,14 +81,12 @@ func ReadJSON(r io.Reader) (*Log, error) {
 	if f.Format != eventsFormat {
 		return nil, fmt.Errorf("trace: unrecognised trace format %q (want %q)", f.Format, eventsFormat)
 	}
-	l := NewLog()
 	for k, e := range f.Events {
 		if e.Proc < 0 || e.Proc > MaxProc {
 			return nil, fmt.Errorf("trace: event %d on lane %d, outside 0…%d", k, e.Proc, MaxProc)
 		}
-		l.Add(e)
 	}
-	return l, nil
+	return NewLog(f.Events...), nil
 }
 
 // ProcStats is one process lane's share of a cluster trace.

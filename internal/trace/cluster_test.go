@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"exadla/internal/sched"
 	"exadla/internal/trace"
 )
 
@@ -27,7 +26,7 @@ func clusterFixture() *trace.Log {
 	add := func(e trace.Event) { l.Add(e) }
 	// Worker 0 (lane 1): task 0 over [0, 1s].
 	add(trace.Event{ID: 0, Name: "potrf", Worker: 0, Attempt: 1, Proc: 1,
-		Start: 0, End: 1 * sec, Outcome: sched.OutcomeOK})
+		Start: 0, End: 1 * sec, Outcome: trace.OutcomeOK})
 	add(trace.Event{ID: 0, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseFetch,
 		Start: 0, End: sec / 5, Bytes: 800, Tile: [2]int{0, 0}, HasTile: true})
 	add(trace.Event{ID: 0, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseCompute,
@@ -36,7 +35,7 @@ func clusterFixture() *trace.Log {
 		Start: 8 * sec / 10, End: 1 * sec, Bytes: 800, Tile: [2]int{0, 0}, HasTile: true})
 	// Worker 1 (lane 2): task 1 over [1.2s, 2.2s], reading tile (0,0).
 	add(trace.Event{ID: 1, Name: "trsm", Worker: 1, Attempt: 1, Proc: 2, Deps: []int{0},
-		Start: 12 * sec / 10, End: 22 * sec / 10, Outcome: sched.OutcomeOK})
+		Start: 12 * sec / 10, End: 22 * sec / 10, Outcome: trace.OutcomeOK})
 	add(trace.Event{ID: 1, Worker: 1, Attempt: 1, Proc: 2, Phase: trace.PhaseFetch,
 		Start: 12 * sec / 10, End: 14 * sec / 10, Bytes: 800, Tile: [2]int{0, 0}, HasTile: true})
 	add(trace.Event{ID: 1, Worker: 1, Attempt: 1, Proc: 2, Phase: trace.PhaseCompute,
@@ -184,7 +183,7 @@ func TestAnalyzeDAGCommAware(t *testing.T) {
 func TestAnalyzeDAGCommitDedup(t *testing.T) {
 	l := trace.NewLog()
 	l.Add(trace.Event{ID: 0, Name: "gemm", Worker: 0, Attempt: 1, Proc: 1,
-		Start: 0, End: 1 * sec, Outcome: sched.OutcomeOK})
+		Start: 0, End: 1 * sec, Outcome: trace.OutcomeOK})
 	l.Add(trace.Event{ID: 0, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseCompute,
 		Start: 0, End: sec / 2})
 	// One commit RPC writing three tiles records three spans sharing the
@@ -254,7 +253,7 @@ func TestWriteChromeShapeOnClusterLog(t *testing.T) {
 func mirrorFixture() *trace.Log {
 	l := trace.NewLog()
 	l.Add(trace.Event{ID: 3, Name: "gemm", Worker: 0, Attempt: 1, Proc: 1,
-		Start: 0, End: sec, Outcome: sched.OutcomeOK})
+		Start: 0, End: sec, Outcome: trace.OutcomeOK})
 	l.Add(trace.Event{ID: 3, Worker: 0, Attempt: 1, Proc: 1, Phase: trace.PhaseFetch,
 		Start: 0, End: sec / 4, Bytes: 800, Tile: [2]int{2, 1}, HasTile: true})
 	l.Add(trace.Event{ID: -1, Worker: 0, Proc: 1, Phase: trace.PhasePartition,

@@ -3,8 +3,6 @@ package trace
 import (
 	"math"
 	"sort"
-
-	"exadla/internal/sched"
 )
 
 // DAGStats is the dependence-aware view of a trace: the work/span analysis
@@ -177,8 +175,8 @@ func (l *Log) AnalyzeDAG() DAGStats {
 			first, last = e.Start, e.End
 		}
 		st.Attempts++
-		if e.Outcome == sched.OutcomeRetried || e.Outcome == sched.OutcomeCorrected ||
-			e.Outcome == sched.OutcomeTimedOut {
+		if e.Outcome == OutcomeRetried || e.Outcome == OutcomeCorrected ||
+			e.Outcome == OutcomeTimedOut {
 			st.Retries++
 		}
 		if e.Start < first {

@@ -19,8 +19,8 @@ import (
 const sec = int64(1e9)
 
 // span is a shorthand builder for test spans.
-func span(id int, name string, worker int, deps []int, start, end int64) sched.Span {
-	return sched.Span{ID: id, Name: name, Worker: worker, Attempt: 1,
+func span(id int, name string, worker int, deps []int, start, end int64) trace.Event {
+	return trace.Event{ID: id, Name: name, Worker: worker, Attempt: 1,
 		Deps: deps, Ready: start, Start: start, End: end}
 }
 
@@ -79,10 +79,10 @@ func TestAnalyzeDAGRetriesStretchPaths(t *testing.T) {
 	l := trace.NewLog()
 	// Task 0 runs twice (first attempt retried): its weight is both
 	// attempts, so the path through it stretches to 3s.
-	l.TaskSpan(sched.Span{ID: 0, Name: "flaky", Worker: 0, Attempt: 1,
-		Ready: 0, Start: 0, End: 1 * sec, Outcome: sched.OutcomeRetried, Err: "transient"})
-	l.TaskSpan(sched.Span{ID: 0, Name: "flaky", Worker: 0, Attempt: 2,
-		Ready: 1 * sec, Start: 1 * sec, End: 3 * sec, Outcome: sched.OutcomeOK})
+	l.TaskSpan(trace.Event{ID: 0, Name: "flaky", Worker: 0, Attempt: 1,
+		Ready: 0, Start: 0, End: 1 * sec, Outcome: trace.OutcomeRetried, Err: "transient"})
+	l.TaskSpan(trace.Event{ID: 0, Name: "flaky", Worker: 0, Attempt: 2,
+		Ready: 1 * sec, Start: 1 * sec, End: 3 * sec, Outcome: trace.OutcomeOK})
 	l.TaskSpan(span(1, "after", 0, []int{0}, 3*sec, 4*sec))
 	d := l.AnalyzeDAG()
 	if d.Tasks != 2 || d.Attempts != 3 || d.Retries != 1 {
@@ -124,7 +124,7 @@ func TestDAGForkJoinVsDataflowCholesky(t *testing.T) {
 		t.Fatal(err)
 	}
 	recFJ := sched.NewModelRecorder()
-	if err := core.CholeskyForkJoin(recFJ, tile.FromColMajor(n, n, src, n, nb)); err != nil {
+	if _, err := core.Factor(recFJ, core.OpCholesky, tile.FromColMajor(n, n, src, n, nb), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	gDF, gFJ := recDF.Graph(), recFJ.Graph()
@@ -132,9 +132,9 @@ func TestDAGForkJoinVsDataflowCholesky(t *testing.T) {
 	unitCosts(gFJ)
 
 	const workers = 8
-	lDF, _ := trace.Simulate(gDF, workers)
-	lFJ, _ := trace.Simulate(gFJ, workers)
-	dDF, dFJ := lDF.AnalyzeDAG(), lFJ.AnalyzeDAG()
+	_, eDF := sched.SimulateEvents(gDF, workers)
+	_, eFJ := sched.SimulateEvents(gFJ, workers)
+	dDF, dFJ := trace.NewLog(eDF...).AnalyzeDAG(), trace.NewLog(eFJ...).AnalyzeDAG()
 
 	// Same work, and at unit cost even the same critical path — the
 	// fork–join penalty is that barriers forbid overlapping phases, so its
@@ -183,8 +183,8 @@ func TestDAGSandwichProperty(t *testing.T) {
 			g.Nodes = append(g.Nodes, node)
 		}
 		for _, workers := range []int{1, 2, 7} {
-			l, res := trace.Simulate(g, workers)
-			d := l.AnalyzeDAG()
+			res, events := sched.SimulateEvents(g, workers)
+			d := trace.NewLog(events...).AnalyzeDAG()
 			const eps = 1e-9
 			if d.TInf > d.Makespan+eps {
 				t.Fatalf("trial %d p=%d: TInf %v > makespan %v", trial, workers, d.TInf, d.Makespan)

@@ -1,8 +1,13 @@
-// Package trace collects per-task execution events from the scheduler and
-// derives the utilization statistics, DAG critical-path analysis, and
-// Gantt-style visualisations the extreme-scale argument is made with: how
-// much of each worker's time is spent computing versus idling at barriers,
-// and how close a run gets to its DAG-limited speedup.
+// Package trace holds the one record of a task attempt, Event, and the
+// analyses built on it. The in-process runtime (sched.Runtime, through its
+// SpanTracer), the graph simulator (sched.SimulateEvents) and the
+// distributed workers all emit Events; a Log stores them, encodes them as
+// native JSON and renders them for Chrome, and the analyses derive the
+// utilization statistics, DAG critical-path analysis, and Gantt-style
+// visualisations the extreme-scale argument is made with: how much of each
+// worker's time is spent computing versus idling at barriers, and how
+// close a run gets to its DAG-limited speedup. The package imports no
+// other exadla package, so every layer can emit its records.
 package trace
 
 import (
@@ -12,12 +17,60 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"exadla/internal/sched"
 )
 
+// Outcome classifies how one task attempt (or a skipped task) ended.
+type Outcome uint8
+
+const (
+	// OutcomeOK is a successful attempt.
+	OutcomeOK Outcome = iota
+	// OutcomeRetried is a transiently failed attempt the runtime re-enqueued.
+	OutcomeRetried
+	// OutcomeFailed is the attempt that made a failure permanent (retry
+	// budget exhausted, panic, or a Permanent-wrapped error).
+	OutcomeFailed
+	// OutcomeCorrected is a retried attempt whose error reported the
+	// underlying fault as already corrected in place (ABFT corruption
+	// recovery): the retry re-verifies rather than re-computes.
+	OutcomeCorrected
+	// OutcomeSkipped marks a task that never ran because an upstream
+	// failure poisoned it. Skipped events have Attempt 0 and Worker -1.
+	OutcomeSkipped
+	// OutcomeTimedOut is an attempt the runtime's watchdog abandoned
+	// because it overran the task deadline: the executing worker is
+	// presumed dead and the task is re-enqueued through the retry path. An
+	// attempt whose timeout exhausts the retry budget is reported as
+	// OutcomeFailed instead, like any other permanent failure.
+	OutcomeTimedOut
+)
+
+// String returns the lower-case label used in traces and structured logs.
+func (o Outcome) String() string {
+	switch o {
+	case OutcomeOK:
+		return "ok"
+	case OutcomeRetried:
+		return "retried"
+	case OutcomeFailed:
+		return "failed"
+	case OutcomeCorrected:
+		return "corrected"
+	case OutcomeSkipped:
+		return "skipped"
+	case OutcomeTimedOut:
+		return "timed_out"
+	}
+	return "unknown"
+}
+
 // Event records one executed task attempt (or one skipped task) with full
-// span context.
+// DAG context: the task's identity, its dependence edges, when it became
+// ready versus when a worker picked it up (queue wait), which attempt it
+// was, and how it ended. A retried task has one Event per attempt under
+// the same ID; a poisoned dependent has one zero-length OutcomeSkipped
+// Event. A distributed attempt adds fetch/compute/commit sub-phase Events,
+// and a fault is a zero-length instant.
 type Event struct {
 	// ID is the task's submission sequence number, shared by every attempt
 	// of the same task; -1 for a distributed fault instant that belongs to
@@ -37,7 +90,7 @@ type Event struct {
 	// Start and End are nanoseconds since the trace epoch.
 	Start, End int64
 	// Outcome classifies how the attempt ended.
-	Outcome sched.Outcome
+	Outcome Outcome
 	// Err is the attempt's failure message, if any.
 	Err string
 	// Proc is the process lane in a merged cluster trace: 0 for in-process
@@ -65,9 +118,9 @@ func (e Event) QueueWait() int64 {
 }
 
 // Log accumulates events; it implements sched.SpanTracer, so a runtime
-// wired with WithTracer(log) records its spans. Events are buffered per worker — the hot path takes
-// only the owning worker's shard lock, never a global one — and merged (and
-// sorted) on demand by Events.
+// wired with sched.WithTracer(log) records its attempts. Events are
+// buffered per worker — the hot path takes only the owning worker's shard
+// lock, never a global one — and merged (and sorted) on demand by Events.
 type Log struct {
 	mu     sync.Mutex // guards shard-slice growth
 	shards atomic.Pointer[[]*logShard]
@@ -78,10 +131,15 @@ type logShard struct {
 	events []Event
 }
 
-var _ sched.SpanTracer = (*Log)(nil)
-
-// NewLog returns an empty trace log.
-func NewLog() *Log { return &Log{} }
+// NewLog returns a trace log holding events, each on its process lane as
+// Add places it.
+func NewLog(events ...Event) *Log {
+	l := &Log{}
+	for _, e := range events {
+		l.Add(e)
+	}
+	return l
+}
 
 // shard returns the per-worker buffer, growing the shard table
 // copy-on-write when a new worker index appears. Skipped-task events
@@ -111,44 +169,16 @@ func (l *Log) shard(w int) *logShard {
 	return grown[w]
 }
 
-// TaskSpan implements sched.SpanTracer: one call per task attempt and per
-// skipped task.
-func (l *Log) TaskSpan(sp sched.Span) {
-	s := l.shard(sp.Worker)
-	s.mu.Lock()
-	s.events = append(s.events, Event{
-		ID: sp.ID, Name: sp.Name, Worker: sp.Worker, Attempt: sp.Attempt,
-		Deps: sp.Deps, Ready: sp.Ready, Start: sp.Start, End: sp.End,
-		Outcome: sp.Outcome, Err: sp.Err,
-	})
-	s.mu.Unlock()
-}
-
-// Simulate replays g on the given number of virtual workers
-// (sched.SimulateEvents) and logs the schedule as spans, with barrier nodes
-// flattened into direct task→task edges so the DAG analysis and the Chrome
-// export see the dependence structure.
-func Simulate(g *sched.Graph, workers int) (*Log, sched.SimResult) {
-	res, events := sched.SimulateEvents(g, workers)
-	flat := g.FlattenBarriers()
-	l := NewLog()
-	for _, e := range events {
-		l.TaskSpan(sched.Span{
-			ID: e.ID, Name: e.Name, Worker: e.Worker, Attempt: 1,
-			Deps:  flat[e.ID],
-			Ready: int64(e.Ready * 1e9),
-			Start: int64(e.Start * 1e9), End: int64(e.End * 1e9),
-		})
-	}
-	return l, res
-}
+// TaskSpan implements sched.SpanTracer: it appends one task attempt's
+// (or one skipped task's) record, on its worker's shard.
+func (l *Log) TaskSpan(e Event) { l.shard(e.Worker).add(e) }
 
 // Add appends an arbitrary event — the entry point for merged cluster
-// traces and deserialized logs, which carry Proc/Phase/Bytes context the
-// sched tracer interfaces cannot express. Events land on the shard of
-// their process lane.
-func (l *Log) Add(e Event) {
-	s := l.shard(e.Proc)
+// traces and deserialized logs, whose events carry Proc/Phase/Bytes
+// context. Events land on the shard of their process lane.
+func (l *Log) Add(e Event) { l.shard(e.Proc).add(e) }
+
+func (s *logShard) add(e Event) {
 	s.mu.Lock()
 	s.events = append(s.events, e)
 	s.mu.Unlock()

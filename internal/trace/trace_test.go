@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"encoding/json"
@@ -6,16 +6,16 @@ import (
 	"strings"
 	"testing"
 
-	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
 
 // ran logs one completed first attempt of task id as a span.
-func ran(l *Log, id int, name string, worker int, start, end int64) {
-	l.TaskSpan(sched.Span{ID: id, Name: name, Worker: worker, Attempt: 1, Start: start, End: end})
+func ran(l *trace.Log, id int, name string, worker int, start, end int64) {
+	l.TaskSpan(trace.Event{ID: id, Name: name, Worker: worker, Attempt: 1, Start: start, End: end})
 }
 
 func TestAnalyzeBasics(t *testing.T) {
-	l := NewLog()
+	l := trace.NewLog()
 	// Two workers, each busy 1s over a 2s span → utilization 0.5.
 	ran(l, 0, "gemm", 0, 0, 1e9)
 	ran(l, 1, "trsm", 1, 1e9, 2e9)
@@ -38,14 +38,14 @@ func TestAnalyzeBasics(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	st := NewLog().Analyze()
+	st := trace.NewLog().Analyze()
 	if st.Tasks != 0 || st.Utilization != 0 {
 		t.Errorf("empty stats: %+v", st)
 	}
 }
 
 func TestEventsSorted(t *testing.T) {
-	l := NewLog()
+	l := trace.NewLog()
 	ran(l, 0, "b", 0, 100, 200)
 	ran(l, 1, "a", 0, 0, 50)
 	ev := l.Events()
@@ -55,7 +55,7 @@ func TestEventsSorted(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	l := NewLog()
+	l := trace.NewLog()
 	ran(l, 0, "a", 0, 0, 1)
 	l.Reset()
 	if len(l.Events()) != 0 {
@@ -64,7 +64,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestGantt(t *testing.T) {
-	l := NewLog()
+	l := trace.NewLog()
 	ran(l, 0, "potrf", 0, 0, 5e8)
 	ran(l, 1, "gemm", 1, 5e8, 1e9)
 	var sb strings.Builder
@@ -90,7 +90,7 @@ func TestGantt(t *testing.T) {
 
 func TestGanttEmpty(t *testing.T) {
 	var sb strings.Builder
-	if err := NewLog().Gantt(&sb, 20); err != nil {
+	if err := trace.NewLog().Gantt(&sb, 20); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "empty") {
@@ -99,7 +99,7 @@ func TestGanttEmpty(t *testing.T) {
 }
 
 func TestWriteChrome(t *testing.T) {
-	l := NewLog()
+	l := trace.NewLog()
 	ran(l, 0, "potrf", 0, 1000, 2000)
 	ran(l, 1, "gemm", 1, 2000, 5000)
 	var sb strings.Builder

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"exadla"
-	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
 
 // TestSpanOutcomesMatchFaultStats is the chaos acceptance check: a run
@@ -39,9 +39,9 @@ func TestSpanOutcomesMatchFaultStats(t *testing.T) {
 	attempts := map[int]int{}
 	for _, e := range ctx.TraceLog().Events() {
 		switch e.Outcome {
-		case sched.OutcomeRetried, sched.OutcomeCorrected:
+		case trace.OutcomeRetried, trace.OutcomeCorrected:
 			retried++
-		case sched.OutcomeFailed:
+		case trace.OutcomeFailed:
 			failed++
 		}
 		if e.Attempt > attempts[e.ID] {
