@@ -15,6 +15,7 @@ import (
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 // runE6 reproduces the ABFT experiment on the code the library ships: the
@@ -211,14 +212,14 @@ func runGuarded(op string, aD, clean []float64, n, nb, workers int, e softError)
 	tr := abftTrial{stats: new(ft.Stats), located: true}
 	var mu sync.Mutex
 	reports := 0
-	r := sched.New(workers, sched.WithRetry(3, 0), sched.WithFailureObserver(func(ev sched.FailureEvent) {
+	r := sched.New(workers, sched.WithRetry(3, 0), sched.WithFailureObserver(func(ev trace.Event, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if ev.Retrying {
+		if ev.Outcome != trace.OutcomeFailed {
 			tr.retried++
 		}
 		var ce *ft.CorruptionError
-		if !errors.As(ev.Err, &ce) {
+		if !errors.As(err, &ce) {
 			return
 		}
 		reports++

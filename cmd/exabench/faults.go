@@ -75,7 +75,7 @@ func chaosRun(op string, n, nb, workers int, prob float64) (tasks, retried, fail
 	r := sched.New(workers,
 		sched.WithMetrics(reg),
 		sched.WithRetry(50, 0),
-		sched.WithChaos(2016, prob, nil),
+		sched.WithChaos(sched.Chaos{Seed: 2016, FailProb: prob}),
 	)
 	defer r.Shutdown()
 	switch op {
@@ -104,7 +104,7 @@ func noRetryDemo(n, nb, workers int) {
 	rng := rand.New(rand.NewSource(2016))
 	aD := matgen.DiagDomSPD[float64](rng, n)
 	a := tile.FromColMajor(n, n, aD, n, nb)
-	r := sched.New(workers, sched.WithChaos(2016, 0.05, nil))
+	r := sched.New(workers, sched.WithChaos(sched.Chaos{Seed: 2016, FailProb: 0.05}))
 	defer r.Shutdown()
 	if err := core.Cholesky(r, a); err != nil {
 		fmt.Printf("cholesky: %v\n", err)

@@ -44,7 +44,7 @@ func hardFaultSweep(n, nb, workers int) {
 				sched.WithMetrics(reg),
 				sched.WithRetry(50, 0),
 				sched.WithTaskDeadline(deadline),
-				sched.WithHardChaos(2016+int64(k), killProb, 0, k),
+				sched.WithChaos(sched.Chaos{Seed: 2016 + int64(k), KillWorkerProb: killProb, MaxFaults: k}),
 			)
 			_, err := core.Protect(r, op, a, nil, &core.FTOptions{
 				Stats:     &stats,

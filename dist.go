@@ -59,11 +59,6 @@ type DistStats = dist.StatsSnapshot
 // the ServeObs /dist endpoint.
 type DistStatus = dist.ClusterStatus
 
-// DistEvent is one structured distributed-runtime fault event (worker
-// evicted, lease reaped, stale commit rejected, injected wire fault),
-// delivered to DistConfig.EventLog as it happens.
-type DistEvent = dist.Event
-
 // DistConfig tunes a distributed job. The zero value runs Cholesky with
 // the Context-independent defaults: tile size DefaultTileSize, a 1×1
 // logical grid, caching enabled, no checkpoints.

@@ -58,18 +58,13 @@ type Context struct {
 	retryMax      int
 	retryBackoff  time.Duration
 	retrySet      bool
-	chaosSeed     int64
-	chaosProb     float64
-	chaosSet      bool
 
-	// Hard-fault configuration (fault.go): liveness deadline and the
-	// worker-kill / task-hang chaos modes.
-	taskDeadline    time.Duration
-	hardChaosSeed   int64
-	killWorkerProb  float64
-	hangTaskProb    float64
-	hardChaosBudget int
-	hardChaosSet    bool
+	// Chaos and liveness configuration (fault.go): the soft and hard
+	// chaos modes, whether WithHardChaos set its retry and deadline
+	// defaults, and the watchdog deadline.
+	chaos        sched.Chaos
+	hardChaos    bool
+	taskDeadline time.Duration
 
 	// Checkpoint/restart configuration (checkpoint.go).
 	ckptDir   string

@@ -16,6 +16,7 @@ import (
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 func main() {
@@ -41,8 +42,8 @@ func main() {
 	}
 	// A detection corrects the entry in place and fails the verification
 	// task, which the runtime retries; the retry passes.
-	r := sched.New(4, sched.WithRetry(3, 0), sched.WithFailureObserver(func(ev sched.FailureEvent) {
-		fmt.Printf("checksum scan: %v\n", ev.Err)
+	r := sched.New(4, sched.WithRetry(3, 0), sched.WithFailureObserver(func(_ trace.Event, err error) {
+		fmt.Printf("checksum scan: %v\n", err)
 	}))
 	defer r.Shutdown()
 	a := tile.FromColMajor(n, n, aD, n, nb)

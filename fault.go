@@ -1,11 +1,13 @@
 package exadla
 
 import (
+	"errors"
 	"time"
 
 	"exadla/internal/core"
 	"exadla/internal/obs"
 	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
 
 // WithFaultTolerance arms ABFT protection on Cholesky, SolveSPD, InvertSPD,
@@ -36,12 +38,15 @@ func WithTaskRetry(max int, backoff time.Duration) Option {
 // WithChaos arms the scheduler's seeded fault-injection layer: every task
 // attempt fails with probability taskFailProb before its body runs. Combine
 // with WithTaskRetry to exercise recovery, or leave retries off to observe
-// failure aggregation. For the delay distribution variant use the sched
-// package directly.
+// failure aggregation. It composes with WithHardChaos in either order, and
+// when both arm a mode the stream is seeded here. For the delay
+// distribution variant use the sched package directly.
 func WithChaos(seed int64, taskFailProb float64) Option {
 	return func(c *Context) {
-		c.chaosSeed, c.chaosProb = seed, taskFailProb
-		c.chaosSet = true
+		c.chaos.FailProb = taskFailProb
+		if taskFailProb > 0 {
+			c.chaos.Seed = seed
+		}
 	}
 }
 
@@ -64,13 +69,15 @@ func WithTaskDeadline(d time.Duration) Option {
 // Recovery requires the watchdog, so if no WithTaskDeadline was given a
 // 2-second deadline is installed, and if no WithTaskRetry was given the
 // retry budget defaults to 50 attempts (hard faults re-execute through
-// the retry path).
+// the retry path). It composes with WithChaos in either order; seed seeds
+// the stream unless WithChaos arms a mode too.
 func WithHardChaos(seed int64, killWorkerProb, hangTaskProb float64, maxFaults int) Option {
 	return func(c *Context) {
-		c.hardChaosSeed = seed
-		c.killWorkerProb, c.hangTaskProb = killWorkerProb, hangTaskProb
-		c.hardChaosBudget = maxFaults
-		c.hardChaosSet = true
+		c.hardChaos = true
+		c.chaos.KillWorkerProb, c.chaos.HangProb, c.chaos.MaxFaults = killWorkerProb, hangTaskProb, maxFaults
+		if (killWorkerProb > 0 || hangTaskProb > 0) && c.chaos.FailProb <= 0 {
+			c.chaos.Seed = seed
+		}
 	}
 }
 
@@ -133,7 +140,7 @@ func (c *Context) faultSchedOpts() []sched.Option {
 	if !c.retrySet && c.faultTolerant {
 		retryMax, backoff = 3, 0
 	}
-	if !c.retrySet && c.hardChaosSet {
+	if !c.retrySet && c.hardChaos {
 		// Hard-fault recovery rides on retries, and every kill or hang
 		// consumes one attempt: be generous by default.
 		retryMax, backoff = 50, 0
@@ -141,35 +148,30 @@ func (c *Context) faultSchedOpts() []sched.Option {
 	if retryMax > 0 {
 		opts = append(opts, sched.WithRetry(retryMax, backoff))
 	}
-	if c.chaosSet {
-		opts = append(opts, sched.WithChaos(c.chaosSeed, c.chaosProb, nil))
-	}
+	opts = append(opts, sched.WithChaos(c.chaos))
 	deadline := c.taskDeadline
-	if deadline <= 0 && c.hardChaosSet {
+	if deadline <= 0 && c.hardChaos {
 		// The watchdog is the only recovery path for hard chaos; arm it.
 		deadline = 2 * time.Second
 	}
 	if deadline > 0 {
 		opts = append(opts, sched.WithTaskDeadline(deadline))
 	}
-	if c.hardChaosSet {
-		opts = append(opts, sched.WithHardChaos(c.hardChaosSeed, c.killWorkerProb, c.hangTaskProb, c.hardChaosBudget))
-	}
-	if retryMax > 0 || c.chaosSet || c.hardChaosSet || deadline > 0 || c.faultTolerant || c.eventLog != nil {
-		logFn := func(sched.FailureEvent) {}
+	if retryMax > 0 || c.chaos.FailProb > 0 || c.hardChaos || deadline > 0 || c.faultTolerant || c.eventLog != nil {
+		logFn := func(trace.Event, error) {}
 		if c.eventLog != nil {
 			logFn = obs.FailureLogger(c.eventLog)
 		}
-		opts = append(opts, sched.WithFailureObserver(func(ev sched.FailureEvent) {
-			if ev.Retrying {
+		opts = append(opts, sched.WithFailureObserver(func(e trace.Event, err error) {
+			if e.Outcome != trace.OutcomeFailed {
 				c.retried.Add(1)
 			} else {
 				c.failed.Add(1)
 			}
-			if ev.TimedOut {
+			if errors.Is(err, sched.ErrTaskTimeout) {
 				c.timedOut.Add(1)
 			}
-			logFn(ev)
+			logFn(e, err)
 		}))
 	}
 	return opts

@@ -135,7 +135,7 @@ func TestForkJoinReturnsTaskFailures(t *testing.T) {
 	for name, walk := range walks {
 		rng := rand.New(rand.NewSource(5))
 		a := tile.FromColMajor(n, n, matgen.DiagDomSPD[float64](rng, n), n, nb)
-		r := sched.New(1, sched.WithChaos(3, 1, nil))
+		r := sched.New(1, sched.WithChaos(sched.Chaos{Seed: 3, FailProb: 1}))
 		err := walk(r, a)
 		r.Shutdown()
 		var fe *sched.FailuresError

@@ -135,7 +135,7 @@ func TestResilientCholeskyHardChaosBitwise(t *testing.T) {
 		sched.WithMetrics(reg),
 		sched.WithRetry(50, 0),
 		sched.WithTaskDeadline(300*time.Millisecond),
-		sched.WithHardChaos(53, 0.05, 0.03, 3),
+		sched.WithChaos(sched.Chaos{Seed: 53, KillWorkerProb: 0.05, HangProb: 0.03, MaxFaults: 3}),
 	)
 	defer r.Shutdown()
 	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{
@@ -278,7 +278,7 @@ func TestResilientLUHardChaosBitwise(t *testing.T) {
 		sched.WithMetrics(reg),
 		sched.WithRetry(50, 0),
 		sched.WithTaskDeadline(300*time.Millisecond),
-		sched.WithHardChaos(57, 0.04, 0.02, 3),
+		sched.WithChaos(sched.Chaos{Seed: 57, KillWorkerProb: 0.04, HangProb: 0.02, MaxFaults: 3}),
 	)
 	defer r.Shutdown()
 	_, err := core.Protect(r, core.OpLU, a, nil, &core.FTOptions{

@@ -84,7 +84,7 @@ func TestPanelsPackedOnce(t *testing.T) {
 		"runtime1": func() (sched.Scheduler, func()) { r := sched.New(1); return r, r.Shutdown },
 		"runtime4": func() (sched.Scheduler, func()) { r := sched.New(4); return r, r.Shutdown },
 		"chaos4": func() (sched.Scheduler, func()) {
-			r := sched.New(4, sched.WithRetry(50, 0), sched.WithChaos(2016, 0.1, nil))
+			r := sched.New(4, sched.WithRetry(50, 0), sched.WithChaos(sched.Chaos{Seed: 2016, FailProb: 0.1}))
 			return r, r.Shutdown
 		},
 	}

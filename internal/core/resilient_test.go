@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"exadla/internal/blas"
@@ -15,6 +16,7 @@ import (
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 // cleanCholesky returns the fault-free tile Cholesky factor of the seeded
@@ -97,12 +99,12 @@ func TestResilientCholeskyRecoversFromInjection(t *testing.T) {
 		}
 	}
 
-	var retried int
+	var retried atomic.Int64 // the observer runs on every worker
 	r := sched.New(4,
 		sched.WithRetry(3, 0),
-		sched.WithFailureObserver(func(ev sched.FailureEvent) {
-			if ev.Retrying {
-				retried++
+		sched.WithFailureObserver(func(ev trace.Event, _ error) {
+			if ev.Outcome != trace.OutcomeFailed {
+				retried.Add(1)
 			}
 		}),
 	)
@@ -120,7 +122,7 @@ func TestResilientCholeskyRecoversFromInjection(t *testing.T) {
 	if stats.Unlocated.Load() != 0 {
 		t.Errorf("%d unlocatable faults in a single-fault-per-column scenario", stats.Unlocated.Load())
 	}
-	if retried == 0 {
+	if retried.Load() == 0 {
 		t.Error("recovery did not go through the scheduler retry path")
 	}
 	// The corrected factor must match the fault-free factor to the scaled
@@ -251,9 +253,9 @@ func TestProtectFlipBitRecovery(t *testing.T) {
 		var mu sync.Mutex
 		var reports []*ft.CorruptionError
 		a := tile.FromColMajor(n, n, aD, n, nb)
-		r := sched.New(2, sched.WithRetry(3, 0), sched.WithFailureObserver(func(ev sched.FailureEvent) {
+		r := sched.New(2, sched.WithRetry(3, 0), sched.WithFailureObserver(func(_ trace.Event, err error) {
 			var ce *ft.CorruptionError
-			if errors.As(ev.Err, &ce) {
+			if errors.As(err, &ce) {
 				mu.Lock()
 				reports = append(reports, ce)
 				mu.Unlock()
@@ -296,7 +298,7 @@ func TestCholeskyChaosWithRetryCompletes(t *testing.T) {
 	r := sched.New(4,
 		sched.WithMetrics(reg),
 		sched.WithRetry(50, 0),
-		sched.WithChaos(2016, 0.05, nil),
+		sched.WithChaos(sched.Chaos{Seed: 2016, FailProb: 0.05}),
 	)
 	defer r.Shutdown()
 	if err := core.Cholesky(r, a); err != nil {
@@ -327,7 +329,7 @@ func TestLUChaosWithRetryCompletes(t *testing.T) {
 	r := sched.New(4,
 		sched.WithMetrics(reg),
 		sched.WithRetry(50, 0),
-		sched.WithChaos(2016, 0.05, nil),
+		sched.WithChaos(sched.Chaos{Seed: 2016, FailProb: 0.05}),
 	)
 	defer r.Shutdown()
 	if _, err := core.LU(r, a); err != nil {
@@ -349,7 +351,7 @@ func TestCholeskyChaosWithoutRetryFailsGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	aD := matgen.DiagDomSPD[float64](rng, n)
 	a := tile.FromColMajor(n, n, aD, n, nb)
-	r := sched.New(4, sched.WithChaos(2016, 0.05, nil))
+	r := sched.New(4, sched.WithChaos(sched.Chaos{Seed: 2016, FailProb: 0.05}))
 	defer r.Shutdown()
 	err := core.Cholesky(r, a)
 	if err == nil {
@@ -460,7 +462,7 @@ func TestResilientCholeskyChaosAndInjection(t *testing.T) {
 	}
 	r := sched.New(4,
 		sched.WithRetry(50, 0),
-		sched.WithChaos(77, 0.05, nil),
+		sched.WithChaos(sched.Chaos{Seed: 77, FailProb: 0.05}),
 	)
 	defer r.Shutdown()
 	_, err := core.Protect(r, core.OpCholesky, a, nil, &core.FTOptions{InjectHook: hook, Stats: &stats})

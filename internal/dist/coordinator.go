@@ -122,12 +122,15 @@ type Options struct {
 	Resume bool
 	// Registry mirrors the run counters (nil disables mirroring).
 	Registry *metrics.Registry
-	// Events, when non-nil, receives structured fault events (evictions,
-	// lease reaps, stale commits, shipped wire-chaos observations) as they
-	// happen — the hook obs.DistLogger adapts onto slog. Called with the
-	// coordinator lock held: the hook must not call back into the
-	// coordinator.
-	Events func(Event)
+	// Events, when non-nil, receives every fault instant as it lands in
+	// the cluster trace — evictions, lease reaps, stale commits and the
+	// rest the coordinator records, on its clock, and each one a worker
+	// ships (wire chaos, corrupt payloads, partitions), on the worker's
+	// clock with ID -1 and Attempt 0. Phase is the kind (one of the
+	// trace.IsFault phases), ID the task or -1, Err the detail. It is the
+	// hook obs.DistLogger adapts onto slog. Called with the coordinator
+	// lock held: the hook must not call back into the coordinator.
+	Events func(trace.Event)
 }
 
 func (o *Options) defaults() {

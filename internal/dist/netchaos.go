@@ -7,8 +7,8 @@ import (
 )
 
 // NetChaos is the wire-level fault injector, the network sibling of
-// sched.WithChaos (in-task transient errors) and WithHardChaos (worker
-// death). It sits inside the worker's RPC client and, per call, draws a
+// sched.WithChaos's soft modes (in-task transient errors) and hard modes
+// (worker death). It sits inside the worker's RPC client and, per call, draws a
 // seeded fate: drop the request before it leaves (the coordinator never
 // sees it), drop the reply after the server executed (forcing a retry of a
 // call whose effects already happened — the at-least-once case that proves

@@ -9,21 +9,8 @@ import (
 
 // This file is the coordinator's cluster-observability surface: the merged
 // multi-process trace (worker span shards aligned onto the coordinator's
-// clock), the structured fault-event hook, and the live status snapshot
-// the obs server's /dist endpoint serves.
-
-// Event is one structured distributed-runtime fault event, delivered to
-// Options.Events as it happens. Kind is one of trace.PhaseEvicted,
-// trace.PhaseReaped, trace.PhaseStale, trace.PhaseChaos,
-// trace.PhaseSpecTwin, trace.PhaseCorrupt, trace.PhasePartition,
-// trace.PhaseRejoin.
-type Event struct {
-	Kind    string
-	Worker  int // -1 when not worker-specific
-	Task    int // -1 when not task-specific
-	Attempt int // 0 when unknown
-	Detail  string
-}
+// clock), the fault-instant hook (Options.Events), and the live status
+// snapshot the obs server's /dist endpoint serves.
 
 // Eviction is one worker eviction, as its fault instant records it.
 type Eviction struct {
@@ -75,16 +62,17 @@ type ClusterStatus struct {
 func (c *Coordinator) nowNS() int64 { return time.Since(c.epoch).Nanoseconds() }
 
 // faultLocked records a fault instant on the affected worker's process
-// lane and fires the Events hook.
+// lane and hands the same record to the Events hook.
 func (c *Coordinator) faultLocked(kind string, worker, task, attempt int, detail string) {
 	now := c.nowNS()
-	c.cevents = append(c.cevents, trace.Event{
+	e := trace.Event{
 		ID: task, Worker: worker, Attempt: attempt,
 		Start: now, End: now,
 		Proc: worker + 1, Phase: kind, Err: detail,
-	})
+	}
+	c.cevents = append(c.cevents, e)
 	if c.opt.Events != nil {
-		c.opt.Events(Event{Kind: kind, Worker: worker, Task: task, Attempt: attempt, Detail: detail})
+		c.opt.Events(e)
 	}
 }
 
@@ -131,7 +119,7 @@ func (c *Coordinator) absorbLocked(shipper int, spans []trace.Event, base, off, 
 	if c.opt.Events != nil {
 		for _, e := range spans {
 			if trace.IsFault(e.Phase) {
-				c.opt.Events(Event{Kind: e.Phase, Worker: e.Worker, Task: e.ID, Detail: e.Err})
+				c.opt.Events(e)
 			}
 		}
 	}

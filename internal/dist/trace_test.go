@@ -165,8 +165,8 @@ func TestDistClusterTraceFaultInstants(t *testing.T) {
 	opt.WaitWorkers = 2
 
 	var mu sync.Mutex
-	var hooked []dist.Event
-	opt.Events = func(e dist.Event) {
+	var hooked []trace.Event
+	opt.Events = func(e trace.Event) {
 		mu.Lock()
 		hooked = append(hooked, e)
 		mu.Unlock()
@@ -186,7 +186,8 @@ func TestDistClusterTraceFaultInstants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs := c.ClusterLog().AnalyzeCluster()
+	cl := c.ClusterLog()
+	cs := cl.AnalyzeCluster()
 	for _, kind := range []string{trace.PhaseEvicted, trace.PhaseChaos} {
 		if cs.Faults[kind] == 0 {
 			t.Errorf("merged trace has no %s instant: %v", kind, cs.Faults)
@@ -195,10 +196,28 @@ func TestDistClusterTraceFaultInstants(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
+	// The hook receives the trace's own fault instants: each hooked event
+	// is one of ClusterLog's, field for field except the times, which
+	// ClusterLog re-bases onto the coordinator's clock.
+	type instant struct {
+		phase, err          string
+		id, worker, attempt int
+	}
+	key := func(e trace.Event) instant { return instant{e.Phase, e.Err, e.ID, e.Worker, e.Attempt} }
+	logged := map[instant]int{}
+	for _, e := range cl.Events() {
+		if trace.IsFault(e.Phase) {
+			logged[key(e)]++
+		}
+	}
 	kinds := map[string]int{}
 	for _, e := range hooked {
-		kinds[e.Kind]++
-		if e.Kind == trace.PhaseEvicted && e.Worker < 0 {
+		if logged[key(e)] == 0 {
+			t.Errorf("hooked event %+v matches no fault instant of ClusterLog", e)
+		}
+		logged[key(e)]--
+		kinds[e.Phase]++
+		if e.Phase == trace.PhaseEvicted && e.Worker < 0 {
 			t.Errorf("eviction event without a worker: %+v", e)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // grid slot, its tile cache — is reconstructable by re-registering, which
 // is exactly what it does when the coordinator declares it dead. The fault
 // hooks (KillAfter, HangAfter, Chaos) are the process-level mirror of
-// sched.WithHardChaos: deterministic, seeded, and aimed at the protocol's
+// sched.WithChaos's hard modes: deterministic, seeded, and aimed at the protocol's
 // weakest moments (after a lease is granted, before a commit lands).
 
 // ErrKilled is returned by RunWorker when its KillAfter fault hook fired

@@ -14,6 +14,7 @@ import (
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 // The ABFT Cholesky is core.Protect's tile guard: these tests drive the
@@ -34,9 +35,9 @@ type guardedRun struct {
 func guardedCholesky(n, nb int, aD []float64, hook func(int, *tile.Matrix[float64])) *guardedRun {
 	g := &guardedRun{a: tile.FromColMajor(n, n, aD, n, nb)}
 	var mu sync.Mutex
-	r := sched.New(2, sched.WithRetry(3, 0), sched.WithFailureObserver(func(ev sched.FailureEvent) {
+	r := sched.New(2, sched.WithRetry(3, 0), sched.WithFailureObserver(func(_ trace.Event, err error) {
 		var ce *ft.CorruptionError
-		if errors.As(ev.Err, &ce) {
+		if errors.As(err, &ce) {
 			mu.Lock()
 			g.reports = append(g.reports, ce)
 			mu.Unlock()

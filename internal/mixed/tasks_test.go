@@ -155,7 +155,7 @@ func TestBlockResidualFailureReadsNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	a := testOperator(rng, n, false)
 	x, b := make([]float64, n), make([]float64, n)
-	rt := sched.New(2, sched.WithChaos(64, 1, nil))
+	rt := sched.New(2, sched.WithChaos(sched.Chaos{Seed: 64, FailProb: 1}))
 	defer rt.Shutdown()
 	r := make([]float64, n)
 	blockResidual(rt, nb, false, n, a, n, b)(x, r)

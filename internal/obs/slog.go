@@ -5,16 +5,16 @@ import (
 	"errors"
 	"log/slog"
 
-	"exadla/internal/dist"
 	"exadla/internal/sched"
 	"exadla/internal/trace"
 )
 
 // FailureLogger adapts a structured logger into a scheduler failure
-// observer (sched.WithFailureObserver): each failed task attempt becomes
-// one log record identifying which task failed, which attempt, how it
-// failed, and whether the runtime is retrying. The event kind classifies
-// the failure:
+// observer (sched.WithFailureObserver): each failed task attempt's record
+// becomes one log record identifying which task failed (kernel and seq are
+// the record's Name and ID), which attempt, how it failed, and whether the
+// runtime is retrying (any Outcome but Failed). The event kind classifies
+// the failure by its error:
 //
 //	chaos                  injected by WithChaos (errors.Is ErrInjected)
 //	corruption-corrected   ABFT checksum fault, already repaired in place
@@ -23,49 +23,51 @@ import (
 //	error                  any other task error
 //
 // Retried attempts log at Warn, permanent failures at Error.
-func FailureLogger(l *slog.Logger) func(sched.FailureEvent) {
-	return func(e sched.FailureEvent) {
+func FailureLogger(l *slog.Logger) func(trace.Event, error) {
+	return func(e trace.Event, err error) {
 		kind := "error"
 		var c sched.InPlaceCorrector
 		switch {
-		case e.Panicked:
+		case errors.Is(err, sched.ErrPanicked):
 			kind = "panic"
-		case e.TimedOut:
+		case errors.Is(err, sched.ErrTaskTimeout):
 			kind = "timeout"
-		case errors.Is(e.Err, sched.ErrInjected):
+		case errors.Is(err, sched.ErrInjected):
 			kind = "chaos"
-		case errors.As(e.Err, &c) && c.CorrectedInPlace():
+		case errors.As(err, &c) && c.CorrectedInPlace():
 			kind = "corruption-corrected"
 		}
+		retrying := e.Outcome != trace.OutcomeFailed
 		level := slog.LevelError
 		msg := "task failed"
-		if e.Retrying {
+		if retrying {
 			level, msg = slog.LevelWarn, "task attempt failed, retrying"
 		}
 		l.Log(context.Background(), level, msg,
-			slog.String("kernel", e.Kernel),
-			slog.Int("seq", e.Seq),
+			slog.String("kernel", e.Name),
+			slog.Int("seq", e.ID),
 			slog.Int("attempt", e.Attempt),
 			slog.String("kind", kind),
-			slog.Bool("retrying", e.Retrying),
-			slog.Any("err", e.Err),
+			slog.Bool("retrying", retrying),
+			slog.Any("err", err),
 		)
 	}
 }
 
 // DistLogger adapts a structured logger into a distributed-runtime fault
 // observer (dist.Options.Events / exadla.DistConfig.EventLog): each
-// cluster fault event becomes one log record. Fleet-level faults that cost
+// cluster fault instant becomes one log record, its kind the instant's
+// Phase, its task the ID, its detail the Err. Fleet-level faults that cost
 // work (a worker evicted, a lease reaped for re-execution) log at Warn;
 // faults the protocol absorbs by design (a stale commit rejected, an
 // injected wire fault) log at Info. The hook is invoked under the
 // coordinator's lock, so the adapter only logs — it never calls back into
 // the coordinator.
-func DistLogger(l *slog.Logger) func(dist.Event) {
-	return func(e dist.Event) {
+func DistLogger(l *slog.Logger) func(trace.Event) {
+	return func(e trace.Event) {
 		level := slog.LevelInfo
 		var msg string
-		switch e.Kind {
+		switch e.Phase {
 		case trace.PhaseEvicted:
 			level, msg = slog.LevelWarn, "worker evicted"
 		case trace.PhaseReaped:
@@ -78,17 +80,17 @@ func DistLogger(l *slog.Logger) func(dist.Event) {
 			msg = "dist event"
 		}
 		attrs := []any{
-			slog.String("kind", e.Kind),
+			slog.String("kind", e.Phase),
 			slog.Int("worker", e.Worker),
 		}
-		if e.Task >= 0 {
-			attrs = append(attrs, slog.Int("task", e.Task))
+		if e.ID >= 0 {
+			attrs = append(attrs, slog.Int("task", e.ID))
 		}
 		if e.Attempt > 0 {
 			attrs = append(attrs, slog.Int("attempt", e.Attempt))
 		}
-		if e.Detail != "" {
-			attrs = append(attrs, slog.String("detail", e.Detail))
+		if e.Err != "" {
+			attrs = append(attrs, slog.String("detail", e.Err))
 		}
 		l.Log(context.Background(), level, msg, attrs...)
 	}

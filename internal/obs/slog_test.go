@@ -10,20 +10,21 @@ import (
 
 	"exadla/internal/ft"
 	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
 
 func TestFailureLoggerKinds(t *testing.T) {
 	var buf bytes.Buffer
 	fn := FailureLogger(slog.New(slog.NewTextHandler(&buf, nil)))
 
-	fn(sched.FailureEvent{Kernel: "gemm", Seq: 3, Attempt: 1, Retrying: true,
-		Err: fmt.Errorf("pre-run: %w", sched.ErrInjected)})
-	fn(sched.FailureEvent{Kernel: "verify", Seq: 4, Attempt: 1, Retrying: true,
-		Err: &ft.CorruptionError{TileRow: 1, TileCol: 2, Faults: []ft.Fault{{}}, Corrected: 1}})
-	fn(sched.FailureEvent{Kernel: "potrf", Seq: 5, Attempt: 2, Panicked: true,
-		Err: errors.New("panic: index out of range")})
-	fn(sched.FailureEvent{Kernel: "trsm", Seq: 6, Attempt: 3,
-		Err: errors.New("singular")})
+	fn(trace.Event{Name: "gemm", ID: 3, Attempt: 1, Outcome: trace.OutcomeRetried},
+		fmt.Errorf("pre-run: %w", sched.ErrInjected))
+	fn(trace.Event{Name: "verify", ID: 4, Attempt: 1, Outcome: trace.OutcomeCorrected},
+		&ft.CorruptionError{TileRow: 1, TileCol: 2, Faults: []ft.Fault{{}}, Corrected: 1})
+	fn(trace.Event{Name: "potrf", ID: 5, Attempt: 2, Outcome: trace.OutcomeFailed},
+		fmt.Errorf("panic: index out of range: %w", sched.ErrPanicked))
+	fn(trace.Event{Name: "trsm", ID: 6, Attempt: 3, Outcome: trace.OutcomeFailed},
+		errors.New("singular"))
 
 	out := buf.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")

@@ -154,7 +154,7 @@ func TestMetricsCrossCheckQRWithRetry(t *testing.T) {
 	reg := metrics.New()
 	col := &spanCollector{}
 	rt := sched.New(4, sched.WithMetrics(reg), sched.WithTracer(col),
-		sched.WithChaos(42, 0.1, nil), sched.WithRetry(50, 0))
+		sched.WithChaos(sched.Chaos{Seed: 42, FailProb: 0.1}), sched.WithRetry(50, 0))
 	core.QR(rt, tile.FromColMajor(n, n, src, n, nb))
 	err := rt.WaitErr()
 	rt.Shutdown()

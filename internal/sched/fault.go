@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"exadla/internal/trace"
 )
 
 // This file is the runtime's failure model — the "faults are the norm"
@@ -22,11 +24,13 @@ import (
 // or made permanent. A permanent failure poisons the task's dependents:
 // they are skipped without running (their outputs would be garbage), the
 // DAG still drains, and WaitErr reports the root failures plus the skip
-// count. Wait keeps its legacy fail-fast semantics (it panics).
+// count. Wait keeps its legacy fail-fast semantics (it panics). Either
+// way the attempt's one record, the trace.Event its tracer receives, goes
+// with its typed error to the failure observer (WithFailureObserver).
 //
 // Hard faults — a worker that dies or hangs holding a task, never handing
-// control back — are the watchdog's job; see liveness.go. The chaos modes
-// here (WithHardChaos) inject exactly those faults deterministically.
+// control back — are the watchdog's job; see liveness.go. The hard modes
+// of Chaos inject exactly those faults deterministically.
 
 // TaskError describes one permanently failed task with its kernel and
 // data-handle context.
@@ -89,10 +93,15 @@ func (e *FailuresError) Unwrap() []error {
 	return errs
 }
 
+// ErrPanicked is the root of every panicked attempt's error, for
+// errors.Is checks in tests and policies.
+var ErrPanicked = errors.New("task panicked")
+
 // panicError adapts a recovered panic value into the error plumbing.
 type panicError struct{ val any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("task panicked: %v", e.val) }
+func (e *panicError) Unwrap() error { return ErrPanicked }
 
 // permanentError marks an error as non-retryable.
 type permanentError struct{ err error }
@@ -153,27 +162,54 @@ func UniformDelay(max time.Duration) DelayDist {
 	}
 }
 
-// chaosState is the scheduler-level fault injector: a seeded stream (the
-// ft.Injector discipline — same seed, same decision sequence) that kills
-// or delays task attempts (soft faults), and — when the hard modes are
-// armed via WithHardChaos — kills the executing worker outright or hangs
-// the attempt, exercising the watchdog. Decisions are drawn under a lock
-// so the stream stays a single deterministic sequence; which attempt
-// receives which draw still depends on worker interleaving, as real soft
-// errors do. The hard-mode draws are only taken when hard chaos is armed,
-// so seeded soft-chaos streams are unchanged by this extension.
-type chaosState struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
-	failProb float64
-	delay    DelayDist
+// Chaos configures the scheduler-level fault injector (WithChaos): a
+// stream seeded by Seed (the ft.Injector discipline — same seed, same
+// decision sequence) that draws a fate for every task attempt before its
+// body runs. The soft modes kill the attempt with probability FailProb
+// (the worker survives) and delay it by a draw from Delay (nil for none).
+// The hard modes kill its worker goroutine outright with probability
+// KillWorkerProb, or hang it until the watchdog abandons it with
+// probability HangProb; at most MaxFaults of them strike (negative for
+// unlimited), so "kill exactly k workers at seeded points" sweeps are
+// deterministic. Hard chaos requires WithTaskDeadline — New panics
+// otherwise, because nothing else can recover a dead or hung worker. The
+// zero value injects nothing.
+type Chaos struct {
+	Seed                     int64
+	FailProb                 float64
+	Delay                    DelayDist
+	KillWorkerProb, HangProb float64
+	MaxFaults                int
+}
 
-	// Hard modes (WithHardChaos). budget caps the number of hard faults
-	// injected, so "kill exactly k workers" sweeps are expressible; a
-	// negative budget is unlimited.
-	killWorkerProb float64
-	hangProb       float64
-	budget         int
+func (c Chaos) soft() bool { return c.FailProb > 0 || c.Delay != nil }
+func (c Chaos) hard() bool { return c.KillWorkerProb > 0 || c.HangProb > 0 }
+
+// merge folds o into c: o's soft modes replace c's when o arms one, and
+// its hard modes when o arms one. The soft modes' seed wins, so adding
+// hard modes leaves a seeded soft stream's draws where they were.
+func (c Chaos) merge(o Chaos) Chaos {
+	if o.hard() {
+		c.KillWorkerProb, c.HangProb, c.MaxFaults = o.KillWorkerProb, o.HangProb, o.MaxFaults
+		if !c.soft() {
+			c.Seed = o.Seed
+		}
+	}
+	if o.soft() {
+		c.Seed, c.FailProb, c.Delay = o.Seed, o.FailProb, o.Delay
+	}
+	return c
+}
+
+// chaosState is the merged WithChaos configuration, armed by New (rng
+// set) when it arms a mode. Decisions are drawn under a lock so the stream
+// stays a single deterministic sequence; which attempt receives which
+// draw still depends on worker interleaving, as real soft errors do. Its
+// MaxFaults counts down as hard faults strike.
+type chaosState struct {
+	mu  sync.Mutex
+	rng *rand.Rand
+	Chaos
 }
 
 // chaosFate is the outcome of one chaos draw for one task attempt. At most
@@ -185,28 +221,25 @@ type chaosFate struct {
 	delay      time.Duration
 }
 
-// hard reports whether any hard-fault mode is armed (watchdog required).
-func (c *chaosState) hard() bool { return c.killWorkerProb > 0 || c.hangProb > 0 }
-
-// draw returns the fate of one task attempt.
+// draw returns the fate of one task attempt: the soft draw, then the
+// optional delay, then — only when a hard mode is armed and its budget
+// lasts — the hard draw, so soft-only streams never see a hard draw.
 func (c *chaosState) draw() (f chaosFate) {
 	c.mu.Lock()
-	f.kill = c.rng.Float64() < c.failProb
-	if c.delay != nil {
-		f.delay = c.delay(c.rng)
+	f.kill = c.rng.Float64() < c.FailProb
+	if c.Delay != nil {
+		f.delay = c.Delay(c.rng)
 	}
-	if c.hard() && c.budget != 0 {
-		// One extra draw decides the hard fate; soft-only configurations
-		// never reach here, keeping their seeded streams unchanged.
+	if c.hard() && c.MaxFaults != 0 {
 		u := c.rng.Float64()
 		switch {
-		case u < c.killWorkerProb:
+		case u < c.KillWorkerProb:
 			f.killWorker, f.kill = true, false
-		case u < c.killWorkerProb+c.hangProb:
+		case u < c.KillWorkerProb+c.HangProb:
 			f.hang, f.kill = true, false
 		}
-		if (f.killWorker || f.hang) && c.budget > 0 {
-			c.budget--
+		if (f.killWorker || f.hang) && c.MaxFaults > 0 {
+			c.MaxFaults--
 		}
 	}
 	c.mu.Unlock()
@@ -228,74 +261,25 @@ func WithRetry(max int, backoff time.Duration) Option {
 	}
 }
 
-// WithChaos attaches a seeded fault/delay injector to the runtime: each
-// task attempt is killed before execution with probability taskFailProb
-// and (independently) delayed by a draw from delayDist (nil for no
-// delays). Killed attempts go through the retry path like any transient
-// failure, so resilience is testable under -race with a deterministic
-// failure budget.
-func WithChaos(seed int64, taskFailProb float64, delayDist DelayDist) Option {
-	return func(r *Runtime) {
-		if taskFailProb <= 0 && delayDist == nil {
-			return
-		}
-		r.chaos = &chaosState{
-			rng:      rand.New(rand.NewSource(seed)),
-			failProb: taskFailProb,
-			delay:    delayDist,
-		}
-	}
-}
-
-// WithHardChaos arms the chaos layer's hard-fault modes: each task attempt
-// kills its worker goroutine outright with probability killWorkerProb, or
-// hangs forever with probability hangProb. When WithChaos is also present
-// the soft layer's seeded stream is shared (and seed here is ignored);
-// alone, WithHardChaos seeds its own stream.
-// Both strike strictly before the body runs, so watchdog re-execution is
-// bitwise-safe for non-idempotent kernels. maxFaults caps the total number
-// of hard faults injected (negative for unlimited), making "kill exactly k
-// workers at seeded points" sweeps deterministic. Hard chaos requires
-// WithTaskDeadline — New panics otherwise, because nothing else can
-// recover a dead or hung worker.
-func WithHardChaos(seed int64, killWorkerProb, hangProb float64, maxFaults int) Option {
-	return func(r *Runtime) {
-		if killWorkerProb <= 0 && hangProb <= 0 {
-			return
-		}
-		if r.chaos == nil {
-			r.chaos = &chaosState{rng: rand.New(rand.NewSource(seed))}
-		}
-		r.chaos.killWorkerProb = killWorkerProb
-		r.chaos.hangProb = hangProb
-		r.chaos.budget = maxFaults
-	}
-}
-
-// FailureEvent describes one failed task attempt, delivered to the
-// failure observer.
-type FailureEvent struct {
-	// Kernel and Seq identify the task.
-	Kernel string
-	Seq    int
-	// Attempt is the 1-based attempt number that failed.
-	Attempt int
-	// Err is the attempt's failure.
-	Err error
-	// Panicked reports a panic failure.
-	Panicked bool
-	// Retrying reports whether the runtime will re-enqueue the task.
-	Retrying bool
-	// TimedOut reports a watchdog abandonment: the attempt overran the
-	// task deadline and its worker was declared dead (see WithTaskDeadline).
-	TimedOut bool
+// WithChaos attaches the seeded fault injector c to the runtime. A soft
+// kill takes the retry path like any transient failure, so resilience is
+// testable under -race with a deterministic failure budget; hard faults
+// strike strictly before the body runs, so watchdog re-execution is
+// bitwise-safe for non-idempotent kernels. WithChaos options compose in
+// any order: each sets the modes it arms, and the soft modes' Seed seeds
+// the stream when both kinds are armed.
+func WithChaos(c Chaos) Option {
+	return func(r *Runtime) { r.chaos.Chaos = r.chaos.merge(c) }
 }
 
 // WithFailureObserver registers a callback invoked once per failed task
-// attempt (retried or permanent). The observer runs on a worker goroutine
+// attempt (retried or permanent) with the attempt's record — the very
+// trace.Event a SpanTracer receives, Outcome Retried, Corrected, TimedOut
+// or Failed — and its typed error (errors.Is ErrInjected, ErrPanicked,
+// ErrTaskTimeout). The observer runs on a worker or watchdog goroutine
 // outside the runtime lock; it must be safe for concurrent use and must
 // not call back into the Runtime.
-func WithFailureObserver(fn func(FailureEvent)) Option {
+func WithFailureObserver(fn func(trace.Event, error)) Option {
 	return func(r *Runtime) { r.failObs = fn }
 }
 

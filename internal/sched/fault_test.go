@@ -3,12 +3,14 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"exadla/internal/metrics"
+	"exadla/internal/trace"
 )
 
 // --- failure aggregation -------------------------------------------------
@@ -71,13 +73,13 @@ func TestWaitPanicsOnErrorFailure(t *testing.T) {
 // --- retry policy --------------------------------------------------------
 
 func TestRetryTransientSucceeds(t *testing.T) {
-	var events []FailureEvent
+	var events []trace.Event
 	var mu sync.Mutex
 	reg := metrics.New()
 	r := New(4,
 		WithMetrics(reg),
 		WithRetry(3, 0),
-		WithFailureObserver(func(ev FailureEvent) {
+		WithFailureObserver(func(ev trace.Event, _ error) {
 			mu.Lock()
 			events = append(events, ev)
 			mu.Unlock()
@@ -103,7 +105,7 @@ func TestRetryTransientSucceeds(t *testing.T) {
 		t.Fatalf("observer saw %d events, want 2", len(events))
 	}
 	for i, ev := range events {
-		if !ev.Retrying || ev.Kernel != "flaky" || ev.Attempt != i+1 {
+		if ev.Outcome == trace.OutcomeFailed || ev.Name != "flaky" || ev.Attempt != i+1 {
 			t.Errorf("event %d = %+v, want retrying flaky attempt %d", i, ev, i+1)
 		}
 	}
@@ -313,7 +315,7 @@ func TestPoisonedEpochThenCleanEpoch(t *testing.T) {
 func TestChaosKillsWithoutRunningBody(t *testing.T) {
 	// p=1 chaos with no retry: the body never executes, and the aggregated
 	// error names the kernel and unwraps to ErrInjected — no panic anywhere.
-	r := New(2, WithMetrics(nil), WithChaos(7, 1.0, nil))
+	r := New(2, WithMetrics(nil), WithChaos(Chaos{Seed: 7, FailProb: 1.0}))
 	defer r.Shutdown()
 	var runs atomic.Int64
 	r.Submit(Task{Name: "syrk", Fn: func() { runs.Add(1) }})
@@ -335,7 +337,7 @@ func TestChaosWithRetryCompletes(t *testing.T) {
 	// eventually runs exactly once (the body is only executed on the
 	// surviving attempt), so the computation is exact.
 	reg := metrics.New()
-	r := New(4, WithMetrics(reg), WithRetry(50, 0), WithChaos(42, 0.05, nil))
+	r := New(4, WithMetrics(reg), WithRetry(50, 0), WithChaos(Chaos{Seed: 42, FailProb: 0.05}))
 	defer r.Shutdown()
 	var count atomic.Int64
 	for i := 0; i < 500; i++ {
@@ -359,9 +361,9 @@ func TestChaosRetriedCountDeterministic(t *testing.T) {
 	// runs with the same seed must retry the same number of attempts.
 	run := func(seed int64) int64 {
 		var retried atomic.Int64
-		r := New(8, WithMetrics(nil), WithRetry(100, 0), WithChaos(seed, 0.1, nil),
-			WithFailureObserver(func(ev FailureEvent) {
-				if ev.Retrying {
+		r := New(8, WithMetrics(nil), WithRetry(100, 0), WithChaos(Chaos{Seed: seed, FailProb: 0.1}),
+			WithFailureObserver(func(ev trace.Event, _ error) {
+				if ev.Outcome != trace.OutcomeFailed {
 					retried.Add(1)
 				}
 			}))
@@ -396,7 +398,7 @@ func TestChaosVersionStressDeterministic(t *testing.T) {
 		nTasks = 300
 	}
 	runVersionStress(t, 8, 24, nTasks, 0, 5,
-		WithRetry(100, 0), WithChaos(2016, 0.05, nil))
+		WithRetry(100, 0), WithChaos(Chaos{Seed: 2016, FailProb: 0.05}))
 }
 
 // TestChaosDelayVersionStress adds scheduling jitter on top of kills —
@@ -407,7 +409,7 @@ func TestChaosDelayVersionStress(t *testing.T) {
 		t.Skip("delay distribution stress is slow in -short mode")
 	}
 	runVersionStress(t, 8, 16, 400, 0, 6,
-		WithRetry(100, 0), WithChaos(7, 0.03, UniformDelay(200*time.Microsecond)))
+		WithRetry(100, 0), WithChaos(Chaos{Seed: 7, FailProb: 0.03, Delay: UniformDelay(200 * time.Microsecond)}))
 }
 
 // --- Shutdown robustness (satellite: idempotent, Wait-concurrent) --------
@@ -527,6 +529,149 @@ func TestFailureMetricsCounters(t *testing.T) {
 		if got := snap.Counters[name]; got != w {
 			t.Errorf("%s = %d, want %d", name, got, w)
 		}
+	}
+}
+
+// --- one failure record ----------------------------------------------------
+
+// TestFailureObserverSeesTracerRecord: the failure observer receives the
+// very record the tracer stores for each failed attempt — soft kills,
+// a watchdog timeout and a panic alike — with the typed error of its
+// class, and every failed attempt in the trace reaches it exactly once.
+func TestFailureObserverSeesTracerRecord(t *testing.T) {
+	type failure struct {
+		e   trace.Event
+		err error
+	}
+	log := trace.NewLog()
+	var mu sync.Mutex
+	var seen []failure
+	r := New(4, WithMetrics(nil), WithTracer(log),
+		WithRetry(50, 0), WithTaskDeadline(50*time.Millisecond),
+		WithChaos(Chaos{Seed: 11, FailProb: 0.1, HangProb: 0.05, MaxFaults: 1}),
+		WithFailureObserver(func(e trace.Event, err error) {
+			mu.Lock()
+			seen = append(seen, failure{e, err})
+			mu.Unlock()
+		}))
+	defer r.Shutdown()
+	// Every failing task depends on src, so each record carries Deps.
+	r.Submit(Task{Name: "src", Writes: []Handle{"src"}, Fn: func() {}})
+	for i := 0; i < 100; i++ {
+		r.Submit(Task{Name: "work", Reads: []Handle{"src"}, Fn: func() {}})
+	}
+	r.Submit(Task{Name: "boom", Reads: []Handle{"src"}, Writes: []Handle{"h"}, Fn: func() { panic("boom") }})
+	r.Submit(Task{Name: "dep", Reads: []Handle{"h"}, Fn: func() {}})
+	if err := r.WaitErr(); !errors.Is(err, ErrPanicked) {
+		t.Fatalf("WaitErr = %v, want the panic", err)
+	}
+
+	type key struct{ id, attempt int }
+	traced := map[key]trace.Event{}
+	for _, e := range log.Events() {
+		if e.Outcome != trace.OutcomeOK && e.Outcome != trace.OutcomeSkipped {
+			traced[key{e.ID, e.Attempt}] = e
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	classes := map[trace.Outcome]int{}
+	reached := map[key]int{}
+	for _, f := range seen {
+		k := key{f.e.ID, f.e.Attempt}
+		reached[k]++
+		if want, ok := traced[k]; !ok || !reflect.DeepEqual(f.e, want) {
+			t.Errorf("observer got %+v, tracer stored %+v", f.e, want)
+		}
+		classes[f.e.Outcome]++
+		var class error
+		switch f.e.Outcome {
+		case trace.OutcomeRetried:
+			class = ErrInjected
+		case trace.OutcomeTimedOut:
+			class = ErrTaskTimeout
+		case trace.OutcomeFailed:
+			class = ErrPanicked
+		}
+		if !errors.Is(f.err, class) || f.e.Err != f.err.Error() {
+			t.Errorf("%v attempt carries error %v, want one wrapping %v", f.e.Outcome, f.err, class)
+		}
+	}
+	for k := range traced {
+		if reached[k] != 1 {
+			t.Errorf("failed attempt %+v reached the observer %d times, want 1", k, reached[k])
+		}
+	}
+	if classes[trace.OutcomeRetried] == 0 || classes[trace.OutcomeTimedOut] != 1 || classes[trace.OutcomeFailed] != 1 {
+		t.Errorf("observed outcomes %v, want soft kills, one timeout and one failure", classes)
+	}
+}
+
+// TestChaosOptionsComposeInAnyOrder: soft and hard chaos given as two
+// options arm the same injector in either order — a later soft option
+// once replaced the hard modes — and the soft seed seeds the stream. Hard
+// chaos without a deadline panics in New in both orders.
+func TestChaosOptionsComposeInAnyOrder(t *testing.T) {
+	hard := WithChaos(Chaos{Seed: 2, KillWorkerProb: 0.1, HangProb: 0.05, MaxFaults: 3})
+	soft := WithChaos(Chaos{Seed: 1, FailProb: 0.2})
+	want := Chaos{Seed: 1, FailProb: 0.2, KillWorkerProb: 0.1, HangProb: 0.05, MaxFaults: 3}
+	for _, order := range [][]Option{{hard, soft}, {soft, hard}} {
+		r := New(2, append([]Option{WithMetrics(nil), WithTaskDeadline(time.Second)}, order...)...)
+		r.Shutdown()
+		if r.chaos.rng == nil || !reflect.DeepEqual(r.chaos.Chaos, want) {
+			t.Errorf("armed chaos %+v, want %+v", r.chaos.Chaos, want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("hard chaos without WithTaskDeadline did not panic in New")
+				}
+			}()
+			New(2, append([]Option{WithMetrics(nil)}, order...)...).Shutdown()
+		}()
+	}
+}
+
+// --- dependence map lifetime ---------------------------------------------
+
+// TestWaitErrDropsDepsWithoutTracer: an untraced Runtime forgets the
+// drained epoch's accesses at WaitErr, so a long-lived Runtime's memory
+// stays flat; a traced one keeps them, and still reports the dependence
+// edge a task has on a writer from before the barrier.
+func TestWaitErrDropsDepsWithoutTracer(t *testing.T) {
+	r := New(2, WithMetrics(nil))
+	defer r.Shutdown()
+	r.Submit(Task{Name: "w", Writes: []Handle{"h"}, Fn: func() {}})
+	r.Submit(Task{Name: "r", Reads: []Handle{"h"}, Fn: func() {}})
+	if err := r.WaitErr(); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	left := len(r.deps.last)
+	r.mu.Unlock()
+	if left != 0 {
+		t.Errorf("untraced Runtime keeps %d handles after WaitErr, want 0", left)
+	}
+
+	log := trace.NewLog()
+	rt := New(2, WithMetrics(nil), WithTracer(log))
+	defer rt.Shutdown()
+	rt.Submit(Task{Name: "w", Writes: []Handle{"h"}, Fn: func() {}})
+	if err := rt.WaitErr(); err != nil {
+		t.Fatal(err)
+	}
+	rt.Submit(Task{Name: "r", Reads: []Handle{"h"}, Fn: func() {}})
+	if err := rt.WaitErr(); err != nil {
+		t.Fatal(err)
+	}
+	var deps [][]int
+	for _, e := range log.Events() {
+		if e.ID == 1 {
+			deps = append(deps, e.Deps)
+		}
+	}
+	if !reflect.DeepEqual(deps, [][]int{{0}}) {
+		t.Errorf("reader after the barrier has Deps %v, want one attempt with [0]", deps)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"exadla/internal/trace"
 )
 
 // This file is the runtime's liveness layer — the hard-fault half of the
@@ -28,8 +26,11 @@ import (
 // that overruns the deadline is re-executed while the original may still
 // be running — harmless for idempotent bodies, unsound for in-place
 // read-modify-write kernels. The chaos modes that exercise this layer
-// (WithHardChaos) therefore strike strictly before the body runs, keeping
-// chaos runs bitwise identical to clean runs under retries.
+// (Chaos.KillWorkerProb and Chaos.HangProb) therefore strike strictly
+// before the body runs, keeping chaos runs bitwise identical to clean runs
+// under retries. An abandoned attempt is reported like any failed one: its
+// trace.Event (Outcome TimedOut, or Failed once the budget is spent) goes
+// to the tracer and, with its *TimeoutError, to the failure observer.
 
 // ErrTaskTimeout is the root of every watchdog-abandoned attempt's error,
 // for errors.Is checks in tests and policies.
@@ -215,7 +216,6 @@ func (r *Runtime) reapOverdue() {
 // merely hung, its goroutine discovers the abandonment when the body
 // returns (completeAttempt reports false) and exits quietly.
 func (r *Runtime) recoverLost(att *attempt) {
-	r.met.taskTimedOut()
 	r.met.workerLost()
 	go r.worker(att.worker)
 
@@ -226,17 +226,8 @@ func (r *Runtime) recoverLost(att *attempt) {
 		Worker:   att.worker,
 		Deadline: r.taskDeadline,
 	}
-	retrying := att.num <= r.retryMax
 	end := traceNow()
-	// Emit the abandoned attempt's span before resolveFailure can retire
-	// the node, mirroring the worker fast path's ordering guarantee.
-	if r.spanTracer != nil {
-		out := trace.OutcomeFailed
-		if retrying {
-			out = trace.OutcomeTimedOut
-		}
-		r.spanTracer.TaskSpan(att.n.span(att.worker, att.num, att.readyAt, att.start, end, out, err))
-	}
+	retrying := r.report(att.n, att.worker, att.num, att.readyAt, att.start, end, err)
 	skipped := r.resolveFailure(att.n, err, retrying, att.num, att.worker)
 	if len(skipped) > 0 {
 		r.emitSkipped(skipped, end)

@@ -20,15 +20,19 @@ import (
 func TestWatchdogRecoversHungTask(t *testing.T) {
 	reg := metrics.New()
 	col := &spanCollector{}
-	var evMu atomic.Pointer[[]sched.FailureEvent]
-	evMu.Store(&[]sched.FailureEvent{})
+	type failure struct {
+		e   trace.Event
+		err error
+	}
+	var evMu atomic.Pointer[[]failure]
+	evMu.Store(&[]failure{})
 	rt := sched.New(2,
 		sched.WithTaskDeadline(40*time.Millisecond),
 		sched.WithRetry(3, 0),
 		sched.WithMetrics(reg),
 		sched.WithTracer(col),
-		sched.WithFailureObserver(func(e sched.FailureEvent) {
-			evs := append(*evMu.Load(), e)
+		sched.WithFailureObserver(func(e trace.Event, err error) {
+			evs := append(*evMu.Load(), failure{e, err})
 			evMu.Store(&evs)
 		}))
 	defer rt.Shutdown()
@@ -89,11 +93,11 @@ func TestWatchdogRecoversHungTask(t *testing.T) {
 
 	// Failure observer saw the timeout with the TimedOut flag.
 	evs := *evMu.Load()
-	if len(evs) != 1 || !evs[0].TimedOut || !evs[0].Retrying {
+	if len(evs) != 1 || !errors.Is(evs[0].err, sched.ErrTaskTimeout) || evs[0].e.Outcome == trace.OutcomeFailed {
 		t.Errorf("failure events = %+v, want one retrying TimedOut event", evs)
 	}
-	if !errors.Is(evs[0].Err, sched.ErrTaskTimeout) {
-		t.Errorf("event error %v does not wrap ErrTaskTimeout", evs[0].Err)
+	if !errors.Is(evs[0].err, sched.ErrTaskTimeout) {
+		t.Errorf("event error %v does not wrap ErrTaskTimeout", evs[0].err)
 	}
 }
 
@@ -136,7 +140,7 @@ func TestHardChaosKillWorker(t *testing.T) {
 		sched.WithTaskDeadline(50*time.Millisecond),
 		sched.WithRetry(10, 0),
 		sched.WithMetrics(reg),
-		sched.WithHardChaos(99, 0.15, 0, 3))
+		sched.WithChaos(sched.Chaos{Seed: 99, KillWorkerProb: 0.15, MaxFaults: 3}))
 	defer rt.Shutdown()
 
 	var ran atomic.Int32
@@ -178,7 +182,7 @@ func TestHardChaosHangTask(t *testing.T) {
 		sched.WithTaskDeadline(50*time.Millisecond),
 		sched.WithRetry(10, 0),
 		sched.WithMetrics(reg),
-		sched.WithHardChaos(7, 0, 0.2, 2))
+		sched.WithChaos(sched.Chaos{Seed: 7, HangProb: 0.2, MaxFaults: 2}))
 	defer rt.Shutdown()
 
 	var ran atomic.Int32
@@ -205,10 +209,10 @@ func TestHardChaosHangTask(t *testing.T) {
 func TestHardChaosRequiresDeadline(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with WithHardChaos but no WithTaskDeadline did not panic")
+			t.Fatal("New with hard chaos but no WithTaskDeadline did not panic")
 		}
 	}()
-	sched.New(2, sched.WithHardChaos(1, 0.5, 0, -1))
+	sched.New(2, sched.WithChaos(sched.Chaos{Seed: 1, KillWorkerProb: 0.5, MaxFaults: -1}))
 }
 
 // TestHardChaosDeterministicWithChaosStream: soft-chaos-only seeded runs
@@ -222,8 +226,8 @@ func TestHardChaosDeterministicWithChaosStream(t *testing.T) {
 		mu.Store(&seqs)
 		all := append([]sched.Option{
 			sched.WithRetry(100, 0),
-			sched.WithFailureObserver(func(e sched.FailureEvent) {
-				s := append(*mu.Load(), e.Seq)
+			sched.WithFailureObserver(func(e trace.Event, _ error) {
+				s := append(*mu.Load(), e.ID)
 				mu.Store(&s)
 			}),
 		}, opts...)
@@ -236,8 +240,8 @@ func TestHardChaosDeterministicWithChaosStream(t *testing.T) {
 		return *mu.Load()
 	}
 
-	base := runPattern(sched.WithChaos(42, 0.2, nil))
-	withDisarmed := runPattern(sched.WithChaos(42, 0.2, nil), sched.WithHardChaos(42, 0, 0, -1))
+	base := runPattern(sched.WithChaos(sched.Chaos{Seed: 42, FailProb: 0.2}))
+	withDisarmed := runPattern(sched.WithChaos(sched.Chaos{Seed: 42, FailProb: 0.2}), sched.WithChaos(sched.Chaos{Seed: 42, MaxFaults: -1}))
 	if len(base) == 0 {
 		t.Fatal("soft chaos at p=0.2 injected nothing")
 	}

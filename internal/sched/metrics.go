@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"strconv"
 	"sync"
 
@@ -111,22 +112,25 @@ func (m *rtMetrics) taskDone(name string, w int, ns, waitNs int64) {
 	ks.lat.Observe(ns)
 }
 
-// taskRetried records one failed attempt going back on the ready queue.
-func (m *rtMetrics) taskRetried() { m.retried.Inc() }
-
-// taskFailed records one permanent task failure.
-func (m *rtMetrics) taskFailed(panicked bool) {
+// attemptFailed records one failed attempt: a watchdog timeout, and
+// either a retry or a permanent failure (counted again as a panic when
+// the body panicked).
+func (m *rtMetrics) attemptFailed(err error, retrying bool) {
+	if errors.Is(err, ErrTaskTimeout) {
+		m.timedOut.Inc()
+	}
+	if retrying {
+		m.retried.Inc()
+		return
+	}
 	m.failed.Inc()
-	if panicked {
+	if errors.Is(err, ErrPanicked) {
 		m.panicked.Inc()
 	}
 }
 
 // taskSkipped records one dependent poisoned by an upstream failure.
 func (m *rtMetrics) taskSkipped() { m.skipped.Inc() }
-
-// taskTimedOut records one attempt abandoned past its deadline.
-func (m *rtMetrics) taskTimedOut() { m.timedOut.Inc() }
 
 // workerLost records one worker declared dead and replaced.
 func (m *rtMetrics) workerLost() { m.lost.Inc() }

@@ -50,13 +50,14 @@
 // (WithRetry), permanently failed tasks poison — skip — their dependents,
 // whether submitted before or after the failure within one WaitErr epoch,
 // while the rest of the DAG drains, and WaitErr aggregates the root
-// failures with kernel and handle context. A seeded chaos layer
-// (WithChaos) kills or delays task attempts to exercise all of this
-// deterministically; see fault.go.
+// failures with kernel and handle context. Each failed attempt is reported
+// as its trace.Event to the failure observer (WithFailureObserver). A
+// seeded chaos layer (WithChaos) kills or delays task attempts to
+// exercise all of this deterministically; see fault.go.
 package sched
 
 import (
-	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,8 +156,8 @@ type Runtime struct {
 	// Failure policy, immutable after New.
 	retryMax     int
 	retryBackoff time.Duration
-	chaos        *chaosState
-	failObs      func(FailureEvent)
+	chaos        chaosState
+	failObs      func(trace.Event, error)
 
 	// Liveness layer (see liveness.go). taskDeadline is immutable after
 	// New; the attempt registry has its own lock so the watchdog never
@@ -208,8 +209,11 @@ func New(workers int, opts ...Option) *Runtime {
 	if r.met == nil {
 		r.met = newRTMetrics(metrics.Default(), workers)
 	}
-	if r.chaos != nil && r.chaos.hard() && r.taskDeadline <= 0 {
-		panic("sched: WithHardChaos (worker kills / task hangs) requires WithTaskDeadline so the watchdog can recover")
+	if r.chaos.hard() && r.taskDeadline <= 0 {
+		panic("sched: hard chaos (worker kills / task hangs) requires WithTaskDeadline so the watchdog can recover")
+	}
+	if r.chaos.soft() || r.chaos.hard() {
+		r.chaos.rng = rand.New(rand.NewSource(r.chaos.Seed))
 	}
 	if r.taskDeadline > 0 {
 		r.startWatchdog()
@@ -390,15 +394,7 @@ func (r *Runtime) worker(id int) {
 		}
 		r.met.taskDone(n.task.Name, id, end-start, wait)
 
-		// Emit the attempt's trace event before the node completes or is
-		// re-enqueued: Wait/WaitErr/Shutdown return once inFlight reaches
-		// zero, so anything emitted after finish()/resolveFailure() could be
-		// missed by a caller reading the tracer right after Wait.
-		retrying := err != nil && attemptNum <= r.retryMax && retryable(err)
-		if r.spanTracer != nil {
-			r.spanTracer.TaskSpan(n.span(id, attemptNum, readyAt, start, end, outcomeOf(err, retrying), err))
-		}
-
+		retrying := r.report(n, id, attemptNum, readyAt, start, end, err)
 		var skipped []*node
 		if err == nil {
 			skipped = r.finish(n, false, id)
@@ -410,6 +406,31 @@ func (r *Runtime) worker(id int) {
 			r.completeSkipped(len(skipped))
 		}
 	}
+}
+
+// report counts a failed attempt of n and hands its record, built once,
+// to the SpanTracer and (when it failed) the failure observer. It returns
+// whether a failed attempt will be retried. Callers report before the node
+// completes or is re-enqueued: Wait/WaitErr/Shutdown return once inFlight
+// reaches zero, so anything reported after finish or resolveFailure could
+// be missed by a caller reading the tracer right after Wait.
+func (r *Runtime) report(n *node, worker, attempt int, ready, start, end int64, err error) (retrying bool) {
+	if err != nil {
+		retrying = attempt <= r.retryMax && retryable(err)
+		r.met.attemptFailed(err, retrying)
+	}
+	obs := err != nil && r.failObs != nil
+	if r.spanTracer == nil && !obs {
+		return retrying
+	}
+	e := n.span(worker, attempt, ready, start, end, outcomeOf(err, retrying), err)
+	if r.spanTracer != nil {
+		r.spanTracer.TaskSpan(e)
+	}
+	if obs {
+		r.failObs(e, err)
+	}
+	return retrying
 }
 
 // emitSkipped reports poisoned dependents that will never run as
@@ -442,7 +463,7 @@ func (r *Runtime) finish(n *node, failed bool, home int) []*node {
 // attempt is bitwise-safe even for non-idempotent read-modify-write
 // kernels.
 func (r *Runtime) runTask(n *node, fn func(), fnErr func() error, att *attempt, attemptNum int) (err error, died bool) {
-	if r.chaos != nil {
+	if r.chaos.rng != nil {
 		fate := r.chaos.draw()
 		if fate.delay > 0 {
 			time.Sleep(fate.delay)
@@ -475,29 +496,15 @@ func (r *Runtime) runTask(n *node, fn func(), fnErr func() error, att *attempt, 
 }
 
 // resolveFailure routes one failed attempt: re-enqueue through the retry
-// policy when retry (computed by the worker before emitting the attempt's
-// span) is set, or make the failure permanent and poison the task's
-// dependents. attempt is the caller's snapshot of the attempt number (the
-// watchdog resolves abandoned attempts concurrently with the replacement
-// execution, so n.attempts cannot be read here). home is the shard retries
+// policy when retry (computed by report) is set, or make the failure
+// permanent and poison the task's dependents. attempt is the caller's
+// snapshot of the attempt number (the watchdog resolves abandoned attempts
+// concurrently with the replacement execution, so n.attempts cannot be
+// read here). home is the shard retries
 // and newly-ready successors target. It returns the dependents skipped by
 // a permanent failure (collected only under a SpanTracer).
 func (r *Runtime) resolveFailure(n *node, err error, retry bool, attempt, home int) (skipped []*node) {
-	_, panicked := err.(*panicError)
-	if r.failObs != nil {
-		var toErr *TimeoutError
-		r.failObs(FailureEvent{
-			Kernel:   n.task.Name,
-			Seq:      n.seq,
-			Attempt:  attempt,
-			Err:      err,
-			Panicked: panicked,
-			Retrying: retry,
-			TimedOut: errors.As(err, &toErr),
-		})
-	}
 	if retry {
-		r.met.taskRetried()
 		delay := r.backoffFor(attempt)
 		if delay <= 0 {
 			r.enqueue(n, home)
@@ -524,7 +531,6 @@ func (r *Runtime) resolveFailure(n *node, err error, retry bool, attempt, home i
 	}
 	r.mu.Lock()
 	r.failures = append(r.failures, te)
-	r.met.taskFailed(te.Panicked)
 	skipped = r.finishLocked(n, true, home)
 	r.mu.Unlock()
 	return skipped
@@ -617,7 +623,9 @@ func (r *Runtime) Wait() {
 // WaitErr blocks until all tasks submitted so far have completed and
 // returns the epoch's aggregated failures as a *FailuresError (nil if
 // every task succeeded). The failure state is consumed: the Runtime is
-// reusable for a fresh epoch afterwards.
+// reusable for a fresh epoch afterwards. Without a SpanTracer the
+// dependence map is dropped too, since the drained epoch's tasks constrain
+// nothing later.
 func (r *Runtime) WaitErr() error {
 	r.mu.Lock()
 	for r.inFlight > 0 {
@@ -628,6 +636,11 @@ func (r *Runtime) WaitErr() error {
 	r.failures = nil
 	r.skipped = 0
 	r.epoch++
+	if r.spanTracer == nil {
+		// Every entry is a finished task of a closed epoch: it gates and
+		// poisons nothing, and only a tracer reads it (for Deps).
+		r.deps = deps[*node]{}
+	}
 	r.mu.Unlock()
 	if len(fs) == 0 {
 		return nil

@@ -61,6 +61,9 @@ func outcomeOf(err error, retrying bool) trace.Outcome {
 	if !retrying {
 		return trace.OutcomeFailed
 	}
+	if errors.Is(err, ErrTaskTimeout) {
+		return trace.OutcomeTimedOut
+	}
 	var c InPlaceCorrector
 	if errors.As(err, &c) && c.CorrectedInPlace() {
 		return trace.OutcomeCorrected
