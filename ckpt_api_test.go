@@ -160,3 +160,23 @@ func TestOneShotSolversHonourCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointWriteFailureCounted: a Context armed only WithCheckpoint
+// counts the failed checkpoint task in FaultStats, like any other failed
+// task. The checkpoint directory is a regular file, so the write fails.
+func TestCheckpointWriteFailureCounted(t *testing.T) {
+	rng := rand.New(rand.NewSource(94))
+	const n = 96
+	a, _, _ := spdSystem(t, rng, n)
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := newCtx(t, exadla.WithTileSize(48), exadla.WithCheckpoint(notDir, 1))
+	if _, err := ctx.Cholesky(a); err == nil {
+		t.Fatal("Cholesky with an unwritable checkpoint directory succeeded")
+	}
+	if st := ctx.FaultStats(); st.Failed != 1 {
+		t.Errorf("FaultStats %+v, want Failed 1", st)
+	}
+}

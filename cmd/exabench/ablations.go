@@ -41,12 +41,12 @@ func runA2(quick bool) {
 	tbl := newTable("P", "makespan_prio(s)", "makespan_fifo(s)", "fifo_penalty%",
 		"makespan_inverted(s)", "inverted_penalty%")
 	for _, p := range []int{2, 4, 8, 16, 32} {
-		withPrio := sched.Simulate(g, p)
-		noFifo := sched.Simulate(fifo, p)
-		inv := sched.Simulate(inverted, p)
-		tbl.add(p, withPrio.Makespan,
-			noFifo.Makespan, 100*(noFifo.Makespan-withPrio.Makespan)/withPrio.Makespan,
-			inv.Makespan, 100*(inv.Makespan-withPrio.Makespan)/withPrio.Makespan)
+		withPrio := simulate(g, p).Makespan
+		noFifo := simulate(fifo, p).Makespan
+		inv := simulate(inverted, p).Makespan
+		tbl.add(p, withPrio,
+			noFifo, 100*(noFifo-withPrio)/withPrio,
+			inv, 100*(inv-withPrio)/withPrio)
 	}
 	tbl.print()
 	fmt.Println("\nfinding: for the tile Cholesky DAG even adversarial ordering costs only a")
@@ -75,10 +75,8 @@ func runA3(quick bool) {
 			} else {
 				core.QRTree(rec, a)
 			}
-			g := rec.Graph()
-			sim := sched.Simulate(g, 32)
-			tbl.add(mt, variant, g.Tasks(), g.TotalWork(), g.CriticalPath(),
-				g.TotalWork()/sim.Makespan)
+			d := simulate(rec.Graph(), 32)
+			tbl.add(mt, variant, d.Tasks, d.T1, d.TInf, d.Speedup())
 		}
 	}
 	tbl.print()

@@ -437,17 +437,16 @@ func benchScaleJSON(quick bool) error {
 					panic(err)
 				}
 			}
-			g := rec.Graph()
-			res.Tasks = g.Tasks()
-			res.GraphT1, res.GraphTInf = g.TotalWork(), g.CriticalPath()
 			for _, vw := range simWorkerCounts {
-				sim := sched.Simulate(g, vw)
+				// Tasks, T1 and TInf are the same for every worker count.
+				d := simulate(rec.Graph(), vw)
+				res.Tasks, res.GraphT1, res.GraphTInf = d.Tasks, d.T1, d.TInf
 				res.Simulated = append(res.Simulated, scaleSimPoint{
 					Workers:     vw,
-					Makespan:    sim.Makespan,
-					Speedup:     res.GraphT1 / sim.Makespan,
-					Utilization: sim.Utilization,
-					DAGBound:    math.Min(float64(vw), res.GraphT1/res.GraphTInf),
+					Makespan:    d.Makespan,
+					Speedup:     d.Speedup(),
+					Utilization: d.Speedup() / float64(vw),
+					DAGBound:    d.SpeedupBound(vw),
 				})
 			}
 

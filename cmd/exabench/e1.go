@@ -8,7 +8,13 @@ import (
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
+
+// simulate replays g on p virtual workers and measures the schedule.
+func simulate(g *sched.Graph, p int) trace.DAGStats {
+	return trace.NewLog(sched.Simulate(g, p)...).AnalyzeDAG()
+}
 
 // runE1 reproduces the keynote's headline plot: tile Cholesky scheduled as
 // a dataflow DAG versus block-synchronous fork-join, scaled over worker
@@ -33,18 +39,18 @@ func runE1(quick bool) {
 				fmt.Printf("n=%d %s: %v\n", n, variant, err)
 				continue
 			}
-			g := rec.Graph()
-			cells := []any{n, variant, g.Tasks(), g.TotalWork(), g.CriticalPath()}
+			var cells []any
 			var p1, p64 float64
 			for _, w := range workers {
-				res := sched.Simulate(g, w)
+				d := simulate(rec.Graph(), w)
 				if w == 1 {
-					p1 = res.Makespan
+					cells = []any{n, variant, d.Tasks, d.T1, d.TInf}
+					p1 = d.Makespan
 				}
 				if w == 64 {
-					p64 = res.Makespan
+					p64 = d.Makespan
 				}
-				cells = append(cells, res.Makespan)
+				cells = append(cells, d.Makespan)
 			}
 			cells = append(cells, p1/p64)
 			tbl.add(cells...)

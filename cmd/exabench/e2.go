@@ -40,8 +40,9 @@ func runE2(quick bool) {
 	tbl := newTable("P", "variant", "makespan(s)", "busy(s)", "utilization", "idle%")
 	for _, p := range workerCounts {
 		for _, variant := range []string{"fork-join", "dataflow"} {
-			res := sched.Simulate(graphs[variant], p)
-			tbl.add(p, variant, res.Makespan, res.Busy, res.Utilization, 100*(1-res.Utilization))
+			d := simulate(graphs[variant], p)
+			util := d.Speedup() / float64(p)
+			tbl.add(p, variant, d.Makespan, d.T1, util, 100*(1-util))
 		}
 	}
 	tbl.print()
@@ -49,8 +50,7 @@ func runE2(quick bool) {
 	// Gantt charts at P=4.
 	for _, variant := range []string{"fork-join", "dataflow"} {
 		fmt.Printf("\nGantt (%s, P=4, n=%d, nb=%d) — '.' is idle:\n", variant, n, nb)
-		_, events := sched.SimulateEvents(graphs[variant], 4)
-		log := trace.NewLog(events...)
+		log := trace.NewLog(sched.Simulate(graphs[variant], 4)...)
 		if err := log.Gantt(os.Stdout, 100); err != nil {
 			fmt.Println(err)
 		}

@@ -45,10 +45,7 @@ func runE4(quick bool) {
 			t0 = time.Now()
 			core.QRTree(rec, ta)
 			tTSQR := time.Since(t0).Seconds()
-			g := rec.Graph()
-			sim := sched.Simulate(g, 16)
-			seq := g.TotalWork()
-			speedup := seq / sim.Makespan
+			d := simulate(rec.Graph(), 16)
 
 			// R agreement (up to sign).
 			r := ta.Tile(0, 0)
@@ -65,7 +62,7 @@ func runE4(quick bool) {
 					}
 				}
 			}
-			tbl.add(c.m, c.n, ta.MT, tHouse, tTSQR, g.CriticalPath(), speedup, maxDiff/maxR)
+			tbl.add(c.m, c.n, ta.MT, tHouse, tTSQR, d.TInf, d.Speedup(), maxDiff/maxR)
 		}
 	}
 	tbl.print()

@@ -59,9 +59,7 @@ func runE7(quick bool) {
 		// Simulated scaling of the batched DAG.
 		rec := sched.NewRecorder()
 		batch.Potrf(rec, n, clone(), batch.Options{})
-		g := rec.Graph()
-		sim := sched.Simulate(g, 16)
-		speedup := g.TotalWork() / sim.Makespan
+		speedup := simulate(rec.Graph(), 16).Speedup()
 
 		tbl.add(n, count, tLoop, tChunk1, tBatched,
 			tLoop/tBatched, tChunk1/tBatched, speedup)

@@ -85,19 +85,17 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 
-		g := rec.Graph()
 		variant := "dataflow"
 		if *forkJoin {
 			variant = "fork-join"
 		}
+		log = trace.NewLog(sched.Simulate(rec.Graph(), *workers)...)
+		d := log.AnalyzeDAG()
 		fmt.Fprintf(stdout, "%s %s: n=%d nb=%d — %d tasks, %.4fs total work, %.4fs critical path\n",
-			*op, variant, *n, *nb, g.Tasks(), g.TotalWork(), g.CriticalPath())
-
-		res, events := sched.SimulateEvents(g, *workers)
-		log = trace.NewLog(events...)
+			*op, variant, *n, *nb, d.Tasks, d.T1, d.TInf)
 		fmt.Fprintf(stdout, "simulated on %d workers: makespan %.4fs, utilization %.1f%%, speedup %.2fx\n\n",
-			*workers, res.Makespan, 100*res.Utilization, g.TotalWork()/res.Makespan)
-		printDAG(stdout, log.AnalyzeDAG(), *workers)
+			*workers, d.Makespan, 100*d.Speedup()/float64(*workers), d.Speedup())
+		printDAG(stdout, d, *workers)
 		fmt.Fprintln(stdout)
 		if err := log.Gantt(stdout, *width); err != nil {
 			return err

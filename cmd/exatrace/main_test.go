@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -34,6 +35,16 @@ func TestRunSimulatedChrome(t *testing.T) {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, stdout.String())
 		}
+	}
+	// The header and the critical-path line print one analysis: the same
+	// work and span.
+	header := regexp.MustCompile(`tasks, (\S+)s total work, (\S+)s critical path`).FindStringSubmatch(stdout.String())
+	crit := regexp.MustCompile(`critical path: T1 (\S+)s, T∞ (\S+)s`).FindStringSubmatch(stdout.String())
+	if header == nil || crit == nil {
+		t.Fatalf("report lacks the work/span header or the critical-path line:\n%s", stdout.String())
+	}
+	if header[1] != crit[1] || header[2] != crit[2] {
+		t.Errorf("header work %s span %s, critical-path line T1 %s T∞ %s", header[1], header[2], crit[1], crit[2])
 	}
 	ph := map[string]int{}
 	for _, e := range readChrome(t, out) {

@@ -220,13 +220,16 @@ func (c *Context) Workers() int { return c.workers }
 // TileSize reports the configured tile size.
 func (c *Context) TileSize() int { return c.tileSize }
 
-// TraceStats summarizes the execution trace collected so far. It returns
-// zero statistics unless the Context was created WithTracing.
-func (c *Context) TraceStats() trace.Stats {
+// TraceStats returns the work/span analysis of the execution trace
+// collected so far: Tasks counts distinct tasks, Attempts counts task
+// attempts (retries included), and ByKernel sums attempt seconds per
+// kernel. It returns zero statistics unless the Context was created
+// WithTracing.
+func (c *Context) TraceStats() trace.DAGStats {
 	if c.log == nil {
-		return trace.Stats{}
+		return trace.DAGStats{}
 	}
-	return c.log.Analyze()
+	return c.log.AnalyzeDAG()
 }
 
 // TraceLog exposes the raw trace log (nil without WithTracing), for Gantt

@@ -157,24 +157,23 @@ func (c *Context) faultSchedOpts() []sched.Option {
 	if deadline > 0 {
 		opts = append(opts, sched.WithTaskDeadline(deadline))
 	}
-	if retryMax > 0 || c.chaos.FailProb > 0 || c.hardChaos || deadline > 0 || c.faultTolerant || c.eventLog != nil {
-		logFn := func(trace.Event, error) {}
-		if c.eventLog != nil {
-			logFn = obs.FailureLogger(c.eventLog)
-		}
-		opts = append(opts, sched.WithFailureObserver(func(e trace.Event, err error) {
-			if e.Outcome != trace.OutcomeFailed {
-				c.retried.Add(1)
-			} else {
-				c.failed.Add(1)
-			}
-			if errors.Is(err, sched.ErrTaskTimeout) {
-				c.timedOut.Add(1)
-			}
-			logFn(e, err)
-		}))
+	// The observer runs only for failed attempts, so it costs a clean run
+	// nothing; installing it always counts every failure in FaultStats.
+	logFn := func(trace.Event, error) {}
+	if c.eventLog != nil {
+		logFn = obs.FailureLogger(c.eventLog)
 	}
-	return opts
+	return append(opts, sched.WithFailureObserver(func(e trace.Event, err error) {
+		if e.Outcome != trace.OutcomeFailed {
+			c.retried.Add(1)
+		} else {
+			c.failed.Add(1)
+		}
+		if errors.Is(err, sched.ErrTaskTimeout) {
+			c.timedOut.Add(1)
+		}
+		logFn(e, err)
+	}))
 }
 
 // ftOptions builds the per-operation ABFT options, nil unless

@@ -10,6 +10,7 @@ import (
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
+	"exadla/internal/trace"
 )
 
 // getrfSeq is the loop baseline of batch.Getrf.
@@ -159,7 +160,7 @@ func TestDefaultChunkSize(t *testing.T) {
 	mats := spdBatch(rng, count, n)
 	rec := sched.NewRecorder()
 	batch.Potrf(rec, n, mats, batch.Options{})
-	tasks := rec.Graph().Tasks()
+	tasks := trace.NewLog(sched.Simulate(rec.Graph(), 1)...).AnalyzeDAG().Tasks
 	if tasks >= count {
 		t.Errorf("default chunking produced %d tasks for %d problems", tasks, count)
 	}
@@ -186,7 +187,7 @@ func TestGemmRectangularChunking(t *testing.T) {
 	}
 	rec := sched.NewRecorder()
 	batch.Gemm(rec, m, n, k, as, bs, cs, batch.Options{})
-	tasks := rec.Graph().Tasks()
+	tasks := trace.NewLog(sched.Simulate(rec.Graph(), 1)...).AnalyzeDAG().Tasks
 	if tasks > count/2 {
 		t.Errorf("rectangular %dx%dx%d batch of %d got %d tasks; chunking is ignoring the true volume",
 			m, n, k, count, tasks)

@@ -12,6 +12,7 @@ import (
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 // schedulers returns the execution environments every algorithm is tested
@@ -243,8 +244,15 @@ func TestTileLUForkJoinMatchesDataflow(t *testing.T) {
 	}
 	// The fork-join graph must contain interior barriers; the dataflow
 	// graph only the single trailing one from the final Wait.
-	dfBarriers := len(rec1.Graph().Nodes) - rec1.Graph().Tasks()
-	fjBarriers := len(rec2.Graph().Nodes) - rec2.Graph().Tasks()
+	barriers := func(g *sched.Graph) (c int) {
+		for _, n := range g.Nodes {
+			if n.Barrier {
+				c++
+			}
+		}
+		return c
+	}
+	dfBarriers, fjBarriers := barriers(rec1.Graph()), barriers(rec2.Graph())
 	if dfBarriers > 1 {
 		t.Errorf("dataflow graph contains %d barriers", dfBarriers)
 	}
@@ -493,13 +501,13 @@ func TestForkJoinGraphHasLowerParallelism(t *testing.T) {
 			fj.Nodes[i].Cost = 1
 		}
 	}
-	dfRes := sched.Simulate(df, 16)
-	fjRes := sched.Simulate(fj, 16)
+	dfRes := trace.NewLog(sched.Simulate(df, 16)...).AnalyzeDAG()
+	fjRes := trace.NewLog(sched.Simulate(fj, 16)...).AnalyzeDAG()
 	if dfRes.Makespan > fjRes.Makespan {
 		t.Errorf("dataflow makespan %g > fork-join %g", dfRes.Makespan, fjRes.Makespan)
 	}
-	if df.CriticalPath() > fj.CriticalPath() {
-		t.Errorf("dataflow critical path %g > fork-join %g", df.CriticalPath(), fj.CriticalPath())
+	if dfRes.TInf > fjRes.TInf {
+		t.Errorf("dataflow critical path %g > fork-join %g", dfRes.TInf, fjRes.TInf)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 func qrTreeCheck(t *testing.T, m, n, nb int, mk func() (sched.Scheduler, func())) {
@@ -99,7 +100,7 @@ func TestQRTreeShorterCriticalPath(t *testing.T) {
 				g.Nodes[i].Cost = 1
 			}
 		}
-		return g.CriticalPath()
+		return trace.NewLog(sched.Simulate(g, 1)...).AnalyzeDAG().TInf
 	}
 	flat := depth(func(s sched.Scheduler, a *tile.Matrix[float64]) { core.QR(s, a) })
 	tree := depth(func(s sched.Scheduler, a *tile.Matrix[float64]) { core.QRTree(s, a) })

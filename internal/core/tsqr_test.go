@@ -11,6 +11,7 @@ import (
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
+	"exadla/internal/trace"
 )
 
 // TSQR is QRTree on a single tile column: nblocks row blocks are tiles of
@@ -122,7 +123,7 @@ func TestTSQRWithRecorder(t *testing.T) {
 	if counts["geqrt"] != 8 || counts["ttqrt"] != 7 || len(counts) != 2 {
 		t.Errorf("task counts %v, want 8 geqrt and 7 ttqrt", counts)
 	}
-	if cp := g.CriticalPath(); cp != 4 {
+	if cp := trace.NewLog(sched.Simulate(g, 1)...).AnalyzeDAG().TInf; cp != 4 {
 		t.Errorf("unit-cost critical path %v, want 4", cp)
 	}
 }

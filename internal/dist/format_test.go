@@ -101,10 +101,9 @@ func TestTraceFormatsPinned(t *testing.T) {
 	}
 	golden(t, "heartbeat.gob.hex", []byte(hex.Dump(wire.Bytes())))
 
-	res, simulated := sched.SimulateEvents(formatGraph(), 2)
-	sl := trace.NewLog(simulated...)
+	sl := trace.NewLog(sched.Simulate(formatGraph(), 2)...)
 	var an bytes.Buffer
-	fmt.Fprintf(&an, "%+v\n%+v\n%+v\n", res, sl.Analyze(), sl.AnalyzeDAG())
+	fmt.Fprintf(&an, "%+v\n", sl.AnalyzeDAG())
 	golden(t, "sim_analyze.txt", an.Bytes())
 	var gantt bytes.Buffer
 	if err := sl.Gantt(&gantt, 48); err != nil {

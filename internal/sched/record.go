@@ -29,38 +29,9 @@ type Graph struct {
 	Nodes []GraphNode
 }
 
-// TotalWork returns the sum of node costs in seconds.
-func (g *Graph) TotalWork() float64 {
-	var s float64
-	for _, n := range g.Nodes {
-		s += n.Cost
-	}
-	return s
-}
-
-// CriticalPath returns the length in seconds of the longest dependence
-// chain — the makespan lower bound at infinite parallelism.
-func (g *Graph) CriticalPath() float64 {
-	finish := make([]float64, len(g.Nodes))
-	var cp float64
-	for i, n := range g.Nodes {
-		var start float64
-		for _, d := range n.Deps {
-			if finish[d] > start {
-				start = finish[d]
-			}
-		}
-		finish[i] = start + n.Cost
-		if finish[i] > cp {
-			cp = finish[i]
-		}
-	}
-	return cp
-}
-
 // flattenBarriers returns per-node dependency lists with barrier nodes
 // transitively replaced by their own (flattened) dependencies, so analyses
-// that drop barrier nodes — such as SimulateEvents timelines — still see the
+// that drop barrier nodes — such as Simulate's events — still see the
 // fork–join ordering as direct task→task edges. Barrier nodes keep an entry
 // (their flattened deps) so indices stay aligned with g.Nodes.
 func (g *Graph) flattenBarriers() [][]int {
@@ -84,17 +55,6 @@ func (g *Graph) flattenBarriers() [][]int {
 		flat[i] = deps
 	}
 	return flat
-}
-
-// Tasks returns the number of non-barrier nodes.
-func (g *Graph) Tasks() int {
-	c := 0
-	for _, n := range g.Nodes {
-		if !n.Barrier {
-			c++
-		}
-	}
-	return c
 }
 
 // Recorder is a Scheduler that executes tasks inline (sequentially, in

@@ -25,8 +25,9 @@
 //
 // Task attempts are reported in one record, trace.Event: a Runtime with a
 // SpanTracer (WithTracer) emits one per attempt and per skipped task, and
-// SimulateEvents returns a simulated schedule as the same records, so
-// trace.Log stores and analyses both without conversion.
+// Simulate returns a simulated schedule as the same records. sched
+// simulates and package trace measures: work, span, makespan and speedup
+// of a real or simulated schedule all come from trace.Log.AnalyzeDAG.
 //
 // The dependence rule itself lives in one place (deps.go) and is shared by
 // the Runtime, the Recorder and the Frontier (the pull-based tracker the

@@ -1,19 +1,10 @@
 package sched
 
-import "exadla/internal/trace"
+import (
+	"math"
 
-// SimResult summarizes a simulated execution of a recorded graph.
-type SimResult struct {
-	// Makespan is the simulated wall-clock time in seconds.
-	Makespan float64
-	// Busy is the total worker-busy time in seconds (equals the graph's
-	// TotalWork).
-	Busy float64
-	// Utilization is Busy / (Workers · Makespan) in [0, 1].
-	Utilization float64
-	// Workers echoes the simulated worker count.
-	Workers int
-}
+	"exadla/internal/trace"
+)
 
 // Simulate replays a recorded graph under the given number of virtual
 // workers using event-driven greedy list scheduling: whenever a worker is
@@ -22,30 +13,20 @@ type SimResult struct {
 // equal-priority tasks start first in, first out, roots included). Idle
 // workers take tasks lowest ID first. Simulated scaling thus reflects what
 // the runtime would do on a machine with that many cores.
-func Simulate(g *Graph, workers int) SimResult {
-	res, _ := simulate(g, workers, false)
-	return res
-}
-
-// SimulateEvents is Simulate returning the per-task schedule, one first
-// attempt per task on its virtual worker with times in nanoseconds since
-// the simulated start, for Gantt rendering and timeline analysis
-// (trace.NewLog(events...)). Barrier nodes are omitted from events and
-// flattened into direct task→task edges, so the DAG analysis and the
-// Chrome export see the dependence structure.
-func SimulateEvents(g *Graph, workers int) (SimResult, []trace.Event) {
-	return simulate(g, workers, true)
-}
-
-func simulate(g *Graph, workers int, record bool) (SimResult, []trace.Event) {
+//
+// The schedule comes back as one first attempt per task on its virtual
+// worker, with times in nanoseconds since the simulated start; measure it
+// with trace.NewLog(events...).AnalyzeDAG(). The simulation runs in
+// integer nanoseconds with each node's cost rounded once, so every event
+// lasts exactly its node's rounded cost and the work and span of the
+// schedule do not depend on the worker count. Barrier nodes are omitted
+// from the events and flattened into direct task→task edges, so the DAG
+// analysis and the Chrome export see the dependence structure.
+func Simulate(g *Graph, workers int) []trace.Event {
 	if workers < 1 {
 		workers = 1
 	}
 	n := len(g.Nodes)
-	if n == 0 {
-		return SimResult{Workers: workers, Utilization: 1}, nil
-	}
-
 	indeg := make([]int, n)
 	succs := make([][]int, n)
 	for i, node := range g.Nodes {
@@ -55,7 +36,7 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []trace.Event) {
 		}
 	}
 	var ready Ready[int] // deps met, keyed by (priority, node index)
-	readyAt := make([]float64, n)
+	readyAt := make([]int64, n)
 	for i := range g.Nodes {
 		if indeg[i] == 0 {
 			ready.Push(i, g.Nodes[i].Priority, i)
@@ -65,19 +46,14 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []trace.Event) {
 	// running[w] is the node worker w executes (-1 when idle) and
 	// finish[w] when it completes.
 	running := make([]int, workers)
-	finish := make([]float64, workers)
+	finish := make([]int64, workers)
 	for w := range running {
 		running[w] = -1
 	}
 	var events []trace.Event
-	var flat [][]int
-	if record {
-		flat = g.flattenBarriers()
-	}
-	ns := func(t float64) int64 { return int64(t * 1e9) }
+	flat := g.flattenBarriers()
 
-	now := 0.0
-	var busy float64
+	var now int64
 	for {
 		// Start ready tasks on the idle workers.
 		for w := 0; w < workers && ready.Len() > 0; w++ {
@@ -85,13 +61,11 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []trace.Event) {
 				continue
 			}
 			i := ready.Pop()
-			cost := g.Nodes[i].Cost
-			running[w], finish[w] = i, now+cost
-			busy += cost
-			if record && !g.Nodes[i].Barrier {
+			running[w], finish[w] = i, now+int64(math.Round(g.Nodes[i].Cost*1e9))
+			if !g.Nodes[i].Barrier {
 				events = append(events, trace.Event{
 					ID: i, Name: g.Nodes[i].Name, Worker: w, Attempt: 1, Deps: flat[i],
-					Ready: ns(readyAt[i]), Start: ns(now), End: ns(finish[w]),
+					Ready: readyAt[i], Start: now, End: finish[w],
 				})
 			}
 		}
@@ -103,7 +77,7 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []trace.Event) {
 			}
 		}
 		if next < 0 {
-			break
+			return events
 		}
 		now = finish[next]
 		// Complete everything finishing at 'now'.
@@ -121,11 +95,4 @@ func simulate(g *Graph, workers int, record bool) (SimResult, []trace.Event) {
 			}
 		}
 	}
-	res := SimResult{Makespan: now, Busy: busy, Workers: workers}
-	if now > 0 {
-		res.Utilization = busy / (float64(workers) * now)
-	} else {
-		res.Utilization = 1
-	}
-	return res, events
 }

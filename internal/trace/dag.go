@@ -29,6 +29,8 @@ type DAGStats struct {
 	CritTasks int
 	// CritShare maps kernel name to its fraction of critical-path time.
 	CritShare map[string]float64
+	// ByKernel maps kernel name to the summed seconds of its attempts.
+	ByKernel map[string]float64
 	// FetchTime and CommitTime are the summed seconds of fetch and commit
 	// sub-phase spans (cluster traces only; zero for in-process traces).
 	FetchTime, CommitTime float64
@@ -117,7 +119,7 @@ func (n *dagNode) commWeight() float64 {
 // schedule). Skipped tasks never ran and are excluded.
 func (l *Log) AnalyzeDAG() DAGStats {
 	events := l.Events()
-	st := DAGStats{CritShare: map[string]float64{}}
+	st := DAGStats{CritShare: map[string]float64{}, ByKernel: map[string]float64{}}
 
 	nodes := map[int]*dagNode{}
 	node := func(e Event) *dagNode {
@@ -195,6 +197,7 @@ func (l *Log) AnalyzeDAG() DAGStats {
 			n.name, n.deps = e.Name, e.Deps
 		}
 		n.dur += d
+		st.ByKernel[e.Name] += d
 	}
 	if st.Attempts == 0 {
 		return st

@@ -132,9 +132,8 @@ func TestDAGForkJoinVsDataflowCholesky(t *testing.T) {
 	unitCosts(gFJ)
 
 	const workers = 8
-	_, eDF := sched.SimulateEvents(gDF, workers)
-	_, eFJ := sched.SimulateEvents(gFJ, workers)
-	dDF, dFJ := trace.NewLog(eDF...).AnalyzeDAG(), trace.NewLog(eFJ...).AnalyzeDAG()
+	dDF := trace.NewLog(sched.Simulate(gDF, workers)...).AnalyzeDAG()
+	dFJ := trace.NewLog(sched.Simulate(gFJ, workers)...).AnalyzeDAG()
 
 	// Same work, and at unit cost even the same critical path — the
 	// fork–join penalty is that barriers forbid overlapping phases, so its
@@ -154,10 +153,10 @@ func TestDAGForkJoinVsDataflowCholesky(t *testing.T) {
 		t.Errorf("dataflow achieves %.2f of its DAG-limited speedup, fork-join %.2f — want dataflow higher",
 			fracDF, fracFJ)
 	}
-	// The DAG view must agree with the graph's own critical path (unit
-	// costs make both exact).
-	if math.Abs(dDF.TInf-gDF.CriticalPath()) > 1e-9 {
-		t.Errorf("AnalyzeDAG TInf %v != graph critical path %v", dDF.TInf, gDF.CriticalPath())
+	// At unit cost the dataflow critical path is the potrf→trsm→syrk
+	// spine through all 8 tile columns: 3·8−2 tasks.
+	if math.Abs(dDF.TInf-22) > 1e-9 {
+		t.Errorf("AnalyzeDAG TInf %v, want the 22-task spine", dDF.TInf)
 	}
 	// potrf is the sequential spine of the tiled Cholesky: it must hold a
 	// substantial share of the dataflow critical path.
@@ -183,7 +182,7 @@ func TestDAGSandwichProperty(t *testing.T) {
 			g.Nodes = append(g.Nodes, node)
 		}
 		for _, workers := range []int{1, 2, 7} {
-			res, events := sched.SimulateEvents(g, workers)
+			events := sched.Simulate(g, workers)
 			d := trace.NewLog(events...).AnalyzeDAG()
 			const eps = 1e-9
 			if d.TInf > d.Makespan+eps {
@@ -192,8 +191,12 @@ func TestDAGSandwichProperty(t *testing.T) {
 			if d.Makespan > d.T1+eps {
 				t.Fatalf("trial %d p=%d: makespan %v > T1 %v", trial, workers, d.Makespan, d.T1)
 			}
-			if math.Abs(d.Makespan-res.Makespan) > 1e-6 {
-				t.Fatalf("trial %d p=%d: DAG makespan %v != simulated %v", trial, workers, d.Makespan, res.Makespan)
+			var last int64
+			for _, e := range events {
+				last = max(last, e.End)
+			}
+			if math.Abs(d.Makespan-float64(last)/1e9) > 1e-6 {
+				t.Fatalf("trial %d p=%d: DAG makespan %v != simulated %v", trial, workers, d.Makespan, float64(last)/1e9)
 			}
 			// Brent's theorem: the greedy schedule beats T1/p + TInf.
 			if d.Makespan > d.BrentBound(workers)+eps {

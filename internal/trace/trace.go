@@ -1,13 +1,14 @@
 // Package trace holds the one record of a task attempt, Event, and the
 // analyses built on it. The in-process runtime (sched.Runtime, through its
-// SpanTracer), the graph simulator (sched.SimulateEvents) and the
-// distributed workers all emit Events; a Log stores them, encodes them as
-// native JSON and renders them for Chrome, and the analyses derive the
-// utilization statistics, DAG critical-path analysis, and Gantt-style
-// visualisations the extreme-scale argument is made with: how much of each
-// worker's time is spent computing versus idling at barriers, and how
-// close a run gets to its DAG-limited speedup. The package imports no
-// other exadla package, so every layer can emit its records.
+// SpanTracer), the graph simulator (sched.Simulate) and the distributed
+// workers all emit Events; a Log stores them, encodes them as native JSON
+// and renders them for Chrome. This package is the one place a schedule is
+// measured: AnalyzeDAG derives work, span, makespan, speedup and
+// per-kernel time from any Log, real or simulated, and Gantt draws it —
+// how much of each worker's time is spent computing versus idling at
+// barriers, and how close a run gets to its DAG-limited speedup. The
+// package imports no other exadla package, so every layer can emit its
+// records.
 package trace
 
 import (
@@ -99,8 +100,8 @@ type Event struct {
 	// Phase refines a distributed task attempt into sub-spans (PhaseFetch,
 	// PhaseCompute, PhaseCommit) or marks a fault instant (PhaseEvicted,
 	// PhaseReaped, PhaseStale, PhaseChaos). Empty for whole-attempt spans —
-	// the only kind the single-process analyses (Analyze, Gantt, the task
-	// accounting of AnalyzeDAG) consume.
+	// the only kind the single-process analyses (Gantt, the task accounting
+	// of AnalyzeDAG) consume.
 	Phase string
 	// Bytes is the payload moved during a fetch/commit phase span.
 	Bytes int64
@@ -219,64 +220,6 @@ func (l *Log) Reset() {
 			s.mu.Unlock()
 		}
 	}
-}
-
-// Stats summarizes a trace.
-type Stats struct {
-	// Tasks is the number of executed task attempts (skipped tasks are not
-	// counted).
-	Tasks int
-	// Workers is the number of distinct workers observed.
-	Workers int
-	// Span is the wall-clock extent in seconds from first start to last end.
-	Span float64
-	// Busy is the summed task durations in seconds.
-	Busy float64
-	// Utilization is Busy / (Workers·Span).
-	Utilization float64
-	// ByKernel maps kernel name to summed seconds.
-	ByKernel map[string]float64
-}
-
-// Analyze computes summary statistics for the log. Skipped-task events
-// (attempt 0) are excluded: they never occupied a worker.
-func (l *Log) Analyze() Stats {
-	events := l.Events()
-	st := Stats{ByKernel: map[string]float64{}}
-	var first, last int64
-	for _, e := range events {
-		if e.Attempt == 0 || e.Phase != "" {
-			continue
-		}
-		if st.Tasks == 0 {
-			first, last = e.Start, e.End
-		}
-		st.Tasks++
-		if e.Start < first {
-			first = e.Start
-		}
-		if e.End > last {
-			last = e.End
-		}
-		d := float64(e.End-e.Start) / 1e9
-		st.Busy += d
-		st.ByKernel[e.Name] += d
-	}
-	if st.Tasks == 0 {
-		return st
-	}
-	workers := map[int]bool{}
-	for _, e := range events {
-		if e.Attempt > 0 && e.Worker >= 0 && e.Phase == "" {
-			workers[e.Worker] = true
-		}
-	}
-	st.Workers = len(workers)
-	st.Span = float64(last-first) / 1e9
-	if st.Span > 0 && st.Workers > 0 {
-		st.Utilization = st.Busy / (float64(st.Workers) * st.Span)
-	}
-	return st
 }
 
 // Gantt renders an ASCII Gantt chart of the trace to w: one row per worker,

@@ -19,18 +19,18 @@ func TestAnalyzeBasics(t *testing.T) {
 	// Two workers, each busy 1s over a 2s span → utilization 0.5.
 	ran(l, 0, "gemm", 0, 0, 1e9)
 	ran(l, 1, "trsm", 1, 1e9, 2e9)
-	st := l.Analyze()
-	if st.Tasks != 2 || st.Workers != 2 {
-		t.Fatalf("tasks=%d workers=%d", st.Tasks, st.Workers)
+	st := l.AnalyzeDAG()
+	if st.Tasks != 2 || st.Attempts != 2 || st.Workers != 2 {
+		t.Fatalf("tasks=%d attempts=%d workers=%d", st.Tasks, st.Attempts, st.Workers)
 	}
-	if math.Abs(st.Span-2) > 1e-9 {
-		t.Errorf("span %v", st.Span)
+	if math.Abs(st.Makespan-2) > 1e-9 {
+		t.Errorf("makespan %v", st.Makespan)
 	}
-	if math.Abs(st.Busy-2) > 1e-9 {
-		t.Errorf("busy %v", st.Busy)
+	if math.Abs(st.T1-2) > 1e-9 {
+		t.Errorf("busy %v", st.T1)
 	}
-	if math.Abs(st.Utilization-0.5) > 1e-9 {
-		t.Errorf("utilization %v", st.Utilization)
+	if u := st.Speedup() / float64(st.Workers); math.Abs(u-0.5) > 1e-9 {
+		t.Errorf("utilization %v", u)
 	}
 	if math.Abs(st.ByKernel["gemm"]-1) > 1e-9 {
 		t.Errorf("gemm time %v", st.ByKernel["gemm"])
@@ -38,8 +38,8 @@ func TestAnalyzeBasics(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	st := trace.NewLog().Analyze()
-	if st.Tasks != 0 || st.Utilization != 0 {
+	st := trace.NewLog().AnalyzeDAG()
+	if st.Tasks != 0 || st.Speedup() != 0 {
 		t.Errorf("empty stats: %+v", st)
 	}
 }
