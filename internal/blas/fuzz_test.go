@@ -37,6 +37,11 @@ func addGemmDiffSeeds(f *testing.F) {
 	// Odd depth (the kernels' unrolling tail) across two row tiles of
 	// either wide kernel, α = −1, β = 0.
 	f.Add(int64(8), uint8(31), uint8(7), uint8(17), uint8(0x08))
+	// One and two columns through every transpose the dot and axpy
+	// kernels take (TN, NT), at depths and heights across their tails.
+	f.Add(int64(9), uint8(32), uint8(2), uint8(31), uint8(0x05))
+	f.Add(int64(10), uint8(27), uint8(1), uint8(19), uint8(0x06))
+	f.Add(int64(11), uint8(9), uint8(2), uint8(32), uint8(0x01))
 }
 
 // fuzzGemmDiff is one FuzzGemmDiff case in T.

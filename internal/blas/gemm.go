@@ -281,8 +281,13 @@ func roundUp(v, unit int) int {
 	return (v + unit - 1) / unit * unit
 }
 
-// gemmAxpyKernel dispatches the four transpose cases of the axpy path.
+// gemmAxpyKernel dispatches the four transpose cases of the axpy path, all
+// but TT in float32 to the dot and axpy kernels (see gemmVec32).
 func gemmAxpyKernel[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
+	if a32, ok := any(a).([]float32); ok && (transA == NoTrans || transB == NoTrans) && vecKernels() {
+		gemmVec32(transA, transB, m, n, k, float32(alpha), a32, lda, any(b).([]float32), ldb, any(c).([]float32), ldc)
+		return
+	}
 	switch {
 	case transA == NoTrans && transB == NoTrans:
 		gemmNN(m, n, k, alpha, a, lda, b, ldb, c, ldc)

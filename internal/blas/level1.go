@@ -10,6 +10,9 @@ func Dot[T Float](n int, x []T, incX int, y []T, incY int) T {
 		return 0
 	}
 	if incX == 1 && incY == 1 {
+		if x32, ok := any(x).([]float32); ok && vecKernels() {
+			return T(dot32(x32[:n], any(y).([]float32)))
+		}
 		var s T
 		for i, v := range x[:n] {
 			s += v * y[i]
@@ -89,6 +92,10 @@ func Axpy[T Float](n int, alpha T, x []T, incX int, y []T, incY int) {
 		return
 	}
 	if incX == 1 && incY == 1 {
+		if x32, ok := any(x).([]float32); ok && vecKernels() {
+			axpy32(float32(alpha), x32[:n], any(y).([]float32))
+			return
+		}
 		for i, v := range x[:n] {
 			y[i] += alpha * v
 		}

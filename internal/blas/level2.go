@@ -33,6 +33,10 @@ func Gemv[T Float](trans Transpose, m, n int, alpha T, a []T, lda int, x []T, in
 	if alpha == 0 || m == 0 || n == 0 {
 		return
 	}
+	if a32, ok := any(a).([]float32); ok && incX == 1 && incY == 1 && vecKernels() {
+		gemvVec32(trans, m, n, float32(alpha), a32, lda, any(x).([]float32), any(y).([]float32))
+		return
+	}
 
 	if trans == NoTrans {
 		// y ← y + α Σ_j x[j]·A[:,j]; columns are contiguous.
@@ -268,6 +272,10 @@ func Trsv[T Float](uplo Uplo, trans Transpose, diag Diag, n int, a []T, lda int,
 		return
 	}
 	unit := diag == Unit
+	if a32, ok := any(a).([]float32); ok && vecKernels() {
+		trsvVec32(uplo, trans, unit, n, a32, lda, any(x).([]float32))
+		return
+	}
 	if trans == NoTrans {
 		if uplo == Lower {
 			// Forward substitution.

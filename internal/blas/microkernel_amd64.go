@@ -22,6 +22,23 @@ func microKern8x4F64Avx(kb int, ap, bp []float64, alpha float64, c []float64, ld
 //go:noescape
 func microKern16x4F32Avx(kb int, ap, bp []float32, alpha float32, c []float32, ldc int)
 
+// The unit-stride level-1 kernels (see vec.go): dot products and axpy
+// updates over len(x) elements, y at least as long. Lane order depends on
+// the length alone: loads are unaligned and nothing is peeled for
+// alignment. Implemented in microkernel_amd64.s.
+//
+//go:noescape
+func dotF32Avx(x, y []float32) float32
+
+//go:noescape
+func axpyF32Avx(alpha float32, x, y []float32)
+
+//go:noescape
+func dotF64Avx(x, y []float64) float64
+
+//go:noescape
+func axpyF64Avx(alpha float64, x, y []float64)
+
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

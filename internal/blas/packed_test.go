@@ -463,8 +463,10 @@ func TestGemmConcurrentPool(t *testing.T) {
 // the pooled level-3 routines allocate nothing per call, in float64 and
 // (the rows suffixed 32) float32: the packed Gemm, the axpy TT path (pooled
 // row scratch), Symm (pooled symmetric expansion), the packed Syrk, Trmm
-// and Trsm sweeps, and the thin paths of Trmm and Trsm (Trmv and Trsv on
-// strided rows, pooled gather).
+// and Trsm sweeps, the thin paths of Trmm and Trsm (Trmv and Trsv on
+// strided rows, pooled gather), and the one-column products and solve a
+// tile's correction sweep runs (Gemm with n = 1, NN and TN, and a unit-
+// stride Trsv), which take the dot and axpy kernels in float32.
 func TestLevel3ZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool intentionally bypasses caching under the race detector")
@@ -530,6 +532,15 @@ func level3AllocCases[T Float](suffix string) []struct {
 		}},
 		{"TrsmRightThin", func() {
 			Trsm(Right, Lower, NoTrans, NonUnit, 2, n, 1, tri, n, b, n)
+		}},
+		{"GemmOneColumnNN", func() {
+			Gemm(NoTrans, NoTrans, n, 1, n, -1, a, n, b, n, 1, c, n)
+		}},
+		{"GemmOneColumnTN", func() {
+			Gemm(Trans, NoTrans, n, 1, n, -1, a, n, b, n, 1, c, n)
+		}},
+		{"Trsv", func() {
+			Trsv(Lower, Trans, NonUnit, n, tri, n, b, 1)
 		}},
 	}
 	for i := range cases {

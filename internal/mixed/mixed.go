@@ -64,8 +64,9 @@ var ErrSingular = errors.New("mixed: matrix is singular")
 // With fp16 set it is the three-precision scheme modeled on the
 // fp16/tensor-core refinement work that followed the keynote: A, scaled by
 // its largest entry so the factorization stays inside fp16's tiny exponent
-// range, is rounded to half precision, and so is every factor tile (fp16
-// storage, fp32 compute); correction solves run in float32. Because
+// range, is rounded to half precision, and so is every factor tile, one
+// task per tile (fp16 storage, fp32 compute; see roundHalf); correction
+// solves run in float32. Because
 // ε₁₆ = 2⁻¹⁰, it contracts only for condition numbers up to ~10³ and needs
 // more sweeps than the float32 scheme.
 func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, lda int, b, x []float64) (Result, error) {
@@ -94,13 +95,11 @@ func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, 
 		}
 	}
 	f, err := core.Factor(s, op, in.matrix(), nil, false)
+	if err == nil && fp16 {
+		err = roundHalf(s, f.A)
+	}
 	if err != nil {
 		return fallback()
-	}
-	if fp16 {
-		for t := range f.A.MT * f.A.NT {
-			half.RoundSlice32(f.A.Tile(t%f.A.MT, t/f.A.MT))
-		}
 	}
 
 	r32 := make([]float32, n)
@@ -120,6 +119,18 @@ func Solve(s sched.Scheduler, nb int, op string, fp16 bool, n int, a []float64, 
 		}
 	}
 	return refine(n, b, x, in.norm(), residual, solve32, fallback)
+}
+
+// roundHalf rounds every tile of the factor a through fp16, the half
+// rung's factor storage, as one task per tile on s. The rounding is
+// elementwise and idempotent, so the bits are those of a serial pass on
+// any number of workers, and a retried task leaves the same tile.
+func roundHalf(s sched.Scheduler, a *tile.Matrix[float32]) error {
+	for t := range a.MT * a.NT {
+		ts := a.Tile(t%a.MT, t/a.MT)
+		s.Submit(sched.Task{Name: "round16", Fn: func() { half.RoundSlice32(ts) }})
+	}
+	return s.WaitErr()
 }
 
 // operand is the float32 operand of Solve's factorization: A rounded tile
@@ -285,10 +296,11 @@ func refine(n int, b, x []float64, anorm float64, residual func(x, r []float64),
 // blockResidual returns the function r ← b − A·x of refine (A n×n with leading
 // dimension lda, its lower triangle holding a symmetric A with lower set)
 // that runs as one task per block of nb columns on s. Each task clears and
-// writes its own partial product, so a retried task leaves the same one,
-// and r is b minus the partials in block order: the same bits on any
-// number of workers. A task failure the scheduler did not retry away
-// leaves r NaN.
+// writes its own partial product with blas.AxpyF64 and blas.DotF64, whose
+// order depends on n alone, so a retried task leaves the same one, and r
+// is b minus the partials in block order: the same bits on any number of
+// workers and at any alignment of A, x and b. A task failure the
+// scheduler did not retry away leaves r NaN.
 func blockResidual(s sched.Scheduler, nb int, lower bool, n int, a []float64, lda int, b []float64) func(x, r []float64) {
 	parts := make([][]float64, (n+nb-1)/nb)
 	for k := range parts {
@@ -298,12 +310,14 @@ func blockResidual(s sched.Scheduler, nb int, lower bool, n int, a []float64, ld
 		for k, p := range parts {
 			c0, c1 := k*nb, min((k+1)*nb, n)
 			s.Submit(sched.Task{Name: "residual", Fn: func() {
-				if !lower {
-					blas.Gemv(blas.NoTrans, n, c1-c0, 1, a[c0*lda:], lda, x[c0:c1], 1, 0, p, 1)
+				clear(p)
+				if lower {
+					symvColumns(n, c0, c1, a, lda, x, p)
 					return
 				}
-				clear(p)
-				symvColumns(n, c0, c1, a, lda, x, p)
+				for j := c0; j < c1; j++ {
+					blas.AxpyF64(x[j], a[j*lda:j*lda+n], p)
+				}
 			}})
 		}
 		if s.WaitErr() != nil {
@@ -328,13 +342,8 @@ func blockResidual(s sched.Scheduler, nb int, lower bool, n int, a []float64, ld
 func symvColumns(n, c0, c1 int, a []float64, lda int, x, p []float64) {
 	for j := c0; j < c1; j++ {
 		col, xj := a[j*lda+j:j*lda+n], x[j]
-		cs, xs, ps := col[1:], x[j+1:n], p[j+1:n]
-		pj := p[j] + col[0]*xj
-		for i, v := range cs {
-			ps[i] += v * xj
-			pj += v * xs[i]
-		}
-		p[j] = pj
+		p[j] += col[0]*xj + blas.DotF64(col[1:], x[j+1:n])
+		blas.AxpyF64(xj, col[1:], p[j+1:n])
 	}
 }
 

@@ -42,6 +42,24 @@ func testOperator(rng *rand.Rand, n int, lower bool) []float64 {
 	return a
 }
 
+// dominantSystem returns a random symmetric, diagonally dominant n×n A
+// and a random b: every rung converges on it.
+func dominantSystem(rng *rand.Rand, n int) (a, b []float64) {
+	a = make([]float64, n*n)
+	for j := range n {
+		for i := range j + 1 {
+			v := rng.NormFloat64()
+			a[i+j*n], a[j+i*n] = v, v
+		}
+		a[j+j*n] += 2 * float64(n)
+	}
+	b = make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	return a, b
+}
+
 // TestOperandRoundsAndNorms: the convert tasks' fill rounds every element
 // it reads to float32(v), or to half.FromFloat64(v·scale).Float32() on the
 // fp16 rung, which pins the factor's bits; it leaves a
@@ -106,12 +124,13 @@ func TestOperandRoundsAndNorms(t *testing.T) {
 // TestBlockResidualMatchesBlas: the residual tasks compute b − A·x to
 // within n·ε of the serial Gemv (Symv over the lower triangle for
 // Cholesky), relative to ‖A‖∞‖x‖∞ + ‖b‖∞, bitwise the same on one worker
-// and on two.
+// and on two. The orders include every tail length (n mod 8) of the
+// float64 dot and axpy kernels the two residual bodies run on.
 func TestBlockResidualMatchesBlas(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	eps := lapack.Epsilon[float64]()
 	for _, nb := range []int{48, 96} {
-		for _, n := range taskSizes(nb) {
+		for _, n := range []int{1, 7, 8, 9, nb - 1, nb, nb + 1, 95, 97, 1000} {
 			for _, lower := range []bool{false, true} {
 				a := testOperator(rng, n, lower)
 				x, b := make([]float64, n), make([]float64, n)
@@ -148,6 +167,50 @@ func TestBlockResidualMatchesBlas(t *testing.T) {
 	}
 }
 
+// TestSolveBitwiseAcrossAlignments: the whole solve returns the same x and
+// report whatever the alignment of A, b and x: the float64 kernels under
+// the residual never peel for alignment.
+func TestSolveBitwiseAcrossAlignments(t *testing.T) {
+	const n, nb = 97, 48
+	a0, b0 := dominantSystem(rand.New(rand.NewSource(66)), n)
+	rt := sched.New(2)
+	defer rt.Shutdown()
+	for _, op := range []string{core.OpLU, core.OpCholesky} {
+		var x0 []float64
+		var res0 Result
+		for off := range 4 {
+			a := append(make([]float64, off), a0...)[off:]
+			b := append(make([]float64, off), b0...)[off:]
+			x := make([]float64, n+off)[off:]
+			res, err := Solve(rt, nb, op, false, n, a, n, b, x)
+			if err != nil {
+				t.Fatalf("%s at offset %d: %v", op, off, err)
+			}
+			if off == 0 {
+				x0, res0 = x, res
+				continue
+			}
+			if res != res0 {
+				t.Errorf("%s: report at offset %d %+v, at offset 0 %+v", op, off, res, res0)
+			}
+			if i := firstDiff(x, x0); i >= 0 {
+				t.Fatalf("%s: x[%d] = %v at offset %d, %v at offset 0", op, i, x[i], off, x0[i])
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index where x and y differ in their bits,
+// or −1.
+func firstDiff(x, y []float64) int {
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestBlockResidualFailureReadsNaN: a residual task the scheduler does not
 // retry away leaves the residual NaN, which refine treats as divergence.
 func TestBlockResidualFailureReadsNaN(t *testing.T) {
@@ -170,18 +233,7 @@ func TestSolveTasksBitwiseAcrossWorkers(t *testing.T) {
 	const n, nb = 300, 48
 	rng := rand.New(rand.NewSource(65))
 	for _, rg := range rungs {
-		a := make([]float64, n*n)
-		for j := range n {
-			for i := range j + 1 {
-				v := rng.NormFloat64()
-				a[i+j*n], a[j+i*n] = v, v
-			}
-			a[j+j*n] += 2 * n
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
+		a, b := dominantSystem(rng, n)
 		op := core.OpLU
 		if rg.lower {
 			op = core.OpCholesky
