@@ -44,7 +44,7 @@ func BenchmarkGemm(b *testing.B) {
 }
 
 // BenchmarkGemmAxpy tracks the pre-packing axpy path — the baseline the
-// packed register-blocked kernel is graded against (see BENCH_gemm.json).
+// packed register-blocked kernel is graded against.
 func BenchmarkGemmAxpy(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{128, 256, 512} {
@@ -185,6 +185,30 @@ func BenchmarkE4_TSQR(b *testing.B) {
 				r.Shutdown()
 			}
 			reportGFLOPS(b, 2*float64(m)*float64(n)*float64(n))
+		})
+	}
+}
+
+// BenchmarkTallLeastSquares times least squares through core.Run on
+// ls_tall's 4096×256 shape at nb = 96 on two workers, with the flat (OpQR)
+// and the binary-tree (OpQRTree) panel reduction: the cost a shape rule
+// that picks the tree must beat.
+func BenchmarkTallLeastSquares(b *testing.B) {
+	const m, n, nb = 4096, 256, 96
+	rng := rand.New(rand.NewSource(13))
+	a := matgen.Dense[float64](rng, m, n)
+	rhs := matgen.Dense[float64](rng, m, 1)
+	r := sched.New(2)
+	defer r.Shutdown()
+	for _, c := range []struct{ name, op string }{{"flat", core.OpQR}, {"tree", core.OpQRTree}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ta, tb := tile.Deferred(m, n, a, m, nb), tile.Deferred(m, 1, rhs, m, nb)
+				if _, _, err := core.Run(r, nil, c.op, ta, tb, core.ThenSolve, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportGFLOPS(b, 2*float64(m)*n*n-2*float64(n)*n*n/3)
 		})
 	}
 }

@@ -23,8 +23,7 @@ import (
 // point runs under WithFaultTolerance) against the plain tile Cholesky on
 // the same runtime, worker count and tile size — protection overhead, then
 // detection/location/correction over seeded soft errors with the solve's
-// forward error before and after recovery — and the checksum-protected
-// GEMM against plain GEMM.
+// forward error before and after recovery.
 func runE6(quick bool) {
 	sizes := pick(quick, []int{256, 512}, []int{256, 512, 1024})
 	const nb, trials = 96, 25
@@ -90,44 +89,6 @@ func runE6(quick bool) {
 	}
 	tbl.print()
 
-	fmt.Println("\n— GEMM under per-column corruptions —")
-	tbl2 := newTable("m=n=k", "t_plain(s)", "t_abft(s)", "overhead%", "faults", "recovered")
-	for _, n := range sizes {
-		rng := rand.New(rand.NewSource(int64(n) * 7))
-		a := matgen.Dense[float64](rng, n, n)
-		bm := matgen.Dense[float64](rng, n, n)
-
-		c := make([]float64, n*n)
-		t0 := time.Now()
-		blas.Gemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, a, n, bm, n, 0, c, n)
-		tPlain := time.Since(t0).Seconds()
-
-		t0 = time.Now()
-		p := ft.Gemm(n, n, n, a, n, bm, n)
-		tABFT := time.Since(t0).Seconds()
-
-		inj := ft.NewInjector(int64(n))
-		nf := 4
-		for k := 0; k < nf; k++ {
-			col := (k * n) / nf
-			inj.AddNoise(p.C, col*n+rng.Intn(n), n, 50)
-		}
-		faults := p.Verify()
-		p.Correct(faults)
-		var maxDiff float64
-		for i := range c {
-			if d := math.Abs(p.C[i] - c[i]); d > maxDiff {
-				maxDiff = d
-			}
-		}
-		recovered := "yes"
-		if maxDiff > 1e-6 {
-			recovered = "no"
-		}
-		tbl2.add(n, tPlain, tABFT, 100*(tABFT-tPlain)/tPlain,
-			fmt.Sprintf("%d/%d", len(faults), nf), recovered)
-	}
-	tbl2.print()
 	fmt.Println("\nexpected shape: detection, location and correction 100%; the faulty solve's")
 	fmt.Println("forward error is O(1) and the recovered one is back at the fault-free level.")
 	fmt.Println("the guard's overhead is its extra work on the same DAG: a checksum pair carried")

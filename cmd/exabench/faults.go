@@ -173,8 +173,7 @@ func luResidual(n, nb int, aD []float64, f *core.Factors[float64], s sched.Sched
 		x[i] = rng.Float64()
 	}
 	b := make([]float64, n)
-	at := tile.FromColMajor(n, n, aD, n, nb)
-	core.MatVec(blas.NoTrans, 1, at, x, 0, b)
+	blas.Gemv(blas.NoTrans, n, n, 1, aD, n, x, 1, 0, b, 1)
 	tb := tile.FromColMajor(n, 1, b, n, nb)
 	if err := core.Solve(s, f, tb); err != nil {
 		return 0, err

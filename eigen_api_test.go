@@ -42,7 +42,7 @@ func TestEigenSym(t *testing.T) {
 			vt.Set(i, j, vecs.At(j, i))
 		}
 	}
-	recon := ctx.Multiply(vd, vt)
+	recon := multiply(t, ctx, vd, vt)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			if math.Abs(recon.At(i, j)-a.At(i, j)) > 1e-9*float64(n) {

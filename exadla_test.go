@@ -19,13 +19,23 @@ func newCtx(t *testing.T, opts ...exadla.Option) *exadla.Context {
 	return ctx
 }
 
+// multiply is ctx.Multiply, failing t on its error.
+func multiply(t *testing.T, ctx *exadla.Context, a, b *exadla.Matrix) *exadla.Matrix {
+	t.Helper()
+	c, err := ctx.Multiply(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestSolveSPD(t *testing.T) {
 	ctx := newCtx(t, exadla.WithWorkers(4), exadla.WithTileSize(32))
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 17, 64, 200} {
 		a := exadla.RandomSPD(rng, n)
 		xTrue := exadla.RandomGeneral(rng, n, 2)
-		b := ctx.Multiply(a, xTrue)
+		b := multiply(t, ctx, a, xTrue)
 		x, err := ctx.SolveSPD(a, b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -107,7 +117,7 @@ func TestCholeskyFactorReuse(t *testing.T) {
 	}
 	for trial := 0; trial < 3; trial++ {
 		xTrue := exadla.RandomGeneral(rng, n, 1)
-		b := ctx.Multiply(a, xTrue)
+		b := multiply(t, ctx, a, xTrue)
 		x, err := f.Solve(b)
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +134,7 @@ func TestCholeskyFactorReuse(t *testing.T) {
 			lt.Set(i, j, l.At(j, i))
 		}
 	}
-	recon := ctx.Multiply(l, lt)
+	recon := multiply(t, ctx, l, lt)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if math.Abs(recon.At(i, j)-a.At(i, j)) > 1e-10*float64(n) {
@@ -140,7 +150,7 @@ func TestSolveGeneral(t *testing.T) {
 	for _, n := range []int{1, 30, 100} {
 		a := exadla.RandomGeneral(rng, n, n)
 		xTrue := exadla.RandomGeneral(rng, n, 1)
-		b := ctx.Multiply(a, xTrue)
+		b := multiply(t, ctx, a, xTrue)
 		x, err := ctx.Solve(a, b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -161,7 +171,7 @@ func TestLUFactorReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	xTrue := exadla.RandomGeneral(rng, n, 3)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, err := f.Solve(b)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +187,7 @@ func TestLeastSquares(t *testing.T) {
 	m, n := 120, 40
 	a := exadla.RandomGeneral(rng, m, n)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, err := ctx.LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +208,10 @@ func TestQRFactorPieces(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m, n := 48, 32
 	a := exadla.RandomGeneral(rng, m, n)
-	f := ctx.QR(a)
+	f, err := ctx.QR(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Qᵀ·A must equal [R; 0].
 	qta, err := f.QTb(a)
 	if err != nil {
@@ -224,7 +237,7 @@ func TestSolveMixed(t *testing.T) {
 	n := 120
 	a := exadla.RandomWithCond(rng, n, n, 100)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, res, err := ctx.SolveMixed(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +256,7 @@ func TestSolveMixedSPD(t *testing.T) {
 	n := 80
 	a := exadla.RandomSPDWithCond(rng, n, 50)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, res, err := ctx.SolveMixedSPD(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +405,7 @@ func TestTSQRLeastSquares(t *testing.T) {
 	m, n := 500, 12
 	a := exadla.RandomGeneral(rng, m, n)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, err := ctx.TSQRLeastSquares(a, b, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +423,7 @@ func TestRandomizedLeastSquares(t *testing.T) {
 	m, n := 800, 20
 	a := exadla.RandomWithCond(rng, m, n, 1e5)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, err := ctx.RandomizedLeastSquares(rng, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +450,7 @@ func TestMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := exadla.RandomGeneral(rng, 13, 21)
 	b := exadla.RandomGeneral(rng, 21, 9)
-	c := ctx.Multiply(a, b)
+	c := multiply(t, ctx, a, b)
 	for i := 0; i < 13; i++ {
 		for j := 0; j < 9; j++ {
 			want := 0.0
@@ -514,6 +527,9 @@ func TestDimensionErrors(t *testing.T) {
 	if _, err := ctx.SolveSPD(sq, bad); err == nil {
 		t.Error("SolveSPD accepted mismatched RHS")
 	}
+	if _, err := ctx.Multiply(a, sq); err == nil {
+		t.Error("Multiply accepted a 3×4 · 3×3 product")
+	}
 	if _, err := ctx.LeastSquares(a, b); err == nil {
 		t.Error("LeastSquares accepted wide matrix")
 	}
@@ -521,7 +537,11 @@ func TestDimensionErrors(t *testing.T) {
 		t.Error("TSQRLeastSquares accepted wide matrix")
 	}
 	tall := exadla.RandomGeneral(rand.New(rand.NewSource(10)), 48, 32)
-	for _, f := range []*exadla.QRFactor{ctx.QR(tall), ctx.QRTree(tall)} {
+	for _, qr := range []func(*exadla.Matrix) (*exadla.QRFactor, error){ctx.QR, ctx.QRTree} {
+		f, err := qr(tall)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, rows := range []int{32, 47, 49, 64} {
 			if _, err := f.QTb(exadla.NewMatrix(rows, 2)); err == nil {
 				t.Errorf("QTb accepted a %d-row B for a 48-row factor", rows)
@@ -548,7 +568,7 @@ func TestInvert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := ctx.Multiply(a, inv)
+	prod := multiply(t, ctx, a, inv)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			want := 0.0
@@ -579,7 +599,7 @@ func TestInvertSPD(t *testing.T) {
 			}
 		}
 	}
-	prod := ctx.Multiply(a, inv)
+	prod := multiply(t, ctx, a, inv)
 	for i := 0; i < n; i++ {
 		if math.Abs(prod.At(i, i)-1) > 1e-10*float64(n) {
 			t.Fatalf("diagonal (%d) = %v", i, prod.At(i, i))
@@ -600,7 +620,10 @@ func TestQRTreePublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	m, n := 96, 32
 	a := exadla.RandomGeneral(rng, m, n)
-	f := ctx.QRTree(a)
+	f, err := ctx.QRTree(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	qta, err := f.QTb(a)
 	if err != nil {
 		t.Fatal(err)
@@ -632,7 +655,7 @@ func TestWithTuningTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	a := exadla.RandomSPD(rng, 64)
 	xTrue := exadla.RandomGeneral(rng, 64, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, err := ctx.SolveSPD(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -642,7 +665,7 @@ func TestWithTuningTable(t *testing.T) {
 	}
 	// Untuned shape must still work through the default tile size.
 	a2 := exadla.RandomSPD(rng, 50)
-	b2 := ctx.Multiply(a2, exadla.RandomGeneral(rng, 50, 1))
+	b2 := multiply(t, ctx, a2, exadla.RandomGeneral(rng, 50, 1))
 	if _, err := ctx.SolveSPD(a2, b2); err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +697,7 @@ func TestWithTuningTableGemmBlocking(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := exadla.RandomSPD(rng, 96)
 	xTrue := exadla.RandomGeneral(rng, 96, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, err := ctx.SolveSPD(a, b)
 	if err != nil {
 		t.Fatal(err)

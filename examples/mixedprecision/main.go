@@ -22,7 +22,10 @@ func main() {
 	for _, cond := range []float64{1e2, 1e5, 1e8} {
 		a := exadla.RandomWithCond(rng, n, n, cond)
 		xTrue := exadla.RandomGeneral(rng, n, 1)
-		b := ctx.Multiply(a, xTrue)
+		b, err := ctx.Multiply(a, xTrue)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		x64, err := ctx.Solve(a, b)
 		if err != nil {

@@ -23,7 +23,10 @@ func main() {
 	for _, cond := range []float64{1e2, 1e4, 1e6} {
 		a := exadla.RandomWithCond(rng, n, n, cond)
 		xTrue := exadla.RandomGeneral(rng, n, 1)
-		b := ctx.Multiply(a, xTrue)
+		b, err := ctx.Multiply(a, xTrue)
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		type scheme struct {
 			name  string

@@ -21,7 +21,10 @@ func main() {
 	// Build a random SPD system with a known solution.
 	a := exadla.RandomSPD(rng, n)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b, err := ctx.Multiply(a, xTrue)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// One-shot driver: tile Cholesky + forward/backward solves, all in one
 	// dataflow graph.

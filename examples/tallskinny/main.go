@@ -22,7 +22,10 @@ func main() {
 	rng := rand.New(rand.NewSource(5))
 	a := exadla.RandomWithCond(rng, m, n, 1e4)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b, err := ctx.Multiply(a, xTrue)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("min‖Ax−b‖ with A %d×%d (cond 1e4)\n\n", m, n)
 

@@ -142,17 +142,16 @@ func TestChaosSolveWithoutRetryFails(t *testing.T) {
 			return true, err
 		}},
 		{"QRFactor.QTb", func(ctx *exadla.Context) (bool, error) {
-			var f *exadla.QRFactor
-			if !func() (ok bool) {
-				defer func() { ok = recover() == nil }() // QR has no error return
-				f = ctx.QR(tall)
-				return
-			}() {
+			f, err := ctx.QR(tall)
+			if err != nil {
 				return false, nil
 			}
-			_, err := f.QTb(tb)
+			_, err = f.QTb(tb)
 			return true, err
 		}},
+		{"QR", func(ctx *exadla.Context) (bool, error) { _, err := ctx.QR(tall); return true, err }},
+		{"QRTree", func(ctx *exadla.Context) (bool, error) { _, err := ctx.QRTree(tall); return true, err }},
+		{"Multiply", func(ctx *exadla.Context) (bool, error) { _, err := ctx.Multiply(a, b); return true, err }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5000; seed++ {

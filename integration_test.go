@@ -21,7 +21,7 @@ func TestIntegrationSolvePaths(t *testing.T) {
 	n := 150
 	a := exadla.RandomSPDWithCond(rng, n, 1e3)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 
 	xChol, err := ctx.SolveSPD(a, b)
 	if err != nil {
@@ -65,11 +65,11 @@ func TestIntegrationEigenSolveConsistency(t *testing.T) {
 			vt.Set(i, j, vecs.At(j, i))
 		}
 	}
-	vtb := ctx.Multiply(vt, b)
+	vtb := multiply(t, ctx, vt, b)
 	for i := 0; i < n; i++ {
 		vtb.Set(i, 0, vtb.At(i, 0)/vals[i])
 	}
-	xSpectral := ctx.Multiply(vecs, vtb)
+	xSpectral := multiply(t, ctx, vecs, vtb)
 
 	xDirect, err := ctx.SolveSPD(a, b)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestIntegrationInverseSolvesSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xViaInv := ctx.Multiply(inv, b)
+	xViaInv := multiply(t, ctx, inv, b)
 	xDirect, err := ctx.SolveSPD(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestIntegrationFactorAcrossContexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The old factor still solves correctly.
-	b := ctx.Multiply(a, exadla.RandomGeneral(rng, n, 1))
+	b := multiply(t, ctx, a, exadla.RandomGeneral(rng, n, 1))
 	x, err := f.Solve(b)
 	if err != nil {
 		t.Fatal(err)

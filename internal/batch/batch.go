@@ -1,10 +1,9 @@
 // Package batch implements batched dense kernels: thousands of small,
-// independent factorizations or multiplications executed through one
-// scheduler submission with chunking, versus the one-call-at-a-time loop
-// they replace. For tiny matrices the per-problem overhead (dispatch,
-// scheduling, cache refill) dominates arithmetic, so batching with
-// chunk sizes > 1 is where the throughput comes from — the keynote's
-// batched-BLAS argument.
+// independent factorizations executed through one scheduler submission
+// with chunking, versus the one-call-at-a-time loop they replace. For tiny
+// matrices the per-problem overhead (dispatch, scheduling, cache refill)
+// dominates arithmetic, so batching with chunk sizes > 1 is where the
+// throughput comes from — the keynote's batched-BLAS argument.
 package batch
 
 import (
@@ -30,25 +29,16 @@ type Options struct {
 	ChunkSize int
 }
 
+// chunk picks the chunk size for count problems of order n, from the
+// factorization's n³ element-operation count.
 func (o Options) chunk(count, n int) int {
-	return o.chunkFor(count, n*n*n)
-}
-
-// chunkFor picks the chunk size from the actual per-problem work estimate
-// (an element-operation count such as n³ for a square factorization or
-// m·n·k for a GEMM). Using the true volume matters for rectangular shapes:
-// a 256×8×8 GEMM is 16k element-ops, not the 16M a max(m,n,k)³ estimate
-// would claim, and chunks ~1000× too small drown in task overhead.
-func (o Options) chunkFor(count, work int) int {
 	if o.ChunkSize > 0 {
 		return o.ChunkSize
 	}
 	// Aim for tasks of roughly 64³ flops worth of work, but keep at least
 	// ~64 chunks when the batch is large so the DAG still exposes
 	// parallelism to a multi-worker pool.
-	if work < 1 {
-		work = 1
-	}
+	work := max(n*n*n, 1)
 	c := (64 * 64 * 64) / work
 	if maxC := (count + 63) / 64; c > maxC {
 		c = maxC
@@ -141,28 +131,4 @@ func Getrf(s sched.Scheduler, n int, mats [][]float64, opts Options) (pivs [][]i
 	}
 	s.Wait()
 	return pivs, errs
-}
-
-// Gemm computes cs[i] ← as[i]·bs[i] for batches of m×k and k×n matrices.
-func Gemm(s sched.Scheduler, m, n, k int, as, bs, cs [][]float64, opts Options) {
-	if len(as) != len(bs) || len(as) != len(cs) {
-		panic("batch: Gemm batch length mismatch")
-	}
-	id := new(int)
-	chunk := opts.chunkFor(len(as), m*n*k)
-	for lo := 0; lo < len(as); lo += chunk {
-		lo := lo
-		hi := min(lo+chunk, len(as))
-		s.Submit(sched.Task{
-			Name:   "gemm-batch",
-			Writes: []sched.Handle{chunkHandle{id, lo}},
-			Fn: func() {
-				for i := lo; i < hi; i++ {
-					blas.Gemm(blas.NoTrans, blas.NoTrans, m, n, k,
-						1, as[i], m, bs[i], k, 0, cs[i], m)
-				}
-			},
-		})
-	}
-	s.Wait()
 }

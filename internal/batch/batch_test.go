@@ -1,12 +1,10 @@
 package batch_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"exadla/internal/batch"
-	"exadla/internal/blas"
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 	"exadla/internal/sched"
@@ -22,13 +20,6 @@ func getrfSeq(n int, mats [][]float64) (pivs [][]int, errs []error) {
 		errs[i] = lapack.Getf2(n, n, mats[i], n, pivs[i])
 	}
 	return pivs, errs
-}
-
-// gemmSeq is the loop baseline of batch.Gemm.
-func gemmSeq(m, n, k int, as, bs, cs [][]float64) {
-	for i := range as {
-		blas.Gemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, as[i], m, bs[i], k, 0, cs[i], m)
-	}
 }
 
 func spdBatch(rng *rand.Rand, count, n int) [][]float64 {
@@ -126,32 +117,6 @@ func TestBatchedGetrfMatchesSeq(t *testing.T) {
 	}
 }
 
-func TestBatchedGemmMatchesSeq(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	count, m, n, k := 15, 7, 6, 5
-	as := make([][]float64, count)
-	bs := make([][]float64, count)
-	cs := make([][]float64, count)
-	cs2 := make([][]float64, count)
-	for i := 0; i < count; i++ {
-		as[i] = matgen.Dense[float64](rng, m, k)
-		bs[i] = matgen.Dense[float64](rng, k, n)
-		cs[i] = make([]float64, m*n)
-		cs2[i] = make([]float64, m*n)
-	}
-	gemmSeq(m, n, k, as, bs, cs)
-	r := sched.New(3)
-	defer r.Shutdown()
-	batch.Gemm(r, m, n, k, as, bs, cs2, batch.Options{ChunkSize: 2})
-	for i := range cs {
-		for j := range cs[i] {
-			if math.Abs(cs[i][j]-cs2[i][j]) > 1e-12 {
-				t.Fatalf("product %d differs", i)
-			}
-		}
-	}
-}
-
 func TestDefaultChunkSize(t *testing.T) {
 	// Tiny problems must be fused into multi-problem chunks by default:
 	// the recorded graph has far fewer tasks than problems.
@@ -166,43 +131,6 @@ func TestDefaultChunkSize(t *testing.T) {
 	}
 	if tasks < 1 {
 		t.Error("no tasks at all")
-	}
-}
-
-func TestGemmRectangularChunking(t *testing.T) {
-	// A rectangular batch must be chunked by its true m·n·k volume. A
-	// 256×8×8 problem is 16k element-ops; the old max(m,n,k)³ estimate saw
-	// 16M, picked 1-problem chunks, and produced one task per problem.
-	count, m, n, k := 256, 256, 8, 8
-	rng := rand.New(rand.NewSource(6))
-	as := make([][]float64, count)
-	bs := make([][]float64, count)
-	cs := make([][]float64, count)
-	cs2 := make([][]float64, count)
-	for i := 0; i < count; i++ {
-		as[i] = matgen.Dense[float64](rng, m, k)
-		bs[i] = matgen.Dense[float64](rng, k, n)
-		cs[i] = make([]float64, m*n)
-		cs2[i] = make([]float64, m*n)
-	}
-	rec := sched.NewRecorder()
-	batch.Gemm(rec, m, n, k, as, bs, cs, batch.Options{})
-	tasks := trace.NewLog(sched.Simulate(rec.Graph(), 1)...).AnalyzeDAG().Tasks
-	if tasks > count/2 {
-		t.Errorf("rectangular %dx%dx%d batch of %d got %d tasks; chunking is ignoring the true volume",
-			m, n, k, count, tasks)
-	}
-	if tasks < 1 {
-		t.Fatal("no tasks at all")
-	}
-	// And the fused chunks must still compute the right products.
-	gemmSeq(m, n, k, as, bs, cs2)
-	for i := range cs {
-		for j := range cs[i] {
-			if cs[i][j] != cs2[i][j] {
-				t.Fatalf("product %d differs at %d", i, j)
-			}
-		}
 	}
 }
 

@@ -189,8 +189,7 @@ func TestCheckpointedLURestartBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	xWant := matgen.Dense[float64](rng, n, 1)
 	bD := make([]float64, n)
-	at := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
-	core.MatVec(blas.NoTrans, 1, at, xWant, 0, bD)
+	blas.Gemv(blas.NoTrans, n, n, 1, aD, n, xWant, 1, 0, bD, 1)
 	b := tile.FromColMajor(n, 1, bD, n, nb)
 	if err := core.Solve(r2, f, b); err != nil {
 		t.Fatal(err)

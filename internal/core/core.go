@@ -126,29 +126,3 @@ func Gemm[F blas.Float](s sched.Scheduler, a, b, c *tile.Matrix[F]) {
 		}
 	}
 }
-
-// MatVec computes y ← α·op(A)·x + β·y for a tiled matrix against dense
-// vectors, sequentially; it exists for drivers and residual checks.
-func MatVec[F blas.Float](trans blas.Transpose, alpha F, a *tile.Matrix[F], x []F, beta F, y []F) {
-	ylen := a.M
-	if trans == blas.Trans {
-		ylen = a.N
-	}
-	if beta != 1 {
-		for i := 0; i < ylen; i++ {
-			y[i] *= beta
-		}
-	}
-	for ti := 0; ti < a.MT; ti++ {
-		tr := a.TileRows(ti)
-		for tj := 0; tj < a.NT; tj++ {
-			tc := a.TileCols(tj)
-			t := a.Tile(ti, tj)
-			if trans == blas.NoTrans {
-				blas.Gemv(blas.NoTrans, tr, tc, alpha, t, tr, x[tj*a.NB:tj*a.NB+tc], 1, 1, y[ti*a.NB:ti*a.NB+tr], 1)
-			} else {
-				blas.Gemv(blas.Trans, tr, tc, alpha, t, tr, x[ti*a.NB:ti*a.NB+tr], 1, 1, y[tj*a.NB:tj*a.NB+tc], 1)
-			}
-		}
-	}
-}

@@ -419,29 +419,6 @@ func TestQRGelsBitwiseAcrossExecutors(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	m, n, nb := 23, 17, 5
-	aD := matgen.Dense[float64](rng, m, n)
-	a := tile.FromColMajor(m, n, aD, m, nb)
-	x := matgen.Dense[float64](rng, n, 1)
-	y := matgen.Dense[float64](rng, m, 1)
-	want := append([]float64(nil), y...)
-	blas.RefGemv(blas.NoTrans, m, n, 2.0, aD, m, x, 1, 0.5, want, 1)
-	core.MatVec(blas.NoTrans, 2.0, a, x, 0.5, y)
-	if d := maxAbsDiff(y, want); d > 1e-11 {
-		t.Errorf("MatVec NoTrans diff %g", d)
-	}
-	xt := matgen.Dense[float64](rng, m, 1)
-	yt := matgen.Dense[float64](rng, n, 1)
-	wantT := append([]float64(nil), yt...)
-	blas.RefGemv(blas.Trans, m, n, 1.0, aD, m, xt, 1, 0, wantT, 1)
-	core.MatVec(blas.Trans, 1.0, a, xt, 0, yt)
-	if d := maxAbsDiff(yt, wantT); d > 1e-11 {
-		t.Errorf("MatVec Trans diff %g", d)
-	}
-}
-
 func TestCholeskyGraphShape(t *testing.T) {
 	// For NT tile columns the Cholesky DAG has NT potrf, NT(NT-1)/2 trsm,
 	// NT(NT-1)/2 syrk and NT(NT-1)(NT-2)/6 gemm tasks.

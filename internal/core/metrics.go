@@ -39,16 +39,3 @@ func timed(phase *metrics.Counter, fn func()) func() {
 		phase.Add(time.Since(start).Nanoseconds())
 	}
 }
-
-// timedErr is timed for error-returning task bodies.
-func timedErr(phase *metrics.Counter, fn func() error) func() error {
-	return func() error {
-		if !metrics.Enabled() {
-			return fn()
-		}
-		start := time.Now()
-		err := fn()
-		phase.Add(time.Since(start).Nanoseconds())
-		return err
-	}
-}

@@ -379,8 +379,7 @@ func luSolveResidual(t *testing.T, n, nb int, aD []float64, opt core.FTOptions, 
 	a := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
 	xWant := matgen.Dense[float64](rng, n, 1)
 	bD := make([]float64, n)
-	at := tile.FromColMajor(n, n, aD, n, nb)
-	core.MatVec(blas.NoTrans, 1, at, xWant, 0, bD)
+	blas.Gemv(blas.NoTrans, n, n, 1, aD, n, xWant, 1, 0, bD, 1)
 	b := tile.FromColMajor(n, 1, bD, n, nb)
 
 	r := sched.New(4, opts...)

@@ -140,3 +140,21 @@ func TestAddNoiseDelta(t *testing.T) {
 		t.Fatal("fault not recorded")
 	}
 }
+
+func TestInjectorRecordsFaults(t *testing.T) {
+	inj := ft.NewInjector(1)
+	data := []float64{1, 2, 3, 4}
+	f := inj.FlipBit(data, 2, 2)
+	if len(inj.Injected) != 1 {
+		t.Fatal("fault not recorded")
+	}
+	if f.Row != 0 || f.Col != 1 {
+		t.Errorf("fault coordinates (%d,%d)", f.Row, f.Col)
+	}
+	if data[2] == 3 {
+		t.Error("bit flip did not change the value")
+	}
+	if math.IsNaN(data[2]) || math.IsInf(data[2], 0) {
+		t.Error("bit flip produced non-finite value")
+	}
+}

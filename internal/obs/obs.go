@@ -44,17 +44,17 @@ type Options struct {
 	// idle or stalled client cannot hold a connection open forever. Zero
 	// means the 10s default.
 	ReadHeaderTimeout time.Duration
-	// CloseTimeout bounds how long Close waits for in-flight requests to
-	// drain before falling back to a hard close. Zero means the 3s default.
-	CloseTimeout time.Duration
 }
+
+// closeTimeout bounds how long Close waits for in-flight requests to drain
+// before falling back to a hard close.
+const closeTimeout = 3 * time.Second
 
 // Server is a running observability HTTP server.
 type Server struct {
-	ln           net.Listener
-	srv          *http.Server
-	start        time.Time
-	closeTimeout time.Duration
+	ln    net.Listener
+	srv   *http.Server
+	start time.Time
 }
 
 // Start listens on addr (host:port; use port 0 for an ephemeral port) and
@@ -135,10 +135,6 @@ func Start(addr string, opt Options) (*Server, error) {
 	if rht <= 0 {
 		rht = 10 * time.Second
 	}
-	s.closeTimeout = opt.CloseTimeout
-	if s.closeTimeout <= 0 {
-		s.closeTimeout = 3 * time.Second
-	}
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: rht}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
@@ -156,7 +152,7 @@ func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.closeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), closeTimeout)
 	defer cancel()
 	if err := s.srv.Shutdown(ctx); err != nil {
 		return s.srv.Close()

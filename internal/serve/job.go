@@ -176,11 +176,9 @@ type job struct {
 	started   atomic.Int64 // ns since submitted, 0 until running
 	finished  atomic.Int64 // ns since submitted, 0 until terminal
 
-	// Progress derived from span traces: tasks of this job's DAG completed
-	// so far and their accumulated ready→start queue wait (big path only;
-	// batched jobs execute as one fused submission).
+	// Tasks of this job's DAG completed so far (big path; a batched job
+	// counts its one fused submission).
 	tasksDone   atomic.Int64
-	spanWaitNs  atomic.Int64
 	cacheStatus atomic.Int32 // 0 none, 1 miss, 2 hit
 	batched     atomic.Bool
 
@@ -231,7 +229,6 @@ type Status struct {
 	State       string  `json:"state"`
 	TasksDone   int64   `json:"tasks_done"`
 	QueueWaitMs float64 `json:"queue_wait_ms"`
-	SpanWaitMs  float64 `json:"span_wait_ms,omitempty"`
 	RunMs       float64 `json:"run_ms"`
 	Batched     bool    `json:"batched,omitempty"`
 	Cache       string  `json:"cache,omitempty"`
@@ -248,7 +245,6 @@ func (j *job) status() Status {
 		NRHS:        j.spec.NRHS,
 		State:       State(j.state.Load()).String(),
 		TasksDone:   j.tasksDone.Load(),
-		SpanWaitMs:  float64(j.spanWaitNs.Load()) / 1e6,
 		Batched:     j.batched.Load(),
 		Cache:       j.cacheString(),
 		Fingerprint: j.fp(),

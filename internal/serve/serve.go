@@ -24,7 +24,6 @@ import (
 	"exadla/internal/metrics"
 	"exadla/internal/sched"
 	"exadla/internal/tile"
-	"exadla/internal/trace"
 )
 
 // Config configures a Server. The zero value gets sensible defaults: two
@@ -369,54 +368,61 @@ func (s *Server) finish(j *job, err error) {
 	s.mu.Unlock()
 }
 
-// progressTracer feeds the lane runtime's task attempts (trace.Event)
-// back into the lane's current job, which is where poll/stream status
-// comes from: tasks completed so far and their accumulated scheduler queue
-// wait.
-type progressTracer struct {
-	cur atomic.Pointer[job]
+// progress is the lane runtime as one job's walk sees it: every task body
+// it submits bumps the job's tasksDone when it returns, which is where
+// poll/stream status comes from. The runtime itself stays untraced, so
+// each WaitErr drops its dependence map and a lane retains nothing of the
+// jobs it ran.
+type progress struct {
+	*sched.Runtime
+	done *atomic.Int64
 }
 
-func (t *progressTracer) TaskSpan(e trace.Event) {
-	if j := t.cur.Load(); j != nil {
-		j.tasksDone.Add(1)
-		j.spanWaitNs.Add(e.QueueWait())
+func (p progress) Submit(t sched.Task) {
+	if fn := t.FnErr; fn != nil {
+		t.FnErr = func() error {
+			defer p.done.Add(1)
+			return fn()
+		}
+	} else if fn := t.Fn; fn != nil {
+		t.Fn = func() {
+			defer p.done.Add(1)
+			fn()
+		}
 	}
+	p.Runtime.Submit(t)
 }
 
 func (s *Server) runLane() {
 	defer s.wg.Done()
-	tr := &progressTracer{}
-	rt := sched.New(s.cfg.Workers, sched.WithTracer(tr), sched.WithMetrics(s.reg))
+	rt := sched.New(s.cfg.Workers, sched.WithMetrics(s.reg))
 	defer rt.Shutdown()
 	for {
 		jobs := s.take(s.qBig, &s.rrBig, 1)
 		if jobs == nil {
 			return
 		}
-		s.execBig(rt, tr, jobs[0])
+		s.execBig(rt, jobs[0])
 	}
 }
 
-func (s *Server) execBig(rt *sched.Runtime, tr *progressTracer, j *job) {
+func (s *Server) execBig(rt *sched.Runtime, j *job) {
 	s.markRunning(j)
-	tr.cur.Store(j)
 	err := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("serve: job %s panicked: %v", j.id, p)
 			}
 		}()
-		return s.runBig(rt, j)
+		return s.runBig(progress{rt, &j.tasksDone}, j)
 	}()
-	tr.cur.Store(nil)
 	s.finish(j, err)
 }
 
 // runBig executes one lane-path job: resolve the factor cache, run the
 // factorization or the warm triangular solves on the lane's runtime, and
 // publish the result.
-func (s *Server) runBig(rt *sched.Runtime, j *job) error {
+func (s *Server) runBig(rt sched.Scheduler, j *job) error {
 	sp := &j.spec
 	if sp.testDelay > 0 {
 		time.Sleep(sp.testDelay)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -80,7 +81,7 @@ func TestServeSolveCorrectness(t *testing.T) {
 			t.Errorf("%s: no fingerprint reported", op)
 		}
 		if st.TasksDone < 1 {
-			t.Errorf("%s: span-derived progress reports %d tasks", op, st.TasksDone)
+			t.Errorf("%s: progress reports %d tasks", op, st.TasksDone)
 		}
 		x, err := s.Result(id)
 		if err != nil {
@@ -89,6 +90,47 @@ func TestServeSolveCorrectness(t *testing.T) {
 		if r := residual(n, nrhs, a, x, b); r > 1e-8 {
 			t.Errorf("%s: residual %g", op, r)
 		}
+	}
+}
+
+// TestLaneRetainsNoTaskGraph: a lane that has run many cold solves holds
+// no more of them than the job records the server keeps by design. A lane
+// runtime that kept each walk's dependence map grew the heap by ≈ 24 KB per
+// n = 256 job; the bound is 8 KB.
+func TestLaneRetainsNoTaskGraph(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap figures are meaningless under the race detector")
+	}
+	s, err := New(Config{Lanes: 1, Workers: 2, CacheEntries: -1, SmallCutoff: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n, jobs = 256, 400
+	rng := rand.New(rand.NewSource(11))
+	a := matgen.DiagDomSPD[float64](rng, n)
+	b := matgen.Dense[float64](rng, n, 1)
+	solve := func() {
+		waitDone(t, s, mustSubmit(t, s, "t0", JobSpec{Op: OpSolveSPD, N: n, NRHS: 1, A: clone(a), B: clone(b)}))
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 10; i++ { // warm the runtime's slabs and pools
+		solve()
+	}
+	before := heap()
+	for i := 0; i < jobs; i++ {
+		solve()
+	}
+	after := heap()
+	perJob := (float64(after) - float64(before)) / jobs
+	if perJob > 8<<10 {
+		t.Errorf("heap grew %.1f KB per cold n=%d job, want < 8 KB", perJob/1024, n)
 	}
 }
 

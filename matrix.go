@@ -110,20 +110,22 @@ func Identity(n int) *Matrix {
 }
 
 // Multiply computes C = A·B on the Context's worker pool using tiled GEMM.
-// A task that fails permanently (see WithChaos and WithTaskRetry) makes it
-// panic with the scheduler's *FailuresError, which names each failed
-// kernel: the error the error-returning entry points return.
-func (c *Context) Multiply(a, b *Matrix) *Matrix {
+// A task that fails permanently (see WithChaos and WithTaskRetry) is
+// returned as the scheduler's *FailuresError, which names each failed
+// kernel.
+func (c *Context) Multiply(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.rows {
-		panic(fmt.Sprintf("exadla: Multiply dims %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
+		return nil, fmt.Errorf("exadla: Multiply dims %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols)
 	}
 	ta := tile.FromColMajor(a.rows, a.cols, a.data, a.rows, c.tileSize)
 	tb := tile.FromColMajor(b.rows, b.cols, b.data, b.rows, c.tileSize)
 	tc := tile.New[float64](a.rows, b.cols, c.tileSize)
 	s := c.scheduler()
 	core.Gemm(s, ta, tb, tc)
-	s.Wait()
-	return FromSlice(a.rows, b.cols, tc.ToColMajor())
+	if err := s.WaitErr(); err != nil {
+		return nil, err
+	}
+	return FromSlice(a.rows, b.cols, tc.ToColMajor()), nil
 }
 
 // Residual returns ‖B − A·X‖∞ / (‖A‖∞·‖X‖∞ + ‖B‖∞), the normwise backward

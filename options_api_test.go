@@ -301,6 +301,12 @@ func TestEntryPointsMatchEagerConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	qtb := func(f *exadla.QRFactor, err error) (*exadla.Matrix, error) {
+		if err != nil {
+			return nil, err
+		}
+		return f.QTb(b)
+	}
 	all := func(i, j int) bool { return true }
 	lower := func(i, j int) bool { return i >= j }
 	upper := func(i, j int) bool { return i <= j }
@@ -349,7 +355,11 @@ func TestEntryPointsMatchEagerConversion(t *testing.T) {
 			return f.Solve(b)
 		}},
 		{"QR.R", upper, untiled(qrf.A), func(ctx *exadla.Context) (*exadla.Matrix, error) {
-			r := ctx.QR(tall).R()
+			f, err := ctx.QR(tall)
+			if err != nil {
+				return nil, err
+			}
+			r := f.R()
 			padded := exadla.NewMatrix(m, nq)
 			for j := 0; j < nq; j++ {
 				for i := 0; i <= j; i++ {
@@ -358,8 +368,8 @@ func TestEntryPointsMatchEagerConversion(t *testing.T) {
 			}
 			return padded, nil
 		}},
-		{"QR.QTb", all, qt(qrf), func(ctx *exadla.Context) (*exadla.Matrix, error) { return ctx.QR(tall).QTb(b) }},
-		{"QRTree.QTb", all, qt(qrt), func(ctx *exadla.Context) (*exadla.Matrix, error) { return ctx.QRTree(tall).QTb(b) }},
+		{"QR.QTb", all, qt(qrf), func(ctx *exadla.Context) (*exadla.Matrix, error) { return qtb(ctx.QR(tall)) }},
+		{"QRTree.QTb", all, qt(qrt), func(ctx *exadla.Context) (*exadla.Matrix, error) { return qtb(ctx.QRTree(tall)) }},
 		{"InvertSPD", lower, untiled(inv), func(ctx *exadla.Context) (*exadla.Matrix, error) { return ctx.InvertSPD(spd) }},
 	}
 	guards := []struct {

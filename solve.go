@@ -143,18 +143,25 @@ func (c *Context) Solve(a, b *Matrix) (*Matrix, error) {
 type QRFactor struct{ factored }
 
 // QR computes the tile QR factorization of an m×n matrix (A untouched)
-// using the flat elimination order.
-func (c *Context) QR(a *Matrix) *QRFactor {
-	t := tile.Deferred(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("qr", a.rows))
-	return &QRFactor{factored{c, core.QR(c.scheduler(), t)}}
-}
+// using the flat elimination order. A task that fails permanently (see
+// WithChaos and WithTaskRetry) is returned as the scheduler's error. No
+// fault-tolerance or checkpoint protection applies.
+func (c *Context) QR(a *Matrix) (*QRFactor, error) { return c.qr(core.OpQR, a) }
 
 // QRTree computes the tile QR factorization with a binary reduction tree
 // per panel (CAQR order) — shorter critical path on tall matrices at the
-// cost of extra reflector storage. The factor behaves identically to QR's.
-func (c *Context) QRTree(a *Matrix) *QRFactor {
+// cost of extra reflector storage. The factor behaves identically to QR's,
+// and so do its errors.
+func (c *Context) QRTree(a *Matrix) (*QRFactor, error) { return c.qr(core.OpQRTree, a) }
+
+// qr factors A with op, the flat or tree QR, filled by its convert tasks.
+func (c *Context) qr(op string, a *Matrix) (*QRFactor, error) {
 	t := tile.Deferred(a.rows, a.cols, a.data, a.rows, c.tileSizeFor("qr", a.rows))
-	return &QRFactor{factored{c, core.QRTree(c.scheduler(), t)}}
+	f, err := core.Factor(c.scheduler(), op, t, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	return &QRFactor{factored{c, f}}, nil
 }
 
 // R returns the n×n upper-triangular factor (for m ≥ n).

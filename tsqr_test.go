@@ -40,7 +40,7 @@ func TestTSQRExactSystem(t *testing.T) {
 	m, n := 256, 16
 	a := exadla.RandomGeneral(rng, m, n)
 	xTrue := exadla.RandomGeneral(rng, n, 1)
-	b := ctx.Multiply(a, xTrue)
+	b := multiply(t, ctx, a, xTrue)
 	x, err := ctx.TSQRLeastSquares(a, b, 5)
 	if err != nil {
 		t.Fatal(err)
