@@ -339,7 +339,7 @@ func BenchmarkE8_Blendenpik(b *testing.B) {
 	rhs := matgen.Dense[float64](rng, m, 1)
 	b.Run(fmt.Sprintf("m=%d_n=%d", m, n), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := rnd.SolveLSFast(rng, m, n, a, m, rhs, 4.0, 1e-12, 300); err != nil {
+			if _, _, err := rnd.SolveLS(rng, m, n, a, m, rhs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,13 +19,11 @@ func runA2(quick bool) {
 	rng := rand.New(rand.NewSource(13))
 	aD := matgen.DiagDomSPD[float64](rng, n)
 
-	a := tile.FromColMajor(n, n, aD, n, nb)
-	rec := sched.NewRecorder()
-	if err := core.Cholesky(rec, a); err != nil {
+	g, _, err := record(core.OpCholesky, tile.FromColMajor(n, n, aD, n, nb), false)
+	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	g := rec.Graph()
 	// Ablated variants: FIFO (priorities zeroed; ties break on submission
 	// order) and inverted (trailing updates outrank the critical path).
 	clone := func(mod func(i int, n *sched.GraphNode)) *sched.Graph {
@@ -38,8 +36,8 @@ func runA2(quick bool) {
 	fifo := clone(func(_ int, n *sched.GraphNode) { n.Priority = 0 })
 	inverted := clone(func(_ int, n *sched.GraphNode) { n.Priority = -n.Priority })
 
-	tbl := newTable("P", "makespan_prio(s)", "makespan_fifo(s)", "fifo_penalty%",
-		"makespan_inverted(s)", "inverted_penalty%")
+	tbl := newTable("P", "sim_makespan_prio(s)", "sim_makespan_fifo(s)", "fifo_penalty%",
+		"sim_makespan_inverted(s)", "inverted_penalty%")
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		withPrio := simulate(g, p).Makespan
 		noFifo := simulate(fifo, p).Makespan
@@ -55,6 +53,10 @@ func runA2(quick bool) {
 	fmt.Println("priority hints, carries the speedup (contrast with the barrier ablation in E1)")
 }
 
+// variantName names the tile-QR elimination orders as A3 and E10 print
+// them.
+var variantName = map[string]string{core.OpQR: "flat", core.OpQRTree: "tree"}
+
 // runA3 compares the flat and tree tile-QR elimination orders on tall tile
 // grids: same R, different panel critical path.
 func runA3(quick bool) {
@@ -67,16 +69,14 @@ func runA3(quick bool) {
 		m := mt * nb
 		rng := rand.New(rand.NewSource(int64(mt)))
 		aD := matgen.Dense[float64](rng, m, n)
-		for _, variant := range []string{"flat", "tree"} {
-			a := tile.FromColMajor(m, n, aD, m, nb)
-			rec := sched.NewRecorder()
-			if variant == "flat" {
-				core.QR(rec, a)
-			} else {
-				core.QRTree(rec, a)
+		for _, op := range []string{core.OpQR, core.OpQRTree} {
+			g, _, err := record(op, tile.FromColMajor(m, n, aD, m, nb), false)
+			if err != nil {
+				fmt.Println(err)
+				return
 			}
-			d := simulate(rec.Graph(), 32)
-			tbl.add(mt, variant, d.Tasks, d.T1, d.TInf, d.Speedup())
+			d := simulate(g, 32)
+			tbl.add(mt, variantName[op], d.Tasks, d.T1, d.TInf, d.Speedup())
 		}
 	}
 	tbl.print()

@@ -146,11 +146,11 @@ func workerSweep(max int) []int {
 	return ws
 }
 
-// scaleOp bundles what the sweep needs to know about one factorization.
+// scaleOp bundles what the sweep needs to know about one factorization;
+// name is its core op, the tiled program the sweep runs.
 type scaleOp struct {
 	name   string
 	matrix func(rng *rand.Rand, n int) []float64
-	run    func(s sched.Scheduler, a *tile.Matrix[float64]) error
 	serial func(n int, a []float64) // in-place serial blocked kernel
 	flops  func(n int) float64
 }
@@ -158,11 +158,8 @@ type scaleOp struct {
 func scaleOps() []scaleOp {
 	return []scaleOp{
 		{
-			name:   "cholesky",
+			name:   core.OpCholesky,
 			matrix: func(rng *rand.Rand, n int) []float64 { return matgen.DiagDomSPD[float64](rng, n) },
-			run: func(s sched.Scheduler, a *tile.Matrix[float64]) error {
-				return core.Cholesky(s, a)
-			},
 			serial: func(n int, a []float64) {
 				if err := lapack.Potrf(blas.Lower, n, a, n); err != nil {
 					panic(err)
@@ -171,17 +168,13 @@ func scaleOps() []scaleOp {
 			flops: func(n int) float64 { return float64(n) * float64(n) * float64(n) / 3 },
 		},
 		{
-			name: "lu",
+			name: core.OpLU,
 			matrix: func(rng *rand.Rand, n int) []float64 {
 				a := matgen.Dense[float64](rng, n, n)
 				for i := 0; i < n; i++ {
 					a[i+i*n] += float64(n) // diagonal dominance keeps pivots stable
 				}
 				return a
-			},
-			run: func(s sched.Scheduler, a *tile.Matrix[float64]) error {
-				_, err := core.LU(s, a)
-				return err
 			},
 			serial: func(n int, a []float64) {
 				ipiv := make([]int, n)
@@ -192,12 +185,8 @@ func scaleOps() []scaleOp {
 			flops: func(n int) float64 { return 2 * float64(n) * float64(n) * float64(n) / 3 },
 		},
 		{
-			name:   "qr",
+			name:   core.OpQR,
 			matrix: func(rng *rand.Rand, n int) []float64 { return matgen.Dense[float64](rng, n, n) },
-			run: func(s sched.Scheduler, a *tile.Matrix[float64]) error {
-				core.QR(s, a)
-				return nil
-			},
 			serial: func(n int, a []float64) {
 				tau := make([]float64, n)
 				lapack.Geqrf(n, n, a, n, tau)
@@ -252,7 +241,7 @@ func benchScaleJSON(quick bool) error {
 				secs := minTimeSetup(reps, func() func() {
 					at := tile.FromColMajor(n, n, aD, n, nb)
 					return func() {
-						if err := op.run(rt, at); err != nil {
+						if _, err := core.Factor(rt, op.name, at, nil, false); err != nil {
 							panic(err)
 						}
 					}
@@ -277,7 +266,7 @@ func benchScaleJSON(quick bool) error {
 			{
 				rt := sched.New(1, sched.WithTracer(tl))
 				at := tile.FromColMajor(n, n, aD, n, nb)
-				if err := op.run(rt, at); err != nil {
+				if _, err := core.Factor(rt, op.name, at, nil, false); err != nil {
 					panic(err)
 				}
 				rt.Shutdown()
@@ -289,16 +278,13 @@ func benchScaleJSON(quick bool) error {
 			}
 
 			// Recorded cost graph replayed on virtual workers.
-			rec := sched.NewRecorder()
-			{
-				at := tile.FromColMajor(n, n, aD, n, nb)
-				if err := op.run(rec, at); err != nil {
-					panic(err)
-				}
+			g, _, err := record(op.name, tile.FromColMajor(n, n, aD, n, nb), false)
+			if err != nil {
+				panic(err)
 			}
 			for _, vw := range simWorkerCounts {
 				// Tasks, T1 and TInf are the same for every worker count.
-				d := simulate(rec.Graph(), vw)
+				d := simulate(g, vw)
 				res.Tasks, res.GraphT1, res.GraphTInf = d.Tasks, d.T1, d.TInf
 				res.Simulated = append(res.Simulated, scaleSimPoint{
 					Workers:     vw,

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"exadla/internal/core"
@@ -13,7 +11,7 @@ import (
 	"exadla/internal/tile"
 )
 
-// distFaultSweep is the distributed-runtime act of -faults: one coordinator
+// distFaultSweep is E11, the distributed act of the fault demos: one coordinator
 // and a small worker fleet (in-process goroutines here; cmd/exadist runs
 // the same runtime as real processes) driven through the full fault menu —
 // worker kills, a hang past the lease, seeded wire chaos, write-back
@@ -39,48 +37,25 @@ func distFaultSweep(quick bool) {
 		workers   []dist.WorkerOptions
 		writeBack bool
 	}
-	chaos := func(seed int64) dist.NetChaos {
-		return dist.NetChaos{DropSend: 0.03, DropReply: 0.03, Dup: 0.03,
-			Delay: 0.05, MaxDelay: 2 * time.Millisecond, Seed: seed}
-	}
 	scenarios := []scenario{
 		{name: "clean", workers: make([]dist.WorkerOptions, 3)},
 		{name: "kill 1 of 3", workers: []dist.WorkerOptions{{KillAfter: 3}, {}, {}}},
 		{name: "kill 2 of 3", workers: []dist.WorkerOptions{{KillAfter: 3}, {KillAfter: 5}, {}}},
 		{name: "hang 1 of 3", workers: []dist.WorkerOptions{{HangAfter: 3, HangFor: 600 * time.Millisecond}, {}, {}}},
-		{name: "wire chaos ×3", workers: []dist.WorkerOptions{{Chaos: chaos(1)}, {Chaos: chaos(2)}, {Chaos: chaos(3)}}},
+		{name: "wire chaos ×3", workers: []dist.WorkerOptions{{Chaos: wireChaos(0.03, 1)}, {Chaos: wireChaos(0.03, 2)}, {Chaos: wireChaos(0.03, 3)}}},
 		{name: "writeback + kill", workers: []dist.WorkerOptions{{KillAfter: 4}, {}, {}}, writeBack: true},
 		{name: "kill all → local", workers: []dist.WorkerOptions{{KillAfter: 1}, {KillAfter: 2}}},
 	}
 
 	tb := newTable("scenario", "lost", "reexec", "local", "expired", "rejected", "rebuilt", "rpc retries", "factor")
 	for _, sc := range scenarios {
-		a := tile.FromColMajor(n, n, aD, n, nb)
-		opt := dist.Options{
-			Op: dist.OpCholesky, A: a,
-			WriteBack:  sc.writeBack,
-			Lease:      500 * time.Millisecond,
-			DeadAfter:  200 * time.Millisecond,
-			LocalDelay: 50 * time.Millisecond,
-			Poll:       time.Millisecond,
-		}
-		c, err := dist.NewCoordinator("127.0.0.1:0", opt)
-		if err != nil {
-			tb.add(sc.name, "-", "-", "-", "-", "-", "-", "-", "coordinator: "+err.Error())
+		opt := chaosOptions(tile.FromColMajor(n, n, aD, n, nb))
+		opt.WriteBack = sc.writeBack
+		c, runErr := runCluster(opt, sc.workers)
+		if c == nil {
+			tb.add(sc.name, "-", "-", "-", "-", "-", "-", "-", "coordinator: "+runErr.Error())
 			continue
 		}
-		var wg sync.WaitGroup
-		for i := range sc.workers {
-			wg.Add(1)
-			go func(w dist.WorkerOptions) {
-				defer wg.Done()
-				if err := dist.RunWorker(c.Addr(), w); err != nil && !errors.Is(err, dist.ErrKilled) {
-					fmt.Printf("%s: worker exit: %v\n", sc.name, err)
-				}
-			}(sc.workers[i])
-		}
-		runErr := c.Run()
-		wg.Wait()
 		status := "bitwise identical"
 		if runErr != nil {
 			status = "FAILED: " + runErr.Error()

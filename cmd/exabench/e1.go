@@ -6,15 +6,8 @@ import (
 
 	"exadla/internal/core"
 	"exadla/internal/matgen"
-	"exadla/internal/sched"
 	"exadla/internal/tile"
-	"exadla/internal/trace"
 )
-
-// simulate replays g on p virtual workers and measures the schedule.
-func simulate(g *sched.Graph, p int) trace.DAGStats {
-	return trace.NewLog(sched.Simulate(g, p)...).AnalyzeDAG()
-}
 
 // runE1 reproduces the keynote's headline plot: tile Cholesky scheduled as
 // a dataflow DAG versus block-synchronous fork-join, scaled over worker
@@ -33,16 +26,15 @@ func runE1(quick bool) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		aD := matgen.DiagDomSPD[float64](rng, n)
 		for _, variant := range []string{"dataflow", "fork-join"} {
-			a := tile.FromColMajor(n, n, aD, n, nb)
-			rec := sched.NewRecorder()
-			if _, err := core.Factor(rec, core.OpCholesky, a, nil, variant == "fork-join"); err != nil {
+			g, _, err := record(core.OpCholesky, tile.FromColMajor(n, n, aD, n, nb), variant == "fork-join")
+			if err != nil {
 				fmt.Printf("n=%d %s: %v\n", n, variant, err)
 				continue
 			}
 			var cells []any
 			var p1, p64 float64
 			for _, w := range workers {
-				d := simulate(rec.Graph(), w)
+				d := simulate(g, w)
 				if w == 1 {
 					cells = []any{n, variant, d.Tasks, d.T1, d.TInf}
 					p1 = d.Makespan

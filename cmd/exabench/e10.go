@@ -7,7 +7,6 @@ import (
 	"exadla/internal/core"
 	"exadla/internal/dist"
 	"exadla/internal/matgen"
-	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
 
@@ -24,12 +23,11 @@ func runE10(quick bool) {
 	rng := rand.New(rand.NewSource(3))
 	aD := matgen.DiagDomSPD[float64](rng, n)
 	a := tile.FromColMajor(n, n, aD, n, nb)
-	rec := sched.NewRecorder()
-	if err := core.Cholesky(rec, a); err != nil {
+	g, _, err := record(core.OpCholesky, a, false)
+	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	g := rec.Graph()
 	tbl := newTable("P(grid)", "messages", "words", "words/P", "words/P·√P/n²", "remote_tasks%")
 	for _, p := range []int{1, 2, 4, 8} {
 		stats := dist.Count(g, p*p, dist.BlockCyclic(a, p, p))
@@ -50,14 +48,12 @@ func runE10(quick bool) {
 	ncols := 2 * nb
 	aD2 := matgen.Dense[float64](rng, m, ncols)
 	tbl2 := newTable("tile_rows", "variant", "messages", "words", "comm_depth")
-	for _, variant := range []string{"flat", "tree"} {
+	for _, op := range []string{core.OpQR, core.OpQRTree} {
 		a2 := tile.FromColMajor(m, ncols, aD2, m, nb)
-		rec2 := sched.NewRecorder()
-		var f *core.Factors[float64]
-		if variant == "flat" {
-			f = core.QR(rec2, a2)
-		} else {
-			f = core.QRTree(rec2, a2)
+		g2, f, err := record(op, a2, false)
+		if err != nil {
+			fmt.Println(err)
+			return
 		}
 		places := []dist.Placement{
 			dist.BlockCyclic(a2, mt, 1),
@@ -67,9 +63,8 @@ func runE10(quick bool) {
 			places = append(places, dist.BlockCyclic(f.T2, mt, 1))
 		}
 		place := dist.Merge(places...)
-		stats := dist.Count(rec2.Graph(), mt, place)
-		tbl2.add(mt, variant, stats.Messages, stats.Words,
-			dist.CommDepth(rec2.Graph(), place))
+		stats := dist.Count(g2, mt, place)
+		tbl2.add(mt, variantName[op], stats.Messages, stats.Words, dist.CommDepth(g2, place))
 	}
 	tbl2.print()
 	fmt.Println("\nexpected shape: total words are comparable (the volume is the panel data")

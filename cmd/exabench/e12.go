@@ -1,12 +1,10 @@
 package main
 
 import (
-	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
-	"sync"
-	"time"
 
 	"exadla/internal/dist"
 	"exadla/internal/matgen"
@@ -28,44 +26,19 @@ func runE12(quick bool) {
 
 	rng := rand.New(rand.NewSource(2016))
 	aD := matgen.DiagDomSPD[float64](rng, n)
-	a := tile.FromColMajor(n, n, aD, n, nb)
-
-	chaos := func(seed int64) dist.NetChaos {
-		return dist.NetChaos{DropSend: 0.02, DropReply: 0.02, Dup: 0.02,
-			Delay: 0.05, MaxDelay: 2 * time.Millisecond, Seed: seed}
-	}
-	c, err := dist.NewCoordinator("127.0.0.1:0", dist.Options{
-		Op: dist.OpCholesky, A: a,
-		Lease:      500 * time.Millisecond,
-		DeadAfter:  200 * time.Millisecond,
-		LocalDelay: 50 * time.Millisecond,
-		Poll:       time.Millisecond,
+	c, err := runCluster(chaosOptions(tile.FromColMajor(n, n, aD, n, nb)), []dist.WorkerOptions{
+		{Chaos: wireChaos(0.02, 1), KillAfter: 4},
+		{Chaos: wireChaos(0.02, 2)},
+		{Chaos: wireChaos(0.02, 3)},
 	})
-	if err != nil {
+	if c == nil {
 		fmt.Printf("coordinator: %v\n", err)
 		return
 	}
-	workers := []dist.WorkerOptions{
-		{Chaos: chaos(1), KillAfter: 4},
-		{Chaos: chaos(2)},
-		{Chaos: chaos(3)},
-	}
-	var wg sync.WaitGroup
-	for i := range workers {
-		wg.Add(1)
-		go func(w dist.WorkerOptions) {
-			defer wg.Done()
-			if err := dist.RunWorker(c.Addr(), w); err != nil && !errors.Is(err, dist.ErrKilled) {
-				fmt.Printf("worker exit: %v\n", err)
-			}
-		}(workers[i])
-	}
-	if err := c.Run(); err != nil {
+	if err != nil {
 		fmt.Printf("run: %v\n", err)
-		wg.Wait()
 		return
 	}
-	wg.Wait()
 
 	log := c.ClusterLog()
 	cs := log.AnalyzeCluster()
@@ -101,29 +74,28 @@ func runE12(quick bool) {
 
 	for _, out := range []struct {
 		path  string
-		write func(*trace.Log) error
+		write func(io.Writer) error
 	}{
-		{"E12_cluster_trace.json", func(l *trace.Log) error {
-			f, err := os.Create("E12_cluster_trace.json")
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return l.WriteChrome(f)
-		}},
-		{"E12_cluster_events.json", func(l *trace.Log) error {
-			f, err := os.Create("E12_cluster_events.json")
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return l.WriteJSON(f)
-		}},
+		{"E12_cluster_trace.json", log.WriteChrome},
+		{"E12_cluster_events.json", log.WriteJSON},
 	} {
-		if err := out.write(log); err != nil {
+		if err := writeFile(out.path, out.write); err != nil {
 			fmt.Printf("write %s: %v\n", out.path, err)
 			continue
 		}
 		fmt.Printf("wrote %s\n", out.path)
 	}
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

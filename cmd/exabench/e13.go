@@ -1,10 +1,8 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"exadla/internal/dist"
@@ -105,28 +103,15 @@ func e13Run(aD []float64, n, nb int, straggler *dist.WorkerOptions, spec bool) (
 		// threshold would learn to excuse it.
 		Speculate: spec, SpecMinSamples: 2, SpecQuantile: 0.5, SpecFactor: 3,
 	}
+	var workers []dist.WorkerOptions
 	if straggler == nil {
 		opt.LocalDelay = time.Millisecond
+	} else {
+		workers = []dist.WorkerOptions{*straggler, {}, {}}
 	}
-	c, err := dist.NewCoordinator("127.0.0.1:0", opt)
+	c, err := startCluster(opt, workers)
 	if err != nil {
 		return nil, e13Result{}, err
-	}
-	var wg sync.WaitGroup
-	if straggler != nil {
-		for i := 0; i < 3; i++ {
-			w := dist.WorkerOptions{}
-			if i == 0 {
-				w = *straggler
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := dist.RunWorker(c.Addr(), w); err != nil && !errors.Is(err, dist.ErrKilled) {
-					fmt.Printf("worker exit: %v\n", err)
-				}
-			}()
-		}
 	}
 	// The makespan is the time to the last commit, not to Run's return:
 	// Run lingers in a goodbye grace period that a worker still sleeping
@@ -154,7 +139,7 @@ func e13Run(aD []float64, n, nb int, straggler *dist.WorkerOptions, spec bool) (
 	if waiting {
 		err = <-runErr
 	}
-	wg.Wait()
+	c.workers.Wait()
 	if err != nil {
 		return nil, e13Result{}, err
 	}

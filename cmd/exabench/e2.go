@@ -28,16 +28,15 @@ func runE2(quick bool) {
 
 	graphs := map[string]*sched.Graph{}
 	for _, variant := range []string{"dataflow", "fork-join"} {
-		a := tile.FromColMajor(n, n, aD, n, nb)
-		rec := sched.NewRecorder()
-		if _, err := core.Factor(rec, core.OpCholesky, a, nil, variant == "fork-join"); err != nil {
+		g, _, err := record(core.OpCholesky, tile.FromColMajor(n, n, aD, n, nb), variant == "fork-join")
+		if err != nil {
 			fmt.Println(err)
 			return
 		}
-		graphs[variant] = rec.Graph()
+		graphs[variant] = g
 	}
 
-	tbl := newTable("P", "variant", "makespan(s)", "busy(s)", "utilization", "idle%")
+	tbl := newTable("P", "variant", "sim_makespan(s)", "sim_busy(s)", "sim_utilization", "sim_idle%")
 	for _, p := range workerCounts {
 		for _, variant := range []string{"fork-join", "dataflow"} {
 			d := simulate(graphs[variant], p)

@@ -9,7 +9,6 @@ import (
 	"exadla/internal/core"
 	"exadla/internal/lapack"
 	"exadla/internal/matgen"
-	"exadla/internal/sched"
 	"exadla/internal/tile"
 )
 
@@ -41,11 +40,14 @@ func runE4(quick bool) {
 
 		for _, blocks := range blockCounts {
 			ta := tile.FromColMajor(c.m, c.n, a, c.m, max(c.n, (c.m+blocks-1)/blocks))
-			rec := sched.NewRecorder()
 			t0 = time.Now()
-			core.QRTree(rec, ta)
+			g, _, err := record(core.OpQRTree, ta, false)
 			tTSQR := time.Since(t0).Seconds()
-			d := simulate(rec.Graph(), 16)
+			if err != nil {
+				fmt.Println(err)
+				continue
+			}
+			d := simulate(g, 16)
 
 			// R agreement (up to sign).
 			r := ta.Tile(0, 0)

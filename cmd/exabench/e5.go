@@ -7,8 +7,6 @@ import (
 	"exadla/internal/autotune"
 	"exadla/internal/core"
 	"exadla/internal/matgen"
-	"exadla/internal/sched"
-	"exadla/internal/tile"
 )
 
 // runE5 reproduces the self-adapting-software argument: factorization time
@@ -24,20 +22,7 @@ func runE5(quick bool) {
 	rng := rand.New(rand.NewSource(11))
 	aD := matgen.DiagDomSPD[float64](rng, n)
 
-	measure := func(nb int) float64 {
-		if nb > n {
-			return -1
-		}
-		a := tile.FromColMajor(n, n, aD, n, nb)
-		rt := sched.New(1)
-		defer rt.Shutdown()
-		return autotune.Time(func() {
-			if err := core.Cholesky(rt, a); err != nil {
-				panic(err)
-			}
-		})
-	}
-	res := autotune.Search(candidates, reps, measure)
+	res := autotune.TileSweep(core.OpCholesky, n, aD, 1, candidates, reps)
 
 	tbl := newTable("nb", "t_cholesky(s)", "vs_best", "note")
 	var best float64
@@ -58,9 +43,6 @@ func runE5(quick bool) {
 	}
 	tbl.print()
 
-	// Persist like the CLI tool would.
-	table := autotune.NewTable()
-	table.Set(autotune.Key("cholesky", n, 1), res.Best)
 	fmt.Printf("\nautotuner pick for %s: nb=%d (%.3fs)\n",
 		autotune.Key("cholesky", n, 1), res.Best, best)
 	fmt.Println("\nexpected shape: U-shaped curve (panel-latency bound at small nb, parallelism/cache")

@@ -168,7 +168,7 @@ type abftTrial struct {
 // core.Protect on a fresh workers-wide runtime with retries, injects e
 // through the guard's hook, and compares the result with the fault-free
 // factor clean. It is the inject/verify/compare loop of E6 and of the
-// ABFT act of -faults.
+// ABFT act of the faults experiment.
 func runGuarded(op string, aD, clean []float64, n, nb, workers int, e softError) abftTrial {
 	tr := abftTrial{stats: new(ft.Stats), located: true}
 	var mu sync.Mutex

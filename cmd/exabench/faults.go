@@ -13,12 +13,14 @@ import (
 	"exadla/internal/tile"
 )
 
-// runFaults is the -faults mode: a fault-injection demonstration of the
-// resilient runtime, in three acts. First a seeded chaos sweep (task kills
-// at increasing probability, absorbed by retries) over the tile Cholesky
-// and LU factorizations, then the failure report with retries disabled, and
-// finally ABFT-driven recovery from mid-factorization data corruption with
-// the injected/detected/corrected/retried accounting.
+// runFaults is the faults experiment: a fault-injection demonstration of
+// the resilient in-process runtime, in five acts. A seeded chaos sweep
+// (task kills at increasing probability, absorbed by retries) over the tile
+// Cholesky and LU factorizations, the failure report with retries
+// disabled, ABFT-driven recovery from mid-factorization data corruption
+// with the injected/detected/corrected/retried accounting, worker kills
+// with a lost tile rebuilt from parity, and checkpoint/restart. The
+// distributed act is E11.
 func runFaults(quick bool) {
 	n := pick(quick, 256, 512)
 	nb := 64
@@ -58,11 +60,6 @@ func runFaults(quick bool) {
 	fmt.Println("--- checkpoint/restart: abort mid-factorization, resume to a bitwise-identical factor ---")
 	fmt.Println()
 	checkpointDemo(n, nb, workers)
-
-	fmt.Println()
-	fmt.Println("--- distributed runtime: worker death, hangs, and wire chaos over net/rpc ---")
-	fmt.Println()
-	distFaultSweep(quick)
 }
 
 // chaosRun factors one matrix under a seeded chaos layer with generous

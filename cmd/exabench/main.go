@@ -1,11 +1,12 @@
 // Command exabench regenerates the reproduction's experiment suite — E1–E8
 // (see DESIGN.md for the mapping to the keynote's claims), the E9–E13
-// extensions and the A2–A3 ablations — printing one table or series per
-// experiment.
+// extensions, the A2–A3 ablations and the fault-injection demos — printing
+// one table or series per experiment.
 //
 // Usage:
 //
 //	exabench -exp e1          # one experiment
+//	exabench -exp faults      # the fault demos (E11 is their distributed act)
 //	exabench -exp all         # the full suite
 //	exabench -exp e1 -quick   # smaller sizes for a fast sanity pass
 //	exabench -json            # strong-scaling sweep → BENCH_scale.json
@@ -39,7 +40,7 @@ var experiments = []experiment{
 	{"e5", "E5: tile-size sweep and autotuner", runE5},
 	{"e6", "E6: ABFT overhead and fault recovery", runE6},
 	{"e7", "E7: batched small factorizations vs one-at-a-time loop", runE7},
-	{"e8", "E8: randomized least squares vs direct QR", runE8},
+	{"e8", "E8: randomized least squares vs tile QR", runE8},
 	{"e9", "E9 (extension): the precision ladder — fp16 vs fp32 refinement", runE9},
 	{"e10", "E10 (extension): communication volume on a process grid", runE10},
 	{"e11", "E11 (extension): distributed chaos sweep", distFaultSweep},
@@ -47,13 +48,13 @@ var experiments = []experiment{
 	{"e13", "E13 (extension): straggler sweep — speculative execution off vs on", runE13},
 	{"a2", "A2 (ablation): scheduler priorities on/off", runA2},
 	{"a3", "A3 (ablation): flat vs tree tile QR — panel critical path", runA3},
+	{"faults", "fault injection: chaos retries, ABFT recovery, hard faults, checkpoint/restart", runFaults},
 }
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: "+experimentNames())
 	quick := flag.Bool("quick", false, "use reduced sizes for a fast pass")
 	showMetrics := flag.Bool("metrics", false, "collect runtime metrics and dump a JSON snapshot per experiment")
-	faults := flag.Bool("faults", false, "run the fault-injection mode instead of the experiment suite")
 	jsonBench := flag.Bool("json", false, "run the strong-scaling sweep and write BENCH_scale.json")
 	serveBench := flag.Bool("serve", false, "run the solve-service load benchmark and write BENCH_serve.json")
 	serveAddr := flag.String("serve-addr", "", "pin the -serve load-phase server to this host:port so its /metrics can be watched live (default: ephemeral)")
@@ -98,11 +99,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *faults {
-		fmt.Printf("\n=== fault injection: chaos retries and ABFT recovery ===\n\n")
-		runFaults(*quick)
 		return
 	}
 	want := strings.ToLower(*exp)

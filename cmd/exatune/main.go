@@ -22,8 +22,6 @@ import (
 	"exadla/internal/autotune"
 	"exadla/internal/core"
 	"exadla/internal/matgen"
-	"exadla/internal/sched"
-	"exadla/internal/tile"
 )
 
 func main() {
@@ -64,39 +62,16 @@ func run(args []string, stdout io.Writer) error {
 	rng := rand.New(rand.NewSource(1))
 	var aD []float64
 	switch *op {
-	case "cholesky":
+	case core.OpCholesky:
 		aD = matgen.DiagDomSPD[float64](rng, *n)
-	case "lu", "qr":
+	case core.OpLU, core.OpQR:
 		aD = matgen.Dense[float64](rng, *n, *n)
 	default:
 		return fmt.Errorf("unknown op %q", *op)
 	}
 
-	measure := func(nb int) float64 {
-		if nb > *n {
-			return -1
-		}
-		a := tile.FromColMajor(*n, *n, aD, *n, nb)
-		rt := sched.New(*workers)
-		defer rt.Shutdown()
-		return autotune.Time(func() {
-			switch *op {
-			case "cholesky":
-				if err := core.Cholesky(rt, a); err != nil {
-					panic(err)
-				}
-			case "lu":
-				if _, err := core.LU(rt, a); err != nil {
-					panic(err)
-				}
-			case "qr":
-				core.QR(rt, a)
-			}
-		})
-	}
-
 	fmt.Fprintf(stdout, "tuning %s n=%d workers=%d (%d reps per candidate)\n\n", *op, *n, *workers, *reps)
-	res := autotune.Search(candidates, *reps, measure)
+	res := autotune.TileSweep(*op, *n, aD, *workers, candidates, *reps)
 	fmt.Fprintf(stdout, "%-6s %-12s %s\n", "nb", "seconds", "")
 	for _, m := range res.Table {
 		mark := ""

@@ -435,6 +435,41 @@ func TestRandomizedLeastSquares(t *testing.T) {
 	}
 }
 
+// TestRandomizedLeastSquaresAllocatesNoDenseSketch: the SRHT sketch is
+// applied column by column, never stored as an s×m matrix (16 MB here even
+// at s = 2n), so a 20000×50 solve allocates about its working vectors, and
+// its answer agrees with the tiled QR's.
+func TestRandomizedLeastSquaresAllocatesNoDenseSketch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are meaningless under the race detector")
+	}
+	ctx := newCtx(t)
+	rng := rand.New(rand.NewSource(57))
+	m, n := 20000, 50
+	a := exadla.RandomWithCond(rng, m, n, 1e6)
+	b := multiply(t, ctx, a, exadla.RandomGeneral(rng, n, 1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	x, err := ctx.RandomizedLeastSquares(rng, a, b)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb >= 4 {
+		t.Errorf("RandomizedLeastSquares allocated %.1f MB on %d×%d, want < 4", mb, m, n)
+	}
+	xQR, err := ctx.LeastSquares(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		ref := xQR.At(i, 0)
+		if math.Abs(x.At(i, 0)-ref) > 1e-6*(1+math.Abs(ref)) {
+			t.Fatalf("randomized disagrees with QR at %d: %v vs %v", i, x.At(i, 0), ref)
+		}
+	}
+}
+
 func TestCondEst(t *testing.T) {
 	ctx := newCtx(t)
 	rng := rand.New(rand.NewSource(11))

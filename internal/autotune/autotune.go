@@ -10,6 +10,10 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"exadla/internal/core"
+	"exadla/internal/sched"
+	"exadla/internal/tile"
 )
 
 // Measurement is one (parameter, best-observed-seconds) pair.
@@ -66,6 +70,27 @@ func Search(candidates []int, reps int, measure func(param int) float64) Result 
 		}
 	}
 	return res
+}
+
+// TileSweep searches the tile size of op's tiled factorization (a core op:
+// core.OpCholesky, core.OpLU or core.OpQR) of the n×n column-major matrix
+// a. Each measurement tiles a afresh at the candidate size and times the
+// factorization alone on a fresh workers-wide runtime; candidates larger
+// than n are skipped. It returns Search's result over candidates.
+func TileSweep(op string, n int, a []float64, workers int, candidates []int, reps int) Result {
+	return Search(candidates, reps, func(nb int) float64 {
+		if nb > n {
+			return -1
+		}
+		t := tile.FromColMajor(n, n, a, n, nb)
+		rt := sched.New(workers)
+		defer rt.Shutdown()
+		return Time(func() {
+			if _, err := core.Factor(rt, op, t, nil, false); err != nil {
+				panic(err)
+			}
+		})
+	})
 }
 
 // Time runs f once and returns elapsed seconds — the usual measure

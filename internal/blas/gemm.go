@@ -131,7 +131,7 @@ func scaleMatrix[T Float](m, n int, beta T, c []T, ldc int) {
 }
 
 // registerTile returns the register-tile shape of every packed sweep (Gemm,
-// Syrk, Trmm, Trsm, and Symm through Gemm) for element type T under
+// Syrk, Trmm and Trsm) for element type T under
 // blocking p. MR = 8 installs the wide AVX2+FMA kernels: 8×4 for float64
 // and 16×4 for float32, the same register footprint at single width. The
 // float32 tile is used only where 16 rows divide MC, since a shared A pack

@@ -61,46 +61,6 @@ func SyrkPrepacked[T Float](uplo Uplo, trans Transpose, n, k int, alpha T, a []T
 	syrkMetrics.Stop(start, int64(n)*int64(n+1)*int64(k))
 }
 
-// Symm computes C ← α·A·B + β·C (side == Left) or C ← α·B·A + β·C
-// (side == Right), where A is symmetric with only the uplo triangle stored
-// and C is m×n.
-func Symm[T Float](side Side, uplo Uplo, m, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
-	checkSide(side)
-	checkUplo(uplo)
-	na := m
-	if side == Right {
-		na = n
-	}
-	checkMatrix("A", na, na, a, lda)
-	checkMatrix("B", m, n, b, ldb)
-	checkMatrix("C", m, n, c, ldc)
-	if m == 0 || n == 0 {
-		return
-	}
-	// Symm appears only on cold paths here; expand the symmetric operand
-	// into a pooled scratch buffer and delegate to Gemm (whose packed path
-	// and metrics it then shares) rather than duplicating its blocking.
-	fullBuf := GetScratch[T](na * na)
-	full := fullBuf.Buf
-	for j := 0; j < na; j++ {
-		for i := 0; i < na; i++ {
-			var v T
-			if (uplo == Lower && i >= j) || (uplo == Upper && i <= j) {
-				v = a[i+j*lda]
-			} else {
-				v = a[j+i*lda]
-			}
-			full[i+j*na] = v
-		}
-	}
-	if side == Left {
-		Gemm(NoTrans, NoTrans, m, n, m, alpha, full, na, b, ldb, beta, c, ldc)
-	} else {
-		Gemm(NoTrans, NoTrans, m, n, n, alpha, b, ldb, full, na, beta, c, ldc)
-	}
-	fullBuf.Release()
-}
-
 // Trmm computes B ← α·op(A)·B (side == Left) or B ← α·B·op(A)
 // (side == Right) in place, where A is triangular and B is m×n. The
 // product is one packed sweep on the GEMM microkernel (see trmmPacked).

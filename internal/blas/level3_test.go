@@ -211,37 +211,6 @@ func TestTrsmInvertsTrmm(t *testing.T) {
 	}
 }
 
-func TestSymmAgainstRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	m, n := 8, 5
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []Uplo{Upper, Lower} {
-			na := m
-			if side == Right {
-				na = n
-			}
-			full := randMat(rng, na, na, na)
-			for j := 0; j < na; j++ {
-				for i := 0; i < j; i++ {
-					full[j+i*na] = full[i+j*na]
-				}
-			}
-			b := randMat(rng, m, n, m)
-			c := randMat(rng, m, n, m)
-			cRef := append([]float64(nil), c...)
-			Symm(side, uplo, m, n, 1.1, full, na, b, m, 0.4, c, m)
-			if side == Left {
-				RefGemm(NoTrans, NoTrans, m, n, m, 1.1, full, na, b, m, 0.4, cRef, m)
-			} else {
-				RefGemm(NoTrans, NoTrans, m, n, n, 1.1, b, m, full, na, 0.4, cRef, m)
-			}
-			if d := maxAbsDiff(c, cRef); d > 1e-10*float64(m+n) {
-				t.Errorf("Symm %v %v: max diff %g", side, uplo, d)
-			}
-		}
-	}
-}
-
 // Property: Gemm is bilinear in alpha — Gemm(2α) == 2·Gemm(α) contribution.
 func TestGemmScalarLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))

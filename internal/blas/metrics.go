@@ -19,10 +19,8 @@ import "exadla/internal/metrics"
 //     a product's own buffers or into a shared Packed; like the flops it is
 //     charged once per call.
 //
-// Symm is not separately instrumented: it expands the symmetric operand and
-// delegates to Gemm, so its work is reported under blas.gemm. Syrk, Trmm and
-// Trsm drive the microkernel directly and each keeps its own counter, so
-// nothing is double-counted.
+// Syrk, Trmm and Trsm drive the microkernel directly and each keeps its own
+// counter, so nothing is double-counted.
 var (
 	gemmMetrics    = metrics.Default().Kernel("blas.gemm")
 	gemmScaleFlops = metrics.Default().Counter("blas.gemm.scale_flops")

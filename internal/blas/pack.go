@@ -10,7 +10,6 @@ import (
 //   - the packed op(A) and op(B) blocks of Gemm, Syrk and Trmm;
 //   - the packed triangles of Trsm and Trmm, Trsm's solved vectors and
 //     Trmm's product;
-//   - Symm's densified operand;
 //   - the strided gathers of Trsv and Trmv, Gemm's TT row and the edge tile
 //     of every microkernel sweep.
 //

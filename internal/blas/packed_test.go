@@ -462,7 +462,7 @@ func TestGemmConcurrentPool(t *testing.T) {
 // TestLevel3ZeroAllocSteadyState asserts that, once the pack pool is warm,
 // the pooled level-3 routines allocate nothing per call, in float64 and
 // (the rows suffixed 32) float32: the packed Gemm, the axpy TT path (pooled
-// row scratch), Symm (pooled symmetric expansion), the packed Syrk, Trmm
+// row scratch), the packed Syrk, Trmm
 // and Trsm sweeps, the thin paths of Trmm and Trsm (Trmv and Trsv on
 // strided rows, pooled gather), and the one-column products and solve a
 // tile's correction sweep runs (Gemm with n = 1, NN and TN, and a unit-
@@ -505,9 +505,6 @@ func level3AllocCases[T Float](suffix string) []struct {
 		}},
 		{"GemmAxpyTT", func() {
 			GemmAxpy(Trans, Trans, n, n, n, 1.1, a, n, b, n, 0.9, c, n)
-		}},
-		{"Symm", func() {
-			Symm(Left, Lower, n, n, 1.1, a, n, b, n, 0.9, c, n)
 		}},
 		{"TrmmRight", func() {
 			Trmm(Right, Upper, NoTrans, NonUnit, 24, 24, 1.1, a, n, c, n)

@@ -58,7 +58,7 @@ type FTOptions struct {
 	// step's checksum snapshot and its verification, with write access to
 	// the step's panel tiles (Cholesky: column k at and below the
 	// diagonal; both LUs: the tiles finalized by step k). Tests, exabench's
-	// ABFT driver (E6 and -faults) and examples/faulttolerance use it to
+	// ABFT driver (E6 and -exp faults) and examples/faulttolerance use it to
 	// corrupt data mid-factorization.
 	InjectHook func(step int, a *tile.Matrix[float64])
 	// Stats, if non-nil, accumulates detection/correction counts.

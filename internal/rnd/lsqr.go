@@ -1,8 +1,8 @@
 // Package rnd implements the randomized numerical linear algebra the
-// keynote points to as a "new rule": Gaussian sketching,
-// sketch-to-precondition (Blendenpik-style) least squares, and
-// randomized condition estimation — plus the LSQR iterative solver they
-// precondition.
+// keynote points to as a "new rule": an SRHT sketch,
+// sketch-to-precondition (Blendenpik) least squares on it, and randomized
+// condition estimation — plus the LSQR iterative solver the sketch
+// preconditions.
 package rnd
 
 import (

@@ -9,19 +9,15 @@ import (
 	"exadla/internal/lapack"
 )
 
-// GaussianSketch returns an s×m matrix with i.i.d. N(0, 1/s) entries — a
-// subspace embedding for s ≳ 2n. (The Blendenpik paper uses a randomized
-// Hadamard transform for speed; a Gaussian sketch has identical embedding
-// behaviour at a higher constant, which is the substitution this
-// reproduction documents.)
-func GaussianSketch(rng *rand.Rand, s, m int) []float64 {
-	sk := make([]float64, s*m)
-	scale := 1 / math.Sqrt(float64(s))
-	for i := range sk {
-		sk[i] = rng.NormFloat64() * scale
-	}
-	return sk
-}
+// The one least-squares path's settings. A 4n-row SRHT sketch keeps
+// κ(A·R⁻¹) near one, so LSQR meets lsqrTol in a few dozen iterations
+// whatever A's conditioning; lsqrMaxIter is the cap that reports a run
+// which did not.
+const (
+	sketchFactor = 4
+	lsqrTol      = 1e-14
+	lsqrMaxIter  = 300
+)
 
 // SolveStats reports how a randomized least-squares solve went.
 type SolveStats struct {
@@ -33,15 +29,15 @@ type SolveStats struct {
 	Converged bool
 }
 
-// SolveLS solves min‖A·x − b‖ to full accuracy with the
-// sketch-to-precondition scheme: QR-factor the sketched matrix S·A, use its
-// R as a right preconditioner, and run LSQR on A·R⁻¹ — which converges in
-// O(log(1/ε)) iterations independent of A's conditioning.
-func SolveLS(rng *rand.Rand, m, n int, a []float64, lda int, b []float64, sketchFactor float64, atol float64, maxIter int) ([]float64, SolveStats, error) {
-	s := sketchRows(n, m, sketchFactor)
-	sk := GaussianSketch(rng, s, m)
-	sa := make([]float64, s*n)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, s, n, m, 1, sk, s, a, lda, 0, sa, s)
+// SolveLS solves min‖A·x − b‖ to full accuracy with the Blendenpik
+// sketch-to-precondition scheme: sketch A with an SRHT of sketchFactor·n
+// rows, QR-factor the sketch S·A, use its R as a right preconditioner, and
+// run LSQR on A·R⁻¹, which converges in O(log(1/ε)) iterations independent
+// of A's conditioning. Cost: O(m·n·log m) sketch + O(s·n²) QR +
+// O(iterations·m·n) LSQR, against O(m·n²) for direct QR.
+func SolveLS(rng *rand.Rand, m, n int, a []float64, lda int, b []float64) ([]float64, SolveStats, error) {
+	s := max(min(sketchFactor*n, m), n)
+	sa := NewSRHT(rng, s, m).ApplyMatrix(n, a, lda)
 	tau := make([]float64, n)
 	lapack.Geqrf(s, n, sa, s, tau)
 	// R = upper triangle of sa.
@@ -51,9 +47,9 @@ func SolveLS(rng *rand.Rand, m, n int, a []float64, lda int, b []float64, sketch
 		}
 	}
 	op := &precondOp{m: m, n: n, a: a, lda: lda, r: sa, ldr: s}
-	res := LSQR(op, b, atol, maxIter)
+	res := LSQR(op, b, lsqrTol, lsqrMaxIter)
 	// x = R⁻¹·z.
-	x := append([]float64(nil), res.X...)
+	x := res.X
 	blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, n, sa, s, x, 1)
 	return x, SolveStats{SketchRows: s, LSQRIterations: res.Iterations, Converged: res.Converged}, nil
 }
@@ -82,20 +78,6 @@ func (p *precondOp) Apply(x, y []float64) {
 func (p *precondOp) ApplyT(x, y []float64) {
 	blas.Gemv(blas.Trans, p.m, p.n, 1, p.a, p.lda, x, 1, 0, y, 1)
 	blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, p.n, p.r, p.ldr, y, 1)
-}
-
-func sketchRows(n, m int, factor float64) int {
-	if factor < 1.1 {
-		factor = 2
-	}
-	s := int(math.Ceil(factor * float64(n)))
-	if s > m {
-		s = m
-	}
-	if s < n {
-		s = n
-	}
-	return s
 }
 
 // CondEst2 estimates the 2-norm condition number of a full-rank m×n matrix

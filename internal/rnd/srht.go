@@ -3,17 +3,14 @@ package rnd
 import (
 	"math"
 	"math/rand"
-
-	"exadla/internal/blas"
-	"exadla/internal/lapack"
 )
 
 // SRHT is a subsampled randomized Hadamard transform: S = √(m̂/s)·P·H·D
 // where D is a random ±1 diagonal, H the (normalized) Walsh–Hadamard
 // transform on the zero-padded power-of-two length m̂, and P samples s
-// rows. Applying it costs O(m̂·log m̂) per column instead of the O(s·m) of
-// a dense Gaussian sketch — the fast mixing Blendenpik relies on to beat
-// direct QR.
+// rows. Applying it costs O(m̂·log m̂) per column and no s×m matrix, where
+// a dense Gaussian sketch costs O(s·m) of both — the fast mixing Blendenpik
+// relies on to beat direct QR.
 type SRHT struct {
 	m, s, mPad int
 	signs      []float64 // ±1, length m
@@ -83,33 +80,4 @@ func (t *SRHT) ApplyMatrix(n int, a []float64, lda int) []float64 {
 		}
 	}
 	return out
-}
-
-// SolveLSFast is SolveLS with the SRHT sketch: the full Blendenpik recipe.
-// Cost: O(m·n·log m) sketch + O(s·n²) QR + O(iterations·m·n) LSQR, versus
-// O(m·n²) for direct QR — the crossover the E8 experiment measures.
-func SolveLSFast(rng *rand.Rand, m, n int, a []float64, lda int, b []float64, sketchFactor float64, atol float64, maxIter int) ([]float64, SolveStats, error) {
-	s := sketchRows(n, m, sketchFactor)
-	t := NewSRHT(rng, s, m)
-	sa := t.ApplyMatrix(n, a, lda)
-	tau := make([]float64, n)
-	lapack.Geqrf(s, n, sa, s, tau)
-	for i := 0; i < n; i++ {
-		if sa[i+i*s] == 0 {
-			return nil, SolveStats{SketchRows: s}, errRankDeficient(i)
-		}
-	}
-	op := &precondOp{m: m, n: n, a: a, lda: lda, r: sa, ldr: s}
-	res := LSQR(op, b, atol, maxIter)
-	x := append([]float64(nil), res.X...)
-	blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, n, sa, s, x, 1)
-	return x, SolveStats{SketchRows: s, LSQRIterations: res.Iterations, Converged: res.Converged}, nil
-}
-
-type rankDeficientError int
-
-func errRankDeficient(col int) error { return rankDeficientError(col) }
-
-func (e rankDeficientError) Error() string {
-	return "rnd: sketched matrix rank deficient"
 }

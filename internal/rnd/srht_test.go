@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"exadla/internal/blas"
-	"exadla/internal/lapack"
 	"exadla/internal/matgen"
 )
 
@@ -79,34 +78,4 @@ func TestSRHTVectorMatchesMatrix(t *testing.T) {
 			t.Fatal("vector and matrix application disagree")
 		}
 	}
-}
-
-func TestSolveLSFastMatchesQR(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m, n := 2000, 15
-	a := matgen.WithCond[float64](rng, m, n, 1e5)
-	b := matgen.Dense[float64](rng, m, 1)
-	x, stats, err := SolveLSFast(rng, m, n, a, m, b, 4.0, 1e-14, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Converged {
-		t.Fatalf("not converged after %d iterations", stats.LSQRIterations)
-	}
-	aCopy := append([]float64(nil), a...)
-	bCopy := append([]float64(nil), b...)
-	if err := lapack.Gels(m, n, aCopy, m, bCopy); err != nil {
-		t.Fatal(err)
-	}
-	rFast := lsResidualInternal(m, n, a, b, x)
-	rQR := lsResidualInternal(m, n, a, b, bCopy[:n])
-	if rFast > rQR*(1+1e-6) {
-		t.Errorf("SRHT residual %g exceeds QR residual %g", rFast, rQR)
-	}
-}
-
-func lsResidualInternal(m, n int, a, b, x []float64) float64 {
-	r := append([]float64(nil), b...)
-	blas.Gemv(blas.NoTrans, m, n, -1, a, m, x, 1, 1, r, 1)
-	return blas.Nrm2(m, r, 1)
 }

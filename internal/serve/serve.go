@@ -1,7 +1,7 @@
 // Package serve is the dense-linear-algebra-as-a-service layer: a
 // job-oriented HTTP front end over the tile scheduler. Tenants submit
-// factorize/solve problems, poll or stream status derived from the
-// scheduler's span traces, and fetch results. The server applies per-tenant
+// factorize/solve problems, poll or stream status (task progress counted
+// as each of the job's tasks returns), and fetch results. The server applies per-tenant
 // admission control with fair-share dequeueing and load shedding, keeps an
 // LRU cache of finished factorizations keyed by matrix fingerprint so a
 // repeated operator pays O(n²) triangular solves instead of the O(n³)

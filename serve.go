@@ -25,8 +25,9 @@ type SolveServer = serve.Server
 // Submit.
 type ServeJob = serve.JobSpec
 
-// ServeStatus is a job's observable state: lifecycle, span-derived task
-// progress, queue wait, cache disposition, and fingerprint.
+// ServeStatus is a job's observable state: lifecycle, task progress
+// (counted as each of the job's tasks returns), queue wait, cache
+// disposition, and fingerprint.
 type ServeStatus = serve.Status
 
 // ServeShedError is the admission-control rejection carrying the

@@ -267,14 +267,15 @@ func (c *Context) TSQRLeastSquares(a, b *Matrix, nblocks int) (*Matrix, error) {
 	return c.leastSquares(a, b, max(a.cols, (a.rows+nblocks-1)/nblocks, 1), core.OpQRTree)
 }
 
-// RandomizedLeastSquares solves min‖A·x − b‖₂ with the
-// sketch-to-precondition scheme (Gaussian sketch + QR preconditioner +
-// LSQR). b must have one column.
+// RandomizedLeastSquares solves min‖A·x − b‖₂ with the Blendenpik
+// sketch-to-precondition scheme (SRHT sketch of 4n rows + QR
+// preconditioner + LSQR), serially on the caller's goroutine. b must have
+// one column.
 func (c *Context) RandomizedLeastSquares(rng *rand.Rand, a, b *Matrix) (*Matrix, error) {
 	if b.cols != 1 || b.rows != a.rows {
 		return nil, fmt.Errorf("exadla: RandomizedLeastSquares needs an m×1 RHS")
 	}
-	x, stats, err := rnd.SolveLS(rng, a.rows, a.cols, a.data, a.rows, b.data, 2.0, 1e-14, 300)
+	x, stats, err := rnd.SolveLS(rng, a.rows, a.cols, a.data, a.rows, b.data)
 	if err != nil {
 		return nil, err
 	}
